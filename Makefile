@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check vet lint fmt fuzz-smoke build test test-race bench-quick bench bench-json bench-load bench-eval
+.PHONY: check vet lint fmt fuzz-smoke build test test-race bench-check bench-quick bench bench-json bench-load bench-eval
 
 ## check: everything CI runs — vet, lint, build, race-detector tests on
-## the parallel packages, then the full test suite.
-check: vet lint build test-race test
+## the parallel packages, the full test suite, then the bench module.
+check: vet lint build test-race test bench-check
 
 vet:
 	$(GO) vet ./...
@@ -57,6 +57,12 @@ test:
 ## kernels and the hot-swap serving path, under the race detector.
 test-race:
 	$(GO) test -race ./internal/sparse/... ./internal/core/... ./internal/hetnet/... ./internal/live/... ./internal/serve/... ./internal/obs/...
+
+## bench-check: vet and test the nested bench module. It compiles
+## against internal/ but the root ./... never builds it, so without
+## this an internal-API break surfaces only at the benchmark gate.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 ## bench-quick: the headline solver benchmark on the shrunken corpus
 ## (seconds; EXPERIMENTS.md §F6 records the reference numbers).

@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		saveCorp = fs.String("save-corpus", "", "write the loaded corpus as a columnar SCORP file for sarserve -corpus")
 		trace    = fs.Bool("trace", false, "print per-iteration solver residuals for the prestige and hetero phases (QISA-Rank only)")
 		shards   = fs.Int("shards", 1, "solve the damped walks over this many edge-balanced shards with boundary-mass exchange (QISA-Rank/scorer path only)")
-		shardJac = fs.Bool("shard-jacobi", false, "with -shards: exchange boundary mass only at sweep barriers (jacobi schedule) instead of in-sweep")
 		version  = fs.Bool("version", false, "print build version and exit")
 	)
 	var sopts core.ScorerOptions
@@ -109,9 +108,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *shards < 1 {
 		return fmt.Errorf("-shards %d: want >= 1", *shards)
 	}
-	if *shardJac && *shards <= 1 {
-		return fmt.Errorf("-shard-jacobi needs -shards > 1")
-	}
 	if sopts != nil && *scorer == "" {
 		return fmt.Errorf("-scorer-opt needs -scorer")
 	}
@@ -141,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if name == "" {
 			name = core.DefaultScorer
 		}
-		return runScorer(stdout, stderr, store, net, name, sopts, *workers, *k, *entities, *save, *trace, *shards, *shardJac)
+		return runScorer(stdout, stderr, store, net, name, sopts, *workers, *k, *entities, *save, *trace, *shards)
 	}
 
 	var methods []experiments.Method
@@ -198,12 +194,10 @@ func printTop(w io.Writer, store *corpus.Store, scores []float64, k int) error {
 // as a serving snapshot. The default scorer keeps its historical
 // QISA-Rank heading.
 func runScorer(stdout, stderr io.Writer, store *corpus.Store, net *hetnet.Network,
-	scorer string, sopts core.ScorerOptions, workers, k int, entities bool, savePath string, trace bool,
-	shards int, shardJacobi bool) error {
+	scorer string, sopts core.ScorerOptions, workers, k int, entities bool, savePath string, trace bool, shards int) error {
 	opts := core.DefaultOptions()
 	opts.Workers = workers
 	opts.Shards = shards
-	opts.ShardJacobi = shardJacobi
 	if trace {
 		opts.Trace = func(ev core.TraceEvent) {
 			fmt.Fprintf(stderr, "trace %-8s iter=%-3d residual=%.3e elapsed=%s\n",

@@ -163,14 +163,6 @@ func TestRunSharded(t *testing.T) {
 	if table(out.String()) != table(plain.String()) {
 		t.Errorf("sharded ranking diverges:\n%q\nvs\n%q", out.String(), plain.String())
 	}
-	// The jacobi exchange schedule reaches the same fixed point.
-	var jac, jacErr bytes.Buffer
-	if err := run([]string{"-in", path, "-shards", "2", "-shard-jacobi", "-k", "3"}, &jac, &jacErr); err != nil {
-		t.Fatal(err)
-	}
-	if table(jac.String()) != table(plain.String()) {
-		t.Errorf("jacobi sharded ranking diverges:\n%q\nvs\n%q", jac.String(), plain.String())
-	}
 }
 
 func TestRunShardedFlagValidation(t *testing.T) {
@@ -178,9 +170,6 @@ func TestRunShardedFlagValidation(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if err := run([]string{"-in", path, "-shards", "0"}, &out, &errBuf); err == nil {
 		t.Error("-shards 0 accepted")
-	}
-	if err := run([]string{"-in", path, "-shard-jacobi"}, &out, &errBuf); err == nil {
-		t.Error("-shard-jacobi without -shards accepted")
 	}
 	if err := run([]string{"-in", path, "-algo", "PageRank", "-shards", "2"}, &out, &errBuf); err == nil {
 		t.Error("-shards with non-core algo accepted")

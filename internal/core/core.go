@@ -135,20 +135,15 @@ type Options struct {
 	// Iter controls convergence of both iterative stages.
 	Iter sparse.IterOptions
 
-	// Shards selects the sharded solve path: the citation graph is cut
-	// into this many edge-balanced contiguous row ranges (internal/shard)
-	// and both iterative stages sweep shard by shard with boundary-mass
-	// exchange at the barriers. Values < 2 select the single-operator
-	// path. The fixed point is unchanged — sharding only trades sweep
-	// count (the default sequential schedule propagates mass a whole
-	// citation chain per sweep) against per-sweep exchange overhead.
+	// Shards selects the sharded sweep schedule: the citation graph is
+	// cut into this many edge-balanced contiguous row ranges
+	// (internal/shard) and both iterative stages sweep them in
+	// descending order, each shard reading the shards above it from the
+	// vector under construction. Values < 2 select the flat sweep. The
+	// fixed point is unchanged — sharding only trades sweep count (mass
+	// propagates a whole citation chain per sweep) against the
+	// per-shard barriers.
 	Shards int
-	// ShardJacobi selects the barrier-synchronous exchange schedule for
-	// sharded solves: every shard reads the previous iterate, which
-	// reproduces the unsharded trajectory sweep for sweep (a debugging
-	// and validation mode). The default (false) is the sequential
-	// descending Gauss–Seidel schedule, which converges in fewer sweeps.
-	ShardJacobi bool
 
 	// AitkenEvery sets the cadence of Aitken Δ² extrapolation in the
 	// prestige walk: every AitkenEvery plain sweeps the solver attempts

@@ -171,7 +171,7 @@ func TestPrestigeNoDecayEqualsPlainPageRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prestige, _, err := computePrestige(net.SolverView(), opts, gapTrans, nil, nil)
+	prestige, _, err := computePrestige(net.SolverView(), opts, gapTrans, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestHeteroColdStartAuthorInheritance(t *testing.T) {
 	net := fixture(t)
 	opts := DefaultOptions()
 	view := net.SolverView()
-	h, stats, err := computeHetero(view, opts, sparse.NewTransition(view.Citations, nil), nil, nil, nil)
+	h, stats, err := computeHetero(view, opts, sparse.NewTransition(view.Citations, nil), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

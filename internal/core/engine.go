@@ -45,19 +45,19 @@ type Engine struct {
 	// starting vector, so warm starting is purely an iteration-count
 	// optimisation.
 	warm map[string][]float64
-	// Sharded-solve substrate: one partition plan per shard count
-	// (edge-balanced cuts of the solver-ordered citation graph) and one
-	// decomposition per (operator, shard count) pair. Both derive from
-	// immutable structure, so they are computed once and shared across
-	// solves; the decompositions borrow their operator's worker pool.
-	shardPlans map[int]*shard.Plan
-	shardTrans map[shardKey]*sparse.ShardedTransition
+	// Sharded-solve substrate, one entry per shard count. It derives
+	// from immutable structure, so it is computed once and shared across
+	// solves.
+	shards map[int]shardLayout
 }
 
-// shardKey identifies one sharded decomposition in the engine cache.
-type shardKey struct {
-	t      *sparse.Transition
-	shards int
+// shardLayout is an edge-balanced partition of the solver-ordered
+// citation graph and the sweep schedule over the citation operator's
+// rows for it — rows every gap operator shares, so one schedule serves
+// them all.
+type shardLayout struct {
+	plan  *shard.Plan
+	sched *sparse.ShardSchedule
 }
 
 // prestige returns the explicit prestige seed, nil-safe.
@@ -105,12 +105,11 @@ func warmVector(explicit, cached []float64, n int, perm *sparse.Permutation) ([]
 // not be mutated afterwards.
 func NewEngine(net *hetnet.Network) *Engine {
 	return &Engine{
-		net:        net,
-		view:       net.SolverView(),
-		gapTrans:   make(map[float64]*sparse.Transition),
-		warm:       make(map[string][]float64),
-		shardPlans: make(map[int]*shard.Plan),
-		shardTrans: make(map[shardKey]*sparse.ShardedTransition),
+		net:      net,
+		view:     net.SolverView(),
+		gapTrans: make(map[float64]*sparse.Transition),
+		warm:     make(map[string][]float64),
+		shards:   make(map[int]shardLayout),
 	}
 }
 
@@ -176,41 +175,25 @@ func (e *Engine) gapTransition(rho float64, pool *sparse.Pool) (*sparse.Transiti
 	return t, nil
 }
 
-// shardPlan returns the engine's cached edge-balanced partition of
-// the solver-ordered citation graph for the given shard count,
-// computing it on first use. Partition clamps counts above the row
-// count, so the plan's Shards() may be lower than requested.
-func (e *Engine) shardPlan(shards int) (*shard.Plan, error) {
-	if p, ok := e.shardPlans[shards]; ok {
-		return p, nil
+// shardLayout returns the engine's cached partition and sweep schedule
+// for the given shard count, computing them on first use. Partition
+// clamps counts above the row count, so the plan's Shards() may be
+// lower than requested.
+func (e *Engine) shardLayout(shards int, pool *sparse.Pool) (shardLayout, error) {
+	if l, ok := e.shards[shards]; ok {
+		return l, nil
 	}
-	p, err := shard.Partition(e.view.Citations, shards)
+	plan, err := shard.Partition(e.view.Citations, shards)
 	if err != nil {
-		return nil, fmt.Errorf("core: shard partition: %w", err)
+		return shardLayout{}, fmt.Errorf("core: shard partition: %w", err)
 	}
-	e.shardPlans[shards] = p
-	return p, nil
-}
-
-// sharded returns the cached sharded decomposition of t over the plan
-// for the given shard count. The decomposition borrows t — SetPool on
-// t (which the transition accessors call per solve) propagates to
-// every sharded kernel, so all shards share one worker pool.
-func (e *Engine) sharded(t *sparse.Transition, shards int) (*sparse.ShardedTransition, error) {
-	key := shardKey{t: t, shards: shards}
-	if st, ok := e.shardTrans[key]; ok {
-		return st, nil
-	}
-	plan, err := e.shardPlan(shards)
+	sched, err := sparse.NewShardSchedule(e.citationTransition(pool), plan.Bounds)
 	if err != nil {
-		return nil, err
+		return shardLayout{}, fmt.Errorf("core: shard schedule: %w", err)
 	}
-	st, err := sparse.NewShardedTransition(t, plan.Bounds)
-	if err != nil {
-		return nil, fmt.Errorf("core: shard decomposition: %w", err)
-	}
-	e.shardTrans[key] = st
-	return st, nil
+	l := shardLayout{plan: plan, sched: sched}
+	e.shards[shards] = l
+	return l, nil
 }
 
 // Rank computes QISA-Rank — the registered default scorer — with the

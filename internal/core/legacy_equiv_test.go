@@ -49,7 +49,7 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: hetero warm start: %w", err)
 	}
-	rawSolver, pStats, err := computePrestige(e.view, opts, gapTrans, nil, initPrestige)
+	rawSolver, pStats, err := computePrestige(e.view, opts, gapTrans, initPrestige)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +60,7 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 		return nil, err
 	}
 	popularity := computePopularity(e.net, opts)
-	heteroSolver, hStats, err := computeHetero(e.view, opts, e.citationTransition(pool), nil, pool, initHetero)
+	heteroSolver, hStats, err := computeHetero(e.view, opts, e.citationTransition(pool), pool, initHetero)
 	if err != nil {
 		return nil, err
 	}

@@ -198,18 +198,24 @@ func (ctx *SolveContext) ShardPlan() (*shard.Plan, error) {
 	if ctx.opts.Shards < 2 {
 		return nil, nil
 	}
-	return ctx.eng.shardPlan(ctx.opts.Shards)
+	l, err := ctx.eng.shardLayout(ctx.opts.Shards, ctx.pool)
+	return l.plan, err
 }
 
-// Sharded returns t's cached sharded decomposition over the
-// configured partition, or nil when the solve is unsharded. Scorers
-// with iterative stages route their sweeps through it when non-nil;
-// the fixed point matches the single-operator solve either way.
-func (ctx *SolveContext) Sharded(t *sparse.Transition) (*sparse.ShardedTransition, error) {
+// Sharded returns t sweeping under the configured partition's shard
+// schedule, or t itself when the solve is unsharded. t must be the
+// citation operator or a reweighting of it. Scorers with iterative
+// stages run their walks over the result; the fixed point matches the
+// unsharded solve either way.
+func (ctx *SolveContext) Sharded(t *sparse.Transition) (*sparse.Transition, error) {
 	if ctx.opts.Shards < 2 {
-		return nil, nil
+		return t, nil
 	}
-	return ctx.eng.sharded(t, ctx.opts.Shards)
+	l, err := ctx.eng.shardLayout(ctx.opts.Shards, ctx.pool)
+	if err != nil {
+		return nil, err
+	}
+	return t.WithSchedule(l.sched)
 }
 
 // IterFor returns the iteration options for one solver phase, with

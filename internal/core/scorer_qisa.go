@@ -69,8 +69,7 @@ func (qisaScorer) Score(ctx *SolveContext) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	shardedGap, err := ctx.Sharded(gapTrans)
-	if err != nil {
+	if gapTrans, err = ctx.Sharded(gapTrans); err != nil {
 		return nil, err
 	}
 	initPrestige, err := ctx.WarmStart(prestigeWarmKey(opts.RhoGap), opts.InitialScores.prestige())
@@ -81,7 +80,7 @@ func (qisaScorer) Score(ctx *SolveContext) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: hetero warm start: %w", err)
 	}
-	rawSolver, pStats, err := computePrestige(ctx.View(), opts, gapTrans, shardedGap, initPrestige)
+	rawSolver, pStats, err := computePrestige(ctx.View(), opts, gapTrans, initPrestige)
 	if err != nil {
 		return nil, err
 	}
@@ -92,12 +91,11 @@ func (qisaScorer) Score(ctx *SolveContext) ([]float64, error) {
 		return nil, err
 	}
 	popularity := computePopularity(ctx.Network(), opts)
-	citTrans := ctx.CitationTransition()
-	shardedCit, err := ctx.Sharded(citTrans)
+	citTrans, err := ctx.Sharded(ctx.CitationTransition())
 	if err != nil {
 		return nil, err
 	}
-	heteroSolver, hStats, err := computeHetero(ctx.View(), opts, citTrans, shardedCit, ctx.Pool(), initHetero)
+	heteroSolver, hStats, err := computeHetero(ctx.View(), opts, citTrans, ctx.Pool(), initHetero)
 	if err != nil {
 		return nil, err
 	}
@@ -152,15 +150,14 @@ func (prestigeScorer) Score(ctx *SolveContext) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	sharded, err := ctx.Sharded(gapTrans)
-	if err != nil {
+	if gapTrans, err = ctx.Sharded(gapTrans); err != nil {
 		return nil, err
 	}
 	init, err := ctx.WarmStart(prestigeWarmKey(opts.RhoGap), opts.InitialScores.prestige())
 	if err != nil {
 		return nil, fmt.Errorf("core: prestige warm start: %w", err)
 	}
-	rawSolver, stats, err := computePrestige(ctx.View(), opts, gapTrans, sharded, init)
+	rawSolver, stats, err := computePrestige(ctx.View(), opts, gapTrans, init)
 	if err != nil {
 		return nil, err
 	}
@@ -206,12 +203,11 @@ func (heteroScorer) Score(ctx *SolveContext) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: hetero warm start: %w", err)
 	}
-	citTrans := ctx.CitationTransition()
-	sharded, err := ctx.Sharded(citTrans)
+	citTrans, err := ctx.Sharded(ctx.CitationTransition())
 	if err != nil {
 		return nil, err
 	}
-	heteroSolver, stats, err := computeHetero(ctx.View(), opts, citTrans, sharded, ctx.Pool(), init)
+	heteroSolver, stats, err := computeHetero(ctx.View(), opts, citTrans, ctx.Pool(), init)
 	if err != nil {
 		return nil, err
 	}

@@ -39,10 +39,9 @@ func shardEquivOptions() Options {
 }
 
 // TestShardedRankMatchesUnsharded is the sharded-solve equivalence
-// property: the default scorer over 2/4/8 shards, under both exchange
-// schedules, on random and power-law corpora, must match the
-// unsharded solve to 1e-10 — cold, warm, and warm across a
-// shard-count change.
+// property: the default scorer over 2/4/8 shards, on random and
+// power-law corpora, must match the unsharded solve to 1e-10 — cold,
+// warm, and warm across a shard-count change.
 func TestShardedRankMatchesUnsharded(t *testing.T) {
 	const tol = 1e-10
 	check := func(t *testing.T, label string, got, want *Scores) {
@@ -80,55 +79,53 @@ func TestShardedRankMatchesUnsharded(t *testing.T) {
 					want.PrestigeStats.Exchanges, want.HeteroStats.Exchanges)
 			}
 			for _, shards := range []int{2, 4, 8} {
-				for _, jacobi := range []bool{false, true} {
-					label := fmt.Sprintf("shards=%d jacobi=%v", shards, jacobi)
-					opts := shardEquivOptions()
-					opts.Shards = shards
-					opts.ShardJacobi = jacobi
-					eng := NewEngine(net)
-					cold, err := eng.Rank(opts)
-					if err != nil {
-						eng.Close()
-						t.Fatalf("%s: cold: %v", label, err)
-					}
-					check(t, label+" cold", cold, want)
-					if cold.Shards != shards {
-						t.Errorf("%s: result reports %d shards", label, cold.Shards)
-					}
-					if len(cold.ShardEdges) != shards {
-						t.Errorf("%s: %d shard edge counts, want %d", label, len(cold.ShardEdges), shards)
-					}
-					if cold.PrestigeStats.Exchanges <= 0 || cold.HeteroStats.Exchanges <= 0 {
-						t.Errorf("%s: sharded solve reports no boundary exchanges (%d/%d)",
-							label, cold.PrestigeStats.Exchanges, cold.HeteroStats.Exchanges)
-					}
-					warm, err := eng.Rank(opts)
-					if err != nil {
-						eng.Close()
-						t.Fatalf("%s: warm: %v", label, err)
-					}
-					check(t, label+" warm", warm, want)
-					coldIters := cold.PrestigeStats.Iterations + cold.HeteroStats.Iterations
-					warmIters := warm.PrestigeStats.Iterations + warm.HeteroStats.Iterations
-					if warmIters > coldIters {
-						t.Errorf("%s: warm repeat took %d iterations, cold took %d", label, warmIters, coldIters)
-					}
-					// The warm cache must survive a shard-count change:
-					// fixed points are shard-independent, so the cached
-					// vectors stay valid starting points.
-					opts.Shards = shards * 2
-					if shards == 8 {
-						opts.Shards = 2
-					}
-					crossed, err := eng.Rank(opts)
+				label := fmt.Sprintf("shards=%d", shards)
+				opts := shardEquivOptions()
+				opts.Shards = shards
+				eng := NewEngine(net)
+				cold, err := eng.Rank(opts)
+				if err != nil {
 					eng.Close()
-					if err != nil {
-						t.Fatalf("%s: warm across shard-count change: %v", label, err)
-					}
-					check(t, label+" resharded", crossed, want)
-					if crossed.Shards != opts.Shards {
-						t.Errorf("%s: resharded result reports %d shards, want %d", label, crossed.Shards, opts.Shards)
-					}
+					t.Fatalf("%s: cold: %v", label, err)
+				}
+				check(t, label+" cold", cold, want)
+				if cold.Shards != shards {
+					t.Errorf("%s: result reports %d shards", label, cold.Shards)
+				}
+				if len(cold.ShardEdges) != shards {
+					t.Errorf("%s: %d shard edge counts, want %d", label, len(cold.ShardEdges), shards)
+				}
+				if cold.PrestigeStats.Exchanges != shards*cold.PrestigeStats.Iterations ||
+					cold.HeteroStats.Exchanges != shards*cold.HeteroStats.Iterations {
+					t.Errorf("%s: boundary exchanges %d/%d, want one per shard per sweep",
+						label, cold.PrestigeStats.Exchanges, cold.HeteroStats.Exchanges)
+				}
+				warm, err := eng.Rank(opts)
+				if err != nil {
+					eng.Close()
+					t.Fatalf("%s: warm: %v", label, err)
+				}
+				check(t, label+" warm", warm, want)
+				coldIters := cold.PrestigeStats.Iterations + cold.HeteroStats.Iterations
+				warmIters := warm.PrestigeStats.Iterations + warm.HeteroStats.Iterations
+				if warmIters > coldIters {
+					t.Errorf("%s: warm repeat took %d iterations, cold took %d", label, warmIters, coldIters)
+				}
+				// The warm cache must survive a shard-count change:
+				// fixed points are shard-independent, so the cached
+				// vectors stay valid starting points.
+				opts.Shards = shards * 2
+				if shards == 8 {
+					opts.Shards = 2
+				}
+				crossed, err := eng.Rank(opts)
+				eng.Close()
+				if err != nil {
+					t.Fatalf("%s: warm across shard-count change: %v", label, err)
+				}
+				check(t, label+" resharded", crossed, want)
+				if crossed.Shards != opts.Shards {
+					t.Errorf("%s: resharded result reports %d shards, want %d", label, crossed.Shards, opts.Shards)
 				}
 			}
 		})

@@ -21,10 +21,9 @@ import (
 // are likewise solver-ordered: the caller unmaps them. The returned
 // scores are the raw walk result, before prestige fading. Aitken Δ²
 // extrapolation runs at the cadence opts.AitkenEvery (resolved by
-// effective()). A non-nil sharded decomposition of gapTrans routes
-// the walk through the per-shard sweep with boundary-mass exchange;
-// the fixed point is unchanged.
-func computePrestige(view *hetnet.SolverView, opts Options, gapTrans *sparse.Transition, sharded *sparse.ShardedTransition, init []float64) ([]float64, sparse.IterStats, error) {
+// effective()). When gapTrans carries a shard schedule the walk sweeps
+// shard by shard; the fixed point is unchanged.
+func computePrestige(view *hetnet.SolverView, opts Options, gapTrans *sparse.Transition, init []float64) ([]float64, sparse.IterStats, error) {
 	recency, err := temporal.NewExponential(opts.RhoRecency)
 	if err != nil {
 		return nil, sparse.IterStats{}, fmt.Errorf("core: prestige: %w", err)
@@ -36,15 +35,7 @@ func computePrestige(view *hetnet.SolverView, opts Options, gapTrans *sparse.Tra
 	}
 	it := opts.iterFor(PhasePrestige)
 	it.AitkenEvery = opts.AitkenEvery
-	var (
-		scores []float64
-		stats  sparse.IterStats
-	)
-	if sharded != nil {
-		scores, stats, err = sparse.ShardedDampedWalkFrom(sharded, opts.Damping, teleport, init, it, !opts.ShardJacobi)
-	} else {
-		scores, stats, err = sparse.DampedWalkFrom(gapTrans, opts.Damping, teleport, init, it)
-	}
+	scores, stats, err := sparse.DampedWalkFrom(gapTrans, opts.Damping, teleport, init, it)
 	if err != nil {
 		return nil, sparse.IterStats{}, fmt.Errorf("core: prestige: %w", err)
 	}
@@ -179,11 +170,11 @@ func computePopularity(net *hetnet.Network, opts Options) []float64 {
 // iteration converges for any starting distribution.
 // The iteration body is fused: the author/venue layers are gathered
 // through pull-form pooled kernels (pre-scaled by the spread shares),
-// then a single BlendStep sweep combines the citation mat-vec,
-// dangling and leak restarts, the inline layer spread (read straight
-// from the article→authors CSR and venue index, never materialised),
-// output sum, and next iteration's dangling mass, and ScaleDiffStep
-// folds the normalisation into the residual pass.
+// then a single BlendSweep combines the citation mat-vec, dangling and
+// leak restarts, the inline layer spread (read straight from the
+// article→authors CSR and venue index, never materialised), output
+// sum, and next iteration's dangling mass, and ScaleDiffStep folds the
+// normalisation into the residual pass.
 //
 // Like the prestige stage the walk runs in solver space: t was built
 // from view.Citations, the view's bipartite layers carry solver
@@ -191,12 +182,11 @@ func computePopularity(net *hetnet.Network, opts Options) []float64 {
 // opts.HeteroRelTol schedule (when set) relaxes the stopping
 // tolerance relative to the first iteration's residual.
 //
-// A non-nil sharded decomposition of t replaces the fused BlendStep
-// with the per-shard BlendSweep: the citation mat-vec and its
-// boundary exchange run shard by shard, while the author/venue layer
-// coupling stays barrier-synchronous (gathered from src before the
-// sweep) under either schedule — the fixed point is unchanged.
-func computeHetero(view *hetnet.SolverView, opts Options, t *sparse.Transition, sharded *sparse.ShardedTransition, pool *sparse.Pool, init []float64) ([]float64, sparse.IterStats, error) {
+// When t carries a shard schedule the citation mat-vec sweeps shard by
+// shard, while the author/venue layer coupling stays
+// barrier-synchronous (gathered from src before the sweep) — the fixed
+// point is unchanged.
+func computeHetero(view *hetnet.SolverView, opts Options, t *sparse.Transition, pool *sparse.Pool, init []float64) ([]float64, sparse.IterStats, error) {
 	n := view.NumArticles()
 	recency, err := temporal.NewExponential(opts.RhoRecency)
 	if err != nil {
@@ -221,54 +211,26 @@ func computeHetero(view *hetnet.SolverView, opts Options, t *sparse.Transition, 
 		init = make([]float64, n)
 		sparse.Uniform(init)
 	}
-	var step func(dst, src []float64) float64
-	var exchBefore uint64
-	if sharded != nil {
-		exchBefore = sharded.Exchanges()
-		dang := make([]float64, sharded.NumShards())
-		sharded.SeedDangling(init, dang)
-		step = func(dst, src []float64) float64 {
-			var aLeak, vLeak float64
-			if opts.LambdaAuthor > 0 {
-				aLeak = view.GatherArticlesToAuthorsScaledPar(pool, authors, src)
-			}
-			if opts.LambdaVenue > 0 {
-				vLeak = view.GatherArticlesToVenuesScaledPar(pool, venues, src)
-			}
-			sum := sharded.BlendSweep(dst, src, r, authorLayer, venueLayer,
-				opts.LambdaCite, opts.LambdaAuthor, opts.LambdaVenue, opts.LambdaTime,
-				aLeak, vLeak, !opts.ShardJacobi, dang)
-			inv := 1.0
-			if sum != 0 && !math.IsNaN(sum) && !math.IsInf(sum, 0) {
-				inv = 1 / sum
-			}
-			res := t.ScaleDiffStep(dst, src, inv)
-			for s := range dang {
-				dang[s] *= inv
-			}
-			return res
+	dang := make([]float64, t.NumShards())
+	t.SeedDangling(init, dang) // seeds the pipelined dangling mass
+	step := func(dst, src []float64) float64 {
+		var aLeak, vLeak float64
+		if opts.LambdaAuthor > 0 {
+			aLeak = view.GatherArticlesToAuthorsScaledPar(pool, authors, src)
 		}
-	} else {
-		dm := t.DanglingMass(init) // seeds the pipelined dangling mass
-		step = func(dst, src []float64) float64 {
-			var aLeak, vLeak float64
-			if opts.LambdaAuthor > 0 {
-				aLeak = view.GatherArticlesToAuthorsScaledPar(pool, authors, src)
-			}
-			if opts.LambdaVenue > 0 {
-				vLeak = view.GatherArticlesToVenuesScaledPar(pool, venues, src)
-			}
-			sum, dangNext := t.BlendStep(dst, src, r, authorLayer, venueLayer,
-				opts.LambdaCite, opts.LambdaAuthor, opts.LambdaVenue, opts.LambdaTime,
-				dm, aLeak, vLeak)
-			inv := 1.0
-			if sum != 0 && !math.IsNaN(sum) && !math.IsInf(sum, 0) {
-				inv = 1 / sum
-			}
-			res := t.ScaleDiffStep(dst, src, inv)
-			dm = dangNext * inv
-			return res
+		if opts.LambdaVenue > 0 {
+			vLeak = view.GatherArticlesToVenuesScaledPar(pool, venues, src)
 		}
+		sum := t.BlendSweep(dst, src, r, authorLayer, venueLayer,
+			opts.LambdaCite, opts.LambdaAuthor, opts.LambdaVenue, opts.LambdaTime,
+			aLeak, vLeak, dang)
+		inv := 1.0
+		if sum != 0 && !math.IsNaN(sum) && !math.IsInf(sum, 0) {
+			inv = 1 / sum
+		}
+		res := t.ScaleDiffStep(dst, src, inv)
+		sparse.Scale(dang, inv)
+		return res
 	}
 	it := opts.iterFor(PhaseHetero)
 	if opts.HeteroRelTol > 0 {
@@ -278,8 +240,6 @@ func computeHetero(view *hetnet.SolverView, opts Options, t *sparse.Transition, 
 	if err != nil {
 		return nil, sparse.IterStats{}, err
 	}
-	if sharded != nil {
-		stats.Exchanges = int(sharded.Exchanges() - exchBefore)
-	}
+	stats.Exchanges = t.Exchanges(stats.Iterations)
 	return scores, stats, nil
 }

@@ -90,6 +90,7 @@ func newGeneration(store *corpus.Store, net *hetnet.Network, scores *core.Scores
 	// The generation holds its own reference to the store's backing
 	// mapping for as long as it can serve readers.
 	if !store.Retain() {
+		related.Close()
 		return nil, fmt.Errorf("serve: corpus mapping already closed")
 	}
 	scorer := scores.Scorer
@@ -127,10 +128,12 @@ func (g *generation) acquire() bool {
 }
 
 // release drops one reference; the reference that reaches zero
-// releases the store's mapping. Store.Close on a heap store is a
-// no-op, so the protocol is uniform across load modes.
+// releases the store's mapping and the related index's worker pool —
+// no reader can reach either any more. Store.Close on a heap store is
+// a no-op, so the protocol is uniform across load modes.
 func (g *generation) release() {
 	if g.refs.Add(-1) == 0 {
+		g.related.Close()
 		_ = g.store.Close()
 	}
 }

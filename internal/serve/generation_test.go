@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -114,6 +115,35 @@ func TestIngestSwapsGeneration(t *testing.T) {
 	stats := decodeBody[map[string]any](t, get(t, h, "/stats"))
 	if stats["articles"].(float64) != 8 || stats["version"].(float64) != 2 {
 		t.Errorf("stats after ingest = %v", stats)
+	}
+}
+
+// TestRetiredGenerationsReleaseWorkers checks a hot swap leaves nothing
+// parked behind: every retired generation closes its related index's
+// worker pool (NumCPU-1 goroutines), so the goroutine count stays flat
+// across ingests.
+func TestRetiredGenerationsReleaseWorkers(t *testing.T) {
+	_, srv := liveFixture(t, Config{})
+	ingest := func(i int) {
+		t.Helper()
+		delta := fmt.Sprintf(`{"id":"w%d","year":2016,"refs":["a"]}`, i)
+		if _, err := srv.Ingest(context.Background(), strings.NewReader(delta)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(0) // the first swap settles whatever starts lazily
+	base := runtime.NumGoroutine()
+	const swaps = 8
+	for i := 1; i <= swaps; i++ {
+		ingest(i)
+	}
+	// Workers exit asynchronously once their pool is closed; the count
+	// itself is the only observable event.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after %d more swaps, %d before: retired generations keep workers parked", n, swaps, base)
 	}
 }
 

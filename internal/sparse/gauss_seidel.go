@@ -16,41 +16,26 @@ package sparse
 //
 // teleport must be a probability distribution of length N().
 func (t *Transition) GaussSeidelPageRank(damping float64, teleport []float64, opts IterOptions) ([]float64, IterStats, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, IterStats{}, err
-	}
-	n := t.n
-	x := make([]float64, n)
-	copy(x, teleport)
-	prev := make([]float64, n)
-	var st IterStats
-	for st.Iterations = 1; st.Iterations <= opts.MaxIter; st.Iterations++ {
-		copy(prev, x)
-		dm := t.DanglingMass(x)
+	step := func(dst, src []float64) float64 {
+		copy(dst, src)
+		dm := t.DanglingMass(dst)
 		// Sweep from the highest index down: citation edges point
 		// backward in time, so with chronological ids an article's
 		// citers (its in-neighbors) have higher indices and are
 		// already updated when the article itself is — one sweep then
 		// pushes mass through whole citation chains.
-		for v := n - 1; v >= 0; v-- {
+		for v := t.n - 1; v >= 0; v-- {
 			var s float64
 			for i := t.offsets[v]; i < t.offsets[v+1]; i++ {
-				s += x[t.sources[i]] * t.norm[i]
+				s += dst[t.sources[i]] * t.norm[i]
 			}
-			x[v] = damping*(s+dm*teleport[v]) + (1-damping)*teleport[v]
+			dst[v] = damping*(s+dm*teleport[v]) + (1-damping)*teleport[v]
 		}
-		st.Residual = L1Diff(x, prev)
-		if opts.Trace {
-			st.ResidualTrace = append(st.ResidualTrace, st.Residual)
-		}
-		if st.Residual < opts.Tol {
-			st.Converged = true
-			break
-		}
+		return L1Diff(dst, src)
 	}
-	if st.Iterations > opts.MaxIter {
-		st.Iterations = opts.MaxIter
+	x, st, err := FixedPointResidual(teleport, step, opts)
+	if err != nil {
+		return nil, st, err
 	}
 	// Gauss–Seidel does not preserve total mass mid-stream; normalise
 	// so the result is comparable with the power-iteration solution.

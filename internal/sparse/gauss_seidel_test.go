@@ -24,7 +24,9 @@ func TestGaussSeidelTrace(t *testing.T) {
 	tr := NewTransition(gsGraph(t), nil)
 	tele := make([]float64, tr.N())
 	Uniform(tele)
-	x, st, err := tr.GaussSeidelPageRank(0.85, tele, IterOptions{Tol: 1e-10, Trace: true})
+	var events int
+	opts := IterOptions{Tol: 1e-10, Trace: true, OnIteration: func(IterEvent) { events++ }}
+	x, st, err := tr.GaussSeidelPageRank(0.85, tele, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +35,15 @@ func TestGaussSeidelTrace(t *testing.T) {
 	}
 	if len(st.ResidualTrace) != st.Iterations {
 		t.Errorf("trace %d vs iterations %d", len(st.ResidualTrace), st.Iterations)
+	}
+	// The solve runs on the shared driver, so the per-iteration hook,
+	// the wall time and the relative tolerance all apply.
+	if events != st.Iterations || st.Elapsed <= 0 {
+		t.Errorf("%d OnIteration events over %d iterations, elapsed %v", events, st.Iterations, st.Elapsed)
+	}
+	opts.RelTol = 1e-3
+	if _, rel, err := tr.GaussSeidelPageRank(0.85, tele, opts); err != nil || !rel.Converged || rel.Iterations >= st.Iterations {
+		t.Errorf("RelTol 1e-3 took %d iterations (converged %v, err %v), absolute tolerance %d", rel.Iterations, rel.Converged, err, st.Iterations)
 	}
 	if s := Sum(x); s < 0.999 || s > 1.001 {
 		t.Errorf("result mass %v", s)

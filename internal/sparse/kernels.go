@@ -115,6 +115,26 @@ func reducePartials(parts []stepPartial) stepPartial {
 	return parts[0]
 }
 
+// reduceChunks runs body over every chunk of a row plan and folds the
+// chunk partials with reducePartials. A plan with one chunk, or a pool
+// with one worker, runs the whole range inline. It is the one place a
+// sweep meets the worker pool: the flat kernels pass the operator's
+// plan, a shard sweep passes the shard's.
+func (t *Transition) reduceChunks(chunks []int32, body func(lo, hi int) stepPartial) stepPartial {
+	nc := len(chunks) - 1
+	if nc == 1 || t.pool.Workers() <= 1 {
+		return body(int(chunks[0]), int(chunks[nc]))
+	}
+	parts := getPartials(nc)
+	ps := *parts
+	t.pool.Run(nc, func(c int) {
+		ps[c] = body(int(chunks[c]), int(chunks[c+1]))
+	})
+	total := reducePartials(ps)
+	partialsPool.Put(parts)
+	return total
+}
+
 // DampedStep performs one fused iteration of the damped random walk:
 //
 //	dst = damping·(Mᵀsrc + danglingMass·teleport) + (1-damping)·teleport
@@ -133,20 +153,11 @@ func reducePartials(parts []stepPartial) stepPartial {
 func (t *Transition) DampedStep(dst, src, teleport []float64, damping, danglingMass float64) (res, sum, danglingNext float64) {
 	// dst[v] = damping·s + (damping·dm + 1 - damping)·teleport[v]
 	tcoef := damping*danglingMass + 1 - damping
-	nc := t.numChunks()
-	if nc == 1 || t.pool.Workers() <= 1 {
-		return t.dampedRange(dst, src, teleport, damping, tcoef, 0, t.n)
-	}
-	parts := getPartials(nc)
-	ps := *parts
-	t.pool.Run(nc, func(c int) {
-		lo, hi := int(t.chunks[c]), int(t.chunks[c+1])
+	p := t.reduceChunks(t.chunks, func(lo, hi int) stepPartial {
 		r, s, d := t.dampedRange(dst, src, teleport, damping, tcoef, lo, hi)
-		ps[c] = stepPartial{res: r, sum: s, dang: d}
+		return stepPartial{res: r, sum: s, dang: d}
 	})
-	total := reducePartials(ps)
-	partialsPool.Put(parts)
-	return total.res, total.sum, total.dang
+	return p.res, p.sum, p.dang
 }
 
 func (t *Transition) dampedRange(dst, src, teleport []float64, damping, tcoef float64, lo, hi int) (res, sum, dang float64) {
@@ -159,6 +170,38 @@ func (t *Transition) dampedRange(dst, src, teleport []float64, damping, tcoef fl
 		nrm := t.norm[start:end][:len(row)] // elides the nrm[i] bounds check
 		for i, u := range row {
 			s += src[u] * nrm[i]
+		}
+		y := damping*s + tcoef*teleport[v]
+		dst[v] = y
+		res += math.Abs(y - src[v])
+		sum += y
+		if mark[v] {
+			dang += y
+		}
+	}
+	return res, sum, dang
+}
+
+// dampedSplitRange is dampedRange for a shard sweep: each row reads
+// its sources below split[v] from src and the rest — sources in shards
+// already swept this sweep — from dst (see ShardSchedule). It is a
+// separate body because a per-row split, even an empty one, costs the
+// flat sweep several percent.
+func (t *Transition) dampedSplitRange(split []int64, dst, src, teleport []float64, damping, tcoef float64, lo, hi int) (res, sum, dang float64) {
+	offs := t.offsets
+	mark := t.danglingMark
+	for v := lo; v < hi; v++ {
+		var s float64
+		start, mid, end := offs[v], split[v], offs[v+1]
+		row := t.sources[start:mid]
+		nrm := t.norm[start:mid][:len(row)] // elides the nrm[i] bounds check
+		for i, u := range row {
+			s += src[u] * nrm[i]
+		}
+		row = t.sources[mid:end]
+		nrm = t.norm[mid:end][:len(row)]
+		for i, u := range row {
+			s += dst[u] * nrm[i]
 		}
 		y := damping*s + tcoef*teleport[v]
 		dst[v] = y
@@ -219,7 +262,18 @@ func (l *AuxLookup) at(v int) float64 {
 // (for the caller's re-normalisation) and the dangling mass of dst
 // (pipelined, like DampedStep). dst and src must not alias.
 func (t *Transition) BlendStep(dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, dm, aLeak, vLeak float64) (sum, danglingNext float64) {
-	// Constant-vector coefficients fold into a single multiplier of r.
+	rcoef := restartCoef(fa, fv, lc, la, lv, lt, dm, aLeak, vLeak)
+	p := t.reduceChunks(t.chunks, func(lo, hi int) stepPartial {
+		s, d := t.blendRange(dst, src, r, fa, fv, lc, la, lv, rcoef, lo, hi)
+		return stepPartial{sum: s, dang: d}
+	})
+	return p.sum, p.dang
+}
+
+// restartCoef folds the blend step's constant-vector terms — dangling
+// mass, layer leaks and the time restart — into the single multiplier
+// of r.
+func restartCoef(fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, dm, aLeak, vLeak float64) float64 {
 	rcoef := lc*dm + lt
 	if fa != nil {
 		rcoef += la * aLeak
@@ -227,20 +281,7 @@ func (t *Transition) BlendStep(dst, src, r []float64, fa *AuxGather, fv *AuxLook
 	if fv != nil {
 		rcoef += lv * vLeak
 	}
-	nc := t.numChunks()
-	if nc == 1 || t.pool.Workers() <= 1 {
-		return t.blendRange(dst, src, r, fa, fv, lc, la, lv, rcoef, 0, t.n)
-	}
-	parts := getPartials(nc)
-	ps := *parts
-	t.pool.Run(nc, func(c int) {
-		lo, hi := int(t.chunks[c]), int(t.chunks[c+1])
-		s, d := t.blendRange(dst, src, r, fa, fv, lc, la, lv, rcoef, lo, hi)
-		ps[c] = stepPartial{sum: s, dang: d}
-	})
-	total := reducePartials(ps)
-	partialsPool.Put(parts)
-	return total.sum, total.dang
+	return rcoef
 }
 
 func (t *Transition) blendRange(dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, rcoef float64, lo, hi int) (sum, dang float64) {
@@ -270,6 +311,40 @@ func (t *Transition) blendRange(dst, src, r []float64, fa *AuxGather, fv *AuxLoo
 	return sum, dang
 }
 
+// blendSplitRange is blendRange for a shard sweep, splitting each row
+// between src and dst exactly as dampedSplitRange does.
+func (t *Transition) blendSplitRange(split []int64, dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, rcoef float64, lo, hi int) (sum, dang float64) {
+	offs := t.offsets
+	mark := t.danglingMark
+	for v := lo; v < hi; v++ {
+		var s float64
+		start, mid, end := offs[v], split[v], offs[v+1]
+		row := t.sources[start:mid]
+		nrm := t.norm[start:mid][:len(row)] // elides the nrm[i] bounds check
+		for i, u := range row {
+			s += src[u] * nrm[i]
+		}
+		row = t.sources[mid:end]
+		nrm = t.norm[mid:end][:len(row)]
+		for i, u := range row {
+			s += dst[u] * nrm[i]
+		}
+		x := lc*s + rcoef*r[v]
+		if fa != nil {
+			x += la * fa.at(v)
+		}
+		if fv != nil {
+			x += lv * fv.at(v)
+		}
+		dst[v] = x
+		sum += x
+		if mark[v] {
+			dang += x
+		}
+	}
+	return sum, dang
+}
+
 // ScaleDiffStep rescales dst in place by scale and returns the L1
 // distance ||scale·dst - src||₁ in the same parallel sweep. It is the
 // fused normalise-and-measure tail of the heterogeneous step: the
@@ -277,19 +352,9 @@ func (t *Transition) blendRange(dst, src, r []float64, fa *AuxGather, fv *AuxLoo
 // sweep applies 1/sum and reports the residual against the previous
 // iterate.
 func (t *Transition) ScaleDiffStep(dst, src []float64, scale float64) (res float64) {
-	nc := t.numChunks()
-	if nc == 1 || t.pool.Workers() <= 1 {
-		return scaleDiffRange(dst, src, scale, 0, len(dst))
-	}
-	parts := getPartials(nc)
-	ps := *parts
-	t.pool.Run(nc, func(c int) {
-		lo, hi := int(t.chunks[c]), int(t.chunks[c+1])
-		ps[c].res = scaleDiffRange(dst, src, scale, lo, hi)
-	})
-	total := reducePartials(ps)
-	partialsPool.Put(parts)
-	return total.res
+	return t.reduceChunks(t.chunks, func(lo, hi int) stepPartial {
+		return stepPartial{res: scaleDiffRange(dst, src, scale, lo, hi)}
+	}).res
 }
 
 func scaleDiffRange(dst, src []float64, scale float64, lo, hi int) (res float64) {

@@ -40,10 +40,10 @@ type IterOptions struct {
 	// chasing a fixed absolute target.
 	RelTol float64
 	// AitkenEvery, when positive, enables guarded Aitken Δ² vector
-	// extrapolation every AitkenEvery iterations in the drivers that
-	// support it (FixedPointExtrapolated, and DampedWalk/DampedWalkFrom
-	// which route through it). FixedPoint and FixedPointResidual ignore
-	// the field. See FixedPointExtrapolated for the guard condition.
+	// extrapolation every AitkenEvery iterations in FixedPointExtrapolated
+	// and the walks built on it (DampedWalk/DampedWalkFrom). FixedPoint
+	// and FixedPointResidual ignore the field. See FixedPointExtrapolated
+	// for the guard condition.
 	AitkenEvery int
 }
 
@@ -87,8 +87,9 @@ type IterStats struct {
 	// rate, net of the sweeps wasted on rejected trials. It is an
 	// estimate for observability, not an exact count.
 	IterationsSaved int
-	// Exchanges counts the boundary-mass exchanges (per-shard inbox
-	// fills) a sharded solve performed; zero for unsharded drivers.
+	// Exchanges counts the boundary-mass exchanges of a sharded solve,
+	// one per shard per sweep (Transition.Exchanges); zero when the
+	// operator is a single shard.
 	Exchanges int
 }
 
@@ -121,26 +122,27 @@ func DampedWalk(t *Transition, damping float64, teleport []float64, opts IterOpt
 // solution (a previous parameterisation's result) cuts the iteration
 // count — the warm-start path used by parameter sweeps.
 //
-// Each iteration is a single fused sweep (DampedStep): the mat-vec,
+// Each iteration is a single fused sweep (DampedSweep): the mat-vec,
 // dangling redistribution, teleport blend and convergence residual
 // all happen in one pass over the operator, and the dangling mass of
 // the produced vector is carried into the next iteration instead of
-// being recomputed.
+// being recomputed. An operator carrying a shard schedule
+// (WithSchedule) sweeps shard by shard — same fixed point, fewer
+// sweeps on citation-ordered graphs — and the returned stats carry its
+// boundary-exchange count.
 func DampedWalkFrom(t *Transition, damping float64, teleport, init []float64, opts IterOptions) ([]float64, IterStats, error) {
-	dm := t.DanglingMass(init) // seeds the pipelined dangling mass
+	dang := make([]float64, t.NumShards())
+	t.SeedDangling(init, dang) // seeds the pipelined dangling mass
 	step := func(dst, src []float64) float64 {
-		res, _, dmNext := t.DampedStep(dst, src, teleport, damping, dm)
-		dm = dmNext
-		return res
+		return t.DampedSweep(dst, src, teleport, damping, dang)
 	}
-	if opts.AitkenEvery > 0 {
-		// The extrapolated driver restarts the iteration from vectors
-		// the step never produced, so the pipelined dangling mass must
-		// be recomputed whenever the source vector changes under it.
-		reseed := func(x []float64) { dm = t.DanglingMass(x) }
-		return FixedPointExtrapolated(init, step, reseed, opts)
-	}
-	return FixedPointResidual(init, step, opts)
+	// The extrapolated driver restarts the iteration from vectors the
+	// step never produced, so the pipelined dangling mass must be
+	// recomputed whenever the source vector changes under it.
+	reseed := func(x []float64) { t.SeedDangling(x, dang) }
+	x, stats, err := FixedPointExtrapolated(init, step, reseed, opts)
+	stats.Exchanges = t.Exchanges(stats.Iterations)
+	return x, stats, err
 }
 
 // FixedPoint iterates x ← step(x) from the given initial vector until
@@ -160,49 +162,15 @@ func FixedPoint(init []float64, step StepFunc, opts IterOptions) ([]float64, Ite
 // RelTol × first residual when RelTol is set) or MaxIter is reached.
 // It is the fused counterpart of FixedPoint: the driver itself never
 // touches the vectors, so a step backed by the fused kernels makes the
-// whole iteration a single sweep. AitkenEvery is ignored here; use
-// FixedPointExtrapolated for the accelerated driver.
+// whole iteration a single sweep. It is FixedPointExtrapolated with
+// extrapolation off — AitkenEvery is ignored here.
 func FixedPointResidual(init []float64, step ResidualStepFunc, opts IterOptions) ([]float64, IterStats, error) {
-	opts, err := opts.withDefaults()
+	opts, err := opts.withDefaults() // a negative AitkenEvery is still rejected
 	if err != nil {
 		return nil, IterStats{}, err
 	}
-	cur := Clone(init)
-	next := make([]float64, len(init))
-	var st IterStats
-	tol := opts.Tol
-	start := time.Now()
-	iterStart := start
-	for st.Iterations = 1; st.Iterations <= opts.MaxIter; st.Iterations++ {
-		st.Residual = step(next, cur)
-		if opts.Trace {
-			st.ResidualTrace = append(st.ResidualTrace, st.Residual)
-		}
-		if opts.OnIteration != nil {
-			now := time.Now()
-			opts.OnIteration(IterEvent{
-				Iteration: st.Iterations,
-				Residual:  st.Residual,
-				Elapsed:   now.Sub(iterStart),
-			})
-			iterStart = now
-		}
-		cur, next = next, cur
-		if st.Iterations == 1 {
-			if rt := opts.RelTol * st.Residual; rt > tol {
-				tol = rt
-			}
-		}
-		if st.Residual < tol {
-			st.Converged = true
-			break
-		}
-	}
-	if st.Iterations > opts.MaxIter {
-		st.Iterations = opts.MaxIter
-	}
-	st.Elapsed = time.Since(start)
-	return cur, st, nil
+	opts.AitkenEvery = 0
+	return FixedPointExtrapolated(init, step, nil, opts)
 }
 
 // aitkenStep writes the vector Aitken Δ² extrapolation of the four
@@ -254,18 +222,19 @@ func aitkenStep(dst, x0, x1, x2, x3 []float64) bool {
 	return true
 }
 
-// FixedPointExtrapolated is FixedPointResidual with guarded vector
-// Aitken Δ² extrapolation layered on top. Every AitkenEvery sweeps
-// (once four consecutive iterates are available) it forms the
-// minimal-residual Δ² extrapolant y (see aitkenStep), renormalises it,
-// and takes one trial step from y. The trial is accepted only if its
-// residual is strictly below the last plain residual — the guard that
-// makes the driver safe: an accepted trial continues the iteration
-// from a vector whose distance to the fixed point is provably smaller
-// (the residual bounds it), and a rejected trial is discarded, so the
-// sequence can never diverge past plain power iteration. The cost of
-// a rejection is the one wasted sweep, bounded overall by
-// 1/AitkenEvery of the total work.
+// FixedPointExtrapolated is the one fixed-point loop of this package:
+// plain iteration when AitkenEvery is 0 (FixedPointResidual), with
+// guarded vector Aitken Δ² extrapolation layered on top when it is
+// positive. Every AitkenEvery sweeps (once four consecutive iterates
+// are available) it forms the minimal-residual Δ² extrapolant y (see
+// aitkenStep), renormalises it, and takes one trial step from y. The
+// trial is accepted only if its residual is strictly below the last
+// plain residual — the guard that makes the driver safe: an accepted
+// trial continues the iteration from a vector whose distance to the
+// fixed point is provably smaller (the residual bounds it), and a
+// rejected trial is discarded, so the sequence can never diverge past
+// plain power iteration. The cost of a rejection is the one wasted
+// sweep, bounded overall by 1/AitkenEvery of the total work.
 //
 // reseed, when non-nil, is called with the source vector before every
 // step the driver takes from a vector the step function did not itself
@@ -277,27 +246,28 @@ func aitkenStep(dst, x0, x1, x2, x3 []float64) bool {
 // Iterations in the returned stats counts every sweep taken, including
 // rejected trials, so wall-clock comparisons against the plain driver
 // stay honest; the trace likewise records every sweep's residual (a
-// rejected trial can appear as a non-monotone entry). The driver keeps
-// three history vectors plus the extrapolant — 4n floats beyond the
-// plain driver's working set.
+// rejected trial can appear as a non-monotone entry). Extrapolation
+// keeps three history vectors plus the extrapolant — 4n floats beyond
+// the plain iteration's working set.
 func FixedPointExtrapolated(init []float64, step ResidualStepFunc, reseed func([]float64), opts IterOptions) ([]float64, IterStats, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, IterStats{}, err
 	}
-	if opts.AitkenEvery == 0 {
-		return FixedPointResidual(init, step, opts)
-	}
 	n := len(init)
 	cur := Clone(init)
 	next := make([]float64, n)
+	aitken := opts.AitkenEvery > 0
 	// Ring of the three iterates preceding cur: after the history
 	// shift at the top of the loop, h2 = x_{k-1}, h1 = x_{k-2},
 	// h0 = x_{k-3} while cur advances to x_k.
-	h0 := make([]float64, n)
-	h1 := make([]float64, n)
-	h2 := make([]float64, n)
-	y := make([]float64, n)
+	var h0, h1, h2, y []float64
+	if aitken {
+		h0 = make([]float64, n)
+		h1 = make([]float64, n)
+		h2 = make([]float64, n)
+		y = make([]float64, n)
+	}
 	histFill := 0
 	sinceTrial := 0
 	var st IterStats
@@ -320,10 +290,12 @@ func FixedPointExtrapolated(init []float64, step ResidualStepFunc, reseed func([
 		}
 	}
 	for sweeps < opts.MaxIter {
-		h0, h1, h2 = h1, h2, h0
-		copy(h2, cur)
-		if histFill < 3 {
-			histFill++
+		if aitken {
+			h0, h1, h2 = h1, h2, h0
+			copy(h2, cur)
+			if histFill < 3 {
+				histFill++
+			}
 		}
 		res := step(next, cur)
 		record(res)
@@ -343,7 +315,7 @@ func FixedPointExtrapolated(init []float64, step ResidualStepFunc, reseed func([
 			st.Converged = true
 			break
 		}
-		if histFill < 3 || sinceTrial < opts.AitkenEvery || sweeps >= opts.MaxIter {
+		if !aitken || histFill < 3 || sinceTrial < opts.AitkenEvery || sweeps >= opts.MaxIter {
 			continue
 		}
 		// h0..h2, cur are four consecutive iterates: extrapolate and

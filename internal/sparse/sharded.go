@@ -3,85 +3,43 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync/atomic"
 )
 
-// ShardedTransition decomposes a Transition into contiguous row
-// shards for block-iterated damped walks. Each shard's in-edges are
-// split at construction into an intra CSR (sources inside the shard)
-// and a cross CSR (sources outside it); a sweep fills each shard's
-// rows of a shared inbox vector from the cross edges — the boundary
-// mass arriving from other shards — and then runs the fused local
-// kernel over the intra edges plus the inbox. Two exchange schedules
-// are supported:
+// ShardSchedule turns a sweep over a Transition's rows into a block
+// Gauss–Seidel sweep over contiguous row shards, without a second copy
+// of the operator. Shards sweep in descending row order; a row's
+// sources are ascending, so the sources that lie in shards above the
+// row's own — the ones already produced this sweep — are a suffix of
+// the row, starting at split[v]. A shard sweep is therefore the flat
+// row-range body over the shard's rows, reading the previous iterate
+// up to the split and the vector under construction after it: that
+// read is the whole boundary-mass exchange.
 //
-//   - Barrier-synchronous ("Jacobi"): every inbox is filled from the
-//     previous iterate before any shard sweeps. The produced vector
-//     equals the unsharded fused step up to float association, so the
-//     trajectory matches the single-operator solve sweep for sweep.
+// Solver order puts cited articles at low rows and citing articles at
+// high rows, so the descending order propagates mass a whole citation
+// chain per sweep instead of one hop — the same fixed point in
+// substantially fewer sweeps. Mixing fresh and stale blocks breaks the
+// exact mass conservation the damped step relies on, which would leave
+// a mass-error mode decaying only at the damping rate; the damped
+// sweep therefore refreshes the dangling mass at every shard barrier
+// from a per-shard pipeline and renormalises the produced vector to
+// unit mass.
 //
-//   - Sequential (block Gauss–Seidel), the default: shards sweep in
-//     descending row order, and each inbox reads rows of shards that
-//     already swept this sweep from the vector under construction.
-//     Solver order puts cited articles at low rows and citing
-//     articles at high rows, so descending order propagates mass a
-//     whole citation chain per sweep instead of one hop — the same
-//     fixed point in substantially fewer sweeps. Mixing fresh and
-//     stale blocks breaks the exact mass conservation the damped step
-//     relies on, which would leave a mass-error mode decaying only at
-//     the damping rate; the sweep therefore refreshes the dangling
-//     mass at every shard barrier from a per-shard pipeline and
-//     renormalises the produced vector to unit mass.
-//
-// Every kernel runs on the underlying Transition's worker pool — one
-// pool shared across all shards, never one per shard — over per-shard
-// edge-balanced chunk plans. The decomposition shares the operator's
-// norm values (copied into shard-local CSRs once at construction) and
-// is read-only afterwards, so one ShardedTransition may serve many
-// solves.
-type ShardedTransition struct {
-	t      *Transition
-	bounds []int32
-	intra  []shardCSR
-	cross  []shardCSR
-	// xsplit[s][r] is the absolute index into cross[s] where local row
-	// r's sources jump from below the shard (read from the previous
-	// iterate) to above it (already produced this sweep under the
-	// sequential schedule). Within a row the operator's sources are
-	// ascending, so the two groups are contiguous.
-	xsplit [][]int64
-	// inbox[v] accumulates the cross-shard contribution to row v,
-	// rewritten at each shard's exchange barrier. The sequential damped
-	// sweep accumulates its inbox in-register inside the fused kernel
-	// instead of materialising it here — same exchange, one row pass.
-	inbox []float64
-	// fchunks[s] is an edge-balanced chunk plan over shard s's combined
-	// intra+cross row work, used by the fused sequential kernel.
-	fchunks [][]int32
-	// dangBounds[s] indexes t.dangling: shard s's dangling rows are
-	// t.dangling[dangBounds[s]:dangBounds[s+1]].
-	dangBounds []int32
-	// exchanges counts inbox fills — the boundary-mass exchange
-	// counter surfaced as solver_boundary_mass_exchanges_total.
-	exchanges atomic.Uint64
+// The schedule depends only on the operator's row structure, which
+// Reweighted shares, so one schedule serves an operator and every
+// reweighting of it. It is read-only after construction and holds
+// O(rows) memory — nothing per edge.
+type ShardSchedule struct {
+	offsets []int64   // the row structure the schedule was built over
+	bounds  []int32   // shard s covers rows [bounds[s], bounds[s+1])
+	split   []int64   // split[v]: row v's first in-edge whose source lies above v's shard
+	chunks  [][]int32 // chunks[s]: edge-balanced chunk plan over shard s's rows
 }
 
-// shardCSR is one shard's view of a group of in-edges, with rows
-// indexed locally from the shard base and its own edge-balanced chunk
-// plan.
-type shardCSR struct {
-	off    []int64
-	src    []int32
-	nrm    []float64
-	chunks []int32
-}
-
-// NewShardedTransition decomposes t over the given contiguous row
-// bounds (len shards+1, strictly increasing from 0 to t.N()) — the
-// Bounds of a shard.Plan. The operator is only borrowed: SetPool on t
-// propagates to every sharded kernel.
-func NewShardedTransition(t *Transition, bounds []int32) (*ShardedTransition, error) {
+// NewShardSchedule builds the sweep schedule of t's row structure over
+// the given contiguous row bounds (len shards+1, strictly increasing
+// from 0 to t.N()) — the Bounds of a shard.Plan.
+func NewShardSchedule(t *Transition, bounds []int32) (*ShardSchedule, error) {
 	if len(bounds) < 2 || bounds[0] != 0 || int(bounds[len(bounds)-1]) != t.n {
 		return nil, fmt.Errorf("sparse: shard bounds %v do not cover [0,%d)", bounds, t.n)
 	}
@@ -90,463 +48,154 @@ func NewShardedTransition(t *Transition, bounds []int32) (*ShardedTransition, er
 			return nil, fmt.Errorf("sparse: shard bounds %v not strictly increasing", bounds)
 		}
 	}
-	k := len(bounds) - 1
-	st := &ShardedTransition{
-		t:          t,
-		bounds:     append([]int32(nil), bounds...),
-		intra:      make([]shardCSR, k),
-		cross:      make([]shardCSR, k),
-		xsplit:     make([][]int64, k),
-		inbox:      make([]float64, t.n),
-		dangBounds: make([]int32, k+1),
+	sc := &ShardSchedule{
+		offsets: t.offsets,
+		bounds:  append([]int32(nil), bounds...),
+		split:   make([]int64, t.n),
+		chunks:  make([][]int32, len(bounds)-1),
 	}
-	for s := 0; s <= k; s++ {
-		b := bounds[s]
-		st.dangBounds[s] = int32(sort.Search(len(t.dangling), func(i int) bool {
-			return t.dangling[i] >= b
-		}))
+	for s := range sc.chunks {
+		lo, hi := int(bounds[s]), int(bounds[s+1])
+		for v := lo; v < hi; v++ {
+			i := t.offsets[v+1]
+			for i > t.offsets[v] && t.sources[i-1] >= bounds[s+1] {
+				i--
+			}
+			sc.split[v] = i
+		}
+		plan := EdgeChunks(t.offsets[lo : hi+1])
+		for c := range plan {
+			plan[c] += bounds[s]
+		}
+		sc.chunks[s] = plan
 	}
-	for s := 0; s < k; s++ {
-		lo, hi := bounds[s], bounds[s+1]
-		rows := int(hi - lo)
-		ic := &st.intra[s]
-		xc := &st.cross[s]
-		ic.off = make([]int64, rows+1)
-		xc.off = make([]int64, rows+1)
-		st.xsplit[s] = make([]int64, rows)
-		// Count pass.
-		for r := 0; r < rows; r++ {
-			v := int(lo) + r
-			for _, u := range t.sources[t.offsets[v]:t.offsets[v+1]] {
-				if u >= lo && u < hi {
-					ic.off[r+1]++
-				} else {
-					xc.off[r+1]++
-				}
-			}
-		}
-		for r := 0; r < rows; r++ {
-			ic.off[r+1] += ic.off[r]
-			xc.off[r+1] += xc.off[r]
-		}
-		ic.src = make([]int32, ic.off[rows])
-		ic.nrm = make([]float64, ic.off[rows])
-		xc.src = make([]int32, xc.off[rows])
-		xc.nrm = make([]float64, xc.off[rows])
-		// Fill pass: the operator's per-row sources are ascending, so
-		// appending preserves order and the cross row's below/above
-		// split point is where the first source >= hi lands.
-		iCur := append([]int64(nil), ic.off[:rows]...)
-		xCur := append([]int64(nil), xc.off[:rows]...)
-		for r := 0; r < rows; r++ {
-			v := int(lo) + r
-			st.xsplit[s][r] = -1
-			for i := t.offsets[v]; i < t.offsets[v+1]; i++ {
-				u := t.sources[i]
-				switch {
-				case u >= lo && u < hi:
-					ic.src[iCur[r]] = u
-					ic.nrm[iCur[r]] = t.norm[i]
-					iCur[r]++
-				default:
-					if u >= hi && st.xsplit[s][r] < 0 {
-						st.xsplit[s][r] = xCur[r]
-					}
-					xc.src[xCur[r]] = u
-					xc.nrm[xCur[r]] = t.norm[i]
-					xCur[r]++
-				}
-			}
-			if st.xsplit[s][r] < 0 {
-				st.xsplit[s][r] = xc.off[r+1] // no sources above the shard
-			}
-		}
-		ic.chunks = EdgeChunks(ic.off)
-		xc.chunks = EdgeChunks(xc.off)
-		combined := make([]int64, rows+1)
-		for r := 0; r < rows; r++ {
-			combined[r+1] = combined[r] +
-				(ic.off[r+1] - ic.off[r]) + (xc.off[r+1] - xc.off[r])
-		}
-		st.fchunks = append(st.fchunks, EdgeChunks(combined))
-	}
-	return st, nil
+	return sc, nil
 }
 
-// NumShards returns the shard count of the decomposition.
-func (st *ShardedTransition) NumShards() int { return len(st.bounds) - 1 }
+// NumShards returns the shard count of the schedule.
+func (sc *ShardSchedule) NumShards() int { return len(sc.bounds) - 1 }
 
-// N returns the operator dimension.
-func (st *ShardedTransition) N() int { return st.t.n }
+// WithSchedule returns a view of t — the same CSR, weights and worker
+// pool, nothing copied — whose sweeps (DampedSweep, BlendSweep and the
+// walks built on them) follow sc. The schedule must have been built
+// over t's row structure: t itself, the operator it was reweighted
+// from, or another reweighting of that operator.
+func (t *Transition) WithSchedule(sc *ShardSchedule) (*Transition, error) {
+	if len(sc.offsets) != len(t.offsets) || &sc.offsets[0] != &t.offsets[0] {
+		return nil, fmt.Errorf("sparse: shard schedule was built over a different row structure")
+	}
+	view := *t
+	view.sched = sc
+	return &view, nil
+}
 
-// Bounds returns the shard row boundaries (not to be mutated).
-func (st *ShardedTransition) Bounds() []int32 { return st.bounds }
+// NumShards returns the number of shards t's sweeps are scheduled
+// over; an operator without a schedule is one shard.
+func (t *Transition) NumShards() int {
+	if t.sched == nil {
+		return 1
+	}
+	return t.sched.NumShards()
+}
 
-// Transition returns the underlying single-operator form.
-func (st *ShardedTransition) Transition() *Transition { return st.t }
-
-// Exchanges returns the cumulative count of boundary-mass exchanges
-// (inbox fills) this decomposition has performed.
-func (st *ShardedTransition) Exchanges() uint64 { return st.exchanges.Load() }
+// Exchanges returns the boundary-mass exchanges that the given number
+// of sweeps of t performs: one per shard per sweep, and none when the
+// operator is a single shard with no boundary.
+func (t *Transition) Exchanges(sweeps int) int {
+	if k := t.NumShards(); k > 1 {
+		return sweeps * k
+	}
+	return 0
+}
 
 // SeedDangling fills dang (len NumShards) with the per-shard dangling
 // mass of x, seeding the pipeline DampedSweep and BlendSweep carry
 // across iterations.
-func (st *ShardedTransition) SeedDangling(x []float64, dang []float64) {
-	for s := range dang {
-		var acc float64
-		for _, u := range st.t.dangling[st.dangBounds[s]:st.dangBounds[s+1]] {
-			acc += x[u]
-		}
-		dang[s] = acc
-	}
-}
-
-// fillInbox rewrites shard s's inbox rows with the boundary mass
-// arriving over cross-shard edges: sources below the shard are read
-// from low, sources above it from high. The barrier-synchronous
-// schedule passes the same vector for both; the sequential schedule
-// passes the previous iterate as low and the in-progress vector as
-// high.
-func (st *ShardedTransition) fillInbox(s int, low, high []float64) {
-	st.exchanges.Add(1)
-	xc := &st.cross[s]
-	nc := len(xc.chunks) - 1
-	if nc == 1 || st.t.pool.Workers() <= 1 {
-		st.inboxRange(s, low, high, 0, len(xc.off)-1)
+func (t *Transition) SeedDangling(x []float64, dang []float64) {
+	if t.NumShards() == 1 {
+		dang[0] = t.DanglingMass(x)
 		return
 	}
-	st.t.pool.Run(nc, func(c int) {
-		st.inboxRange(s, low, high, int(xc.chunks[c]), int(xc.chunks[c+1]))
-	})
-}
-
-func (st *ShardedTransition) inboxRange(s int, low, high []float64, rlo, rhi int) {
-	xc := &st.cross[s]
-	split := st.xsplit[s]
-	base := int(st.bounds[s])
-	for r := rlo; r < rhi; r++ {
-		var acc float64
-		start, mid, end := xc.off[r], split[r], xc.off[r+1]
-		lowRow := xc.src[start:mid]
-		lowNrm := xc.nrm[start:mid][:len(lowRow)] // elides the nrm[i] bounds check
-		for i, u := range lowRow {
-			acc += low[u] * lowNrm[i]
+	Fill(dang, 0)
+	s := 0
+	for _, u := range t.dangling { // ascending, like the shard bounds
+		for u >= t.sched.bounds[s+1] {
+			s++
 		}
-		highRow := xc.src[mid:end]
-		highNrm := xc.nrm[mid:end][:len(highRow)]
-		for i, u := range highRow {
-			acc += high[u] * highNrm[i]
-		}
-		st.inbox[base+r] = acc
+		dang[s] += x[u]
 	}
 }
 
-// localDamped runs the fused damped kernel over shard s's rows:
-// dst[v] = damping·(intra mat-vec + inbox[v]) + tcoef·teleport[v],
-// returning the shard's residual, mass and dangling-mass partials.
-func (st *ShardedTransition) localDamped(s int, dst, src, teleport []float64, damping, tcoef float64) (res, sum, dang float64) {
-	ic := &st.intra[s]
-	nc := len(ic.chunks) - 1
-	if nc == 1 || st.t.pool.Workers() <= 1 {
-		return st.localDampedRange(s, dst, src, teleport, damping, tcoef, 0, len(ic.off)-1)
-	}
-	parts := getPartials(nc)
-	ps := *parts
-	st.t.pool.Run(nc, func(c int) {
-		r, sm, d := st.localDampedRange(s, dst, src, teleport, damping, tcoef, int(ic.chunks[c]), int(ic.chunks[c+1]))
-		ps[c] = stepPartial{res: r, sum: sm, dang: d}
-	})
-	total := reducePartials(ps)
-	partialsPool.Put(parts)
-	return total.res, total.sum, total.dang
-}
-
-func (st *ShardedTransition) localDampedRange(s int, dst, src, teleport []float64, damping, tcoef float64, rlo, rhi int) (res, sum, dang float64) {
-	ic := &st.intra[s]
-	base := int(st.bounds[s])
-	mark := st.t.danglingMark
-	inbox := st.inbox
-	for r := rlo; r < rhi; r++ {
-		v := base + r
-		var acc float64
-		start, end := ic.off[r], ic.off[r+1]
-		row := ic.src[start:end]
-		nrm := ic.nrm[start:end][:len(row)] // elides the nrm[i] bounds check
-		for i, u := range row {
-			acc += src[u] * nrm[i]
-		}
-		y := damping*(acc+inbox[v]) + tcoef*teleport[v]
-		dst[v] = y
-		res += math.Abs(y - src[v])
-		sum += y
-		if mark[v] {
-			dang += y
-		}
-	}
-	return res, sum, dang
-}
-
-// localDampedSeq is the fused sequential-schedule kernel: one pass
-// over shard s's rows computing the intra mat-vec and the in-register
-// inbox (cross sources below the shard from src, above it from dst)
-// together, over the combined intra+cross chunk plan.
-func (st *ShardedTransition) localDampedSeq(s int, dst, src, teleport []float64, damping, tcoef float64) (res, sum, dang float64) {
-	st.exchanges.Add(1)
-	nc := len(st.fchunks[s]) - 1
-	if nc == 1 || st.t.pool.Workers() <= 1 {
-		return st.localDampedSeqRange(s, dst, src, teleport, damping, tcoef, 0, len(st.intra[s].off)-1)
-	}
-	parts := getPartials(nc)
-	ps := *parts
-	chunks := st.fchunks[s]
-	st.t.pool.Run(nc, func(c int) {
-		r, sm, d := st.localDampedSeqRange(s, dst, src, teleport, damping, tcoef, int(chunks[c]), int(chunks[c+1]))
-		ps[c] = stepPartial{res: r, sum: sm, dang: d}
-	})
-	total := reducePartials(ps)
-	partialsPool.Put(parts)
-	return total.res, total.sum, total.dang
-}
-
-func (st *ShardedTransition) localDampedSeqRange(s int, dst, src, teleport []float64, damping, tcoef float64, rlo, rhi int) (res, sum, dang float64) {
-	ic := &st.intra[s]
-	xc := &st.cross[s]
-	split := st.xsplit[s]
-	base := int(st.bounds[s])
-	mark := st.t.danglingMark
-	for r := rlo; r < rhi; r++ {
-		v := base + r
-		var acc float64
-		start, end := ic.off[r], ic.off[r+1]
-		row := ic.src[start:end]
-		nrm := ic.nrm[start:end][:len(row)] // elides the nrm[i] bounds check
-		for i, u := range row {
-			acc += src[u] * nrm[i]
-		}
-		xstart, mid, xend := xc.off[r], split[r], xc.off[r+1]
-		if xstart < mid {
-			lowRow := xc.src[xstart:mid]
-			lowNrm := xc.nrm[xstart:mid][:len(lowRow)]
-			for i, u := range lowRow {
-				acc += src[u] * lowNrm[i]
-			}
-		}
-		if mid < xend {
-			highRow := xc.src[mid:xend]
-			highNrm := xc.nrm[mid:xend][:len(highRow)]
-			for i, u := range highRow {
-				acc += dst[u] * highNrm[i]
-			}
-		}
-		y := damping*acc + tcoef*teleport[v]
-		dst[v] = y
-		res += math.Abs(y - src[v])
-		sum += y
-		if mark[v] {
-			dang += y
-		}
-	}
-	return res, sum, dang
-}
-
-// scale multiplies x by f in a pooled sweep over the underlying
-// operator's chunk plan.
-func (st *ShardedTransition) scale(x []float64, f float64) {
-	t := st.t
-	nc := t.numChunks()
-	if nc == 1 || t.pool.Workers() <= 1 {
-		for v := range x {
-			x[v] *= f
-		}
-		return
-	}
-	t.pool.Run(nc, func(c int) {
-		for v := int(t.chunks[c]); v < int(t.chunks[c+1]); v++ {
-			x[v] *= f
-		}
-	})
-}
-
-// DampedSweep performs one sharded iteration of the damped walk and
-// returns the L1 residual ||dst − src||₁ measured against src. dang
-// must hold src's per-shard dangling mass on entry (SeedDangling) and
-// holds dst's on return — the pipelined replacement for a dangling
-// scan per barrier. With sequential set the shards sweep in
-// descending order with Gauss–Seidel boundary exchange and the result
-// is renormalised to unit mass; otherwise the sweep is
-// barrier-synchronous and reproduces the unsharded DampedStep up to
-// float association.
-func (st *ShardedTransition) DampedSweep(dst, src, teleport []float64, damping float64, sequential bool, dang []float64) (res float64) {
-	k := st.NumShards()
-	if !sequential {
-		var dm float64
-		for _, d := range dang {
-			dm += d
-		}
-		tcoef := damping*dm + 1 - damping
-		for s := 0; s < k; s++ {
-			st.fillInbox(s, src, src)
-		}
-		for s := 0; s < k; s++ {
-			r, _, dg := st.localDamped(s, dst, src, teleport, damping, tcoef)
-			res += r
-			dang[s] = dg
-		}
+// DampedSweep performs one iteration of the damped walk under t's
+// schedule and returns the L1 residual ||dst − src||₁. dang must hold
+// src's per-shard dangling mass on entry (SeedDangling) and holds
+// dst's on return — the pipelined replacement for a dangling scan per
+// barrier. A single shard is DampedStep; several sweep in descending
+// order, each reading the shards above it from dst, and the result is
+// renormalised to unit mass (the residual is measured before that).
+func (t *Transition) DampedSweep(dst, src, teleport []float64, damping float64, dang []float64) (res float64) {
+	k := t.NumShards()
+	if k == 1 {
+		res, _, dang[0] = t.DampedStep(dst, src, teleport, damping, dang[0])
 		return res
 	}
+	sc := t.sched
 	var sum float64
 	for s := k - 1; s >= 0; s-- {
 		// Shards above s hold dst's fresh dangling mass already; the
 		// rest still hold src's — the barrier-consistent mix.
-		var dm float64
-		for _, d := range dang {
-			dm += d
-		}
-		r, sm, dg := st.localDampedSeq(s, dst, src, teleport, damping, damping*dm+1-damping)
-		res += r
-		sum += sm
-		dang[s] = dg
+		tcoef := damping*Sum(dang) + 1 - damping
+		p := t.reduceChunks(sc.chunks[s], func(lo, hi int) stepPartial {
+			var r, sm, d float64
+			if s == k-1 { // nothing lies above the top shard: the flat body
+				r, sm, d = t.dampedRange(dst, src, teleport, damping, tcoef, lo, hi)
+			} else {
+				r, sm, d = t.dampedSplitRange(sc.split, dst, src, teleport, damping, tcoef, lo, hi)
+			}
+			return stepPartial{res: r, sum: sm, dang: d}
+		})
+		res += p.res
+		sum += p.sum
+		dang[s] = p.dang
 	}
 	if sum > 0 && !math.IsNaN(sum) && !math.IsInf(sum, 0) {
 		inv := 1 / sum
-		st.scale(dst, inv)
-		for s := range dang {
-			dang[s] *= inv
-		}
+		t.reduceChunks(t.chunks, func(lo, hi int) stepPartial {
+			Scale(dst[lo:hi], inv)
+			return stepPartial{}
+		})
+		Scale(dang, inv)
 	}
 	return res
 }
 
-// ShardedDampedWalkFrom is DampedWalkFrom over a sharded operator:
-// same fixed point, same convergence contract, with the iteration
-// body replaced by DampedSweep. sequential selects the descending
-// Gauss–Seidel exchange schedule (fewer sweeps on citation-ordered
-// graphs); false selects the barrier-synchronous schedule whose
-// trajectory matches the unsharded solve. Aitken Δ² extrapolation
-// composes with either schedule — a sharded sweep is a valid step
-// function — with the reseed hook re-priming the per-shard dangling
-// pipeline. The returned stats carry the boundary-exchange count.
-func ShardedDampedWalkFrom(st *ShardedTransition, damping float64, teleport, init []float64, opts IterOptions, sequential bool) ([]float64, IterStats, error) {
-	dang := make([]float64, st.NumShards())
-	st.SeedDangling(init, dang)
-	step := func(dst, src []float64) float64 {
-		return st.DampedSweep(dst, src, teleport, damping, sequential, dang)
-	}
-	before := st.exchanges.Load()
-	var (
-		x     []float64
-		stats IterStats
-		err   error
-	)
-	if opts.AitkenEvery > 0 {
-		reseed := func(v []float64) { st.SeedDangling(v, dang) }
-		x, stats, err = FixedPointExtrapolated(init, step, reseed, opts)
-	} else {
-		x, stats, err = FixedPointResidual(init, step, opts)
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Exchanges = int(st.exchanges.Load() - before)
-	return x, stats, nil
-}
-
-// localBlend runs the fused heterogeneous kernel over shard s's rows
-// (BlendStep's body with the cross-shard mat-vec read from the
-// inbox), returning the shard's mass and dangling partials.
-func (st *ShardedTransition) localBlend(s int, dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, rcoef float64) (sum, dang float64) {
-	ic := &st.intra[s]
-	nc := len(ic.chunks) - 1
-	if nc == 1 || st.t.pool.Workers() <= 1 {
-		return st.localBlendRange(s, dst, src, r, fa, fv, lc, la, lv, rcoef, 0, len(ic.off)-1)
-	}
-	parts := getPartials(nc)
-	ps := *parts
-	st.t.pool.Run(nc, func(c int) {
-		sm, d := st.localBlendRange(s, dst, src, r, fa, fv, lc, la, lv, rcoef, int(ic.chunks[c]), int(ic.chunks[c+1]))
-		ps[c] = stepPartial{sum: sm, dang: d}
-	})
-	total := reducePartials(ps)
-	partialsPool.Put(parts)
-	return total.sum, total.dang
-}
-
-func (st *ShardedTransition) localBlendRange(s int, dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, rcoef float64, rlo, rhi int) (sum, dang float64) {
-	ic := &st.intra[s]
-	base := int(st.bounds[s])
-	mark := st.t.danglingMark
-	inbox := st.inbox
-	for rr := rlo; rr < rhi; rr++ {
-		v := base + rr
-		var acc float64
-		start, end := ic.off[rr], ic.off[rr+1]
-		row := ic.src[start:end]
-		nrm := ic.nrm[start:end][:len(row)] // elides the nrm[i] bounds check
-		for i, u := range row {
-			acc += src[u] * nrm[i]
-		}
-		x := lc*(acc+inbox[v]) + rcoef*r[v]
-		if fa != nil {
-			x += la * fa.at(v)
-		}
-		if fv != nil {
-			x += lv * fv.at(v)
-		}
-		dst[v] = x
-		sum += x
-		if mark[v] {
-			dang += x
-		}
-	}
-	return sum, dang
-}
-
-// BlendSweep is the sharded form of BlendStep: one heterogeneous-walk
-// iteration with per-shard boundary exchange. The author/venue layers
-// and their leaks are gathered from src by the caller before the
-// sweep (their coupling stays barrier-synchronous under either
-// schedule — the fixed point is unchanged). dang carries src's
-// per-shard dangling mass in and dst's (unnormalised) out; the caller
-// normalises dst with ScaleDiffStep and must scale dang by the same
-// factor. Returns Σ dst.
-func (st *ShardedTransition) BlendSweep(dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, aLeak, vLeak float64, sequential bool, dang []float64) (sum float64) {
-	rcoefFor := func(dm float64) float64 {
-		rcoef := lc*dm + lt
-		if fa != nil {
-			rcoef += la * aLeak
-		}
-		if fv != nil {
-			rcoef += lv * vLeak
-		}
-		return rcoef
-	}
-	k := st.NumShards()
-	if !sequential {
-		var dm float64
-		for _, d := range dang {
-			dm += d
-		}
-		rcoef := rcoefFor(dm)
-		for s := 0; s < k; s++ {
-			st.fillInbox(s, src, src)
-		}
-		for s := 0; s < k; s++ {
-			sm, dg := st.localBlend(s, dst, src, r, fa, fv, lc, la, lv, rcoef)
-			sum += sm
-			dang[s] = dg
-		}
+// BlendSweep is BlendStep under t's schedule: one heterogeneous-walk
+// iteration, shard by shard. The author/venue layers and their leaks
+// are gathered from src by the caller before the sweep (their coupling
+// stays barrier-synchronous — the fixed point is unchanged). dang
+// carries src's per-shard dangling mass in and dst's (unnormalised)
+// out; the caller normalises dst with ScaleDiffStep and must scale
+// dang by the same factor. Returns Σ dst.
+func (t *Transition) BlendSweep(dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, aLeak, vLeak float64, dang []float64) (sum float64) {
+	k := t.NumShards()
+	if k == 1 {
+		sum, dang[0] = t.BlendStep(dst, src, r, fa, fv, lc, la, lv, lt, dang[0], aLeak, vLeak)
 		return sum
 	}
+	sc := t.sched
 	for s := k - 1; s >= 0; s-- {
-		var dm float64
-		for _, d := range dang {
-			dm += d
-		}
-		st.fillInbox(s, src, dst)
-		sm, dg := st.localBlend(s, dst, src, r, fa, fv, lc, la, lv, rcoefFor(dm))
-		sum += sm
-		dang[s] = dg
+		rcoef := restartCoef(fa, fv, lc, la, lv, lt, Sum(dang), aLeak, vLeak)
+		p := t.reduceChunks(sc.chunks[s], func(lo, hi int) stepPartial {
+			var sm, d float64
+			if s == k-1 { // nothing lies above the top shard: the flat body
+				sm, d = t.blendRange(dst, src, r, fa, fv, lc, la, lv, rcoef, lo, hi)
+			} else {
+				sm, d = t.blendSplitRange(sc.split, dst, src, r, fa, fv, lc, la, lv, rcoef, lo, hi)
+			}
+			return stepPartial{sum: sm, dang: d}
+		})
+		sum += p.sum
+		dang[s] = p.dang
 	}
 	return sum
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -52,7 +54,7 @@ func evenBounds(n, k int) []int32 {
 	return bounds
 }
 
-func TestNewShardedTransitionValidates(t *testing.T) {
+func TestNewShardScheduleValidates(t *testing.T) {
 	g := benchGraph(t, 100)
 	tr := NewTransition(g, nil)
 	for _, bounds := range [][]int32{
@@ -63,19 +65,93 @@ func TestNewShardedTransitionValidates(t *testing.T) {
 		{0, 50, 50, 100}, // empty shard
 		{0, 60, 40, 100}, // decreasing
 	} {
-		if _, err := NewShardedTransition(tr, bounds); err == nil {
+		if _, err := NewShardSchedule(tr, bounds); err == nil {
 			t.Errorf("bounds %v: want error", bounds)
 		}
 	}
-	if _, err := NewShardedTransition(tr, []int32{0, 100}); err != nil {
-		t.Errorf("single shard: %v", err)
+	sc, err := NewShardSchedule(tr, []int32{0, 100})
+	if err != nil {
+		t.Fatalf("single shard: %v", err)
+	}
+	// A schedule serves the operator it was built over and every
+	// reweighting of it, and nothing else.
+	if _, err := tr.Reweighted(func(u, v int32) float64 { return 2 }).WithSchedule(sc); err != nil {
+		t.Errorf("reweighted operator rejected its base's schedule: %v", err)
+	}
+	if _, err := NewTransition(g, nil).WithSchedule(sc); err == nil {
+		t.Error("schedule accepted by an operator with its own row structure")
 	}
 }
 
-// TestShardedSweepMatchesDampedStep pins the barrier-synchronous
-// sharded sweep to the unsharded fused kernel on one iteration — the
-// exchange decomposition must reproduce DampedStep up to float
-// association.
+// scheduled returns tr sweeping under the schedule for bounds.
+func scheduled(tb testing.TB, tr *Transition, bounds []int32) *Transition {
+	tb.Helper()
+	sc, err := NewShardSchedule(tr, bounds)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := tr.WithSchedule(sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// TestTransitionRowsSourceAscending pins the invariant the schedule's
+// per-row split relies on: every row of NewTransition — and of
+// Reweighted, which shares the structure — lists its sources in
+// ascending order, so the sources above a shard are a suffix.
+func TestTransitionRowsSourceAscending(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"random":   benchGraph(t, 3000),
+		"powerlaw": benchGraphPowerLaw(t, 3000),
+	} {
+		base := NewTransition(g, nil)
+		for kind, tr := range map[string]*Transition{
+			"new":        base,
+			"reweighted": base.Reweighted(func(u, v int32) float64 { return 1 + float64(u%7) }),
+		} {
+			for v := 0; v < tr.n; v++ {
+				row := tr.sources[tr.offsets[v]:tr.offsets[v+1]]
+				for i := 1; i < len(row); i++ {
+					if row[i] < row[i-1] {
+						t.Fatalf("%s/%s: row %d sources %d then %d", name, kind, v, row[i-1], row[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestShardScheduleAllocatesPerRow checks the schedule is a view, not
+// a copy: building it over a 100k-row power-law operator allocates a
+// few words per row, far below one word per edge.
+func TestShardScheduleAllocatesPerRow(t *testing.T) {
+	tr := NewTransition(benchGraphPowerLaw(t, 100_000), nil)
+	bounds := evenBounds(tr.N(), 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sc, err := NewShardSchedule(tr, bounds)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	rows, edges := uint64(tr.N()), uint64(len(tr.sources))
+	if limit := 16*rows + 1<<16; got > limit {
+		t.Errorf("schedule over %d rows allocated %d bytes, want <= %d", rows, got, limit)
+	}
+	if got >= 8*edges {
+		t.Errorf("schedule allocated %d bytes over %d edges — per-edge memory", got, edges)
+	}
+	runtime.KeepAlive(sc)
+}
+
+// TestShardedSweepMatchesDampedStep checks one sweep at every shard
+// count: a single shard is the fused flat kernel bit for bit, and
+// several shards reproduce a naive block Gauss–Seidel sweep that
+// decides per edge (not per split index) which vector a source is read
+// from.
 func TestShardedSweepMatchesDampedStep(t *testing.T) {
 	g := benchGraphPowerLaw(t, 4000)
 	tr := NewTransition(g, nil)
@@ -90,43 +166,148 @@ func TestShardedSweepMatchesDampedStep(t *testing.T) {
 	Uniform(teleport)
 	const damping = 0.85
 
-	want := make([]float64, n)
-	dm := tr.DanglingMass(src)
-	wantRes, _, _ := tr.DampedStep(want, src, teleport, damping, dm)
-
 	for _, k := range []int{1, 2, 4, 8} {
-		st, err := NewShardedTransition(tr, evenBounds(n, k))
-		if err != nil {
-			t.Fatal(err)
-		}
+		bounds := evenBounds(n, k)
+		st := scheduled(t, tr, bounds)
 		dang := make([]float64, k)
 		st.SeedDangling(src, dang)
 		got := make([]float64, n)
-		res := st.DampedSweep(got, src, teleport, damping, false, dang)
-		for v := range got {
-			if d := math.Abs(got[v] - want[v]); d > 1e-14 {
-				t.Fatalf("k=%d row %d: sharded %g vs fused %g (diff %g)", k, v, got[v], want[v], d)
+		res := st.DampedSweep(got, src, teleport, damping, dang)
+
+		want := make([]float64, n)
+		var wantRes float64
+		if k == 1 {
+			wantRes, _, _ = tr.DampedStep(want, src, teleport, damping, tr.DanglingMass(src))
+			for v := range got {
+				if got[v] != want[v] {
+					t.Fatalf("k=1 row %d: sweep %g vs fused step %g", v, got[v], want[v])
+				}
+			}
+			if res != wantRes {
+				t.Fatalf("k=1: residual %g vs %g", res, wantRes)
+			}
+		} else {
+			var sum float64
+			for s := k - 1; s >= 0; s-- {
+				lo, hi := bounds[s], bounds[s+1]
+				var dm float64
+				for _, u := range tr.dangling {
+					if u >= hi {
+						dm += want[u]
+					} else {
+						dm += src[u]
+					}
+				}
+				for v := int(lo); v < int(hi); v++ {
+					var acc float64
+					for i := tr.offsets[v]; i < tr.offsets[v+1]; i++ {
+						if u := tr.sources[i]; u >= hi {
+							acc += want[u] * tr.norm[i]
+						} else {
+							acc += src[u] * tr.norm[i]
+						}
+					}
+					want[v] = damping*(acc+dm*teleport[v]) + (1-damping)*teleport[v]
+					wantRes += math.Abs(want[v] - src[v])
+					sum += want[v]
+				}
+			}
+			Scale(want, 1/sum)
+			for v := range got {
+				if d := math.Abs(got[v] - want[v]); d > 1e-14 {
+					t.Fatalf("k=%d row %d: sweep %g vs naive block sweep %g (diff %g)", k, v, got[v], want[v], d)
+				}
+			}
+			if d := math.Abs(res - wantRes); d > 1e-10 {
+				t.Fatalf("k=%d: residual %g vs %g", k, res, wantRes)
+			}
+			if d := math.Abs(Sum(got) - 1); d > 1e-12 {
+				t.Fatalf("k=%d: sweep left mass %g off unit", k, d)
 			}
 		}
-		if d := math.Abs(res - wantRes); d > 1e-10 {
-			t.Fatalf("k=%d: residual %g vs %g", k, res, wantRes)
-		}
-		var wantDang float64
-		for _, u := range tr.dangling {
-			wantDang += got[u]
-		}
-		var gotDang float64
-		for _, d := range dang {
-			gotDang += d
-		}
-		if d := math.Abs(gotDang - wantDang); d > 1e-13 {
-			t.Fatalf("k=%d: pipelined dangling %g vs scan %g", k, gotDang, wantDang)
+		if d := math.Abs(Sum(dang) - tr.DanglingMass(got)); d > 1e-13 {
+			t.Fatalf("k=%d: pipelined dangling %g vs scan %g", k, Sum(dang), tr.DanglingMass(got))
 		}
 	}
 }
 
-// TestShardedWalkMatchesUnsharded drives both exchange schedules to a
-// tight tolerance and checks the fixed point against DampedWalk.
+// legacyFlatWalk is the flat damped walk as it stood before sharding
+// became a schedule: a scalar dangling pipeline over DampedStep, and
+// for the plain case the original fixed-point loop.
+func legacyFlatWalk(tr *Transition, damping float64, teleport, init []float64, opts IterOptions) ([]float64, IterStats) {
+	dm := tr.DanglingMass(init)
+	step := func(dst, src []float64) float64 {
+		res, _, dmNext := tr.DampedStep(dst, src, teleport, damping, dm)
+		dm = dmNext
+		return res
+	}
+	if opts.AitkenEvery > 0 {
+		x, st, _ := FixedPointExtrapolated(init, step, func(x []float64) { dm = tr.DanglingMass(x) }, opts)
+		return x, st
+	}
+	opts, _ = opts.withDefaults()
+	cur, next := Clone(init), make([]float64, len(init))
+	var st IterStats
+	for st.Iterations < opts.MaxIter {
+		st.Iterations++
+		st.Residual = step(next, cur)
+		st.ResidualTrace = append(st.ResidualTrace, st.Residual)
+		cur, next = next, cur
+		if st.Residual < opts.Tol {
+			st.Converged = true
+			break
+		}
+	}
+	return cur, st
+}
+
+// TestSingleShardScheduleIsFlatWalk pins the collapse: the walk over
+// an unscheduled operator, and over a one-shard schedule, is the
+// legacy flat walk bit for bit — vector, iteration count and residual
+// trace — cold, warm and with Aitken extrapolation.
+func TestSingleShardScheduleIsFlatWalk(t *testing.T) {
+	g, _ := Reorder(benchGraphPowerLaw(t, 5000))
+	tr := NewTransition(g, nil)
+	n := tr.N()
+	teleport := make([]float64, n)
+	Uniform(teleport)
+	one := scheduled(t, tr, []int32{0, int32(n)})
+	if one.NumShards() != 1 {
+		t.Fatalf("one-shard schedule reports %d shards", one.NumShards())
+	}
+	warm, _ := legacyFlatWalk(tr, 0.85, teleport, teleport, IterOptions{Tol: 1e-4})
+	for _, tc := range []struct {
+		name string
+		init []float64
+		opts IterOptions
+	}{
+		{"cold", teleport, IterOptions{Trace: true}},
+		{"warm", warm, IterOptions{Trace: true}},
+		{"aitken", teleport, IterOptions{Trace: true, AitkenEvery: 4}},
+		{"aitken-warm", warm, IterOptions{Trace: true, AitkenEvery: 4}},
+	} {
+		want, wantStats := legacyFlatWalk(tr, 0.85, teleport, tc.init, tc.opts)
+		for label, op := range map[string]*Transition{"flat": tr, "one-shard": one} {
+			got, stats, err := DampedWalkFrom(op, 0.85, teleport, tc.init, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Iterations != wantStats.Iterations || stats.Converged != wantStats.Converged || stats.Exchanges != 0 {
+				t.Errorf("%s/%s: %d iterations (converged %v, %d exchanges), legacy %d (%v)", tc.name, label,
+					stats.Iterations, stats.Converged, stats.Exchanges, wantStats.Iterations, wantStats.Converged)
+			}
+			if !slices.Equal(stats.ResidualTrace, wantStats.ResidualTrace) {
+				t.Errorf("%s/%s: residual trace differs from the legacy walk", tc.name, label)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s/%s: fixed point differs from the legacy walk (L1 %g)", tc.name, label, L1Diff(got, want))
+			}
+		}
+	}
+}
+
+// TestShardedWalkMatchesUnsharded drives the sharded schedule to a
+// tight tolerance and checks the fixed point against the flat walk.
 func TestShardedWalkMatchesUnsharded(t *testing.T) {
 	for _, build := range []struct {
 		name string
@@ -148,68 +329,31 @@ func TestShardedWalkMatchesUnsharded(t *testing.T) {
 			if !wantStats.Converged {
 				t.Fatal("unsharded walk did not converge")
 			}
-			for _, k := range []int{1, 2, 4, 8} {
-				for _, sequential := range []bool{false, true} {
-					st, err := NewShardedTransition(tr, evenBounds(n, k))
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, stats, err := ShardedDampedWalkFrom(st, 0.85, teleport, teleport, opts, sequential)
-					if err != nil {
-						t.Fatalf("k=%d seq=%v: %v", k, sequential, err)
-					}
-					if !stats.Converged {
-						t.Fatalf("k=%d seq=%v: did not converge", k, sequential)
-					}
-					if d := L1Diff(got, want); d > 1e-11 {
-						t.Errorf("k=%d seq=%v: L1 distance to unsharded fixed point %g", k, sequential, d)
-					}
-					if wantEx := stats.Iterations * k; stats.Exchanges != wantEx {
-						t.Errorf("k=%d seq=%v: %d exchanges over %d iterations, want %d",
-							k, sequential, stats.Exchanges, stats.Iterations, wantEx)
-					}
-					if sequential && k > 1 && stats.Iterations >= wantStats.Iterations+5 {
-						t.Errorf("k=%d sequential took %d iterations, unsharded %d — Gauss–Seidel should not be slower",
-							k, stats.Iterations, wantStats.Iterations)
-					}
+			for _, k := range []int{2, 4, 8} {
+				got, stats, err := DampedWalk(scheduled(t, tr, evenBounds(n, k)), 0.85, teleport, opts)
+				if err != nil {
+					t.Fatalf("k=%d: %v", k, err)
+				}
+				if !stats.Converged {
+					t.Fatalf("k=%d: did not converge", k)
+				}
+				if d := L1Diff(got, want); d > 1e-11 {
+					t.Errorf("k=%d: L1 distance to unsharded fixed point %g", k, d)
+				}
+				if wantEx := stats.Iterations * k; stats.Exchanges != wantEx {
+					t.Errorf("k=%d: %d exchanges over %d iterations, want %d", k, stats.Exchanges, stats.Iterations, wantEx)
+				}
+				if stats.Iterations >= wantStats.Iterations+5 {
+					t.Errorf("k=%d took %d iterations, unsharded %d — Gauss–Seidel should not be slower",
+						k, stats.Iterations, wantStats.Iterations)
 				}
 			}
 		})
 	}
 }
 
-// TestShardedWalkJacobiTrajectory pins the barrier-synchronous
-// schedule to the unsharded driver iteration for iteration at default
-// tolerance: same sweep count, same result to float-association
-// noise.
-func TestShardedWalkJacobiTrajectory(t *testing.T) {
-	g := benchGraphPowerLaw(t, 3000)
-	tr := NewTransition(g, nil)
-	n := tr.N()
-	teleport := make([]float64, n)
-	Uniform(teleport)
-	want, wantStats, err := DampedWalk(tr, 0.85, teleport, IterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := NewShardedTransition(tr, evenBounds(n, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := ShardedDampedWalkFrom(st, 0.85, teleport, teleport, IterOptions{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Iterations != wantStats.Iterations {
-		t.Fatalf("jacobi schedule took %d iterations, unsharded %d", stats.Iterations, wantStats.Iterations)
-	}
-	if d := L1Diff(got, want); d > 1e-12 {
-		t.Fatalf("jacobi fixed point differs by %g", d)
-	}
-}
-
 // TestShardedWalkAitken checks extrapolation composes with the
-// sequential schedule: same fixed point, reseed keeps the dangling
+// sharded schedule: same fixed point, reseed keeps the dangling
 // pipeline consistent.
 func TestShardedWalkAitken(t *testing.T) {
 	g := benchGraphPowerLaw(t, 3000)
@@ -222,13 +366,9 @@ func TestShardedWalkAitken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewShardedTransition(tr, evenBounds(n, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
 	aOpts := opts
 	aOpts.AitkenEvery = 4
-	got, stats, err := ShardedDampedWalkFrom(st, 0.85, teleport, teleport, aOpts, true)
+	got, stats, err := DampedWalk(scheduled(t, tr, evenBounds(n, 4)), 0.85, teleport, aOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,24 +382,32 @@ func TestShardedWalkAitken(t *testing.T) {
 
 // TestShardedSolveSharesWorkerPool is the regression test for the
 // worker-pool contract: a sharded solve must run every shard on the
-// one pool of the underlying operator — pool occupancy grows, and no
-// kernel spawns shard-private pools (the sweep count is attributed to
-// the shared pool).
+// one pool of the operator — pool occupancy grows, and no kernel
+// spawns shard-private pools (the sweep count is attributed to the
+// shared pool).
 func TestShardedSolveSharesWorkerPool(t *testing.T) {
 	g := benchGraphPowerLaw(t, 20000)
 	pool := NewPool(2)
 	defer pool.Close()
 	tr := NewTransition(g, pool)
-	st, err := NewShardedTransition(tr, evenBounds(tr.N(), 4))
+	sc, err := NewShardSchedule(tr, evenBounds(tr.N(), 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	teleport := make([]float64, tr.N())
-	Uniform(teleport)
-	before := pool.Stats()
-	if _, _, err := ShardedDampedWalkFrom(st, 0.85, teleport, teleport, IterOptions{}, true); err != nil {
-		t.Fatal(err)
+	walk := func() {
+		t.Helper()
+		st, err := tr.WithSchedule(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		teleport := make([]float64, tr.N())
+		Uniform(teleport)
+		if _, _, err := DampedWalk(st, 0.85, teleport, IterOptions{}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	before := pool.Stats()
+	walk()
 	after := pool.Stats()
 	if after.Workers != 2 {
 		t.Fatalf("pool workers %d, want 2", after.Workers)
@@ -267,12 +415,11 @@ func TestShardedSolveSharesWorkerPool(t *testing.T) {
 	if after.Runs <= before.Runs {
 		t.Fatalf("sharded solve did not run on the shared pool (runs %d -> %d)", before.Runs, after.Runs)
 	}
-	// Swapping the pool on the underlying operator must propagate to
-	// the sharded kernels (the engine resizes pools between solves).
+	// A scheduled view takes the operator's pool as it stands when the
+	// view is made (the engine resizes pools between solves and makes
+	// one view per solve).
 	tr.SetPool(nil)
-	if _, _, err := ShardedDampedWalkFrom(st, 0.85, teleport, teleport, IterOptions{}, true); err != nil {
-		t.Fatal(err)
-	}
+	walk()
 	if got := pool.Stats().Runs; got != after.Runs {
 		t.Fatalf("kernels still using the old pool after SetPool(nil): runs %d -> %d", after.Runs, got)
 	}
@@ -299,14 +446,11 @@ func BenchmarkShardedWalkPowerLaw100k(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			st, err := NewShardedTransition(tr, plan.Bounds)
-			if err != nil {
-				b.Fatal(err)
-			}
+			st := scheduled(b, tr, plan.Bounds)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				x, stats, err := ShardedDampedWalkFrom(st, 0.85, teleport, teleport, opts, true)
+				x, stats, err := DampedWalkFrom(st, 0.85, teleport, teleport, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

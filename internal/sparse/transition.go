@@ -30,6 +30,7 @@ type Transition struct {
 	danglingMark []bool    // danglingMark[v] reports v ∈ dangling
 	chunks       []int32   // edge-balanced row partition; len numChunks+1
 	pool         *Pool
+	sched        *ShardSchedule // nil: one shard, the flat sweep (see WithSchedule)
 }
 
 // NewTransition builds the operator from g. Edge weights are taken
