@@ -56,7 +56,7 @@ test:
 ## test-race: the packages that exercise the worker pool, fused
 ## kernels and the hot-swap serving path, under the race detector.
 test-race:
-	$(GO) test -race ./internal/sparse/... ./internal/core/... ./internal/hetnet/... ./internal/live/... ./internal/serve/... ./internal/obs/...
+	$(GO) test -race ./internal/sparse/... ./internal/core/... ./internal/hetnet/... ./internal/rank/... ./internal/live/... ./internal/serve/... ./internal/obs/...
 
 ## bench-check: vet and test the nested bench module. It compiles
 ## against internal/ but the root ./... never builds it, so without

@@ -11,31 +11,31 @@ import (
 )
 
 // Engine ranks a fixed network repeatedly under varying options,
-// caching the parameter-independent substrate between calls: the
-// citation transition operator (shared by the popularity and hetero
-// stages), one gap-weighted transition per distinct RhoGap value (the
-// prestige stage), and a persistent worker pool shared by every
-// solver kernel. Gap-weighted transitions are derived from the cached
-// citation operator with Reweighted, so only the per-edge norm is
-// recomputed — the CSR structure, dangling set, and chunk plan are
-// shared. Parameter sweeps — figures F1 and F2, the ablation table,
-// interactive tuning — skip the O(m log m) rebuild that a fresh Rank
-// call pays.
+// caching the parameter-independent substrate between calls: one
+// gap-weighted transition per distinct RhoGap value (the prestige
+// stage) and a persistent worker pool shared by every solver kernel.
+// The citation transition operator (the popularity and hetero stages)
+// is the network's own (hetnet.SolverView.CitationTransition); the
+// gap-weighted transitions are derived from it with Reweighted, so
+// only the per-edge norm is recomputed — the CSR structure, dangling
+// set, and chunk plan are shared. Parameter sweeps — figures F1 and
+// F2, the ablation table, interactive tuning — skip the O(m log m)
+// rebuild that a fresh Rank call pays.
 //
 // Both iterative stages run in solver space — the network's
 // locality-permuted projection (hetnet.SolverView) — and their score
 // vectors are mapped back to original article order at the Scores
 // boundary, so callers never observe the permutation.
 //
-// An Engine is safe for sequential use only: Rank adjusts the worker
-// pool on the cached operators. Call Close when done to release the
-// pool's goroutines; a closed (or never-used) Engine still ranks,
-// falling back to serial kernels.
+// An Engine is safe for sequential use only: Rank resizes the worker
+// pool and fills the caches. The operators themselves are immutable —
+// each solve binds the pool to a view (Transition.WithPool) — so other
+// engines and indexes over the same network may run concurrently. Call
+// Close when done to release the pool's goroutines; a closed (or
+// never-used) Engine still ranks, falling back to serial kernels.
 type Engine struct {
 	net      *hetnet.Network
-	view     *hetnet.SolverView
 	pool     *sparse.Pool
-	citTrans *sparse.Transition
 	gapTrans map[float64]*sparse.Transition
 	// Warm starts: previous solver fixed points kept in solver
 	// (permuted) space so a resume feeds the solver directly, keyed by
@@ -106,12 +106,17 @@ func warmVector(explicit, cached []float64, n int, perm *sparse.Permutation) ([]
 func NewEngine(net *hetnet.Network) *Engine {
 	return &Engine{
 		net:      net,
-		view:     net.SolverView(),
 		gapTrans: make(map[float64]*sparse.Transition),
 		warm:     make(map[string][]float64),
 		shards:   make(map[int]shardLayout),
 	}
 }
+
+// view returns the network's solver-order projection. The network
+// builds it on first use and caches it, so NewEngine is free and the
+// first solve over a network pays for the projection inside whatever
+// span times that solve.
+func (e *Engine) view() *hetnet.SolverView { return e.net.SolverView() }
 
 // Network returns the wrapped network.
 func (e *Engine) Network() *hetnet.Network { return e.net }
@@ -147,32 +152,29 @@ func (e *Engine) ensurePool(workers int) *sparse.Pool {
 	return e.pool
 }
 
+// citationTransition returns the network's one citation operator
+// (hetnet.SolverView.CitationTransition) as a view bound to pool. The
+// operator is shared with every other engine and related-article index
+// over the network, so it is never mutated here.
 func (e *Engine) citationTransition(pool *sparse.Pool) *sparse.Transition {
-	if e.citTrans == nil {
-		e.citTrans = sparse.NewTransition(e.view.Citations, pool)
-	}
-	e.citTrans.SetPool(pool)
-	return e.citTrans
+	return e.view().CitationTransition().WithPool(pool)
 }
 
 func (e *Engine) gapTransition(rho float64, pool *sparse.Pool) (*sparse.Transition, error) {
-	if t, ok := e.gapTrans[rho]; ok {
-		t.SetPool(pool)
-		return t, nil
-	}
 	if rho == 0 {
 		// No decay: the gap-weighted graph equals the citation graph.
-		t := e.citationTransition(pool)
-		e.gapTrans[0] = t
-		return t, nil
+		return e.citationTransition(pool), nil
 	}
-	weight, err := gapWeightFunc(e.view.Years, rho)
-	if err != nil {
-		return nil, err
+	t, ok := e.gapTrans[rho]
+	if !ok {
+		weight, err := gapWeightFunc(e.view().Years, rho)
+		if err != nil {
+			return nil, err
+		}
+		t = e.view().CitationTransition().Reweighted(weight)
+		e.gapTrans[rho] = t
 	}
-	t := e.citationTransition(pool).Reweighted(weight)
-	e.gapTrans[rho] = t
-	return t, nil
+	return t.WithPool(pool), nil
 }
 
 // shardLayout returns the engine's cached partition and sweep schedule
@@ -183,7 +185,7 @@ func (e *Engine) shardLayout(shards int, pool *sparse.Pool) (shardLayout, error)
 	if l, ok := e.shards[shards]; ok {
 		return l, nil
 	}
-	plan, err := shard.Partition(e.view.Citations, shards)
+	plan, err := shard.Partition(e.view().Citations, shards)
 	if err != nil {
 		return shardLayout{}, fmt.Errorf("core: shard partition: %w", err)
 	}

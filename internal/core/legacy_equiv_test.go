@@ -36,7 +36,7 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 		}, nil
 	}
 	pool := e.ensurePool(opts.Workers)
-	perm := e.view.Perm()
+	perm := e.view().Perm()
 	gapTrans, err := e.gapTransition(opts.RhoGap, pool)
 	if err != nil {
 		return nil, err
@@ -49,7 +49,7 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: hetero warm start: %w", err)
 	}
-	rawSolver, pStats, err := computePrestige(e.view, opts, gapTrans, initPrestige)
+	rawSolver, pStats, err := computePrestige(e.view(), opts, gapTrans, initPrestige)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +60,7 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 		return nil, err
 	}
 	popularity := computePopularity(e.net, opts)
-	heteroSolver, hStats, err := computeHetero(e.view, opts, e.citationTransition(pool), pool, initHetero)
+	heteroSolver, hStats, err := computeHetero(e.view(), opts, e.citationTransition(pool), pool, initHetero)
 	if err != nil {
 		return nil, err
 	}

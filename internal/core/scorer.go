@@ -168,13 +168,13 @@ func (ctx *SolveContext) Network() *hetnet.Network { return ctx.eng.net }
 // View returns the locality-permuted solver projection of the
 // network. Iterative stages should run over it and unmap results with
 // Restore.
-func (ctx *SolveContext) View() *hetnet.SolverView { return ctx.eng.view }
+func (ctx *SolveContext) View() *hetnet.SolverView { return ctx.eng.view() }
 
 // Pool returns the engine's worker pool, sized per Options.Workers.
 func (ctx *SolveContext) Pool() *sparse.Pool { return ctx.pool }
 
 // Perm returns the solver-space permutation.
-func (ctx *SolveContext) Perm() *sparse.Permutation { return ctx.eng.view.Perm() }
+func (ctx *SolveContext) Perm() *sparse.Permutation { return ctx.eng.view().Perm() }
 
 // NumArticles returns the article count.
 func (ctx *SolveContext) NumArticles() int { return ctx.eng.net.NumArticles() }

@@ -53,6 +53,14 @@ func (g *Graph) Neighbors(u NodeID) []NodeID {
 	return g.targets[g.offsets[u]:g.offsets[u+1]]
 }
 
+// CSR returns the graph's row offsets (len NumNodes()+1) and flat
+// target array, rows strictly sorted. Both alias internal storage and
+// must not be modified; kernels that sweep every row use them to skip
+// the per-row Neighbors call.
+func (g *Graph) CSR() (offsets []int64, targets []NodeID) {
+	return g.offsets, g.targets
+}
+
 // EdgeWeights returns the weights of the edges leaving u, aligned with
 // Neighbors(u). It returns nil for an unweighted graph. The returned
 // slice aliases internal storage and must not be modified.

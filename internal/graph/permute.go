@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -52,7 +53,7 @@ func (g *Graph) Permute(fwd []NodeID) *Graph {
 			out[i] = fwd[v]
 		}
 		if g.weights == nil {
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+			slices.Sort(out)
 			continue
 		}
 		ws := p.weights[dst : dst+int64(len(row))]

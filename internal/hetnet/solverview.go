@@ -2,6 +2,7 @@ package hetnet
 
 import (
 	"slices"
+	"sync"
 
 	"scholarrank/internal/corpus"
 	"scholarrank/internal/graph"
@@ -45,6 +46,11 @@ type SolverView struct {
 	authorChunks   []int32
 	venueChunks    []int32
 	articleChunks  []int32
+
+	// Pull-form citation operator, built lazily on first use (see
+	// CitationTransition).
+	citOnce  sync.Once
+	citTrans *sparse.Transition
 }
 
 // SolverView returns the solver-order projection of the network,
@@ -134,6 +140,17 @@ func mapSortedArticleIDs(ids []corpus.ArticleID, fwd []int32) []corpus.ArticleID
 	out := mapArticleIDs(ids, fwd)
 	slices.Sort(out)
 	return out
+}
+
+// CitationTransition returns the pull-form operator — the in-edge
+// CSR — of the solver-order citation graph, building it on first use.
+// There is one per network: the solver's citation and gap walks and
+// the related-article walk all read it. It is immutable, carries no
+// worker pool, and is safe to share across goroutines; each user binds
+// its own pool with Transition.WithPool.
+func (v *SolverView) CitationTransition() *sparse.Transition {
+	v.citOnce.Do(func() { v.citTrans = sparse.NewTransition(v.Citations, nil) })
+	return v.citTrans
 }
 
 // Perm returns the permutation relating original article order to the

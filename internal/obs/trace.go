@@ -652,6 +652,16 @@ func wideEvent(logger *slog.Logger, r *http.Request, tw *timingWriter, t *Trace)
 			attrs = append(attrs, slog.String("cache", state))
 		}
 	}
+	// A personalised walk's convergence rides on its span; surface it so
+	// an unconverged /related answer is visible on the request line.
+	if walk := t.Find("walk"); walk != nil {
+		if converged, ok := walk.Attrs["converged"].(bool); ok {
+			attrs = append(attrs,
+				slog.Any("walk_iters", walk.Attrs["iters"]),
+				slog.Any("walk_residual", walk.Attrs["residual"]),
+				slog.Bool("walk_converged", converged))
+		}
+	}
 	if names, ms := t.SpanMillis(); len(names) > 0 {
 		spanAttrs := make([]any, 0, len(names))
 		for _, name := range names {

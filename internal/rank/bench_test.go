@@ -91,12 +91,30 @@ func BenchmarkCoRank20k(b *testing.B) {
 	}
 }
 
+// BenchmarkNewRelatedIndex20k is the index build over a network whose
+// in-edge operator exists already (any solved network): O(articles),
+// no per-citation allocation.
+func BenchmarkNewRelatedIndex20k(b *testing.B) {
+	net := benchNetwork(b)
+	net.SolverView().CitationTransition()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ri, err := NewRelatedIndex(net, RelatedOptions{Iter: benchIter})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ri.Close()
+	}
+}
+
 func BenchmarkRelatedQuery20k(b *testing.B) {
 	net := benchNetwork(b)
 	ri, err := NewRelatedIndex(net, RelatedOptions{Iter: benchIter})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer ri.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

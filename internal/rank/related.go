@@ -2,8 +2,8 @@ package rank
 
 import (
 	"fmt"
+	"sync"
 
-	"scholarrank/internal/graph"
 	"scholarrank/internal/hetnet"
 	"scholarrank/internal/sparse"
 )
@@ -19,16 +19,31 @@ type RelatedOptions struct {
 	Iter sparse.IterOptions
 }
 
-// RelatedIndex answers related-article queries over one corpus. It
-// precomputes the bidirectional citation operator once (references
-// and citers both signal relatedness), so per-query cost is just the
-// personalised walk. The index owns a worker pool sized by
-// Options.Workers; call Close to release it.
+// RelatedIndex answers related-article queries over one corpus with a
+// personalised walk that follows citations in both directions
+// (references and citers both signal relatedness). It holds no graph
+// of its own: the walk runs in solver order over the two CSRs the
+// network already has — the citation graph and the in-edge operator
+// the solver built (sparse.TransposePair) — so building the index
+// costs O(articles), and per-query cost is just the walk. The index
+// owns a worker pool sized by Options.Workers; call Close to release
+// it.
 type RelatedIndex struct {
-	trans *sparse.Transition
-	pool  *sparse.Pool
-	n     int
-	opts  RelatedOptions
+	pair *sparse.TransposePair
+	perm *sparse.Permutation // store order → solver order; nil when they coincide
+	pool *sparse.Pool
+	opts RelatedOptions
+	// Per-walk scratch, recycled across queries: without it every cold
+	// request would allocate three more corpus-sized vectors than the
+	// driver's own pair.
+	scratch sync.Pool
+}
+
+// relatedScratch is one walk's working set: the walk's three scratch
+// vectors, the first of which is reused afterwards to carry the scores
+// back into store order.
+type relatedScratch struct {
+	init, scaled, scaledNext []float64
 }
 
 // NewRelatedIndex builds the index for the network.
@@ -39,54 +54,58 @@ func NewRelatedIndex(net *hetnet.Network, opts RelatedOptions) (*RelatedIndex, e
 	if opts.Damping <= 0 || opts.Damping >= 1 {
 		return nil, fmt.Errorf("%w: related damping %v", ErrBadParam, opts.Damping)
 	}
-	src := net.Citations
-	b := graph.NewBuilder(src.NumNodes(), false)
-	var addErr error
-	src.VisitEdges(func(u, v graph.NodeID, _ float64) {
-		if err := b.AddEdge(u, v); err != nil && addErr == nil {
-			addErr = err
-		}
-		if err := b.AddEdge(v, u); err != nil && addErr == nil {
-			addErr = err
-		}
-	})
-	if addErr != nil {
-		return nil, addErr
-	}
+	view := net.SolverView()
 	pool := sparse.NewPool(opts.Workers)
-	return &RelatedIndex{
-		trans: sparse.NewTransition(b.Build(), pool),
-		pool:  pool,
-		n:     src.NumNodes(),
-		opts:  opts,
-	}, nil
+	pair, err := sparse.NewTransposePair(view.CitationTransition(), view.Citations, pool)
+	if err != nil {
+		pool.Close()
+		return nil, err
+	}
+	return newRelatedIndex(pair, view.Perm(), pool, opts), nil
+}
+
+// newRelatedIndex wraps a bidirectional operator built in solver order;
+// perm maps store order to that order (nil when they coincide).
+func newRelatedIndex(pair *sparse.TransposePair, perm *sparse.Permutation, pool *sparse.Pool, opts RelatedOptions) *RelatedIndex {
+	n := pair.N()
+	ri := &RelatedIndex{pair: pair, perm: perm, pool: pool, opts: opts}
+	ri.scratch.New = func() any {
+		return &relatedScratch{
+			init:       make([]float64, n),
+			scaled:     make([]float64, n),
+			scaledNext: make([]float64, n),
+		}
+	}
+	return ri
 }
 
 // Close releases the index's worker pool. Queries remain valid after
-// Close, falling back to serial kernels.
-func (ri *RelatedIndex) Close() {
-	if ri.pool != nil {
-		ri.pool.Close()
-		ri.trans.SetPool(nil)
-		ri.pool = nil
-	}
-}
+// Close, falling back to serial kernels (a closed pool runs inline).
+func (ri *RelatedIndex) Close() { ri.pool.Close() }
 
 // Related returns up to k articles most related to the seed, by the
 // stationary mass of a random walk that restarts at the seed and
 // follows citations in either direction. The seed itself is excluded.
+// A walk that stops at Iter.MaxIter still returns its ranking; callers
+// that must tell use RelatedStats.
 func (ri *RelatedIndex) Related(seed int32, k int) ([]int, error) {
-	if int(seed) < 0 || int(seed) >= ri.n {
-		return nil, fmt.Errorf("%w: related seed %d of %d", ErrBadParam, seed, ri.n)
+	out, _, err := ri.RelatedStats(seed, k)
+	return out, err
+}
+
+// RelatedStats is Related plus the walk's convergence statistics.
+func (ri *RelatedIndex) RelatedStats(seed int32, k int) ([]int, sparse.IterStats, error) {
+	if n := ri.pair.N(); int(seed) < 0 || int(seed) >= n {
+		return nil, sparse.IterStats{}, fmt.Errorf("%w: related seed %d of %d", ErrBadParam, seed, n)
 	}
 	if k <= 0 {
-		return nil, nil
+		return nil, sparse.IterStats{}, nil
 	}
-	teleport := make([]float64, ri.n)
-	teleport[seed] = 1
-	scores, _, err := sparse.DampedWalk(ri.trans, ri.opts.Damping, teleport, ri.opts.Iter)
+	sc := ri.scratch.Get().(*relatedScratch)
+	defer ri.scratch.Put(sc)
+	scores, stats, err := ri.walk(seed, sc)
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
 	scores[seed] = 0 // exclude the seed itself
 	top := TopK(scores, k+1)
@@ -100,5 +119,24 @@ func (ri *RelatedIndex) Related(seed int32, k int) ([]int, error) {
 			break
 		}
 	}
-	return out, nil
+	return out, stats, nil
+}
+
+// walk runs the personalised walk from seed (a store index) on sc and
+// returns the stationary scores in store order. Under a solver
+// permutation the result lives in sc and is valid only until sc is
+// reused.
+func (ri *RelatedIndex) walk(seed int32, sc *relatedScratch) ([]float64, sparse.IterStats, error) {
+	solverSeed := int(seed)
+	if ri.perm != nil {
+		solverSeed = int(ri.perm.Fwd()[seed])
+	}
+	scores, stats, err := ri.pair.SeedWalk(solverSeed, ri.opts.Damping, sc.init, sc.scaled, sc.scaledNext, ri.opts.Iter)
+	if err != nil || ri.perm == nil {
+		return scores, stats, err
+	}
+	// Back to store order before anything is selected, so ties still
+	// break toward the lower store index.
+	ri.perm.Restore(sc.init, scores)
+	return sc.init, stats, nil
 }

@@ -41,6 +41,7 @@ const (
 	metricQueryCacheHits    = "sarserve_query_cache_hits_total"
 	metricQueryCacheMisses  = "sarserve_query_cache_misses_total"
 	metricQueryCacheEntries = "sarserve_query_cache_entries"
+	metricWalkUnconverged   = "sarserve_related_unconverged_total"
 )
 
 // serveMetrics bundles every instrument the serving layer records
@@ -67,6 +68,9 @@ type serveMetrics struct {
 	shed        *obs.Counter
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
+	// walkUnconverged counts /related walks that stopped at the
+	// iteration cap instead of the tolerance.
+	walkUnconverged *obs.Counter
 
 	// bootSeconds is set once by the booting command (see
 	// Server.RecordBootSeconds) — wall time from opening the corpus
@@ -104,6 +108,8 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 			"Read responses (/query, /related) served from the generation-keyed cache.", nil),
 		cacheMisses: reg.Counter(metricQueryCacheMisses,
 			"Read responses (/query, /related) computed rather than served from cache.", nil),
+		walkUnconverged: reg.Counter(metricWalkUnconverged,
+			"/related walks served after stopping at the iteration cap, short of the convergence tolerance.", nil),
 	}
 }
 

@@ -572,12 +572,20 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request, g *genera
 		return
 	}
 	_, span := obs.StartSpan(r.Context(), "walk")
-	related, err := g.related.Related(id, k)
+	related, stats, err := g.related.RelatedStats(id, k)
 	span.SetAttr("results", len(related))
+	span.SetAttr("iters", stats.Iterations)
+	span.SetAttr("residual", stats.Residual)
+	span.SetAttr("converged", stats.Converged)
 	span.End()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "related: %v", err)
 		return
+	}
+	if !stats.Converged {
+		// The ranking is still served — it is the best the iteration
+		// budget bought — but never silently.
+		s.metrics.walkUnconverged.Inc()
 	}
 	_, span = obs.StartSpan(r.Context(), "corpus")
 	out := make([]ArticleView, 0, len(related))

@@ -11,6 +11,8 @@ import (
 
 	"scholarrank/internal/core"
 	"scholarrank/internal/obs"
+	"scholarrank/internal/rank"
+	"scholarrank/internal/sparse"
 )
 
 // tracedServer builds the fixture server with request logging into
@@ -117,6 +119,58 @@ func TestQueryTraceBreakdown(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "cache=hit") {
 		t.Errorf("wide event not cache=hit: %s", buf.String())
+	}
+}
+
+// TestRelatedWalkConvergenceIsReported checks a /related walk's
+// convergence reaches the walk span and the wide event, and that a
+// walk stopped by the iteration cap is served but counted.
+func TestRelatedWalkConvergenceIsReported(t *testing.T) {
+	var buf bytes.Buffer
+	srv := tracedServer(t, &buf)
+	h := srv.Handler()
+	unconverged := func() string {
+		t.Helper()
+		for _, line := range strings.Split(get(t, h, "/metrics").Body.String(), "\n") {
+			if strings.HasPrefix(line, metricWalkUnconverged+" ") {
+				return strings.TrimPrefix(line, metricWalkUnconverged+" ")
+			}
+		}
+		t.Fatalf("%s not exported", metricWalkUnconverged)
+		return ""
+	}
+
+	buf.Reset()
+	if rec := get(t, h, "/related?key=a&k=3"); rec.Code != http.StatusOK {
+		t.Fatalf("/related status = %d: %s", rec.Code, rec.Body)
+	}
+	if line := buf.String(); !strings.Contains(line, "walk_converged=true") || !strings.Contains(line, "walk_iters=") {
+		t.Errorf("wide event lacks the walk's convergence: %s", line)
+	}
+	walk := findTrace(debugTraces(t, h), "/related").Find("walk")
+	if walk == nil || walk.Attrs["converged"] != true || walk.Attrs["iters"] == nil || walk.Attrs["residual"] == nil {
+		t.Errorf("walk span attrs = %+v, want iters, residual, converged=true", walk)
+	}
+	if got := unconverged(); got != "0" {
+		t.Errorf("%s = %s after a converged walk", metricWalkUnconverged, got)
+	}
+
+	// Swap in an index whose walks cannot converge: one sweep allowed.
+	g := srv.gen.Load()
+	g.related.Close()
+	var err error
+	if g.related, err = rank.NewRelatedIndex(g.net, rank.RelatedOptions{Iter: sparse.IterOptions{MaxIter: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if rec := get(t, h, "/related?key=b&k=3"); rec.Code != http.StatusOK {
+		t.Fatalf("unconverged /related status = %d: %s", rec.Code, rec.Body)
+	}
+	if line := buf.String(); !strings.Contains(line, "walk_converged=false") || !strings.Contains(line, "walk_iters=1") {
+		t.Errorf("wide event hides the unconverged walk: %s", line)
+	}
+	if got := unconverged(); got != "1" {
+		t.Errorf("%s = %s after an unconverged walk, want 1", metricWalkUnconverged, got)
 	}
 }
 

@@ -32,17 +32,23 @@ const maxChunksPerCPU = 8
 // below the serial threshold yields a single chunk, which every
 // kernel in this package executes inline.
 func EdgeChunks(offsets []int64) []int32 {
-	return edgeChunksTarget(offsets, minChunkWork, maxChunksPerCPU*runtime.NumCPU())
+	return chunkPlan(len(offsets)-1, func(v int) int64 { return offsets[v] },
+		minChunkWork, maxChunksPerCPU*runtime.NumCPU())
 }
 
-func edgeChunksTarget(offsets []int64, minWork, maxChunks int) []int32 {
-	n := len(offsets) - 1
+// chunkPlan is EdgeChunks over any monotone cumulative edge count, with
+// the plan's granularity explicit: edgesBefore(v) is the number of
+// edges in rows below v, for v in [0, n]. An operator whose rows gather
+// from two CSRs plans over the sum of their offsets without
+// materialising it.
+func chunkPlan(n int, edgesBefore func(v int) int64, minWork, maxChunks int) []int32 {
 	if n < 0 {
 		return []int32{0}
 	}
 	// work(v) = edges(v) + 1, cumulative work before row v is
-	// offsets[v] - offsets[0] + v.
-	total := offsets[n] - offsets[0] + int64(n)
+	// edgesBefore(v) - edgesBefore(0) + v.
+	base := edgesBefore(0)
+	total := edgesBefore(n) - base + int64(n)
 	parts := int(total / int64(minWork))
 	if parts > maxChunks {
 		parts = maxChunks
@@ -55,10 +61,10 @@ func edgeChunksTarget(offsets []int64, minWork, maxChunks int) []int32 {
 	}
 	starts := make([]int32, 1, parts+1)
 	for c := 1; c < parts; c++ {
-		target := offsets[0] + total*int64(c)/int64(parts)
+		target := base + total*int64(c)/int64(parts)
 		// First row v whose cumulative work reaches the target.
 		v := sort.Search(n, func(v int) bool {
-			return offsets[v]+int64(v) >= target
+			return edgesBefore(v)+int64(v) >= target
 		})
 		if last := int(starts[len(starts)-1]); v <= last {
 			continue // degenerate row distribution; skip empty chunk
@@ -119,15 +125,16 @@ func reducePartials(parts []stepPartial) stepPartial {
 // chunk partials with reducePartials. A plan with one chunk, or a pool
 // with one worker, runs the whole range inline. It is the one place a
 // sweep meets the worker pool: the flat kernels pass the operator's
-// plan, a shard sweep passes the shard's.
-func (t *Transition) reduceChunks(chunks []int32, body func(lo, hi int) stepPartial) stepPartial {
+// plan, a shard sweep passes the shard's, the transpose-pair walk its
+// own.
+func reduceChunks(pool *Pool, chunks []int32, body func(lo, hi int) stepPartial) stepPartial {
 	nc := len(chunks) - 1
-	if nc == 1 || t.pool.Workers() <= 1 {
+	if nc == 1 || pool.Workers() <= 1 {
 		return body(int(chunks[0]), int(chunks[nc]))
 	}
 	parts := getPartials(nc)
 	ps := *parts
-	t.pool.Run(nc, func(c int) {
+	pool.Run(nc, func(c int) {
 		ps[c] = body(int(chunks[c]), int(chunks[c+1]))
 	})
 	total := reducePartials(ps)
@@ -153,7 +160,7 @@ func (t *Transition) reduceChunks(chunks []int32, body func(lo, hi int) stepPart
 func (t *Transition) DampedStep(dst, src, teleport []float64, damping, danglingMass float64) (res, sum, danglingNext float64) {
 	// dst[v] = damping·s + (damping·dm + 1 - damping)·teleport[v]
 	tcoef := damping*danglingMass + 1 - damping
-	p := t.reduceChunks(t.chunks, func(lo, hi int) stepPartial {
+	p := reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial {
 		r, s, d := t.dampedRange(dst, src, teleport, damping, tcoef, lo, hi)
 		return stepPartial{res: r, sum: s, dang: d}
 	})
@@ -263,7 +270,7 @@ func (l *AuxLookup) at(v int) float64 {
 // (pipelined, like DampedStep). dst and src must not alias.
 func (t *Transition) BlendStep(dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, dm, aLeak, vLeak float64) (sum, danglingNext float64) {
 	rcoef := restartCoef(fa, fv, lc, la, lv, lt, dm, aLeak, vLeak)
-	p := t.reduceChunks(t.chunks, func(lo, hi int) stepPartial {
+	p := reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial {
 		s, d := t.blendRange(dst, src, r, fa, fv, lc, la, lv, rcoef, lo, hi)
 		return stepPartial{sum: s, dang: d}
 	})
@@ -352,7 +359,7 @@ func (t *Transition) blendSplitRange(split []int64, dst, src, r []float64, fa *A
 // sweep applies 1/sum and reports the residual against the previous
 // iterate.
 func (t *Transition) ScaleDiffStep(dst, src []float64, scale float64) (res float64) {
-	return t.reduceChunks(t.chunks, func(lo, hi int) stepPartial {
+	return reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial {
 		return stepPartial{res: scaleDiffRange(dst, src, scale, lo, hi)}
 	}).res
 }

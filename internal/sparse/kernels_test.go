@@ -29,7 +29,7 @@ func randomCitationGraph(t testing.TB, n, outDeg int, seed int64) *graph.Graph {
 func TestEdgeChunksProperties(t *testing.T) {
 	g := randomCitationGraph(t, 30_000, 8, 7)
 	tr := NewTransition(g, nil)
-	starts := edgeChunksTarget(tr.offsets, 1024, 64)
+	starts := chunkPlan(tr.n, func(v int) int64 { return tr.offsets[v] }, 1024, 64)
 	if starts[0] != 0 || int(starts[len(starts)-1]) != tr.n {
 		t.Fatalf("chunk plan does not cover [0,%d): %v…%v", tr.n, starts[0], starts[len(starts)-1])
 	}

@@ -73,7 +73,18 @@ func TestPoolConcurrentRuns(t *testing.T) {
 // goroutine count returns to its baseline once Close has run. The
 // retry loop absorbs scheduler lag in goroutine teardown.
 func TestPoolCloseReleasesGoroutines(t *testing.T) {
+	// Workers of pools the preceding tests closed may still be exiting;
+	// a baseline that counts them makes the parked-workers check below
+	// fail once they are gone.
 	before := runtime.NumGoroutine()
+	for settled := 0; settled < 3; {
+		time.Sleep(10 * time.Millisecond)
+		if now := runtime.NumGoroutine(); now == before {
+			settled++
+		} else {
+			before, settled = now, 0
+		}
+	}
 	pools := make([]*Pool, 0, 8)
 	for i := 0; i < 8; i++ {
 		p := NewPool(4)

@@ -145,7 +145,7 @@ func (t *Transition) DampedSweep(dst, src, teleport []float64, damping float64, 
 		// Shards above s hold dst's fresh dangling mass already; the
 		// rest still hold src's — the barrier-consistent mix.
 		tcoef := damping*Sum(dang) + 1 - damping
-		p := t.reduceChunks(sc.chunks[s], func(lo, hi int) stepPartial {
+		p := reduceChunks(t.pool, sc.chunks[s], func(lo, hi int) stepPartial {
 			var r, sm, d float64
 			if s == k-1 { // nothing lies above the top shard: the flat body
 				r, sm, d = t.dampedRange(dst, src, teleport, damping, tcoef, lo, hi)
@@ -160,7 +160,7 @@ func (t *Transition) DampedSweep(dst, src, teleport []float64, damping float64, 
 	}
 	if sum > 0 && !math.IsNaN(sum) && !math.IsInf(sum, 0) {
 		inv := 1 / sum
-		t.reduceChunks(t.chunks, func(lo, hi int) stepPartial {
+		reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial {
 			Scale(dst[lo:hi], inv)
 			return stepPartial{}
 		})
@@ -185,7 +185,7 @@ func (t *Transition) BlendSweep(dst, src, r []float64, fa *AuxGather, fv *AuxLoo
 	sc := t.sched
 	for s := k - 1; s >= 0; s-- {
 		rcoef := restartCoef(fa, fv, lc, la, lv, lt, Sum(dang), aLeak, vLeak)
-		p := t.reduceChunks(sc.chunks[s], func(lo, hi int) stepPartial {
+		p := reduceChunks(t.pool, sc.chunks[s], func(lo, hi int) stepPartial {
 			var sm, d float64
 			if s == k-1 { // nothing lies above the top shard: the flat body
 				sm, d = t.blendRange(dst, src, r, fa, fv, lc, la, lv, rcoef, lo, hi)

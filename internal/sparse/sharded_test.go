@@ -394,7 +394,7 @@ func TestShardedSolveSharesWorkerPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walk := func() {
+	walk := func(tr *Transition) {
 		t.Helper()
 		st, err := tr.WithSchedule(sc)
 		if err != nil {
@@ -407,7 +407,7 @@ func TestShardedSolveSharesWorkerPool(t *testing.T) {
 		}
 	}
 	before := pool.Stats()
-	walk()
+	walk(tr)
 	after := pool.Stats()
 	if after.Workers != 2 {
 		t.Fatalf("pool workers %d, want 2", after.Workers)
@@ -415,13 +415,16 @@ func TestShardedSolveSharesWorkerPool(t *testing.T) {
 	if after.Runs <= before.Runs {
 		t.Fatalf("sharded solve did not run on the shared pool (runs %d -> %d)", before.Runs, after.Runs)
 	}
-	// A scheduled view takes the operator's pool as it stands when the
-	// view is made (the engine resizes pools between solves and makes
-	// one view per solve).
-	tr.SetPool(nil)
-	walk()
+	// A pool-bound view runs on its own pool and leaves the operator's
+	// alone (the engine resizes pools between solves and binds one view
+	// per solve; the operator itself is shared and never mutated).
+	walk(tr.WithPool(nil))
 	if got := pool.Stats().Runs; got != after.Runs {
-		t.Fatalf("kernels still using the old pool after SetPool(nil): runs %d -> %d", after.Runs, got)
+		t.Fatalf("WithPool(nil) view still ran on the operator's pool: runs %d -> %d", after.Runs, got)
+	}
+	walk(tr)
+	if got := pool.Stats().Runs; got <= after.Runs {
+		t.Fatalf("WithPool changed the operator it was taken from: runs %d -> %d", after.Runs, got)
 	}
 }
 

@@ -220,8 +220,10 @@ func TestTransitionParallelMatchesSerial(t *testing.T) {
 	if d := MaxDiff(d1, d2); d > 1e-15 {
 		t.Errorf("parallel deviates from serial by %v", d)
 	}
-	par.SetPool(nil) // back to serial; should not panic
-	par.MulVec(d2, x)
+	par.WithPool(nil).MulVec(d2, x) // a serial view of the same operator
+	if d := MaxDiff(d1, d2); d > 1e-15 {
+		t.Errorf("serial view deviates from serial by %v", d)
+	}
 }
 
 func TestFixedPointConverges(t *testing.T) {

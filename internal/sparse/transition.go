@@ -37,8 +37,9 @@ type Transition struct {
 // from the graph when present, otherwise every edge has weight 1.
 // pool supplies the parallelism of every kernel; nil selects serial
 // execution. The pool is only borrowed — closing it remains the
-// caller's responsibility, and SetPool can swap it at any time
-// between kernel calls.
+// caller's responsibility — and an operator is immutable once built:
+// WithPool binds another pool to a view instead of mutating it, so one
+// operator can be shared by goroutines that each bring their own pool.
 func NewTransition(g *graph.Graph, pool *Pool) *Transition {
 	n := g.NumNodes()
 	outW := make([]float64, n)
@@ -157,9 +158,14 @@ func (t *Transition) NumChunks() int { return t.numChunks() }
 
 func (t *Transition) numChunks() int { return len(t.chunks) - 1 }
 
-// SetPool swaps the worker pool used by the kernels. A nil pool
-// selects serial execution. The previous pool is not closed.
-func (t *Transition) SetPool(p *Pool) { t.pool = p }
+// WithPool returns a view of t — the same CSR, weights, chunk plan and
+// schedule, nothing copied — whose kernels run on p. A nil pool selects
+// serial execution. t itself is not modified.
+func (t *Transition) WithPool(p *Pool) *Transition {
+	view := *t
+	view.pool = p
+	return &view
+}
 
 // DanglingMass returns the total probability mass sitting on dangling
 // nodes in x. Inside an iteration loop prefer the pipelined dangling
