@@ -74,15 +74,15 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
 ## bench-json: machine-readable benchmark artifacts. Runs the
-## reordering/extrapolation walk benchmark and the end-to-end parallel
-## solve (quick corpus) into BENCH_5.json, then the 100k corpus
+## Jacobi/extrapolated/Gauss–Seidel walk benchmark and the end-to-end
+## parallel solve (quick corpus) into BENCH_5.json, then the 100k corpus
 ## boot-time benchmark (mmap vs heap) into BENCH_6.json, then the
 ## shard-scaling curve (damped walk over 1/2/4/8 edge-balanced shards
 ## on the 100k power-law corpus) into BENCH_10.json, via cmd/benchjson.
 bench-json:
 	@{ \
 		QISA_BENCH_QUICK=1 $(GO) test -run xxx -bench 'BenchmarkFigure6Parallel$$' -benchtime 20x -benchmem . && \
-		$(GO) test ./internal/sparse/ -run xxx -bench 'BenchmarkDampedWalkPowerLaw|BenchmarkReorderPermutation' -benchtime 5x -benchmem ; \
+		$(GO) test ./internal/sparse/ -run xxx -bench 'BenchmarkDampedWalkPowerLaw' -benchtime 5x -benchmem ; \
 	} | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_5.json
 	@echo "wrote BENCH_5.json"
 	@$(GO) test ./internal/corpus/ -run xxx -bench 'BenchmarkSCORPBoot' -benchtime 20x -benchmem \

@@ -208,6 +208,9 @@ func runScorer(stdout, stderr io.Writer, store *corpus.Store, net *hetnet.Networ
 	if err != nil {
 		return fmt.Errorf("%s: %w", scorer, err)
 	}
+	if trace {
+		fmt.Fprintf(stderr, "trace solver   back_edge_fraction=%.4g\n", sc.BackEdgeFraction)
+	}
 	label := scorer
 	if scorer == core.DefaultScorer {
 		label = "QISA-Rank"

@@ -214,6 +214,16 @@ func TestRunScorer(t *testing.T) {
 		t.Errorf("snapshot scorer = %q, want alef", snap.Scorer)
 	}
 
+	// -trace streams the sweeps and prints the back-edge fraction of
+	// the solver order once.
+	errBuf.Reset()
+	if err := run([]string{"-in", path, "-trace", "-k", "2"}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	if got := errBuf.String(); strings.Count(got, "back_edge_fraction=") != 1 || !strings.Contains(got, "trace prestige iter=1") {
+		t.Errorf("-trace output: %q", got)
+	}
+
 	if err := run([]string{"-in", path, "-scorer", "no-such"}, &out, &errBuf); err == nil {
 		t.Error("unknown scorer accepted")
 	}

@@ -130,19 +130,19 @@ type Options struct {
 	// score distributions) or min–max.
 	Normalization NormKind
 
-	// Workers sets mat-vec parallelism; values < 1 select NumCPU.
+	// Workers sets the parallelism of the pooled kernels (Jacobi
+	// sweeps, renormalisation, layer gathers); values < 1 select NumCPU.
+	// The Gauss–Seidel sweeps are serial, so scores do not depend on it.
 	Workers int
 	// Iter controls convergence of both iterative stages.
 	Iter sparse.IterOptions
 
-	// Shards selects the sharded sweep schedule: the citation graph is
-	// cut into this many edge-balanced contiguous row ranges
-	// (internal/shard) and both iterative stages sweep them in
-	// descending order, each shard reading the shards above it from the
-	// vector under construction. Values < 2 select the flat sweep. The
-	// fixed point is unchanged — sharding only trades sweep count (mass
-	// propagates a whole citation chain per sweep) against the
-	// per-shard barriers.
+	// Shards cuts the citation graph into this many edge-balanced
+	// contiguous row ranges (internal/shard) and reports them on the
+	// result (Scores.Shards, ShardEdges, IterStats.Exchanges). The
+	// Gauss–Seidel sweep is one top-down pass whatever the partition
+	// (sparse.NewShardSchedule), so the scores are those of the default
+	// schedule. Values < 2 select no partition.
 	Shards int
 
 	// AitkenEvery sets the cadence of Aitken Δ² extrapolation in the
@@ -377,13 +377,20 @@ type Scores struct {
 	// of the two iterative stages.
 	PrestigeStats sparse.IterStats
 	HeteroStats   sparse.IterStats
-	// Shards is the effective shard count the iterative stages ran
-	// with (1 for an unsharded solve, or when the scorer has no
+	// Shards is the explicit shard count the iterative stages ran with
+	// (1 under the default sweep schedule, or when the scorer has no
 	// iterative stage); ShardEdges holds each shard's pull-sweep edge
-	// count (intra + cross) from the partition plan, nil when
-	// unsharded.
+	// count (intra + cross) from the partition plan, nil without
+	// explicit shards.
 	Shards     int
 	ShardEdges []int64
+	// BackEdgeFraction is the share of citation edges whose citing
+	// article is not above the cited one in solver order — the edges a
+	// Gauss–Seidel sweep reads stale (sparse.ShardSchedule). Zero on a
+	// chronologically consistent corpus, where the prestige walk
+	// converges in two sweeps; same-year citation cycles raise it and
+	// the sweep count with it.
+	BackEdgeFraction float64
 	// Pool summarises the solver worker pool's occupancy over the
 	// engine's lifetime (parallelism, kernel sweeps, chunk tasks).
 	Pool sparse.PoolStats

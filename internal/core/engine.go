@@ -23,9 +23,10 @@ import (
 // rebuild that a fresh Rank call pays.
 //
 // Both iterative stages run in solver space — the network's
-// locality-permuted projection (hetnet.SolverView) — and their score
-// vectors are mapped back to original article order at the Scores
-// boundary, so callers never observe the permutation.
+// chronologically ordered projection (hetnet.SolverView), usually the
+// network itself — and their score vectors are mapped back to original
+// article order at the Scores boundary, so callers never observe the
+// permutation.
 //
 // An Engine is safe for sequential use only: Rank resizes the worker
 // pool and fills the caches. The operators themselves are immutable —
@@ -45,18 +46,19 @@ type Engine struct {
 	// starting vector, so warm starting is purely an iteration-count
 	// optimisation.
 	warm map[string][]float64
-	// Sharded-solve substrate, one entry per shard count. It derives
-	// from immutable structure, so it is computed once and shared across
-	// solves.
-	shards map[int]shardLayout
+	// Sweep schedules, one per explicit shard count (1: the default
+	// schedule). A schedule derives from immutable structure, so it is
+	// computed once and shared across solves.
+	layouts map[int]sweepLayout
 }
 
-// shardLayout is an edge-balanced partition of the solver-ordered
-// citation graph and the sweep schedule over the citation operator's
-// rows for it — rows every gap operator shares, so one schedule serves
-// them all.
-type shardLayout struct {
-	plan  *shard.Plan
+// sweepLayout is the Gauss–Seidel sweep schedule over the citation
+// operator's rows — rows every gap operator shares, so one schedule
+// serves them all — and, for an explicit shard count, the
+// edge-balanced partition of the solver-ordered citation graph the
+// solve reports.
+type sweepLayout struct {
+	plan  *shard.Plan // nil for the default schedule
 	sched *sparse.ShardSchedule
 }
 
@@ -108,7 +110,7 @@ func NewEngine(net *hetnet.Network) *Engine {
 		net:      net,
 		gapTrans: make(map[float64]*sparse.Transition),
 		warm:     make(map[string][]float64),
-		shards:   make(map[int]shardLayout),
+		layouts:  make(map[int]sweepLayout),
 	}
 }
 
@@ -177,24 +179,30 @@ func (e *Engine) gapTransition(rho float64, pool *sparse.Pool) (*sparse.Transiti
 	return t.WithPool(pool), nil
 }
 
-// shardLayout returns the engine's cached partition and sweep schedule
-// for the given shard count, computing them on first use. Partition
-// clamps counts above the row count, so the plan's Shards() may be
-// lower than requested.
-func (e *Engine) shardLayout(shards int, pool *sparse.Pool) (shardLayout, error) {
-	if l, ok := e.shards[shards]; ok {
+// sweepLayout returns the engine's cached sweep schedule for the given
+// shard count, computing it on first use. Partition clamps counts above
+// the row count, so the plan's Shards() may be lower than requested.
+func (e *Engine) sweepLayout(shards int) (sweepLayout, error) {
+	if shards < 2 {
+		shards = 1
+	}
+	if l, ok := e.layouts[shards]; ok {
 		return l, nil
 	}
-	plan, err := shard.Partition(e.view().Citations, shards)
-	if err != nil {
-		return shardLayout{}, fmt.Errorf("core: shard partition: %w", err)
+	var l sweepLayout
+	if shards == 1 {
+		l.sched = sparse.NewSweepSchedule(e.view().CitationTransition())
+	} else {
+		plan, err := shard.Partition(e.view().Citations, shards)
+		if err != nil {
+			return sweepLayout{}, fmt.Errorf("core: shard partition: %w", err)
+		}
+		l.plan = plan
+		if l.sched, err = sparse.NewShardSchedule(e.view().CitationTransition(), plan.Bounds); err != nil {
+			return sweepLayout{}, fmt.Errorf("core: shard schedule: %w", err)
+		}
 	}
-	sched, err := sparse.NewShardSchedule(e.citationTransition(pool), plan.Bounds)
-	if err != nil {
-		return shardLayout{}, fmt.Errorf("core: shard schedule: %w", err)
-	}
-	l := shardLayout{plan: plan, sched: sched}
-	e.shards[shards] = l
+	e.layouts[shards] = l
 	return l, nil
 }
 

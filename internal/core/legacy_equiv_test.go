@@ -10,7 +10,10 @@ import (
 // This file pins the scorer refactor: Engine.Rank, now a dispatch
 // through the registered default scorer, must reproduce the
 // pre-refactor fused pipeline to 1e-12 — including the warm-cache
-// behaviour across repeated solves and RhoGap changes.
+// behaviour across repeated solves and RhoGap changes. The oracle
+// walks unscheduled operators, so it is also the Jacobi reference for
+// the engine's Gauss–Seidel sweeps: the same fixed points, in no more
+// sweeps.
 
 // legacyEngine replicates the pre-refactor Engine: the same cached
 // substrate, but with the warm-start vectors held in the old
@@ -86,8 +89,8 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 // the legacy oracle through the same solve sequence — cold, warm
 // repeat, a RhoGap change, a return to the cached RhoGap, and an
 // explicit InitialScores seed — and requires every score vector to
-// agree within 1e-12 (and the solvers to take identical iteration
-// counts, the sharper form of "the same computation ran").
+// agree within 1e-12, and the engine's scheduled sweeps never to
+// outnumber the oracle's Jacobi sweeps.
 func TestDefaultScorerMatchesLegacyRank(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		_, permNet, _ := genPermutedNetwork(t, 400, seed)
@@ -156,9 +159,9 @@ func compareLegacy(t *testing.T, label string, got, want *Scores) {
 			t.Errorf("%s: %s deviates from legacy engine by %v", label, name, d)
 		}
 	}
-	if got.PrestigeStats.Iterations != want.PrestigeStats.Iterations ||
-		got.HeteroStats.Iterations != want.HeteroStats.Iterations {
-		t.Errorf("%s: iteration counts diverge: prestige %d vs %d, hetero %d vs %d",
+	if got.PrestigeStats.Iterations > want.PrestigeStats.Iterations ||
+		got.HeteroStats.Iterations > want.HeteroStats.Iterations {
+		t.Errorf("%s: more sweeps than the Jacobi oracle: prestige %d vs %d, hetero %d vs %d",
 			label, got.PrestigeStats.Iterations, want.PrestigeStats.Iterations,
 			got.HeteroStats.Iterations, want.HeteroStats.Iterations)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -10,15 +12,16 @@ import (
 	"scholarrank/internal/sparse"
 )
 
-// The tests in this file pin the tentpole invariant of the locality
-// pass: running the solvers over the permuted operator and unmapping
-// at the boundary is indistinguishable (to roundoff) from solving in
-// original article order. The unpermuted reference is obtained with
+// The tests in this file pin the invariant of the solver order:
+// running the solvers over the permuted operator and unmapping at the
+// boundary is indistinguishable (to roundoff) from solving in original
+// article order. The unpermuted reference is obtained with
 // Store.WithoutSolverPermutation, which shares all corpus columns but
 // drops the solver permutation.
 
-// genPermutedNetwork generates a synthetic corpus whose freeze-time
-// permutation is non-identity, plus the identity-order reference
+// genPermutedNetwork generates a synthetic corpus, shuffles its
+// article ids against the years so that its freeze-time permutation is
+// non-identity, and returns it with the identity-order reference
 // network over the same columns.
 func genPermutedNetwork(t testing.TB, n int, seed int64) (*corpus.Store, *hetnet.Network, *hetnet.Network) {
 	t.Helper()
@@ -28,10 +31,56 @@ func genPermutedNetwork(t testing.TB, n int, seed int64) (*corpus.Store, *hetnet
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Store.SolverPermutation() == nil {
-		t.Fatalf("seed %d: generated corpus froze to the identity permutation", seed)
+	store := shuffledStore(t, c.Store, seed)
+	if store.SolverPermutation() == nil {
+		t.Fatalf("seed %d: shuffled corpus froze to the identity permutation", seed)
 	}
-	return c.Store, hetnet.Build(c.Store), hetnet.Build(c.Store.WithoutSolverPermutation())
+	return store, hetnet.Build(store), hetnet.Build(store.WithoutSolverPermutation())
+}
+
+// shuffledStore rebuilds s with its article ids dealt out at random and
+// everything else equal: the same keys, metadata, authors, venues and
+// citations. Ids then disagree with publication years, so the result
+// freezes to a non-identity solver permutation, which a generated
+// corpus, in chronological id order, does not. The 1e-12 bounds below
+// hold for these seeds, not for every shuffle: Importance is
+// percentile-normalised, and a tie that one order splits by an ulp
+// moves a percentile by 1/n.
+func shuffledStore(t testing.TB, s *corpus.Store, seed int64) *corpus.Store {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := corpus.NewBuilder()
+	for i := 0; i < s.NumAuthors(); i++ {
+		a := s.Author(corpus.AuthorID(i))
+		_, err := b.InternAuthor(a.Key, a.Name)
+		must(err)
+	}
+	for i := 0; i < s.NumVenues(); i++ {
+		v := s.Venue(corpus.VenueID(i))
+		_, err := b.InternVenue(v.Key, v.Name)
+		must(err)
+	}
+	newID := rand.New(rand.NewSource(seed)).Perm(s.NumArticles())
+	oldAt := make([]corpus.ArticleID, len(newID))
+	for old, id := range newID {
+		oldAt[id] = corpus.ArticleID(old)
+	}
+	for _, old := range oldAt {
+		a := s.Article(old)
+		_, err := b.AddArticle(corpus.ArticleMeta{Key: a.Key, Title: a.Title, Year: a.Year, Venue: a.Venue, Authors: a.Authors})
+		must(err)
+	}
+	for id, old := range oldAt {
+		for _, ref := range s.Article(old).Refs {
+			must(b.AddCitation(corpus.ArticleID(id), corpus.ArticleID(newID[ref])))
+		}
+	}
+	return b.Freeze()
 }
 
 // TestRankReorderInvariant compares full QISA-Rank — prestige with
@@ -66,7 +115,7 @@ func TestRankReorderInvariant(t *testing.T) {
 }
 
 // TestPrestigeReorderInvariant isolates the prestige stage (the walk
-// the reordering primarily exists for), with extrapolation both off
+// the solver order primarily exists for), with extrapolation both off
 // and at the default cadence.
 func TestPrestigeReorderInvariant(t *testing.T) {
 	_, permNet, baseNet := genPermutedNetwork(t, 800, 4)
@@ -89,23 +138,32 @@ func TestPrestigeReorderInvariant(t *testing.T) {
 	}
 }
 
-// growFlippingHubs thaws the store and pours citations into the last
-// article, so the re-frozen corpus gets a materially different
-// hub-first permutation.
-func growFlippingHubs(t testing.TB, s *corpus.Store) *corpus.Store {
+// growBackdated thaws the store and appends a few articles dated
+// before the rest of the corpus, each cited from across it, so the
+// re-frozen corpus sorts them to the front of the solver order and
+// every other row moves.
+func growBackdated(t testing.TB, s *corpus.Store) *corpus.Store {
 	t.Helper()
 	b := s.Thaw()
 	n := b.NumArticles()
-	last := corpus.ArticleID(n - 1)
-	for i := 0; i < n-1; i++ {
-		_ = b.AddCitation(corpus.ArticleID(i), last) // duplicates merge in the graph build
+	first, _ := s.YearRange()
+	for k := 0; k < 5; k++ {
+		id, err := b.AddArticle(corpus.ArticleMeta{Key: fmt.Sprintf("backdated-%d", k), Year: first - 1, Venue: corpus.NoVenue})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := k; i < n; i += 7 {
+			if err := b.AddCitation(corpus.ArticleID(i), id); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	return b.Freeze()
 }
 
 // TestWarmStartAcrossPermutationChange is the warm-start leg of the
 // invariant: scores solved under one permutation seed a solve under a
-// different permutation (the delta re-shapes the hubs), and the
+// different permutation (the delta back-dates articles), and the
 // warm-started result must match a cold solve on the grown corpus.
 func TestWarmStartAcrossPermutationChange(t *testing.T) {
 	store, permNet, _ := genPermutedNetwork(t, 500, 5)
@@ -117,8 +175,8 @@ func TestWarmStartAcrossPermutationChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	grown := growFlippingHubs(t, store)
-	if slices.Equal(grown.SolverPermutation().Fwd(), store.SolverPermutation().Fwd()) {
+	grown := growBackdated(t, store)
+	if slices.Equal(grown.SolverPermutation().Fwd()[:store.NumArticles()], store.SolverPermutation().Fwd()) {
 		t.Fatal("delta did not change the permutation; the test is vacuous")
 	}
 	grownNet := hetnet.Grow(permNet, grown)

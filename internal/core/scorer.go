@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"scholarrank/internal/hetnet"
-	"scholarrank/internal/shard"
 	"scholarrank/internal/sparse"
 )
 
@@ -165,7 +164,7 @@ func (ctx *SolveContext) Options() Options { return ctx.opts }
 // Network returns the wrapped network in original article order.
 func (ctx *SolveContext) Network() *hetnet.Network { return ctx.eng.net }
 
-// View returns the locality-permuted solver projection of the
+// View returns the solver-order (chronological) projection of the
 // network. Iterative stages should run over it and unmap results with
 // Restore.
 func (ctx *SolveContext) View() *hetnet.SolverView { return ctx.eng.view() }
@@ -191,31 +190,36 @@ func (ctx *SolveContext) GapTransition(rho float64) (*sparse.Transition, error) 
 	return ctx.eng.gapTransition(rho, ctx.pool)
 }
 
-// ShardPlan returns the engine's cached edge-balanced partition for
-// the configured shard count, or nil when the solve is unsharded
-// (Options.Shards < 2).
-func (ctx *SolveContext) ShardPlan() (*shard.Plan, error) {
-	if ctx.opts.Shards < 2 {
-		return nil, nil
-	}
-	l, err := ctx.eng.shardLayout(ctx.opts.Shards, ctx.pool)
-	return l.plan, err
-}
-
-// Sharded returns t sweeping under the configured partition's shard
-// schedule, or t itself when the solve is unsharded. t must be the
-// citation operator or a reweighting of it. Scorers with iterative
-// stages run their walks over the result; the fixed point matches the
-// unsharded solve either way.
+// Sharded returns t sweeping under the solve's Gauss–Seidel schedule
+// (sparse.ShardSchedule), which also carries the configured
+// partition's shard count when Options.Shards >= 2. t must be the
+// citation operator or a reweighting of it. Scorers run their walks
+// over the result; the fixed point is that of the unscheduled (Jacobi)
+// walk.
 func (ctx *SolveContext) Sharded(t *sparse.Transition) (*sparse.Transition, error) {
-	if ctx.opts.Shards < 2 {
-		return t, nil
-	}
-	l, err := ctx.eng.shardLayout(ctx.opts.Shards, ctx.pool)
+	l, err := ctx.eng.sweepLayout(ctx.opts.Shards)
 	if err != nil {
 		return nil, err
 	}
 	return t.WithSchedule(l.sched)
+}
+
+// stampSchedule records the solve's sweep schedule on a result whose
+// scorer ran iterative stages: the back-edge fraction it counted, and
+// for an explicit Options.Shards the plan's shard count and per-shard
+// edge totals.
+func (ctx *SolveContext) stampSchedule(sc *Scores) error {
+	l, err := ctx.eng.sweepLayout(ctx.opts.Shards)
+	if err != nil {
+		return err
+	}
+	sc.BackEdgeFraction = l.sched.BackEdgeFraction()
+	sc.Shards = 1
+	if l.plan != nil {
+		sc.Shards = l.plan.Shards()
+		sc.ShardEdges = l.plan.EdgeCounts()
+	}
+	return nil
 }
 
 // IterFor returns the iteration options for one solver phase, with

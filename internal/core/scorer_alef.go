@@ -59,7 +59,10 @@ const alefWarmKey = "walk"
 func (s *alefScorer) Score(ctx *SolveContext) ([]float64, error) {
 	opts := ctx.Options()
 	n := ctx.View().NumArticles()
-	t := ctx.CitationTransition()
+	t, err := ctx.Sharded(ctx.CitationTransition())
+	if err != nil {
+		return nil, err
+	}
 
 	teleport := make([]float64, n)
 	sparse.Uniform(teleport)

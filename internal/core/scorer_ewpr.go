@@ -65,8 +65,15 @@ func (s *ewprScorer) Score(ctx *SolveContext) ([]float64, error) {
 	n := view.NumArticles()
 
 	weights := s.articleWeights(ctx) // solver order, mean ~1
-	cit := ctx.CitationTransition()
-	weighted := cit.Reweighted(func(u, v int32) float64 { return weights[u] })
+	base := ctx.CitationTransition()
+	cit, err := ctx.Sharded(base)
+	if err != nil {
+		return nil, err
+	}
+	weighted, err := ctx.Sharded(base.Reweighted(func(u, v int32) float64 { return weights[u] }))
+	if err != nil {
+		return nil, err
+	}
 
 	recency, err := temporal.NewExponential(opts.RhoRecency)
 	if err != nil {

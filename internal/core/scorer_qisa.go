@@ -113,28 +113,11 @@ func (qisaScorer) Score(ctx *SolveContext) ([]float64, error) {
 		PrestigeStats: pStats,
 		HeteroStats:   hStats,
 	}
-	if err := stampShards(ctx, sc); err != nil {
+	if err := ctx.stampSchedule(sc); err != nil {
 		return nil, err
 	}
 	ctx.SetComponents(sc)
 	return importance, nil
-}
-
-// stampShards records the effective shard layout on a result whose
-// scorer ran iterative stages: the plan's shard count and per-shard
-// edge totals, or the single-operator defaults when unsharded.
-func stampShards(ctx *SolveContext, sc *Scores) error {
-	plan, err := ctx.ShardPlan()
-	if err != nil {
-		return err
-	}
-	if plan == nil {
-		sc.Shards = 1
-		return nil
-	}
-	sc.Shards = plan.Shards()
-	sc.ShardEdges = plan.EdgeCounts()
-	return nil
 }
 
 // prestigeScorer runs the first stage alone. Importance is the faded
@@ -172,7 +155,7 @@ func (prestigeScorer) Score(ctx *SolveContext) ([]float64, error) {
 		RawPrestige:   rawPrestige,
 		PrestigeStats: stats,
 	}
-	if err := stampShards(ctx, sc); err != nil {
+	if err := ctx.stampSchedule(sc); err != nil {
 		return nil, err
 	}
 	ctx.SetComponents(sc)
@@ -214,7 +197,7 @@ func (heteroScorer) Score(ctx *SolveContext) ([]float64, error) {
 	ctx.KeepWarm(heteroWarmKey, heteroSolver)
 	hetero := ctx.Restore(heteroSolver)
 	sc := &Scores{Hetero: hetero, HeteroStats: stats}
-	if err := stampShards(ctx, sc); err != nil {
+	if err := ctx.stampSchedule(sc); err != nil {
 		return nil, err
 	}
 	ctx.SetComponents(sc)

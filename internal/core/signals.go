@@ -21,8 +21,8 @@ import (
 // are likewise solver-ordered: the caller unmaps them. The returned
 // scores are the raw walk result, before prestige fading. Aitken Δ²
 // extrapolation runs at the cadence opts.AitkenEvery (resolved by
-// effective()). When gapTrans carries a shard schedule the walk sweeps
-// shard by shard; the fixed point is unchanged.
+// effective()). gapTrans carries the solve's sweep schedule
+// (SolveContext.Sharded), so the walk sweeps Gauss–Seidel.
 func computePrestige(view *hetnet.SolverView, opts Options, gapTrans *sparse.Transition, init []float64) ([]float64, sparse.IterStats, error) {
 	recency, err := temporal.NewExponential(opts.RhoRecency)
 	if err != nil {
@@ -170,7 +170,7 @@ func computePopularity(net *hetnet.Network, opts Options) []float64 {
 // iteration converges for any starting distribution.
 // The iteration body is fused: the author/venue layers are gathered
 // through pull-form pooled kernels (pre-scaled by the spread shares),
-// then a single BlendSweep combines the citation mat-vec, dangling and
+// then a single BlendStep combines the citation mat-vec, dangling and
 // leak restarts, the inline layer spread (read straight from the
 // article→authors CSR and venue index, never materialised), output
 // sum, and next iteration's dangling mass, and ScaleDiffStep folds the
@@ -182,10 +182,10 @@ func computePopularity(net *hetnet.Network, opts Options) []float64 {
 // opts.HeteroRelTol schedule (when set) relaxes the stopping
 // tolerance relative to the first iteration's residual.
 //
-// When t carries a shard schedule the citation mat-vec sweeps shard by
-// shard, while the author/venue layer coupling stays
+// t carries the solve's sweep schedule, so the citation mat-vec sweeps
+// Gauss–Seidel while the author/venue layer coupling stays
 // barrier-synchronous (gathered from src before the sweep) — the fixed
-// point is unchanged.
+// point is that of the Jacobi walk.
 func computeHetero(view *hetnet.SolverView, opts Options, t *sparse.Transition, pool *sparse.Pool, init []float64) ([]float64, sparse.IterStats, error) {
 	n := view.NumArticles()
 	recency, err := temporal.NewExponential(opts.RhoRecency)
@@ -211,8 +211,7 @@ func computeHetero(view *hetnet.SolverView, opts Options, t *sparse.Transition, 
 		init = make([]float64, n)
 		sparse.Uniform(init)
 	}
-	dang := make([]float64, t.NumShards())
-	t.SeedDangling(init, dang) // seeds the pipelined dangling mass
+	dang := t.DanglingMass(init) // seeds the pipelined dangling mass
 	step := func(dst, src []float64) float64 {
 		var aLeak, vLeak float64
 		if opts.LambdaAuthor > 0 {
@@ -221,16 +220,15 @@ func computeHetero(view *hetnet.SolverView, opts Options, t *sparse.Transition, 
 		if opts.LambdaVenue > 0 {
 			vLeak = view.GatherArticlesToVenuesScaledPar(pool, venues, src)
 		}
-		sum := t.BlendSweep(dst, src, r, authorLayer, venueLayer,
+		sum, dangNext := t.BlendStep(dst, src, r, authorLayer, venueLayer,
 			opts.LambdaCite, opts.LambdaAuthor, opts.LambdaVenue, opts.LambdaTime,
-			aLeak, vLeak, dang)
+			dang, aLeak, vLeak)
 		inv := 1.0
 		if sum != 0 && !math.IsNaN(sum) && !math.IsInf(sum, 0) {
 			inv = 1 / sum
 		}
-		res := t.ScaleDiffStep(dst, src, inv)
-		sparse.Scale(dang, inv)
-		return res
+		dang = dangNext * inv
+		return t.ScaleDiffStep(dst, src, inv)
 	}
 	it := opts.iterFor(PhaseHetero)
 	if opts.HeteroRelTol > 0 {

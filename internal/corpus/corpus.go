@@ -128,12 +128,13 @@ type Store struct {
 
 	citations int
 
-	// Solver-locality permutation over article ids, computed from the
-	// citation graph at Freeze (see sparse.ReorderPermutation) and
-	// persisted through SCORP. nil means identity — solvers run in
-	// original article order. The permutation never changes what any
-	// accessor returns: all columns stay in original id order, and only
-	// the solve kernels consume the permuted space.
+	// Solver permutation over article ids: chronological, computed at
+	// Freeze (see chronologicalOrder) and persisted through SCORP. A
+	// file frozen by an older build keeps the order it stored, which
+	// solves to the same fixed point in more sweeps. nil means identity
+	// — solvers run in original article order. The permutation never
+	// changes what any accessor returns: all columns stay in original
+	// id order, and only the solve kernels consume the permuted space.
 	perm        *sparse.Permutation
 	reorderSecs float64
 
@@ -308,15 +309,14 @@ func (s *Store) CitationGraph() *graph.Graph {
 	return graph.FromCSRRows(s.NumArticles(), s.refOff, s.refs)
 }
 
-// SolverPermutation returns the locality permutation the solvers
-// should run under, or nil when the store carries none (identity).
+// SolverPermutation returns the permutation the solvers should run
+// under, or nil when the store carries none (identity).
 // Score vectors produced in permuted space map back to article ids
 // through its Restore.
 func (s *Store) SolverPermutation() *sparse.Permutation { return s.perm }
 
 // ReorderSeconds reports the wall time Freeze spent computing the
-// solver permutation (zero for loaded or unpermuted stores that did
-// not pay it).
+// solver permutation (zero for loaded stores, which did not pay it).
 func (s *Store) ReorderSeconds() float64 { return s.reorderSecs }
 
 // WithoutSolverPermutation returns a view of the store with the

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -499,5 +500,54 @@ func TestThawIndependent(t *testing.T) {
 	}
 	if len(s.Refs(1)) != 1 || len(s2.Refs(1)) != 2 {
 		t.Errorf("refs(p1): old=%v new=%v", s.Refs(1), s2.Refs(1))
+	}
+}
+
+// TestFreezeOrdersChronologically pins the solver order Freeze
+// computes: ascending year with ties by id, nil (the identity) for a
+// corpus already in that order — also after articles of the latest
+// year are appended — for dense and for sparse years.
+func TestFreezeOrdersChronologically(t *testing.T) {
+	freeze := func(years ...int) *Store {
+		t.Helper()
+		b := NewBuilder()
+		for i, y := range years {
+			if _, err := b.AddArticle(ArticleMeta{Key: fmt.Sprintf("p%d", i), Year: y, Venue: NoVenue}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Freeze()
+	}
+	sorted := freeze(1990, 1990, 1995, 2001, 2001)
+	if sorted.SolverPermutation() != nil {
+		t.Error("chronological corpus froze to a non-identity permutation")
+	}
+	b := sorted.Thaw()
+	if _, err := b.AddArticle(ArticleMeta{Key: "appended", Year: 2001, Venue: NoVenue}); err != nil {
+		t.Fatal(err)
+	}
+	if b.Freeze().SolverPermutation() != nil {
+		t.Error("appending an article of the latest year changed the solver order")
+	}
+	if freeze().SolverPermutation() != nil {
+		t.Error("empty corpus froze to a non-identity permutation")
+	}
+
+	for name, years := range map[string][]int{
+		"dense years":  {2003, 1999, 2003, 1987, 1999, 2010, 1987, 2003},
+		"sparse years": {2003, 5, 2003, 2_000_000_000, 5, 1999},
+	} {
+		s := freeze(years...)
+		p := s.SolverPermutation()
+		if p == nil {
+			t.Fatalf("%s: unordered corpus froze to the identity", name)
+		}
+		inv := p.Inv()
+		for row := 1; row < len(inv); row++ {
+			a, b := inv[row-1], inv[row]
+			if ya, yb := years[a], years[b]; ya > yb || (ya == yb && a > b) {
+				t.Errorf("%s: solver rows %d,%d hold articles %d (%d) and %d (%d)", name, row-1, row, a, ya, b, yb)
+			}
+		}
 	}
 }

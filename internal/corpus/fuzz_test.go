@@ -159,8 +159,8 @@ func FuzzReadSCORP(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	// A corpus whose hub article arrives last, so the freeze-time
-	// locality pass produces a non-identity permutation and the seed
+	// A corpus whose oldest article arrives last, so the freeze-time
+	// chronological order is a non-identity permutation and the seed
 	// exercises the optional v2 perm section.
 	pb := NewBuilder()
 	h0, _ := pb.AddArticle(ArticleMeta{Key: "h0", Year: 2001, Venue: NoVenue})

@@ -42,7 +42,7 @@ import (
 //
 // Version 2 adds one optional section:
 //
-//	perm  solver-locality permutation, articles×i32 forward map
+//	perm  solver-order permutation, articles×i32 forward map
 //	      (fwd[orig] = permuted; must be a bijection)
 //
 // The section is written only when the store carries a non-identity

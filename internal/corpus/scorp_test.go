@@ -185,9 +185,9 @@ func TestSCORPRejectsInconsistentColumns(t *testing.T) {
 	}
 }
 
-// buildPermuted returns a frozen store whose hub-first solver
-// permutation is non-identity: the most-cited article is added last,
-// so the locality pass must move it to permuted id 0.
+// buildPermuted returns a frozen store whose solver permutation is
+// non-identity: the oldest article is added last, so the chronological
+// order must move it to permuted id 0.
 func buildPermuted(t *testing.T) *Store {
 	t.Helper()
 	b := NewBuilder()

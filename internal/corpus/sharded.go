@@ -15,7 +15,7 @@ import (
 // Multi-shard SCORP layout.
 //
 // A sharded corpus is a SCORM manifest plus one SCORP v3 file per
-// shard. Shard s holds the articles whose *solver* (locality-permuted)
+// shard. Shard s holds the articles whose *solver* (chronological)
 // ids fall in the contiguous range [Lo, Hi) of the partition the
 // corpus was written under — the same contiguous ranges the sharded
 // damped-walk solver sweeps — stored in solver order, so shard files

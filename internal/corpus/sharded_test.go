@@ -12,8 +12,9 @@ import (
 
 // shardTestStore builds a corpus with every feature the sharded layout
 // must carry: authors, venues, a venue-less and author-less article, a
-// duplicate citation, and a hub cited by everyone so Freeze computes a
-// non-identity solver permutation (the order shards are cut in).
+// duplicate citation, a hub cited by everyone, and years out of id
+// order so Freeze computes a non-identity solver permutation (the order
+// shards are cut in).
 func shardTestStore(t testing.TB) *Store {
 	t.Helper()
 	b := NewBuilder()
@@ -39,7 +40,7 @@ func shardTestStore(t testing.TB) *Store {
 		meta := ArticleMeta{
 			Key:   fmt.Sprintf("p%02d", i),
 			Title: fmt.Sprintf("Article %d", i),
-			Year:  1995 + i,
+			Year:  1995 + i*5%n,
 			Venue: venues[i%len(venues)],
 		}
 		if i%5 == 0 {
@@ -55,7 +56,7 @@ func shardTestStore(t testing.TB) *Store {
 		ids[i] = id
 	}
 	// The last article is the hub: every other article cites it, and it
-	// cites nothing — so the hub-first permutation moves it to row 0.
+	// cites nothing.
 	hub := ids[n-1]
 	for i := 0; i < n-1; i++ {
 		if err := b.AddCitation(ids[i], hub); err != nil {

@@ -59,7 +59,7 @@ type Network struct {
 	venueChunks   []int32
 	articleChunks []int32
 
-	// Solver-order projection through the store's locality
+	// Solver-order projection through the store's chronological
 	// permutation, built lazily on first SolverView call.
 	solverOnce sync.Once
 	solver     *SolverView
@@ -122,9 +122,9 @@ func Grow(old *Network, s *corpus.Store) *Network {
 	n.articleChunks = old.articleChunks
 	n.pullOnce.Do(func() {}) // mark the copied pull index as built
 	// The solver view is deliberately NOT carried over: it projects
-	// through the store's locality permutation, and the permutation is
-	// recomputed at every freeze because new citations reshape the hub
-	// structure. The grown network rebuilds its view on first use.
+	// through the store's solver permutation, which is recomputed at
+	// every freeze and moves when a delta back-dates an article. The
+	// grown network rebuilds its view on first use.
 	return n
 }
 

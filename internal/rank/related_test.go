@@ -242,18 +242,28 @@ func relatedPropertyNetwork(t testing.TB, seed int64, n int) (*hetnet.Network, i
 // 1e-12 — the row sums are reassociated (solver order; in-edges, then
 // out-edges, minus reciprocals), so equality is to rounding, not bit
 // for bit — at the same sweep count, and the top-k agrees wherever the
-// oracle's scores tell two articles apart by more than that.
+// oracle's scores tell two articles apart by more than that. The index
+// extrapolates at its default cadence unless told another, so the
+// oracle is driven at the same one: corpus 11 pins the default,
+// corpora 12 and 13 an explicit cadence.
 func TestRelatedMatchesSymmetrisedOracle(t *testing.T) {
 	const k = 10
 	for _, cseed := range []int64{11, 12, 13} {
 		net, reciprocal := relatedPropertyNetwork(t, cseed, 400)
 		n := net.NumArticles()
-		ri, err := NewRelatedIndex(net, RelatedOptions{Workers: 2})
+		opts := RelatedOptions{Workers: 2}
+		oracleOpts := RelatedOptions{Iter: sparse.IterOptions{AitkenEvery: relatedAitkenEvery}}
+		if cseed != 11 {
+			opts.Iter.AitkenEvery = int(cseed) - 6
+			oracleOpts.Iter = opts.Iter
+		}
+		ri, err := NewRelatedIndex(net, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := newRelatedOracle(t, net, RelatedOptions{})
+		oracle := newRelatedOracle(t, net, oracleOpts)
 		isolated := int32(n - 1)
+		extrapolated := 0
 		for _, seed := range []int32{0, 7, int32(n / 3), reciprocal, isolated} {
 			want, wst := oracle.walk(t, seed)
 			sc := ri.scratch.Get().(*relatedScratch)
@@ -265,9 +275,11 @@ func TestRelatedMatchesSymmetrisedOracle(t *testing.T) {
 				t.Errorf("corpus %d seed %d: scores differ from the oracle by %g", cseed, seed, d)
 			}
 			ri.scratch.Put(sc)
-			if gst.Iterations != wst.Iterations || !gst.Converged {
-				t.Errorf("corpus %d seed %d: %d sweeps (converged=%v), oracle %d", cseed, seed, gst.Iterations, gst.Converged, wst.Iterations)
+			if gst.Iterations != wst.Iterations || gst.Extrapolations != wst.Extrapolations || !gst.Converged {
+				t.Errorf("corpus %d seed %d: %d sweeps, %d extrapolations (converged=%v), oracle %d and %d",
+					cseed, seed, gst.Iterations, gst.Extrapolations, gst.Converged, wst.Iterations, wst.Extrapolations)
 			}
+			extrapolated += gst.Extrapolations
 			gotTop, err := ri.Related(seed, k)
 			if err != nil {
 				t.Fatal(err)
@@ -287,6 +299,9 @@ func TestRelatedMatchesSymmetrisedOracle(t *testing.T) {
 			}
 		}
 		ri.Close()
+		if extrapolated == 0 {
+			t.Errorf("corpus %d: no walk accepted an extrapolation; the cadence is not on", cseed)
+		}
 	}
 }
 

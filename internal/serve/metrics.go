@@ -23,6 +23,7 @@ const (
 	metricSolverResidual    = "sarserve_solver_residual"
 	metricSolverSeconds     = "sarserve_solver_phase_seconds"
 	metricReorderSecs       = "sarserve_solver_reorder_seconds"
+	metricBackEdgeFraction  = "sarserve_solver_back_edge_fraction"
 	metricExtrapolations    = "sarserve_solver_extrapolations_total"
 	metricItersSaved        = "sarserve_solver_iterations_saved"
 	metricPoolWorkers       = "sarserve_solver_pool_workers"
@@ -195,13 +196,17 @@ func (m *serveMetrics) observeServer(s *Server) {
 			return float64(sc.PrestigeStats.IterationsSaved + sc.HeteroStats.IterationsSaved)
 		})
 	m.reg.GaugeFunc(metricReorderSecs,
-		"Wall time the serving corpus's freeze-time locality reordering took.", nil,
+		"Wall time the serving corpus's freeze-time chronological ordering took.", nil,
 		func() float64 {
 			if g := s.gen.Load(); g != nil {
 				return g.store.ReorderSeconds()
 			}
 			return 0
 		})
+
+	m.reg.GaugeFunc(metricBackEdgeFraction,
+		"Share of citation edges the last solve's Gauss-Seidel sweeps read stale: the citing row is not above the cited row in solver order.", nil,
+		func() float64 { return scores().BackEdgeFraction })
 
 	m.reg.GaugeFunc(metricPoolWorkers,
 		"Worker-pool parallelism of the last solve.", nil,
@@ -211,7 +216,7 @@ func (m *serveMetrics) observeServer(s *Server) {
 		func() float64 { return float64(scores().Pool.Runs) })
 
 	m.reg.GaugeFunc(metricSolverShards,
-		"Shard count of the last solve (1 = unsharded).", nil,
+		"Explicit shard count of the last solve (1 = the default sweep schedule).", nil,
 		func() float64 { return float64(scores().Shards) })
 	// One series per configured shard; the shard count is fixed by the
 	// server config, so the family shape never changes at runtime. An

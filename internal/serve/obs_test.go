@@ -46,6 +46,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE sarserve_solver_extrapolations_total counter",
 		"# TYPE sarserve_solver_iterations_saved gauge",
 		"# TYPE sarserve_solver_reorder_seconds gauge",
+		"# TYPE sarserve_solver_back_edge_fraction gauge",
+		"sarserve_solver_back_edge_fraction 0",
 		"# TYPE sarserve_solver_shards gauge",
 		"sarserve_solver_shards 1",
 		"# TYPE sarserve_solver_shard_edges gauge",
@@ -187,7 +189,7 @@ func TestStatsSurfacesSolverTiming(t *testing.T) {
 	for _, key := range []string{
 		"prestige_seconds", "hetero_seconds", "prestige_residual",
 		"solver_workers", "solver_pool_sweeps",
-		"solver_reorder_seconds", "solver_extrapolations", "solver_iterations_saved",
+		"solver_reorder_seconds", "solver_back_edge_fraction", "solver_extrapolations", "solver_iterations_saved",
 		"solver_shards", "solver_shard_edges", "solver_boundary_mass_exchanges",
 		"corpus_mmap_bytes", "corpus_load_mode", "corpus_boot_seconds",
 	} {

@@ -902,6 +902,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"solver_workers":                 g.scores.Pool.Workers,
 		"solver_pool_sweeps":             g.scores.Pool.Runs,
 		"solver_reorder_seconds":         g.store.ReorderSeconds(),
+		"solver_back_edge_fraction":      g.scores.BackEdgeFraction,
 		"solver_extrapolations":          g.scores.PrestigeStats.Extrapolations + g.scores.HeteroStats.Extrapolations,
 		"solver_iterations_saved":        g.scores.PrestigeStats.IterationsSaved + g.scores.HeteroStats.IterationsSaved,
 		"solver_shards":                  g.scores.Shards,

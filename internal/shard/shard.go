@@ -1,15 +1,16 @@
 // Package shard partitions the citation graph into contiguous,
 // edge-balanced row ranges for the sharded damped-walk solver.
 //
-// The partitioner operates on the solver-ordered graph (the hub-first
-// BFS permutation computed at corpus freeze): contiguous ranges of
-// that order are already locality clusters, so a contiguous partition
-// is both cache-friendly and cheap to describe — k+1 boundaries
-// instead of an n-element assignment. Boundaries are chosen in two
-// steps: an equal-work target places each cut where the cumulative
-// pull work (in-edges + 1 per row) reaches its ideal share, then the
-// cut slides within a ±balanceSlack window around that target to the
-// position crossed by the fewest edges. The first step bounds every
+// The partitioner operates on the solver-ordered graph (the
+// chronological order computed at corpus freeze): contiguous ranges of
+// that order are publication eras, which cite mostly within themselves
+// and the eras before, so a contiguous partition is both a small cut
+// and cheap to describe — k+1 boundaries instead of an n-element
+// assignment. Boundaries are chosen in two steps: an equal-work target
+// places each cut where the cumulative pull work (in-edges + 1 per
+// row) reaches its ideal share, then the cut slides within a
+// ±balanceSlack window around that target to the position crossed by
+// the fewest edges. The first step bounds every
 // shard's sweep work within ~10% of the mean; the second greedily
 // minimises the boundary mass exchanged between shards each sweep.
 package shard

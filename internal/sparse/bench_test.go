@@ -159,17 +159,18 @@ func BenchmarkDampedWalk(b *testing.B) {
 	}
 }
 
-// benchDampedWalkPowerLaw is the headline benchmark for the locality
-// pass: the full damped-walk solve on an n-node preferential-
-// attachment graph, in original ingest order and under the hub-first
-// reordering, plus the reordered operator with Aitken Δ² extrapolation
-// on top (EXPERIMENTS.md §E2 records the reference numbers).
+// benchDampedWalkPowerLaw is the full damped-walk solve on an n-node
+// preferential-attachment graph in chronological id order: the Jacobi
+// walk plain and with Aitken Δ² extrapolation, and the Gauss–Seidel
+// walk under the default sweep schedule (EXPERIMENTS.md §E2).
 func benchDampedWalkPowerLaw(b *testing.B, n int) {
 	g := benchGraphPowerLaw(b, n)
-	rg, _ := Reorder(g)
-	run := func(g *graph.Graph, opts IterOptions) func(*testing.B) {
+	run := func(gaussSeidel bool, opts IterOptions) func(*testing.B) {
 		return func(b *testing.B) {
 			t := NewTransition(g, nil)
+			if gaussSeidel {
+				t, _ = t.WithSchedule(NewSweepSchedule(t))
+			}
 			teleport := make([]float64, t.N())
 			Uniform(teleport)
 			b.ReportAllocs()
@@ -181,38 +182,13 @@ func benchDampedWalkPowerLaw(b *testing.B, n int) {
 			}
 		}
 	}
-	b.Run("original", run(g, IterOptions{Tol: 1e-9}))
-	b.Run("reordered", run(rg, IterOptions{Tol: 1e-9}))
-	b.Run("reordered-aitken", run(rg, IterOptions{Tol: 1e-9, AitkenEvery: 4}))
+	b.Run("jacobi", run(false, IterOptions{Tol: 1e-9}))
+	b.Run("jacobi-aitken", run(false, IterOptions{Tol: 1e-9, AitkenEvery: 4}))
+	b.Run("gauss-seidel", run(true, IterOptions{Tol: 1e-9}))
 }
 
 func BenchmarkDampedWalkPowerLaw20k(b *testing.B)  { benchDampedWalkPowerLaw(b, 20_000) }
 func BenchmarkDampedWalkPowerLaw100k(b *testing.B) { benchDampedWalkPowerLaw(b, 100_000) }
-
-// BenchmarkReorderPermutation prices the locality pass itself — the
-// one-time cost paid at corpus.Freeze.
-func BenchmarkReorderPermutation(b *testing.B) {
-	g := benchGraphPowerLaw(b, 100_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ReorderPermutation(g)
-	}
-}
-
-func BenchmarkGaussSeidelPageRank(b *testing.B) {
-	g := benchGraph(b, 50_000)
-	t := NewTransition(g, nil)
-	teleport := make([]float64, t.N())
-	Uniform(teleport)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := t.GaussSeidelPageRank(0.85, teleport, IterOptions{Tol: 1e-9}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkL1Diff(b *testing.B) {
 	x := make([]float64, 100_000)

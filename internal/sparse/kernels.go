@@ -124,9 +124,8 @@ func reducePartials(parts []stepPartial) stepPartial {
 // reduceChunks runs body over every chunk of a row plan and folds the
 // chunk partials with reducePartials. A plan with one chunk, or a pool
 // with one worker, runs the whole range inline. It is the one place a
-// sweep meets the worker pool: the flat kernels pass the operator's
-// plan, a shard sweep passes the shard's, the transpose-pair walk its
-// own.
+// sweep meets the worker pool: the Jacobi kernels pass the operator's
+// plan, the transpose-pair walk its own.
 func reduceChunks(pool *Pool, chunks []int32, body func(lo, hi int) stepPartial) stepPartial {
 	nc := len(chunks) - 1
 	if nc == 1 || pool.Workers() <= 1 {
@@ -142,83 +141,89 @@ func reduceChunks(pool *Pool, chunks []int32, body func(lo, hi int) stepPartial)
 	return total
 }
 
+// sweep runs a row body over every row of t once, for a step from src
+// into dst. The body gathers row v's sources from the vector it is
+// handed. Without a schedule that is src, and the operator's chunk plan
+// runs on the pool: the Jacobi sweep. Under one (see ShardSchedule) it
+// is dst itself, primed with src and overwritten in one serial pass
+// from the top row down, so a source above the row is read fresh and
+// any other still holds its src value.
+func (t *Transition) sweep(dst, src []float64, body func(x []float64, lo, hi int) stepPartial) stepPartial {
+	if t.sched == nil {
+		return reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial { return body(src, lo, hi) })
+	}
+	copy(dst, src)
+	return body(dst, 0, t.n)
+}
+
+// gatherEdges adds Σ x[idx[i]]·nrm[i] to s.
+func gatherEdges(s float64, x []float64, idx []int32, nrm []float64) float64 {
+	nrm = nrm[:len(idx)] // elides the nrm[i] bounds check
+	for i, u := range idx {
+		s += x[u] * nrm[i]
+	}
+	return s
+}
+
+// unitScale returns 1/sum, or 1 when sum cannot be normalised by.
+func unitScale(sum float64) float64 {
+	if sum == 0 || math.IsNaN(sum) || math.IsInf(sum, 0) {
+		return 1
+	}
+	return 1 / sum
+}
+
 // DampedStep performs one fused iteration of the damped random walk:
 //
 //	dst = damping·(Mᵀsrc + danglingMass·teleport) + (1-damping)·teleport
 //
 // in a single sweep over the matrix, returning the L1 residual
-// ||dst - src||₁, the total mass Σ dst, and the dangling mass of dst.
-// The returned dangling mass is the danglingMass argument of the
-// *next* iteration (dangling accumulation is pipelined into the sweep
-// that produces the vector, so no separate pass over the dangling set
-// is ever needed mid-iteration). danglingMass must be the dangling
-// mass of src — use DanglingMass(src) to start the pipeline.
+// ||dst - src||₁, the total mass Σ dst the sweep produced, and the
+// dangling mass of dst. The returned dangling mass is the danglingMass
+// argument of the *next* iteration (dangling accumulation is pipelined
+// into the sweep that produces the vector, so no separate pass over
+// the dangling set is ever needed mid-iteration). danglingMass must be
+// the dangling mass of src — use DanglingMass(src) to start the
+// pipeline.
 //
-// Compared with composing MulVec + DanglingMass + a combine loop +
-// L1Diff, DampedStep touches every vector exactly once per iteration
-// and reduces its chunk partials with a deterministic tree.
+// Under a schedule the sweep is a Gauss–Seidel sweep: rows read the
+// sources already produced this sweep from dst. The restart
+// coefficient is still taken from src once, so the sweep does not
+// conserve mass; dst is renormalised to unit mass in a second pass
+// that also measures the residual, and the returned dangling mass is
+// that of the renormalised vector. On an acyclic operator swept in
+// topological order this makes one sweep exact from any src: dst
+// solves the triangular system up to the scalar the renormalisation
+// fixes.
 func (t *Transition) DampedStep(dst, src, teleport []float64, damping, danglingMass float64) (res, sum, danglingNext float64) {
 	// dst[v] = damping·s + (damping·dm + 1 - damping)·teleport[v]
 	tcoef := damping*danglingMass + 1 - damping
-	p := reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial {
-		r, s, d := t.dampedRange(dst, src, teleport, damping, tcoef, lo, hi)
-		return stepPartial{res: r, sum: s, dang: d}
+	p := t.sweep(dst, src, func(x []float64, lo, hi int) stepPartial {
+		return t.dampedRange(dst, x, src, teleport, damping, tcoef, lo, hi)
 	})
-	return p.res, p.sum, p.dang
+	if t.sched == nil {
+		return p.res, p.sum, p.dang
+	}
+	inv := unitScale(p.sum)
+	return t.ScaleDiffStep(dst, src, inv), p.sum, p.dang * inv
 }
 
-func (t *Transition) dampedRange(dst, src, teleport []float64, damping, tcoef float64, lo, hi int) (res, sum, dang float64) {
-	offs := t.offsets
-	mark := t.danglingMark
-	for v := lo; v < hi; v++ {
-		var s float64
+// dampedRange is the row body of DampedStep over rows [lo, hi), top
+// row first — the order a scheduled sweep needs. Sources are gathered
+// from x (see sweep).
+func (t *Transition) dampedRange(dst, x, src, teleport []float64, damping, tcoef float64, lo, hi int) (p stepPartial) {
+	offs, mark := t.offsets, t.danglingMark
+	for v := hi - 1; v >= lo; v-- {
 		start, end := offs[v], offs[v+1]
-		row := t.sources[start:end]
-		nrm := t.norm[start:end][:len(row)] // elides the nrm[i] bounds check
-		for i, u := range row {
-			s += src[u] * nrm[i]
-		}
-		y := damping*s + tcoef*teleport[v]
+		y := damping*gatherEdges(0, x, t.sources[start:end], t.norm[start:end]) + tcoef*teleport[v]
 		dst[v] = y
-		res += math.Abs(y - src[v])
-		sum += y
+		p.res += math.Abs(y - src[v])
+		p.sum += y
 		if mark[v] {
-			dang += y
+			p.dang += y
 		}
 	}
-	return res, sum, dang
-}
-
-// dampedSplitRange is dampedRange for a shard sweep: each row reads
-// its sources below split[v] from src and the rest — sources in shards
-// already swept this sweep — from dst (see ShardSchedule). It is a
-// separate body because a per-row split, even an empty one, costs the
-// flat sweep several percent.
-func (t *Transition) dampedSplitRange(split []int64, dst, src, teleport []float64, damping, tcoef float64, lo, hi int) (res, sum, dang float64) {
-	offs := t.offsets
-	mark := t.danglingMark
-	for v := lo; v < hi; v++ {
-		var s float64
-		start, mid, end := offs[v], split[v], offs[v+1]
-		row := t.sources[start:mid]
-		nrm := t.norm[start:mid][:len(row)] // elides the nrm[i] bounds check
-		for i, u := range row {
-			s += src[u] * nrm[i]
-		}
-		row = t.sources[mid:end]
-		nrm = t.norm[mid:end][:len(row)]
-		for i, u := range row {
-			s += dst[u] * nrm[i]
-		}
-		y := damping*s + tcoef*teleport[v]
-		dst[v] = y
-		res += math.Abs(y - src[v])
-		sum += y
-		if mark[v] {
-			dang += y
-		}
-	}
-	return res, sum, dang
+	return p
 }
 
 // AuxGather folds a bipartite layer into a blend sweep without
@@ -266,21 +271,18 @@ func (l *AuxLookup) at(v int) float64 {
 // looks up the (pre-scaled) venue score of row v, so the spread
 // passes that would otherwise materialise those two vectors never
 // run. fa and fv may be nil when their λ is zero. It returns Σ dst
-// (for the caller's re-normalisation) and the dangling mass of dst
-// (pipelined, like DampedStep). dst and src must not alias.
+// (for the caller's re-normalisation with ScaleDiffStep) and the
+// dangling mass of the unnormalised dst (pipelined, like DampedStep;
+// the caller scales it by the same factor). dst and src must not
+// alias.
+//
+// Under a schedule the citation term is a Gauss–Seidel sweep exactly
+// as in DampedStep. The layers and their leaks are gathered from src
+// by the caller before the sweep, so their coupling stays
+// barrier-synchronous and the fixed point is unchanged.
 func (t *Transition) BlendStep(dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, dm, aLeak, vLeak float64) (sum, danglingNext float64) {
-	rcoef := restartCoef(fa, fv, lc, la, lv, lt, dm, aLeak, vLeak)
-	p := reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial {
-		s, d := t.blendRange(dst, src, r, fa, fv, lc, la, lv, rcoef, lo, hi)
-		return stepPartial{sum: s, dang: d}
-	})
-	return p.sum, p.dang
-}
-
-// restartCoef folds the blend step's constant-vector terms — dangling
-// mass, layer leaks and the time restart — into the single multiplier
-// of r.
-func restartCoef(fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, dm, aLeak, vLeak float64) float64 {
+	// The constant-vector terms — dangling mass, layer leaks and the
+	// time restart — fold into the single multiplier of r.
 	rcoef := lc*dm + lt
 	if fa != nil {
 		rcoef += la * aLeak
@@ -288,68 +290,32 @@ func restartCoef(fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, dm, aLeak, vLeak 
 	if fv != nil {
 		rcoef += lv * vLeak
 	}
-	return rcoef
+	p := t.sweep(dst, src, func(x []float64, lo, hi int) stepPartial {
+		return t.blendRange(dst, x, r, fa, fv, lc, la, lv, rcoef, lo, hi)
+	})
+	return p.sum, p.dang
 }
 
-func (t *Transition) blendRange(dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, rcoef float64, lo, hi int) (sum, dang float64) {
-	offs := t.offsets
-	mark := t.danglingMark
-	for v := lo; v < hi; v++ {
-		var s float64
+// blendRange is the row body of BlendStep over rows [lo, hi), top row
+// first.
+func (t *Transition) blendRange(dst, x, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, rcoef float64, lo, hi int) (p stepPartial) {
+	offs, mark := t.offsets, t.danglingMark
+	for v := hi - 1; v >= lo; v-- {
 		start, end := offs[v], offs[v+1]
-		row := t.sources[start:end]
-		nrm := t.norm[start:end][:len(row)] // elides the nrm[i] bounds check
-		for i, u := range row {
-			s += src[u] * nrm[i]
-		}
-		x := lc*s + rcoef*r[v]
+		y := lc*gatherEdges(0, x, t.sources[start:end], t.norm[start:end]) + rcoef*r[v]
 		if fa != nil {
-			x += la * fa.at(v)
+			y += la * fa.at(v)
 		}
 		if fv != nil {
-			x += lv * fv.at(v)
+			y += lv * fv.at(v)
 		}
-		dst[v] = x
-		sum += x
+		dst[v] = y
+		p.sum += y
 		if mark[v] {
-			dang += x
+			p.dang += y
 		}
 	}
-	return sum, dang
-}
-
-// blendSplitRange is blendRange for a shard sweep, splitting each row
-// between src and dst exactly as dampedSplitRange does.
-func (t *Transition) blendSplitRange(split []int64, dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, rcoef float64, lo, hi int) (sum, dang float64) {
-	offs := t.offsets
-	mark := t.danglingMark
-	for v := lo; v < hi; v++ {
-		var s float64
-		start, mid, end := offs[v], split[v], offs[v+1]
-		row := t.sources[start:mid]
-		nrm := t.norm[start:mid][:len(row)] // elides the nrm[i] bounds check
-		for i, u := range row {
-			s += src[u] * nrm[i]
-		}
-		row = t.sources[mid:end]
-		nrm = t.norm[mid:end][:len(row)]
-		for i, u := range row {
-			s += dst[u] * nrm[i]
-		}
-		x := lc*s + rcoef*r[v]
-		if fa != nil {
-			x += la * fa.at(v)
-		}
-		if fv != nil {
-			x += lv * fv.at(v)
-		}
-		dst[v] = x
-		sum += x
-		if mark[v] {
-			dang += x
-		}
-	}
-	return sum, dang
+	return p
 }
 
 // ScaleDiffStep rescales dst in place by scale and returns the L1

@@ -87,9 +87,9 @@ type IterStats struct {
 	// rate, net of the sweeps wasted on rejected trials. It is an
 	// estimate for observability, not an exact count.
 	IterationsSaved int
-	// Exchanges counts the boundary-mass exchanges of a sharded solve,
-	// one per shard per sweep (Transition.Exchanges); zero when the
-	// operator is a single shard.
+	// Exchanges counts the boundary-mass exchanges of a solve under an
+	// explicit shard schedule, one per shard per sweep
+	// (Transition.Exchanges); zero otherwise.
 	Exchanges int
 }
 
@@ -122,24 +122,24 @@ func DampedWalk(t *Transition, damping float64, teleport []float64, opts IterOpt
 // solution (a previous parameterisation's result) cuts the iteration
 // count — the warm-start path used by parameter sweeps.
 //
-// Each iteration is a single fused sweep (DampedSweep): the mat-vec,
+// Each iteration is a single fused sweep (DampedStep): the mat-vec,
 // dangling redistribution, teleport blend and convergence residual
 // all happen in one pass over the operator, and the dangling mass of
 // the produced vector is carried into the next iteration instead of
-// being recomputed. An operator carrying a shard schedule
-// (WithSchedule) sweeps shard by shard — same fixed point, fewer
-// sweeps on citation-ordered graphs — and the returned stats carry its
-// boundary-exchange count.
+// being recomputed. An operator carrying a schedule (WithSchedule)
+// sweeps Gauss–Seidel — same fixed point, far fewer sweeps in
+// chronological order — and the returned stats carry the
+// boundary-exchange count of an explicit shard schedule.
 func DampedWalkFrom(t *Transition, damping float64, teleport, init []float64, opts IterOptions) ([]float64, IterStats, error) {
-	dang := make([]float64, t.NumShards())
-	t.SeedDangling(init, dang) // seeds the pipelined dangling mass
-	step := func(dst, src []float64) float64 {
-		return t.DampedSweep(dst, src, teleport, damping, dang)
+	dang := t.DanglingMass(init) // seeds the pipelined dangling mass
+	step := func(dst, src []float64) (res float64) {
+		res, _, dang = t.DampedStep(dst, src, teleport, damping, dang)
+		return res
 	}
 	// The extrapolated driver restarts the iteration from vectors the
 	// step never produced, so the pipelined dangling mass must be
 	// recomputed whenever the source vector changes under it.
-	reseed := func(x []float64) { t.SeedDangling(x, dang) }
+	reseed := func(x []float64) { dang = t.DanglingMass(x) }
 	x, stats, err := FixedPointExtrapolated(init, step, reseed, opts)
 	stats.Exchanges = t.Exchanges(stats.Iterations)
 	return x, stats, err

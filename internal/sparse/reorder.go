@@ -1,11 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"sort"
-
-	"scholarrank/internal/graph"
-)
+import "fmt"
 
 // Permutation is a validated bijection on [0, n) relating an original
 // node order to a solver (permuted) order: fwd[orig] = permuted and
@@ -14,8 +9,7 @@ import (
 //
 // A nil *Permutation is valid everywhere and means the identity: the
 // Applied/Restored conveniences return their input unchanged, which
-// preserves the aliasing behaviour callers had before the reorder pass
-// existed.
+// costs a corpus already in solver order nothing.
 type Permutation struct {
 	fwd []int32
 	inv []int32
@@ -120,87 +114,4 @@ func (p *Permutation) Restored(src []float64) []float64 {
 	dst := make([]float64, len(src))
 	p.Restore(dst, src)
 	return dst
-}
-
-// ReorderPermutation computes a locality-oriented relabelling of g for
-// the pull-form solve kernels. The heuristic is hub-first with a
-// BFS/child-clustering tiebreak, run over the transposed graph because
-// that is the structure the kernels iterate: the pull sweep
-// (Mᵀx)[v] = Σ_{u→v} x[u]·norm gathers x over the in-neighbours of
-// each destination row, so locality is governed by how compact each
-// row's citer set is in id space.
-//
-//   - Seeds are taken in descending in-degree order (ties by original
-//     id, so the result is deterministic). Citation in-degree is the
-//     heavy-tailed direction — hubs with five-figure citer sets own
-//     the largest gathers, and they get the lowest ids.
-//   - From each seed a BFS over in-edges assigns consecutive new ids
-//     in visit order, enqueueing each node's unvisited citers in
-//     descending in-degree order. A hub's citers therefore land in one
-//     contiguous id block (child clustering), turning the hub row's
-//     gather from a scatter across the whole vector into a walk over a
-//     few cache lines; consecutive rows likewise share overlapping
-//     source windows through co-citation.
-//
-// The permutation changes only the iteration order of floating-point
-// sums, never the fixed point being computed: solving in permuted
-// space and mapping back through Restore agrees with the unpermuted
-// solve to roundoff (see the property tests).
-func ReorderPermutation(g *graph.Graph) *Permutation {
-	n := g.NumNodes()
-	rg := g.Transpose() // rg.Neighbors(v) = citers of v; rg out-degree = in-degree of g
-	deg := rg.OutDegrees()
-	seeds := make([]int32, n)
-	for i := range seeds {
-		seeds[i] = int32(i)
-	}
-	byDegree := func(a, b int32) bool {
-		if deg[a] != deg[b] {
-			return deg[a] > deg[b]
-		}
-		return a < b
-	}
-	sort.Slice(seeds, func(i, j int) bool { return byDegree(seeds[i], seeds[j]) })
-
-	fwd := make([]int32, n)
-	inv := make([]int32, 0, n)
-	visited := make([]bool, n)
-	queue := make([]int32, 0, n)
-	scratch := make([]int32, 0, 64)
-	next := int32(0)
-	for _, s := range seeds {
-		if visited[s] {
-			continue
-		}
-		visited[s] = true
-		queue = append(queue[:0], s)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			fwd[u] = next
-			next++
-			inv = append(inv, u)
-			scratch = append(scratch[:0], rg.Neighbors(u)...)
-			sort.Slice(scratch, func(i, j int) bool { return byDegree(scratch[i], scratch[j]) })
-			for _, v := range scratch {
-				if !visited[v] {
-					visited[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-	}
-	return &Permutation{fwd: fwd, inv: inv}
-}
-
-// Reorder is the standalone entry point for callers holding a bare
-// graph: it computes the locality permutation and returns the
-// relabelled graph alongside it. Transitions built from the returned
-// graph automatically get chunk plans recomputed for the permuted
-// offsets (NewTransition derives them from the CSR it builds).
-func Reorder(g *graph.Graph) (*graph.Graph, *Permutation) {
-	p := ReorderPermutation(g)
-	if p.IsIdentity() {
-		return g, p
-	}
-	return g.Permute(p.fwd), p
 }

@@ -63,66 +63,31 @@ func TestPermutationApplyRestore(t *testing.T) {
 	}
 }
 
-// TestReorderPermutationShape checks the reordering is a valid
-// bijection that puts the in-degree hub first and keeps the permuted
-// graph structurally valid.
-func TestReorderPermutationShape(t *testing.T) {
-	g := benchGraphPowerLaw(t, 2000)
-	p := ReorderPermutation(g)
-	if p.Len() != g.NumNodes() {
-		t.Fatalf("Len = %d, want %d", p.Len(), g.NumNodes())
+// shuffled relabels g by a random permutation.
+func shuffled(tb testing.TB, rng *rand.Rand, g *graph.Graph) (*graph.Graph, *Permutation) {
+	tb.Helper()
+	fwd := make([]int32, g.NumNodes())
+	for i, j := range rng.Perm(len(fwd)) {
+		fwd[i] = int32(j)
 	}
-	if _, err := NewPermutation(p.Fwd()); err != nil {
-		t.Fatalf("reorder produced a non-bijection: %v", err)
+	p, err := NewPermutation(fwd)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	// The node with the highest in-degree must get id 0.
-	in := g.InDegrees()
-	hub := 0
-	for v, d := range in {
-		if d > in[hub] {
-			hub = v
-		}
-	}
-	if p.Fwd()[hub] != 0 {
-		t.Errorf("hub %d (in-degree %d) mapped to %d, want 0", hub, in[hub], p.Fwd()[hub])
-	}
-	rg, rp := Reorder(g)
-	if rg.NumEdges() != g.NumEdges() || rg.NumNodes() != g.NumNodes() {
-		t.Fatalf("reordered graph shape %d/%d, want %d/%d",
-			rg.NumNodes(), rg.NumEdges(), g.NumNodes(), g.NumEdges())
-	}
-	if err := rg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range rp.Fwd() {
-		if v != p.Fwd()[i] {
-			t.Fatal("Reorder and ReorderPermutation disagree")
-		}
-	}
-}
-
-// TestReorderDeterministic checks two runs over the same graph agree.
-func TestReorderDeterministic(t *testing.T) {
-	g := benchGraphPowerLaw(t, 1500)
-	a, b := ReorderPermutation(g), ReorderPermutation(g)
-	for i := range a.Fwd() {
-		if a.Fwd()[i] != b.Fwd()[i] {
-			t.Fatalf("non-deterministic at %d", i)
-		}
-	}
+	return g.Permute(fwd), p
 }
 
 // TestDampedWalkReorderInvariant is the solver-level property test:
-// on random power-law graphs, solving in reordered space and mapping
-// the result back through the permutation matches the unpermuted
-// solve component-wise to 1e-12 — the permutation only reassociates
-// floating-point sums.
+// on random power-law graphs, solving in a relabelled space and
+// mapping the result back through the permutation matches the
+// unpermuted solve component-wise to 1e-12 — the permutation only
+// reassociates floating-point sums.
 func TestDampedWalkReorderInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 3; trial++ {
 		n := 500 + rng.Intn(2000)
 		g := randomPowerLawGraph(t, rng, n)
-		rg, p := Reorder(g)
+		rg, p := shuffled(t, rng, g)
 
 		teleport := make([]float64, n)
 		Uniform(teleport)
@@ -152,7 +117,7 @@ func TestDampedWalkReorderInvariant(t *testing.T) {
 func TestDampedWalkReorderWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomPowerLawGraph(t, rng, 1200)
-	rg, p := Reorder(g)
+	rg, p := shuffled(t, rng, g)
 	teleport := make([]float64, g.NumNodes())
 	Uniform(teleport)
 	opts := IterOptions{Tol: 1e-12, MaxIter: 500}

@@ -2,43 +2,58 @@ package sparse
 
 import (
 	"fmt"
-	"math"
+	"sort"
 )
 
-// ShardSchedule turns a sweep over a Transition's rows into a block
-// Gauss–Seidel sweep over contiguous row shards, without a second copy
-// of the operator. Shards sweep in descending row order; a row's
-// sources are ascending, so the sources that lie in shards above the
-// row's own — the ones already produced this sweep — are a suffix of
-// the row, starting at split[v]. A shard sweep is therefore the flat
-// row-range body over the shard's rows, reading the previous iterate
-// up to the split and the vector under construction after it: that
-// read is the whole boundary-mass exchange.
+// ShardSchedule turns a sweep over a Transition's rows into a
+// Gauss–Seidel sweep, without a second copy of the operator.
 //
-// Solver order puts cited articles at low rows and citing articles at
-// high rows, so the descending order propagates mass a whole citation
-// chain per sweep instead of one hop — the same fixed point in
-// substantially fewer sweeps. Mixing fresh and stale blocks breaks the
-// exact mass conservation the damped step relies on, which would leave
-// a mass-error mode decaying only at the damping rate; the damped
-// sweep therefore refreshes the dangling mass at every shard barrier
-// from a per-shard pipeline and renormalises the produced vector to
-// unit mass.
+// Solver order is chronological: cited articles sit at low rows and
+// citing articles at high rows, so a row's sources lie (almost all)
+// above it and the pull-form operator is (nearly) upper triangular. A
+// sweep that runs from the top row down and reads the rows it has
+// already produced solves the triangular part exactly; only back edges
+// (a source at or below its row) and the layers coupled in from
+// outside iterate.
+//
+// A scheduled sweep is one serial pass over the rows, top row first,
+// in place: dst starts as a copy of src and each row is overwritten
+// with its new value, so a row reads a source above it fresh and any
+// other as it was in src (Transition.sweep). The pass does not use the
+// worker pool, so the result is the same bit for bit at every worker
+// count.
+//
+// Mixing fresh and stale rows breaks the exact mass conservation the
+// damped step relies on; the sweeps therefore take the restart
+// coefficient from src once and renormalise dst (DampedStep,
+// BlendStep).
 //
 // The schedule depends only on the operator's row structure, which
 // Reweighted shares, so one schedule serves an operator and every
-// reweighting of it. It is read-only after construction and holds
-// O(rows) memory — nothing per edge.
+// reweighting of it. It is read-only after construction and holds no
+// per-row or per-edge memory.
 type ShardSchedule struct {
-	offsets []int64   // the row structure the schedule was built over
-	bounds  []int32   // shard s covers rows [bounds[s], bounds[s+1])
-	split   []int64   // split[v]: row v's first in-edge whose source lies above v's shard
-	chunks  [][]int32 // chunks[s]: edge-balanced chunk plan over shard s's rows
+	offsets []int64 // the row structure the schedule was built over
+	shards  int     // explicit shard count; 1 for the default schedule
+	back    int64   // in-edges whose source is not above their row
 }
 
-// NewShardSchedule builds the sweep schedule of t's row structure over
-// the given contiguous row bounds (len shards+1, strictly increasing
-// from 0 to t.N()) — the Bounds of a shard.Plan.
+// NewSweepSchedule builds the schedule of t's row structure, counting
+// the back edges a sweep will read stale.
+func NewSweepSchedule(t *Transition) *ShardSchedule {
+	sc := &ShardSchedule{offsets: t.offsets, shards: 1}
+	for v := 0; v < t.n; v++ {
+		sc.back += int64(firstAtLeast(t.sources[t.offsets[v]:t.offsets[v+1]], int32(v)+1))
+	}
+	return sc
+}
+
+// NewShardSchedule builds the schedule of t's row structure for an
+// explicit partition: bounds (len shards+1, strictly increasing from 0
+// to t.N()) are the Bounds of a shard.Plan. A serial top-down sweep
+// crosses shard boundaries like any other row boundary, so the sweep is
+// that of NewSweepSchedule; the partition sets only the shard count the
+// solve reports (NumShards, Exchanges).
 func NewShardSchedule(t *Transition, bounds []int32) (*ShardSchedule, error) {
 	if len(bounds) < 2 || bounds[0] != 0 || int(bounds[len(bounds)-1]) != t.n {
 		return nil, fmt.Errorf("sparse: shard bounds %v do not cover [0,%d)", bounds, t.n)
@@ -48,35 +63,42 @@ func NewShardSchedule(t *Transition, bounds []int32) (*ShardSchedule, error) {
 			return nil, fmt.Errorf("sparse: shard bounds %v not strictly increasing", bounds)
 		}
 	}
-	sc := &ShardSchedule{
-		offsets: t.offsets,
-		bounds:  append([]int32(nil), bounds...),
-		split:   make([]int64, t.n),
-		chunks:  make([][]int32, len(bounds)-1),
-	}
-	for s := range sc.chunks {
-		lo, hi := int(bounds[s]), int(bounds[s+1])
-		for v := lo; v < hi; v++ {
-			i := t.offsets[v+1]
-			for i > t.offsets[v] && t.sources[i-1] >= bounds[s+1] {
-				i--
-			}
-			sc.split[v] = i
-		}
-		plan := EdgeChunks(t.offsets[lo : hi+1])
-		for c := range plan {
-			plan[c] += bounds[s]
-		}
-		sc.chunks[s] = plan
-	}
+	sc := NewSweepSchedule(t)
+	sc.shards = len(bounds) - 1
 	return sc, nil
 }
 
-// NumShards returns the shard count of the schedule.
-func (sc *ShardSchedule) NumShards() int { return len(sc.bounds) - 1 }
+// firstAtLeast returns the index of the first entry of the ascending
+// row that is >= x. In chronological order nearly every row lies
+// wholly on one side, so the ends are tried before the search.
+func firstAtLeast(row []int32, x int32) int {
+	if len(row) == 0 || row[0] >= x {
+		return 0
+	}
+	if row[len(row)-1] < x {
+		return len(row)
+	}
+	return sort.Search(len(row), func(i int) bool { return row[i] >= x })
+}
+
+// NumShards returns the explicit shard count of the schedule; the
+// default schedule is one shard.
+func (sc *ShardSchedule) NumShards() int { return sc.shards }
+
+// BackEdgeFraction returns the share of the operator's in-edges whose
+// source row is not above the row it points at — the edges a top-down
+// sweep reads stale. Zero means the operator is strictly triangular in
+// solver order and one sweep is exact; on real corpora (same-year
+// citation cycles, "in press" references) it predicts the sweep count.
+func (sc *ShardSchedule) BackEdgeFraction() float64 {
+	if m := sc.offsets[len(sc.offsets)-1] - sc.offsets[0]; m > 0 {
+		return float64(sc.back) / float64(m)
+	}
+	return 0
+}
 
 // WithSchedule returns a view of t — the same CSR, weights and worker
-// pool, nothing copied — whose sweeps (DampedSweep, BlendSweep and the
+// pool, nothing copied — whose sweeps (DampedStep, BlendStep and the
 // walks built on them) follow sc. The schedule must have been built
 // over t's row structure: t itself, the operator it was reweighted
 // from, or another reweighting of that operator.
@@ -89,8 +111,9 @@ func (t *Transition) WithSchedule(sc *ShardSchedule) (*Transition, error) {
 	return &view, nil
 }
 
-// NumShards returns the number of shards t's sweeps are scheduled
-// over; an operator without a schedule is one shard.
+// NumShards returns the number of explicit shards t's sweeps are
+// scheduled over; an operator without a schedule, or under the default
+// one, is one shard.
 func (t *Transition) NumShards() int {
 	if t.sched == nil {
 		return 1
@@ -98,104 +121,12 @@ func (t *Transition) NumShards() int {
 	return t.sched.NumShards()
 }
 
-// Exchanges returns the boundary-mass exchanges that the given number
-// of sweeps of t performs: one per shard per sweep, and none when the
-// operator is a single shard with no boundary.
+// Exchanges returns the shard boundaries that the given number of
+// sweeps of t crosses: one per explicit shard per sweep, and none when
+// the operator is a single shard with no boundary.
 func (t *Transition) Exchanges(sweeps int) int {
 	if k := t.NumShards(); k > 1 {
 		return sweeps * k
 	}
 	return 0
-}
-
-// SeedDangling fills dang (len NumShards) with the per-shard dangling
-// mass of x, seeding the pipeline DampedSweep and BlendSweep carry
-// across iterations.
-func (t *Transition) SeedDangling(x []float64, dang []float64) {
-	if t.NumShards() == 1 {
-		dang[0] = t.DanglingMass(x)
-		return
-	}
-	Fill(dang, 0)
-	s := 0
-	for _, u := range t.dangling { // ascending, like the shard bounds
-		for u >= t.sched.bounds[s+1] {
-			s++
-		}
-		dang[s] += x[u]
-	}
-}
-
-// DampedSweep performs one iteration of the damped walk under t's
-// schedule and returns the L1 residual ||dst − src||₁. dang must hold
-// src's per-shard dangling mass on entry (SeedDangling) and holds
-// dst's on return — the pipelined replacement for a dangling scan per
-// barrier. A single shard is DampedStep; several sweep in descending
-// order, each reading the shards above it from dst, and the result is
-// renormalised to unit mass (the residual is measured before that).
-func (t *Transition) DampedSweep(dst, src, teleport []float64, damping float64, dang []float64) (res float64) {
-	k := t.NumShards()
-	if k == 1 {
-		res, _, dang[0] = t.DampedStep(dst, src, teleport, damping, dang[0])
-		return res
-	}
-	sc := t.sched
-	var sum float64
-	for s := k - 1; s >= 0; s-- {
-		// Shards above s hold dst's fresh dangling mass already; the
-		// rest still hold src's — the barrier-consistent mix.
-		tcoef := damping*Sum(dang) + 1 - damping
-		p := reduceChunks(t.pool, sc.chunks[s], func(lo, hi int) stepPartial {
-			var r, sm, d float64
-			if s == k-1 { // nothing lies above the top shard: the flat body
-				r, sm, d = t.dampedRange(dst, src, teleport, damping, tcoef, lo, hi)
-			} else {
-				r, sm, d = t.dampedSplitRange(sc.split, dst, src, teleport, damping, tcoef, lo, hi)
-			}
-			return stepPartial{res: r, sum: sm, dang: d}
-		})
-		res += p.res
-		sum += p.sum
-		dang[s] = p.dang
-	}
-	if sum > 0 && !math.IsNaN(sum) && !math.IsInf(sum, 0) {
-		inv := 1 / sum
-		reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial {
-			Scale(dst[lo:hi], inv)
-			return stepPartial{}
-		})
-		Scale(dang, inv)
-	}
-	return res
-}
-
-// BlendSweep is BlendStep under t's schedule: one heterogeneous-walk
-// iteration, shard by shard. The author/venue layers and their leaks
-// are gathered from src by the caller before the sweep (their coupling
-// stays barrier-synchronous — the fixed point is unchanged). dang
-// carries src's per-shard dangling mass in and dst's (unnormalised)
-// out; the caller normalises dst with ScaleDiffStep and must scale
-// dang by the same factor. Returns Σ dst.
-func (t *Transition) BlendSweep(dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, aLeak, vLeak float64, dang []float64) (sum float64) {
-	k := t.NumShards()
-	if k == 1 {
-		sum, dang[0] = t.BlendStep(dst, src, r, fa, fv, lc, la, lv, lt, dang[0], aLeak, vLeak)
-		return sum
-	}
-	sc := t.sched
-	for s := k - 1; s >= 0; s-- {
-		rcoef := restartCoef(fa, fv, lc, la, lv, lt, Sum(dang), aLeak, vLeak)
-		p := reduceChunks(t.pool, sc.chunks[s], func(lo, hi int) stepPartial {
-			var sm, d float64
-			if s == k-1 { // nothing lies above the top shard: the flat body
-				sm, d = t.blendRange(dst, src, r, fa, fv, lc, la, lv, rcoef, lo, hi)
-			} else {
-				sm, d = t.blendSplitRange(sc.split, dst, src, r, fa, fv, lc, la, lv, rcoef, lo, hi)
-			}
-			return stepPartial{sum: sm, dang: d}
-		})
-		sum += p.sum
-		dang[s] = p.dang
-	}
-	return sum
 }

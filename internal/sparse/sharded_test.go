@@ -98,9 +98,9 @@ func scheduled(tb testing.TB, tr *Transition, bounds []int32) *Transition {
 }
 
 // TestTransitionRowsSourceAscending pins the invariant the schedule's
-// per-row split relies on: every row of NewTransition — and of
+// back-edge count relies on: every row of NewTransition — and of
 // Reweighted, which shares the structure — lists its sources in
-// ascending order, so the sources above a shard are a suffix.
+// ascending order, so the sources above a row are a suffix.
 func TestTransitionRowsSourceAscending(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
 		"random":   benchGraph(t, 3000),
@@ -124,37 +124,119 @@ func TestTransitionRowsSourceAscending(t *testing.T) {
 }
 
 // TestShardScheduleAllocatesPerRow checks the schedule is a view, not
-// a copy: building it over a 100k-row power-law operator allocates a
-// few words per row, far below one word per edge.
+// a copy: building it over a 100k-row power-law operator allocates at
+// most a word per row (today nothing), far below one word per edge.
 func TestShardScheduleAllocatesPerRow(t *testing.T) {
 	tr := NewTransition(benchGraphPowerLaw(t, 100_000), nil)
 	bounds := evenBounds(tr.N(), 4)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sc, err := NewShardSchedule(tr, bounds)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := after.TotalAlloc - before.TotalAlloc
 	rows, edges := uint64(tr.N()), uint64(len(tr.sources))
-	if limit := 16*rows + 1<<16; got > limit {
-		t.Errorf("schedule over %d rows allocated %d bytes, want <= %d", rows, got, limit)
+	for _, tc := range []struct {
+		name        string
+		build       func() *ShardSchedule
+		bytesPerRow uint64
+	}{
+		{"shards4", func() *ShardSchedule { sc, _ := NewShardSchedule(tr, bounds); return sc }, 8},
+		{"default", func() *ShardSchedule { return NewSweepSchedule(tr) }, 8},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sc := tc.build()
+		runtime.ReadMemStats(&after)
+		if sc == nil {
+			t.Fatalf("%s: no schedule", tc.name)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		if limit := tc.bytesPerRow*rows + 1<<16; got > limit {
+			t.Errorf("%s: schedule over %d rows allocated %d bytes, want <= %d", tc.name, rows, got, limit)
+		}
+		if got >= 8*edges {
+			t.Errorf("%s: schedule allocated %d bytes over %d edges — per-edge memory", tc.name, got, edges)
+		}
+		runtime.KeepAlive(sc)
 	}
-	if got >= 8*edges {
-		t.Errorf("schedule allocated %d bytes over %d edges — per-edge memory", got, edges)
-	}
-	runtime.KeepAlive(sc)
 }
 
-// TestShardedSweepMatchesDampedStep checks one sweep at every shard
-// count: a single shard is the fused flat kernel bit for bit, and
-// several shards reproduce a naive block Gauss–Seidel sweep that
-// decides per edge (not per split index) which vector a source is read
-// from.
+// backEdgeGraph is benchGraph with the given share of citations
+// reversed to point forward in id order — publication years perturbed
+// against the citation direction — plus, when selfLoops is set, a
+// self-loop on every seventh node.
+func backEdgeGraph(tb testing.TB, n int, share float64, selfLoops bool) *graph.Graph {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(11))
+	gb := graph.NewBuilder(n, false)
+	for i := 1; i < n; i++ {
+		for r := 0; r < 12; r++ {
+			j := rng.Intn(i)
+			if rng.Float64() < share {
+				_ = gb.AddEdge(graph.NodeID(j), graph.NodeID(i))
+			} else {
+				_ = gb.AddEdge(graph.NodeID(i), graph.NodeID(j))
+			}
+		}
+		if selfLoops && i%7 == 0 {
+			_ = gb.AddEdge(graph.NodeID(i), graph.NodeID(i))
+		}
+	}
+	return gb.Build()
+}
+
+// scheduleCase is one way of scheduling an operator's sweeps: the
+// default schedule or explicit even shards, on a pool of the given
+// size. The sweep itself never uses the pool; the renormalising pass
+// and the dangling scans around it do.
+type scheduleCase struct {
+	name            string
+	workers, shards int // shards 0: the default schedule
+}
+
+var scheduleCases = []scheduleCase{
+	{"default", 1, 0}, {"default-workers3", 3, 0}, {"shards1", 1, 1}, {"shards4", 3, 4},
+}
+
+// apply returns tr bound to a pool of c.workers and sweeping under
+// c's schedule.
+func (c scheduleCase) apply(tb testing.TB, tr *Transition) *Transition {
+	tb.Helper()
+	pool := NewPool(c.workers)
+	tb.Cleanup(pool.Close)
+	tr = tr.WithPool(pool)
+	if c.shards > 0 {
+		return scheduled(tb, tr, evenBounds(tr.N(), c.shards))
+	}
+	st, err := tr.WithSchedule(NewSweepSchedule(tr))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// naiveSweep is one scheduled damped sweep decided edge by edge rather
+// than by split index: rows run from the top, and a source is read from
+// the vector under construction when it lies above the row and from src
+// otherwise.
+func naiveSweep(tr *Transition, src, teleport []float64, damping float64) (dst []float64, res float64) {
+	dst = make([]float64, tr.n)
+	tcoef := damping*tr.DanglingMass(src) + 1 - damping
+	for v := int32(tr.n) - 1; v >= 0; v-- {
+		var acc float64
+		for i := tr.offsets[v]; i < tr.offsets[v+1]; i++ {
+			if u := tr.sources[i]; u > v {
+				acc += dst[u] * tr.norm[i]
+			} else {
+				acc += src[u] * tr.norm[i]
+			}
+		}
+		dst[v] = damping*acc + tcoef*teleport[v]
+	}
+	Scale(dst, 1/Sum(dst))
+	return dst, L1Diff(dst, src)
+}
+
+// TestShardedSweepMatchesDampedStep checks one sweep under every
+// schedule shape against the naive edge-by-edge sweep, on a graph with
+// back edges and self-loops so that both runs of a row occur.
 func TestShardedSweepMatchesDampedStep(t *testing.T) {
-	g := benchGraphPowerLaw(t, 4000)
-	tr := NewTransition(g, nil)
+	tr := NewTransition(backEdgeGraph(t, 4000, 0.1, true), nil)
 	n := tr.N()
 	rng := rand.New(rand.NewSource(3))
 	src := make([]float64, n)
@@ -166,73 +248,207 @@ func TestShardedSweepMatchesDampedStep(t *testing.T) {
 	Uniform(teleport)
 	const damping = 0.85
 
-	for _, k := range []int{1, 2, 4, 8} {
-		bounds := evenBounds(n, k)
-		st := scheduled(t, tr, bounds)
-		dang := make([]float64, k)
-		st.SeedDangling(src, dang)
+	for _, c := range scheduleCases {
+		st := c.apply(t, tr)
 		got := make([]float64, n)
-		res := st.DampedSweep(got, src, teleport, damping, dang)
-
-		want := make([]float64, n)
-		var wantRes float64
-		if k == 1 {
-			wantRes, _, _ = tr.DampedStep(want, src, teleport, damping, tr.DanglingMass(src))
-			for v := range got {
-				if got[v] != want[v] {
-					t.Fatalf("k=1 row %d: sweep %g vs fused step %g", v, got[v], want[v])
-				}
-			}
-			if res != wantRes {
-				t.Fatalf("k=1: residual %g vs %g", res, wantRes)
-			}
-		} else {
-			var sum float64
-			for s := k - 1; s >= 0; s-- {
-				lo, hi := bounds[s], bounds[s+1]
-				var dm float64
-				for _, u := range tr.dangling {
-					if u >= hi {
-						dm += want[u]
-					} else {
-						dm += src[u]
-					}
-				}
-				for v := int(lo); v < int(hi); v++ {
-					var acc float64
-					for i := tr.offsets[v]; i < tr.offsets[v+1]; i++ {
-						if u := tr.sources[i]; u >= hi {
-							acc += want[u] * tr.norm[i]
-						} else {
-							acc += src[u] * tr.norm[i]
-						}
-					}
-					want[v] = damping*(acc+dm*teleport[v]) + (1-damping)*teleport[v]
-					wantRes += math.Abs(want[v] - src[v])
-					sum += want[v]
-				}
-			}
-			Scale(want, 1/sum)
-			for v := range got {
-				if d := math.Abs(got[v] - want[v]); d > 1e-14 {
-					t.Fatalf("k=%d row %d: sweep %g vs naive block sweep %g (diff %g)", k, v, got[v], want[v], d)
-				}
-			}
-			if d := math.Abs(res - wantRes); d > 1e-10 {
-				t.Fatalf("k=%d: residual %g vs %g", k, res, wantRes)
-			}
-			if d := math.Abs(Sum(got) - 1); d > 1e-12 {
-				t.Fatalf("k=%d: sweep left mass %g off unit", k, d)
-			}
+		res, _, dang := st.DampedStep(got, src, teleport, damping, tr.DanglingMass(src))
+		want, wantRes := naiveSweep(tr, src, teleport, damping)
+		if d := MaxDiff(got, want); d > 1e-15 {
+			t.Errorf("%s: sweep deviates from the naive sweep by %g", c.name, d)
 		}
-		if d := math.Abs(Sum(dang) - tr.DanglingMass(got)); d > 1e-13 {
-			t.Fatalf("k=%d: pipelined dangling %g vs scan %g", k, Sum(dang), tr.DanglingMass(got))
+		if d := math.Abs(res - wantRes); d > 1e-12 {
+			t.Errorf("%s: residual %g vs %g", c.name, res, wantRes)
+		}
+		if d := math.Abs(Sum(got) - 1); d > 1e-12 {
+			t.Errorf("%s: sweep left mass %g off unit", c.name, d)
+		}
+		if d := math.Abs(dang - tr.DanglingMass(got)); d > 1e-13 {
+			t.Errorf("%s: pipelined dangling %g vs scan %g", c.name, dang, tr.DanglingMass(got))
 		}
 	}
 }
 
-// legacyFlatWalk is the flat damped walk as it stood before sharding
-// became a schedule: a scalar dangling pipeline over DampedStep, and
+// literalJacobi is the damped walk written out with no kernel, plan or
+// driver of this package: power iteration from the teleport vector
+// until the L1 change drops below tol.
+func literalJacobi(tr *Transition, damping float64, teleport []float64, tol float64) []float64 {
+	x, y := Clone(teleport), make([]float64, tr.n)
+	for it := 0; it < 5000; it++ {
+		var dm, res float64
+		for _, u := range tr.dangling {
+			dm += x[u]
+		}
+		for v := 0; v < tr.n; v++ {
+			var s float64
+			for i := tr.offsets[v]; i < tr.offsets[v+1]; i++ {
+				s += x[tr.sources[i]] * tr.norm[i]
+			}
+			y[v] = damping*(s+dm*teleport[v]) + (1-damping)*teleport[v]
+			res += math.Abs(y[v] - x[v])
+		}
+		x, y = y, x
+		if res < tol {
+			break
+		}
+	}
+	return x
+}
+
+// TestScheduledWalkMatchesJacobiOracle is the oracle test of the sweep
+// schedule: under every schedule shape, on every graph shape, cold and
+// warm, with Aitken extrapolation on and off, the scheduled walk
+// reaches the fixed point of the literal Jacobi walk.
+func TestScheduledWalkMatchesJacobiOracle(t *testing.T) {
+	const n = 4000
+	rng := rand.New(rand.NewSource(17))
+	random := graph.NewBuilder(n, false)
+	for i := 0; i < n; i++ {
+		for r := 0; r < 8; r++ {
+			_ = random.AddEdge(graph.NodeID(i), graph.NodeID(rng.Intn(n)))
+		}
+	}
+	powerlaw, _ := shuffled(t, rng, benchGraphPowerLaw(t, n))
+	for _, fx := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"random", random.Build()},
+		{"powerlaw", powerlaw},
+		{"strict-dag", benchGraph(t, n)},
+		{"year-perturbed", backEdgeGraph(t, n, 0.04, false)},
+		{"self-loop", backEdgeGraph(t, n, 0, true)},
+		{"all-dangling", graph.NewBuilder(n, false).Build()},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			tr := NewTransition(fx.g, nil)
+			teleport := make([]float64, n)
+			for i := range teleport {
+				teleport[i] = 1 + float64(i%5)
+			}
+			Normalize1(teleport)
+			want := literalJacobi(tr, 0.85, teleport, 1e-13)
+			warm := Clone(want)
+			for i := range warm {
+				warm[i] *= 1 + 0.1*rng.Float64()
+			}
+			Normalize1(warm)
+			for _, c := range scheduleCases {
+				st := c.apply(t, tr)
+				for _, init := range []struct {
+					name string
+					vec  []float64
+				}{{"cold", teleport}, {"warm", warm}} {
+					for _, aitken := range []int{0, 4} {
+						got, stats, err := DampedWalkFrom(st, 0.85, teleport, init.vec,
+							IterOptions{Tol: 1e-13, MaxIter: 2000, AitkenEvery: aitken})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if d := L1Diff(got, want); !stats.Converged || d > 1e-11 {
+							t.Errorf("%s/%s/aitken=%d: converged %v after %d sweeps, L1 distance to the Jacobi fixed point %g",
+								c.name, init.name, aitken, stats.Converged, stats.Iterations, d)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestScheduledWalkSolvesDAGInTwoSweeps pins what the schedule is for:
+// on an operator that is strictly triangular in row order, one
+// row-granular Gauss–Seidel sweep lands on the fixed point from any
+// start and the second only confirms it.
+func TestScheduledWalkSolvesDAGInTwoSweeps(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"random":   benchGraph(t, 5000),
+		"powerlaw": benchGraphPowerLaw(t, 5000),
+	} {
+		tr := NewTransition(g, nil)
+		sc := NewSweepSchedule(tr)
+		if f := sc.BackEdgeFraction(); f != 0 {
+			t.Fatalf("%s: back-edge fraction %g on a strict DAG", name, f)
+		}
+		teleport := make([]float64, tr.N())
+		Uniform(teleport)
+		_, stats, err := gsWalk(t, tr, teleport, IterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.Converged || stats.Iterations > 2 {
+			t.Errorf("%s: %d sweeps (converged %v), want <= 2", name, stats.Iterations, stats.Converged)
+		}
+	}
+	tr := NewTransition(backEdgeGraph(t, 5000, 0.04, false), nil)
+	if f := NewSweepSchedule(tr).BackEdgeFraction(); f < 0.03 || f > 0.05 {
+		t.Errorf("back-edge fraction %g with 4%% of the citations reversed", f)
+	}
+}
+
+// TestScheduledWalkDeterministic checks the scheduled walk gives the
+// same vector bit for bit in the same number of sweeps on every run, at
+// every worker count and under every shard count: the sweep is one
+// serial pass, so neither the pool nor a partition can reorder it. (The
+// residual is summed by the pool's chunk plan and may differ in the
+// last bit between one worker and several.)
+func TestScheduledWalkDeterministic(t *testing.T) {
+	tr := NewTransition(backEdgeGraph(t, 6000, 0.04, false), nil)
+	teleport := make([]float64, tr.N())
+	Uniform(teleport)
+	opts := IterOptions{AitkenEvery: 4}
+	var want []float64
+	var wantStats IterStats
+	for _, c := range scheduleCases {
+		st := c.apply(t, tr)
+		for run := 0; run < 2; run++ {
+			got, stats, err := DampedWalk(st, 0.85, teleport, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want, wantStats = got, stats
+				continue
+			}
+			if !slices.Equal(got, want) || stats.Iterations != wantStats.Iterations {
+				t.Fatalf("%s: run %d differs from %s (L1 %g, %d vs %d sweeps)", c.name, run,
+					scheduleCases[0].name, L1Diff(got, want), stats.Iterations, wantStats.Iterations)
+			}
+		}
+	}
+}
+
+// TestScheduledSweepsUnderRace drives both sweep kernels and the
+// parallel passes around them — the renormalising ScaleDiffStep, the
+// dangling scans — on one worker more than the host has CPUs. Its value
+// is under the race detector (make test-race).
+func TestScheduledSweepsUnderRace(t *testing.T) {
+	pool := NewPool(runtime.NumCPU() + 1)
+	defer pool.Close()
+	tr := NewTransition(backEdgeGraph(t, 60_000, 0.04, false), pool)
+	st, err := tr.WithSchedule(NewSweepSchedule(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tr.N()
+	teleport := make([]float64, n)
+	Uniform(teleport)
+	x, stats, err := DampedWalk(st, 0.85, teleport, IterOptions{})
+	if err != nil || !stats.Converged {
+		t.Fatalf("damped walk: converged %v, err %v", stats.Converged, err)
+	}
+	dst := make([]float64, n)
+	for i := 0; i < 3; i++ {
+		sum, _ := st.BlendStep(dst, x, teleport, nil, nil, 0.8, 0, 0, 0.2, tr.DanglingMass(x), 0, 0)
+		st.ScaleDiffStep(dst, x, 1/sum)
+		x, dst = dst, x
+	}
+	if d := math.Abs(Sum(x) - 1); d > 1e-12 {
+		t.Errorf("blend sweeps left mass %g off unit", d)
+	}
+}
+
+// legacyFlatWalk is the flat damped walk as it stood before the walk
+// learned schedules: a scalar dangling pipeline over DampedStep, and
 // for the plain case the original fixed-point loop.
 func legacyFlatWalk(tr *Transition, damping float64, teleport, init []float64, opts IterOptions) ([]float64, IterStats) {
 	dm := tr.DanglingMass(init)
@@ -261,20 +477,15 @@ func legacyFlatWalk(tr *Transition, damping float64, teleport, init []float64, o
 	return cur, st
 }
 
-// TestSingleShardScheduleIsFlatWalk pins the collapse: the walk over
-// an unscheduled operator, and over a one-shard schedule, is the
+// TestUnscheduledWalkIsFlatWalk pins the Jacobi walk every test
+// compares against: the walk over an operator with no schedule is the
 // legacy flat walk bit for bit — vector, iteration count and residual
 // trace — cold, warm and with Aitken extrapolation.
-func TestSingleShardScheduleIsFlatWalk(t *testing.T) {
-	g, _ := Reorder(benchGraphPowerLaw(t, 5000))
-	tr := NewTransition(g, nil)
+func TestUnscheduledWalkIsFlatWalk(t *testing.T) {
+	tr := NewTransition(benchGraphPowerLaw(t, 5000), nil)
 	n := tr.N()
 	teleport := make([]float64, n)
 	Uniform(teleport)
-	one := scheduled(t, tr, []int32{0, int32(n)})
-	if one.NumShards() != 1 {
-		t.Fatalf("one-shard schedule reports %d shards", one.NumShards())
-	}
 	warm, _ := legacyFlatWalk(tr, 0.85, teleport, teleport, IterOptions{Tol: 1e-4})
 	for _, tc := range []struct {
 		name string
@@ -287,21 +498,19 @@ func TestSingleShardScheduleIsFlatWalk(t *testing.T) {
 		{"aitken-warm", warm, IterOptions{Trace: true, AitkenEvery: 4}},
 	} {
 		want, wantStats := legacyFlatWalk(tr, 0.85, teleport, tc.init, tc.opts)
-		for label, op := range map[string]*Transition{"flat": tr, "one-shard": one} {
-			got, stats, err := DampedWalkFrom(op, 0.85, teleport, tc.init, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Iterations != wantStats.Iterations || stats.Converged != wantStats.Converged || stats.Exchanges != 0 {
-				t.Errorf("%s/%s: %d iterations (converged %v, %d exchanges), legacy %d (%v)", tc.name, label,
-					stats.Iterations, stats.Converged, stats.Exchanges, wantStats.Iterations, wantStats.Converged)
-			}
-			if !slices.Equal(stats.ResidualTrace, wantStats.ResidualTrace) {
-				t.Errorf("%s/%s: residual trace differs from the legacy walk", tc.name, label)
-			}
-			if !slices.Equal(got, want) {
-				t.Errorf("%s/%s: fixed point differs from the legacy walk (L1 %g)", tc.name, label, L1Diff(got, want))
-			}
+		got, stats, err := DampedWalkFrom(tr, 0.85, teleport, tc.init, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Iterations != wantStats.Iterations || stats.Converged != wantStats.Converged || stats.Exchanges != 0 {
+			t.Errorf("%s: %d iterations (converged %v, %d exchanges), legacy %d (%v)", tc.name,
+				stats.Iterations, stats.Converged, stats.Exchanges, wantStats.Iterations, wantStats.Converged)
+		}
+		if !slices.Equal(stats.ResidualTrace, wantStats.ResidualTrace) {
+			t.Errorf("%s: residual trace differs from the legacy walk", tc.name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: fixed point differs from the legacy walk (L1 %g)", tc.name, L1Diff(got, want))
 		}
 	}
 }
@@ -431,7 +640,6 @@ func TestShardedSolveSharesWorkerPool(t *testing.T) {
 func BenchmarkShardedWalkPowerLaw100k(b *testing.B) {
 	size := 100_000
 	g := benchGraphPowerLaw(b, size)
-	g, _ = Reorder(g)
 	pool := NewPool(benchWorkersFromEnv())
 	defer pool.Close()
 	tr := NewTransition(g, pool)

@@ -30,7 +30,7 @@ type Transition struct {
 	danglingMark []bool    // danglingMark[v] reports v ∈ dangling
 	chunks       []int32   // edge-balanced row partition; len numChunks+1
 	pool         *Pool
-	sched        *ShardSchedule // nil: one shard, the flat sweep (see WithSchedule)
+	sched        *ShardSchedule // nil: the Jacobi sweep (see WithSchedule)
 }
 
 // NewTransition builds the operator from g. Edge weights are taken
@@ -198,13 +198,7 @@ func (t *Transition) MulVec(dst, x []float64) {
 func (t *Transition) mulRange(dst, x []float64, lo, hi int) {
 	offs := t.offsets
 	for v := lo; v < hi; v++ {
-		var s float64
 		start, end := offs[v], offs[v+1]
-		row := t.sources[start:end]
-		nrm := t.norm[start:end][:len(row)] // elides the nrm[i] bounds check
-		for i, u := range row {
-			s += x[u] * nrm[i]
-		}
-		dst[v] = s
+		dst[v] = gatherEdges(0, x, t.sources[start:end], t.norm[start:end])
 	}
 }

@@ -292,9 +292,10 @@ func TimedPageRank(net *Network, rho float64, opts PageRankOptions) (Result, err
 	return rank.TimedPageRank(net.Citations, net.Years, net.Now, rho, opts)
 }
 
-// PageRankGaussSeidel computes PageRank with in-place sweeps, which
-// converge in roughly half the iterations on chronologically indexed
-// citation graphs.
+// PageRankGaussSeidel computes PageRank with renormalised
+// Gauss–Seidel sweeps, which converge in a handful of iterations on
+// chronologically indexed citation graphs (two when every citation
+// points to a lower id).
 func PageRankGaussSeidel(net *Network, opts PageRankOptions) (Result, error) {
 	return rank.PageRankGaussSeidel(net.Citations, opts)
 }
