@@ -6,7 +6,7 @@
 //
 //	sarank -in corpus.jsonl -algo QISA-Rank -k 20
 //	sarank -in corpus.tsv -algo all -k 5
-//	sarank -in corpus.bin -entities
+//	sarank -in corpus.scorp -entities
 //	sarank -in corpus.jsonl -save-scores ranking.snap
 //	sarank -in corpus.tsv -save-corpus corpus.scorp -k 0
 //	sarank -in corpus.jsonl -scorer ewpr -scorer-opt damping=0.9 -k 20
@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sarank", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		in       = fs.String("in", "", "corpus file (jsonl, tsv or bin); required")
+		in       = fs.String("in", "", "corpus file ("+cliutil.FormatList()+"; .gz ok); required")
 		format   = fs.String("format", "", "corpus format override")
 		algo     = fs.String("algo", "QISA-Rank", "algorithm, or 'all' ("+cliutil.MethodNames()+")")
 		scorer   = fs.String("scorer", "", "registered core scorer ("+strings.Join(core.ScorerNames(), ", ")+"); overrides -algo and works with -save-scores and -trace")
@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		save     = fs.String("save-scores", "", "write the QISA ranking as a snapshot file for sarserve -scores")
 		saveCorp = fs.String("save-corpus", "", "write the loaded corpus as a columnar SCORP file for sarserve -corpus")
 		trace    = fs.Bool("trace", false, "print per-iteration solver residuals for the prestige and hetero phases (QISA-Rank only)")
-		shards   = fs.Int("shards", 1, "solve the damped walks over this many edge-balanced shards with boundary-mass exchange (QISA-Rank/scorer path only)")
 		version  = fs.Bool("version", false, "print build version and exit")
 	)
 	var sopts core.ScorerOptions
@@ -101,12 +100,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *trace && !strings.EqualFold(*algo, "QISA-Rank") {
 			return fmt.Errorf("-trace hooks the core solver loops and needs -algo QISA-Rank or -scorer, not %q", *algo)
 		}
-		if *shards > 1 && !strings.EqualFold(*algo, "QISA-Rank") {
-			return fmt.Errorf("-shards routes through the core solver and needs -algo QISA-Rank or -scorer, not %q", *algo)
-		}
-	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards %d: want >= 1", *shards)
 	}
 	if sopts != nil && *scorer == "" {
 		return fmt.Errorf("-scorer-opt needs -scorer")
@@ -132,12 +125,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "loaded %d articles, %d citations, %d authors, %d venues\n",
 		store.NumArticles(), store.NumCitations(), store.NumAuthors(), store.NumVenues())
 
-	if *scorer != "" || *save != "" || *trace || *shards > 1 {
+	if *scorer != "" || *save != "" || *trace {
 		name := *scorer
 		if name == "" {
 			name = core.DefaultScorer
 		}
-		return runScorer(stdout, stderr, store, net, name, sopts, *workers, *k, *entities, *save, *trace, *shards)
+		return runScorer(stdout, stderr, store, net, name, sopts, *workers, *k, *entities, *save, *trace)
 	}
 
 	var methods []experiments.Method
@@ -194,10 +187,9 @@ func printTop(w io.Writer, store *corpus.Store, scores []float64, k int) error {
 // as a serving snapshot. The default scorer keeps its historical
 // QISA-Rank heading.
 func runScorer(stdout, stderr io.Writer, store *corpus.Store, net *hetnet.Network,
-	scorer string, sopts core.ScorerOptions, workers, k int, entities bool, savePath string, trace bool, shards int) error {
+	scorer string, sopts core.ScorerOptions, workers, k int, entities bool, savePath string, trace bool) error {
 	opts := core.DefaultOptions()
 	opts.Workers = workers
-	opts.Shards = shards
 	if trace {
 		opts.Trace = func(ev core.TraceEvent) {
 			fmt.Fprintf(stderr, "trace %-8s iter=%-3d residual=%.3e elapsed=%s\n",
@@ -226,10 +218,6 @@ func runScorer(stdout, stderr io.Writer, store *corpus.Store, net *hetnet.Networ
 		}
 	}
 	fmt.Fprintln(stdout)
-	if sc.Shards > 1 {
-		fmt.Fprintf(stderr, "sharded solve: %d shards, edges %v, %d boundary-mass exchanges\n",
-			sc.Shards, sc.ShardEdges, sc.PrestigeStats.Exchanges+sc.HeteroStats.Exchanges)
-	}
 	if err := printTop(stdout, store, sc.Importance, k); err != nil {
 		return err
 	}

@@ -135,47 +135,6 @@ func TestRunSaveScores(t *testing.T) {
 	}
 }
 
-func TestRunSharded(t *testing.T) {
-	path := writeTestCorpus(t)
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-in", path, "-shards", "2", "-k", "3"}, &out, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "# QISA-Rank") {
-		t.Errorf("missing QISA header: %q", out.String())
-	}
-	if !strings.Contains(errBuf.String(), "sharded solve: 2 shards") {
-		t.Errorf("stderr missing shard summary: %q", errBuf.String())
-	}
-	// The sharded ranking must match the unsharded one (iteration
-	// counts in the header differ by design; the table must not).
-	table := func(s string) string {
-		i := strings.Index(s, "rank  ")
-		if i < 0 {
-			t.Fatalf("no ranking table in %q", s)
-		}
-		return s[i:]
-	}
-	var plain, plainErr bytes.Buffer
-	if err := run([]string{"-in", path, "-scorer", "default", "-k", "3"}, &plain, &plainErr); err != nil {
-		t.Fatal(err)
-	}
-	if table(out.String()) != table(plain.String()) {
-		t.Errorf("sharded ranking diverges:\n%q\nvs\n%q", out.String(), plain.String())
-	}
-}
-
-func TestRunShardedFlagValidation(t *testing.T) {
-	path := writeTestCorpus(t)
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-in", path, "-shards", "0"}, &out, &errBuf); err == nil {
-		t.Error("-shards 0 accepted")
-	}
-	if err := run([]string{"-in", path, "-algo", "PageRank", "-shards", "2"}, &out, &errBuf); err == nil {
-		t.Error("-shards with non-core algo accepted")
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if err := run([]string{}, &out, &errBuf); err == nil {

@@ -41,13 +41,11 @@ type pairResult struct {
 	Overlap  float64 `json:"top_k_overlap"`
 }
 
-// leaderboardReport is the -json artifact envelope (BENCH_9.json in
-// CI).
+// leaderboardReport is the -json artifact envelope.
 type leaderboardReport struct {
 	Corpus   string         `json:"corpus"`
 	Articles int            `json:"articles"`
 	Workers  int            `json:"workers"`
-	Shards   int            `json:"shards"`
 	TopK     int            `json:"top_k"`
 	Scorers  []scorerResult `json:"scorers"`
 	Pairwise []pairResult   `json:"pairwise"`
@@ -59,7 +57,7 @@ type leaderboardReport struct {
 // pairwise agreement matrix: Kendall τ-b and Spearman ρ over the full
 // ranking, and top-K overlap where ranking products are actually
 // consumed.
-func runLeaderboard(stdout io.Writer, opts experiments.Options, topK, shards int, jsonPath, csvDir string) error {
+func runLeaderboard(stdout io.Writer, opts experiments.Options, topK int, jsonPath, csvDir string) error {
 	start := time.Now()
 	c, err := experiments.BuildCorpus(experiments.SizeSmall, opts)
 	if err != nil {
@@ -75,11 +73,6 @@ func runLeaderboard(stdout io.Writer, opts experiments.Options, topK, shards int
 	ropts := core.DefaultOptions()
 	ropts.Workers = opts.Workers
 	ropts.Iter = leaderboardIter
-	// The shard count applies to every scorer's damped walks; the
-	// engine runs all shards on its single shared worker pool, so
-	// -workers / QISA_BENCH_WORKERS bounds total parallelism, not
-	// per-shard parallelism.
-	ropts.Shards = shards
 
 	var results []scorerResult
 	var poolWorkers int
@@ -114,8 +107,8 @@ func runLeaderboard(stdout io.Writer, opts experiments.Options, topK, shards int
 		Title:   "scorer leaderboard (one corpus, shared engine, equal iteration budget)",
 		Columns: []string{"scorer", "solve_s", "iterations", "converged"},
 		Notes: []string{
-			fmt.Sprintf("synthetic %s corpus, %d articles, %d workers, %d shards, tol %.0e cap %d iterations",
-				experiments.SizeSmall, n, poolWorkers, shards, leaderboardIter.Tol, leaderboardIter.MaxIter),
+			fmt.Sprintf("synthetic %s corpus, %d articles, %d workers, tol %.0e cap %d iterations",
+				experiments.SizeSmall, n, poolWorkers, leaderboardIter.Tol, leaderboardIter.MaxIter),
 		},
 	}
 	for _, r := range results {
@@ -151,7 +144,7 @@ func runLeaderboard(stdout io.Writer, opts experiments.Options, topK, shards int
 	}
 	report := leaderboardReport{
 		Corpus: experiments.SizeSmall, Articles: n, Workers: poolWorkers,
-		Shards: shards, TopK: topK, Scorers: results, Pairwise: pairs,
+		TopK: topK, Scorers: results, Pairwise: pairs,
 	}
 	f, err := os.Create(jsonPath)
 	if err != nil {

@@ -8,18 +8,13 @@
 //	sareval -run T2 -quick      # one experiment on shrunken corpora
 //	sareval -run all -csv out/  # also write out/T2.csv etc.
 //	sareval -leaderboard -quick # rank one corpus with every registered scorer
-//	sareval -leaderboard -json BENCH_9.json
+//	sareval -leaderboard -json leaderboard.json
 //
 // With -leaderboard the experiment suite is skipped: instead every
 // registered core scorer ranks the same synthetic corpus on a shared
 // engine, and the tool prints per-scorer solve cost plus the pairwise
 // agreement matrix (Kendall τ-b, Spearman ρ, top-K overlap). -json
 // additionally writes the results as a machine-readable artifact.
-//
-// Solver parallelism follows -workers; when that is 0 the
-// QISA_BENCH_WORKERS environment variable is consulted (the same
-// contract as the top-level benchmarks) before falling back to
-// NumCPU.
 package main
 
 import (
@@ -29,7 +24,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -51,15 +45,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sareval", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		runID       = fs.String("run", "all", "experiment id (T1..T8, F1..F8) or 'all'")
+		runID       = fs.String("run", "all", "experiment id ("+experimentIDs()+") or 'all'")
 		quick       = fs.Bool("quick", false, "use shrunken corpora (seconds instead of minutes)")
-		workers     = fs.Int("workers", 0, "mat-vec workers (0 = QISA_BENCH_WORKERS, then NumCPU)")
+		workers     = fs.Int("workers", 0, "mat-vec workers (0 = NumCPU)")
 		seed        = fs.Int64("seed", 0, "seed offset for variance studies")
 		csvDir      = fs.String("csv", "", "directory to also write per-table CSV files")
 		leaderboard = fs.Bool("leaderboard", false, "rank one corpus with every registered core scorer and print the agreement matrix")
 		topK        = fs.Int("topk", 100, "top-K cutoff for the leaderboard overlap metric")
-		shards      = fs.Int("shards", 1, "leaderboard: solve damped walks over this many edge-balanced shards (one worker pool shared across shards)")
-		jsonPath    = fs.String("json", "", "write leaderboard results as a JSON artifact (BENCH_9.json in CI)")
+		jsonPath    = fs.String("json", "", "write leaderboard results as a JSON artifact")
 		version     = fs.Bool("version", false, "print build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -69,11 +62,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, obs.VersionString("sareval"))
 		return nil
 	}
-	resolved, err := resolveWorkers(*workers, os.Getenv("QISA_BENCH_WORKERS"))
-	if err != nil {
-		return err
-	}
-	*workers = resolved
 
 	opts := experiments.Options{Quick: *quick, Workers: *workers, Seed: *seed}
 
@@ -82,20 +70,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be positive, got %d", *shards)
-	}
 	if *leaderboard {
 		if *topK <= 0 {
 			return fmt.Errorf("-topk must be positive, got %d", *topK)
 		}
-		return runLeaderboard(stdout, opts, *topK, *shards, *jsonPath, *csvDir)
+		return runLeaderboard(stdout, opts, *topK, *jsonPath, *csvDir)
 	}
 	if *jsonPath != "" {
 		return fmt.Errorf("-json only applies to -leaderboard runs")
-	}
-	if *shards > 1 {
-		return fmt.Errorf("-shards only applies to -leaderboard runs")
 	}
 
 	var list []experiments.Experiment
@@ -131,20 +113,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// resolveWorkers applies the benchmark-parallelism contract: an
-// explicit -workers wins, then QISA_BENCH_WORKERS (the variable the
-// top-level benchmarks read), then 0 — the solver's NumCPU default. A
-// malformed environment value fails loudly rather than silently
-// benchmarking at the wrong parallelism.
-func resolveWorkers(flagWorkers int, env string) (int, error) {
-	if flagWorkers != 0 || env == "" {
-		return flagWorkers, nil
+// experimentIDs lists every registered experiment id for the -run
+// help, so the help cannot drift from the registry.
+func experimentIDs() string {
+	var ids []string
+	for _, e := range experiments.All() {
+		ids = append(ids, e.ID)
 	}
-	n, err := strconv.Atoi(env)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("bad QISA_BENCH_WORKERS %q", env)
-	}
-	return n, nil
+	return strings.Join(ids, ", ")
 }
 
 func writeCSV(dir string, t *experiments.Table) error {

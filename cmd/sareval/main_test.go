@@ -64,9 +64,9 @@ func TestRunBadFlag(t *testing.T) {
 }
 
 func TestRunLeaderboard(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_9.json")
+	jsonPath := filepath.Join(t.TempDir(), "leaderboard.json")
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-leaderboard", "-quick", "-topk", "50", "-json", jsonPath}, &out, &errBuf); err != nil {
+	if err := run([]string{"-leaderboard", "-quick", "-workers", "1", "-topk", "50", "-json", jsonPath}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -88,6 +88,7 @@ func TestRunLeaderboard(t *testing.T) {
 	}
 	var report struct {
 		Articles int `json:"articles"`
+		Workers  int `json:"workers"`
 		TopK     int `json:"top_k"`
 		Scorers  []struct {
 			Name      string `json:"name"`
@@ -107,45 +108,13 @@ func TestRunLeaderboard(t *testing.T) {
 	if len(report.Pairwise) != wantPairs {
 		t.Errorf("artifact has %d pairs, want %d", len(report.Pairwise), wantPairs)
 	}
+	// -workers is the one parallelism control; the artifact reports the
+	// shared pool's size.
+	if report.Workers != 1 || !strings.Contains(got, "1 workers") {
+		t.Errorf("artifact workers = %d, cost-table note %q; want 1", report.Workers, got)
+	}
 	if report.TopK != 50 || report.Articles == 0 {
 		t.Errorf("artifact metadata: %+v", report)
-	}
-}
-
-// TestRunLeaderboardShardedHonorsBenchWorkers is the regression test
-// for the benchmark-parallelism contract on the sharded path: with
-// -workers 0 the leaderboard must take its worker count from
-// QISA_BENCH_WORKERS and apply it to the single pool shared by every
-// shard — the artifact reports that pool's size, not workers×shards.
-func TestRunLeaderboardShardedHonorsBenchWorkers(t *testing.T) {
-	t.Setenv("QISA_BENCH_WORKERS", "1")
-	jsonPath := filepath.Join(t.TempDir(), "BENCH.json")
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-leaderboard", "-quick", "-shards", "2", "-topk", "20", "-json", jsonPath}, &out, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "1 workers, 2 shards") {
-		t.Errorf("cost-table note missing shared-pool shape: %q", out.String())
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Workers int `json:"workers"`
-		Shards  int `json:"shards"`
-	}
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Workers != 1 || report.Shards != 2 {
-		t.Errorf("artifact workers/shards = %d/%d, want 1/2", report.Workers, report.Shards)
-	}
-
-	// A malformed value still fails loudly on the sharded path.
-	t.Setenv("QISA_BENCH_WORKERS", "banana")
-	if err := run([]string{"-leaderboard", "-quick", "-shards", "2"}, &out, &errBuf); err == nil {
-		t.Error("bad QISA_BENCH_WORKERS accepted on sharded leaderboard")
 	}
 }
 
@@ -156,46 +125,5 @@ func TestRunLeaderboardFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-run", "T1", "-quick", "-json", "x.json"}, &out, &errBuf); err == nil {
 		t.Error("-json without -leaderboard accepted")
-	}
-	if err := run([]string{"-leaderboard", "-quick", "-shards", "0"}, &out, &errBuf); err == nil {
-		t.Error("-shards 0 accepted")
-	}
-	if err := run([]string{"-run", "T1", "-quick", "-shards", "2"}, &out, &errBuf); err == nil {
-		t.Error("-shards without -leaderboard accepted")
-	}
-}
-
-func TestResolveWorkers(t *testing.T) {
-	// -workers 0 defers to QISA_BENCH_WORKERS, the same contract the
-	// top-level benchmarks follow (the engine later clamps the request
-	// to GOMAXPROCS, so the resolution is tested before that clamp).
-	cases := []struct {
-		flag    int
-		env     string
-		want    int
-		wantErr bool
-	}{
-		{0, "", 0, false},
-		{0, "4", 4, false},
-		{3, "4", 3, false}, // explicit flag wins
-		{3, "", 3, false},
-		{0, "banana", 0, true},
-		{0, "-2", 0, true},
-		{0, "0", 0, true},
-	}
-	for _, c := range cases {
-		got, err := resolveWorkers(c.flag, c.env)
-		if (err != nil) != c.wantErr || got != c.want {
-			t.Errorf("resolveWorkers(%d, %q) = %d, %v; want %d, err=%v",
-				c.flag, c.env, got, err, c.want, c.wantErr)
-		}
-	}
-}
-
-func TestBenchWorkersEnvRejected(t *testing.T) {
-	t.Setenv("QISA_BENCH_WORKERS", "banana")
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-run", "T1", "-quick"}, &out, &errBuf); err == nil {
-		t.Error("bad QISA_BENCH_WORKERS accepted")
 	}
 }

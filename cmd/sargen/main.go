@@ -1,18 +1,15 @@
 // Command sargen generates a synthetic scholarly corpus and writes it
-// in JSONL, TSV, binary or columnar SCORP form, optionally together
-// with the oracle quality file the evaluation harness consumes.
+// in JSONL, TSV or columnar SCORP form, optionally together with the
+// oracle quality file the evaluation harness consumes.
 //
 // Usage:
 //
 //	sargen -n 100000 -seed 7 -out corpus.jsonl [-quality quality.tsv]
 //	sargen -n 100000 -seed 7 -out corpus.jsonl -emit-corpus corpus.scorp
-//	sargen -n 100000 -seed 7 -emit-corpus corpus.scorm -shards 4
 //
 // -emit-corpus additionally freezes the generated corpus into the
 // SCORP columnar format that sarserve -corpus boots from with zero
-// parsing. With -shards N (N > 1) it instead writes a multi-shard
-// layout: a SCORM manifest at the given path plus N per-shard SCORP
-// files beside it, partitioned edge-balanced over the solver order.
+// parsing.
 package main
 
 import (
@@ -27,9 +24,7 @@ import (
 	"scholarrank/internal/corpus"
 	"scholarrank/internal/gen"
 	"scholarrank/internal/graph"
-	"scholarrank/internal/hetnet"
 	"scholarrank/internal/obs"
-	"scholarrank/internal/shard"
 )
 
 func main() {
@@ -49,10 +44,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		n         = fs.Int("n", 20000, "number of articles")
 		seed      = fs.Int64("seed", 1, "generator seed")
 		out       = fs.String("out", "", "output path (default stdout)")
-		format    = fs.String("format", "", "output format: jsonl, tsv or bin (default: by extension, jsonl on stdout)")
+		format    = fs.String("format", "", "output format, one of "+cliutil.FormatList()+" (default: by extension, jsonl on stdout; aminer is read-only)")
 		qualOut   = fs.String("quality", "", "also write per-article latent quality TSV to this path")
 		scorpOut  = fs.String("emit-corpus", "", "also write the corpus as a columnar SCORP file to this path")
-		shards    = fs.Int("shards", 1, "with -emit-corpus: split the corpus into this many edge-balanced shards (SCORM manifest + per-shard SCORP files)")
 		meanRefs  = fs.Float64("refs", 12, "mean references per article")
 		startYear = fs.Int("start-year", 1970, "first publication year")
 		endYear   = fs.Int("end-year", 2017, "last publication year")
@@ -103,30 +97,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	if *shards < 1 {
-		return fmt.Errorf("-shards %d: want >= 1", *shards)
-	}
-	if *shards > 1 && *scorpOut == "" {
-		return fmt.Errorf("-shards %d requires -emit-corpus", *shards)
-	}
 	if *scorpOut != "" {
-		if *shards > 1 {
-			// Partition over the solver-ordered citation graph — the
-			// order shard files store rows in — so the on-disk layout
-			// matches what the sharded solver computes at runtime.
-			plan, err := shard.Partition(hetnet.Build(c.Store).SolverView().Citations, *shards)
-			if err != nil {
-				return err
-			}
-			m, err := corpus.WriteShardedSCORP(*scorpOut, c.Store, plan.Bounds)
-			if err != nil {
-				return err
-			}
-			if *stats {
-				fmt.Fprintf(stderr, "sharded corpus: %d shards, edges %v, cut %d\n",
-					m.NumShards(), plan.EdgeCounts(), plan.Cut)
-			}
-		} else if err := corpus.WriteSCORPFile(*scorpOut, c.Store); err != nil {
+		if err := corpus.WriteSCORPFile(*scorpOut, c.Store); err != nil {
 			return err
 		}
 	}

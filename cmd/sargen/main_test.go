@@ -31,10 +31,11 @@ func TestRunStdoutJSONL(t *testing.T) {
 
 func TestRunFileFormats(t *testing.T) {
 	dir := t.TempDir()
-	for _, ext := range []string{"jsonl", "tsv", "bin", "jsonl.gz", "bin.gz"} {
+	for _, ext := range []string{"jsonl", "tsv", "scorp", "jsonl.gz", "scorp.gz"} {
 		path := filepath.Join(dir, "c."+ext)
 		var out, errBuf bytes.Buffer
-		if err := run([]string{"-n", "150", "-out", path}, &out, &errBuf); err != nil {
+		boot := filepath.Join(dir, "boot-"+ext+".scorp")
+		if err := run([]string{"-n", "150", "-out", path, "-emit-corpus", boot}, &out, &errBuf); err != nil {
 			t.Fatalf("%s: %v", ext, err)
 		}
 		s, err := cliutil.LoadCorpus(path, "")
@@ -44,6 +45,15 @@ func TestRunFileFormats(t *testing.T) {
 		if s.NumArticles() != 150 {
 			t.Errorf("%s: articles = %d", ext, s.NumArticles())
 		}
+		// -emit-corpus writes the same corpus in the boot format.
+		m, err := corpus.OpenMapped(boot)
+		if err != nil {
+			t.Fatalf("%s: -emit-corpus: %v", ext, err)
+		}
+		if m.NumArticles() != 150 || m.NumCitations() != s.NumCitations() {
+			t.Errorf("%s: -emit-corpus wrote %d/%d, want 150/%d", ext, m.NumArticles(), m.NumCitations(), s.NumCitations())
+		}
+		m.Close()
 	}
 }
 
@@ -80,54 +90,6 @@ func TestRunStats(t *testing.T) {
 	}
 	if !strings.Contains(errBuf.String(), "nodes=150") {
 		t.Errorf("stats output = %q", errBuf.String())
-	}
-}
-
-func TestRunShardedCorpus(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "c.scorm")
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-n", "300", "-seed", "5", "-emit-corpus", path, "-shards", "3", "-stats"}, &out, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errBuf.String(), "sharded corpus: 3 shards") {
-		t.Errorf("stats output = %q", errBuf.String())
-	}
-	sc, err := corpus.OpenShardedSCORP(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if sc.NumShards() != 3 {
-		t.Fatalf("shards = %d", sc.NumShards())
-	}
-	if err := sc.VerifyFiles(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := sc.Assemble()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumArticles() != 300 {
-		t.Errorf("assembled articles = %d", s.NumArticles())
-	}
-	// The manifest also loads through the shared corpus loader.
-	via, err := cliutil.LoadCorpus(path, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if via.NumArticles() != 300 || via.NumCitations() != s.NumCitations() {
-		t.Errorf("LoadCorpus scorm: %d/%d", via.NumArticles(), via.NumCitations())
-	}
-}
-
-func TestRunShardsFlagValidation(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-n", "100", "-shards", "2"}, &out, &errBuf); err == nil {
-		t.Error("-shards without -emit-corpus accepted")
-	}
-	if err := run([]string{"-n", "100", "-emit-corpus", filepath.Join(t.TempDir(), "c.scorm"), "-shards", "0"}, &out, &errBuf); err == nil {
-		t.Error("-shards 0 accepted")
 	}
 }
 

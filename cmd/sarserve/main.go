@@ -55,7 +55,7 @@
 // memory-mapped (corpus.OpenMapped): the store's columns alias the
 // mapped pages directly, boot costs O(section table) regardless of
 // corpus size, and the OS page cache — shared across processes —
-// backs corpora larger than RAM. Legacy or unaligned files fall back
+// backs corpora larger than RAM. Unaligned files fall back
 // to the section-by-section heap loader automatically; -mmap=false
 // forces that path. Combined with -scores the process serves without
 // solving either; /stats reports corpus_load_mode, corpus_mmap_bytes
@@ -88,13 +88,12 @@ const shutdownGrace = 10 * time.Second
 
 func main() {
 	var (
-		in          = flag.String("in", "", "corpus file (jsonl, tsv, bin or scorp); required unless -corpus is set")
+		in          = flag.String("in", "", "corpus file ("+cliutil.FormatList()+"; .gz ok); required unless -corpus is set")
 		scorpPath   = flag.String("corpus", "", "columnar SCORP corpus for zero-parse boot (overrides -in)")
-		mmapFlag    = flag.Bool("mmap", true, "serve -corpus via mmap: O(1) boot, page-cache backed (falls back to the heap loader on unaligned or legacy files)")
+		mmapFlag    = flag.Bool("mmap", true, "serve -corpus via mmap: O(1) boot, page-cache backed (falls back to the heap loader on unaligned files)")
 		format      = flag.String("format", "", "corpus format override (with -in)")
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "solver worker threads (0 = all CPUs)")
-		shards      = flag.Int("shards", 1, "solve damped walks over this many edge-balanced shards with boundary-mass exchange (one shared worker pool)")
 		scorerName  = flag.String("scorer", "", "registered ranking scorer for every (re-)solve (empty = default pipeline)")
 		scores      = flag.String("scores", "", "ranking snapshot to boot from (skips the initial solve)")
 		spool       = flag.String("spool", "", "directory watched for JSONL delta files")
@@ -161,10 +160,6 @@ func main() {
 
 	opts := core.DefaultOptions()
 	opts.Workers = *workers
-	if *shards < 1 {
-		fatal("bad -shards", "shards", *shards)
-	}
-	opts.Shards = *shards
 	if *scorerName != "" {
 		if _, ok := core.ScorerDoc(*scorerName); !ok {
 			fatal("unknown -scorer", "scorer", *scorerName, "registered", core.ScorerNames())

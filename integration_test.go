@@ -21,12 +21,12 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Snapshot round trip must preserve the ranking exactly.
+	// SCORP round trip must preserve the ranking exactly.
 	var buf bytes.Buffer
-	if err := scholarrank.WriteBinary(&buf, gc.Store); err != nil {
+	if err := scholarrank.WriteSCORP(&buf, gc.Store); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := scholarrank.ReadBinary(&buf)
+	reloaded, err := scholarrank.ReadSCORP(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"scholarrank/internal/corpus"
@@ -24,19 +25,23 @@ var ErrUnknownMethod = errors.New("cliutil: unknown method")
 
 // Formats accepted by the tools.
 const (
-	FormatJSONL  = "jsonl"
-	FormatTSV    = "tsv"
-	FormatBinary = "bin"
+	FormatJSONL = "jsonl"
+	FormatTSV   = "tsv"
 	// FormatSCORP is the columnar zero-parse corpus format.
 	FormatSCORP = "scorp"
-	// FormatSCORM is the multi-shard SCORP manifest: a .scorm file
-	// naming per-shard .scorp files beside it (read-only here; write
-	// sharded layouts with sargen -shards).
-	FormatSCORM = "scorm"
 	// FormatAMiner is the AMiner citation-dataset JSON-lines schema
 	// (read-only; select explicitly with -format aminer).
 	FormatAMiner = "aminer"
 )
+
+// Formats is every format name the tools accept, in the order help
+// and error texts print them. It is the one list: DetectFormat
+// validates explicit names against it and the binaries build their
+// -in/-format help from FormatList.
+var Formats = []string{FormatJSONL, FormatTSV, FormatSCORP, FormatAMiner}
+
+// FormatList is Formats comma-joined, for flag help and error text.
+func FormatList() string { return strings.Join(Formats, ", ") }
 
 // DetectFormat infers the corpus format from a file name; explicit
 // wins over extension. A trailing .gz is transparent: real
@@ -44,25 +49,20 @@ const (
 // JSONL (LoadCorpus and SaveCorpus handle the compression).
 func DetectFormat(path, explicit string) (string, error) {
 	if explicit != "" {
-		switch explicit {
-		case FormatJSONL, FormatTSV, FormatBinary, FormatSCORP, FormatSCORM, FormatAMiner:
+		if slices.Contains(Formats, explicit) {
 			return explicit, nil
 		}
-		return "", fmt.Errorf("%w: %q", ErrUnknownFormat, explicit)
+		return "", fmt.Errorf("%w: %q (have %s)", ErrUnknownFormat, explicit, FormatList())
 	}
 	switch strings.ToLower(filepath.Ext(strings.TrimSuffix(path, ".gz"))) {
 	case ".jsonl", ".json", ".ndjson":
 		return FormatJSONL, nil
 	case ".tsv", ".txt":
 		return FormatTSV, nil
-	case ".bin", ".srnk":
-		return FormatBinary, nil
 	case ".scorp":
 		return FormatSCORP, nil
-	case ".scorm":
-		return FormatSCORM, nil
 	}
-	return "", fmt.Errorf("%w: cannot infer from %q (use -format)", ErrUnknownFormat, path)
+	return "", fmt.Errorf("%w: cannot infer from %q (use -format: %s)", ErrUnknownFormat, path, FormatList())
 }
 
 // LoadCorpus reads a corpus file in the given (or inferred) format,
@@ -71,19 +71,6 @@ func LoadCorpus(path, format string) (*corpus.Store, error) {
 	format, err := DetectFormat(path, format)
 	if err != nil {
 		return nil, err
-	}
-	if format == FormatSCORM {
-		// A manifest names sibling shard files, so it is loaded by
-		// path, not as a byte stream (and never gzipped).
-		if strings.HasSuffix(strings.ToLower(path), ".gz") {
-			return nil, fmt.Errorf("%w: scorm manifests cannot be gzipped", ErrUnknownFormat)
-		}
-		sc, err := corpus.OpenShardedSCORP(path)
-		if err != nil {
-			return nil, err
-		}
-		defer sc.Close()
-		return sc.Assemble()
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -108,9 +95,6 @@ func SaveCorpus(path, format string, s *corpus.Store) error {
 	format, err := DetectFormat(path, format)
 	if err != nil {
 		return err
-	}
-	if format == FormatSCORM {
-		return fmt.Errorf("%w: write sharded layouts with sargen -shards", ErrUnknownFormat)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -145,15 +129,11 @@ func ReadCorpus(r io.Reader, format string) (*corpus.Store, error) {
 		return corpus.ReadJSONL(r, opts)
 	case FormatTSV:
 		return corpus.ReadTSV(r, opts)
-	case FormatBinary:
-		return corpus.ReadBinary(r)
 	case FormatSCORP:
 		return corpus.ReadSCORP(r)
 	case FormatAMiner:
 		s, _, _, err := corpus.ReadAMinerJSON(r)
 		return s, err
-	case FormatSCORM:
-		return nil, fmt.Errorf("%w: scorm manifests reference sibling files and must be loaded by path (LoadCorpus)", ErrUnknownFormat)
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnknownFormat, format)
 }
@@ -165,8 +145,6 @@ func WriteCorpus(w io.Writer, s *corpus.Store, format string) error {
 		return corpus.WriteJSONL(w, s)
 	case FormatTSV:
 		return corpus.WriteTSV(w, s)
-	case FormatBinary:
-		return corpus.WriteBinary(w, s)
 	case FormatSCORP:
 		return corpus.WriteSCORP(w, s)
 	}

@@ -112,18 +112,6 @@ func BenchmarkReadTSV(b *testing.B) {
 	}
 }
 
-func BenchmarkReadBinary(b *testing.B) {
-	raw := benchEncoded(b, func(buf *bytes.Buffer, s *Store) error { return WriteBinary(buf, s) })
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCitationGraph(b *testing.B) {
 	s := benchStore(b)
 	b.ReportAllocs()
@@ -172,7 +160,7 @@ func BenchmarkCorpusLoadSCORP(b *testing.B) {
 // BenchmarkSCORPBoot measures the sarserve boot path — opening the
 // 100k-article reference corpus from disk — for the heap loader
 // versus OpenMapped. The ≥10× mmap advantage recorded in
-// EXPERIMENTS.md E3 (and shipped as BENCH_6.json) comes from here.
+// EXPERIMENTS.md E3 comes from here.
 func BenchmarkSCORPBoot(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "boot.scorp")
 	if err := WriteSCORPFile(path, sizedBuilder(b, 100_000).Freeze()); err != nil {

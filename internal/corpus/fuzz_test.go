@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -73,82 +72,6 @@ func fuzzSeedStore(f *testing.F) *Store {
 	return b.Freeze()
 }
 
-func FuzzReadBinary(f *testing.F) {
-	// Seed with a real snapshot plus mutations.
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, fuzzSeedStore(f)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte(binaryMagic))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, input []byte) {
-		got, err := ReadBinary(bytes.NewReader(input))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := WriteBinary(&out, got); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		if _, err := ReadBinary(&out); err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-	})
-}
-
-// FuzzParseShardManifest drives the SCORM manifest parser: arbitrary
-// bytes must yield a valid manifest or an error, never a panic, and
-// any manifest that parses must re-encode and re-parse to the same
-// structure.
-func FuzzParseShardManifest(f *testing.F) {
-	valid, err := EncodeShardManifest(&ShardManifest{
-		TotalArticles: 10, TotalAuthors: 3, TotalVenues: 2, TotalCitations: 17,
-		Shards: []ShardEntry{
-			{Lo: 0, Hi: 4, Size: 512, CRC: 0x11111111, File: "c-0000.scorp"},
-			{Lo: 4, Hi: 10, Size: 768, CRC: 0x22222222, File: "c-0001.scorp"},
-		},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	// Truncated mid-entry.
-	f.Add(valid[:len(valid)-20])
-	// Shard-count field disagrees with the entries present.
-	countMismatch := append([]byte(nil), valid...)
-	countMismatch[len(scormMagic)+3] = 5
-	f.Add(countMismatch)
-	// Manifest checksum corrupted.
-	crcFlip := append([]byte(nil), valid...)
-	crcFlip[len(crcFlip)-1] ^= 0xff
-	f.Add(crcFlip)
-	// Entry body corrupted under the original checksum — the shape a
-	// CRC-corrupt shard file's stale manifest entry takes.
-	entryFlip := append([]byte(nil), valid...)
-	entryFlip[scormHeaderLen+scormTotalsLen+8] ^= 0xff
-	f.Add(entryFlip)
-	f.Add([]byte(scormMagic))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, input []byte) {
-		m, err := ParseShardManifest(input)
-		if err != nil {
-			return
-		}
-		out, err := EncodeShardManifest(m)
-		if err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		m2, err := ParseShardManifest(out)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(m2, m) {
-			t.Fatalf("round trip changed the manifest:\n got %+v\nwant %+v", m2, m)
-		}
-	})
-}
-
 // FuzzReadSCORP drives the sectioned columnar reader: arbitrary bytes
 // must decode to a fully valid Store or an error, never a panic, and
 // any store that decodes must survive a write→read round trip with
@@ -161,7 +84,7 @@ func FuzzReadSCORP(f *testing.F) {
 	f.Add(buf.Bytes())
 	// A corpus whose oldest article arrives last, so the freeze-time
 	// chronological order is a non-identity permutation and the seed
-	// exercises the optional v2 perm section.
+	// exercises the optional perm section.
 	pb := NewBuilder()
 	h0, _ := pb.AddArticle(ArticleMeta{Key: "h0", Year: 2001, Venue: NoVenue})
 	h1, _ := pb.AddArticle(ArticleMeta{Key: "h1", Year: 2002, Venue: NoVenue})
@@ -176,17 +99,13 @@ func FuzzReadSCORP(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(permed.Bytes())
-	// Legacy packed layouts: a version-2 image (sections back to back,
-	// not 8-byte aligned) and the same bytes stamped version 3 — the
-	// misaligned-v3 shape OpenMapped must fall back to the heap loader
-	// on, and the decoder must still read.
-	var packed bytes.Buffer
-	if err := writeSCORP(&packed, pb.Freeze(), 2); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(packed.Bytes())
-	misaligned := append([]byte(nil), packed.Bytes()...)
-	misaligned[len(scorpMagic)] = 3
+	// testdata/fuzz/FuzzReadSCORP/seed-packed-v2 (loaded by the fuzz
+	// engine) is a retired version-2 image, sections back to back. The
+	// same bytes stamped with the current version are the misaligned
+	// shape OpenMapped must fall back to the heap loader on, and the
+	// decoder must still read.
+	misaligned := readFuzzSeed(f, "testdata/fuzz/FuzzReadSCORP/seed-packed-v2")
+	misaligned[len(scorpMagic)] = scorpVersion
 	f.Add(misaligned)
 	var empty bytes.Buffer
 	if err := WriteSCORP(&empty, NewBuilder().Freeze()); err != nil {

@@ -63,11 +63,11 @@ func (m *mapRegion) release() error {
 // regardless of corpus size and the OS page cache — shared across
 // processes — serves corpora larger than RAM.
 //
-// The mapped path requires a version ≥ 3 file (8-byte-aligned
-// sections), a little-endian host, and an OS with mmap support; in
-// every other case — including a valid v1/v2 file or a v3 file whose
-// sections are misaligned — OpenMapped silently falls back to the
-// heap loader and returns a fully-owned store whose Close is a no-op.
+// The mapped path requires 8-byte-aligned sections, a little-endian
+// host, and an OS with mmap support; in every other case — a file
+// whose sections are misaligned, a filesystem that refuses mmap, a
+// platform without it — OpenMapped silently falls back to the heap
+// loader and returns a fully-owned store whose Close is a no-op.
 // LoadMode reports which path was taken.
 //
 // Trust model: the heap loader CRC-checks and validates every column;

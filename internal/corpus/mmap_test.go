@@ -171,42 +171,15 @@ func TestOpenMappedEmptyCorpus(t *testing.T) {
 	}
 }
 
-// TestOpenMappedPackedV2FallsBack opens a legacy packed-layout file:
-// OpenMapped must fall back to the heap loader, not error.
-func TestOpenMappedPackedV2FallsBack(t *testing.T) {
-	want := buildPermuted(t)
-	var buf bytes.Buffer
-	if err := writeSCORP(&buf, want, 2); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "v2.scorp")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Close()
-	if got.LoadMode() != "heap" || got.Mapped() {
-		t.Errorf("v2 file load mode = %q, mapped %v; want heap fallback", got.LoadMode(), got.Mapped())
-	}
-	assertStoresAgree(t, want, got)
-}
-
-// TestOpenMappedMisalignedV3FallsBack stamps a packed v2 image with
-// the v3 version byte (which no section CRC covers): the offsets are
-// then misaligned for a v3 file, and OpenMapped must detect that and
+// TestOpenMappedMisalignedV3FallsBack stamps the committed packed v2
+// seed with the current version byte (which no section CRC covers):
+// the offsets are then misaligned, and OpenMapped must detect that and
 // fall back to the heap loader rather than handing out columns that
 // would fault on aligned access.
 func TestOpenMappedMisalignedV3FallsBack(t *testing.T) {
-	want := buildTiny(t)
-	var buf bytes.Buffer
-	if err := writeSCORP(&buf, want, 2); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[len(scorpMagic)] = 3
+	want := buildPermuted(t) // the corpus the seed was written from
+	raw := readFuzzSeed(t, "testdata/fuzz/FuzzReadSCORP/seed-packed-v2")
+	raw[len(scorpMagic)] = scorpVersion
 	// Sanity: the forged file really is misaligned.
 	tab, err := parseSCORPTable(raw, uint64(len(raw)))
 	if err != nil {

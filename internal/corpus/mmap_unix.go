@@ -43,9 +43,10 @@ func openMapped(path string) (*Store, error) {
 		syscall.Munmap(data)
 		return nil, err
 	}
-	if tab.version < 3 || !tab.aligned() {
-		// Packed legacy layout: payloads are not reinterpretable in
-		// place, so load onto the heap instead of erroring.
+	if !tab.aligned() {
+		// The version byte is outside every CRC, so a forged image can
+		// claim the aligned layout without having it: such payloads are
+		// not reinterpretable in place, so load onto the heap instead.
 		syscall.Munmap(data)
 		return ReadSCORPAt(f, size)
 	}

@@ -25,8 +25,8 @@ import (
 // by tag, ignore unknown tags, and fail only on a missing required
 // section — versioning rules mirror the SRNKS ranking snapshot.
 //
-// Sections of version 1 (counts live in "meta"; every array section's
-// byte length is cross-checked against the counts before decoding):
+// Sections (counts live in "meta"; every array section's byte length
+// is cross-checked against the counts before decoding):
 //
 //	meta  4×u64: articles, authors, venues, citations
 //	arna  string arena bytes
@@ -39,28 +39,25 @@ import (
 //	uaof/uaid   author→articles CSR
 //	vkof/vnof   venue key/name offsets      (venues+1)×i64
 //	vaof/vaid   venue→articles CSR
+//	perm  optional solver-order permutation, articles×i32 forward map
+//	      (fwd[orig] = permuted; must be a bijection), written only
+//	      when the store carries a non-identity permutation
 //
-// Version 2 adds one optional section:
+// Every section offset is 8-byte aligned, with zero padding between
+// sections. The padding bytes belong to no section and are excluded
+// from every CRC. Alignment lets OpenMapped reinterpret the mapped
+// file's payloads in place as the Store's int64/int32 columns with
+// zero copies.
 //
-//	perm  solver-order permutation, articles×i32 forward map
-//	      (fwd[orig] = permuted; must be a bijection)
-//
-// The section is written only when the store carries a non-identity
-// permutation, and omitted otherwise. Version 1 files (no perm
-// section) still load, with the identity permutation assumed; the
-// writer always emits the current version.
-//
-// Version 3 changes only the placement of payloads: every section
-// offset is 8-byte aligned, with zero padding between sections. The
-// padding bytes belong to no section and are excluded from every CRC.
-// Alignment lets OpenMapped reinterpret the mapped file's payloads in
-// place as the Store's int64/int32 columns with zero copies; versions
-// 1 and 2 (packed payloads) still load through the heap decoder, and
-// a mapped open of an unaligned file silently falls back to it.
+// There is one version. A header stamped with any other is refused
+// with ErrCorpusVersion; regenerate the file from JSONL/TSV with
+// sarank -save-corpus. The version byte is outside every CRC, so the
+// mapped loader still checks alignment itself rather than trusting
+// the stamp (see openMapped).
 const (
 	scorpMagic   = "SCORP"
 	scorpVersion = 3
-	// scorpAlign is the payload alignment version 3 guarantees: wide
+	// scorpAlign is the payload alignment the writer guarantees: wide
 	// enough for the widest column element type (int64).
 	scorpAlign = 8
 	// scorpMaxSections bounds the section table so a hostile header
@@ -154,49 +151,23 @@ func scorpSections(s *Store) map[string][]byte {
 	return sections
 }
 
-// WriteSCORP encodes the store in SCORP format (current version, with
-// 8-byte-aligned sections so the file can be served via OpenMapped).
+// WriteSCORP encodes the store in SCORP format, with 8-byte-aligned
+// sections so the file can be served via OpenMapped.
 func WriteSCORP(w io.Writer, s *Store) error {
-	return writeSCORP(w, s, scorpVersion)
-}
-
-// writeSCORP encodes the store as the given format version. Versions
-// 3+ align every payload to scorpAlign with zero padding (excluded
-// from the CRCs); versions 1–2 pack payloads back to back — kept so
-// compatibility tests and fuzz seeds can produce legacy images.
-func writeSCORP(w io.Writer, s *Store, version byte) error {
-	return writeSCORPExtra(w, s, version, nil, nil)
-}
-
-// writeSCORPExtra encodes the store with additional sections appended
-// after the standard ones, in extraOrder. Extra tags ride the normal
-// section table — aligned, CRC'd, and ignored by readers that do not
-// know them — which is how the multi-shard layout embeds its shard
-// descriptor and cross-reference sections in otherwise ordinary SCORP
-// files.
-func writeSCORPExtra(w io.Writer, s *Store, version byte, extraOrder []string, extra map[string][]byte) error {
 	sections := scorpSections(s)
 	order := scorpSectionOrder
 	if _, ok := sections["perm"]; ok {
 		order = append(append([]string(nil), order...), "perm")
 	}
-	if len(extraOrder) > 0 {
-		order = append(append([]string(nil), order...), extraOrder...)
-		for _, tag := range extraOrder {
-			sections[tag] = extra[tag]
-		}
-	}
 	header := make([]byte, 0, scorpHeaderLen+len(order)*scorpEntryLen)
 	header = append(header, scorpMagic...)
-	header = append(header, version, 0, 0)
+	header = append(header, scorpVersion, 0, 0)
 	header = binary.LittleEndian.AppendUint32(header, uint32(len(order)))
 	offset := uint64(scorpHeaderLen + len(order)*scorpEntryLen)
 	offsets := make([]uint64, len(order))
 	for i, tag := range order {
 		payload := sections[tag]
-		if version >= 3 {
-			offset = alignUp(offset)
-		}
+		offset = alignUp(offset)
 		offsets[i] = offset
 		header = append(header, tag...)
 		header = binary.LittleEndian.AppendUint64(header, offset)
@@ -232,10 +203,9 @@ type scorpEntry struct {
 	crc    uint32
 }
 
-// scorpTable is the parsed header: format version plus the section
-// table in file order, bounds-checked against the file size.
+// scorpTable is the parsed header: the section table in file order,
+// bounds-checked against the file size.
 type scorpTable struct {
-	version byte
 	entries []scorpEntry
 	byTag   map[string]int
 }
@@ -267,11 +237,8 @@ func parseSCORPTable(hdr []byte, size uint64) (*scorpTable, error) {
 	if len(hdr) < scorpHeaderLen || string(hdr[:len(scorpMagic)]) != scorpMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadCorpus)
 	}
-	// Versions 1 (pre-permutation) and 2 (packed sections) remain
-	// readable; the decoder only looks sections up by tag.
-	v := hdr[len(scorpMagic)]
-	if v < 1 || v > scorpVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrCorpusVersion, v)
+	if v := hdr[len(scorpMagic)]; v != scorpVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrCorpusVersion, v, scorpVersion)
 	}
 	count := binary.LittleEndian.Uint32(hdr[len(scorpMagic)+3:])
 	if count > scorpMaxSections {
@@ -282,7 +249,6 @@ func parseSCORPTable(hdr []byte, size uint64) (*scorpTable, error) {
 		return nil, fmt.Errorf("%w: truncated section table", ErrBadCorpus)
 	}
 	t := &scorpTable{
-		version: v,
 		entries: make([]scorpEntry, 0, count),
 		byTag:   make(map[string]int, count),
 	}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -61,17 +64,59 @@ func TestSCORPBadMagic(t *testing.T) {
 	}
 }
 
+// TestSCORPBadVersion stamps every version but the current one on an
+// otherwise valid image: all three loaders must refuse it with
+// ErrCorpusVersion rather than decode bytes laid out for another
+// format revision. The committed packed v2 seed is the real thing, not
+// a re-stamp.
 func TestSCORPBadVersion(t *testing.T) {
-	s := buildTiny(t)
 	var buf bytes.Buffer
-	if err := WriteSCORP(&buf, s); err != nil {
+	if err := WriteSCORP(&buf, buildTiny(t)); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	raw[len(scorpMagic)] = 99
-	if _, err := DecodeSCORP(raw); !errors.Is(err, ErrCorpusVersion) {
-		t.Errorf("err = %v", err)
+	images := map[string][]byte{"packed-v2-seed": readFuzzSeed(t, "testdata/fuzz/FuzzReadSCORP/seed-packed-v2")}
+	for _, v := range []byte{1, 2, 4} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		raw[len(scorpMagic)] = v // the version byte is outside every section CRC
+		images[fmt.Sprintf("stamped-v%d", v)] = raw
 	}
+	for name, raw := range images {
+		if _, err := DecodeSCORP(raw); !errors.Is(err, ErrCorpusVersion) {
+			t.Errorf("%s: DecodeSCORP err = %v", name, err)
+		}
+		if _, err := ReadSCORPAt(bytes.NewReader(raw), int64(len(raw))); !errors.Is(err, ErrCorpusVersion) {
+			t.Errorf("%s: ReadSCORPAt err = %v", name, err)
+		}
+		path := filepath.Join(t.TempDir(), "old.scorp")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := OpenMapped(path); !errors.Is(err, ErrCorpusVersion) {
+			t.Errorf("%s: OpenMapped err = %v", name, err)
+			if err == nil {
+				got.Close()
+			}
+		}
+	}
+}
+
+// readFuzzSeed returns the []byte value of a one-argument Go fuzz
+// corpus file ("go test fuzz v1" header, then []byte("…")).
+func readFuzzSeed(t testing.TB, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+		t.Fatalf("%s: not a one-value []byte fuzz seed", path)
+	}
+	val, err := strconv.Unquote(lines[1][len("[]byte(") : len(lines[1])-1])
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(val)
 }
 
 func TestSCORPCorruptionDetected(t *testing.T) {
@@ -245,27 +290,6 @@ func TestSCORPPermRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Error("re-encode with perm section is not byte-stable")
-	}
-}
-
-// TestSCORPVersion1StillLoads verifies backward compatibility: a file
-// with the pre-permutation version byte and no perm section decodes,
-// yielding the identity (nil) permutation.
-func TestSCORPVersion1StillLoads(t *testing.T) {
-	s := buildTiny(t).WithoutSolverPermutation()
-	var buf bytes.Buffer
-	if err := WriteSCORP(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[len(scorpMagic)] = 1 // version byte is outside any section CRC
-	got, err := DecodeSCORP(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCorpus(t, s, got)
-	if got.SolverPermutation() != nil {
-		t.Error("version 1 file produced a permutation")
 	}
 }
 

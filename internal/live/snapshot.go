@@ -34,8 +34,7 @@ import (
 	"scholarrank/internal/sparse"
 )
 
-// Snapshot binary format, pattern-matching the corpus snapshot
-// (internal/corpus/binary.go):
+// Snapshot binary format:
 //
 //	magic "SRNKS" | version byte | payload | crc32(payload) BE uint32
 //
@@ -43,20 +42,17 @@ import (
 // IEEE-754 bit patterns):
 //
 //	seq createdUnix fingerprint(8B) articles citations
-//	[v3+: scorer(string) nopts { key(string) value(8B) }×nopts]
+//	scorer(string) nopts { key(string) value(8B) }×nopts
 //	n  importance[n] prestige[n] popularity[n] hetero[n]
 //	   rawPrestige[n] percentile[n]
 //	prestigeStats heteroStats   (each: iterations residual(8B) converged
-//	                             [v2+: elapsedNanos])
+//	                             elapsedNanos)
 //
 // Strings are a uvarint length followed by raw bytes. Option keys are
 // written in sorted order, so equal snapshots encode to equal bytes.
 //
-// Version 2 added the per-phase solver wall time to the stats blocks;
-// version 3 added the scorer name and its option bag. Older snapshots
-// are still readable: elapsed decodes as zero, and the scorer decodes
-// as the default pipeline (which is what produced every pre-v3
-// snapshot).
+// There is one version; any other is refused with ErrSnapshotVers and
+// the ranking is regenerated with sarank -save-scores.
 const (
 	snapshotMagic   = "SRNKS"
 	snapshotVersion = 3
@@ -95,7 +91,6 @@ type Snapshot struct {
 
 	// Scorer is the registry name of the scorer that produced the
 	// ranking, and ScorerOpts its option bag (nil when defaults).
-	// Pre-v3 snapshots decode as the default pipeline.
 	Scorer     string
 	ScorerOpts core.ScorerOptions
 
@@ -240,7 +235,7 @@ func Fingerprint(s *corpus.Store) uint64 {
 	return h.Sum64()
 }
 
-// crcWriter tees writes into a CRC32, mirroring the corpus codec.
+// crcWriter tees writes into a CRC32.
 type crcWriter struct {
 	w   *bufio.Writer
 	crc uint32
@@ -282,7 +277,7 @@ func (cw *crcWriter) vector(v []float64) error {
 	return nil
 }
 
-func (cw *crcWriter) stats(st sparse.IterStats, version byte) error {
+func (cw *crcWriter) stats(st sparse.IterStats) error {
 	if err := cw.uvarint(uint64(st.Iterations)); err != nil {
 		return err
 	}
@@ -296,21 +291,12 @@ func (cw *crcWriter) stats(st sparse.IterStats, version byte) error {
 	if _, err := cw.Write([]byte{b}); err != nil {
 		return err
 	}
-	if version >= 2 {
-		return cw.uvarint(uint64(st.Elapsed))
-	}
-	return nil
+	return cw.uvarint(uint64(st.Elapsed))
 }
 
 // WriteSnapshot writes the snapshot to w in the checksummed binary
-// format (current version).
+// format.
 func WriteSnapshot(w io.Writer, sn *Snapshot) error {
-	return writeSnapshotVersion(w, sn, snapshotVersion)
-}
-
-// writeSnapshotVersion writes the snapshot in a specific format
-// version; the compatibility tests use it to produce old encodings.
-func writeSnapshotVersion(w io.Writer, sn *Snapshot, version byte) error {
 	n := len(sn.Importance)
 	for _, v := range [][]float64{sn.Prestige, sn.Popularity, sn.Hetero, sn.RawPrestige, sn.Percentile} {
 		if len(v) != n {
@@ -321,7 +307,7 @@ func writeSnapshotVersion(w io.Writer, sn *Snapshot, version byte) error {
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return fmt.Errorf("live: write snapshot: %w", err)
 	}
-	if err := bw.WriteByte(version); err != nil {
+	if err := bw.WriteByte(snapshotVersion); err != nil {
 		return fmt.Errorf("live: write snapshot: %w", err)
 	}
 	cw := &crcWriter{w: bw}
@@ -343,25 +329,23 @@ func writeSnapshotVersion(w io.Writer, sn *Snapshot, version byte) error {
 		if err := cw.uvarint(uint64(sn.Citations)); err != nil {
 			return err
 		}
-		if version >= 3 {
-			if err := cw.string(sn.Scorer); err != nil {
+		if err := cw.string(sn.Scorer); err != nil {
+			return err
+		}
+		keys := make([]string, 0, len(sn.ScorerOpts))
+		for k := range sn.ScorerOpts {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if err := cw.uvarint(uint64(len(keys))); err != nil {
+			return err
+		}
+		for _, k := range keys {
+			if err := cw.string(k); err != nil {
 				return err
 			}
-			keys := make([]string, 0, len(sn.ScorerOpts))
-			for k := range sn.ScorerOpts {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			if err := cw.uvarint(uint64(len(keys))); err != nil {
+			if err := cw.float(sn.ScorerOpts[k]); err != nil {
 				return err
-			}
-			for _, k := range keys {
-				if err := cw.string(k); err != nil {
-					return err
-				}
-				if err := cw.float(sn.ScorerOpts[k]); err != nil {
-					return err
-				}
 			}
 		}
 		if err := cw.uvarint(uint64(n)); err != nil {
@@ -372,10 +356,10 @@ func writeSnapshotVersion(w io.Writer, sn *Snapshot, version byte) error {
 				return err
 			}
 		}
-		if err := cw.stats(sn.PrestigeStats, version); err != nil {
+		if err := cw.stats(sn.PrestigeStats); err != nil {
 			return err
 		}
-		return cw.stats(sn.HeteroStats, version)
+		return cw.stats(sn.HeteroStats)
 	}()
 	if err != nil {
 		return fmt.Errorf("live: write snapshot: %w", err)
@@ -441,19 +425,22 @@ func (cr *crcReader) string() (string, error) {
 	return string(buf), nil
 }
 
+// vector reads n floats. The slice grows with the bytes actually
+// read, so a hostile length prefix (n is only capped at
+// maxSnapshotLen) cannot demand more memory than the input holds.
 func (cr *crcReader) vector(n int) ([]float64, error) {
-	out := make([]float64, n)
-	for i := range out {
+	out := make([]float64, 0, min(n, 4096))
+	for len(out) < n {
 		f, err := cr.float()
 		if err != nil {
 			return nil, err
 		}
-		out[i] = f
+		out = append(out, f)
 	}
 	return out, nil
 }
 
-func (cr *crcReader) stats(version byte) (sparse.IterStats, error) {
+func (cr *crcReader) stats() (sparse.IterStats, error) {
 	var st sparse.IterStats
 	iters, err := cr.uvarint()
 	if err != nil {
@@ -471,13 +458,11 @@ func (cr *crcReader) stats(version byte) (sparse.IterStats, error) {
 		return st, fmt.Errorf("%w: converged flag: %w", ErrBadSnapshot, err)
 	}
 	st.Converged = conv != 0
-	if version >= 2 {
-		ns, err := cr.uvarint()
-		if err != nil {
-			return st, err
-		}
-		st.Elapsed = time.Duration(ns)
+	ns, err := cr.uvarint()
+	if err != nil {
+		return st, err
 	}
+	st.Elapsed = time.Duration(ns)
 	return st, nil
 }
 
@@ -496,11 +481,11 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: version: %w", ErrBadSnapshot, err)
 	}
-	if version < 1 || version > snapshotVersion {
-		return nil, fmt.Errorf("%w: %d", ErrSnapshotVers, version)
+	if version != snapshotVersion {
+		return nil, fmt.Errorf("%w: %d, want %d", ErrSnapshotVers, version, snapshotVersion)
 	}
 	cr := &crcReader{r: br}
-	sn, err := readSnapshotPayload(cr, version)
+	sn, err := readSnapshotPayload(cr)
 	if err != nil {
 		return nil, err
 	}
@@ -514,7 +499,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return sn, nil
 }
 
-func readSnapshotPayload(cr *crcReader, version byte) (*Snapshot, error) {
+func readSnapshotPayload(cr *crcReader) (*Snapshot, error) {
 	sn := &Snapshot{}
 	seq, err := cr.uvarint()
 	if err != nil {
@@ -544,34 +529,29 @@ func readSnapshotPayload(cr *crcReader, version byte) (*Snapshot, error) {
 	}
 	sn.Articles = int(articles)
 	sn.Citations = int(citations)
-	if version >= 3 {
-		if sn.Scorer, err = cr.string(); err != nil {
-			return nil, err
-		}
-		nopts, err := cr.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nopts > maxSnapshotStr {
-			return nil, fmt.Errorf("%w: %d scorer options", ErrBadSnapshot, nopts)
-		}
-		if nopts > 0 {
-			sn.ScorerOpts = make(core.ScorerOptions, nopts)
-			for i := uint64(0); i < nopts; i++ {
-				k, err := cr.string()
-				if err != nil {
-					return nil, err
-				}
-				v, err := cr.float()
-				if err != nil {
-					return nil, err
-				}
-				sn.ScorerOpts[k] = v
+	if sn.Scorer, err = cr.string(); err != nil {
+		return nil, err
+	}
+	nopts, err := cr.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if nopts > maxSnapshotStr {
+		return nil, fmt.Errorf("%w: %d scorer options", ErrBadSnapshot, nopts)
+	}
+	if nopts > 0 {
+		sn.ScorerOpts = make(core.ScorerOptions, nopts)
+		for i := uint64(0); i < nopts; i++ {
+			k, err := cr.string()
+			if err != nil {
+				return nil, err
 			}
+			v, err := cr.float()
+			if err != nil {
+				return nil, err
+			}
+			sn.ScorerOpts[k] = v
 		}
-	} else {
-		// Every pre-v3 snapshot was produced by the default pipeline.
-		sn.Scorer = core.DefaultScorer
 	}
 	n, err := cr.uvarint()
 	if err != nil {
@@ -587,10 +567,10 @@ func readSnapshotPayload(cr *crcReader, version byte) (*Snapshot, error) {
 		}
 		*dst = v
 	}
-	if sn.PrestigeStats, err = cr.stats(version); err != nil {
+	if sn.PrestigeStats, err = cr.stats(); err != nil {
 		return nil, err
 	}
-	if sn.HeteroStats, err = cr.stats(version); err != nil {
+	if sn.HeteroStats, err = cr.stats(); err != nil {
 		return nil, err
 	}
 	return sn, nil

@@ -9,7 +9,7 @@ import (
 	"scholarrank/internal/sparse"
 )
 
-// TestSnapshotScorerRoundTrip checks that format v3 persists the
+// TestSnapshotScorerRoundTrip checks that the format persists the
 // scorer name and option bag, including for a non-default scorer
 // whose missing component vectors are stored as zeros.
 func TestSnapshotScorerRoundTrip(t *testing.T) {
@@ -53,33 +53,6 @@ func TestSnapshotScorerRoundTrip(t *testing.T) {
 	scores := got.Scores()
 	if scores.Scorer != core.ScorerEWPR || scores.ScorerOpts["damping"] != 0.9 {
 		t.Errorf("Scores() view lost scorer metadata: %q %v", scores.Scorer, scores.ScorerOpts)
-	}
-}
-
-// TestSnapshotPreV3LoadsAsDefault checks the compatibility contract:
-// snapshots written before the scorer field existed decode as the
-// default pipeline with no option bag.
-func TestSnapshotPreV3LoadsAsDefault(t *testing.T) {
-	store, sc := rankedFixture(t)
-	sn := Capture(store, sc, 2, 1700000000)
-	for _, version := range []byte{1, 2} {
-		var buf bytes.Buffer
-		if err := writeSnapshotVersion(&buf, sn, version); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("v%d snapshot rejected: %v", version, err)
-		}
-		if got.Scorer != core.DefaultScorer {
-			t.Errorf("v%d: scorer = %q, want %q", version, got.Scorer, core.DefaultScorer)
-		}
-		if got.ScorerOpts != nil {
-			t.Errorf("v%d: decode invented scorer opts: %v", version, got.ScorerOpts)
-		}
-		if got.Scores().Scorer != core.DefaultScorer {
-			t.Errorf("v%d: Scores() scorer = %q", version, got.Scores().Scorer)
-		}
 	}
 }
 

@@ -3,8 +3,11 @@ package live
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
+	"time"
 
 	"scholarrank/internal/core"
 	"scholarrank/internal/corpus"
@@ -127,6 +130,103 @@ func TestSnapshotBadInputs(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("truncated: %v", err)
 	}
+}
+
+// TestSnapshotElapsedRoundTrip checks that the per-phase solver wall
+// times persist.
+func TestSnapshotElapsedRoundTrip(t *testing.T) {
+	store, sc := rankedFixture(t)
+	sn := Capture(store, sc, 1, 1700000000)
+	sn.PrestigeStats.Elapsed = 1234567 * time.Nanosecond
+	sn.HeteroStats.Elapsed = 42 * time.Millisecond
+
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, sn); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.PrestigeStats.Elapsed != sn.PrestigeStats.Elapsed ||
+		got.HeteroStats.Elapsed != sn.HeteroStats.Elapsed {
+		t.Errorf("elapsed round trip: %v/%v, want %v/%v",
+			got.PrestigeStats.Elapsed, got.HeteroStats.Elapsed,
+			sn.PrestigeStats.Elapsed, sn.HeteroStats.Elapsed)
+	}
+}
+
+// snapshotV1Image returns the committed SRNKS version-1 image, written
+// once by the retired v1 encoder.
+func snapshotV1Image(t testing.TB) []byte {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/snapshot-v1.srnks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestSnapshotOtherVersionsRefused: there is one snapshot version. A
+// real v1 image and a valid image re-stamped 1, 2 or 4 are refused
+// with ErrSnapshotVers, never decoded as if the layouts matched.
+func TestSnapshotOtherVersionsRefused(t *testing.T) {
+	store, sc := rankedFixture(t)
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, Capture(store, sc, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	images := map[string][]byte{"v1-image": snapshotV1Image(t)}
+	for _, v := range []byte{1, 2, 4} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		raw[len(snapshotMagic)] = v
+		images["stamped-v"+strconv.Itoa(int(v))] = raw
+	}
+	for name, raw := range images {
+		if _, err := ReadSnapshot(bytes.NewReader(raw)); !errors.Is(err, ErrSnapshotVers) {
+			t.Errorf("%s: err = %v, want ErrSnapshotVers", name, err)
+		}
+	}
+}
+
+// FuzzReadSnapshot drives the decoder sarserve -scores feeds with
+// bytes from outside the process (typically another replica's GET
+// /admin/snapshot): arbitrary input must yield an error or a snapshot
+// that survives WriteSnapshot∘ReadSnapshot unchanged — never a panic.
+func FuzzReadSnapshot(f *testing.F) {
+	store, sc := rankedFixture(f)
+	var valid bytes.Buffer
+	if err := WriteSnapshot(&valid, Capture(store, sc, 7, 1700000000)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(snapshotV1Image(f))
+	f.Add(valid.Bytes()[:valid.Len()/2])
+	crcFlip := append([]byte(nil), valid.Bytes()...)
+	crcFlip[len(crcFlip)-1] ^= 0xff
+	f.Add(crcFlip)
+	f.Fuzz(func(t *testing.T, input []byte) {
+		sn, err := ReadSnapshot(bytes.NewReader(input))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteSnapshot(&out, sn); err != nil {
+			t.Fatalf("re-encode failed: %v", err)
+		}
+		sn2, err := ReadSnapshot(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		// Compare encodings, not structs: scores may be NaN.
+		var again bytes.Buffer
+		if err := WriteSnapshot(&again, sn2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), again.Bytes()) {
+			t.Fatal("round trip changed the snapshot")
+		}
+	})
 }
 
 func TestSnapshotMatches(t *testing.T) {

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"strconv"
-
 	"scholarrank/internal/core"
 	"scholarrank/internal/obs"
 	"scholarrank/internal/sparse"
@@ -28,9 +26,6 @@ const (
 	metricItersSaved        = "sarserve_solver_iterations_saved"
 	metricPoolWorkers       = "sarserve_solver_pool_workers"
 	metricPoolSweeps        = "sarserve_solver_pool_sweeps"
-	metricSolverShards      = "sarserve_solver_shards"
-	metricShardEdges        = "sarserve_solver_shard_edges"
-	metricBoundaryExchanges = "sarserve_solver_boundary_mass_exchanges_total"
 	metricCorpusBytes       = "sarserve_corpus_bytes"
 	metricCorpusLoadSecs    = "sarserve_corpus_load_seconds"
 	metricCorpusArticles    = "sarserve_corpus_articles"
@@ -60,7 +55,6 @@ type serveMetrics struct {
 
 	warmSaved         *obs.Counter
 	extrapolations    *obs.Counter
-	boundaryExchanges *obs.Counter
 	ingestApplied     *obs.Counter
 	ingestQuarantined *obs.Counter
 
@@ -95,8 +89,6 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 			"Solver iterations avoided by warm-starting re-solves, versus the previous generation's solve.", nil),
 		extrapolations: reg.Counter(metricExtrapolations,
 			"Accepted Aitken extrapolation steps across every solve this process has run.", nil),
-		boundaryExchanges: reg.Counter(metricBoundaryExchanges,
-			"Cross-shard boundary-mass exchanges across every sharded solve this process has run.", nil),
 		ingestApplied: reg.Counter(metricIngestApplied,
 			"Delta batches folded into the corpus (HTTP bodies and spool files).", nil),
 		ingestQuarantined: reg.Counter(metricIngestQuarantined,
@@ -118,7 +110,6 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 // completes (the boot solve and every rebuild).
 func (m *serveMetrics) solve(sc *core.Scores) {
 	m.extrapolations.Add(uint64(sc.PrestigeStats.Extrapolations + sc.HeteroStats.Extrapolations))
-	m.boundaryExchanges.Add(uint64(sc.PrestigeStats.Exchanges + sc.HeteroStats.Exchanges))
 }
 
 // swap counts one generation swap by source ("ingest" or "reload").
@@ -214,30 +205,6 @@ func (m *serveMetrics) observeServer(s *Server) {
 	m.reg.GaugeFunc(metricPoolSweeps,
 		"Cumulative kernel sweeps the solver pool has executed.", nil,
 		func() float64 { return float64(scores().Pool.Runs) })
-
-	m.reg.GaugeFunc(metricSolverShards,
-		"Explicit shard count of the last solve (1 = the default sweep schedule).", nil,
-		func() float64 { return float64(scores().Shards) })
-	// One series per configured shard; the shard count is fixed by the
-	// server config, so the family shape never changes at runtime. An
-	// unsharded server exposes shard="0" reading zero (the single-Store
-	// solve keeps no per-shard edge breakdown).
-	shardSeries := s.cfg.Options.Shards
-	if shardSeries < 1 {
-		shardSeries = 1
-	}
-	for i := 0; i < shardSeries; i++ {
-		i := i
-		m.reg.GaugeFunc(metricShardEdges,
-			"Pull-sweep edge count (intra + cross) of each shard in the last sharded solve.",
-			obs.Labels{"shard": strconv.Itoa(i)},
-			func() float64 {
-				if edges := scores().ShardEdges; i < len(edges) {
-					return float64(edges[i])
-				}
-				return 0
-			})
-	}
 
 	m.reg.GaugeFunc(metricCorpusBytes,
 		"Resident bytes of the serving corpus's frozen columns.", nil,

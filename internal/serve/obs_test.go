@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"scholarrank/internal/core"
 	"scholarrank/internal/obs"
 )
 
@@ -48,12 +47,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE sarserve_solver_reorder_seconds gauge",
 		"# TYPE sarserve_solver_back_edge_fraction gauge",
 		"sarserve_solver_back_edge_fraction 0",
-		"# TYPE sarserve_solver_shards gauge",
-		"sarserve_solver_shards 1",
-		"# TYPE sarserve_solver_shard_edges gauge",
-		`sarserve_solver_shard_edges{shard="0"} 0`,
-		"# TYPE sarserve_solver_boundary_mass_exchanges_total counter",
-		"sarserve_solver_boundary_mass_exchanges_total 0",
 		"# TYPE sarserve_corpus_boot_seconds gauge",
 		"# TYPE sarserve_corpus_load_mode gauge",
 		"sarserve_corpus_mmap_bytes 0",
@@ -90,40 +83,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !regexp.MustCompile(`sarserve_solver_residual\{phase="` + phase + `"\} \d`).MatchString(out) {
 			t.Errorf("solver residual gauge for %s missing", phase)
 		}
-	}
-}
-
-// TestMetricsShardedSolve checks a server configured with a sharded
-// solver exposes the shard layout and the boundary-exchange counter
-// with live values: shard count, one edge-count series per shard, and
-// a nonzero exchange total after the boot solve.
-func TestMetricsShardedSolve(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Shards = 2
-	srv, err := New(fixtureStore(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	out := get(t, srv.Handler(), "/metrics").Body.String()
-	if !strings.Contains(out, "sarserve_solver_shards 2") {
-		t.Errorf("shard-count gauge missing:\n%s", out)
-	}
-	for _, shard := range []string{"0", "1"} {
-		re := regexp.MustCompile(`sarserve_solver_shard_edges\{shard="` + shard + `"\} (\d+)`)
-		m := re.FindStringSubmatch(out)
-		if m == nil || m[1] == "0" {
-			t.Errorf("shard edge gauge for shard %s missing or zero", shard)
-		}
-	}
-	re := regexp.MustCompile(`sarserve_solver_boundary_mass_exchanges_total (\d+)`)
-	if m := re.FindStringSubmatch(out); m == nil || m[1] == "0" {
-		t.Errorf("boundary-exchange counter missing or zero after a sharded solve")
-	}
-
-	stats := get(t, srv.Handler(), "/stats").Body.String()
-	if !strings.Contains(stats, `"solver_shards":2`) && !strings.Contains(stats, `"solver_shards": 2`) {
-		t.Errorf("/stats solver_shards != 2: %s", stats)
 	}
 }
 
@@ -190,7 +149,6 @@ func TestStatsSurfacesSolverTiming(t *testing.T) {
 		"prestige_seconds", "hetero_seconds", "prestige_residual",
 		"solver_workers", "solver_pool_sweeps",
 		"solver_reorder_seconds", "solver_back_edge_fraction", "solver_extrapolations", "solver_iterations_saved",
-		"solver_shards", "solver_shard_edges", "solver_boundary_mass_exchanges",
 		"corpus_mmap_bytes", "corpus_load_mode", "corpus_boot_seconds",
 	} {
 		if !strings.Contains(body, `"`+key+`"`) {

@@ -885,51 +885,48 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	writeJSON(w, map[string]any{
-		"articles":                       g.store.NumArticles(),
-		"citations":                      g.store.NumCitations(),
-		"authors":                        g.store.NumAuthors(),
-		"venues":                         g.store.NumVenues(),
-		"nonzero_importance":             nonZero,
-		"ranking_scorer":                 g.scorer,
-		"prestige_iters":                 g.scores.PrestigeStats.Iterations,
-		"hetero_iters":                   g.scores.HeteroStats.Iterations,
-		"prestige_converged":             g.scores.PrestigeStats.Converged,
-		"hetero_converged":               g.scores.HeteroStats.Converged,
-		"prestige_residual":              g.scores.PrestigeStats.Residual,
-		"hetero_residual":                g.scores.HeteroStats.Residual,
-		"prestige_seconds":               g.scores.PrestigeStats.Elapsed.Seconds(),
-		"hetero_seconds":                 g.scores.HeteroStats.Elapsed.Seconds(),
-		"solver_workers":                 g.scores.Pool.Workers,
-		"solver_pool_sweeps":             g.scores.Pool.Runs,
-		"solver_reorder_seconds":         g.store.ReorderSeconds(),
-		"solver_back_edge_fraction":      g.scores.BackEdgeFraction,
-		"solver_extrapolations":          g.scores.PrestigeStats.Extrapolations + g.scores.HeteroStats.Extrapolations,
-		"solver_iterations_saved":        g.scores.PrestigeStats.IterationsSaved + g.scores.HeteroStats.IterationsSaved,
-		"solver_shards":                  g.scores.Shards,
-		"solver_shard_edges":             g.scores.ShardEdges,
-		"solver_boundary_mass_exchanges": s.metrics.boundaryExchanges.Value(),
-		"importance_top_mean":            topMean(imp, g.order, 100),
-		"version":                        g.version,
-		"source":                         g.source,
-		"corpus_bytes":                   g.store.Bytes(),
-		"corpus_load_seconds":            s.cfg.CorpusLoadSeconds,
-		"corpus_mmap_bytes":              g.store.MappedBytes(),
-		"corpus_load_mode":               g.store.LoadMode(),
-		"corpus_boot_seconds":            s.metrics.bootSeconds.Value(),
-		"corpus_fingerprint":             fmt.Sprintf("%016x", g.fingerprint),
-		"ranked_at":                      g.rankedAt.UTC().Format(time.RFC3339),
-		"staleness_seconds":              int64(s.clock().Sub(g.rankedAt).Seconds()),
-		"max_top_k":                      s.maxK,
-		"query_cache_entries":            s.cache.Len(),
-		"query_cache_hits":               s.metrics.cacheHits.Value(),
-		"query_cache_misses":             s.metrics.cacheMisses.Value(),
-		"query_shed":                     s.metrics.shed.Value(),
-		"query_queue_depth":              s.limiter.QueueDepth(),
-		"traces_recorded":                s.tracer.Count(),
-		"go_goroutines":                  int64(s.metrics.runtime.Goroutines()),
-		"go_heap_live_bytes":             int64(s.metrics.runtime.HeapLiveBytes()),
-		"go_version":                     s.metrics.build.GoVersion,
-		"build_revision":                 s.metrics.build.Revision,
+		"articles":                  g.store.NumArticles(),
+		"citations":                 g.store.NumCitations(),
+		"authors":                   g.store.NumAuthors(),
+		"venues":                    g.store.NumVenues(),
+		"nonzero_importance":        nonZero,
+		"ranking_scorer":            g.scorer,
+		"prestige_iters":            g.scores.PrestigeStats.Iterations,
+		"hetero_iters":              g.scores.HeteroStats.Iterations,
+		"prestige_converged":        g.scores.PrestigeStats.Converged,
+		"hetero_converged":          g.scores.HeteroStats.Converged,
+		"prestige_residual":         g.scores.PrestigeStats.Residual,
+		"hetero_residual":           g.scores.HeteroStats.Residual,
+		"prestige_seconds":          g.scores.PrestigeStats.Elapsed.Seconds(),
+		"hetero_seconds":            g.scores.HeteroStats.Elapsed.Seconds(),
+		"solver_workers":            g.scores.Pool.Workers,
+		"solver_pool_sweeps":        g.scores.Pool.Runs,
+		"solver_reorder_seconds":    g.store.ReorderSeconds(),
+		"solver_back_edge_fraction": g.scores.BackEdgeFraction,
+		"solver_extrapolations":     g.scores.PrestigeStats.Extrapolations + g.scores.HeteroStats.Extrapolations,
+		"solver_iterations_saved":   g.scores.PrestigeStats.IterationsSaved + g.scores.HeteroStats.IterationsSaved,
+		"importance_top_mean":       topMean(imp, g.order, 100),
+		"version":                   g.version,
+		"source":                    g.source,
+		"corpus_bytes":              g.store.Bytes(),
+		"corpus_load_seconds":       s.cfg.CorpusLoadSeconds,
+		"corpus_mmap_bytes":         g.store.MappedBytes(),
+		"corpus_load_mode":          g.store.LoadMode(),
+		"corpus_boot_seconds":       s.metrics.bootSeconds.Value(),
+		"corpus_fingerprint":        fmt.Sprintf("%016x", g.fingerprint),
+		"ranked_at":                 g.rankedAt.UTC().Format(time.RFC3339),
+		"staleness_seconds":         int64(s.clock().Sub(g.rankedAt).Seconds()),
+		"max_top_k":                 s.maxK,
+		"query_cache_entries":       s.cache.Len(),
+		"query_cache_hits":          s.metrics.cacheHits.Value(),
+		"query_cache_misses":        s.metrics.cacheMisses.Value(),
+		"query_shed":                s.metrics.shed.Value(),
+		"query_queue_depth":         s.limiter.QueueDepth(),
+		"traces_recorded":           s.tracer.Count(),
+		"go_goroutines":             int64(s.metrics.runtime.Goroutines()),
+		"go_heap_live_bytes":        int64(s.metrics.runtime.HeapLiveBytes()),
+		"go_version":                s.metrics.build.GoVersion,
+		"build_revision":            s.metrics.build.Revision,
 	})
 }
 

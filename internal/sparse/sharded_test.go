@@ -1,47 +1,14 @@
 package sparse
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"slices"
-	"strconv"
 	"testing"
 
 	"scholarrank/internal/graph"
-	"scholarrank/internal/shard"
 )
-
-// benchWorkersFromEnv honours QISA_BENCH_WORKERS for the shard-curve
-// benchmark (default 1 so the scaling numbers are comparable across
-// machines unless deliberately scaled). The pool it sizes is shared
-// across every shard — the QISA_BENCH_WORKERS contract for the
-// sharded path.
-func benchWorkersFromEnv() int {
-	if v := os.Getenv("QISA_BENCH_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
-func TestBenchWorkersFromEnv(t *testing.T) {
-	t.Setenv("QISA_BENCH_WORKERS", "")
-	if got := benchWorkersFromEnv(); got != 1 {
-		t.Fatalf("default workers %d, want 1", got)
-	}
-	t.Setenv("QISA_BENCH_WORKERS", "3")
-	if got := benchWorkersFromEnv(); got != 3 {
-		t.Fatalf("workers %d, want 3 from QISA_BENCH_WORKERS", got)
-	}
-	t.Setenv("QISA_BENCH_WORKERS", "banana")
-	if got := benchWorkersFromEnv(); got != 1 {
-		t.Fatalf("workers %d, want fallback 1 on a bad value", got)
-	}
-}
 
 // evenBounds splits n rows into k equal-size contiguous shards — the
 // sparse-level tests don't need the edge-balanced partitioner, any
@@ -634,42 +601,5 @@ func TestShardedSolveSharesWorkerPool(t *testing.T) {
 	walk(tr)
 	if got := pool.Stats().Runs; got <= after.Runs {
 		t.Fatalf("WithPool changed the operator it was taken from: runs %d -> %d", after.Runs, got)
-	}
-}
-
-func BenchmarkShardedWalkPowerLaw100k(b *testing.B) {
-	size := 100_000
-	g := benchGraphPowerLaw(b, size)
-	pool := NewPool(benchWorkersFromEnv())
-	defer pool.Close()
-	tr := NewTransition(g, pool)
-	teleport := make([]float64, tr.N())
-	Uniform(teleport)
-	// Plain sweeps at every shard count (no extrapolation), so the
-	// curve isolates the exchange schedule's effect. Bounds come from
-	// the edge-balanced partitioner — with power-law in-degrees,
-	// equal-row shards would pile every edge into the hub shard and
-	// collapse the Gauss–Seidel coupling the curve measures.
-	opts := IterOptions{}
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			plan, err := shard.Partition(g, k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := scheduled(b, tr, plan.Bounds)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				x, stats, err := DampedWalkFrom(st, 0.85, teleport, teleport, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !stats.Converged {
-					b.Fatalf("did not converge in %d iterations", stats.Iterations)
-				}
-				_ = x
-			}
-		})
 	}
 }

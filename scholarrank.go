@@ -97,19 +97,12 @@ func ReadTSV(r io.Reader, opts ReadOptions) (*Store, error) { return corpus.Read
 // WriteTSV encodes a corpus in the compact TSV schema.
 func WriteTSV(w io.Writer, s *Store) error { return corpus.WriteTSV(w, s) }
 
-// ReadBinary decodes a checksummed binary corpus snapshot — the fast
-// format for caching between pipeline runs.
-func ReadBinary(r io.Reader) (*Store, error) { return corpus.ReadBinary(r) }
-
 // ReadAMinerJSON decodes the AMiner citation-dataset JSON-lines
 // schema, leniently: bad records are skipped and out-of-dump
 // citations dropped, with counts returned for data-quality reporting.
 func ReadAMinerJSON(r io.Reader) (s *Store, skippedRecords, droppedCitations int, err error) {
 	return corpus.ReadAMinerJSON(r)
 }
-
-// WriteBinary encodes the corpus as a checksummed binary snapshot.
-func WriteBinary(w io.Writer, s *Store) error { return corpus.WriteBinary(w, s) }
 
 // ReadSCORP decodes a columnar SCORP corpus — the zero-parse boot
 // format: the frozen Store's columns are materialised directly from
@@ -126,8 +119,8 @@ func ReadSCORPFile(path string) (*Store, error) { return corpus.ReadSCORPFile(pa
 // OpenMapped opens a SCORP corpus file as a zero-copy memory-mapped
 // Store: the columns alias the mapped pages, boot costs O(section
 // table) regardless of corpus size, and the OS page cache backs
-// corpora larger than RAM. Close the returned store when done; legacy
-// or unaligned files (and platforms without mmap) transparently fall
+// corpora larger than RAM. Close the returned store when done;
+// unaligned files (and platforms without mmap) transparently fall
 // back to the heap loader, where Close is a no-op. See
 // Store.LoadMode, Store.Retain and Store.Verify for the lifetime and
 // trust contracts.

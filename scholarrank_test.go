@@ -268,18 +268,18 @@ func TestPublicRankHistoryAndExplain(t *testing.T) {
 	}
 }
 
-func TestPublicBinarySnapshot(t *testing.T) {
+func TestPublicSCORPRoundTrip(t *testing.T) {
 	s := buildPublicFixture(t)
 	var buf strings.Builder
-	if err := scholarrank.WriteBinary(&buf, s); err != nil {
+	if err := scholarrank.WriteSCORP(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := scholarrank.ReadBinary(strings.NewReader(buf.String()))
+	got, err := scholarrank.ReadSCORP(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.NumArticles() != s.NumArticles() || got.NumCitations() != s.NumCitations() {
-		t.Errorf("binary round trip changed counts")
+		t.Errorf("SCORP round trip changed counts")
 	}
 }
 

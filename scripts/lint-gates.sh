@@ -1,0 +1,28 @@
+#!/usr/bin/env bash
+# Grep gates for `make lint`: each row bans a pattern in non-exempt Go
+# files. Columns are separated by " | ":
+#
+#   pattern (grep basic regex) | search root | exempt path regex | message
+#
+# A hit under the search root whose path does not match the exempt
+# regex fails the gate. Add a gate by adding a row.
+set -u
+cd "$(dirname "$0")/.."
+
+gates='log\.Printf | . | ^\./internal/obs/ | log.Printf outside internal/obs (use obs.Logger)
+context\.Background() | internal/serve | _test\.go: | context.Background() in internal/serve (handlers must inherit the request context; background work uses Tracer.BackgroundContext)
+computePrestige\|computeHetero\|computePopularity\|applyFade | . | ^\./internal/core/ | solver phase call outside internal/core (rank through the scorer registry: core.RankScorer or Engine.RankWith)'
+
+status=0
+while IFS= read -r gate; do
+	pattern=${gate%% | *}; rest=${gate#* | }
+	root=${rest%% | *}; rest=${rest#* | }
+	exempt=${rest%% | *}; message=${rest#* | }
+	bad=$(grep -rn --include='*.go' -e "$pattern" "$root" | grep -v -e "$exempt" || true)
+	if [ -n "$bad" ]; then
+		echo "lint: $message:"
+		echo "$bad"
+		status=1
+	fi
+done <<<"$gates"
+exit $status
