@@ -30,12 +30,15 @@ fmt:
 ## fuzz-smoke: 10 seconds each on the decoders that consume untrusted
 ## bytes — the TSV parser, the SCORP binary reader, the SRNKS ranking
 ## snapshot reader (sarserve -scores), and the W3C traceparent header
-## parser on the serving path.
+## parser on the serving path — and on the radix score order, whose
+## float-to-key mapping must match the comparator order on every bit
+## pattern.
 fuzz-smoke:
 	$(GO) test ./internal/corpus/ -run xxx -fuzz FuzzReadTSV -fuzztime 10s
 	$(GO) test ./internal/corpus/ -run xxx -fuzz FuzzReadSCORP -fuzztime 10s
 	$(GO) test ./internal/live/ -run xxx -fuzz FuzzReadSnapshot -fuzztime 10s
 	$(GO) test ./internal/obs/ -run xxx -fuzz FuzzParseTraceparent -fuzztime 10s
+	$(GO) test ./internal/eval/ -run xxx -fuzz FuzzOrder -fuzztime 10s
 
 build:
 	$(GO) build ./...

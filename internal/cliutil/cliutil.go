@@ -66,11 +66,17 @@ func DetectFormat(path, explicit string) (string, error) {
 }
 
 // LoadCorpus reads a corpus file in the given (or inferred) format,
-// transparently decompressing .gz files.
+// transparently decompressing .gz files. An uncompressed SCORP file is
+// read section by section (corpus.ReadSCORPFile) rather than buffered
+// whole.
 func LoadCorpus(path, format string) (*corpus.Store, error) {
 	format, err := DetectFormat(path, format)
 	if err != nil {
 		return nil, err
+	}
+	gzipped := strings.HasSuffix(strings.ToLower(path), ".gz")
+	if format == FormatSCORP && !gzipped {
+		return corpus.ReadSCORPFile(path)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -78,7 +84,7 @@ func LoadCorpus(path, format string) (*corpus.Store, error) {
 	}
 	defer f.Close()
 	var r io.Reader = f
-	if strings.HasSuffix(strings.ToLower(path), ".gz") {
+	if gzipped {
 		gz, err := gzip.NewReader(f)
 		if err != nil {
 			return nil, fmt.Errorf("cliutil: gzip: %w", err)

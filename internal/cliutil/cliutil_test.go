@@ -1,7 +1,10 @@
 package cliutil
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -149,6 +152,114 @@ func TestLoadCorpusBadGzip(t *testing.T) {
 	}
 	if _, err := LoadCorpus(path, ""); err == nil {
 		t.Error("corrupt gzip accepted")
+	}
+}
+
+// richStore has an author, a venue and a non-identity solver
+// permutation, so every section WriteSCORP can write is present and
+// non-empty.
+func richStore(t *testing.T) *corpus.Store {
+	t.Helper()
+	bld := corpus.NewBuilder()
+	u, _ := bld.InternAuthor("u", "U")
+	v, _ := bld.InternVenue("v", "V")
+	newer, err := bld.AddArticle(corpus.ArticleMeta{Key: "new", Title: "N", Year: 2005, Venue: v, Authors: []corpus.AuthorID{u}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	older, err := bld.AddArticle(corpus.ArticleMeta{Key: "old", Title: "O", Year: 2000, Venue: v, Authors: []corpus.AuthorID{u}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bld.AddCitation(newer, older); err != nil {
+		t.Fatal(err)
+	}
+	s := bld.Freeze()
+	if s.SolverPermutation() == nil {
+		t.Fatal("want a non-identity solver permutation")
+	}
+	return s
+}
+
+// SCORP layout constants, from the format comment in internal/corpus.
+const (
+	scorpHeaderLen = 12
+	scorpEntryLen  = 24
+)
+
+type scorpSection struct {
+	tag         string
+	off, length uint64
+}
+
+func scorpTable(t *testing.T, raw []byte) []scorpSection {
+	t.Helper()
+	var out []scorpSection
+	for i := 0; i < int(binary.LittleEndian.Uint32(raw[8:])); i++ {
+		e := raw[scorpHeaderLen+i*scorpEntryLen:]
+		out = append(out, scorpSection{string(e[:4]), binary.LittleEndian.Uint64(e[4:]), binary.LittleEndian.Uint64(e[12:])})
+	}
+	return out
+}
+
+// withExtraSection appends a section with an unknown tag to a SCORP
+// image: one more table entry, every offset moved past it (24 bytes
+// keeps the 8-byte alignment), and the payload at the aligned end.
+func withExtraSection(t *testing.T, raw []byte, tag string, payload []byte) []byte {
+	t.Helper()
+	count := binary.LittleEndian.Uint32(raw[8:])
+	tableEnd := scorpHeaderLen + int(count)*scorpEntryLen
+	out := append([]byte(nil), raw[:tableEnd]...)
+	binary.LittleEndian.PutUint32(out[8:], count+1)
+	for i := 0; i < int(count); i++ {
+		e := out[scorpHeaderLen+i*scorpEntryLen:]
+		binary.LittleEndian.PutUint64(e[4:], binary.LittleEndian.Uint64(e[4:])+scorpEntryLen)
+	}
+	end := uint64(len(raw)+scorpEntryLen+7) &^ 7
+	out = append(out, tag...)
+	out = binary.LittleEndian.AppendUint64(out, end)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	out = append(out, raw[tableEnd:]...)
+	out = append(out, make([]byte, end-uint64(len(out)))...)
+	return append(out, payload...)
+}
+
+// TestLoadCorpusSCORPChecksums: the section-by-section load keeps
+// every check the whole-image decoder made. One flipped byte in any
+// section WriteSCORP writes, or in an extra section with an unknown
+// tag, is refused with ErrCorpusCRC; the intact images load.
+func TestLoadCorpusSCORPChecksums(t *testing.T) {
+	var buf bytes.Buffer
+	if err := corpus.WriteSCORP(&buf, richStore(t)); err != nil {
+		t.Fatal(err)
+	}
+	extra := withExtraSection(t, buf.Bytes(), "xtra", []byte("an unknown section"))
+	dir := t.TempDir()
+	for name, raw := range map[string][]byte{"plain": buf.Bytes(), "extra": extra} {
+		path := filepath.Join(dir, name+".scorp")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := LoadCorpus(path, ""); err != nil || got.NumArticles() != 2 {
+			t.Fatalf("%s: intact image: %v", name, err)
+		}
+		for _, sec := range scorpTable(t, raw) {
+			if sec.length == 0 {
+				t.Fatalf("%s: section %q is empty; the fixture must fill it", name, sec.tag)
+			}
+			if name == "extra" && sec.tag != "xtra" {
+				continue
+			}
+			bad := append([]byte(nil), raw...)
+			bad[sec.off+sec.length/2] ^= 0x01
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadCorpus(path, ""); !errors.Is(err, corpus.ErrCorpusCRC) {
+				t.Errorf("%s: flip in %q: err = %v, want ErrCorpusCRC", name, sec.tag, err)
+			}
+		}
 	}
 }
 

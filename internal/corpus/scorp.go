@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"scholarrank/internal/sparse"
 )
@@ -296,8 +297,8 @@ func (m *memSource) payload(tag string) ([]byte, bool, error) {
 // fileSource serves sections straight from an io.ReaderAt through one
 // reusable scratch buffer, so a load reads each needed section exactly
 // once — no whole-file buffer, no second copy. CRCs are verified per
-// section as it is read; sections the decoder never asks for are never
-// read (and thus never checked).
+// section as it is read; ReadSCORPAt checks the sections the decoder
+// never asks for separately.
 type fileSource struct {
 	r       io.ReaderAt
 	tab     *scorpTable
@@ -351,16 +352,40 @@ func DecodeSCORP(data []byte) (*Store, error) {
 }
 
 // ReadSCORPAt decodes a SCORP corpus from a random-access reader of
-// the given total size, reading only the sections the store needs —
-// each one straight into a reused scratch buffer and decoded into an
-// exactly-sized column, so peak memory is one section plus the store
-// itself rather than two copies of the whole file.
+// the given total size, reading the sections the store needs one at a
+// time — each straight into a reused scratch buffer and decoded into
+// an exactly-sized column, so peak memory is one section plus the
+// store itself rather than two copies of the whole file. Listed
+// sections the decoder ignores are streamed through their CRC first,
+// so it rejects every file DecodeSCORP rejects.
 func ReadSCORPAt(r io.ReaderAt, size int64) (*Store, error) {
 	tab, err := readSCORPTable(r, size)
 	if err != nil {
 		return nil, err
 	}
+	if err := checkIgnoredSections(r, tab); err != nil {
+		return nil, err
+	}
 	return decodeStore(&fileSource{r: r, tab: tab})
+}
+
+// checkIgnoredSections CRC-checks every listed section decodeStore
+// will not read: an unknown tag, or an entry shadowed by a later one
+// with the same tag. WriteSCORP lists none, so real files pay nothing.
+func checkIgnoredSections(r io.ReaderAt, tab *scorpTable) error {
+	for i, e := range tab.entries {
+		if tab.byTag[e.tag] == i && (e.tag == "perm" || slices.Contains(scorpSectionOrder, e.tag)) {
+			continue
+		}
+		h := crc32.NewIEEE()
+		if _, err := io.Copy(h, io.NewSectionReader(r, int64(e.off), int64(e.length))); err != nil {
+			return fmt.Errorf("corpus: read SCORP section %q: %w", e.tag, err)
+		}
+		if h.Sum32() != e.crc {
+			return fmt.Errorf("%w: section %q", ErrCorpusCRC, e.tag)
+		}
+	}
+	return nil
 }
 
 // readSCORPTable reads and parses the header and section table from a

@@ -61,6 +61,26 @@ func BenchmarkNDCG100k(b *testing.B) {
 	}
 }
 
+// BenchmarkOrder300k and BenchmarkPercentiles300k time the one order
+// primitive at the bench corpus size.
+func BenchmarkOrder300k(b *testing.B) {
+	x, _ := benchVecs(300_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = Order(x)
+	}
+}
+
+func BenchmarkPercentiles300k(b *testing.B) {
+	x, _ := benchVecs(300_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = Percentiles(x)
+	}
+}
+
 func BenchmarkRBO10k(b *testing.B) {
 	x, y := benchVecs(10_000)
 	b.ReportAllocs()

@@ -3,8 +3,12 @@ package live
 import (
 	"bytes"
 	"errors"
+	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -189,6 +193,107 @@ func TestSnapshotOtherVersionsRefused(t *testing.T) {
 	}
 }
 
+// goldenSnapshot is the fixed snapshot behind testdata/snapshot-v3.srnks:
+// 600 articles, so every vector spans more than one 4 KiB codec block,
+// with signed zeros, infinities and a NaN among the scores, and fixed
+// seq, created and elapsed values.
+func goldenSnapshot() *Snapshot {
+	const n = 600
+	rng := rand.New(rand.NewSource(3))
+	vec := func() []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.Float64()
+		}
+		return v
+	}
+	sn := &Snapshot{
+		Seq: 42, CreatedUnix: 1700000000, Fingerprint: 0x0123456789abcdef,
+		Articles: n, Citations: 3 * n,
+		Scorer: core.DefaultScorer, ScorerOpts: core.ScorerOptions{"damping": 0.85, "alpha": 0.5},
+		Importance: vec(), Prestige: vec(), Popularity: vec(), Hetero: vec(),
+		RawPrestige: vec(), Percentile: vec(),
+		PrestigeStats: sparse.IterStats{Iterations: 2, Residual: 3e-11, Converged: true, Elapsed: 25 * time.Millisecond},
+		HeteroStats:   sparse.IterStats{Iterations: 11, Residual: 7e-10, Converged: true, Elapsed: 210 * time.Millisecond},
+	}
+	sn.Importance[0] = math.Copysign(0, -1)
+	sn.Importance[1] = math.Inf(1)
+	sn.Prestige[2] = math.Inf(-1)
+	sn.Hetero[3] = math.NaN()
+	sn.RawPrestige[n-1] = math.SmallestNonzeroFloat64
+	return sn
+}
+
+func snapshotV3Image(t testing.TB) []byte {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/snapshot-v3.srnks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestSnapshotV3Golden: testdata/snapshot-v3.srnks was written by the
+// per-float encoder the block codec replaced. The block writer must
+// reproduce it byte for byte, and the block reader must decode it back
+// to the same snapshot.
+func TestSnapshotV3Golden(t *testing.T) {
+	want := snapshotV3Image(t)
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, goldenSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("block writer does not reproduce the committed v3 image")
+	}
+	got, err := ReadSnapshot(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := goldenSnapshot()
+	if got.Seq != gs.Seq || got.CreatedUnix != gs.CreatedUnix || got.Fingerprint != gs.Fingerprint ||
+		got.PrestigeStats.Elapsed != gs.PrestigeStats.Elapsed || got.HeteroStats.Iterations != gs.HeteroStats.Iterations {
+		t.Errorf("header or stats differ: %+v", got)
+	}
+	// Compare bit patterns: Hetero holds a NaN.
+	for name, pair := range map[string][2][]float64{
+		"Importance": {got.Importance, gs.Importance}, "Prestige": {got.Prestige, gs.Prestige},
+		"Popularity": {got.Popularity, gs.Popularity}, "Hetero": {got.Hetero, gs.Hetero},
+		"RawPrestige": {got.RawPrestige, gs.RawPrestige}, "Percentile": {got.Percentile, gs.Percentile},
+	} {
+		if !slices.EqualFunc(pair[0], pair[1], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Errorf("%s differs after decoding", name)
+		}
+	}
+}
+
+// BenchmarkWriteSnapshot300k encodes a snapshot of the bench corpus
+// size.
+func BenchmarkWriteSnapshot300k(b *testing.B) {
+	const n = 300_000
+	rng := rand.New(rand.NewSource(1))
+	vec := func() []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.Float64()
+		}
+		return v
+	}
+	sn := &Snapshot{
+		Articles: n, Scorer: core.DefaultScorer,
+		Importance: vec(), Prestige: vec(), Popularity: vec(), Hetero: vec(),
+		RawPrestige: vec(), Percentile: vec(),
+	}
+	b.SetBytes(6 * 8 * n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteSnapshot(io.Discard, sn); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // FuzzReadSnapshot drives the decoder sarserve -scores feeds with
 // bytes from outside the process (typically another replica's GET
 // /admin/snapshot): arbitrary input must yield an error or a snapshot
@@ -205,6 +310,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	crcFlip := append([]byte(nil), valid.Bytes()...)
 	crcFlip[len(crcFlip)-1] ^= 0xff
 	f.Add(crcFlip)
+	f.Add(snapshotV3Image(f))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		sn, err := ReadSnapshot(bytes.NewReader(input))
 		if err != nil {

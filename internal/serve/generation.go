@@ -67,8 +67,10 @@ type generation struct {
 }
 
 // newGeneration assembles the immutable serving view for one solved
-// ranking.
-func newGeneration(store *corpus.Store, net *hetnet.Network, scores *core.Scores,
+// ranking. fingerprint is store's live.Fingerprint: the snapshot boot
+// passes the one it has just matched instead of hashing the corpus a
+// second time.
+func newGeneration(store *corpus.Store, net *hetnet.Network, scores *core.Scores, fingerprint uint64,
 	version int64, source string, rankedAt time.Time) (*generation, error) {
 	order := rank.TopK(scores.Importance, store.NumArticles())
 	pos := make([]int, store.NumArticles())
@@ -99,7 +101,7 @@ func newGeneration(store *corpus.Store, net *hetnet.Network, scores *core.Scores
 	}
 	g := &generation{
 		version: version, source: source, scorer: scorer, rankedAt: rankedAt,
-		fingerprint: live.Fingerprint(store),
+		fingerprint: fingerprint,
 		store:       store, net: net, scores: scores, order: order, pos: pos,
 		authorScores: authorScores, venueScores: venueScores,
 		authorOrder: rank.TopK(authorScores, len(authorScores)),
@@ -238,7 +240,7 @@ func (s *Server) rebuildLocked(ctx context.Context, store *corpus.Store, source 
 		return fmt.Errorf("serve: re-rank: %w", err)
 	}
 	_, span := obs.StartSpan(ctx, "generation.build")
-	gen, err := newGeneration(store, net, scores, prev.version+1, source, s.clock())
+	gen, err := newGeneration(store, net, scores, live.Fingerprint(store), prev.version+1, source, s.clock())
 	span.End()
 	if err != nil {
 		eng.Close()

@@ -224,6 +224,35 @@ func TestAdminSnapshotBootstrap(t *testing.T) {
 	}
 }
 
+// TestSnapshotBootFingerprint: the snapshot boot hashes the corpus
+// once, in Matches, and the generation carries that fingerprint, so
+// /stats reports the snapshot's. A rebuild on the replica hashes its
+// new corpus itself.
+func TestSnapshotBootFingerprint(t *testing.T) {
+	store, srv := liveFixture(t, Config{})
+	snap := srv.Snapshot()
+	replica, err := NewFromSnapshot(store.Thaw().Freeze(), snap, Config{Options: core.DefaultOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(replica.Close)
+	fp := func(s *Server) string {
+		return decodeBody[map[string]any](t, get(t, s.Handler(), "/stats"))["corpus_fingerprint"].(string)
+	}
+	if got, want := fp(replica), fmt.Sprintf("%016x", snap.Fingerprint); got != want {
+		t.Errorf("replica /stats fingerprint = %s, snapshot's = %s", got, want)
+	}
+	if got, want := fp(replica), fp(srv); got != want {
+		t.Errorf("replica /stats fingerprint = %s, primary's = %s", got, want)
+	}
+	if _, err := replica.Ingest(context.Background(), strings.NewReader(`{"id":"r1","year":2016,"refs":["a"]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fp(replica), fmt.Sprintf("%016x", live.Fingerprint(replica.gen.Load().store)); got != want {
+		t.Errorf("after ingest /stats fingerprint = %s, corpus hashes to %s", got, want)
+	}
+}
+
 func TestNewFromSnapshotRejectsMismatch(t *testing.T) {
 	store, srv := liveFixture(t, Config{})
 	snap := srv.Snapshot()

@@ -189,7 +189,7 @@ func NewWithConfig(store *corpus.Store, cfg Config) (*Server, error) {
 		eng.Close()
 		return nil, fmt.Errorf("serve: rank: %w", err)
 	}
-	gen, err := newGeneration(store, net, scores, 1, "solve", s.clock())
+	gen, err := newGeneration(store, net, scores, live.Fingerprint(store), 1, "solve", s.clock())
 	if err != nil {
 		eng.Close()
 		return nil, err
@@ -205,7 +205,7 @@ func NewWithConfig(store *corpus.Store, cfg Config) (*Server, error) {
 // that already ran the ranking).
 func NewFromScores(store *corpus.Store, scores *core.Scores) (*Server, error) {
 	s := newServerShell(Config{})
-	gen, err := newGeneration(store, hetnet.Build(store), scores, 1, "solve", s.clock())
+	gen, err := newGeneration(store, hetnet.Build(store), scores, live.Fingerprint(store), 1, "solve", s.clock())
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +227,7 @@ func NewFromSnapshot(store *corpus.Store, snap *live.Snapshot, cfg Config) (*Ser
 	if version < 1 {
 		version = 1
 	}
-	gen, err := newGeneration(store, hetnet.Build(store), snap.Scores(), version, "snapshot",
+	gen, err := newGeneration(store, hetnet.Build(store), snap.Scores(), snap.Fingerprint, version, "snapshot",
 		time.Unix(snap.CreatedUnix, 0))
 	if err != nil {
 		return nil, err
