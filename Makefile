@@ -12,8 +12,10 @@ vet:
 ## lint: style gates with no external tooling. The grep gates live as
 ## one table in scripts/lint-gates.sh (pattern | root | exempt paths |
 ## message): all logging goes through the component loggers in
-## internal/obs, serve handlers inherit the request context, and solver
-## phases are reached only through the scorer registry. Also runs gofmt
+## internal/obs, serve handlers inherit the request context, solver
+## phases are reached only through the scorer registry, and worker
+## pools come only from the engine and the related-article index
+## (scorers borrow SolveContext.Pool). Also runs gofmt
 ## and a short fuzz pass over the decoders, so the parsers get
 ## adversarial input on every check, not only when someone remembers
 ## to fuzz.

@@ -1,21 +1,23 @@
-// Command sarank ranks a scholarly corpus with any of the implemented
-// algorithms and prints the top articles (and optionally the top
-// authors and venues derived from the article scores).
+// Command sarank ranks a scholarly corpus with any registered scorer —
+// QISA-Rank, its single signals, or one of the compared baselines —
+// and prints the top articles (and optionally the top authors and
+// venues derived from the article scores).
 //
 // Usage:
 //
-//	sarank -in corpus.jsonl -algo QISA-Rank -k 20
-//	sarank -in corpus.tsv -algo all -k 5
+//	sarank -in corpus.jsonl -k 20
+//	sarank -in corpus.tsv -scorer all -k 5
+//	sarank -in corpus.jsonl -scorer citerank -scorer-opt rho=0.5 -k 20
 //	sarank -in corpus.scorp -entities
 //	sarank -in corpus.jsonl -save-scores ranking.snap
 //	sarank -in corpus.tsv -save-corpus corpus.scorp -k 0
-//	sarank -in corpus.jsonl -scorer ewpr -scorer-opt damping=0.9 -k 20
 //
-// With -save-scores the full QISA ranking (all signal components) is
-// persisted as a checksummed snapshot that sarserve -scores boots
-// from without re-solving. With -save-corpus the loaded corpus is
-// re-emitted as a columnar SCORP file, the converter path from any
-// text format to the zero-parse boot format sarserve -corpus reads.
+// With -save-scores the ranking (with every signal component the
+// scorer computes) is persisted as a checksummed snapshot that
+// sarserve -scores boots from without re-solving. With -save-corpus
+// the loaded corpus is re-emitted as a columnar SCORP file, the
+// converter path from any text format to the zero-parse boot format
+// sarserve -corpus reads.
 package main
 
 import (
@@ -32,7 +34,6 @@ import (
 	"scholarrank/internal/cliutil"
 	"scholarrank/internal/core"
 	"scholarrank/internal/corpus"
-	"scholarrank/internal/experiments"
 	"scholarrank/internal/hetnet"
 	"scholarrank/internal/live"
 	"scholarrank/internal/obs"
@@ -56,14 +57,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		in       = fs.String("in", "", "corpus file ("+cliutil.FormatList()+"; .gz ok); required")
 		format   = fs.String("format", "", "corpus format override")
-		algo     = fs.String("algo", "QISA-Rank", "algorithm, or 'all' ("+cliutil.MethodNames()+")")
-		scorer   = fs.String("scorer", "", "registered core scorer ("+strings.Join(core.ScorerNames(), ", ")+"); overrides -algo and works with -save-scores and -trace")
+		scorer   = fs.String("scorer", core.DefaultScorer, "registered scorer, or 'all' ("+strings.Join(core.ScorerNames(), ", ")+")")
 		k        = fs.Int("k", 20, "number of top articles to print")
 		workers  = fs.Int("workers", 0, "mat-vec workers (0 = NumCPU)")
 		entities = fs.Bool("entities", false, "also print top authors and venues (derived from article scores)")
-		save     = fs.String("save-scores", "", "write the QISA ranking as a snapshot file for sarserve -scores")
+		save     = fs.String("save-scores", "", "write the ranking as a snapshot file for sarserve -scores")
 		saveCorp = fs.String("save-corpus", "", "write the loaded corpus as a columnar SCORP file for sarserve -corpus")
-		trace    = fs.Bool("trace", false, "print per-iteration solver residuals for the prestige and hetero phases (QISA-Rank only)")
+		trace    = fs.Bool("trace", false, "print per-iteration solver residuals of every iterative stage")
 		version  = fs.Bool("version", false, "print build version and exit")
 	)
 	var sopts core.ScorerOptions
@@ -93,16 +93,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("missing -in")
 	}
-	if *scorer == "" {
-		if *save != "" && !strings.EqualFold(*algo, "QISA-Rank") {
-			return fmt.Errorf("-save-scores persists the full signal breakdown and needs -algo QISA-Rank or -scorer, not %q", *algo)
+	names := []string{*scorer}
+	if *scorer == "all" {
+		if *save != "" || sopts != nil {
+			return fmt.Errorf("-save-scores and -scorer-opt apply to one scorer, not -scorer all")
 		}
-		if *trace && !strings.EqualFold(*algo, "QISA-Rank") {
-			return fmt.Errorf("-trace hooks the core solver loops and needs -algo QISA-Rank or -scorer, not %q", *algo)
-		}
-	}
-	if sopts != nil && *scorer == "" {
-		return fmt.Errorf("-scorer-opt needs -scorer")
+		names = core.ScorerNames()
 	}
 
 	store, err := cliutil.LoadCorpus(*in, *format)
@@ -125,42 +121,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "loaded %d articles, %d citations, %d authors, %d venues\n",
 		store.NumArticles(), store.NumCitations(), store.NumAuthors(), store.NumVenues())
 
-	if *scorer != "" || *save != "" || *trace {
-		name := *scorer
-		if name == "" {
-			name = core.DefaultScorer
+	opts := core.DefaultOptions()
+	opts.Workers = *workers
+	if *trace {
+		opts.Trace = func(ev core.TraceEvent) {
+			fmt.Fprintf(stderr, "trace %-8s iter=%-3d residual=%.3e elapsed=%s\n",
+				ev.Phase, ev.Iteration, ev.Residual, ev.Elapsed.Round(time.Microsecond))
 		}
-		return runScorer(stdout, stderr, store, net, name, sopts, *workers, *k, *entities, *save, *trace)
 	}
-
-	var methods []experiments.Method
-	if strings.EqualFold(*algo, "all") {
-		methods = experiments.Methods()
-	} else {
-		m, err := cliutil.MethodByName(*algo)
-		if err != nil {
+	// One engine for every scorer: warm caches are scorer-namespaced,
+	// so -scorer all ranks each method exactly as a lone run would.
+	eng := core.NewEngine(net)
+	defer eng.Close()
+	for _, name := range names {
+		if err := runScorer(stdout, stderr, store, eng, name, sopts, opts, *k, *entities, *save, *trace); err != nil {
 			return err
-		}
-		methods = []experiments.Method{m}
-	}
-
-	for _, m := range methods {
-		res, err := m.Run(net, *workers)
-		if err != nil {
-			return fmt.Errorf("%s: %w", m.Name, err)
-		}
-		fmt.Fprintf(stdout, "\n# %s", m.Name)
-		if res.Stats.Iterations > 0 {
-			fmt.Fprintf(stdout, " (%d iterations, residual %.2e)", res.Stats.Iterations, res.Stats.Residual)
-		}
-		fmt.Fprintln(stdout)
-		if err := printTop(stdout, store, res.Scores, *k); err != nil {
-			return err
-		}
-		if *entities {
-			if err := printEntities(stdout, store, net, res.Scores, *k); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -181,22 +156,13 @@ func printTop(w io.Writer, store *corpus.Store, scores []float64, k int) error {
 	return tw.Flush()
 }
 
-// runScorer runs one registered core scorer (all signal components it
-// produces, not just the blended score), optionally streaming
-// per-iteration solver residuals and optionally persisting the result
-// as a serving snapshot. The default scorer keeps its historical
-// QISA-Rank heading.
-func runScorer(stdout, stderr io.Writer, store *corpus.Store, net *hetnet.Network,
-	scorer string, sopts core.ScorerOptions, workers, k int, entities bool, savePath string, trace bool) error {
-	opts := core.DefaultOptions()
-	opts.Workers = workers
-	if trace {
-		opts.Trace = func(ev core.TraceEvent) {
-			fmt.Fprintf(stderr, "trace %-8s iter=%-3d residual=%.3e elapsed=%s\n",
-				ev.Phase, ev.Iteration, ev.Residual, ev.Elapsed.Round(time.Microsecond))
-		}
-	}
-	sc, err := core.RankScorer(net, scorer, sopts, opts)
+// runScorer ranks with one registered scorer, prints its top k
+// (headed by the scorer name; the default scorer keeps its historical
+// QISA-Rank heading), and optionally persists the ranking as a serving
+// snapshot.
+func runScorer(stdout, stderr io.Writer, store *corpus.Store, eng *core.Engine, scorer string,
+	sopts core.ScorerOptions, opts core.Options, k int, entities bool, savePath string, trace bool) error {
+	sc, err := eng.RankScorer(scorer, sopts, opts)
 	if err != nil {
 		return fmt.Errorf("%s: %w", scorer, err)
 	}
@@ -208,13 +174,20 @@ func runScorer(stdout, stderr io.Writer, store *corpus.Store, net *hetnet.Networ
 		label = "QISA-Rank"
 	}
 	fmt.Fprintf(stdout, "\n# %s", label)
+	// Single-stage scorers report in the prestige slot, under the phase
+	// name their trace lines carry: the scorer's own.
+	stage := scorer
+	if scorer == core.DefaultScorer || scorer == core.ScorerPrestige {
+		stage = core.PhasePrestige
+	}
 	for _, st := range []struct {
 		phase string
 		stats sparse.IterStats
-	}{{"prestige", sc.PrestigeStats}, {"hetero", sc.HeteroStats}} {
+	}{{stage, sc.PrestigeStats}, {core.PhaseHetero, sc.HeteroStats}} {
+		// No wall time here: identical flags must give identical output
+		// (-trace reports timings on stderr).
 		if st.stats.Iterations > 0 {
-			fmt.Fprintf(stdout, " (%s: %d iterations, residual %.2e, %s)",
-				st.phase, st.stats.Iterations, st.stats.Residual, st.stats.Elapsed.Round(time.Microsecond))
+			fmt.Fprintf(stdout, " (%s: %d iterations, residual %.2e)", st.phase, st.stats.Iterations, st.stats.Residual)
 		}
 	}
 	fmt.Fprintln(stdout)
@@ -222,7 +195,7 @@ func runScorer(stdout, stderr io.Writer, store *corpus.Store, net *hetnet.Networ
 		return err
 	}
 	if entities {
-		if err := printEntities(stdout, store, net, sc.Importance, k); err != nil {
+		if err := printEntities(stdout, store, eng.Network(), sc.Importance, k); err != nil {
 			return err
 		}
 	}

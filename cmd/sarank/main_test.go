@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"scholarrank/internal/cliutil"
+	"scholarrank/internal/core"
 	"scholarrank/internal/corpus"
 	"scholarrank/internal/live"
 )
@@ -53,11 +54,11 @@ func writeTestCorpus(t *testing.T) string {
 func TestRunSingleAlgo(t *testing.T) {
 	path := writeTestCorpus(t)
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-in", path, "-algo", "CiteCount", "-k", "3"}, &out, &errBuf); err != nil {
+	if err := run([]string{"-in", path, "-scorer", "citecount", "-k", "3"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
-	if !strings.Contains(got, "# CiteCount") {
+	if !strings.Contains(got, "# citecount") {
 		t.Errorf("missing header in %q", got)
 	}
 	// p0 has the most citations (4): it must appear on the rank-1 line.
@@ -74,10 +75,13 @@ func TestRunSingleAlgo(t *testing.T) {
 func TestRunAllAlgos(t *testing.T) {
 	path := writeTestCorpus(t)
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-in", path, "-algo", "all", "-k", "2"}, &out, &errBuf); err != nil {
+	if err := run([]string{"-in", path, "-scorer", "all", "-k", "2"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"# CiteCount", "# PageRank", "# QISA-Rank", "# CoRank"} {
+	if got := strings.Count(out.String(), "\n# "); got != len(core.ScorerNames()) {
+		t.Errorf("-scorer all printed %d rankings, want one per registered scorer (%d)", got, len(core.ScorerNames()))
+	}
+	for _, want := range []string{"# citecount", "# pagerank (pagerank: ", "# QISA-Rank (prestige: ", "# corank (corank: "} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("missing %q", want)
 		}
@@ -128,10 +132,9 @@ func TestRunSaveScores(t *testing.T) {
 		t.Error(err)
 	}
 
-	// -save-scores is QISA-specific: other algorithms lack the signal
-	// components a snapshot carries.
-	if err := run([]string{"-in", path, "-algo", "PageRank", "-save-scores", snapPath}, &out, &errBuf); err == nil {
-		t.Error("-save-scores with -algo PageRank accepted")
+	// A snapshot holds one ranking.
+	if err := run([]string{"-in", path, "-scorer", "all", "-save-scores", snapPath}, &out, &errBuf); err == nil {
+		t.Error("-save-scores with -scorer all accepted")
 	}
 }
 
@@ -144,8 +147,8 @@ func TestRunErrors(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 	path := writeTestCorpus(t)
-	if err := run([]string{"-in", path, "-algo", "NoSuchAlgo"}, &out, &errBuf); err == nil {
-		t.Error("unknown algo accepted")
+	if err := run([]string{"-in", path, "-scorer", "all", "-scorer-opt", "damping=0.9"}, &out, &errBuf); err == nil {
+		t.Error("-scorer-opt with -scorer all accepted")
 	}
 }
 
@@ -171,6 +174,21 @@ func TestRunScorer(t *testing.T) {
 	}
 	if snap.Scorer != "alef" {
 		t.Errorf("snapshot scorer = %q, want alef", snap.Scorer)
+	}
+
+	// Baselines trace and persist like any scorer.
+	errBuf.Reset()
+	if err := run([]string{"-in", path, "-scorer", "citerank", "-trace", "-save-scores", snapPath, "-k", "2"}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	if got := errBuf.String(); !strings.Contains(got, "trace citerank iter=1") {
+		t.Errorf("-scorer citerank -trace output: %q", got)
+	}
+	if snap, err = live.ReadSnapshotFile(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Scorer != "citerank" {
+		t.Errorf("snapshot scorer = %q, want citerank", snap.Scorer)
 	}
 
 	// -trace streams the sweeps and prints the back-edge fraction of

@@ -12,13 +12,7 @@ import (
 	"scholarrank/internal/experiments"
 	"scholarrank/internal/hetnet"
 	"scholarrank/internal/rank"
-	"scholarrank/internal/sparse"
 )
-
-// leaderboardIter is the iteration budget every compared scorer gets —
-// the same cap the experiment suite gives its methods, so no scorer
-// wins by running longer.
-var leaderboardIter = sparse.IterOptions{Tol: 1e-10, MaxIter: 300}
 
 // scorerResult is one leaderboard row, JSON-shaped for the BENCH
 // artifact.
@@ -72,7 +66,7 @@ func runLeaderboard(stdout io.Writer, opts experiments.Options, topK int, jsonPa
 	defer eng.Close()
 	ropts := core.DefaultOptions()
 	ropts.Workers = opts.Workers
-	ropts.Iter = leaderboardIter
+	ropts.Iter = experiments.EvalIter
 
 	var results []scorerResult
 	var poolWorkers int
@@ -108,7 +102,7 @@ func runLeaderboard(stdout io.Writer, opts experiments.Options, topK int, jsonPa
 		Columns: []string{"scorer", "solve_s", "iterations", "converged"},
 		Notes: []string{
 			fmt.Sprintf("synthetic %s corpus, %d articles, %d workers, tol %.0e cap %d iterations",
-				experiments.SizeSmall, n, poolWorkers, leaderboardIter.Tol, leaderboardIter.MaxIter),
+				experiments.SizeSmall, n, poolWorkers, experiments.EvalIter.Tol, experiments.EvalIter.MaxIter),
 		},
 	}
 	for _, r := range results {

@@ -67,12 +67,15 @@ func ExampleRank() {
 	// Output: The Classic
 }
 
-// Baselines share the same network; here citation count confirms the
-// citation-graph structure.
-func ExampleCiteCount() {
+// Every baseline is a registered scorer over the same network; here
+// citation count confirms the citation-graph structure.
+func ExampleRankScorer() {
 	net := scholarrank.BuildNetwork(buildExampleStore())
-	res := scholarrank.CiteCount(net)
-	fmt.Println(res.Scores)
+	res, err := scholarrank.RankScorer(net, "citecount", nil, scholarrank.DefaultOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(res.Importance)
 	// Output: [2 0 0]
 }
 

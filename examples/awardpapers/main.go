@@ -49,21 +49,15 @@ func main() {
 		scores []float64
 	}
 	var contenders []contender
-
-	cc := scholarrank.CiteCount(net)
-	contenders = append(contenders, contender{"CiteCount", cc.Scores})
-
-	pr, err := scholarrank.PageRank(net, scholarrank.PageRankOptions{})
-	if err != nil {
-		log.Fatal(err)
+	for _, c := range []struct{ name, scorer string }{
+		{"CiteCount", "citecount"}, {"PageRank", "pagerank"}, {"QISA-Rank", "default"},
+	} {
+		sc, err := scholarrank.RankScorer(net, c.scorer, nil, scholarrank.DefaultOptions())
+		if err != nil {
+			log.Fatal(err)
+		}
+		contenders = append(contenders, contender{c.name, sc.Importance})
 	}
-	contenders = append(contenders, contender{"PageRank", pr.Scores})
-
-	qisa, err := scholarrank.Rank(net, scholarrank.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	contenders = append(contenders, contender{"QISA-Rank", qisa.Importance})
 
 	fmt.Printf("\n%-10s  %-9s  %-9s\n", "method", "recall@100", "pairwise-acc")
 	for _, c := range contenders {
@@ -76,7 +70,8 @@ func main() {
 	}
 
 	fmt.Println("\nfuture award papers QISA-Rank already surfaces in its top 20:")
-	for pos, i := range scholarrank.TopK(qisa.Importance, 20) {
+	qisa := contenders[len(contenders)-1].scores
+	for pos, i := range scholarrank.TopK(qisa, 20) {
 		if !award[i] {
 			continue
 		}

@@ -67,8 +67,11 @@ func main() {
 		}
 		id, _ := hold.Train.ArticleByKey(starKey)
 		snapNet := scholarrank.BuildNetwork(hold.Train)
-		cc := scholarrank.CiteCount(snapNet)
-		ccPct := scholarrank.Percentiles(cc.Scores)[id]
+		cc, err := scholarrank.RankScorer(snapNet, "citecount", nil, scholarrank.DefaultOptions())
+		if err != nil {
+			log.Fatal(err)
+		}
+		ccPct := scholarrank.Percentiles(cc.Importance)[id]
 		fmt.Printf("%8d  %16d  %9.3f  %14.3f\n", sn.Cutoff, sn.Citations, sn.Percentile, ccPct)
 	}
 	fmt.Println("\npct = rank percentile at that snapshot (1.0 = top of the corpus).")

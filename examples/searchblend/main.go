@@ -56,14 +56,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cc := scholarrank.CiteCount(net)
+	cc, err := scholarrank.RankScorer(net, "citecount", nil, scholarrank.DefaultOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	priors := []struct {
 		name   string
 		scores []float64
 	}{
 		{"QISA-Rank", qisa.Importance},
-		{"CiteCount", cc.Scores},
+		{"CiteCount", cc.Importance},
 	}
 	fmt.Println("lambda  NDCG@10(QISA)  NDCG@10(CiteCount)")
 	sweeps := make([][]scholarrank.LambdaPoint, len(priors))

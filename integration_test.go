@@ -63,8 +63,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := scholarrank.CiteCount(trainNet)
-	ccAcc, _, err := scholarrank.PairwiseAccuracy(cc.Scores, hold.FutureCites, nil, 100_000)
+	cc, err := scholarrank.RankScorer(trainNet, "citecount", nil, scholarrank.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccAcc, _, err := scholarrank.PairwiseAccuracy(cc.Importance, hold.FutureCites, nil, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}

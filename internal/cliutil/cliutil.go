@@ -1,6 +1,5 @@
 // Package cliutil holds the small amount of plumbing shared by the
-// command-line tools: corpus file I/O with format detection and the
-// method-name lookup used by ranking flags.
+// command-line tools: corpus file I/O with format detection.
 package cliutil
 
 import (
@@ -14,14 +13,10 @@ import (
 	"strings"
 
 	"scholarrank/internal/corpus"
-	"scholarrank/internal/experiments"
 )
 
 // ErrUnknownFormat reports an unrecognised corpus file format.
 var ErrUnknownFormat = errors.New("cliutil: unknown corpus format")
-
-// ErrUnknownMethod reports an unrecognised ranking method name.
-var ErrUnknownMethod = errors.New("cliutil: unknown method")
 
 // Formats accepted by the tools.
 const (
@@ -155,24 +150,4 @@ func WriteCorpus(w io.Writer, s *corpus.Store, format string) error {
 		return corpus.WriteSCORP(w, s)
 	}
 	return fmt.Errorf("%w: %q", ErrUnknownFormat, format)
-}
-
-// MethodByName finds a compared ranking method by its display name
-// (case-insensitive).
-func MethodByName(name string) (experiments.Method, error) {
-	for _, m := range experiments.Methods() {
-		if strings.EqualFold(m.Name, name) {
-			return m, nil
-		}
-	}
-	return experiments.Method{}, fmt.Errorf("%w: %q (have %s)", ErrUnknownMethod, name, MethodNames())
-}
-
-// MethodNames lists the available method names, comma separated.
-func MethodNames() string {
-	var names []string
-	for _, m := range experiments.Methods() {
-		names = append(names, m.Name)
-	}
-	return strings.Join(names, ", ")
 }

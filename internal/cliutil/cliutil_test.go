@@ -308,19 +308,3 @@ func TestWriteCorpusUnknownFormat(t *testing.T) {
 		t.Errorf("read err = %v", err)
 	}
 }
-
-func TestMethodByName(t *testing.T) {
-	m, err := MethodByName("qisa-rank") // case-insensitive
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Name != "QISA-Rank" {
-		t.Errorf("name = %q", m.Name)
-	}
-	if _, err := MethodByName("nonsense"); !errors.Is(err, ErrUnknownMethod) {
-		t.Errorf("err = %v", err)
-	}
-	if !strings.Contains(MethodNames(), "PageRank") {
-		t.Errorf("MethodNames = %q", MethodNames())
-	}
-}

@@ -133,8 +133,10 @@ type Options struct {
 	// Workers sets the parallelism of the pooled kernels (Jacobi
 	// sweeps, renormalisation, layer gathers); values < 1 select NumCPU.
 	// The Gauss–Seidel sweeps are serial, so scores do not depend on it.
+	// Workers, Iter and Trace are the only fields the baseline scorers
+	// read; their own parameters come from the scorer option bag.
 	Workers int
-	// Iter controls convergence of both iterative stages.
+	// Iter controls convergence of every iterative stage.
 	Iter sparse.IterOptions
 
 	// Shards cuts the citation graph into this many edge-balanced
@@ -152,12 +154,6 @@ type Options struct {
 	// default cadence; negative disables extrapolation. The fixed point
 	// is unchanged either way — extrapolation only cuts sweep count.
 	AitkenEvery int
-	// HeteroRelTol, when positive, gives the hetero blend phase an
-	// adaptive tolerance: the stage stops once its residual has shrunk
-	// by this factor relative to the first iteration (floored by
-	// Iter.Tol). Warm-started solves, whose first residual is already
-	// tiny, keep the absolute tolerance. 0 disables the schedule.
-	HeteroRelTol float64
 
 	// Trace, when set, receives one event per solver iteration from
 	// both iterative stages (phase, iteration number, residual, wall
@@ -272,34 +268,28 @@ func (o Options) validate() error {
 	default:
 		return fmt.Errorf("%w: unknown normalization %d", ErrBadOptions, int(o.Normalization))
 	}
-	if o.HeteroRelTol < 0 || o.HeteroRelTol >= 1 || math.IsNaN(o.HeteroRelTol) {
-		return fmt.Errorf("%w: HeteroRelTol %v, want [0, 1)", ErrBadOptions, o.HeteroRelTol)
-	}
 	if o.Shards < 0 {
 		return fmt.Errorf("%w: Shards %d, want >= 0", ErrBadOptions, o.Shards)
 	}
 	return nil
 }
 
-// Solver phase names, as reported in TraceEvent.Phase.
+// Phase names of the QISA-Rank stages, as reported in
+// TraceEvent.Phase. Every other scorer traces under its registry name
+// (an ensemble's members under one).
 const (
 	// PhasePrestige is the gap-weighted, recency-personalised
 	// PageRank stage.
 	PhasePrestige = "prestige"
 	// PhaseHetero is the coupled article–author–venue walk stage.
 	PhaseHetero = "hetero"
-	// PhaseEWPR is the ensemble weighted PageRank scorer's walk
-	// (all ensemble members trace under one phase).
-	PhaseEWPR = "ewpr"
-	// PhaseALEF is the article-eigenfactor scorer's walk.
-	PhaseALEF = "alef"
 )
 
 // TraceEvent describes one completed iteration of an iterative solver
 // stage. Residuals are L1 changes; within one phase they approach the
 // tolerance as the walk contracts toward its fixed point.
 type TraceEvent struct {
-	// Phase is PhasePrestige or PhaseHetero.
+	// Phase is PhasePrestige, PhaseHetero or another scorer's name.
 	Phase string
 	// Iteration is 1-based within the phase.
 	Iteration int
@@ -374,7 +364,8 @@ type Scores struct {
 	// from (see InitialScores). With RhoFade = 0 it equals Prestige.
 	RawPrestige []float64
 	// PrestigeStats and HeteroStats report convergence and wall time
-	// of the two iterative stages.
+	// of the two iterative stages. Single-stage scorers report theirs
+	// in PrestigeStats.
 	PrestigeStats sparse.IterStats
 	HeteroStats   sparse.IterStats
 	// Shards is the explicit shard count the iterative stages ran with
@@ -391,6 +382,10 @@ type Scores struct {
 	// converges in two sweeps; same-year citation cycles raise it and
 	// the sweep count with it.
 	BackEdgeFraction float64
+	// Authors is the author-indexed stationary distribution of the
+	// corank scorer's coupled walk; nil for every other scorer, and
+	// never persisted in a snapshot.
+	Authors []float64
 	// Pool summarises the solver worker pool's occupancy over the
 	// engine's lifetime (parallelism, kernel sweeps, chunk tasks).
 	Pool sparse.PoolStats

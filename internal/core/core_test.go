@@ -175,11 +175,11 @@ func TestPrestigeNoDecayEqualsPlainPageRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := rank.PageRank(net.Citations, rank.PageRankOptions{Damping: opts.Damping})
+	pr, err := RankScorer(net, ScorerPageRank, ScorerOptions{"damping": opts.Damping}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := sparse.MaxDiff(prestige, pr.Scores); d > 1e-9 {
+	if d := sparse.MaxDiff(prestige, pr.Importance); d > 1e-9 {
 		t.Errorf("no-decay prestige deviates from PageRank by %v", d)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"scholarrank/internal/hetnet"
@@ -78,6 +79,41 @@ func (o ScorerOptions) checkKeys(scorer string, known ...string) error {
 		if !ok {
 			return fmt.Errorf("%w: scorer %q has no option %q (known: %v)", ErrBadOptions, scorer, k, known)
 		}
+	}
+	return nil
+}
+
+// option binds one option-bag key to the scorer field it sets and the
+// default an absent key leaves there.
+type option struct {
+	key string
+	dst *float64
+	def float64
+}
+
+// read sets every field from the bag, the default where the key is
+// absent, after rejecting keys outside the set and NaN values.
+func (o ScorerOptions) read(scorer string, fields ...option) error {
+	known := make([]string, len(fields))
+	for i, f := range fields {
+		known[i] = f.key
+	}
+	if err := o.checkKeys(scorer, known...); err != nil {
+		return err
+	}
+	for _, f := range fields {
+		if *f.dst = o.Get(f.key, f.def); math.IsNaN(*f.dst) {
+			return fmt.Errorf("%w: %s %s is NaN", ErrBadOptions, scorer, f.key)
+		}
+	}
+	return nil
+}
+
+// checkUnit rejects a probability-like option (a damping factor, a
+// coupling) outside the open interval (0, 1).
+func checkUnit(scorer, key string, v float64) error {
+	if v <= 0 || v >= 1 {
+		return fmt.Errorf("%w: %s %s %v, want (0, 1)", ErrBadOptions, scorer, key, v)
 	}
 	return nil
 }
@@ -248,6 +284,60 @@ func (ctx *SolveContext) KeepWarm(key string, solverVec []float64) {
 }
 
 func (ctx *SolveContext) warmKey(key string) string { return ctx.scorer + "/" + key }
+
+// cached returns the solver-space fixed point the scorer last kept
+// under key, or nil.
+func (ctx *SolveContext) cached(key string) []float64 { return ctx.eng.warm[ctx.warmKey(key)] }
+
+// walk solves the damped walk over t (solver space, sweeping under
+// whatever schedule t carries) from the fixed point cached under key,
+// or from the teleport when none is, and caches the result. It traces
+// under the scorer's name and extrapolates at Options.AitkenEvery.
+func (ctx *SolveContext) walk(key string, t *sparse.Transition, damping float64, teleport []float64) ([]float64, sparse.IterStats, error) {
+	init := ctx.cached(key)
+	if init == nil {
+		init = teleport
+	}
+	it := ctx.IterFor(ctx.scorer)
+	it.AitkenEvery = ctx.opts.AitkenEvery
+	x, stats, err := sparse.DampedWalkFrom(t, damping, teleport, init, it)
+	if err != nil {
+		return nil, stats, fmt.Errorf("core: %s %s: %w", ctx.scorer, key, err)
+	}
+	ctx.KeepWarm(key, x)
+	return x, stats, nil
+}
+
+// fixedPointKey is the warm-cache key of a single-stage scorer's fixed
+// point.
+const fixedPointKey = "fixed-point"
+
+// iterate runs a Jacobi step function to its fixed point from the
+// vector the scorer cached, or from init when none is, and caches the
+// result. It traces under the scorer's name.
+func (ctx *SolveContext) iterate(init []float64, step sparse.StepFunc) ([]float64, sparse.IterStats, error) {
+	if warm := ctx.cached(fixedPointKey); warm != nil {
+		init = warm
+	}
+	x, stats, err := sparse.FixedPoint(init, step, ctx.IterFor(ctx.scorer))
+	if err != nil {
+		return nil, stats, fmt.Errorf("core: %s: %w", ctx.scorer, err)
+	}
+	ctx.KeepWarm(fixedPointKey, x)
+	return x, stats, nil
+}
+
+// result finishes a single-stage scorer: it records the stage's stats
+// and the sweep schedule on the result and returns the solver-space
+// vector in original article order.
+func (ctx *SolveContext) result(solverVec []float64, stats sparse.IterStats) ([]float64, error) {
+	sc := &Scores{PrestigeStats: stats}
+	if err := ctx.stampSchedule(sc); err != nil {
+		return nil, err
+	}
+	ctx.SetComponents(sc)
+	return ctx.Restore(solverVec), nil
+}
 
 // SetComponents deposits component signals and solver statistics on
 // the result. The engine fills Importance, Scorer and Pool itself;

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"scholarrank/internal/sparse"
-)
+import "scholarrank/internal/sparse"
 
 func init() {
 	RegisterScorer(ScorerALEF,
@@ -40,12 +35,12 @@ type alefScorer struct {
 }
 
 func newALEFScorer(o ScorerOptions) (Scorer, error) {
-	if err := o.checkKeys(ScorerALEF, "damping"); err != nil {
+	s := &alefScorer{}
+	if err := o.read(ScorerALEF, option{"damping", &s.damping, 0.85}); err != nil {
 		return nil, err
 	}
-	s := &alefScorer{damping: o.Get("damping", 0.85)}
-	if s.damping <= 0 || s.damping >= 1 || math.IsNaN(s.damping) {
-		return nil, fmt.Errorf("%w: alef damping %v, want (0, 1)", ErrBadOptions, s.damping)
+	if err := checkUnit(ScorerALEF, "damping", s.damping); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -57,29 +52,16 @@ func (s *alefScorer) Name() string { return ScorerALEF }
 const alefWarmKey = "walk"
 
 func (s *alefScorer) Score(ctx *SolveContext) ([]float64, error) {
-	opts := ctx.Options()
 	n := ctx.View().NumArticles()
 	t, err := ctx.Sharded(ctx.CitationTransition())
 	if err != nil {
 		return nil, err
 	}
-
-	teleport := make([]float64, n)
-	sparse.Uniform(teleport)
-	init, err := ctx.WarmStart(alefWarmKey, nil)
+	teleport := uniformVector(n)
+	x, stats, err := ctx.walk(alefWarmKey, t, s.damping, teleport)
 	if err != nil {
-		return nil, fmt.Errorf("core: alef: %w", err)
+		return nil, err
 	}
-	if init == nil {
-		init = teleport
-	}
-	it := ctx.IterFor(PhaseALEF)
-	it.AitkenEvery = opts.AitkenEvery
-	x, stats, err := sparse.DampedWalkFrom(t, s.damping, teleport, init, it)
-	if err != nil {
-		return nil, fmt.Errorf("core: alef: %w", err)
-	}
-	ctx.KeepWarm(alefWarmKey, x)
 
 	flow := make([]float64, n)
 	t.MulVec(flow, x)

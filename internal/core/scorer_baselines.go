@@ -1,0 +1,462 @@
+package core
+
+import (
+	"fmt"
+	"math"
+
+	"scholarrank/internal/graph"
+	"scholarrank/internal/hetnet"
+	"scholarrank/internal/rank"
+	"scholarrank/internal/sparse"
+)
+
+// The query-independent baselines the experiments compare QISA-Rank
+// against, registered like every other scorer so the CLIs, the server,
+// the snapshot and the leaderboard rank with them too. Each option bag
+// defaults to the parameterisation the experiment tables report. From
+// Options a baseline reads only Workers, Iter and Trace.
+
+func init() {
+	RegisterScorer(ScorerCiteCount, "raw citation count (in-degree)",
+		newCountScorer(ScorerCiteCount, citeCounts))
+	RegisterScorer(ScorerYearNorm, "citation count over the add-one-smoothed mean count of its publication year",
+		newCountScorer(ScorerYearNorm, yearNormCounts))
+	RegisterScorer(ScorerAgeNorm, "citations per year of age (age floored at 1)",
+		newCountScorer(ScorerAgeNorm, ageNormCounts))
+	RegisterScorer(ScorerPageRank, "PageRank: damped citation walk with a uniform teleport",
+		newWalkScorer(ScorerPageRank, 0))
+	RegisterScorer(ScorerCiteRank, "CiteRank: damped citation walk restarting at recent articles (teleport ∝ exp(-rho·age))",
+		newWalkScorer(ScorerCiteRank, 0.38))
+	RegisterScorer(ScorerTimedPR, "timed PageRank: PageRank faded by exp(-rho·age)",
+		newWalkScorer(ScorerTimedPR, 0.2))
+	RegisterScorer(ScorerHITS, "HITS authority: Kleinberg mutual reinforcement on the citation graph, no teleport",
+		newHITSScorer)
+	RegisterScorer(ScorerSCEAS, "SCEAS: citations weighted by chain depth (decay) plus a direct-citation bonus",
+		newSCEASScorer)
+	RegisterScorer(ScorerFutureRank, "FutureRank: citation walk + author reinforcement + recency restart",
+		newFutureRankScorer)
+	RegisterScorer(ScorerCoRank, "Co-Ranking: citation and co-authorship walks coupled through authorship",
+		newCoRankScorer)
+	RegisterScorer(ScorerPRank, "P-Rank: citation, author and venue layers in one damped walk",
+		newPRankScorer)
+}
+
+// Registry names of the baselines.
+const (
+	ScorerCiteCount  = "citecount"
+	ScorerYearNorm   = "yearnorm"
+	ScorerAgeNorm    = "agenorm"
+	ScorerPageRank   = "pagerank"
+	ScorerCiteRank   = "citerank"
+	ScorerTimedPR    = "timedpr"
+	ScorerHITS       = "hits"
+	ScorerSCEAS      = "sceas"
+	ScorerFutureRank = "futurerank"
+	ScorerCoRank     = "corank"
+	ScorerPRank      = "prank"
+)
+
+// uniformVector returns the uniform distribution over n items.
+func uniformVector(n int) []float64 {
+	u := make([]float64, n)
+	sparse.Uniform(u)
+	return u
+}
+
+// countScorer is a closed-form citation-count baseline: no walk, no
+// warm cache, no solver stats.
+type countScorer struct {
+	name   string
+	scores func(net *hetnet.Network) ([]float64, error)
+}
+
+func newCountScorer(name string, scores func(*hetnet.Network) ([]float64, error)) ScorerFactory {
+	return func(o ScorerOptions) (Scorer, error) {
+		if err := o.checkKeys(name); err != nil {
+			return nil, err
+		}
+		return countScorer{name, scores}, nil
+	}
+}
+
+func (s countScorer) Name() string { return s.name }
+
+func (s countScorer) Score(ctx *SolveContext) ([]float64, error) { return s.scores(ctx.Network()) }
+
+// citeCounts is the in-degree of every article: the most widely
+// deployed signal, and the weakest for future impact because it
+// ignores who cites and when.
+func citeCounts(net *hetnet.Network) ([]float64, error) {
+	in := net.Citations.InDegrees()
+	scores := make([]float64, len(in))
+	for i, d := range in {
+		scores[i] = float64(d)
+	}
+	return scores, nil
+}
+
+// yearNormCounts removes the mechanical advantage of older articles:
+// the group-normalised count with every article in one group.
+func yearNormCounts(net *hetnet.Network) ([]float64, error) {
+	return rank.GroupNormCiteCount(net.Citations, make([]int, net.NumArticles()), net.Years)
+}
+
+// ageNormCounts is citations per year of age.
+func ageNormCounts(net *hetnet.Network) ([]float64, error) {
+	in := net.Citations.InDegrees()
+	scores := make([]float64, len(in))
+	for i, d := range in {
+		scores[i] = float64(d) / math.Max(net.Now-net.Years[i], 1)
+	}
+	return scores, nil
+}
+
+// walkScorer is the damped citation-walk family as one walk over the
+// scheduled citation operator: PageRank (uniform teleport), CiteRank
+// (a researcher who starts reading at recent articles: teleport ∝
+// exp(-rho·age), so old prestige alone cannot dominate) and timed
+// PageRank (PageRank faded by exp(-rho·age) afterwards, so old
+// prestige fades unless refreshed).
+type walkScorer struct {
+	name    string
+	damping float64
+	rho     float64
+}
+
+func newWalkScorer(name string, rho float64) ScorerFactory {
+	return func(o ScorerOptions) (Scorer, error) {
+		s := &walkScorer{name: name}
+		fields := []option{{"damping", &s.damping, 0.85}}
+		if name != ScorerPageRank {
+			fields = append(fields, option{"rho", &s.rho, rho})
+		}
+		if err := o.read(name, fields...); err != nil {
+			return nil, err
+		}
+		if err := checkUnit(name, "damping", s.damping); err != nil {
+			return nil, err
+		}
+		if s.rho < 0 {
+			return nil, fmt.Errorf("%w: %s rho %v, want >= 0", ErrBadOptions, name, s.rho)
+		}
+		return s, nil
+	}
+}
+
+func (s *walkScorer) Name() string { return s.name }
+
+func (s *walkScorer) Score(ctx *SolveContext) ([]float64, error) {
+	t, err := ctx.Sharded(ctx.CitationTransition())
+	if err != nil {
+		return nil, err
+	}
+	var teleport []float64
+	if s.name == ScorerCiteRank {
+		if teleport, err = recencyTeleport(ctx.View(), s.rho); err != nil {
+			return nil, err
+		}
+	} else {
+		teleport = uniformVector(t.N())
+	}
+	x, stats, err := ctx.walk("walk", t, s.damping, teleport)
+	if err != nil {
+		return nil, err
+	}
+	scores, err := ctx.result(x, stats)
+	if err != nil || s.name != ScorerTimedPR {
+		return scores, err
+	}
+	return fadeByAge(ctx.Network(), s.rho, scores)
+}
+
+// hitsScorer is Kleinberg's mutual reinforcement on the citation
+// graph, scoring the authority vector:
+//
+//	auth = normalise(Aᵀ·hub)   hub = normalise(A·auth)
+//
+// Unlike the PageRank family it has no teleport, so on a disconnected
+// graph mass concentrates in the dominant component.
+type hitsScorer struct{}
+
+func newHITSScorer(o ScorerOptions) (Scorer, error) {
+	if err := o.checkKeys(ScorerHITS); err != nil {
+		return nil, err
+	}
+	return hitsScorer{}, nil
+}
+
+func (hitsScorer) Name() string { return ScorerHITS }
+
+func (hitsScorer) Score(ctx *SolveContext) ([]float64, error) {
+	g := ctx.View().Citations
+	tr := g.Transpose()
+	hub := make([]float64, g.NumNodes())
+	// One step over the authority vector: recover the hubs from the
+	// current authorities, then advance the authorities.
+	step := func(dst, src []float64) {
+		sumNeighbors(g, hub, src)
+		sparse.Normalize1(hub)
+		sumNeighbors(tr, dst, hub)
+		sparse.Normalize1(dst)
+	}
+	x, stats, err := ctx.iterate(uniformVector(g.NumNodes()), step)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.result(x, stats)
+}
+
+// sumNeighbors sets dst[u] to the sum of x over u's out-neighbours in g.
+func sumNeighbors(g *graph.Graph, dst, x []float64) {
+	for u := range dst {
+		var s float64
+		for _, v := range g.Neighbors(graph.NodeID(u)) {
+			s += x[v]
+		}
+		dst[u] = s
+	}
+}
+
+// sceasScorer is SCEAS (Sidiropoulos & Manolopoulos):
+//
+//	S(p) = Σ_{q→p} (S(q) + b) · d / outdeg(q)
+//
+// The direct-citation bonus b makes each citation worth something even
+// from a zero-score citer, and the decay d < 1 discounts long chains
+// geometrically, so the map is a contraction. Scores stay unnormalised:
+// their scale is "citations weighted by chain depth".
+type sceasScorer struct {
+	decay, bonus float64
+}
+
+func newSCEASScorer(o ScorerOptions) (Scorer, error) {
+	s := &sceasScorer{}
+	if err := o.read(ScorerSCEAS, option{"decay", &s.decay, 1 / math.E}, option{"bonus", &s.bonus, 1}); err != nil {
+		return nil, err
+	}
+	if err := checkUnit(ScorerSCEAS, "decay", s.decay); err != nil {
+		return nil, err
+	}
+	if s.bonus < 0 {
+		return nil, fmt.Errorf("%w: sceas bonus %v, want >= 0", ErrBadOptions, s.bonus)
+	}
+	return s, nil
+}
+
+func (s *sceasScorer) Name() string { return ScorerSCEAS }
+
+func (s *sceasScorer) Score(ctx *SolveContext) ([]float64, error) {
+	t := ctx.CitationTransition()
+	n := t.N()
+	// bonusIn[p] = Σ_{q→p} b·d/outdeg(q) is constant across iterations.
+	bonusIn := make([]float64, n)
+	ones := make([]float64, n)
+	sparse.Fill(ones, 1)
+	t.MulVec(bonusIn, ones)
+	sparse.Scale(bonusIn, s.bonus*s.decay)
+	step := func(dst, src []float64) {
+		t.MulVec(dst, src)
+		for i := range dst {
+			dst[i] = dst[i]*s.decay + bonusIn[i]
+		}
+	}
+	x, stats, err := ctx.iterate(make([]float64, n), step)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.result(x, stats)
+}
+
+// futureRankScorer is FutureRank (Sayyadi & Getoor): one fixed point
+// over the article vector coupling the citation walk, authorship
+// reinforcement and a recency restart:
+//
+//	x' = α·(Mᵀx + dangling·r) + β·S_A(G_A(x)) + γ·r + (1-α-β-γ)·u
+//
+// with r the recency vector and u uniform. Mass leaked by author-less
+// articles is routed through r.
+type futureRankScorer struct {
+	alpha, beta, gamma, rho float64
+}
+
+func newFutureRankScorer(o ScorerOptions) (Scorer, error) {
+	s := &futureRankScorer{}
+	if err := o.read(ScorerFutureRank, option{"alpha", &s.alpha, 0.5}, option{"beta", &s.beta, 0.2},
+		option{"gamma", &s.gamma, 0.2}, option{"rho", &s.rho, 0.3}); err != nil {
+		return nil, err
+	}
+	if s.alpha < 0 || s.beta < 0 || s.gamma < 0 || s.rho < 0 || s.alpha+s.beta+s.gamma > 1+1e-12 {
+		return nil, fmt.Errorf("%w: futurerank alpha/beta/gamma %v/%v/%v (want >= 0, sum <= 1), rho %v",
+			ErrBadOptions, s.alpha, s.beta, s.gamma, s.rho)
+	}
+	return s, nil
+}
+
+func (s *futureRankScorer) Name() string { return ScorerFutureRank }
+
+func (s *futureRankScorer) Score(ctx *SolveContext) ([]float64, error) {
+	view, pool := ctx.View(), ctx.Pool()
+	n := view.NumArticles()
+	r, err := recencyTeleport(view, s.rho)
+	if err != nil {
+		return nil, err
+	}
+	t := ctx.CitationTransition()
+	authors := make([]float64, view.NumAuthors())
+	fromAuthors := make([]float64, n)
+	uniform := 1 / float64(n)
+	rest := 1 - s.alpha - s.beta - s.gamma
+	step := func(dst, src []float64) {
+		t.MulVec(dst, src)
+		dm := t.DanglingMass(src)
+		leak := view.GatherArticlesToAuthorsPar(pool, authors, src)
+		view.SpreadAuthorsToArticlesPar(pool, fromAuthors, authors)
+		for i := range dst {
+			cite := dst[i] + dm*r[i]
+			auth := fromAuthors[i] + leak*r[i]
+			dst[i] = s.alpha*cite + s.beta*auth + s.gamma*r[i] + rest*uniform
+		}
+		sparse.Normalize1(dst) // guards against drift over many iterations
+	}
+	x, stats, err := ctx.iterate(uniformVector(n), step)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.result(x, stats)
+}
+
+// coRankScorer is Co-Ranking (Zhou et al.): two damped intra-class
+// walks, over the citation graph and over the co-authorship graph,
+// coupled through authorship so good articles lift their authors and
+// reputable authors lift their articles:
+//
+//	p' = (1-κ)·walk_D(p) + κ·S_A(a)    (articles)
+//	a' = (1-κ)·walk_C(a) + κ·G_A(p)    (authors)
+//
+// Mass leaked by author-less articles (and article-less authors) is
+// redistributed uniformly within the receiving class. The author
+// distribution comes back in Scores.Authors.
+type coRankScorer struct {
+	coupling, damping float64
+}
+
+func newCoRankScorer(o ScorerOptions) (Scorer, error) {
+	s := &coRankScorer{}
+	if err := o.read(ScorerCoRank, option{"coupling", &s.coupling, 0.2}, option{"damping", &s.damping, 0.85}); err != nil {
+		return nil, err
+	}
+	if err := checkUnit(ScorerCoRank, "coupling", s.coupling); err != nil {
+		return nil, err
+	}
+	if err := checkUnit(ScorerCoRank, "damping", s.damping); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+func (s *coRankScorer) Name() string { return ScorerCoRank }
+
+func (s *coRankScorer) Score(ctx *SolveContext) ([]float64, error) {
+	view, pool := ctx.View(), ctx.Pool()
+	nP, nA := view.NumArticles(), view.NumAuthors()
+	citeT := ctx.CitationTransition()
+	if nA == 0 {
+		// No author class: Co-Ranking reduces to PageRank.
+		t, err := ctx.Sharded(citeT)
+		if err != nil {
+			return nil, err
+		}
+		x, stats, err := ctx.walk("walk", t, s.damping, uniformVector(nP))
+		if err != nil {
+			return nil, err
+		}
+		return ctx.result(x, stats)
+	}
+	coauthT := sparse.NewTransition(ctx.Network().CoauthorGraph(), pool)
+	d, k := s.damping, s.coupling
+	uniP, uniA := 1/float64(nP), 1/float64(nA)
+	fromAuthors := make([]float64, nP)
+	gathered := make([]float64, nA)
+	// The iterate is the article vector followed by the author vector,
+	// so the residual is the joint L1 change. Both sides read the
+	// previous iterate (Jacobi), keeping the update symmetric.
+	step := func(dst, src []float64) {
+		p, a := src[:nP], src[nP:]
+		nextP, nextA := dst[:nP], dst[nP:]
+		citeT.MulVec(nextP, p)
+		dmP := citeT.DanglingMass(p)
+		view.SpreadAuthorsToArticlesPar(pool, fromAuthors, a)
+		spreadLeak := 1 - sparse.Sum(fromAuthors) // authors without articles
+		for i := range nextP {
+			walk := d*(nextP[i]+dmP*uniP) + (1-d)*uniP
+			nextP[i] = (1-k)*walk + k*(fromAuthors[i]+spreadLeak*uniP)
+		}
+		coauthT.MulVec(nextA, a)
+		dmA := coauthT.DanglingMass(a)
+		gatherLeak := view.GatherArticlesToAuthorsPar(pool, gathered, p)
+		for i := range nextA {
+			walk := d*(nextA[i]+dmA*uniA) + (1-d)*uniA
+			nextA[i] = (1-k)*walk + k*(gathered[i]+gatherLeak*uniA)
+		}
+		sparse.Normalize1(nextP)
+		sparse.Normalize1(nextA)
+	}
+	init := make([]float64, nP+nA)
+	sparse.Uniform(init[:nP])
+	sparse.Uniform(init[nP:])
+	x, stats, err := ctx.iterate(init, step)
+	if err != nil {
+		return nil, err
+	}
+	scores, err := ctx.result(x[:nP], stats)
+	if err != nil {
+		return nil, err
+	}
+	ctx.comps.Authors = sparse.Clone(x[nP:])
+	return scores, nil
+}
+
+// pRankScorer is P-Rank: article mass flows through the citation walk
+// and through author and venue intermediaries at once, then mixes with
+// a uniform teleport:
+//
+//	x' = d·(φp·cite(x) + φa·S_A(G_A(x)) + φv·S_V(G_V(x))) + (1-d)·u
+//
+// which is the blend walk with a uniform restart and λ = d·φ, λt = 1-d.
+type pRankScorer struct {
+	paper, author, venue, damping float64
+}
+
+func newPRankScorer(o ScorerOptions) (Scorer, error) {
+	s := &pRankScorer{}
+	if err := o.read(ScorerPRank, option{"paper", &s.paper, 0.6}, option{"author", &s.author, 0.2},
+		option{"venue", &s.venue, 0.2}, option{"damping", &s.damping, 0.85}); err != nil {
+		return nil, err
+	}
+	if sum := s.paper + s.author + s.venue; s.paper < 0 || s.author < 0 || s.venue < 0 || math.Abs(sum-1) > 1e-9 {
+		return nil, fmt.Errorf("%w: prank layer weights %v/%v/%v, want >= 0 summing to 1",
+			ErrBadOptions, s.paper, s.author, s.venue)
+	}
+	if err := checkUnit(ScorerPRank, "damping", s.damping); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+func (s *pRankScorer) Name() string { return ScorerPRank }
+
+func (s *pRankScorer) Score(ctx *SolveContext) ([]float64, error) {
+	view := ctx.View()
+	t, err := ctx.Sharded(ctx.CitationTransition())
+	if err != nil {
+		return nil, err
+	}
+	d := s.damping
+	b := blend{r: uniformVector(view.NumArticles()), cite: d * s.paper, author: d * s.author, venue: d * s.venue, restart: 1 - d}
+	x, stats, err := b.walk(view, t, ctx.Pool(), ctx.cached(fixedPointKey), ctx.IterFor(ScorerPRank))
+	if err != nil {
+		return nil, fmt.Errorf("core: prank: %w", err)
+	}
+	ctx.KeepWarm(fixedPointKey, x)
+	return ctx.result(x, stats)
+}

@@ -5,20 +5,23 @@ import (
 	"math"
 
 	"scholarrank/internal/corpus"
-	"scholarrank/internal/rank"
 	"scholarrank/internal/sparse"
-	"scholarrank/internal/temporal"
 )
 
 func init() {
 	RegisterScorer(ScorerEWPR,
 		"ensemble weighted PageRank: venue/author-weighted citation walks, percentile-averaged (WSDM Cup 2016 winner)",
 		newEWPRScorer)
+	RegisterScorer(ScorerVWPageRank,
+		"venue-weighted PageRank (W-Rank style): each citation weighted by the citing venue's mean citations per article",
+		newVWPageRankScorer)
 }
 
-// ScorerEWPR is the registry name of the ensemble weighted PageRank
-// baseline.
-const ScorerEWPR = "ewpr"
+// Registry names of the weighted-walk baselines.
+const (
+	ScorerEWPR       = "ewpr"
+	ScorerVWPageRank = "vw-pagerank"
+)
 
 // ewprScorer implements the Ensemble Enabled Weighted PageRank family
 // (WSDM Cup 2016 winner): citation edges are weighted by the *citing*
@@ -32,89 +35,87 @@ const ScorerEWPR = "ewpr"
 // probability distribution on the same scale, so the members are
 // fused by plain averaging — a roundoff-stable combination (rank
 // fusion would let near-tied scores flip across solve orders).
+//
+// vw-pagerank is the ensemble's first member alone with venue weight
+// only (γv = 1, γa = 0): the W-Rank-style venue-weighted PageRank.
 type ewprScorer struct {
+	name        string
 	damping     float64
 	venueGamma  float64
 	authorGamma float64
+	// single keeps only the weighted walk under the uniform teleport.
+	single bool
 }
 
 func newEWPRScorer(o ScorerOptions) (Scorer, error) {
-	if err := o.checkKeys(ScorerEWPR, "damping", "venue_gamma", "author_gamma"); err != nil {
+	s := &ewprScorer{name: ScorerEWPR}
+	if err := o.read(s.name, option{"damping", &s.damping, 0.85},
+		option{"venue_gamma", &s.venueGamma, 0.5}, option{"author_gamma", &s.authorGamma, 0.5}); err != nil {
 		return nil, err
 	}
-	s := &ewprScorer{
-		damping:     o.Get("damping", 0.85),
-		venueGamma:  o.Get("venue_gamma", 0.5),
-		authorGamma: o.Get("author_gamma", 0.5),
+	if err := checkUnit(s.name, "damping", s.damping); err != nil {
+		return nil, err
 	}
-	if s.damping <= 0 || s.damping >= 1 || math.IsNaN(s.damping) {
-		return nil, fmt.Errorf("%w: ewpr damping %v, want (0, 1)", ErrBadOptions, s.damping)
-	}
-	if s.venueGamma < 0 || s.authorGamma < 0 ||
-		math.IsNaN(s.venueGamma) || math.IsNaN(s.authorGamma) {
+	if s.venueGamma < 0 || s.authorGamma < 0 {
 		return nil, fmt.Errorf("%w: ewpr gammas %v/%v, want >= 0", ErrBadOptions, s.venueGamma, s.authorGamma)
 	}
 	return s, nil
 }
 
-func (s *ewprScorer) Name() string { return ScorerEWPR }
+func newVWPageRankScorer(o ScorerOptions) (Scorer, error) {
+	s := &ewprScorer{name: ScorerVWPageRank, venueGamma: 1, single: true}
+	if err := o.read(s.name, option{"damping", &s.damping, 0.85}); err != nil {
+		return nil, err
+	}
+	if err := checkUnit(s.name, "damping", s.damping); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+func (s *ewprScorer) Name() string { return s.name }
 
 func (s *ewprScorer) Score(ctx *SolveContext) ([]float64, error) {
-	opts := ctx.Options()
 	view := ctx.View()
 	n := view.NumArticles()
 
 	weights := s.articleWeights(ctx) // solver order, mean ~1
 	base := ctx.CitationTransition()
-	cit, err := ctx.Sharded(base)
-	if err != nil {
-		return nil, err
-	}
 	weighted, err := ctx.Sharded(base.Reweighted(func(u, v int32) float64 { return weights[u] }))
 	if err != nil {
 		return nil, err
 	}
-
-	recency, err := temporal.NewExponential(opts.RhoRecency)
-	if err != nil {
-		return nil, fmt.Errorf("core: ewpr: %w", err)
-	}
-	recencyTeleport := rank.RecencyVector(view.Years, view.Now, recency)
-	sparse.Normalize1(recencyTeleport)
-	uniform := make([]float64, n)
-	sparse.Uniform(uniform)
+	uniform := uniformVector(n)
 
 	// The ensemble: the weighted walk under both teleports plus the
 	// unweighted walk as an anchor, so the endogenous weight estimate
 	// can refine the plain ranking but never fully override it.
-	members := []struct {
+	type member struct {
 		key      string
 		t        *sparse.Transition
 		teleport []float64
-	}{
-		{"weighted-uniform", weighted, uniform},
-		{"weighted-recency", weighted, recencyTeleport},
-		{"plain-uniform", cit, uniform},
+	}
+	members := []member{{"weighted-uniform", weighted, uniform}}
+	if !s.single {
+		cit, err := ctx.Sharded(base)
+		if err != nil {
+			return nil, err
+		}
+		recency, err := recencyTeleport(view, ctx.Options().RhoRecency)
+		if err != nil {
+			return nil, fmt.Errorf("core: ewpr: %w", err)
+		}
+		members = append(members, member{"weighted-recency", weighted, recency}, member{"plain-uniform", cit, uniform})
 	}
 
 	var agg sparse.IterStats
 	agg.Converged = true
 	fused := make([]float64, n)
 	for _, m := range members {
-		init, err := ctx.WarmStart(m.key, nil)
+		vec, stats, err := ctx.walk(m.key, m.t, s.damping, m.teleport)
 		if err != nil {
-			return nil, fmt.Errorf("core: ewpr %s: %w", m.key, err)
+			return nil, err
 		}
-		if init == nil {
-			init = m.teleport
-		}
-		it := ctx.IterFor(PhaseEWPR)
-		it.AitkenEvery = opts.AitkenEvery
-		vec, stats, err := sparse.DampedWalkFrom(m.t, s.damping, m.teleport, init, it)
-		if err != nil {
-			return nil, fmt.Errorf("core: ewpr %s: %w", m.key, err)
-		}
-		ctx.KeepWarm(m.key, vec)
 		agg.Iterations += stats.Iterations
 		agg.Elapsed += stats.Elapsed
 		agg.Extrapolations += stats.Extrapolations
@@ -170,8 +171,8 @@ func (s *ewprScorer) articleWeights(ctx *SolveContext) []float64 {
 
 // entityMeanCitations computes add-one-smoothed mean citations per
 // article for each entity, normalised so the across-entity mean is 1
-// — the same endogenous prestige estimate rank.VenueWeightedPageRank
-// uses, generalised over the entity axis.
+// — W-Rank's endogenous venue prestige, generalised over the entity
+// axis.
 func entityMeanCitations(indeg []int, num int, articlesOf func(int32) []corpus.ArticleID) []float64 {
 	w := make([]float64, num)
 	if num == 0 {

@@ -15,6 +15,13 @@ func TestScorerNames(t *testing.T) {
 	want := map[string]bool{
 		DefaultScorer: true, ScorerPrestige: true, ScorerPopularity: true,
 		ScorerHetero: true, ScorerEWPR: true, ScorerALEF: true,
+		ScorerCiteCount: true, ScorerYearNorm: true, ScorerAgeNorm: true,
+		ScorerPageRank: true, ScorerHITS: true, ScorerSCEAS: true,
+		ScorerTimedPR: true, ScorerCiteRank: true, ScorerFutureRank: true,
+		ScorerVWPageRank: true, ScorerCoRank: true, ScorerPRank: true,
+	}
+	if len(names) != len(want) {
+		t.Errorf("ScorerNames() lists %d scorers, want %d", len(names), len(want))
 	}
 	for _, name := range names {
 		delete(want, name)

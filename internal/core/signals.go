@@ -24,12 +24,10 @@ import (
 // effective()). gapTrans carries the solve's sweep schedule
 // (SolveContext.Sharded), so the walk sweeps Gauss–Seidel.
 func computePrestige(view *hetnet.SolverView, opts Options, gapTrans *sparse.Transition, init []float64) ([]float64, sparse.IterStats, error) {
-	recency, err := temporal.NewExponential(opts.RhoRecency)
+	teleport, err := recencyTeleport(view, opts.RhoRecency)
 	if err != nil {
 		return nil, sparse.IterStats{}, fmt.Errorf("core: prestige: %w", err)
 	}
-	teleport := rank.RecencyVector(view.Years, view.Now, recency)
-	sparse.Normalize1(teleport)
 	if init == nil {
 		init = teleport
 	}
@@ -42,18 +40,36 @@ func computePrestige(view *hetnet.SolverView, opts Options, gapTrans *sparse.Tra
 	return scores, stats, nil
 }
 
+// recencyTeleport is the restart distribution ∝ exp(-rho·age) over the
+// view's articles, in solver order.
+func recencyTeleport(view *hetnet.SolverView, rho float64) ([]float64, error) {
+	kernel, err := temporal.NewExponential(rho)
+	if err != nil {
+		return nil, err
+	}
+	r := rank.RecencyVector(view.Years, view.Now, kernel)
+	sparse.Normalize1(r)
+	return r, nil
+}
+
 // applyFade multiplies raw prestige by exp(-RhoFade·age), returning a
 // fresh slice (the raw vector is kept for warm starts).
 func applyFade(net *hetnet.Network, opts Options, raw []float64) ([]float64, error) {
-	if opts.RhoFade == 0 {
-		return sparse.Clone(raw), nil
+	return fadeByAge(net, opts.RhoFade, raw)
+}
+
+// fadeByAge returns scores (original order) multiplied by
+// exp(-rho·age) in a fresh slice.
+func fadeByAge(net *hetnet.Network, rho float64, scores []float64) ([]float64, error) {
+	if rho == 0 {
+		return sparse.Clone(scores), nil
 	}
-	fade, err := temporal.NewExponential(opts.RhoFade)
+	fade, err := temporal.NewExponential(rho)
 	if err != nil {
-		return nil, fmt.Errorf("core: prestige fade: %w", err)
+		return nil, fmt.Errorf("core: fade: %w", err)
 	}
-	out := make([]float64, len(raw))
-	for i, v := range raw {
+	out := make([]float64, len(scores))
+	for i, v := range scores {
 		out[i] = v * fade.Weight(temporal.Age(net.Now, net.Years[i]))
 	}
 	return out, nil
@@ -160,49 +176,57 @@ func computePopularity(net *hetnet.Network, opts Options) []float64 {
 	return pop
 }
 
-// computeHetero runs the coupled article–author–venue walk with a
-// recency restart:
+// computeHetero runs QISA-Rank's coupled article–author–venue walk: the
+// blend walk restarting at recent articles, mixed by the λs of opts.
+func computeHetero(view *hetnet.SolverView, opts Options, t *sparse.Transition, pool *sparse.Pool, init []float64) ([]float64, sparse.IterStats, error) {
+	r, err := recencyTeleport(view, opts.RhoRecency)
+	if err != nil {
+		return nil, sparse.IterStats{}, fmt.Errorf("core: hetero: %w", err)
+	}
+	b := blend{r: r, cite: opts.LambdaCite, author: opts.LambdaAuthor, venue: opts.LambdaVenue, restart: opts.LambdaTime}
+	return b.walk(view, t, pool, init, opts.iterFor(PhaseHetero))
+}
+
+// blend parameterises the coupled article–author–venue walk with
+// restart distribution r:
 //
 //	x' = λc·(Mᵀx + dangling·r) + λa·S_A(G_A(x)) + λv·S_V(G_V(x)) + λt·r
 //
 // Mass leaked by articles missing authors or venues is routed through
 // r. λt > 0 makes the map a strict contraction toward r, so the
-// iteration converges for any starting distribution.
-// The iteration body is fused: the author/venue layers are gathered
-// through pull-form pooled kernels (pre-scaled by the spread shares),
-// then a single BlendStep combines the citation mat-vec, dangling and
-// leak restarts, the inline layer spread (read straight from the
-// article→authors CSR and venue index, never materialised), output
-// sum, and next iteration's dangling mass, and ScaleDiffStep folds the
-// normalisation into the residual pass.
-//
-// Like the prestige stage the walk runs in solver space: t was built
-// from view.Citations, the view's bipartite layers carry solver
-// article ids, and the returned vector is solver-ordered. The
-// opts.HeteroRelTol schedule (when set) relaxes the stopping
-// tolerance relative to the first iteration's residual.
-//
-// t carries the solve's sweep schedule, so the citation mat-vec sweeps
-// Gauss–Seidel while the author/venue layer coupling stays
-// barrier-synchronous (gathered from src before the sweep) — the fixed
-// point is that of the Jacobi walk.
-func computeHetero(view *hetnet.SolverView, opts Options, t *sparse.Transition, pool *sparse.Pool, init []float64) ([]float64, sparse.IterStats, error) {
-	n := view.NumArticles()
-	recency, err := temporal.NewExponential(opts.RhoRecency)
-	if err != nil {
-		return nil, sparse.IterStats{}, fmt.Errorf("core: hetero: %w", err)
-	}
-	r := rank.RecencyVector(view.Years, view.Now, recency)
-	sparse.Normalize1(r)
+// iteration converges for any starting distribution. QISA-Rank's
+// hetero stage restarts at recent articles; P-Rank is the same walk
+// with a uniform restart.
+type blend struct {
+	r                            []float64 // solver order, unit mass
+	cite, author, venue, restart float64   // λc, λa, λv, λt
+}
 
+// walk solves the blend from init (nil: uniform). The iteration body
+// is fused: the author/venue layers are gathered through pull-form
+// pooled kernels (pre-scaled by the spread shares), then a single
+// BlendStep combines the citation mat-vec, dangling and leak restarts,
+// the inline layer spread (read straight from the article→authors CSR
+// and venue index, never materialised), output sum, and next
+// iteration's dangling mass, and ScaleDiffStep folds the normalisation
+// into the residual pass.
+//
+// The walk runs in solver space: t was built from view.Citations, the
+// view's bipartite layers carry solver article ids, and the returned
+// vector is solver-ordered. t carries the solve's sweep schedule, so
+// the citation mat-vec sweeps Gauss–Seidel while the author/venue
+// layer coupling stays barrier-synchronous (gathered from src before
+// the sweep) — the fixed point is that of the Jacobi walk.
+func (b blend) walk(view *hetnet.SolverView, t *sparse.Transition, pool *sparse.Pool, init []float64, it sparse.IterOptions) ([]float64, sparse.IterStats, error) {
+	n := view.NumArticles()
 	var authors, venues []float64
 	var authorLayer *sparse.AuxGather
 	var venueLayer *sparse.AuxLookup
-	if opts.LambdaAuthor > 0 {
+	if b.author > 0 {
 		authors = make([]float64, view.NumAuthors())
 		authorLayer = view.AuthorBlendLayer(authors)
 	}
-	if opts.LambdaVenue > 0 {
+	if b.venue > 0 {
 		venues = make([]float64, view.NumVenues())
 		venueLayer = view.VenueBlendLayer(venues)
 	}
@@ -214,25 +238,20 @@ func computeHetero(view *hetnet.SolverView, opts Options, t *sparse.Transition, 
 	dang := t.DanglingMass(init) // seeds the pipelined dangling mass
 	step := func(dst, src []float64) float64 {
 		var aLeak, vLeak float64
-		if opts.LambdaAuthor > 0 {
+		if b.author > 0 {
 			aLeak = view.GatherArticlesToAuthorsScaledPar(pool, authors, src)
 		}
-		if opts.LambdaVenue > 0 {
+		if b.venue > 0 {
 			vLeak = view.GatherArticlesToVenuesScaledPar(pool, venues, src)
 		}
-		sum, dangNext := t.BlendStep(dst, src, r, authorLayer, venueLayer,
-			opts.LambdaCite, opts.LambdaAuthor, opts.LambdaVenue, opts.LambdaTime,
-			dang, aLeak, vLeak)
+		sum, dangNext := t.BlendStep(dst, src, b.r, authorLayer, venueLayer,
+			b.cite, b.author, b.venue, b.restart, dang, aLeak, vLeak)
 		inv := 1.0
 		if sum != 0 && !math.IsNaN(sum) && !math.IsInf(sum, 0) {
 			inv = 1 / sum
 		}
 		dang = dangNext * inv
 		return t.ScaleDiffStep(dst, src, inv)
-	}
-	it := opts.iterFor(PhaseHetero)
-	if opts.HeteroRelTol > 0 {
-		it.RelTol = opts.HeteroRelTol
 	}
 	scores, stats, err := sparse.FixedPointResidual(init, step, it)
 	if err != nil {

@@ -61,9 +61,7 @@ func runAblation(opts Options) ([]*Table, error) {
 	eng := core.NewEngine(ctx.net)
 	defer eng.Close()
 	for _, v := range ablationVariants() {
-		o := core.DefaultOptions()
-		o.Workers = opts.Workers
-		o.Iter = evalIter
+		o := evalOptions(opts.Workers)
 		v.mutate(&o)
 		sc, err := eng.Rank(o)
 		if err != nil {

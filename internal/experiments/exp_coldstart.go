@@ -65,12 +65,12 @@ func runColdStart(opts Options) ([]*Table, error) {
 		t.Columns = append(t.Columns, fmt.Sprintf("age-b%d", b))
 	}
 
-	for _, m := range Methods() {
-		res, err := m.Run(ctx.net, opts.Workers)
+	for _, m := range methods {
+		scores, err := m.scores(ctx.net, opts.Workers)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: coldstart %s: %w", m.Name, err)
+			return nil, err
 		}
-		pct := eval.Percentiles(res.Scores)
+		pct := eval.Percentiles(scores)
 		sums := make([]float64, coldStartBuckets)
 		counts := make([]int, coldStartBuckets)
 		for i := range pct {
@@ -81,7 +81,7 @@ func runColdStart(opts Options) ([]*Table, error) {
 			sums[b] += pct[i]
 			counts[b]++
 		}
-		row := []any{m.Name}
+		row := []any{m.label}
 		for b := 0; b < coldStartBuckets; b++ {
 			if counts[b] == 0 {
 				row = append(row, "n/a")

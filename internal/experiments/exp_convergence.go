@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"scholarrank/internal/rank"
+	"scholarrank/internal/core"
 	"scholarrank/internal/sparse"
 )
 
@@ -15,66 +15,41 @@ func init() {
 const convergenceIters = 25
 
 // runConvergence traces the L1 residual of every iterative method on
-// the medium corpus. Expected shape: geometric decay with rate ≈ the
-// damping factor for the damped walks; HITS decays at the spectral
-// gap of the citation graph (typically slower and less regular).
+// the medium corpus. Expected shape: the Gauss–Seidel walks (PageRank,
+// CiteRank) solve the chronological citation graph in a couple of
+// sweeps; P-Rank's citation term sweeps the same way but its author
+// and venue layers are Jacobi, so it decays geometrically like the
+// Jacobi iterations (FutureRank); HITS decays at the spectral gap of
+// the citation graph (typically slower and less regular).
 func runConvergence(opts Options) ([]*Table, error) {
 	ctx, err := prepare(SizeMedium, opts)
 	if err != nil {
 		return nil, err
 	}
-	traceIter := sparse.IterOptions{Tol: 1e-14, MaxIter: convergenceIters, Trace: true}
-
-	type traced struct {
-		name string
-		run  func() (sparse.IterStats, error)
-	}
-	runs := []traced{
-		{"PageRank", func() (sparse.IterStats, error) {
-			r, err := rank.PageRank(ctx.net.Citations, rank.PageRankOptions{Workers: opts.Workers, Iter: traceIter})
-			return r.Stats, err
-		}},
-		{"HITS", func() (sparse.IterStats, error) {
-			r, err := rank.HITSAuthority(ctx.net.Citations, traceIter)
-			return r.Stats, err
-		}},
-		{"CiteRank", func() (sparse.IterStats, error) {
-			r, err := rank.CiteRank(ctx.net.Citations, ctx.net.Years, ctx.net.Now, rank.CiteRankOptions{
-				Rho:      0.38,
-				PageRank: rank.PageRankOptions{Workers: opts.Workers, Iter: traceIter},
-			})
-			return r.Stats, err
-		}},
-		{"FutureRank", func() (sparse.IterStats, error) {
-			o := rank.DefaultFutureRankOptions()
-			o.Workers = opts.Workers
-			o.Iter = traceIter
-			r, err := rank.FutureRank(ctx.net, o)
-			return r.Stats, err
-		}},
-		{"P-Rank", func() (sparse.IterStats, error) {
-			o := rank.DefaultPRankOptions()
-			o.Workers = opts.Workers
-			o.Iter = traceIter
-			r, err := rank.PRank(ctx.net, o)
-			return r.Stats, err
-		}},
+	o := evalOptions(opts.Workers)
+	o.Iter = sparse.IterOptions{Tol: 1e-14, MaxIter: convergenceIters, Trace: true}
+	runs := []method{
+		{"PageRank", core.ScorerPageRank},
+		{"HITS", core.ScorerHITS},
+		{"CiteRank", core.ScorerCiteRank},
+		{"FutureRank", core.ScorerFutureRank},
+		{"P-Rank", core.ScorerPRank},
 	}
 
 	t := &Table{
 		ID:      "F3",
 		Title:   "L1 residual by iteration (medium corpus)",
 		Columns: []string{"iteration"},
-		Notes:   []string{"damped walks decay geometrically at ≈ the damping factor (0.85)"},
+		Notes:   []string{"Gauss–Seidel walks converge in a few sweeps; Jacobi iterations decay geometrically at ≈ the damping factor (0.85)"},
 	}
 	traces := make([][]float64, 0, len(runs))
-	for _, r := range runs {
-		stats, err := r.run()
+	for _, m := range runs {
+		sc, err := core.RankScorer(ctx.net, m.scorer, nil, o)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: convergence %s: %w", r.name, err)
+			return nil, fmt.Errorf("experiments: convergence %s: %w", m.label, err)
 		}
-		t.Columns = append(t.Columns, r.name)
-		traces = append(traces, stats.ResidualTrace)
+		t.Columns = append(t.Columns, m.label)
+		traces = append(traces, sc.PrestigeStats.ResidualTrace)
 	}
 	for i := 0; i < convergenceIters; i++ {
 		row := []any{i + 1}

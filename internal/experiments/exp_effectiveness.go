@@ -67,20 +67,20 @@ func runEffectiveness(opts Options) ([]*Table, error) {
 		}
 		ctxs[size] = ctx
 	}
-	for _, m := range Methods() {
-		row := []any{m.Name}
+	for _, m := range methods {
+		row := []any{m.label}
 		for _, size := range []string{SizeSmall, SizeMedium} {
 			ctx := ctxs[size]
-			res, err := m.Run(ctx.net, opts.Workers)
+			scores, err := m.scores(ctx.net, opts.Workers)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: %s on %s: %w", m.Name, size, err)
+				return nil, fmt.Errorf("%w (%s corpus)", err, size)
 			}
 			rng := rand.New(rand.NewSource(1000 + opts.Seed))
-			acc, _, err := eval.PairwiseAccuracy(res.Scores, ctx.future, rng, pairSamples)
+			acc, _, err := eval.PairwiseAccuracy(scores, ctx.future, rng, pairSamples)
 			if err != nil {
 				return nil, err
 			}
-			ndcg, err := eval.NDCG(res.Scores, ctx.future, 50)
+			ndcg, err := eval.NDCG(scores, ctx.future, 50)
 			if err != nil {
 				return nil, err
 			}
@@ -118,16 +118,16 @@ func runAwardRecall(opts Options) ([]*Table, error) {
 			"award set: top 0.5% by latent quality — the oracle for best-paper/test-of-time lists",
 		},
 	}
-	for _, m := range Methods() {
-		res, err := m.Run(ctx.net, opts.Workers)
+	for _, m := range methods {
+		scores, err := m.scores(ctx.net, opts.Workers)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", m.Name, err)
+			return nil, err
 		}
-		row := []any{m.Name}
+		row := []any{m.label}
 		for _, k := range ks {
-			row = append(row, eval.RecallAtK(res.Scores, award, k))
+			row = append(row, eval.RecallAtK(scores, award, k))
 		}
-		row = append(row, eval.AveragePrecision(res.Scores, award))
+		row = append(row, eval.AveragePrecision(scores, award))
 		t.AddRow(row...)
 	}
 	return []*Table{t}, nil

@@ -31,14 +31,17 @@ func runEntities(opts Options) ([]*Table, error) {
 		return nil, err
 	}
 	net := hetnet.Build(c.Store)
-	o := core.DefaultOptions()
-	o.Workers = opts.Workers
-	o.Iter = evalIter
-	sc, err := core.Rank(net, o)
+	eng := core.NewEngine(net)
+	defer eng.Close()
+	o := evalOptions(opts.Workers)
+	sc, err := eng.Rank(o)
 	if err != nil {
 		return nil, err
 	}
-	ccScores := rank.CiteCount(net.Citations).Scores
+	cc, err := eng.RankScorer(core.ScorerCiteCount, nil, o)
+	if err != nil {
+		return nil, err
+	}
 
 	t := &Table{
 		ID:      "T6",
@@ -58,9 +61,9 @@ func runEntities(opts Options) ([]*Table, error) {
 	}
 	cases := []entityCase{
 		{"authors", "QISA-Rank", sc.Importance, c.AuthorTalent},
-		{"authors", "CiteCount", ccScores, c.AuthorTalent},
+		{"authors", "CiteCount", cc.Importance, c.AuthorTalent},
 		{"venues", "QISA-Rank", sc.Importance, c.VenuePrestige},
-		{"venues", "CiteCount", ccScores, c.VenuePrestige},
+		{"venues", "CiteCount", cc.Importance, c.VenuePrestige},
 	}
 	// Authors are evaluated over the productive subset only (see
 	// entityMinArticles): talent cannot be recovered from one-article
@@ -84,7 +87,7 @@ func runEntities(opts Options) ([]*Table, error) {
 	// CoRank produces author scores directly from the coupled walk,
 	// without an aggregation step — the mutual-reinforcement
 	// comparison point.
-	cr, err := rank.CoRank(net, rank.CoRankOptions{Workers: opts.Workers, Iter: evalIter})
+	cr, err := eng.RankScorer(core.ScorerCoRank, nil, o)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: entities corank: %w", err)
 	}

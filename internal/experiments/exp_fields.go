@@ -61,28 +61,27 @@ func runFields(opts Options) ([]*Table, error) {
 	// multiplier (the last one) — verify empirically from citations.
 	densest := densestField(net, fields)
 
+	// FieldNorm needs the field labels, so it is the one contender that
+	// is not a registered scorer.
+	fieldNorm, err := rank.GroupNormCiteCount(net.Citations, fields, net.Years)
+	if err != nil {
+		return nil, err
+	}
 	type contender struct {
 		name   string
 		scores []float64
 	}
 	var contenders []contender
-	cc := rank.CiteCount(net.Citations)
-	contenders = append(contenders, contender{"CiteCount", cc.Scores})
-	yn := rank.YearNormCiteCount(net.Citations, net.Years)
-	contenders = append(contenders, contender{"YearNorm", yn.Scores})
-	fn, err := rank.GroupNormCiteCount(net.Citations, fields, net.Years)
-	if err != nil {
-		return nil, err
+	for _, m := range []method{{"CiteCount", core.ScorerCiteCount}, {"YearNorm", core.ScorerYearNorm},
+		{"FieldNorm", ""}, {QISAMethodName, core.DefaultScorer}} {
+		scores := fieldNorm
+		if m.scorer != "" {
+			if scores, err = m.scores(net, opts.Workers); err != nil {
+				return nil, err
+			}
+		}
+		contenders = append(contenders, contender{m.label, scores})
 	}
-	contenders = append(contenders, contender{"FieldNorm", fn.Scores})
-	o := core.DefaultOptions()
-	o.Workers = opts.Workers
-	o.Iter = evalIter
-	sc, err := core.Rank(net, o)
-	if err != nil {
-		return nil, err
-	}
-	contenders = append(contenders, contender{QISAMethodName, sc.Importance})
 
 	// Field share of all articles, for reference.
 	var densestShare float64

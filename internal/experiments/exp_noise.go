@@ -31,7 +31,6 @@ func runNoise(opts Options) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	methods := Methods()
 	t := &Table{
 		ID:      "F8",
 		Title:   "Pairwise accuracy vs fraction of articles with noisy years (±3y)",
@@ -41,7 +40,7 @@ func runNoise(opts Options) ([]*Table, error) {
 		},
 	}
 	for _, m := range methods {
-		t.Columns = append(t.Columns, m.Name)
+		t.Columns = append(t.Columns, m.label)
 	}
 	for _, frac := range []float64{0, 0.1, 0.25, 0.5, 1.0} {
 		rng := rand.New(rand.NewSource(7000 + opts.Seed + int64(frac*100)))
@@ -52,12 +51,12 @@ func runNoise(opts Options) ([]*Table, error) {
 		net := hetnet.Build(noisy)
 		row := []any{frac}
 		for _, m := range methods {
-			res, err := m.Run(net, opts.Workers)
+			scores, err := m.scores(net, opts.Workers)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: noise %.0f%% %s: %w", frac*100, m.Name, err)
+				return nil, fmt.Errorf("%w (%.0f%% noisy years)", err, frac*100)
 			}
 			accRng := rand.New(rand.NewSource(7100 + opts.Seed))
-			acc, _, err := eval.PairwiseAccuracy(res.Scores, h.FutureCites, accRng, pairSamples)
+			acc, _, err := eval.PairwiseAccuracy(scores, h.FutureCites, accRng, pairSamples)
 			if err != nil {
 				return nil, err
 			}

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"scholarrank/internal/retrieval"
-)
+import "scholarrank/internal/retrieval"
 
 func init() {
 	register(Experiment{ID: "T7", Title: "Retrieval blending: query relevance + importance prior", Run: runRetrieval})
@@ -42,16 +38,16 @@ func runRetrieval(opts Options) ([]*Table, error) {
 			"relevance: noisy topical signal; gains: future citations of the relevant articles",
 		},
 	}
-	for _, m := range Methods() {
-		res, err := m.Run(ctx.net, opts.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: retrieval %s: %w", m.Name, err)
-		}
-		pure, err := retrieval.MeanNDCG(queries, res.Scores, 1, 10)
+	for _, m := range methods {
+		scores, err := m.scores(ctx.net, opts.Workers)
 		if err != nil {
 			return nil, err
 		}
-		best, sweep, err := retrieval.BestLambda(queries, res.Scores, 10)
+		pure, err := retrieval.MeanNDCG(queries, scores, 1, 10)
+		if err != nil {
+			return nil, err
+		}
+		best, sweep, err := retrieval.BestLambda(queries, scores, 10)
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +61,7 @@ func runRetrieval(opts Options) ([]*Table, error) {
 		if pure > 0 {
 			gain = (bestNDCG - pure) / pure * 100
 		}
-		t.AddRow(m.Name, pure, best, bestNDCG, gain)
+		t.AddRow(m.label, pure, best, bestNDCG, gain)
 	}
 	return []*Table{t}, nil
 }

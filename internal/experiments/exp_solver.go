@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"scholarrank/internal/core"
 	"scholarrank/internal/eval"
+	"scholarrank/internal/hetnet"
 	"scholarrank/internal/rank"
 	"scholarrank/internal/sparse"
 )
@@ -15,15 +17,21 @@ func init() {
 
 // runSolver compares the two PageRank solvers at several tolerances —
 // the ablation behind DESIGN.md §9's chronological Gauss–Seidel
-// schedule. Expected shape: identical rankings (Kendall tau ≈ 1), and
-// Gauss–Seidel in two sweeps at every tolerance on the generated
+// schedule. The power-iteration side is the Jacobi walk over the
+// unscheduled citation operator; the Gauss–Seidel side is the pagerank
+// scorer. Expected shape: identical rankings (Kendall tau ≈ 1), and
+// Gauss–Seidel in about two sweeps at every tolerance on the generated
 // corpus, whose citations all point to lower ids.
 func runSolver(opts Options) ([]*Table, error) {
 	c, err := BuildCorpus(SizeMedium, opts)
 	if err != nil {
 		return nil, err
 	}
-	g := c.Store.CitationGraph()
+	net := hetnet.Build(c.Store)
+	view := net.SolverView()
+	jacobi := view.CitationTransition() // no schedule: Jacobi sweeps
+	uniform := make([]float64, jacobi.N())
+	sparse.Uniform(uniform)
 	t := &Table{
 		ID:      "F7",
 		Title:   "PageRank solver comparison (medium corpus)",
@@ -33,25 +41,26 @@ func runSolver(opts Options) ([]*Table, error) {
 		},
 	}
 	for _, tol := range []float64{1e-6, 1e-9, 1e-12} {
-		iter := sparse.IterOptions{Tol: tol, MaxIter: 1000}
+		o := evalOptions(opts.Workers)
+		o.Iter = sparse.IterOptions{Tol: tol, MaxIter: 1000}
 		startP := time.Now()
-		power, err := rank.PageRank(g, rank.PageRankOptions{Workers: opts.Workers, Iter: iter})
+		power, powerStats, err := sparse.DampedWalk(jacobi, rank.DefaultDamping, uniform, o.Iter)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: solver power: %w", err)
 		}
 		powerMs := float64(time.Since(startP).Milliseconds())
 		startG := time.Now()
-		gs, err := rank.PageRankGaussSeidel(g, rank.PageRankOptions{Workers: opts.Workers, Iter: iter})
+		gs, err := core.RankScorer(net, core.ScorerPageRank, nil, o)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: solver gs: %w", err)
 		}
 		gsMs := float64(time.Since(startG).Milliseconds())
-		tau, err := eval.KendallTau(power.Scores, gs.Scores)
+		tau, err := eval.KendallTau(view.Perm().Restored(power), gs.Importance)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%.0e", tol), power.Stats.Iterations, powerMs,
-			gs.Stats.Iterations, gsMs, tau)
+		t.AddRow(fmt.Sprintf("%.0e", tol), powerStats.Iterations, powerMs,
+			gs.PrestigeStats.Iterations, gsMs, tau)
 	}
 	return []*Table{t}, nil
 }

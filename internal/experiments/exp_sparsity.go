@@ -30,16 +30,15 @@ func runSparsity(opts Options) ([]*Table, error) {
 		return nil, err
 	}
 	fullNet := hetnet.Build(h.Train)
-	methods := Methods()
 
 	// Full-graph reference scores per method.
 	fullScores := make(map[string][]float64, len(methods))
 	for _, m := range methods {
-		res, err := m.Run(fullNet, opts.Workers)
+		scores, err := m.scores(fullNet, opts.Workers)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: sparsity full %s: %w", m.Name, err)
+			return nil, err
 		}
-		fullScores[m.Name] = res.Scores
+		fullScores[m.label] = scores
 	}
 
 	accT := &Table{
@@ -54,8 +53,8 @@ func runSparsity(opts Options) ([]*Table, error) {
 		Notes:   []string{"higher tau = ranking more stable under edge loss"},
 	}
 	for _, m := range methods {
-		accT.Columns = append(accT.Columns, m.Name)
-		tauT.Columns = append(tauT.Columns, m.Name)
+		accT.Columns = append(accT.Columns, m.label)
+		tauT.Columns = append(tauT.Columns, m.label)
 	}
 
 	for _, frac := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
@@ -68,16 +67,16 @@ func runSparsity(opts Options) ([]*Table, error) {
 		accRow := []any{frac}
 		tauRow := []any{frac}
 		for _, m := range methods {
-			res, err := m.Run(net, opts.Workers)
+			scores, err := m.scores(net, opts.Workers)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: sparsity %.0f%% %s: %w", frac*100, m.Name, err)
+				return nil, fmt.Errorf("%w (%.0f%% of citations)", err, frac*100)
 			}
 			accRng := rand.New(rand.NewSource(5000 + opts.Seed))
-			acc, _, err := eval.PairwiseAccuracy(res.Scores, h.FutureCites, accRng, pairSamples)
+			acc, _, err := eval.PairwiseAccuracy(scores, h.FutureCites, accRng, pairSamples)
 			if err != nil {
 				return nil, err
 			}
-			tau, err := eval.KendallTau(res.Scores, fullScores[m.Name])
+			tau, err := eval.KendallTau(scores, fullScores[m.label])
 			if err != nil {
 				return nil, err
 			}

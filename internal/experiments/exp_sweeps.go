@@ -43,10 +43,8 @@ func runDecaySweep(opts Options) ([]*Table, error) {
 	eng := core.NewEngine(ctx.net)
 	defer eng.Close()
 	for _, rho := range []float64{0, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4} {
-		o := core.DefaultOptions()
+		o := evalOptions(opts.Workers)
 		o.RhoRecency = rho
-		o.Workers = opts.Workers
-		o.Iter = evalIter
 		acc, err := sweepAccuracy(ctx, eng, o, opts.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: rho=%v: %w", rho, err)
@@ -73,13 +71,11 @@ func runEnsembleSweep(opts Options) ([]*Table, error) {
 	eng := core.NewEngine(ctx.net)
 	defer eng.Close()
 	for _, wp := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1} {
-		o := core.DefaultOptions()
+		o := evalOptions(opts.Workers)
 		o.Ensemble = core.Arithmetic
 		o.WPrestige = wp
 		o.WPopularity = (1 - wp) / 2
 		o.WHetero = (1 - wp) / 2
-		o.Workers = opts.Workers
-		o.Iter = evalIter
 		acc, err := sweepAccuracy(ctx, eng, o, opts.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: wp=%v: %w", wp, err)
@@ -93,10 +89,8 @@ func runEnsembleSweep(opts Options) ([]*Table, error) {
 		Columns: []string{"ensemble", "acc-future"},
 	}
 	for _, kind := range []core.EnsembleKind{core.Harmonic, core.Geometric, core.Arithmetic} {
-		o := core.DefaultOptions()
+		o := evalOptions(opts.Workers)
 		o.Ensemble = kind
-		o.Workers = opts.Workers
-		o.Iter = evalIter
 		acc, err := sweepAccuracy(ctx, eng, o, opts.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ensemble %v: %w", kind, err)

@@ -32,9 +32,9 @@ var varianceMethods = map[string]bool{
 func runVariance(opts Options) ([]*Table, error) {
 	accs := map[string][]float64{}
 	var order []string
-	for _, m := range Methods() {
-		if varianceMethods[m.Name] {
-			order = append(order, m.Name)
+	for _, m := range methods {
+		if varianceMethods[m.label] {
+			order = append(order, m.label)
 		}
 	}
 	for seed := int64(0); seed < varianceSeeds; seed++ {
@@ -44,20 +44,20 @@ func runVariance(opts Options) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range Methods() {
-			if !varianceMethods[m.Name] {
+		for _, m := range methods {
+			if !varianceMethods[m.label] {
 				continue
 			}
-			res, err := m.Run(ctx.net, opts.Workers)
+			scores, err := m.scores(ctx.net, opts.Workers)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: variance seed %d %s: %w", seed, m.Name, err)
+				return nil, fmt.Errorf("%w (seed %d)", err, seed)
 			}
 			rng := rand.New(rand.NewSource(9000 + seed))
-			acc, _, err := eval.PairwiseAccuracy(res.Scores, ctx.future, rng, pairSamples)
+			acc, _, err := eval.PairwiseAccuracy(scores, ctx.future, rng, pairSamples)
 			if err != nil {
 				return nil, err
 			}
-			accs[m.Name] = append(accs[m.Name], acc)
+			accs[m.label] = append(accs[m.label], acc)
 		}
 	}
 	t := &Table{

@@ -149,8 +149,8 @@ func TestT1CorpusStats(t *testing.T) {
 
 func TestT2Effectiveness(t *testing.T) {
 	tbl := mustRun(t, "T2")[0]
-	if len(tbl.Rows) != len(Methods()) {
-		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(Methods()))
+	if len(tbl.Rows) != len(methods) {
+		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(methods))
 	}
 	var qisaAcc float64
 	found := false
@@ -175,7 +175,7 @@ func TestT2Effectiveness(t *testing.T) {
 
 func TestT3AwardRecall(t *testing.T) {
 	tbl := mustRun(t, "T3")[0]
-	if len(tbl.Rows) != len(Methods()) {
+	if len(tbl.Rows) != len(methods) {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 }
@@ -216,7 +216,7 @@ func TestT6Entities(t *testing.T) {
 
 func TestT7Retrieval(t *testing.T) {
 	tbl := mustRun(t, "T7")[0]
-	if len(tbl.Rows) != len(Methods()) {
+	if len(tbl.Rows) != len(methods) {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	for i := range tbl.Rows {
@@ -271,7 +271,7 @@ func TestF3Convergence(t *testing.T) {
 
 func TestF4ColdStart(t *testing.T) {
 	tbl := mustRun(t, "F4")[0]
-	if len(tbl.Rows) != len(Methods()) {
+	if len(tbl.Rows) != len(methods) {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	if len(tbl.Columns) != 1+coldStartBuckets {
@@ -311,7 +311,7 @@ func TestF8Noise(t *testing.T) {
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
-	if len(tbl.Columns) != 1+len(Methods()) {
+	if len(tbl.Columns) != 1+len(methods) {
 		t.Errorf("columns = %d", len(tbl.Columns))
 	}
 }

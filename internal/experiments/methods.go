@@ -1,100 +1,61 @@
 package experiments
 
 import (
+	"fmt"
+
 	"scholarrank/internal/core"
 	"scholarrank/internal/hetnet"
-	"scholarrank/internal/rank"
 	"scholarrank/internal/sparse"
 )
 
-// Method is one ranking algorithm under comparison.
-type Method struct {
-	Name string
-	// Run computes article scores on the visible network.
-	Run func(net *hetnet.Network, workers int) (rank.Result, error)
+// EvalIter is the iteration budget every compared method gets — in the
+// experiment suite and on the sareval leaderboard — so no algorithm
+// wins by running longer.
+var EvalIter = sparse.IterOptions{Tol: 1e-10, MaxIter: 300}
+
+// evalOptions is the default QISA-Rank parameterisation under the
+// shared evaluation budget.
+func evalOptions(workers int) core.Options {
+	o := core.DefaultOptions()
+	o.Workers = workers
+	o.Iter = EvalIter
+	return o
 }
 
-// evalIter is the iteration budget shared by all compared methods so
-// no algorithm wins by running longer.
-var evalIter = sparse.IterOptions{Tol: 1e-10, MaxIter: 300}
-
-// Methods returns every compared algorithm in presentation order:
-// count-based baselines, flat link analysis, time-aware link
-// analysis, heterogeneous baselines, then QISA-Rank.
-func Methods() []Method {
-	return []Method{
-		{Name: "CiteCount", Run: func(net *hetnet.Network, _ int) (rank.Result, error) {
-			return rank.CiteCount(net.Citations), nil
-		}},
-		{Name: "YearNorm", Run: func(net *hetnet.Network, _ int) (rank.Result, error) {
-			return rank.YearNormCiteCount(net.Citations, net.Years), nil
-		}},
-		{Name: "AgeNorm", Run: func(net *hetnet.Network, _ int) (rank.Result, error) {
-			return rank.AgeNormCiteCount(net.Citations, net.Years, net.Now), nil
-		}},
-		{Name: "PageRank", Run: func(net *hetnet.Network, workers int) (rank.Result, error) {
-			return rank.PageRank(net.Citations, rank.PageRankOptions{Workers: workers, Iter: evalIter})
-		}},
-		{Name: "HITS", Run: func(net *hetnet.Network, _ int) (rank.Result, error) {
-			return rank.HITSAuthority(net.Citations, evalIter)
-		}},
-		{Name: "SceasRank", Run: func(net *hetnet.Network, _ int) (rank.Result, error) {
-			return rank.SceasRank(net.Citations, rank.SceasRankOptions{Iter: evalIter})
-		}},
-		{Name: "TimedPR", Run: func(net *hetnet.Network, workers int) (rank.Result, error) {
-			return rank.TimedPageRank(net.Citations, net.Years, net.Now, 0.2,
-				rank.PageRankOptions{Workers: workers, Iter: evalIter})
-		}},
-		{Name: "CiteRank", Run: func(net *hetnet.Network, workers int) (rank.Result, error) {
-			return rank.CiteRank(net.Citations, net.Years, net.Now, rank.CiteRankOptions{
-				Rho:      0.38, // the original paper's tau ≈ 2.6 years
-				PageRank: rank.PageRankOptions{Workers: workers, Iter: evalIter},
-			})
-		}},
-		{Name: "FutureRank", Run: func(net *hetnet.Network, workers int) (rank.Result, error) {
-			opts := rank.DefaultFutureRankOptions()
-			opts.Workers = workers
-			opts.Iter = evalIter
-			return rank.FutureRank(net, opts)
-		}},
-		{Name: "VW-PageRank", Run: func(net *hetnet.Network, workers int) (rank.Result, error) {
-			return rank.VenueWeightedPageRank(net, rank.PageRankOptions{Workers: workers, Iter: evalIter})
-		}},
-		{Name: "CoRank", Run: func(net *hetnet.Network, workers int) (rank.Result, error) {
-			r, err := rank.CoRank(net, rank.CoRankOptions{Workers: workers, Iter: evalIter})
-			if err != nil {
-				return rank.Result{}, err
-			}
-			return rank.Result{Scores: r.Articles, Stats: r.Stats}, nil
-		}},
-		{Name: "P-Rank", Run: func(net *hetnet.Network, workers int) (rank.Result, error) {
-			opts := rank.DefaultPRankOptions()
-			opts.Workers = workers
-			opts.Iter = evalIter
-			return rank.PRank(net, opts)
-		}},
-		{Name: "EWPR", Run: coreScorerRun(core.ScorerEWPR)},
-		{Name: "ALEF", Run: coreScorerRun(core.ScorerALEF)},
-		{Name: QISAMethodName, Run: coreScorerRun(core.DefaultScorer)},
-	}
+// method is one compared algorithm: its table label and the registered
+// scorer that computes it.
+type method struct {
+	label, scorer string
 }
 
-// coreScorerRun adapts a registered core scorer to the comparison
-// harness: same iteration budget as every other method, scores and
-// first-stage stats extracted from the engine result. The core-family
-// methods all route through the scorer registry, so a new registered
-// scorer joins the comparison by adding one line above.
-func coreScorerRun(scorer string) func(*hetnet.Network, int) (rank.Result, error) {
-	return func(net *hetnet.Network, workers int) (rank.Result, error) {
-		opts := core.DefaultOptions()
-		opts.Workers = workers
-		opts.Iter = evalIter
-		sc, err := core.RankScorer(net, scorer, nil, opts)
-		if err != nil {
-			return rank.Result{}, err
-		}
-		return rank.Result{Scores: sc.Importance, Stats: sc.PrestigeStats}, nil
+// methods is every compared algorithm in presentation order:
+// count-based baselines, flat link analysis, time-aware link analysis,
+// heterogeneous baselines, then QISA-Rank.
+var methods = []method{
+	{"CiteCount", core.ScorerCiteCount},
+	{"YearNorm", core.ScorerYearNorm},
+	{"AgeNorm", core.ScorerAgeNorm},
+	{"PageRank", core.ScorerPageRank},
+	{"HITS", core.ScorerHITS},
+	{"SceasRank", core.ScorerSCEAS},
+	{"TimedPR", core.ScorerTimedPR},
+	{"CiteRank", core.ScorerCiteRank},
+	{"FutureRank", core.ScorerFutureRank},
+	{"VW-PageRank", core.ScorerVWPageRank},
+	{"CoRank", core.ScorerCoRank},
+	{"P-Rank", core.ScorerPRank},
+	{"EWPR", core.ScorerEWPR},
+	{"ALEF", core.ScorerALEF},
+	{QISAMethodName, core.DefaultScorer},
+}
+
+// scores ranks net with the method's scorer under the shared budget.
+func (m method) scores(net *hetnet.Network, workers int) ([]float64, error) {
+	sc, err := core.RankScorer(net, m.scorer, nil, evalOptions(workers))
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", m.label, err)
 	}
+	return sc.Importance, nil
 }
 
 // QISAMethodName is the display name of the core algorithm, used by

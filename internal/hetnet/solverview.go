@@ -189,6 +189,40 @@ func (v *SolverView) GatherArticlesToAuthorsScaledPar(pool *sparse.Pool, dst, ar
 	return leaked
 }
 
+// GatherArticlesToAuthorsPar mirrors Network.GatherArticlesToAuthorsPar
+// with articleScore in solver order.
+func (v *SolverView) GatherArticlesToAuthorsPar(pool *sparse.Pool, dst, articleScore []float64) (leaked float64) {
+	chunks := v.authorChunks
+	pool.Run(len(chunks)-1, func(c int) {
+		for a := chunks[c]; a < chunks[c+1]; a++ {
+			var s float64
+			for _, p := range v.authorArticles[v.authorOffsets[a]:v.authorOffsets[a+1]] {
+				s += articleScore[p] * v.invArtAuthors[p]
+			}
+			dst[a] = s
+		}
+	})
+	for _, p := range v.noAuthorArts {
+		leaked += articleScore[p]
+	}
+	return leaked
+}
+
+// SpreadAuthorsToArticlesPar mirrors Network.SpreadAuthorsToArticlesPar
+// with dst in solver order.
+func (v *SolverView) SpreadAuthorsToArticlesPar(pool *sparse.Pool, dst, authorScore []float64) {
+	chunks := v.articleChunks
+	pool.Run(len(chunks)-1, func(c int) {
+		for p := chunks[c]; p < chunks[c+1]; p++ {
+			var s float64
+			for _, a := range v.artAuthors[v.artAuthorOff[p]:v.artAuthorOff[p+1]] {
+				s += authorScore[a] * v.invAuthorArts[a]
+			}
+			dst[p] = s
+		}
+	})
+}
+
 // GatherArticlesToVenuesScaledPar mirrors
 // Network.GatherArticlesToVenuesScaledPar in solver order.
 func (v *SolverView) GatherArticlesToVenuesScaledPar(pool *sparse.Pool, dst, articleScore []float64) (leaked float64) {

@@ -21,76 +21,6 @@ func benchNetwork(b *testing.B) *hetnet.Network {
 
 var benchIter = sparse.IterOptions{Tol: 1e-9, MaxIter: 200}
 
-func BenchmarkPageRank20k(b *testing.B) {
-	net := benchNetwork(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PageRank(net.Citations, PageRankOptions{Iter: benchIter}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPageRankGaussSeidel20k(b *testing.B) {
-	net := benchNetwork(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PageRankGaussSeidel(net.Citations, PageRankOptions{Iter: benchIter}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHITS20k(b *testing.B) {
-	net := benchNetwork(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := HITSAuthority(net.Citations, benchIter); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFutureRank20k(b *testing.B) {
-	net := benchNetwork(b)
-	opts := DefaultFutureRankOptions()
-	opts.Iter = benchIter
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FutureRank(net, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPRank20k(b *testing.B) {
-	net := benchNetwork(b)
-	opts := DefaultPRankOptions()
-	opts.Iter = benchIter
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PRank(net, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCoRank20k(b *testing.B) {
-	net := benchNetwork(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CoRank(net, CoRankOptions{Iter: benchIter}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkNewRelatedIndex20k is the index build over a network whose
 // in-edge operator exists already (any solved network): O(articles),
 // no per-citation allocation.
@@ -126,10 +56,13 @@ func BenchmarkRelatedQuery20k(b *testing.B) {
 
 func BenchmarkTopK20k(b *testing.B) {
 	net := benchNetwork(b)
-	res := CiteCount(net.Citations)
+	scores := make([]float64, net.NumArticles())
+	for i, d := range net.Citations.InDegrees() {
+		scores[i] = float64(d)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = TopK(res.Scores, 100)
+		_ = TopK(scores, 100)
 	}
 }

@@ -1,12 +1,11 @@
-// Package rank implements the query-independent baseline ranking
-// algorithms the paper family compares against: citation counts
-// (raw and year-normalised), PageRank, HITS, CiteRank (time-aware
-// personalised PageRank), FutureRank (citation + author + time), and
-// P-Rank (citation + author + venue heterogeneous walk).
-//
-// Every algorithm returns scores aligned with the dense article index
-// of the corpus; higher is better. Iterative algorithms additionally
-// report convergence statistics.
+// Package rank holds the ranking building blocks that sit outside the
+// scorer registry: top-k selection over any score vector, author and
+// venue rankings aggregated from article scores, related-article
+// search, and the two article-level inputs the core scorers share —
+// the recency vector and the group-normalised citation count. The
+// query-independent baselines themselves (citation counts, PageRank,
+// HITS, CiteRank, FutureRank, P-Rank, …) are registered scorers in
+// internal/core.
 package rank
 
 import (
@@ -14,20 +13,13 @@ import (
 	"errors"
 
 	"scholarrank/internal/eval"
-	"scholarrank/internal/sparse"
 )
 
 // ErrBadParam reports out-of-range algorithm parameters.
 var ErrBadParam = errors.New("rank: invalid parameter")
 
-// Result is the outcome of a ranking computation.
-type Result struct {
-	// Scores[i] is the importance of article i; higher is better.
-	Scores []float64
-	// Stats reports iteration behaviour for iterative algorithms and
-	// is zero for closed-form scores such as citation counts.
-	Stats sparse.IterStats
-}
+// DefaultDamping is the conventional PageRank damping factor.
+const DefaultDamping = 0.85
 
 // topKRadixShare is the share of n from which TopK stops selecting
 // with a heap and slices the full radix order instead: k ≥ n/16.

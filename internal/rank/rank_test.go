@@ -124,12 +124,12 @@ func TestGroupNormCiteCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Article 0: cell mean (2+0+1)/2 = 1.5 -> 2/1.5.
-	if !almostEq(r.Scores[0], 2/1.5, 1e-12) {
-		t.Errorf("scores[0] = %v", r.Scores[0])
+	if !almostEq(r[0], 2/1.5, 1e-12) {
+		t.Errorf("scores[0] = %v", r[0])
 	}
 	// Article 2: alone in its cell, mean (2+1)/1 = 3 -> 2/3.
-	if !almostEq(r.Scores[2], 2.0/3, 1e-12) {
-		t.Errorf("scores[2] = %v", r.Scores[2])
+	if !almostEq(r[2], 2.0/3, 1e-12) {
+		t.Errorf("scores[2] = %v", r[2])
 	}
 	// With all groups equal, GroupNorm equals YearNorm.
 	same := []int{0, 0, 0, 0, 0, 0}
@@ -138,9 +138,9 @@ func TestGroupNormCiteCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	yn := YearNormCiteCount(g, years)
-	for i := range gn.Scores {
-		if !almostEq(gn.Scores[i], yn.Scores[i], 1e-12) {
-			t.Errorf("GroupNorm != YearNorm at %d: %v vs %v", i, gn.Scores[i], yn.Scores[i])
+	for i := range gn {
+		if !almostEq(gn[i], yn.Scores[i], 1e-12) {
+			t.Errorf("GroupNorm != YearNorm at %d: %v vs %v", i, gn[i], yn.Scores[i])
 		}
 	}
 	// Validation.

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -86,6 +87,49 @@ func TestServeWithScorer(t *testing.T) {
 	}
 	if srv.Version() != 2 {
 		t.Errorf("reload did not swap a generation: version %d", srv.Version())
+	}
+}
+
+// TestServeBaselineScorer boots a generation on one of the compared
+// baselines: it is a registered scorer like any other, so it serves
+// every route and is labelled on every scorer surface.
+func TestServeBaselineScorer(t *testing.T) {
+	srv, err := NewWithConfig(fixtureStore(t), Config{Options: core.DefaultOptions(), Scorer: core.ScorerCiteRank})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	for _, route := range []string{"/top?k=3", "/article?key=a&explain=1", "/compare?a=a&b=d"} {
+		rec := get(t, h, route)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s status = %d: %s", route, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get("X-Ranking-Scorer"); got != core.ScorerCiteRank {
+			t.Errorf("%s: X-Ranking-Scorer = %q, want %q", route, got, core.ScorerCiteRank)
+		}
+	}
+	var view ArticleView
+	if err := json.Unmarshal(get(t, h, "/article?key=a&explain=1").Body.Bytes(), &view); err != nil {
+		t.Fatal(err)
+	}
+	if view.Importance <= 0 || view.Rank < 1 {
+		t.Errorf("article view = %+v, want a ranked article with importance", view)
+	}
+	// One series per registered scorer, the active one at 1.
+	body := get(t, h, "/metrics").Body.String()
+	for _, name := range core.ScorerNames() {
+		want := 0
+		if name == core.ScorerCiteRank {
+			want = 1
+		}
+		series := fmt.Sprintf(`sarserve_ranking_scorer{scorer=%q} %d`, name, want)
+		if !strings.Contains(body, series) {
+			t.Errorf("/metrics missing %s", series)
+		}
+	}
+	if got := strings.Count(body, "sarserve_ranking_scorer{"); got != len(core.ScorerNames()) {
+		t.Errorf("/metrics has %d scorer series, want %d", got, len(core.ScorerNames()))
 	}
 }
 

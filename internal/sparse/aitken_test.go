@@ -125,43 +125,10 @@ func TestAitkenDisabledMatchesResidualDriver(t *testing.T) {
 	}
 }
 
-// TestRelTolStopsEarly checks the adaptive tolerance: with RelTol set,
-// a cold solve stops once the residual has contracted by the requested
-// factor, well before the absolute tolerance, while a warm solve
-// (tiny first residual) still honours the absolute floor.
-func TestRelTolStopsEarly(t *testing.T) {
-	g := benchGraph(t, 2000)
-	tr := NewTransition(g, nil)
-	teleport := make([]float64, tr.N())
-	Uniform(teleport)
-
-	tight, tst, err := DampedWalk(tr, 0.85, teleport, IterOptions{Tol: 1e-12, MaxIter: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rst, err := DampedWalk(tr, 0.85, teleport, IterOptions{Tol: 1e-12, RelTol: 1e-4, MaxIter: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rst.Converged || rst.Iterations >= tst.Iterations {
-		t.Fatalf("relative tolerance did not stop early: %d vs %d sweeps", rst.Iterations, tst.Iterations)
-	}
-	// Warm start from the converged vector: first residual is already
-	// tiny, so RelTol×r₁ is far below Tol and the absolute floor wins;
-	// the solve must still converge (to Tol) rather than loop.
-	_, wst, err := DampedWalkFrom(tr, 0.85, teleport, tight, IterOptions{Tol: 1e-12, RelTol: 1e-4, MaxIter: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wst.Converged || wst.Iterations > 3 {
-		t.Fatalf("warm solve with RelTol: %+v", wst)
-	}
-}
-
 // TestIterOptionsValidation covers the new fields' validation.
 func TestIterOptionsValidation(t *testing.T) {
 	for _, opts := range []IterOptions{
-		{RelTol: -1},
+		{Tol: -1},
 		{AitkenEvery: -2},
 	} {
 		if _, _, err := FixedPointResidual([]float64{1}, func(dst, src []float64) float64 {

@@ -53,14 +53,10 @@ func TestGaussSeidelTrace(t *testing.T) {
 	if len(st.ResidualTrace) != st.Iterations {
 		t.Errorf("trace %d vs iterations %d", len(st.ResidualTrace), st.Iterations)
 	}
-	// The solve runs on the shared driver, so the per-iteration hook,
-	// the wall time and the relative tolerance all apply.
+	// The solve runs on the shared driver, so the per-iteration hook
+	// and the wall time apply.
 	if events != st.Iterations || st.Elapsed <= 0 {
 		t.Errorf("%d OnIteration events over %d iterations, elapsed %v", events, st.Iterations, st.Elapsed)
-	}
-	opts.RelTol = 1e-3
-	if _, rel, err := gsWalk(t, tr, tele, opts); err != nil || !rel.Converged || rel.Iterations >= st.Iterations {
-		t.Errorf("RelTol 1e-3 took %d iterations (converged %v, err %v), absolute tolerance %d", rel.Iterations, rel.Converged, err, st.Iterations)
 	}
 	if s := Sum(x); s < 0.999 || s > 1.001 {
 		t.Errorf("result mass %v", s)

@@ -32,13 +32,6 @@ type IterOptions struct {
 	// live-observability hook behind core.Options.Trace. It runs on
 	// the solver goroutine; keep it cheap.
 	OnIteration func(IterEvent)
-	// RelTol, when positive, makes the stopping threshold adaptive:
-	// the effective tolerance becomes max(Tol, RelTol × r₁) where r₁
-	// is the first iteration's residual. Warm starts (small r₁) keep
-	// the tight absolute Tol; cold solves on large systems stop once
-	// the residual has contracted by the requested factor instead of
-	// chasing a fixed absolute target.
-	RelTol float64
 	// AitkenEvery, when positive, enables guarded Aitken Δ² vector
 	// extrapolation every AitkenEvery iterations in FixedPointExtrapolated
 	// and the walks built on it (DampedWalk/DampedWalkFrom). FixedPoint
@@ -64,9 +57,9 @@ func (o IterOptions) withDefaults() (IterOptions, error) {
 	if o.MaxIter == 0 {
 		o.MaxIter = DefaultMaxIter
 	}
-	if o.Tol < 0 || o.MaxIter < 0 || o.RelTol < 0 || o.AitkenEvery < 0 {
-		return o, fmt.Errorf("%w: tol=%v maxIter=%d relTol=%v aitkenEvery=%d",
-			ErrBadOptions, o.Tol, o.MaxIter, o.RelTol, o.AitkenEvery)
+	if o.Tol < 0 || o.MaxIter < 0 || o.AitkenEvery < 0 {
+		return o, fmt.Errorf("%w: tol=%v maxIter=%d aitkenEvery=%d",
+			ErrBadOptions, o.Tol, o.MaxIter, o.AitkenEvery)
 	}
 	return o, nil
 }
@@ -158,8 +151,7 @@ func FixedPoint(init []float64, step StepFunc, opts IterOptions) ([]float64, Ite
 }
 
 // FixedPointResidual iterates x ← step(x) until the residual reported
-// by the step drops below the effective tolerance (Tol, raised to
-// RelTol × first residual when RelTol is set) or MaxIter is reached.
+// by the step drops below Tol or MaxIter is reached.
 // It is the fused counterpart of FixedPoint: the driver itself never
 // touches the vectors, so a step backed by the fused kernels makes the
 // whole iteration a single sweep. It is FixedPointExtrapolated with
@@ -271,7 +263,6 @@ func FixedPointExtrapolated(init []float64, step ResidualStepFunc, reseed func([
 	histFill := 0
 	sinceTrial := 0
 	var st IterStats
-	tol := opts.Tol
 	lambda := math.NaN()       // estimated contraction rate r_k / r_{k-1}
 	prevPlainRes := math.NaN() // residual of the previous plain step
 	savedEst := 0.0
@@ -306,12 +297,7 @@ func FixedPointExtrapolated(init []float64, step ResidualStepFunc, reseed func([
 		prevPlainRes = res
 		cur, next = next, cur
 		st.Residual = res
-		if sweeps == 1 {
-			if rt := opts.RelTol * res; rt > tol {
-				tol = rt
-			}
-		}
-		if res < tol {
+		if res < opts.Tol {
 			st.Converged = true
 			break
 		}
@@ -348,7 +334,7 @@ func FixedPointExtrapolated(init []float64, step ResidualStepFunc, reseed func([
 			prevPlainRes = trialRes
 			cur, next = next, cur
 			st.Residual = trialRes
-			if trialRes < tol {
+			if trialRes < opts.Tol {
 				st.Converged = true
 				break
 			}

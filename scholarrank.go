@@ -14,9 +14,9 @@
 //
 // The package also implements the standard baselines the literature
 // compares against (citation counts, PageRank, HITS, CiteRank,
-// FutureRank, P-Rank), a synthetic corpus generator with realistic
-// citation statistics, temporal holdout evaluation, and ranking
-// quality metrics.
+// FutureRank, P-Rank, …) as scorers behind the same RankScorer call,
+// a synthetic corpus generator with realistic citation statistics,
+// temporal holdout evaluation, and ranking quality metrics.
 //
 // # Quick start
 //
@@ -201,106 +201,32 @@ type Engine = core.Engine
 // NewEngine wraps a network for repeated ranking.
 func NewEngine(net *Network) *Engine { return core.NewEngine(net) }
 
-// Baseline algorithms.
-type (
-	// Result is a baseline ranking outcome: scores plus convergence
-	// statistics for iterative methods.
-	Result = rank.Result
-	// PageRankOptions configures the PageRank family.
-	PageRankOptions = rank.PageRankOptions
-	// CiteRankOptions configures CiteRank.
-	CiteRankOptions = rank.CiteRankOptions
-	// FutureRankOptions configures FutureRank.
-	FutureRankOptions = rank.FutureRankOptions
-	// PRankOptions configures P-Rank.
-	PRankOptions = rank.PRankOptions
-	// HITSResult carries both HITS eigenvectors.
-	HITSResult = rank.HITSResult
-)
+// Scorers: every registered ranking algorithm — QISA-Rank ("default"),
+// its single signals ("prestige", "popularity", "hetero") and the
+// compared baselines ("citecount", "yearnorm", "agenorm", "pagerank",
+// "hits", "sceas", "timedpr", "citerank", "futurerank", "vw-pagerank",
+// "corank", "prank", "ewpr", "alef") — ranks through one call.
 
-// CiteCount ranks by raw citation count.
-func CiteCount(net *Network) Result { return rank.CiteCount(net.Citations) }
+// ScorerOptions is a scorer's option bag of named numeric knobs (for
+// example {"damping": 0.9}); nil selects every default.
+type ScorerOptions = core.ScorerOptions
 
-// YearNormCiteCount ranks by citation count normalised within each
-// publication year.
-func YearNormCiteCount(net *Network) Result {
-	return rank.YearNormCiteCount(net.Citations, net.Years)
+// RankScorer ranks the network with the named scorer. The scorer's own
+// parameters come from sopts; from opts a baseline reads only Workers,
+// Iter and Trace.
+func RankScorer(net *Network, name string, sopts ScorerOptions, opts Options) (*Scores, error) {
+	return core.RankScorer(net, name, sopts, opts)
 }
 
 // GroupNormCiteCount ranks by citation count normalised within each
 // (group, year) cell — pass research-field labels as groups to get
 // field-normalised citation counts.
-func GroupNormCiteCount(net *Network, groups []int) (Result, error) {
+func GroupNormCiteCount(net *Network, groups []int) ([]float64, error) {
 	return rank.GroupNormCiteCount(net.Citations, groups, net.Years)
-}
-
-// PageRank runs (optionally personalised) PageRank on the citation
-// graph.
-func PageRank(net *Network, opts PageRankOptions) (Result, error) {
-	return rank.PageRank(net.Citations, opts)
-}
-
-// HITS runs Kleinberg's mutual-reinforcement algorithm on the
-// citation graph.
-func HITS(net *Network, opts IterOptions) (HITSResult, error) {
-	return rank.HITS(net.Citations, opts)
-}
-
-// CiteRank runs recency-personalised PageRank.
-func CiteRank(net *Network, opts CiteRankOptions) (Result, error) {
-	return rank.CiteRank(net.Citations, net.Years, net.Now, opts)
-}
-
-// FutureRank couples the citation walk with authorship and recency.
-func FutureRank(net *Network, opts FutureRankOptions) (Result, error) {
-	return rank.FutureRank(net, opts)
-}
-
-// PRank runs the article–author–venue heterogeneous walk.
-func PRank(net *Network, opts PRankOptions) (Result, error) {
-	return rank.PRank(net, opts)
-}
-
-// SceasRank runs the chain-discounted citation scoring of the SCEAS
-// line of work.
-func SceasRank(net *Network, opts SceasRankOptions) (Result, error) {
-	return rank.SceasRank(net.Citations, opts)
-}
-
-// VenueWeightedPageRank weights each citation by the citing venue's
-// endogenous prestige (W-Rank style) before running PageRank.
-func VenueWeightedPageRank(net *Network, opts PageRankOptions) (Result, error) {
-	return rank.VenueWeightedPageRank(net, opts)
-}
-
-// CoRank couples the citation walk with a co-authorship walk and
-// returns stationary distributions for both articles and authors.
-func CoRank(net *Network, opts CoRankOptions) (CoRankResult, error) {
-	return rank.CoRank(net, opts)
-}
-
-// TimedPageRank computes PageRank and fades each score by article
-// age.
-func TimedPageRank(net *Network, rho float64, opts PageRankOptions) (Result, error) {
-	return rank.TimedPageRank(net.Citations, net.Years, net.Now, rho, opts)
-}
-
-// PageRankGaussSeidel computes PageRank with renormalised
-// Gauss–Seidel sweeps, which converge in a handful of iterations on
-// chronologically indexed citation graphs (two when every citation
-// points to a lower id).
-func PageRankGaussSeidel(net *Network, opts PageRankOptions) (Result, error) {
-	return rank.PageRankGaussSeidel(net.Citations, opts)
 }
 
 // Entity (author and venue) ranking derived from article scores.
 type (
-	// SceasRankOptions configures SceasRank.
-	SceasRankOptions = rank.SceasRankOptions
-	// CoRankOptions configures the coupled article–author walk.
-	CoRankOptions = rank.CoRankOptions
-	// CoRankResult carries both CoRank stationary distributions.
-	CoRankResult = rank.CoRankResult
 	// EntityRankOptions configures author/venue score aggregation.
 	EntityRankOptions = rank.EntityRankOptions
 	// EntityAggregate selects the aggregation rule.

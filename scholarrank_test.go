@@ -65,57 +65,37 @@ func TestPublicBaselines(t *testing.T) {
 	s := buildPublicFixture(t)
 	net := scholarrank.BuildNetwork(s)
 
-	cc := scholarrank.CiteCount(net)
-	if cc.Scores[0] != 3 {
-		t.Errorf("CiteCount[a] = %v", cc.Scores[0])
+	opts := scholarrank.DefaultOptions()
+	rankWith := func(name string, sopts scholarrank.ScorerOptions) *scholarrank.Scores {
+		t.Helper()
+		sc, err := scholarrank.RankScorer(net, name, sopts, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(sc.Importance) != 4 {
+			t.Fatalf("%s: %d scores", name, len(sc.Importance))
+		}
+		return sc
 	}
-	yn := scholarrank.YearNormCiteCount(net)
-	if len(yn.Scores) != 4 {
-		t.Errorf("YearNorm length = %d", len(yn.Scores))
-	}
-	pr, err := scholarrank.PageRank(net, scholarrank.PageRankOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if cc := rankWith("citecount", nil); cc.Importance[0] != 3 {
+		t.Errorf("citecount[a] = %v", cc.Importance[0])
 	}
 	var sum float64
-	for _, v := range pr.Scores {
+	for _, v := range rankWith("pagerank", nil).Importance {
 		sum += v
 	}
 	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("PageRank sum = %v", sum)
+		t.Errorf("pagerank sum = %v", sum)
 	}
-	if _, err := scholarrank.HITS(net, scholarrank.IterOptions{}); err != nil {
-		t.Errorf("HITS: %v", err)
+	for _, name := range []string{"yearnorm", "agenorm", "hits", "sceas", "timedpr", "futurerank", "vw-pagerank", "prank"} {
+		rankWith(name, nil)
 	}
-	if _, err := scholarrank.CiteRank(net, scholarrank.CiteRankOptions{Rho: 0.3}); err != nil {
-		t.Errorf("CiteRank: %v", err)
+	rankWith("citerank", scholarrank.ScorerOptions{"rho": 0.3})
+	if cr := rankWith("corank", nil); len(cr.Authors) != s.NumAuthors() {
+		t.Errorf("corank authors = %d", len(cr.Authors))
 	}
-	fr := scholarrank.FutureRankOptions{Alpha: 0.5, Beta: 0.2, Gamma: 0.2, Rho: 0.3}
-	if _, err := scholarrank.FutureRank(net, fr); err != nil {
-		t.Errorf("FutureRank: %v", err)
-	}
-	if _, err := scholarrank.PRank(net, scholarrank.PRankOptions{}); err != nil {
-		t.Errorf("PRank: %v", err)
-	}
-	if _, err := scholarrank.SceasRank(net, scholarrank.SceasRankOptions{}); err != nil {
-		t.Errorf("SceasRank: %v", err)
-	}
-	if _, err := scholarrank.TimedPageRank(net, 0.2, scholarrank.PageRankOptions{}); err != nil {
-		t.Errorf("TimedPageRank: %v", err)
-	}
-	cr, err := scholarrank.CoRank(net, scholarrank.CoRankOptions{})
-	if err != nil {
-		t.Fatalf("CoRank: %v", err)
-	}
-	if len(cr.Authors) != s.NumAuthors() {
-		t.Errorf("CoRank authors = %d", len(cr.Authors))
-	}
-	gs, err := scholarrank.PageRankGaussSeidel(net, scholarrank.PageRankOptions{})
-	if err != nil {
-		t.Fatalf("PageRankGaussSeidel: %v", err)
-	}
-	if d := maxAbsDiff(gs.Scores, pr.Scores); d > 1e-7 {
-		t.Errorf("GS deviates from power PageRank by %v", d)
+	if _, err := scholarrank.RankScorer(net, "pagerank", scholarrank.ScorerOptions{"damping": 1}, opts); err == nil {
+		t.Error("pagerank damping 1 accepted")
 	}
 }
 
@@ -309,14 +289,12 @@ func TestPublicAdvancedSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	yn := scholarrank.YearNormCiteCount(net)
-	if d := maxAbsDiff(gn.Scores, yn.Scores); d > 1e-12 {
-		t.Errorf("single-group GroupNorm deviates from YearNorm by %v", d)
-	}
-
-	// Venue-weighted PageRank.
-	if _, err := scholarrank.VenueWeightedPageRank(net, scholarrank.PageRankOptions{}); err != nil {
+	yn, err := scholarrank.RankScorer(net, "yearnorm", nil, scholarrank.DefaultOptions())
+	if err != nil {
 		t.Fatal(err)
+	}
+	if d := maxAbsDiff(gn, yn.Importance); d > 1e-12 {
+		t.Errorf("single-group GroupNorm deviates from YearNorm by %v", d)
 	}
 
 	// Related-article index.
