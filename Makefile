@@ -14,8 +14,9 @@ vet:
 ## message): all logging goes through the component loggers in
 ## internal/obs, serve handlers inherit the request context, solver
 ## phases are reached only through the scorer registry, and worker
-## pools come only from the engine and the related-article index
-## (scorers borrow SolveContext.Pool). Also runs gofmt
+## pool handles come only from the engine's solve and the
+## related-article index (scorers honour Options.Workers through
+## SolveContext.Pool). Also runs gofmt
 ## and a short fuzz pass over the decoders, so the parsers get
 ## adversarial input on every check, not only when someone remembers
 ## to fuzz.
@@ -46,12 +47,12 @@ build:
 	$(GO) build ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 ## test-race: the packages that exercise the worker pool, fused
 ## kernels and the hot-swap serving path, under the race detector.
 test-race:
-	$(GO) test -race ./internal/sparse/... ./internal/core/... ./internal/hetnet/... ./internal/rank/... ./internal/live/... ./internal/serve/... ./internal/obs/...
+	$(GO) test -race -shuffle=on ./internal/sparse/... ./internal/core/... ./internal/hetnet/... ./internal/rank/... ./internal/live/... ./internal/serve/... ./internal/obs/...
 
 ## bench-check: vet and test the nested bench module. It compiles
 ## against internal/ but the root ./... never builds it, so without

@@ -132,7 +132,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// One engine for every scorer: warm caches are scorer-namespaced,
 	// so -scorer all ranks each method exactly as a lone run would.
 	eng := core.NewEngine(net)
-	defer eng.Close()
 	for _, name := range names {
 		if err := runScorer(stdout, stderr, store, eng, name, sopts, opts, *k, *entities, *save, *trace); err != nil {
 			return err

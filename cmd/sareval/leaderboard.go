@@ -63,7 +63,6 @@ func runLeaderboard(stdout io.Writer, opts experiments.Options, topK int, jsonPa
 	}
 	net := hetnet.Build(c.Store)
 	eng := core.NewEngine(net)
-	defer eng.Close()
 	ropts := core.DefaultOptions()
 	ropts.Workers = opts.Workers
 	ropts.Iter = experiments.EvalIter

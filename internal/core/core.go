@@ -386,8 +386,8 @@ type Scores struct {
 	// corank scorer's coupled walk; nil for every other scorer, and
 	// never persisted in a snapshot.
 	Authors []float64
-	// Pool summarises the solver worker pool's occupancy over the
-	// engine's lifetime (parallelism, kernel sweeps, chunk tasks).
+	// Pool summarises the solver's worker pool occupancy over this
+	// solve (parallelism, kernel sweeps, chunk tasks).
 	Pool sparse.PoolStats
 	// Scorer is the registry name of the scorer that produced this
 	// result (DefaultScorer for the full QISA-Rank pipeline). Scorers
@@ -403,15 +403,11 @@ type Scores struct {
 // network repeatedly under different options should hold an Engine
 // instead, which caches the parameter-independent substrate.
 func Rank(net *hetnet.Network, opts Options) (*Scores, error) {
-	eng := NewEngine(net)
-	defer eng.Close()
-	return eng.Rank(opts)
+	return NewEngine(net).Rank(opts)
 }
 
 // RankScorer is the one-shot form of Engine.RankScorer: rank the
 // network with the named registered scorer and the given option bag.
 func RankScorer(net *hetnet.Network, name string, sopts ScorerOptions, opts Options) (*Scores, error) {
-	eng := NewEngine(net)
-	defer eng.Close()
-	return eng.RankScorer(name, sopts, opts)
+	return NewEngine(net).RankScorer(name, sopts, opts)
 }

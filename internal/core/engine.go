@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"scholarrank/internal/hetnet"
 	"scholarrank/internal/shard"
@@ -13,7 +12,7 @@ import (
 // Engine ranks a fixed network repeatedly under varying options,
 // caching the parameter-independent substrate between calls: one
 // gap-weighted transition per distinct RhoGap value (the prestige
-// stage) and a persistent worker pool shared by every solver kernel.
+// stage).
 // The citation transition operator (the popularity and hetero stages)
 // is the network's own (hetnet.SolverView.CitationTransition); the
 // gap-weighted transitions are derived from it with Reweighted, so
@@ -28,15 +27,14 @@ import (
 // article order at the Scores boundary, so callers never observe the
 // permutation.
 //
-// An Engine is safe for sequential use only: Rank resizes the worker
-// pool and fills the caches. The operators themselves are immutable —
-// each solve binds the pool to a view (Transition.WithPool) — so other
-// engines and indexes over the same network may run concurrently. Call
-// Close when done to release the pool's goroutines; a closed (or
-// never-used) Engine still ranks, falling back to serial kernels.
+// An Engine is safe for sequential use only: Rank fills the caches.
+// The operators themselves are immutable — each solve binds its own
+// sparse.Pool handle, sized by Options.Workers, to a view
+// (Transition.WithPool) — so other engines and indexes over the same
+// network may run concurrently. An Engine owns no goroutines and
+// needs no Close.
 type Engine struct {
 	net      *hetnet.Network
-	pool     *sparse.Pool
 	gapTrans map[float64]*sparse.Transition
 	// Warm starts: previous solver fixed points kept in solver
 	// (permuted) space so a resume feeds the solver directly, keyed by
@@ -123,36 +121,9 @@ func (e *Engine) view() *hetnet.SolverView { return e.net.SolverView() }
 // Network returns the wrapped network.
 func (e *Engine) Network() *hetnet.Network { return e.net }
 
-// Close releases the engine's worker pool. The engine remains usable;
-// subsequent Rank calls re-create the pool on demand.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-	}
-}
-
-// ensurePool returns a pool sized for the requested worker count
-// (values < 1 mean NumCPU), reusing the cached one when the size
-// matches and re-spawning it otherwise. The count is clamped to
-// GOMAXPROCS: extra worker goroutines cannot add CPU throughput, they
-// only add scheduling overhead to every kernel sweep.
-func (e *Engine) ensurePool(workers int) *sparse.Pool {
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if mp := runtime.GOMAXPROCS(0); workers > mp {
-		workers = mp
-	}
-	if e.pool != nil && e.pool.Workers() == workers {
-		return e.pool
-	}
-	if e.pool != nil {
-		e.pool.Close()
-	}
-	e.pool = sparse.NewPool(workers)
-	return e.pool
-}
+// Close does nothing: an Engine owns no goroutines. It is kept only
+// because the benchmark module calls it.
+func (e *Engine) Close() {}
 
 // citationTransition returns the network's one citation operator
 // (hetnet.SolverView.CitationTransition) as a view bound to pool. The
@@ -244,7 +215,7 @@ func (e *Engine) RankWith(s Scorer, opts Options) (*Scores, error) {
 			HeteroStats:   sparse.IterStats{Converged: true},
 		}, nil
 	}
-	pool := e.ensurePool(opts.Workers)
+	pool := sparse.NewPool(opts.Workers)
 	ctx := &SolveContext{eng: e, pool: pool, opts: opts, scorer: s.Name()}
 	importance, err := s.Score(ctx)
 	if err != nil {

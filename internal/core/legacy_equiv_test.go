@@ -38,7 +38,7 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 			HeteroStats:   sparse.IterStats{Converged: true},
 		}, nil
 	}
-	pool := e.ensurePool(opts.Workers)
+	pool := sparse.NewPool(opts.Workers)
 	perm := e.view().Perm()
 	gapTrans, err := e.gapTransition(opts.RhoGap, pool)
 	if err != nil {
@@ -137,9 +137,6 @@ func TestDefaultScorerMatchesLegacyRank(t *testing.T) {
 			t.Fatalf("seed %d explicit seed: legacy: %v", seed, err)
 		}
 		compareLegacy(t, fmt.Sprintf("seed %d explicit seed", seed), got, want)
-
-		eng.Close()
-		leg.eng.Close()
 	}
 }
 

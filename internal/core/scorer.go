@@ -179,7 +179,7 @@ func ScorerDoc(name string) (string, bool) {
 
 // SolveContext is the substrate a Scorer runs against: the network
 // and its solver-space projection, the engine's cached transition
-// operators and warm-start vectors, the shared worker pool, and the
+// operators and warm-start vectors, the solve's worker pool, and the
 // validated options with trace hooks. One context serves one Score
 // call; scorers must not retain it.
 //
@@ -205,7 +205,7 @@ func (ctx *SolveContext) Network() *hetnet.Network { return ctx.eng.net }
 // Restore.
 func (ctx *SolveContext) View() *hetnet.SolverView { return ctx.eng.view() }
 
-// Pool returns the engine's worker pool, sized per Options.Workers.
+// Pool returns the solve's worker pool, sized per Options.Workers.
 func (ctx *SolveContext) Pool() *sparse.Pool { return ctx.pool }
 
 // Perm returns the solver-space permutation.

@@ -80,7 +80,6 @@ func TestBaselineOptionValidation(t *testing.T) {
 func TestBaselineOptionBags(t *testing.T) {
 	_, net := genNetwork(t, 300)
 	eng := NewEngine(net)
-	defer eng.Close()
 	opts := scorerTestOptions()
 	rankWith := func(name string, bag ScorerOptions) []float64 {
 		t.Helper()

@@ -23,9 +23,7 @@ func scorerTestOptions() Options {
 func TestScorerReorderInvariant(t *testing.T) {
 	_, permNet, baseNet := genPermutedNetwork(t, 400, 2)
 	engPerm := NewEngine(permNet)
-	defer engPerm.Close()
 	engBase := NewEngine(baseNet)
-	defer engBase.Close()
 	for _, name := range ScorerNames() {
 		got, err := engPerm.RankScorer(name, nil, scorerTestOptions())
 		if err != nil {
@@ -47,11 +45,9 @@ func TestScorerWarmCacheMatchesCold(t *testing.T) {
 		eng := NewEngine(permNet)
 		cold, err := eng.RankScorer(name, nil, scorerTestOptions())
 		if err != nil {
-			eng.Close()
 			t.Fatalf("%s: cold solve: %v", name, err)
 		}
 		warm, err := eng.RankScorer(name, nil, scorerTestOptions())
-		eng.Close()
 		if err != nil {
 			t.Fatalf("%s: warm solve: %v", name, err)
 		}
@@ -80,14 +76,12 @@ func TestScorerWarmCacheMatchesCold(t *testing.T) {
 func TestScorerWarmCachesAreNamespaced(t *testing.T) {
 	_, net, _ := genPermutedNetwork(t, 300, 1)
 	solo := NewEngine(net)
-	defer solo.Close()
 	want, err := solo.RankScorer(ScorerALEF, nil, scorerTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	shared := NewEngine(net)
-	defer shared.Close()
 	for _, name := range []string{DefaultScorer, ScorerPrestige, ScorerEWPR} {
 		if _, err := shared.RankScorer(name, nil, scorerTestOptions()); err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -96,7 +96,6 @@ func TestRegisterScorerDuplicatePanics(t *testing.T) {
 func TestRankScorerComponents(t *testing.T) {
 	_, net := genNetwork(t, 200)
 	eng := NewEngine(net)
-	defer eng.Close()
 	opts := DefaultOptions()
 	opts.Workers = 1
 	opts.Iter = sparse.IterOptions{Tol: 1e-10, MaxIter: 500}
@@ -151,7 +150,6 @@ func TestRankScorerComponents(t *testing.T) {
 func TestScorersProduceDistinctRankings(t *testing.T) {
 	_, net := genNetwork(t, 300)
 	eng := NewEngine(net)
-	defer eng.Close()
 	opts := DefaultOptions()
 	opts.Workers = 1
 	opts.Iter = sparse.IterOptions{Tol: 1e-10, MaxIter: 500}

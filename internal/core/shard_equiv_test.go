@@ -85,7 +85,6 @@ func TestShardedRankMatchesUnsharded(t *testing.T) {
 				eng := NewEngine(net)
 				cold, err := eng.Rank(opts)
 				if err != nil {
-					eng.Close()
 					t.Fatalf("%s: cold: %v", label, err)
 				}
 				check(t, label+" cold", cold, want)
@@ -102,7 +101,6 @@ func TestShardedRankMatchesUnsharded(t *testing.T) {
 				}
 				warm, err := eng.Rank(opts)
 				if err != nil {
-					eng.Close()
 					t.Fatalf("%s: warm: %v", label, err)
 				}
 				check(t, label+" warm", warm, want)
@@ -119,7 +117,6 @@ func TestShardedRankMatchesUnsharded(t *testing.T) {
 					opts.Shards = 2
 				}
 				crossed, err := eng.Rank(opts)
-				eng.Close()
 				if err != nil {
 					t.Fatalf("%s: warm across shard-count change: %v", label, err)
 				}

@@ -59,7 +59,6 @@ func runAblation(opts Options) ([]*Table, error) {
 		},
 	}
 	eng := core.NewEngine(ctx.net)
-	defer eng.Close()
 	for _, v := range ablationVariants() {
 		o := evalOptions(opts.Workers)
 		v.mutate(&o)

@@ -32,7 +32,6 @@ func runEntities(opts Options) ([]*Table, error) {
 	}
 	net := hetnet.Build(c.Store)
 	eng := core.NewEngine(net)
-	defer eng.Close()
 	o := evalOptions(opts.Workers)
 	sc, err := eng.Rank(o)
 	if err != nil {

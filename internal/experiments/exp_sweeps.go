@@ -41,7 +41,6 @@ func runDecaySweep(opts Options) ([]*Table, error) {
 		Notes:   []string{"gap decay held at default; rho applies to teleport and popularity"},
 	}
 	eng := core.NewEngine(ctx.net)
-	defer eng.Close()
 	for _, rho := range []float64{0, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4} {
 		o := evalOptions(opts.Workers)
 		o.RhoRecency = rho
@@ -69,7 +68,6 @@ func runEnsembleSweep(opts Options) ([]*Table, error) {
 		Notes:   []string{"remaining weight split equally between popularity and hetero"},
 	}
 	eng := core.NewEngine(ctx.net)
-	defer eng.Close()
 	for _, wp := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1} {
 		o := evalOptions(opts.Workers)
 		o.Ensemble = core.Arithmetic

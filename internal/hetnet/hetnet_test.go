@@ -217,7 +217,6 @@ func buildRandom(t testing.TB, n int, seed int64) *Network {
 func TestGatherSpreadPooledMatchesSerial(t *testing.T) {
 	net := buildRandom(t, 30_000, 9)
 	pool := sparse.NewPool(4)
-	defer pool.Close()
 	rng := rand.New(rand.NewSource(10))
 	x := make([]float64, net.NumArticles())
 	for i := range x {

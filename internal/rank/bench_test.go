@@ -30,11 +30,9 @@ func BenchmarkNewRelatedIndex20k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ri, err := NewRelatedIndex(net, RelatedOptions{Iter: benchIter})
-		if err != nil {
+		if _, err := NewRelatedIndex(net, RelatedOptions{Iter: benchIter}); err != nil {
 			b.Fatal(err)
 		}
-		ri.Close()
 	}
 }
 
@@ -44,7 +42,6 @@ func BenchmarkRelatedQuery20k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ri.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

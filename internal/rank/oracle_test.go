@@ -114,7 +114,6 @@ func pageRank(g *graph.Graph, opts PageRankOptions, gaussSeidel bool) (Result, e
 		return Result{Scores: nil, Stats: sparse.IterStats{Converged: true}}, nil
 	}
 	pool := sparse.NewPool(opts.Workers)
-	defer pool.Close()
 	t := sparse.NewTransition(g, pool)
 	if gaussSeidel {
 		var err error
@@ -463,7 +462,6 @@ func FutureRank(net *hetnet.Network, opts FutureRankOptions) (Result, error) {
 	sparse.Normalize1(r)
 
 	pool := sparse.NewPool(opts.Workers)
-	defer pool.Close()
 	t := sparse.NewTransition(net.Citations, pool)
 	authors := make([]float64, net.NumAuthors())
 	fromAuthors := make([]float64, n)
@@ -563,7 +561,6 @@ func PRank(net *hetnet.Network, opts PRankOptions) (Result, error) {
 		return Result{Stats: sparse.IterStats{Converged: true}}, nil
 	}
 	pool := sparse.NewPool(opts.Workers)
-	defer pool.Close()
 	t := sparse.NewTransition(net.Citations, pool)
 	authors := make([]float64, net.NumAuthors())
 	venues := make([]float64, net.NumVenues())
@@ -678,7 +675,6 @@ func CoRank(net *hetnet.Network, opts CoRankOptions) (CoRankResult, error) {
 	}
 
 	pool := sparse.NewPool(opts.Workers)
-	defer pool.Close()
 	citeT := sparse.NewTransition(net.Citations, pool)
 	coauthT := sparse.NewTransition(net.CoauthorGraph(), pool)
 

@@ -13,7 +13,7 @@ type RelatedOptions struct {
 	// Damping of the personalised walk; zero selects DefaultDamping.
 	// Lower values stay closer to the seed's immediate neighbourhood.
 	Damping float64
-	// Workers sets mat-vec parallelism.
+	// Workers sets mat-vec parallelism; values < 1 select NumCPU.
 	Workers int
 	// Iter controls convergence. A zero Iter.AitkenEvery selects
 	// relatedAitkenEvery.
@@ -33,13 +33,12 @@ const relatedAitkenEvery = 4
 // of its own: the walk runs in solver order over the two CSRs the
 // network already has — the citation graph and the in-edge operator
 // the solver built (sparse.TransposePair) — so building the index
-// costs O(articles), and per-query cost is just the walk. The index
-// owns a worker pool sized by Options.Workers; call Close to release
-// it.
+// costs O(articles), and per-query cost is just the walk. The walks
+// run on a sparse.Pool handle sized by Options.Workers; the index owns
+// no goroutines and needs no Close.
 type RelatedIndex struct {
 	pair *sparse.TransposePair
 	perm *sparse.Permutation // store order → solver order; nil when they coincide
-	pool *sparse.Pool
 	opts RelatedOptions
 	// Per-walk scratch, recycled across queries: without it every cold
 	// request would allocate three more corpus-sized vectors than the
@@ -66,20 +65,18 @@ func NewRelatedIndex(net *hetnet.Network, opts RelatedOptions) (*RelatedIndex, e
 		opts.Iter.AitkenEvery = relatedAitkenEvery
 	}
 	view := net.SolverView()
-	pool := sparse.NewPool(opts.Workers)
-	pair, err := sparse.NewTransposePair(view.CitationTransition(), view.Citations, pool)
+	pair, err := sparse.NewTransposePair(view.CitationTransition(), view.Citations, sparse.NewPool(opts.Workers))
 	if err != nil {
-		pool.Close()
 		return nil, err
 	}
-	return newRelatedIndex(pair, view.Perm(), pool, opts), nil
+	return newRelatedIndex(pair, view.Perm(), opts), nil
 }
 
 // newRelatedIndex wraps a bidirectional operator built in solver order;
 // perm maps store order to that order (nil when they coincide).
-func newRelatedIndex(pair *sparse.TransposePair, perm *sparse.Permutation, pool *sparse.Pool, opts RelatedOptions) *RelatedIndex {
+func newRelatedIndex(pair *sparse.TransposePair, perm *sparse.Permutation, opts RelatedOptions) *RelatedIndex {
 	n := pair.N()
-	ri := &RelatedIndex{pair: pair, perm: perm, pool: pool, opts: opts}
+	ri := &RelatedIndex{pair: pair, perm: perm, opts: opts}
 	ri.scratch.New = func() any {
 		return &relatedScratch{
 			init:       make([]float64, n),
@@ -90,9 +87,9 @@ func newRelatedIndex(pair *sparse.TransposePair, perm *sparse.Permutation, pool 
 	return ri
 }
 
-// Close releases the index's worker pool. Queries remain valid after
-// Close, falling back to serial kernels (a closed pool runs inline).
-func (ri *RelatedIndex) Close() { ri.pool.Close() }
+// Close does nothing: the index owns no goroutines. It is kept only
+// because the benchmark module calls it.
+func (ri *RelatedIndex) Close() {}
 
 // Related returns up to k articles most related to the seed, by the
 // stationary mass of a random walk that restarts at the seed and

@@ -28,7 +28,6 @@ func TestRelatedConcurrentWithEngineRerank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ri.Close()
 	want, err := ri.Related(1, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +69,6 @@ func TestRelatedConcurrentWithEngineRerank(t *testing.T) {
 		go func(e int) {
 			defer wg.Done()
 			eng := core.NewEngine(net)
-			defer eng.Close()
 			for i := 0; i < 3; i++ {
 				opts := core.DefaultOptions()
 				opts.Workers = 1 + (e+i)%2

@@ -298,7 +298,6 @@ func TestRelatedMatchesSymmetrisedOracle(t *testing.T) {
 				t.Errorf("corpus %d: isolated seed returned %v", cseed, gotTop)
 			}
 		}
-		ri.Close()
 		if extrapolated == 0 {
 			t.Errorf("corpus %d: no walk accepted an extrapolation; the cadence is not on", cseed)
 		}
@@ -333,7 +332,7 @@ func TestRelatedTieBreaksByStoreIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri := newRelatedIndex(pair, perm, nil, RelatedOptions{Damping: DefaultDamping})
+	ri := newRelatedIndex(pair, perm, RelatedOptions{Damping: DefaultDamping})
 	sc := ri.scratch.Get().(*relatedScratch)
 	scores, _, err := ri.walk(0, sc)
 	if err != nil {
@@ -363,7 +362,6 @@ func TestRelatedReportsNonConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ri.Close()
 	got, stats, err := ri.RelatedStats(ids["a2"], 3)
 	if err != nil {
 		t.Fatal(err)
@@ -408,19 +406,18 @@ func powerLawNetwork(t testing.TB, n int) *hetnet.Network {
 
 // TestRelatedIndexAllocatesPerRow pins "no second graph" as a number:
 // over a solved 100k-article power-law network the index allocates the
-// inverse-degree vector, a chunk plan and a worker pool — at most 24
+// inverse-degree vector, a chunk plan and a pool handle — at most 24
 // bytes per article plus a constant, nothing proportional to the
 // citation count.
 func TestRelatedIndexAllocatesPerRow(t *testing.T) {
 	net := powerLawNetwork(t, 100_000)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	ri, err := NewRelatedIndex(net, RelatedOptions{Workers: 1})
+	_, err := NewRelatedIndex(net, RelatedOptions{Workers: 1})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ri.Close()
 	got := after.TotalAlloc - before.TotalAlloc
 	rows, edges := uint64(net.NumArticles()), uint64(net.Citations.NumEdges())
 	if limit := 24*rows + 1<<16; got > limit {

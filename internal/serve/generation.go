@@ -92,7 +92,6 @@ func newGeneration(store *corpus.Store, net *hetnet.Network, scores *core.Scores
 	// The generation holds its own reference to the store's backing
 	// mapping for as long as it can serve readers.
 	if !store.Retain() {
-		related.Close()
 		return nil, fmt.Errorf("serve: corpus mapping already closed")
 	}
 	scorer := scores.Scorer
@@ -130,12 +129,11 @@ func (g *generation) acquire() bool {
 }
 
 // release drops one reference; the reference that reaches zero
-// releases the store's mapping and the related index's worker pool —
-// no reader can reach either any more. Store.Close on a heap store is
-// a no-op, so the protocol is uniform across load modes.
+// releases the store's mapping — no reader can reach it any more.
+// Store.Close on a heap store is a no-op, so the protocol is uniform
+// across load modes.
 func (g *generation) release() {
 	if g.refs.Add(-1) == 0 {
-		g.related.Close()
 		_ = g.store.Close()
 	}
 }
@@ -227,23 +225,16 @@ func (s *Server) Reload(ctx context.Context) (live.DeltaStats, error) {
 func (s *Server) rebuildLocked(ctx context.Context, store *corpus.Store, source string) error {
 	prev := s.gen.Load()
 	net := hetnet.Grow(prev.net, store)
-	eng := core.NewEngine(net)
 	opts := s.cfg.Options
 	opts.InitialScores = core.FromScores(prev.scores, store.NumArticles())
-	sctx, solveSpan := obs.StartSpan(ctx, "solve", obs.Attr{Key: "source", Value: source})
-	opts, finish := solverSpans(sctx, opts)
-	scores, err := eng.RankScorer(s.scorerName(), s.cfg.ScorerOpts, opts)
-	finish()
-	solveSpan.End()
+	scores, err := s.solve(ctx, net, opts, "solve", obs.Attr{Key: "source", Value: source})
 	if err != nil {
-		eng.Close()
 		return fmt.Errorf("serve: re-rank: %w", err)
 	}
 	_, span := obs.StartSpan(ctx, "generation.build")
 	gen, err := newGeneration(store, net, scores, live.Fingerprint(store), prev.version+1, source, s.clock())
 	span.End()
 	if err != nil {
-		eng.Close()
 		return err
 	}
 	_, span = obs.StartSpan(ctx, "swap", obs.Attr{Key: "version", Value: gen.version})
@@ -253,10 +244,6 @@ func (s *Server) rebuildLocked(ctx context.Context, store *corpus.Store, source 
 	// the fresh pointer.
 	prev.release()
 	span.End()
-	if s.engine != nil {
-		s.engine.Close()
-	}
-	s.engine = eng
 	s.metrics.swap(source)
 	s.metrics.solve(scores)
 	// Iterations the warm start avoided, with the previous
@@ -376,20 +363,14 @@ func (s *Server) refreshOnce(debounce time.Duration) {
 		"new_articles", stats.NewArticles, "new_citations", stats.NewCitations)
 }
 
-// Close stops the background refresher and releases the solver worker
-// pool. The server keeps answering read requests from its last
-// generation after Close; only live updates stop.
+// Close stops the background refresher. The server keeps answering
+// read requests from its last generation after Close; only live
+// updates stop.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.stop != nil {
 			close(s.stop)
 			<-s.done
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.engine != nil {
-			s.engine.Close()
-			s.engine = nil
 		}
 	})
 }

@@ -20,6 +20,7 @@ import (
 	"scholarrank/internal/core"
 	"scholarrank/internal/corpus"
 	"scholarrank/internal/live"
+	"scholarrank/internal/sparse"
 )
 
 // liveFixture builds a ranked server and hands back the store so
@@ -144,6 +145,53 @@ func TestRetiredGenerationsReleaseWorkers(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("%d goroutines after %d more swaps, %d before: retired generations keep workers parked", n, swaps, base)
+	}
+}
+
+// TestServerCloseReleasesWorkers checks that closed servers leave no
+// goroutines parked behind, whichever constructor built them and
+// however many generations they swapped: the only goroutines a solve
+// or a /related walk may leave are the process-wide sparse helpers,
+// which are started before the baseline is taken.
+func TestServerCloseReleasesWorkers(t *testing.T) {
+	sparse.NewPool(0).Run(runtime.GOMAXPROCS(0), func(int) {})
+	// Goroutines of earlier tests may still be exiting; a baseline that
+	// counts them would hide a leak of the same size.
+	base := runtime.NumGoroutine()
+	for settled := 0; settled < 3; {
+		time.Sleep(10 * time.Millisecond)
+		if now := runtime.NumGoroutine(); now == base {
+			settled++
+		} else {
+			base, settled = now, 0
+		}
+	}
+
+	store, solved := liveFixture(t, Config{})
+	replica, err := NewFromSnapshot(store.Thaw().Freeze(), solved.Snapshot(), Config{Options: core.DefaultOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped, err := NewFromScores(store.Thaw().Freeze(), solved.gen.Load().scores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		delta := fmt.Sprintf(`{"id":"c%d","year":2016,"refs":["a"]}`, i)
+		if _, err := solved.Ingest(context.Background(), strings.NewReader(delta)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range []*Server{solved, replica, wrapped} {
+		s.Close()
+	}
+
+	limit := base + runtime.GOMAXPROCS(0) - 1
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > limit && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > limit {
+		t.Errorf("%d goroutines after closing three servers, limit %d (%d before + GOMAXPROCS-1)", n, limit, base)
 	}
 }
 

@@ -157,11 +157,9 @@ type Server struct {
 	// gen is the serving state: swapped atomically, never mutated.
 	gen atomic.Pointer[generation]
 
-	// mu serialises generation rebuilds; engine is the solver bound
-	// to the current generation's network, kept open so consecutive
-	// re-solves reuse its worker pool and cached operators.
-	mu     sync.Mutex
-	engine *core.Engine
+	// mu serialises generation rebuilds. Each rebuild solves on an
+	// engine of its own (see solve), so nothing of a solve outlives it.
+	mu sync.Mutex
 
 	stop      chan struct{}
 	done      chan struct{}
@@ -174,28 +172,20 @@ func New(store *corpus.Store, opts core.Options) (*Server, error) {
 }
 
 // NewWithConfig ranks the corpus and returns a Server with live
-// updates configured. Callers must Close the server to release the
-// solver pool and stop the refresher.
+// updates configured. Callers must Close the server to stop the
+// refresher.
 func NewWithConfig(store *corpus.Store, cfg Config) (*Server, error) {
 	s := newServerShell(cfg)
 	net := hetnet.Build(store)
-	eng := core.NewEngine(net)
-	ctx, span := obs.StartSpan(s.bg, "boot.solve")
-	opts, finish := solverSpans(ctx, cfg.Options)
-	scores, err := eng.RankScorer(s.scorerName(), cfg.ScorerOpts, opts)
-	finish()
-	span.End()
+	scores, err := s.solve(s.bg, net, cfg.Options, "boot.solve")
 	if err != nil {
-		eng.Close()
 		return nil, fmt.Errorf("serve: rank: %w", err)
 	}
 	gen, err := newGeneration(store, net, scores, live.Fingerprint(store), 1, "solve", s.clock())
 	if err != nil {
-		eng.Close()
 		return nil, err
 	}
 	s.gen.Store(gen)
-	s.engine = eng
 	s.metrics.solve(scores)
 	s.startRefresher()
 	return s, nil
@@ -216,8 +206,7 @@ func NewFromScores(store *corpus.Store, scores *core.Scores) (*Server, error) {
 // NewFromSnapshot boots a server from a persisted ranking snapshot
 // without re-solving: the snapshot is verified against the corpus by
 // fingerprint, so a stale or mismatched snapshot fails loudly instead
-// of serving wrong scores. The solver engine is created lazily on the
-// first live update.
+// of serving wrong scores. The first live update is the first solve.
 func NewFromSnapshot(store *corpus.Store, snap *live.Snapshot, cfg Config) (*Server, error) {
 	if err := snap.Matches(store); err != nil {
 		return nil, err

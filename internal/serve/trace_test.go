@@ -157,7 +157,6 @@ func TestRelatedWalkConvergenceIsReported(t *testing.T) {
 
 	// Swap in an index whose walks cannot converge: one sweep allowed.
 	g := srv.gen.Load()
-	g.related.Close()
 	var err error
 	if g.related, err = rank.NewRelatedIndex(g.net, rank.RelatedOptions{Iter: sparse.IterOptions{MaxIter: 1}}); err != nil {
 		t.Fatal(err)

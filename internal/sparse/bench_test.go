@@ -80,7 +80,6 @@ func BenchmarkMulVec(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			pool := NewPool(w)
-			defer pool.Close()
 			t := NewTransition(g, pool)
 			x := make([]float64, t.N())
 			Uniform(x)
@@ -113,7 +112,6 @@ func benchDampedStep(b *testing.B, build func(testing.TB, int) *graph.Graph, fus
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			pool := NewPool(w)
-			defer pool.Close()
 			t := NewTransition(g, pool)
 			src := make([]float64, t.N())
 			Uniform(src)

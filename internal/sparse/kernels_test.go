@@ -122,7 +122,6 @@ func TestDampedStepMatchesUnfused(t *testing.T) {
 		if !almostEq(dang, wantDang, 1e-12) {
 			t.Errorf("workers=%d: dangling %v, want %v", workers, dang, wantDang)
 		}
-		pool.Close()
 	}
 }
 
@@ -131,7 +130,6 @@ func TestDampedStepMatchesUnfused(t *testing.T) {
 func TestDampedWalkFusedMatchesReference(t *testing.T) {
 	g := randomCitationGraph(t, 5_000, 5, 13)
 	pool := NewPool(3)
-	defer pool.Close()
 	tr := NewTransition(g, pool)
 	n := tr.N()
 	teleport := make([]float64, n)
@@ -202,7 +200,6 @@ func TestReweightedMatchesRebuild(t *testing.T) {
 func TestBlendAndScaleDiffSteps(t *testing.T) {
 	g := randomCitationGraph(t, 8_000, 5, 17)
 	pool := NewPool(4)
-	defer pool.Close()
 	tr := NewTransition(g, pool)
 	n := tr.N()
 	rng := rand.New(rand.NewSource(23))

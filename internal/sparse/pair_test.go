@@ -119,7 +119,6 @@ func TestSeedWalkParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := NewPool(3)
-	defer pool.Close()
 	par, err := NewTransposePair(in, g, pool)
 	if err != nil {
 		t.Fatal(err)

@@ -6,32 +6,28 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent group of worker goroutines shared by the
-// parallel kernels in this package. The workers are spawned once and
-// park on a channel between calls, so a fixed-point solver running
-// hundreds of iterations pays goroutine-creation cost once instead of
-// once per matrix–vector product.
+// Pool is a handle on the process-wide set of helper goroutines that
+// run the parallel kernels in this package. The helpers start on the
+// first parallel Run that needs them and park on one shared job
+// channel for the life of the process, so solvers pay
+// goroutine-creation cost once per process, and a Pool owns nothing:
+// it is a parallelism cap plus its own occupancy counters.
 //
-// A Pool of W workers spawns W-1 background goroutines; the goroutine
-// calling Run always participates, so W=1 (and a nil *Pool) execute
-// entirely inline with zero scheduling overhead. Tasks are handed out
-// through an atomic counter, so a worker that finishes a cheap chunk
-// immediately steals the next one — combined with the edge-balanced
-// chunk plans built by NewTransition this keeps skewed citation
-// graphs from serialising on their hottest rows.
+// A Run on a Pool of W workers wakes at most W-1 helpers; the
+// goroutine calling Run always participates, so W=1 (and a nil *Pool)
+// execute entirely inline with zero scheduling overhead. Tasks are
+// handed out through an atomic counter, so a worker that finishes a
+// cheap chunk immediately steals the next one — combined with the
+// edge-balanced chunk plans built by NewTransition this keeps skewed
+// citation graphs from serialising on their hottest rows.
 //
-// Run may be invoked from multiple goroutines concurrently; each call
-// blocks until its own tasks are complete. Close releases the
-// background workers. After Close, Run degrades to inline serial
-// execution, so a closed pool is still safe to use.
+// Run may be invoked from multiple goroutines and on multiple handles
+// concurrently; each call blocks until its own tasks are complete.
 type Pool struct {
 	workers int
-	work    chan *poolJob
-	closed  atomic.Bool
-	once    sync.Once
 
 	// Occupancy counters for observability: Run invocations and tasks
-	// dispatched over the pool's lifetime.
+	// dispatched through this handle.
 	runs  atomic.Uint64
 	tasks atomic.Uint64
 }
@@ -52,7 +48,7 @@ func (p *Pool) Stats() PoolStats {
 	if p == nil {
 		return PoolStats{Workers: 1}
 	}
-	return PoolStats{Workers: p.Workers(), Runs: p.runs.Load(), Tasks: p.tasks.Load()}
+	return PoolStats{Workers: p.workers, Runs: p.runs.Load(), Tasks: p.tasks.Load()}
 }
 
 // poolJob is one Run invocation: a task body and an atomic cursor
@@ -75,30 +71,48 @@ func (j *poolJob) drain() {
 	}
 }
 
-// NewPool creates a pool with the given number of workers; values < 1
-// select runtime.NumCPU(). The pool holds workers-1 parked goroutines
-// until Close is called.
+// The helper set shared by every Pool. jobs has one slot per CPU: a
+// Run never waits for a slot, so a full queue only means the helpers
+// are already busy and the caller works alone. helpers.n only grows,
+// to the largest worker count any Run has needed, less one.
+var (
+	jobs    = make(chan *poolJob, runtime.NumCPU())
+	helpers struct {
+		sync.Mutex
+		n int
+	}
+)
+
+// startHelpers ensures at least n helpers are parked on jobs.
+func startHelpers(n int) {
+	helpers.Lock()
+	defer helpers.Unlock()
+	for ; helpers.n < n; helpers.n++ {
+		go func() {
+			for j := range jobs {
+				j.drain()
+			}
+		}()
+	}
+}
+
+// NewPool returns a handle with the given number of workers; values
+// < 1 select runtime.NumCPU(). The count is clamped to GOMAXPROCS:
+// extra workers cannot add CPU throughput, they only add scheduling
+// overhead to every kernel sweep.
 func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = runtime.NumCPU()
 	}
-	p := &Pool{workers: workers}
-	if workers > 1 {
-		p.work = make(chan *poolJob, workers-1)
-		for i := 0; i < workers-1; i++ {
-			go func() {
-				for j := range p.work {
-					j.drain()
-				}
-			}()
-		}
+	if mp := runtime.GOMAXPROCS(0); workers > mp {
+		workers = mp
 	}
-	return p
+	return &Pool{workers: workers}
 }
 
 // Workers returns the parallelism of the pool. A nil pool reports 1.
 func (p *Pool) Workers() int {
-	if p == nil || p.closed.Load() {
+	if p == nil {
 		return 1
 	}
 	return p.workers
@@ -107,8 +121,8 @@ func (p *Pool) Workers() int {
 // Run executes fn(0) … fn(total-1), spreading the calls over the
 // pool's workers, and returns when all of them have completed. Tasks
 // are claimed dynamically, so uneven task costs balance themselves.
-// On a nil, closed or single-worker pool the calls run inline on the
-// calling goroutine, in order.
+// On a nil or single-worker pool the calls run inline on the calling
+// goroutine, in order.
 func (p *Pool) Run(total int, fn func(task int)) {
 	if total <= 0 {
 		return
@@ -117,7 +131,7 @@ func (p *Pool) Run(total int, fn func(task int)) {
 		p.runs.Add(1)
 		p.tasks.Add(uint64(total))
 	}
-	if p == nil || p.workers <= 1 || total == 1 || p.closed.Load() {
+	if p == nil || p.workers <= 1 || total == 1 {
 		for i := 0; i < total; i++ {
 			fn(i)
 		}
@@ -125,36 +139,19 @@ func (p *Pool) Run(total int, fn func(task int)) {
 	}
 	j := &poolJob{fn: fn, total: int64(total)}
 	j.wg.Add(total)
-	wake := p.workers - 1
-	if wake > total-1 {
-		wake = total - 1
-	}
-	// Non-blocking wake-ups: if the queue is full every worker is
+	wake := min(p.workers, total) - 1
+	startHelpers(wake)
+	// Non-blocking wake-ups: if the queue is full every helper is
 	// already busy, and the caller is better off working than waiting
 	// for a free slot.
 wakeLoop:
 	for i := 0; i < wake; i++ {
 		select {
-		case p.work <- j:
+		case jobs <- j:
 		default:
 			break wakeLoop
 		}
 	}
 	j.drain() // the caller is a worker too
 	j.wg.Wait()
-}
-
-// Close releases the background workers. It is idempotent; Run calls
-// after Close execute serially on the caller. Close must not be
-// called while a Run is in flight.
-func (p *Pool) Close() {
-	if p == nil {
-		return
-	}
-	p.once.Do(func() {
-		p.closed.Store(true)
-		if p.work != nil {
-			close(p.work)
-		}
-	})
 }

@@ -20,11 +20,10 @@ func TestPoolRunCoversAllTasks(t *testing.T) {
 				}
 			}
 		}
-		p.Close()
 	}
 }
 
-func TestPoolNilAndClosedRunSerially(t *testing.T) {
+func TestPoolNilRunsSerially(t *testing.T) {
 	var nilPool *Pool
 	if w := nilPool.Workers(); w != 1 {
 		t.Errorf("nil pool Workers = %d, want 1", w)
@@ -34,24 +33,10 @@ func TestPoolNilAndClosedRunSerially(t *testing.T) {
 	if len(order) != 3 || order[0] != 0 || order[2] != 2 {
 		t.Errorf("nil pool Run order = %v", order)
 	}
-	nilPool.Close() // no-op
-
-	p := NewPool(4)
-	p.Close()
-	p.Close() // idempotent
-	var n int32
-	p.Run(5, func(int) { atomic.AddInt32(&n, 1) }) // serial fallback after Close
-	if n != 5 {
-		t.Errorf("closed pool ran %d of 5 tasks", n)
-	}
-	if w := p.Workers(); w != 1 {
-		t.Errorf("closed pool Workers = %d, want 1", w)
-	}
 }
 
 func TestPoolConcurrentRuns(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
 	var wg sync.WaitGroup
 	var total atomic.Int64
 	for g := 0; g < 8; g++ {
@@ -69,42 +54,72 @@ func TestPoolConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestPoolCloseReleasesGoroutines asserts the pool leaks nothing: the
-// goroutine count returns to its baseline once Close has run. The
-// retry loop absorbs scheduler lag in goroutine teardown.
-func TestPoolCloseReleasesGoroutines(t *testing.T) {
-	// Workers of pools the preceding tests closed may still be exiting;
-	// a baseline that counts them makes the parked-workers check below
-	// fail once they are gone.
-	before := runtime.NumGoroutine()
-	for settled := 0; settled < 3; {
-		time.Sleep(10 * time.Millisecond)
-		if now := runtime.NumGoroutine(); now == before {
-			settled++
-		} else {
-			before, settled = now, 0
+// TestPoolHandlesShareHelpers runs concurrent Runs through many
+// handles of different caps and checks that every task runs exactly
+// once, that each handle's Stats count only its own work, and that
+// the handles share one helper set: the goroutine count never exceeds
+// the baseline plus the largest cap less one, however many handles
+// exist.
+func TestPoolHandlesShareHelpers(t *testing.T) {
+	const (
+		copies = 4  // handles per cap
+		reps   = 20 // Runs per handle
+		total  = 23 // tasks per Run
+	)
+	caps := []int{1, 2, runtime.NumCPU() + 1}
+	var handles []*Pool
+	maxCap := 0
+	for _, c := range caps {
+		for i := 0; i < copies; i++ {
+			p := NewPool(c)
+			handles = append(handles, p)
+			maxCap = max(maxCap, p.Workers())
 		}
 	}
-	pools := make([]*Pool, 0, 8)
-	for i := 0; i < 8; i++ {
-		p := NewPool(4)
-		p.Run(100, func(int) {})
-		pools = append(pools, p)
+	base := runtime.NumGoroutine()
+	// Each task records the goroutine count while every handle is in
+	// flight; the test's own Run callers are counted on top of the
+	// baseline.
+	var peak atomic.Int64
+	hits := make([][]int32, len(handles))
+	var wg sync.WaitGroup
+	for h, p := range handles {
+		hits[h] = make([]int32, reps*total)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < reps; rep++ {
+				p.Run(total, func(i int) {
+					atomic.AddInt32(&hits[h][rep*total+i], 1)
+					n := int64(runtime.NumGoroutine())
+					for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+					}
+				})
+			}
+		}()
 	}
-	if mid := runtime.NumGoroutine(); mid < before+8*3 {
-		t.Fatalf("expected parked workers: before=%d mid=%d", before, mid)
-	}
-	for _, p := range pools {
-		p.Close()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before {
-			return
+	wg.Wait()
+	for h, p := range handles {
+		for i, n := range hits[h] {
+			if n != 1 {
+				t.Fatalf("handle %d (cap %d): task %d ran %d times", h, p.Workers(), i, n)
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
+		st := p.Stats()
+		if st.Runs != reps || st.Tasks != reps*total {
+			t.Errorf("handle %d (cap %d) stats %+v, want %d runs and %d tasks", h, p.Workers(), st, reps, reps*total)
 		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	if limit := int64(base + len(handles) + maxCap - 1); peak.Load() > limit {
+		t.Errorf("peak %d goroutines during %d concurrent handles, limit %d (baseline %d + callers + cap %d - 1)",
+			peak.Load(), len(handles), limit, base, maxCap)
+	}
+	// The callers have signalled Done but may still be exiting.
+	limit := base + maxCap - 1
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > limit && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > limit {
+		t.Errorf("%d goroutines after the runs, limit %d (baseline %d + cap %d - 1)", n, limit, base, maxCap)
 	}
 }

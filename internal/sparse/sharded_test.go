@@ -165,7 +165,6 @@ var scheduleCases = []scheduleCase{
 func (c scheduleCase) apply(tb testing.TB, tr *Transition) *Transition {
 	tb.Helper()
 	pool := NewPool(c.workers)
-	tb.Cleanup(pool.Close)
 	tr = tr.WithPool(pool)
 	if c.shards > 0 {
 		return scheduled(tb, tr, evenBounds(tr.N(), c.shards))
@@ -390,7 +389,6 @@ func TestScheduledWalkDeterministic(t *testing.T) {
 // is under the race detector (make test-race).
 func TestScheduledSweepsUnderRace(t *testing.T) {
 	pool := NewPool(runtime.NumCPU() + 1)
-	defer pool.Close()
 	tr := NewTransition(backEdgeGraph(t, 60_000, 0.04, false), pool)
 	st, err := tr.WithSchedule(NewSweepSchedule(tr))
 	if err != nil {
@@ -564,7 +562,6 @@ func TestShardedWalkAitken(t *testing.T) {
 func TestShardedSolveSharesWorkerPool(t *testing.T) {
 	g := benchGraphPowerLaw(t, 20000)
 	pool := NewPool(2)
-	defer pool.Close()
 	tr := NewTransition(g, pool)
 	sc, err := NewShardSchedule(tr, evenBounds(tr.N(), 4))
 	if err != nil {
@@ -585,15 +582,15 @@ func TestShardedSolveSharesWorkerPool(t *testing.T) {
 	before := pool.Stats()
 	walk(tr)
 	after := pool.Stats()
-	if after.Workers != 2 {
-		t.Fatalf("pool workers %d, want 2", after.Workers)
+	if w := min(2, runtime.GOMAXPROCS(0)); after.Workers != w {
+		t.Fatalf("pool workers %d, want %d", after.Workers, w)
 	}
 	if after.Runs <= before.Runs {
 		t.Fatalf("sharded solve did not run on the shared pool (runs %d -> %d)", before.Runs, after.Runs)
 	}
 	// A pool-bound view runs on its own pool and leaves the operator's
-	// alone (the engine resizes pools between solves and binds one view
-	// per solve; the operator itself is shared and never mutated).
+	// alone (the engine binds a fresh handle to a view per solve; the
+	// operator itself is shared and never mutated).
 	walk(tr.WithPool(nil))
 	if got := pool.Stats().Runs; got != after.Runs {
 		t.Fatalf("WithPool(nil) view still ran on the operator's pool: runs %d -> %d", after.Runs, got)

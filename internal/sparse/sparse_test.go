@@ -203,7 +203,6 @@ func TestTransitionParallelMatchesSerial(t *testing.T) {
 	g := b.Build()
 	serial := NewTransition(g, nil)
 	pool := NewPool(4)
-	defer pool.Close()
 	par := NewTransition(g, pool)
 	if par.NumChunks() < 2 {
 		t.Fatalf("NumChunks = %d, want a multi-chunk plan for %d edges", par.NumChunks(), g.NumEdges())

@@ -36,10 +36,9 @@ type Transition struct {
 // NewTransition builds the operator from g. Edge weights are taken
 // from the graph when present, otherwise every edge has weight 1.
 // pool supplies the parallelism of every kernel; nil selects serial
-// execution. The pool is only borrowed — closing it remains the
-// caller's responsibility — and an operator is immutable once built:
-// WithPool binds another pool to a view instead of mutating it, so one
-// operator can be shared by goroutines that each bring their own pool.
+// execution. An operator is immutable once built: WithPool binds
+// another pool to a view instead of mutating it, so one operator can
+// be shared by goroutines that each bring their own pool.
 func NewTransition(g *graph.Graph, pool *Pool) *Transition {
 	n := g.NumNodes()
 	outW := make([]float64, n)

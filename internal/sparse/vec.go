@@ -5,14 +5,15 @@
 //
 // # Parallelism model
 //
-// All parallel kernels draw their workers from a Pool — a persistent
-// set of goroutines spawned once with NewPool, parked on a channel
-// between calls, and released with Close. Solvers therefore pay
-// goroutine-creation cost once per pool rather than once per
-// iteration. The typical shape is:
+// All parallel kernels draw their workers from one process-wide set
+// of helper goroutines, started on first use and parked on a channel
+// between calls; a Pool is a handle that caps how many of them one
+// Run engages and counts its own runs. Solvers therefore pay
+// goroutine-creation cost once per process rather than once per
+// iteration, and a handle has no lifetime to end. The typical shape
+// is:
 //
 //	pool := sparse.NewPool(workers) // workers < 1 → NumCPU
-//	defer pool.Close()
 //	t := sparse.NewTransition(g, pool)
 //	scores, stats, err := sparse.DampedWalk(t, 0.85, teleport, opts)
 //

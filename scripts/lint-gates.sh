@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 gates='log\.Printf | . | ^\./internal/obs/ | log.Printf outside internal/obs (use obs.Logger)
 context\.Background() | internal/serve | _test\.go: | context.Background() in internal/serve (handlers must inherit the request context; background work uses Tracer.BackgroundContext)
 computePrestige\|computeHetero\|computePopularity\|applyFade | . | ^\./internal/core/ | solver phase call outside internal/core (rank through the scorer registry: core.RankScorer or Engine.RankWith)
-sparse\.NewPool( | . | _test\.go:\|^\./internal/sparse/\|^\./internal/core/engine\.go:\|^\./internal/rank/related\.go: | per-call worker pool (scorers borrow the engine pool through SolveContext.Pool)'
+sparse\.NewPool( | . | _test\.go:\|^\./internal/sparse/\|^\./internal/core/engine\.go:\|^\./internal/rank/related\.go: | worker pool handle outside the engine and the related index (scorers honour Options.Workers through SolveContext.Pool)'
 
 status=0
 while IFS= read -r gate; do
