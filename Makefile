@@ -16,7 +16,8 @@ vet:
 ## phases are reached only through the scorer registry, and worker
 ## pool handles come only from the engine's solve and the
 ## related-article index (scorers honour Options.Workers through
-## SolveContext.Pool). Also runs gofmt
+## SolveContext.Pool), and only hetnet builds the Gauss–Seidel
+## citation operator. Also runs gofmt
 ## and a short fuzz pass over the decoders, so the parsers get
 ## adversarial input on every check, not only when someone remembers
 ## to fuzz.

@@ -20,9 +20,11 @@
 //     inherit mass from their authors' and venue's track record,
 //     which is the algorithm's answer to the cold-start problem.
 //
-// The three signals are min–max normalised and folded by a
-// configurable ensemble (harmonic by default: an important article
-// must score on every axis).
+// The three signals are normalised and folded by a configurable
+// ensemble. DefaultOptions replaces each signal by its rank percentile
+// and takes a prestige-weighted geometric mean, the parameterisation
+// the F1/F2 studies select; min–max normalisation and the harmonic and
+// arithmetic means are the alternatives.
 package core
 
 import (
@@ -141,10 +143,10 @@ type Options struct {
 
 	// Shards cuts the citation graph into this many edge-balanced
 	// contiguous row ranges (internal/shard) and reports them on the
-	// result (Scores.Shards, ShardEdges, IterStats.Exchanges). The
-	// Gauss–Seidel sweep is one top-down pass whatever the partition
-	// (sparse.NewShardSchedule), so the scores are those of the default
-	// schedule. Values < 2 select no partition.
+	// result (Scores.Shards, ShardEdges, IterStats.Exchanges). It is a
+	// label only: the Gauss–Seidel sweep is one top-down pass whatever
+	// the partition, so the scores do not depend on it. Values < 2
+	// select no partition.
 	Shards int
 
 	// AitkenEvery sets the cadence of Aitken Δ² extrapolation in the
@@ -368,19 +370,20 @@ type Scores struct {
 	// in PrestigeStats.
 	PrestigeStats sparse.IterStats
 	HeteroStats   sparse.IterStats
-	// Shards is the explicit shard count the iterative stages ran with
-	// (1 under the default sweep schedule, or when the scorer has no
-	// iterative stage); ShardEdges holds each shard's pull-sweep edge
+	// Shards is the Options.Shards label of a scorer that ran an
+	// iterative stage: 1 without explicit shards, 0 when the scorer has
+	// no iterative stage. ShardEdges holds each shard's pull-sweep edge
 	// count (intra + cross) from the partition plan, nil without
 	// explicit shards.
 	Shards     int
 	ShardEdges []int64
 	// BackEdgeFraction is the share of citation edges whose citing
 	// article is not above the cited one in solver order — the edges a
-	// Gauss–Seidel sweep reads stale (sparse.ShardSchedule). Zero on a
-	// chronologically consistent corpus, where the prestige walk
-	// converges in two sweeps; same-year citation cycles raise it and
-	// the sweep count with it.
+	// Gauss–Seidel sweep reads stale (sparse.Transition.BackEdgeFraction
+	// of the network's citation operator), reported by every scorer
+	// that ran an iterative stage. Zero on a chronologically consistent
+	// corpus, where the prestige walk converges in two sweeps; same-year
+	// citation cycles raise it and the sweep count with it.
 	BackEdgeFraction float64
 	// Authors is the author-indexed stationary distribution of the
 	// corank scorer's coupled walk; nil for every other scorer, and

@@ -14,12 +14,13 @@ import (
 // gap-weighted transition per distinct RhoGap value (the prestige
 // stage).
 // The citation transition operator (the popularity and hetero stages)
-// is the network's own (hetnet.SolverView.CitationTransition); the
-// gap-weighted transitions are derived from it with Reweighted, so
-// only the per-edge norm is recomputed — the CSR structure, dangling
-// set, and chunk plan are shared. Parameter sweeps — figures F1 and
-// F2, the ablation table, interactive tuning — skip the O(m log m)
-// rebuild that a fresh Rank call pays.
+// is the network's own (hetnet.SolverView.CitationTransition), which
+// sweeps Gauss–Seidel; the gap-weighted transitions are derived from
+// it with Reweighted, so only the per-edge norm is recomputed — the
+// CSR structure, dangling set, chunk plan and sweep are shared.
+// Parameter sweeps — figures F1 and F2, the ablation table,
+// interactive tuning — skip the O(m log m) rebuild that a fresh Rank
+// call pays.
 //
 // Both iterative stages run in solver space — the network's
 // chronologically ordered projection (hetnet.SolverView), usually the
@@ -44,20 +45,6 @@ type Engine struct {
 	// starting vector, so warm starting is purely an iteration-count
 	// optimisation.
 	warm map[string][]float64
-	// Sweep schedules, one per explicit shard count (1: the default
-	// schedule). A schedule derives from immutable structure, so it is
-	// computed once and shared across solves.
-	layouts map[int]sweepLayout
-}
-
-// sweepLayout is the Gauss–Seidel sweep schedule over the citation
-// operator's rows — rows every gap operator shares, so one schedule
-// serves them all — and, for an explicit shard count, the
-// edge-balanced partition of the solver-ordered citation graph the
-// solve reports.
-type sweepLayout struct {
-	plan  *shard.Plan // nil for the default schedule
-	sched *sparse.ShardSchedule
 }
 
 // prestige returns the explicit prestige seed, nil-safe.
@@ -108,7 +95,6 @@ func NewEngine(net *hetnet.Network) *Engine {
 		net:      net,
 		gapTrans: make(map[float64]*sparse.Transition),
 		warm:     make(map[string][]float64),
-		layouts:  make(map[int]sweepLayout),
 	}
 }
 
@@ -150,31 +136,30 @@ func (e *Engine) gapTransition(rho float64, pool *sparse.Pool) (*sparse.Transiti
 	return t.WithPool(pool), nil
 }
 
-// sweepLayout returns the engine's cached sweep schedule for the given
-// shard count, computing it on first use. Partition clamps counts above
-// the row count, so the plan's Shards() may be lower than requested.
-func (e *Engine) sweepLayout(shards int) (sweepLayout, error) {
+// stampSweep records on the result of a scorer that ran an iterative
+// stage the back-edge fraction of the citation operator its walks swept
+// (hetnet.SolverView.CitationTransition, Gauss–Seidel by construction),
+// and the shard label: one shard, or for shards >= 2 the edge-balanced
+// partition of the solver-ordered citation graph with one boundary
+// exchange per shard per sweep. The label changes no sweep — the
+// Gauss–Seidel pass is serial whatever the partition — and stays only
+// because the benchmark module reports it. Partition clamps counts
+// above the row count, so the label may be lower than requested.
+func (e *Engine) stampSweep(sc *Scores, shards int) error {
+	sc.BackEdgeFraction = e.view().CitationTransition().BackEdgeFraction()
+	sc.Shards = 1
 	if shards < 2 {
-		shards = 1
+		return nil
 	}
-	if l, ok := e.layouts[shards]; ok {
-		return l, nil
+	plan, err := shard.Partition(e.view().Citations, shards)
+	if err != nil {
+		return fmt.Errorf("core: shard partition: %w", err)
 	}
-	var l sweepLayout
-	if shards == 1 {
-		l.sched = sparse.NewSweepSchedule(e.view().CitationTransition())
-	} else {
-		plan, err := shard.Partition(e.view().Citations, shards)
-		if err != nil {
-			return sweepLayout{}, fmt.Errorf("core: shard partition: %w", err)
-		}
-		l.plan = plan
-		if l.sched, err = sparse.NewShardSchedule(e.view().CitationTransition(), plan.Bounds); err != nil {
-			return sweepLayout{}, fmt.Errorf("core: shard schedule: %w", err)
-		}
-	}
-	e.layouts[shards] = l
-	return l, nil
+	sc.Shards = plan.Shards()
+	sc.ShardEdges = plan.EdgeCounts()
+	sc.PrestigeStats.Exchanges = sc.PrestigeStats.Iterations * sc.Shards
+	sc.HeteroStats.Exchanges = sc.HeteroStats.Iterations * sc.Shards
+	return nil
 }
 
 // Rank computes QISA-Rank — the registered default scorer — with the
@@ -224,6 +209,11 @@ func (e *Engine) RankWith(s Scorer, opts Options) (*Scores, error) {
 	sc := ctx.comps
 	if sc == nil {
 		sc = &Scores{}
+	}
+	if sc.PrestigeStats.Iterations+sc.HeteroStats.Iterations > 0 {
+		if err := e.stampSweep(sc, opts.Shards); err != nil {
+			return nil, err
+		}
 	}
 	sc.Importance = importance
 	sc.Scorer = s.Name()

@@ -11,13 +11,13 @@ import (
 // through the registered default scorer, must reproduce the
 // pre-refactor fused pipeline to 1e-12 — including the warm-cache
 // behaviour across repeated solves and RhoGap changes. The oracle
-// walks unscheduled operators, so it is also the Jacobi reference for
-// the engine's Gauss–Seidel sweeps: the same fixed points, in no more
-// sweeps.
+// walks Jacobi operators of its own (sparse.NewTransition), so it is
+// also the Jacobi reference for the engine's Gauss–Seidel sweeps: the
+// same fixed points, in no more sweeps.
 
-// legacyEngine replicates the pre-refactor Engine: the same cached
-// substrate, but with the warm-start vectors held in the old
-// per-RhoGap prestige map plus single hetero slot.
+// legacyEngine replicates the pre-refactor Engine: the same solver
+// view, but Jacobi operators built per solve and the warm-start vectors
+// held in the old per-RhoGap prestige map plus single hetero slot.
 type legacyEngine struct {
 	eng          *Engine
 	warmPrestige map[float64][]float64
@@ -40,9 +40,14 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 	}
 	pool := sparse.NewPool(opts.Workers)
 	perm := e.view().Perm()
-	gapTrans, err := e.gapTransition(opts.RhoGap, pool)
-	if err != nil {
-		return nil, err
+	citTrans := sparse.NewTransition(e.view().Citations, pool)
+	gapTrans := citTrans
+	if opts.RhoGap != 0 {
+		weight, err := gapWeightFunc(e.view().Years, opts.RhoGap)
+		if err != nil {
+			return nil, err
+		}
+		gapTrans = citTrans.Reweighted(weight)
 	}
 	initPrestige, err := warmVector(opts.InitialScores.prestige(), l.warmPrestige[opts.RhoGap], e.net.NumArticles(), perm)
 	if err != nil {
@@ -63,7 +68,7 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 		return nil, err
 	}
 	popularity := computePopularity(e.net, opts)
-	heteroSolver, hStats, err := computeHetero(e.view(), opts, e.citationTransition(pool), pool, initHetero)
+	heteroSolver, hStats, err := computeHetero(e.view(), opts, citTrans, pool, initHetero)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +94,7 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 // the legacy oracle through the same solve sequence — cold, warm
 // repeat, a RhoGap change, a return to the cached RhoGap, and an
 // explicit InitialScores seed — and requires every score vector to
-// agree within 1e-12, and the engine's scheduled sweeps never to
+// agree within 1e-12, and the engine's Gauss–Seidel sweeps never to
 // outnumber the oracle's Jacobi sweeps.
 func TestDefaultScorerMatchesLegacyRank(t *testing.T) {
 	for _, seed := range []int64{1, 2} {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestChronologicalCorpusSolvesPrestigeInTwoSweeps pins what the
-// chronological solver order and the Gauss–Seidel schedule buy
+// chronological solver order and the Gauss–Seidel sweep buy
 // together: a generated corpus cites strictly backward in id order, so
 // it freezes to the identity, its citation operator is triangular, and
 // the prestige walk lands on its fixed point in one sweep and confirms
@@ -37,7 +37,7 @@ func TestChronologicalCorpusSolvesPrestigeInTwoSweeps(t *testing.T) {
 
 // TestBackEdgesCostSweeps checks the other side: publication years
 // perturbed against the citations leave edges that point up the solver
-// order, the schedule counts them, and the walk pays for them in
+// order, the citation operator counts them, and the walk pays for them in
 // sweeps — still converging, still far below the Jacobi count.
 func TestBackEdgesCostSweeps(t *testing.T) {
 	store, _ := genNetwork(t, 3000)
@@ -57,6 +57,44 @@ func TestBackEdgesCostSweeps(t *testing.T) {
 	}
 	if it := sc.PrestigeStats.Iterations; !sc.PrestigeStats.Converged || it <= 2 || it > 30 {
 		t.Errorf("prestige took %d sweeps (converged %v), want a few more than 2", it, sc.PrestigeStats.Converged)
+	}
+}
+
+// TestEveryWalkReportsBackEdges checks the back-edge fraction reaches
+// the result of every scorer that walks the citation operator — alef,
+// ewpr and vw-pagerank deposit their own results and once reported 0 —
+// and that it is the network's one count: the same across solves and
+// engines, and equal to the operator's.
+func TestEveryWalkReportsBackEdges(t *testing.T) {
+	store, _ := genNetwork(t, 3000)
+	noisy, err := gen.PerturbYears(store, 0.1, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := hetnet.Build(noisy)
+	want := net.SolverView().CitationTransition().BackEdgeFraction()
+	if want <= 0 {
+		t.Fatalf("operator back-edge fraction %g with a tenth of the years perturbed", want)
+	}
+	eng := NewEngine(net)
+	for _, name := range []string{ScorerALEF, ScorerEWPR, ScorerVWPageRank, DefaultScorer, ScorerPageRank} {
+		for solve := 0; solve < 2; solve++ {
+			sc, err := eng.RankScorer(name, nil, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.BackEdgeFraction != want || sc.Shards != 1 {
+				t.Errorf("%s solve %d: back-edge fraction %g, %d shards; want %g, 1",
+					name, solve, sc.BackEdgeFraction, sc.Shards, want)
+			}
+		}
+		sc, err := RankScorer(net, name, nil, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.BackEdgeFraction != want {
+			t.Errorf("%s on a fresh engine: back-edge fraction %g, want %g", name, sc.BackEdgeFraction, want)
+		}
 	}
 }
 

@@ -226,38 +226,6 @@ func (ctx *SolveContext) GapTransition(rho float64) (*sparse.Transition, error) 
 	return ctx.eng.gapTransition(rho, ctx.pool)
 }
 
-// Sharded returns t sweeping under the solve's Gauss–Seidel schedule
-// (sparse.ShardSchedule), which also carries the configured
-// partition's shard count when Options.Shards >= 2. t must be the
-// citation operator or a reweighting of it. Scorers run their walks
-// over the result; the fixed point is that of the unscheduled (Jacobi)
-// walk.
-func (ctx *SolveContext) Sharded(t *sparse.Transition) (*sparse.Transition, error) {
-	l, err := ctx.eng.sweepLayout(ctx.opts.Shards)
-	if err != nil {
-		return nil, err
-	}
-	return t.WithSchedule(l.sched)
-}
-
-// stampSchedule records the solve's sweep schedule on a result whose
-// scorer ran iterative stages: the back-edge fraction it counted, and
-// for an explicit Options.Shards the plan's shard count and per-shard
-// edge totals.
-func (ctx *SolveContext) stampSchedule(sc *Scores) error {
-	l, err := ctx.eng.sweepLayout(ctx.opts.Shards)
-	if err != nil {
-		return err
-	}
-	sc.BackEdgeFraction = l.sched.BackEdgeFraction()
-	sc.Shards = 1
-	if l.plan != nil {
-		sc.Shards = l.plan.Shards()
-		sc.ShardEdges = l.plan.EdgeCounts()
-	}
-	return nil
-}
-
 // IterFor returns the iteration options for one solver phase, with
 // the Options.Trace hook (if any) bound to the phase name.
 func (ctx *SolveContext) IterFor(phase string) sparse.IterOptions {
@@ -289,10 +257,10 @@ func (ctx *SolveContext) warmKey(key string) string { return ctx.scorer + "/" + 
 // under key, or nil.
 func (ctx *SolveContext) cached(key string) []float64 { return ctx.eng.warm[ctx.warmKey(key)] }
 
-// walk solves the damped walk over t (solver space, sweeping under
-// whatever schedule t carries) from the fixed point cached under key,
-// or from the teleport when none is, and caches the result. It traces
-// under the scorer's name and extrapolates at Options.AitkenEvery.
+// walk solves the damped walk over t (solver space, sweeping as t
+// does) from the fixed point cached under key, or from the teleport
+// when none is, and caches the result. It traces under the scorer's
+// name and extrapolates at Options.AitkenEvery.
 func (ctx *SolveContext) walk(key string, t *sparse.Transition, damping float64, teleport []float64) ([]float64, sparse.IterStats, error) {
 	init := ctx.cached(key)
 	if init == nil {
@@ -328,18 +296,16 @@ func (ctx *SolveContext) iterate(init []float64, step sparse.StepFunc) ([]float6
 }
 
 // result finishes a single-stage scorer: it records the stage's stats
-// and the sweep schedule on the result and returns the solver-space
-// vector in original article order.
-func (ctx *SolveContext) result(solverVec []float64, stats sparse.IterStats) ([]float64, error) {
-	sc := &Scores{PrestigeStats: stats}
-	if err := ctx.stampSchedule(sc); err != nil {
-		return nil, err
-	}
-	ctx.SetComponents(sc)
-	return ctx.Restore(solverVec), nil
+// on the result and returns the solver-space vector in original
+// article order.
+func (ctx *SolveContext) result(solverVec []float64, stats sparse.IterStats) []float64 {
+	ctx.SetComponents(&Scores{PrestigeStats: stats})
+	return ctx.Restore(solverVec)
 }
 
 // SetComponents deposits component signals and solver statistics on
-// the result. The engine fills Importance, Scorer and Pool itself;
-// any other field the scorer leaves zero stays zero.
+// the result. The engine fills Importance, Scorer and Pool itself, and
+// the sweep fields (BackEdgeFraction, Shards) whenever the stats show
+// an iterative stage; any other field the scorer leaves zero stays
+// zero.
 func (ctx *SolveContext) SetComponents(sc *Scores) { ctx.comps = sc }

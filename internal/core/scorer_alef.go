@@ -53,10 +53,7 @@ const alefWarmKey = "walk"
 
 func (s *alefScorer) Score(ctx *SolveContext) ([]float64, error) {
 	n := ctx.View().NumArticles()
-	t, err := ctx.Sharded(ctx.CitationTransition())
-	if err != nil {
-		return nil, err
-	}
+	t := ctx.CitationTransition()
 	teleport := uniformVector(n)
 	x, stats, err := ctx.walk(alefWarmKey, t, s.damping, teleport)
 	if err != nil {

@@ -112,7 +112,7 @@ func ageNormCounts(net *hetnet.Network) ([]float64, error) {
 }
 
 // walkScorer is the damped citation-walk family as one walk over the
-// scheduled citation operator: PageRank (uniform teleport), CiteRank
+// Gauss–Seidel citation operator: PageRank (uniform teleport), CiteRank
 // (a researcher who starts reading at recent articles: teleport ∝
 // exp(-rho·age), so old prestige alone cannot dominate) and timed
 // PageRank (PageRank faded by exp(-rho·age) afterwards, so old
@@ -146,12 +146,10 @@ func newWalkScorer(name string, rho float64) ScorerFactory {
 func (s *walkScorer) Name() string { return s.name }
 
 func (s *walkScorer) Score(ctx *SolveContext) ([]float64, error) {
-	t, err := ctx.Sharded(ctx.CitationTransition())
-	if err != nil {
-		return nil, err
-	}
+	t := ctx.CitationTransition()
 	var teleport []float64
 	if s.name == ScorerCiteRank {
+		var err error
 		if teleport, err = recencyTeleport(ctx.View(), s.rho); err != nil {
 			return nil, err
 		}
@@ -162,9 +160,9 @@ func (s *walkScorer) Score(ctx *SolveContext) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	scores, err := ctx.result(x, stats)
-	if err != nil || s.name != ScorerTimedPR {
-		return scores, err
+	scores := ctx.result(x, stats)
+	if s.name != ScorerTimedPR {
+		return scores, nil
 	}
 	return fadeByAge(ctx.Network(), s.rho, scores)
 }
@@ -203,7 +201,7 @@ func (hitsScorer) Score(ctx *SolveContext) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ctx.result(x, stats)
+	return ctx.result(x, stats), nil
 }
 
 // sumNeighbors sets dst[u] to the sum of x over u's out-neighbours in g.
@@ -264,7 +262,7 @@ func (s *sceasScorer) Score(ctx *SolveContext) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ctx.result(x, stats)
+	return ctx.result(x, stats), nil
 }
 
 // futureRankScorer is FutureRank (Sayyadi & Getoor): one fixed point
@@ -322,7 +320,7 @@ func (s *futureRankScorer) Score(ctx *SolveContext) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ctx.result(x, stats)
+	return ctx.result(x, stats), nil
 }
 
 // coRankScorer is Co-Ranking (Zhou et al.): two damped intra-class
@@ -362,15 +360,11 @@ func (s *coRankScorer) Score(ctx *SolveContext) ([]float64, error) {
 	citeT := ctx.CitationTransition()
 	if nA == 0 {
 		// No author class: Co-Ranking reduces to PageRank.
-		t, err := ctx.Sharded(citeT)
+		x, stats, err := ctx.walk("walk", citeT, s.damping, uniformVector(nP))
 		if err != nil {
 			return nil, err
 		}
-		x, stats, err := ctx.walk("walk", t, s.damping, uniformVector(nP))
-		if err != nil {
-			return nil, err
-		}
-		return ctx.result(x, stats)
+		return ctx.result(x, stats), nil
 	}
 	coauthT := sparse.NewTransition(ctx.Network().CoauthorGraph(), pool)
 	d, k := s.damping, s.coupling
@@ -408,10 +402,7 @@ func (s *coRankScorer) Score(ctx *SolveContext) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	scores, err := ctx.result(x[:nP], stats)
-	if err != nil {
-		return nil, err
-	}
+	scores := ctx.result(x[:nP], stats)
 	ctx.comps.Authors = sparse.Clone(x[nP:])
 	return scores, nil
 }
@@ -447,16 +438,12 @@ func (s *pRankScorer) Name() string { return ScorerPRank }
 
 func (s *pRankScorer) Score(ctx *SolveContext) ([]float64, error) {
 	view := ctx.View()
-	t, err := ctx.Sharded(ctx.CitationTransition())
-	if err != nil {
-		return nil, err
-	}
 	d := s.damping
 	b := blend{r: uniformVector(view.NumArticles()), cite: d * s.paper, author: d * s.author, venue: d * s.venue, restart: 1 - d}
-	x, stats, err := b.walk(view, t, ctx.Pool(), ctx.cached(fixedPointKey), ctx.IterFor(ScorerPRank))
+	x, stats, err := b.walk(view, ctx.CitationTransition(), ctx.Pool(), ctx.cached(fixedPointKey), ctx.IterFor(ScorerPRank))
 	if err != nil {
 		return nil, fmt.Errorf("core: prank: %w", err)
 	}
 	ctx.KeepWarm(fixedPointKey, x)
-	return ctx.result(x, stats)
+	return ctx.result(x, stats), nil
 }

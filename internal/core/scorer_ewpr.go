@@ -81,10 +81,7 @@ func (s *ewprScorer) Score(ctx *SolveContext) ([]float64, error) {
 
 	weights := s.articleWeights(ctx) // solver order, mean ~1
 	base := ctx.CitationTransition()
-	weighted, err := ctx.Sharded(base.Reweighted(func(u, v int32) float64 { return weights[u] }))
-	if err != nil {
-		return nil, err
-	}
+	weighted := base.Reweighted(func(u, v int32) float64 { return weights[u] })
 	uniform := uniformVector(n)
 
 	// The ensemble: the weighted walk under both teleports plus the
@@ -97,15 +94,11 @@ func (s *ewprScorer) Score(ctx *SolveContext) ([]float64, error) {
 	}
 	members := []member{{"weighted-uniform", weighted, uniform}}
 	if !s.single {
-		cit, err := ctx.Sharded(base)
-		if err != nil {
-			return nil, err
-		}
 		recency, err := recencyTeleport(view, ctx.Options().RhoRecency)
 		if err != nil {
 			return nil, fmt.Errorf("core: ewpr: %w", err)
 		}
-		members = append(members, member{"weighted-recency", weighted, recency}, member{"plain-uniform", cit, uniform})
+		members = append(members, member{"weighted-recency", weighted, recency}, member{"plain-uniform", base, uniform})
 	}
 
 	var agg sparse.IterStats

@@ -69,9 +69,6 @@ func (qisaScorer) Score(ctx *SolveContext) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if gapTrans, err = ctx.Sharded(gapTrans); err != nil {
-		return nil, err
-	}
 	initPrestige, err := ctx.WarmStart(prestigeWarmKey(opts.RhoGap), opts.InitialScores.prestige())
 	if err != nil {
 		return nil, fmt.Errorf("core: prestige warm start: %w", err)
@@ -91,11 +88,7 @@ func (qisaScorer) Score(ctx *SolveContext) ([]float64, error) {
 		return nil, err
 	}
 	popularity := computePopularity(ctx.Network(), opts)
-	citTrans, err := ctx.Sharded(ctx.CitationTransition())
-	if err != nil {
-		return nil, err
-	}
-	heteroSolver, hStats, err := computeHetero(ctx.View(), opts, citTrans, ctx.Pool(), initHetero)
+	heteroSolver, hStats, err := computeHetero(ctx.View(), opts, ctx.CitationTransition(), ctx.Pool(), initHetero)
 	if err != nil {
 		return nil, err
 	}
@@ -113,9 +106,6 @@ func (qisaScorer) Score(ctx *SolveContext) ([]float64, error) {
 		PrestigeStats: pStats,
 		HeteroStats:   hStats,
 	}
-	if err := ctx.stampSchedule(sc); err != nil {
-		return nil, err
-	}
 	ctx.SetComponents(sc)
 	return importance, nil
 }
@@ -131,9 +121,6 @@ func (prestigeScorer) Score(ctx *SolveContext) ([]float64, error) {
 	opts := ctx.Options()
 	gapTrans, err := ctx.GapTransition(opts.RhoGap)
 	if err != nil {
-		return nil, err
-	}
-	if gapTrans, err = ctx.Sharded(gapTrans); err != nil {
 		return nil, err
 	}
 	init, err := ctx.WarmStart(prestigeWarmKey(opts.RhoGap), opts.InitialScores.prestige())
@@ -154,9 +141,6 @@ func (prestigeScorer) Score(ctx *SolveContext) ([]float64, error) {
 		Prestige:      prestige,
 		RawPrestige:   rawPrestige,
 		PrestigeStats: stats,
-	}
-	if err := ctx.stampSchedule(sc); err != nil {
-		return nil, err
 	}
 	ctx.SetComponents(sc)
 	return prestige, nil
@@ -186,20 +170,13 @@ func (heteroScorer) Score(ctx *SolveContext) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: hetero warm start: %w", err)
 	}
-	citTrans, err := ctx.Sharded(ctx.CitationTransition())
-	if err != nil {
-		return nil, err
-	}
-	heteroSolver, stats, err := computeHetero(ctx.View(), opts, citTrans, ctx.Pool(), init)
+	heteroSolver, stats, err := computeHetero(ctx.View(), opts, ctx.CitationTransition(), ctx.Pool(), init)
 	if err != nil {
 		return nil, err
 	}
 	ctx.KeepWarm(heteroWarmKey, heteroSolver)
 	hetero := ctx.Restore(heteroSolver)
 	sc := &Scores{Hetero: hetero, HeteroStats: stats}
-	if err := ctx.stampSchedule(sc); err != nil {
-		return nil, err
-	}
 	ctx.SetComponents(sc)
 	return hetero, nil
 }

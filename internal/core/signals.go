@@ -21,8 +21,8 @@ import (
 // are likewise solver-ordered: the caller unmaps them. The returned
 // scores are the raw walk result, before prestige fading. Aitken Δ²
 // extrapolation runs at the cadence opts.AitkenEvery (resolved by
-// effective()). gapTrans carries the solve's sweep schedule
-// (SolveContext.Sharded), so the walk sweeps Gauss–Seidel.
+// effective()). gapTrans is a reweighting of the network's citation
+// operator, so the walk sweeps Gauss–Seidel.
 func computePrestige(view *hetnet.SolverView, opts Options, gapTrans *sparse.Transition, init []float64) ([]float64, sparse.IterStats, error) {
 	teleport, err := recencyTeleport(view, opts.RhoRecency)
 	if err != nil {
@@ -213,10 +213,10 @@ type blend struct {
 //
 // The walk runs in solver space: t was built from view.Citations, the
 // view's bipartite layers carry solver article ids, and the returned
-// vector is solver-ordered. t carries the solve's sweep schedule, so
-// the citation mat-vec sweeps Gauss–Seidel while the author/venue
-// layer coupling stays barrier-synchronous (gathered from src before
-// the sweep) — the fixed point is that of the Jacobi walk.
+// vector is solver-ordered. Over the network's citation operator the
+// citation mat-vec sweeps Gauss–Seidel while the author/venue layer
+// coupling stays barrier-synchronous (gathered from src before the
+// sweep) — the fixed point is that of the Jacobi walk.
 func (b blend) walk(view *hetnet.SolverView, t *sparse.Transition, pool *sparse.Pool, init []float64, it sparse.IterOptions) ([]float64, sparse.IterStats, error) {
 	n := view.NumArticles()
 	var authors, venues []float64
@@ -253,10 +253,5 @@ func (b blend) walk(view *hetnet.SolverView, t *sparse.Transition, pool *sparse.
 		dang = dangNext * inv
 		return t.ScaleDiffStep(dst, src, inv)
 	}
-	scores, stats, err := sparse.FixedPointResidual(init, step, it)
-	if err != nil {
-		return nil, sparse.IterStats{}, err
-	}
-	stats.Exchanges = t.Exchanges(stats.Iterations)
-	return scores, stats, nil
+	return sparse.FixedPointResidual(init, step, it)
 }

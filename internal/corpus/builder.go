@@ -269,7 +269,7 @@ func (b *Builder) Freeze() *Store {
 // articles by ascending year, ties by id. Citations point backward in
 // time, so in this order the citation operator is (nearly) triangular
 // and the solver's top-down Gauss–Seidel sweeps solve it (nearly) in
-// one pass (sparse.ShardSchedule). A corpus already in that order —
+// one pass (sparse.Transition.GaussSeidel). A corpus already in that order —
 // every generated one, and one grown by appending articles of the
 // latest year — gets nil, the identity, and solves in place.
 func chronologicalOrder(years []int32) *sparse.Permutation {

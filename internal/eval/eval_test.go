@@ -289,26 +289,17 @@ func TestNDCG(t *testing.T) {
 	}
 }
 
-func TestPrecisionRecallAtK(t *testing.T) {
+func TestRecallAtK(t *testing.T) {
 	pred := []float64{0.9, 0.8, 0.7, 0.1}
 	relevant := map[int]bool{0: true, 3: true}
-	if p := PrecisionAtK(pred, relevant, 2); p != 0.5 {
-		t.Errorf("P@2 = %v", p)
-	}
 	if r := RecallAtK(pred, relevant, 2); r != 0.5 {
 		t.Errorf("R@2 = %v", r)
 	}
 	if r := RecallAtK(pred, relevant, 4); r != 1 {
 		t.Errorf("R@4 = %v", r)
 	}
-	if p := PrecisionAtK(pred, relevant, 0); p != 0 {
-		t.Errorf("P@0 = %v", p)
-	}
 	if r := RecallAtK(pred, map[int]bool{}, 2); !math.IsNaN(r) {
 		t.Errorf("empty-set recall = %v", r)
-	}
-	if p := PrecisionAtK(pred, relevant, 99); !almostEq(p, 0.5, 1e-12) {
-		t.Errorf("clamped P = %v", p)
 	}
 }
 

@@ -34,28 +34,6 @@ func dcgAt(order []int, rel []float64, k int) float64 {
 	return s
 }
 
-// PrecisionAtK returns the fraction of the top-k predicted items that
-// are in the relevant set.
-func PrecisionAtK(pred []float64, relevant map[int]bool, k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	order := Order(pred)
-	if k > len(order) {
-		k = len(order)
-	}
-	if k == 0 {
-		return 0
-	}
-	var hits int
-	for _, i := range order[:k] {
-		if relevant[i] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
-}
-
 // RecallAtK returns the fraction of the relevant set found in the
 // top-k predicted items. It returns NaN for an empty relevant set.
 func RecallAtK(pred []float64, relevant map[int]bool, k int) float64 {

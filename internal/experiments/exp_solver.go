@@ -17,11 +17,12 @@ func init() {
 
 // runSolver compares the two PageRank solvers at several tolerances —
 // the ablation behind DESIGN.md §9's chronological Gauss–Seidel
-// schedule. The power-iteration side is the Jacobi walk over the
-// unscheduled citation operator; the Gauss–Seidel side is the pagerank
-// scorer. Expected shape: identical rankings (Kendall tau ≈ 1), and
-// Gauss–Seidel in about two sweeps at every tolerance on the generated
-// corpus, whose citations all point to lower ids.
+// sweep. The power-iteration side is the Jacobi walk over a fresh
+// citation operator; the Gauss–Seidel side is the pagerank scorer,
+// which walks the network's own. Expected shape: identical rankings
+// (Kendall tau ≈ 1), and Gauss–Seidel in about two sweeps at every
+// tolerance on the generated corpus, whose citations all point to
+// lower ids.
 func runSolver(opts Options) ([]*Table, error) {
 	c, err := BuildCorpus(SizeMedium, opts)
 	if err != nil {
@@ -29,7 +30,7 @@ func runSolver(opts Options) ([]*Table, error) {
 	}
 	net := hetnet.Build(c.Store)
 	view := net.SolverView()
-	jacobi := view.CitationTransition() // no schedule: Jacobi sweeps
+	jacobi := sparse.NewTransition(view.Citations, nil) // Jacobi sweeps
 	uniform := make([]float64, jacobi.N())
 	sparse.Uniform(uniform)
 	t := &Table{

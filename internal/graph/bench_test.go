@@ -44,19 +44,6 @@ func BenchmarkTranspose50k(b *testing.B) {
 	}
 }
 
-func BenchmarkSCC50k(b *testing.B) {
-	src, dst := benchEdges(50_000, 12)
-	g, err := FromEdges(50_000, src, dst)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = g.StronglyConnectedComponents()
-	}
-}
-
 func BenchmarkComputeStats50k(b *testing.B) {
 	src, dst := benchEdges(50_000, 12)
 	g, err := FromEdges(50_000, src, dst)

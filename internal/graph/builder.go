@@ -39,10 +39,6 @@ func (b *Builder) Grow(n int) {
 // NumNodes returns the current node count.
 func (b *Builder) NumNodes() int { return b.n }
 
-// NumPendingEdges returns the number of edges added so far, before
-// duplicate merging.
-func (b *Builder) NumPendingEdges() int { return len(b.srcs) }
-
 // AddEdge records the edge u->v with weight 1.
 func (b *Builder) AddEdge(u, v NodeID) error { return b.AddWeightedEdge(u, v, 1) }
 

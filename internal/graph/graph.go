@@ -114,15 +114,6 @@ func (g *Graph) InDegrees() []int {
 	return deg
 }
 
-// OutDegrees computes the out-degree of every node.
-func (g *Graph) OutDegrees() []int {
-	deg := make([]int, g.n)
-	for u := 0; u < g.n; u++ {
-		deg[u] = int(g.offsets[u+1] - g.offsets[u])
-	}
-	return deg
-}
-
 // Transpose returns the reverse graph: an edge u->v becomes v->u.
 // Weights are preserved. The operation is O(n + m).
 func (g *Graph) Transpose() *Graph {

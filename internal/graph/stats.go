@@ -105,22 +105,6 @@ func PowerLawAlpha(degrees []int) (alpha float64, xmin int) {
 	return 1 + float64(len(tail))/sumLog, xmin
 }
 
-// DegreeHistogram returns counts[k] = number of nodes with the given
-// degree, up to the maximum degree present.
-func DegreeHistogram(degrees []int) []int {
-	maxDeg := 0
-	for _, d := range degrees {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	h := make([]int, maxDeg+1)
-	for _, d := range degrees {
-		h[d]++
-	}
-	return h
-}
-
 // String renders the stats in a compact single-line form used by CLI
 // output and logs.
 func (s Stats) String() string {

@@ -145,11 +145,14 @@ func mapSortedArticleIDs(ids []corpus.ArticleID, fwd []int32) []corpus.ArticleID
 // CitationTransition returns the pull-form operator — the in-edge
 // CSR — of the solver-order citation graph, building it on first use.
 // There is one per network: the solver's citation and gap walks and
-// the related-article walk all read it. It is immutable, carries no
-// worker pool, and is safe to share across goroutines; each user binds
-// its own pool with Transition.WithPool.
+// the related-article walk all read it. Its sweeps are Gauss–Seidel
+// (sparse.Transition.GaussSeidel), decided here once with the back
+// edges counted, and every reweighting of it inherits both; a walk
+// that wants the Jacobi sweep builds its own sparse.NewTransition. It
+// is immutable, carries no worker pool, and is safe to share across
+// goroutines; each user binds its own pool with Transition.WithPool.
 func (v *SolverView) CitationTransition() *sparse.Transition {
-	v.citOnce.Do(func() { v.citTrans = sparse.NewTransition(v.Citations, nil) })
+	v.citOnce.Do(func() { v.citTrans = sparse.NewTransition(v.Citations, nil).GaussSeidel() })
 	return v.citTrans
 }
 

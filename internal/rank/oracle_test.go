@@ -96,7 +96,7 @@ func PageRank(g *graph.Graph, opts PageRankOptions) (Result, error) {
 
 // PageRankGaussSeidel computes the same stationary distribution as
 // PageRank with the solver's renormalised Gauss–Seidel sweeps
-// (sparse.NewSweepSchedule) in place of Jacobi-style power iteration.
+// (sparse.Transition.GaussSeidel) in place of Jacobi-style power iteration.
 // On a chronologically indexed citation graph, whose operator is
 // (nearly) triangular, it converges in a handful of sweeps — two when
 // every citation points to a lower id. Results agree with PageRank up
@@ -116,10 +116,7 @@ func pageRank(g *graph.Graph, opts PageRankOptions, gaussSeidel bool) (Result, e
 	pool := sparse.NewPool(opts.Workers)
 	t := sparse.NewTransition(g, pool)
 	if gaussSeidel {
-		var err error
-		if t, err = t.WithSchedule(sparse.NewSweepSchedule(t)); err != nil {
-			return Result{}, err
-		}
+		t = t.GaussSeidel()
 	}
 	scores, stats, err := sparse.DampedWalk(t, opts.damping(), opts.teleport(n), opts.Iter)
 	if err != nil {

@@ -1,5 +1,7 @@
 // Package shard partitions the citation graph into contiguous,
-// edge-balanced row ranges for the sharded damped-walk solver.
+// edge-balanced row ranges. No solver sweeps by them: core only labels
+// a solve with a plan (Options.Shards), which the benchmark module
+// reports.
 //
 // The partitioner operates on the solver-ordered graph (the
 // chronological order computed at corpus freeze): contiguous ranges of

@@ -160,14 +160,14 @@ func BenchmarkDampedWalk(b *testing.B) {
 // benchDampedWalkPowerLaw is the full damped-walk solve on an n-node
 // preferential-attachment graph in chronological id order: the Jacobi
 // walk plain and with Aitken Δ² extrapolation, and the Gauss–Seidel
-// walk under the default sweep schedule (EXPERIMENTS.md §E2).
+// walk (EXPERIMENTS.md §E2).
 func benchDampedWalkPowerLaw(b *testing.B, n int) {
 	g := benchGraphPowerLaw(b, n)
 	run := func(gaussSeidel bool, opts IterOptions) func(*testing.B) {
 		return func(b *testing.B) {
 			t := NewTransition(g, nil)
 			if gaussSeidel {
-				t, _ = t.WithSchedule(NewSweepSchedule(t))
+				t = t.GaussSeidel()
 			}
 			teleport := make([]float64, t.N())
 			Uniform(teleport)

@@ -27,14 +27,9 @@ func gsGraph(t testing.TB) *graph.Graph {
 	return b.Build()
 }
 
-// gsWalk is DampedWalk under the default sweep schedule.
-func gsWalk(t testing.TB, tr *Transition, teleport []float64, opts IterOptions) ([]float64, IterStats, error) {
-	t.Helper()
-	st, err := tr.WithSchedule(NewSweepSchedule(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return DampedWalk(st, 0.85, teleport, opts)
+// gsWalk is DampedWalk over tr's Gauss–Seidel view.
+func gsWalk(tr *Transition, teleport []float64, opts IterOptions) ([]float64, IterStats, error) {
+	return DampedWalk(tr.GaussSeidel(), 0.85, teleport, opts)
 }
 
 func TestGaussSeidelTrace(t *testing.T) {
@@ -43,7 +38,7 @@ func TestGaussSeidelTrace(t *testing.T) {
 	Uniform(tele)
 	var events int
 	opts := IterOptions{Tol: 1e-10, Trace: true, OnIteration: func(IterEvent) { events++ }}
-	x, st, err := gsWalk(t, tr, tele, opts)
+	x, st, err := gsWalk(tr, tele, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +70,7 @@ func TestGaussSeidelMaxIter(t *testing.T) {
 	tr := NewTransition(gsGraph(t), nil)
 	tele := make([]float64, tr.N())
 	Uniform(tele)
-	_, st, err := gsWalk(t, tr, tele, IterOptions{Tol: 1e-30, MaxIter: 3})
+	_, st, err := gsWalk(tr, tele, IterOptions{Tol: 1e-30, MaxIter: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +83,7 @@ func TestGaussSeidelBadOptions(t *testing.T) {
 	tr := NewTransition(gsGraph(t), nil)
 	tele := make([]float64, tr.N())
 	Uniform(tele)
-	if _, _, err := gsWalk(t, tr, tele, IterOptions{Tol: -1}); err == nil {
+	if _, _, err := gsWalk(tr, tele, IterOptions{Tol: -1}); err == nil {
 		t.Error("negative Tol accepted")
 	}
 }

@@ -143,13 +143,13 @@ func reduceChunks(pool *Pool, chunks []int32, body func(lo, hi int) stepPartial)
 
 // sweep runs a row body over every row of t once, for a step from src
 // into dst. The body gathers row v's sources from the vector it is
-// handed. Without a schedule that is src, and the operator's chunk plan
-// runs on the pool: the Jacobi sweep. Under one (see ShardSchedule) it
+// handed. For a Jacobi operator that is src, and the operator's chunk
+// plan runs on the pool. For a Gauss–Seidel one (see GaussSeidel) it
 // is dst itself, primed with src and overwritten in one serial pass
 // from the top row down, so a source above the row is read fresh and
 // any other still holds its src value.
 func (t *Transition) sweep(dst, src []float64, body func(x []float64, lo, hi int) stepPartial) stepPartial {
-	if t.sched == nil {
+	if !t.gaussSeidel {
 		return reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial { return body(src, lo, hi) })
 	}
 	copy(dst, src)
@@ -186,22 +186,21 @@ func unitScale(sum float64) float64 {
 // the dangling mass of src — use DanglingMass(src) to start the
 // pipeline.
 //
-// Under a schedule the sweep is a Gauss–Seidel sweep: rows read the
-// sources already produced this sweep from dst. The restart
-// coefficient is still taken from src once, so the sweep does not
-// conserve mass; dst is renormalised to unit mass in a second pass
-// that also measures the residual, and the returned dangling mass is
-// that of the renormalised vector. On an acyclic operator swept in
-// topological order this makes one sweep exact from any src: dst
-// solves the triangular system up to the scalar the renormalisation
-// fixes.
+// On a Gauss–Seidel operator rows read the sources already produced
+// this sweep from dst. The restart coefficient is still taken from src
+// once, so the sweep does not conserve mass; dst is renormalised to
+// unit mass in a second pass that also measures the residual, and the
+// returned dangling mass is that of the renormalised vector. On an
+// acyclic operator swept in topological order this makes one sweep
+// exact from any src: dst solves the triangular system up to the
+// scalar the renormalisation fixes.
 func (t *Transition) DampedStep(dst, src, teleport []float64, damping, danglingMass float64) (res, sum, danglingNext float64) {
 	// dst[v] = damping·s + (damping·dm + 1 - damping)·teleport[v]
 	tcoef := damping*danglingMass + 1 - damping
 	p := t.sweep(dst, src, func(x []float64, lo, hi int) stepPartial {
 		return t.dampedRange(dst, x, src, teleport, damping, tcoef, lo, hi)
 	})
-	if t.sched == nil {
+	if !t.gaussSeidel {
 		return p.res, p.sum, p.dang
 	}
 	inv := unitScale(p.sum)
@@ -209,7 +208,7 @@ func (t *Transition) DampedStep(dst, src, teleport []float64, damping, danglingM
 }
 
 // dampedRange is the row body of DampedStep over rows [lo, hi), top
-// row first — the order a scheduled sweep needs. Sources are gathered
+// row first — the order a Gauss–Seidel sweep needs. Sources are gathered
 // from x (see sweep).
 func (t *Transition) dampedRange(dst, x, src, teleport []float64, damping, tcoef float64, lo, hi int) (p stepPartial) {
 	offs, mark := t.offsets, t.danglingMark
@@ -276,10 +275,10 @@ func (l *AuxLookup) at(v int) float64 {
 // the caller scales it by the same factor). dst and src must not
 // alias.
 //
-// Under a schedule the citation term is a Gauss–Seidel sweep exactly
-// as in DampedStep. The layers and their leaks are gathered from src
-// by the caller before the sweep, so their coupling stays
-// barrier-synchronous and the fixed point is unchanged.
+// On a Gauss–Seidel operator the citation term sweeps exactly as in
+// DampedStep. The layers and their leaks are gathered from src by the
+// caller before the sweep, so their coupling stays barrier-synchronous
+// and the fixed point is unchanged.
 func (t *Transition) BlendStep(dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, dm, aLeak, vLeak float64) (sum, danglingNext float64) {
 	// The constant-vector terms — dangling mass, layer leaks and the
 	// time restart — fold into the single multiplier of r.

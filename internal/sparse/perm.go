@@ -61,20 +61,6 @@ func (p *Permutation) Inv() []int32 {
 	return p.inv
 }
 
-// IsIdentity reports whether the permutation maps every element to
-// itself. A nil permutation is the identity.
-func (p *Permutation) IsIdentity() bool {
-	if p == nil {
-		return true
-	}
-	for i, v := range p.fwd {
-		if int32(i) != v {
-			return false
-		}
-	}
-	return true
-}
-
 // Apply scatters src (original order) into dst (permuted order):
 // dst[fwd[i]] = src[i]. The slices must have length Len() and must not
 // alias.

@@ -80,9 +80,9 @@ type IterStats struct {
 	// rate, net of the sweeps wasted on rejected trials. It is an
 	// estimate for observability, not an exact count.
 	IterationsSaved int
-	// Exchanges counts the boundary-mass exchanges of a solve under an
-	// explicit shard schedule, one per shard per sweep
-	// (Transition.Exchanges); zero otherwise.
+	// Exchanges counts boundary-mass exchanges. No driver of this
+	// package sets it; a caller that labels a solve with a row
+	// partition records them here.
 	Exchanges int
 }
 
@@ -119,10 +119,9 @@ func DampedWalk(t *Transition, damping float64, teleport []float64, opts IterOpt
 // dangling redistribution, teleport blend and convergence residual
 // all happen in one pass over the operator, and the dangling mass of
 // the produced vector is carried into the next iteration instead of
-// being recomputed. An operator carrying a schedule (WithSchedule)
-// sweeps Gauss–Seidel — same fixed point, far fewer sweeps in
-// chronological order — and the returned stats carry the
-// boundary-exchange count of an explicit shard schedule.
+// being recomputed. A Gauss–Seidel operator (Transition.GaussSeidel)
+// reaches the same fixed point in far fewer sweeps in chronological
+// order.
 func DampedWalkFrom(t *Transition, damping float64, teleport, init []float64, opts IterOptions) ([]float64, IterStats, error) {
 	dang := t.DanglingMass(init) // seeds the pipelined dangling mass
 	step := func(dst, src []float64) (res float64) {
@@ -133,9 +132,7 @@ func DampedWalkFrom(t *Transition, damping float64, teleport, init []float64, op
 	// step never produced, so the pipelined dangling mass must be
 	// recomputed whenever the source vector changes under it.
 	reseed := func(x []float64) { dang = t.DanglingMass(x) }
-	x, stats, err := FixedPointExtrapolated(init, step, reseed, opts)
-	stats.Exchanges = t.Exchanges(stats.Iterations)
-	return x, stats, err
+	return FixedPointExtrapolated(init, step, reseed, opts)
 }
 
 // FixedPoint iterates x ← step(x) from the given initial vector until

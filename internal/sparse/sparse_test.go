@@ -55,20 +55,6 @@ func TestNormalize1(t *testing.T) {
 	}
 }
 
-func TestNormalizeMax(t *testing.T) {
-	x := []float64{2, 8, 4}
-	if m := NormalizeMax(x); m != 8 {
-		t.Errorf("max = %v", m)
-	}
-	if x[1] != 1 || x[0] != 0.25 {
-		t.Errorf("scaled = %v", x)
-	}
-	z := []float64{0, 0}
-	if m := NormalizeMax(z); m != 0 {
-		t.Errorf("zero max = %v", m)
-	}
-}
-
 func TestMinMaxScale(t *testing.T) {
 	x := []float64{10, 20, 15}
 	MinMaxScale(x)
@@ -83,25 +69,11 @@ func TestMinMaxScale(t *testing.T) {
 	MinMaxScale(nil) // no panic
 }
 
-func TestScaleAddDot(t *testing.T) {
+func TestScale(t *testing.T) {
 	x := []float64{1, 2}
 	Scale(x, 3)
-	if x[1] != 6 {
+	if x[0] != 3 || x[1] != 6 {
 		t.Errorf("Scale = %v", x)
-	}
-	AddScaled(x, 2, []float64{1, 1})
-	if x[0] != 5 || x[1] != 8 {
-		t.Errorf("AddScaled = %v", x)
-	}
-	AddConst(x, 1)
-	if x[0] != 6 {
-		t.Errorf("AddConst = %v", x)
-	}
-	if d := Dot([]float64{1, 2}, []float64{3, 4}); d != 11 {
-		t.Errorf("Dot = %v", d)
-	}
-	if n := L2Norm([]float64{3, 4}); n != 5 {
-		t.Errorf("L2Norm = %v", n)
 	}
 }
 

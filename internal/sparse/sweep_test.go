@@ -10,61 +10,7 @@ import (
 	"scholarrank/internal/graph"
 )
 
-// evenBounds splits n rows into k equal-size contiguous shards — the
-// sparse-level tests don't need the edge-balanced partitioner, any
-// valid bounds must give the same fixed point.
-func evenBounds(n, k int) []int32 {
-	bounds := make([]int32, k+1)
-	for s := 0; s <= k; s++ {
-		bounds[s] = int32(n * s / k)
-	}
-	return bounds
-}
-
-func TestNewShardScheduleValidates(t *testing.T) {
-	g := benchGraph(t, 100)
-	tr := NewTransition(g, nil)
-	for _, bounds := range [][]int32{
-		nil,
-		{0},
-		{0, 50},          // does not reach n
-		{10, 100},        // does not start at 0
-		{0, 50, 50, 100}, // empty shard
-		{0, 60, 40, 100}, // decreasing
-	} {
-		if _, err := NewShardSchedule(tr, bounds); err == nil {
-			t.Errorf("bounds %v: want error", bounds)
-		}
-	}
-	sc, err := NewShardSchedule(tr, []int32{0, 100})
-	if err != nil {
-		t.Fatalf("single shard: %v", err)
-	}
-	// A schedule serves the operator it was built over and every
-	// reweighting of it, and nothing else.
-	if _, err := tr.Reweighted(func(u, v int32) float64 { return 2 }).WithSchedule(sc); err != nil {
-		t.Errorf("reweighted operator rejected its base's schedule: %v", err)
-	}
-	if _, err := NewTransition(g, nil).WithSchedule(sc); err == nil {
-		t.Error("schedule accepted by an operator with its own row structure")
-	}
-}
-
-// scheduled returns tr sweeping under the schedule for bounds.
-func scheduled(tb testing.TB, tr *Transition, bounds []int32) *Transition {
-	tb.Helper()
-	sc, err := NewShardSchedule(tr, bounds)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	st, err := tr.WithSchedule(sc)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return st
-}
-
-// TestTransitionRowsSourceAscending pins the invariant the schedule's
+// TestTransitionRowsSourceAscending pins the invariant the Gauss–Seidel
 // back-edge count relies on: every row of NewTransition — and of
 // Reweighted, which shares the structure — lists its sources in
 // ascending order, so the sources above a row are a suffix.
@@ -90,36 +36,20 @@ func TestTransitionRowsSourceAscending(t *testing.T) {
 	}
 }
 
-// TestShardScheduleAllocatesPerRow checks the schedule is a view, not
-// a copy: building it over a 100k-row power-law operator allocates at
-// most a word per row (today nothing), far below one word per edge.
-func TestShardScheduleAllocatesPerRow(t *testing.T) {
+// TestGaussSeidelViewAllocatesPerRow checks the Gauss–Seidel operator
+// is a view, not a copy: taking it over a 100k-row power-law operator
+// allocates the view itself and no per-row or per-edge memory.
+func TestGaussSeidelViewAllocatesPerRow(t *testing.T) {
 	tr := NewTransition(benchGraphPowerLaw(t, 100_000), nil)
-	bounds := evenBounds(tr.N(), 4)
-	rows, edges := uint64(tr.N()), uint64(len(tr.sources))
-	for _, tc := range []struct {
-		name        string
-		build       func() *ShardSchedule
-		bytesPerRow uint64
-	}{
-		{"shards4", func() *ShardSchedule { sc, _ := NewShardSchedule(tr, bounds); return sc }, 8},
-		{"default", func() *ShardSchedule { return NewSweepSchedule(tr) }, 8},
-	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		sc := tc.build()
-		runtime.ReadMemStats(&after)
-		if sc == nil {
-			t.Fatalf("%s: no schedule", tc.name)
-		}
-		got := after.TotalAlloc - before.TotalAlloc
-		if limit := tc.bytesPerRow*rows + 1<<16; got > limit {
-			t.Errorf("%s: schedule over %d rows allocated %d bytes, want <= %d", tc.name, rows, got, limit)
-		}
-		if got >= 8*edges {
-			t.Errorf("%s: schedule allocated %d bytes over %d edges — per-edge memory", tc.name, got, edges)
-		}
-		runtime.KeepAlive(sc)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	gs := tr.GaussSeidel()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16); got > limit {
+		t.Errorf("Gauss–Seidel view over %d rows allocated %d bytes, want <= %d", tr.N(), got, limit)
+	}
+	if &gs.sources[0] != &tr.sources[0] || &gs.norm[0] != &tr.norm[0] {
+		t.Error("Gauss–Seidel view copied the operator")
 	}
 }
 
@@ -147,37 +77,15 @@ func backEdgeGraph(tb testing.TB, n int, share float64, selfLoops bool) *graph.G
 	return gb.Build()
 }
 
-// scheduleCase is one way of scheduling an operator's sweeps: the
-// default schedule or explicit even shards, on a pool of the given
-// size. The sweep itself never uses the pool; the renormalising pass
-// and the dangling scans around it do.
-type scheduleCase struct {
-	name            string
-	workers, shards int // shards 0: the default schedule
-}
+// poolCases are the pool sizes the Gauss–Seidel tests run at. The
+// sweep itself never uses the pool; the renormalising pass and the
+// dangling scans around it do.
+var poolCases = []struct {
+	name    string
+	workers int
+}{{"workers1", 1}, {"workers3", 3}}
 
-var scheduleCases = []scheduleCase{
-	{"default", 1, 0}, {"default-workers3", 3, 0}, {"shards1", 1, 1}, {"shards4", 3, 4},
-}
-
-// apply returns tr bound to a pool of c.workers and sweeping under
-// c's schedule.
-func (c scheduleCase) apply(tb testing.TB, tr *Transition) *Transition {
-	tb.Helper()
-	pool := NewPool(c.workers)
-	tr = tr.WithPool(pool)
-	if c.shards > 0 {
-		return scheduled(tb, tr, evenBounds(tr.N(), c.shards))
-	}
-	st, err := tr.WithSchedule(NewSweepSchedule(tr))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return st
-}
-
-// naiveSweep is one scheduled damped sweep decided edge by edge rather
-// than by split index: rows run from the top, and a source is read from
+// naiveSweep is one Gauss–Seidel damped sweep decided edge by edge: rows run from the top, and a source is read from
 // the vector under construction when it lies above the row and from src
 // otherwise.
 func naiveSweep(tr *Transition, src, teleport []float64, damping float64) (dst []float64, res float64) {
@@ -198,10 +106,11 @@ func naiveSweep(tr *Transition, src, teleport []float64, damping float64) (dst [
 	return dst, L1Diff(dst, src)
 }
 
-// TestShardedSweepMatchesDampedStep checks one sweep under every
-// schedule shape against the naive edge-by-edge sweep, on a graph with
-// back edges and self-loops so that both runs of a row occur.
-func TestShardedSweepMatchesDampedStep(t *testing.T) {
+// TestGaussSeidelSweepMatchesNaiveSweep checks one Gauss–Seidel
+// DampedStep at every pool size against the naive edge-by-edge sweep,
+// on a graph with back edges and self-loops so that both kinds of
+// source occur.
+func TestGaussSeidelSweepMatchesNaiveSweep(t *testing.T) {
 	tr := NewTransition(backEdgeGraph(t, 4000, 0.1, true), nil)
 	n := tr.N()
 	rng := rand.New(rand.NewSource(3))
@@ -214,8 +123,8 @@ func TestShardedSweepMatchesDampedStep(t *testing.T) {
 	Uniform(teleport)
 	const damping = 0.85
 
-	for _, c := range scheduleCases {
-		st := c.apply(t, tr)
+	for _, c := range poolCases {
+		st := tr.WithPool(NewPool(c.workers)).GaussSeidel()
 		got := make([]float64, n)
 		res, _, dang := st.DampedStep(got, src, teleport, damping, tr.DanglingMass(src))
 		want, wantRes := naiveSweep(tr, src, teleport, damping)
@@ -236,10 +145,12 @@ func TestShardedSweepMatchesDampedStep(t *testing.T) {
 
 // literalJacobi is the damped walk written out with no kernel, plan or
 // driver of this package: power iteration from the teleport vector
-// until the L1 change drops below tol.
-func literalJacobi(tr *Transition, damping float64, teleport []float64, tol float64) []float64 {
+// until the L1 change drops below tol. It returns the fixed point and
+// the sweeps taken.
+func literalJacobi(tr *Transition, damping float64, teleport []float64, tol float64) (x []float64, sweeps int) {
 	x, y := Clone(teleport), make([]float64, tr.n)
-	for it := 0; it < 5000; it++ {
+	for sweeps < 5000 {
+		sweeps++
 		var dm, res float64
 		for _, u := range tr.dangling {
 			dm += x[u]
@@ -257,13 +168,14 @@ func literalJacobi(tr *Transition, damping float64, teleport []float64, tol floa
 			break
 		}
 	}
-	return x
+	return x, sweeps
 }
 
-// TestScheduledWalkMatchesJacobiOracle is the oracle test of the sweep
-// schedule: under every schedule shape, on every graph shape, cold and
-// warm, with Aitken extrapolation on and off, the scheduled walk
-// reaches the fixed point of the literal Jacobi walk.
+// TestScheduledWalkMatchesJacobiOracle is the oracle test of the
+// Gauss–Seidel sweep: at every pool size, on every graph shape, cold
+// and warm, with Aitken extrapolation on and off, the Gauss–Seidel walk
+// reaches the fixed point of the literal Jacobi walk, and cold it takes
+// no more sweeps than the Jacobi walk does.
 func TestScheduledWalkMatchesJacobiOracle(t *testing.T) {
 	const n = 4000
 	rng := rand.New(rand.NewSource(17))
@@ -292,14 +204,14 @@ func TestScheduledWalkMatchesJacobiOracle(t *testing.T) {
 				teleport[i] = 1 + float64(i%5)
 			}
 			Normalize1(teleport)
-			want := literalJacobi(tr, 0.85, teleport, 1e-13)
+			want, jacobiSweeps := literalJacobi(tr, 0.85, teleport, 1e-13)
 			warm := Clone(want)
 			for i := range warm {
 				warm[i] *= 1 + 0.1*rng.Float64()
 			}
 			Normalize1(warm)
-			for _, c := range scheduleCases {
-				st := c.apply(t, tr)
+			for _, c := range poolCases {
+				st := tr.WithPool(NewPool(c.workers)).GaussSeidel()
 				for _, init := range []struct {
 					name string
 					vec  []float64
@@ -314,6 +226,10 @@ func TestScheduledWalkMatchesJacobiOracle(t *testing.T) {
 							t.Errorf("%s/%s/aitken=%d: converged %v after %d sweeps, L1 distance to the Jacobi fixed point %g",
 								c.name, init.name, aitken, stats.Converged, stats.Iterations, d)
 						}
+						if init.name == "cold" && aitken == 0 && stats.Iterations > jacobiSweeps {
+							t.Errorf("%s/cold: %d Gauss–Seidel sweeps, the Jacobi walk took %d",
+								c.name, stats.Iterations, jacobiSweeps)
+						}
 					}
 				}
 			}
@@ -321,7 +237,8 @@ func TestScheduledWalkMatchesJacobiOracle(t *testing.T) {
 	}
 }
 
-// TestScheduledWalkSolvesDAGInTwoSweeps pins what the schedule is for:
+// TestScheduledWalkSolvesDAGInTwoSweeps pins what the Gauss–Seidel
+// sweep is for:
 // on an operator that is strictly triangular in row order, one
 // row-granular Gauss–Seidel sweep lands on the fixed point from any
 // start and the second only confirms it.
@@ -331,13 +248,12 @@ func TestScheduledWalkSolvesDAGInTwoSweeps(t *testing.T) {
 		"powerlaw": benchGraphPowerLaw(t, 5000),
 	} {
 		tr := NewTransition(g, nil)
-		sc := NewSweepSchedule(tr)
-		if f := sc.BackEdgeFraction(); f != 0 {
+		if f := tr.GaussSeidel().BackEdgeFraction(); f != 0 {
 			t.Fatalf("%s: back-edge fraction %g on a strict DAG", name, f)
 		}
 		teleport := make([]float64, tr.N())
 		Uniform(teleport)
-		_, stats, err := gsWalk(t, tr, teleport, IterOptions{})
+		_, stats, err := gsWalk(tr, teleport, IterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,17 +262,25 @@ func TestScheduledWalkSolvesDAGInTwoSweeps(t *testing.T) {
 		}
 	}
 	tr := NewTransition(backEdgeGraph(t, 5000, 0.04, false), nil)
-	if f := NewSweepSchedule(tr).BackEdgeFraction(); f < 0.03 || f > 0.05 {
+	gs := tr.GaussSeidel()
+	if f := gs.BackEdgeFraction(); f < 0.03 || f > 0.05 {
 		t.Errorf("back-edge fraction %g with 4%% of the citations reversed", f)
+	}
+	if f := tr.BackEdgeFraction(); f != 0 {
+		t.Errorf("Jacobi operator reports back-edge fraction %g", f)
+	}
+	// Reweighting keeps the sweep and the count: they depend on the row
+	// structure only.
+	if rw := gs.Reweighted(func(u, v int32) float64 { return 1 + float64(u%3) }); !rw.gaussSeidel || rw.back != gs.back {
+		t.Errorf("reweighted operator: Gauss–Seidel %v, %d back edges; want true, %d", rw.gaussSeidel, rw.back, gs.back)
 	}
 }
 
-// TestScheduledWalkDeterministic checks the scheduled walk gives the
-// same vector bit for bit in the same number of sweeps on every run, at
-// every worker count and under every shard count: the sweep is one
-// serial pass, so neither the pool nor a partition can reorder it. (The
-// residual is summed by the pool's chunk plan and may differ in the
-// last bit between one worker and several.)
+// TestScheduledWalkDeterministic checks the Gauss–Seidel walk gives the
+// same vector bit for bit in the same number of sweeps on every run and
+// at every worker count: the sweep is one serial pass, so the pool
+// cannot reorder it. (The residual is summed by the pool's chunk plan
+// and may differ in the last bit between one worker and several.)
 func TestScheduledWalkDeterministic(t *testing.T) {
 	tr := NewTransition(backEdgeGraph(t, 6000, 0.04, false), nil)
 	teleport := make([]float64, tr.N())
@@ -364,8 +288,8 @@ func TestScheduledWalkDeterministic(t *testing.T) {
 	opts := IterOptions{AitkenEvery: 4}
 	var want []float64
 	var wantStats IterStats
-	for _, c := range scheduleCases {
-		st := c.apply(t, tr)
+	for _, c := range poolCases {
+		st := tr.WithPool(NewPool(c.workers)).GaussSeidel()
 		for run := 0; run < 2; run++ {
 			got, stats, err := DampedWalk(st, 0.85, teleport, opts)
 			if err != nil {
@@ -377,7 +301,7 @@ func TestScheduledWalkDeterministic(t *testing.T) {
 			}
 			if !slices.Equal(got, want) || stats.Iterations != wantStats.Iterations {
 				t.Fatalf("%s: run %d differs from %s (L1 %g, %d vs %d sweeps)", c.name, run,
-					scheduleCases[0].name, L1Diff(got, want), stats.Iterations, wantStats.Iterations)
+					poolCases[0].name, L1Diff(got, want), stats.Iterations, wantStats.Iterations)
 			}
 		}
 	}
@@ -390,10 +314,7 @@ func TestScheduledWalkDeterministic(t *testing.T) {
 func TestScheduledSweepsUnderRace(t *testing.T) {
 	pool := NewPool(runtime.NumCPU() + 1)
 	tr := NewTransition(backEdgeGraph(t, 60_000, 0.04, false), pool)
-	st, err := tr.WithSchedule(NewSweepSchedule(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := tr.GaussSeidel()
 	n := tr.N()
 	teleport := make([]float64, n)
 	Uniform(teleport)
@@ -413,7 +334,7 @@ func TestScheduledSweepsUnderRace(t *testing.T) {
 }
 
 // legacyFlatWalk is the flat damped walk as it stood before the walk
-// learned schedules: a scalar dangling pipeline over DampedStep, and
+// learned the Gauss–Seidel sweep: a scalar dangling pipeline over DampedStep, and
 // for the plain case the original fixed-point loop.
 func legacyFlatWalk(tr *Transition, damping float64, teleport, init []float64, opts IterOptions) ([]float64, IterStats) {
 	dm := tr.DanglingMass(init)
@@ -443,7 +364,7 @@ func legacyFlatWalk(tr *Transition, damping float64, teleport, init []float64, o
 }
 
 // TestUnscheduledWalkIsFlatWalk pins the Jacobi walk every test
-// compares against: the walk over an operator with no schedule is the
+// compares against: the walk over a NewTransition operator is the
 // legacy flat walk bit for bit — vector, iteration count and residual
 // trace — cold, warm and with Aitken extrapolation.
 func TestUnscheduledWalkIsFlatWalk(t *testing.T) {
@@ -467,9 +388,9 @@ func TestUnscheduledWalkIsFlatWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Iterations != wantStats.Iterations || stats.Converged != wantStats.Converged || stats.Exchanges != 0 {
-			t.Errorf("%s: %d iterations (converged %v, %d exchanges), legacy %d (%v)", tc.name,
-				stats.Iterations, stats.Converged, stats.Exchanges, wantStats.Iterations, wantStats.Converged)
+		if stats.Iterations != wantStats.Iterations || stats.Converged != wantStats.Converged {
+			t.Errorf("%s: %d iterations (converged %v), legacy %d (%v)", tc.name,
+				stats.Iterations, stats.Converged, wantStats.Iterations, wantStats.Converged)
 		}
 		if !slices.Equal(stats.ResidualTrace, wantStats.ResidualTrace) {
 			t.Errorf("%s: residual trace differs from the legacy walk", tc.name)
@@ -480,8 +401,9 @@ func TestUnscheduledWalkIsFlatWalk(t *testing.T) {
 	}
 }
 
-// TestShardedWalkMatchesUnsharded drives the sharded schedule to a
-// tight tolerance and checks the fixed point against the flat walk.
+// TestShardedWalkMatchesUnsharded drives the Gauss–Seidel walk to a
+// tight tolerance at every pool size and checks the fixed point against
+// the flat (Jacobi) walk over the same operator.
 func TestShardedWalkMatchesUnsharded(t *testing.T) {
 	for _, build := range []struct {
 		name string
@@ -492,8 +414,7 @@ func TestShardedWalkMatchesUnsharded(t *testing.T) {
 	} {
 		t.Run(build.name, func(t *testing.T) {
 			tr := NewTransition(build.g, nil)
-			n := tr.N()
-			teleport := make([]float64, n)
+			teleport := make([]float64, tr.N())
 			Uniform(teleport)
 			opts := IterOptions{Tol: 1e-13, MaxIter: 500}
 			want, wantStats, err := DampedWalk(tr, 0.85, teleport, opts)
@@ -501,25 +422,25 @@ func TestShardedWalkMatchesUnsharded(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !wantStats.Converged {
-				t.Fatal("unsharded walk did not converge")
+				t.Fatal("flat walk did not converge")
 			}
-			for _, k := range []int{2, 4, 8} {
-				got, stats, err := DampedWalk(scheduled(t, tr, evenBounds(n, k)), 0.85, teleport, opts)
+			for _, c := range poolCases {
+				got, stats, err := DampedWalk(tr.WithPool(NewPool(c.workers)).GaussSeidel(), 0.85, teleport, opts)
 				if err != nil {
-					t.Fatalf("k=%d: %v", k, err)
+					t.Fatalf("%s: %v", c.name, err)
 				}
 				if !stats.Converged {
-					t.Fatalf("k=%d: did not converge", k)
+					t.Fatalf("%s: did not converge", c.name)
 				}
 				if d := L1Diff(got, want); d > 1e-11 {
-					t.Errorf("k=%d: L1 distance to unsharded fixed point %g", k, d)
+					t.Errorf("%s: L1 distance to the flat fixed point %g", c.name, d)
 				}
-				if wantEx := stats.Iterations * k; stats.Exchanges != wantEx {
-					t.Errorf("k=%d: %d exchanges over %d iterations, want %d", k, stats.Exchanges, stats.Iterations, wantEx)
+				if stats.Exchanges != 0 {
+					t.Errorf("%s: %d boundary exchanges recorded by the driver, want 0", c.name, stats.Exchanges)
 				}
 				if stats.Iterations >= wantStats.Iterations+5 {
-					t.Errorf("k=%d took %d iterations, unsharded %d — Gauss–Seidel should not be slower",
-						k, stats.Iterations, wantStats.Iterations)
+					t.Errorf("%s took %d iterations, flat walk %d — Gauss–Seidel should not be slower",
+						c.name, stats.Iterations, wantStats.Iterations)
 				}
 			}
 		})
@@ -527,13 +448,11 @@ func TestShardedWalkMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedWalkAitken checks extrapolation composes with the
-// sharded schedule: same fixed point, reseed keeps the dangling
-// pipeline consistent.
+// Gauss–Seidel sweep: same fixed point as the flat walk, and the reseed
+// keeps the dangling pipeline consistent.
 func TestShardedWalkAitken(t *testing.T) {
-	g := benchGraphPowerLaw(t, 3000)
-	tr := NewTransition(g, nil)
-	n := tr.N()
-	teleport := make([]float64, n)
+	tr := NewTransition(benchGraphPowerLaw(t, 3000), nil)
+	teleport := make([]float64, tr.N())
 	Uniform(teleport)
 	opts := IterOptions{Tol: 1e-12, MaxIter: 500}
 	want, _, err := DampedWalk(tr, 0.85, teleport, opts)
@@ -542,40 +461,31 @@ func TestShardedWalkAitken(t *testing.T) {
 	}
 	aOpts := opts
 	aOpts.AitkenEvery = 4
-	got, stats, err := DampedWalk(scheduled(t, tr, evenBounds(n, 4)), 0.85, teleport, aOpts)
+	got, stats, err := DampedWalk(tr.GaussSeidel(), 0.85, teleport, aOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !stats.Converged {
-		t.Fatal("extrapolated sharded walk did not converge")
+		t.Fatal("extrapolated Gauss–Seidel walk did not converge")
 	}
 	if d := L1Diff(got, want); d > 1e-10 {
-		t.Fatalf("extrapolated sharded fixed point differs by %g", d)
+		t.Fatalf("extrapolated Gauss–Seidel fixed point differs by %g", d)
 	}
 }
 
-// TestShardedSolveSharesWorkerPool is the regression test for the
-// worker-pool contract: a sharded solve must run every shard on the
-// one pool of the operator — pool occupancy grows, and no kernel
-// spawns shard-private pools (the sweep count is attributed to the
-// shared pool).
-func TestShardedSolveSharesWorkerPool(t *testing.T) {
+// TestGaussSeidelWalkSharesWorkerPool is the regression test for the
+// worker-pool contract: the pooled passes around the serial
+// Gauss–Seidel sweep run on the one pool of the operator — pool
+// occupancy grows, and no kernel spawns a private pool.
+func TestGaussSeidelWalkSharesWorkerPool(t *testing.T) {
 	g := benchGraphPowerLaw(t, 20000)
 	pool := NewPool(2)
 	tr := NewTransition(g, pool)
-	sc, err := NewShardSchedule(tr, evenBounds(tr.N(), 4))
-	if err != nil {
-		t.Fatal(err)
-	}
 	walk := func(tr *Transition) {
 		t.Helper()
-		st, err := tr.WithSchedule(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
 		teleport := make([]float64, tr.N())
 		Uniform(teleport)
-		if _, _, err := DampedWalk(st, 0.85, teleport, IterOptions{}); err != nil {
+		if _, _, err := DampedWalk(tr.GaussSeidel(), 0.85, teleport, IterOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -586,7 +496,7 @@ func TestShardedSolveSharesWorkerPool(t *testing.T) {
 		t.Fatalf("pool workers %d, want %d", after.Workers, w)
 	}
 	if after.Runs <= before.Runs {
-		t.Fatalf("sharded solve did not run on the shared pool (runs %d -> %d)", before.Runs, after.Runs)
+		t.Fatalf("Gauss–Seidel walk did not run on the operator's pool (runs %d -> %d)", before.Runs, after.Runs)
 	}
 	// A pool-bound view runs on its own pool and leaves the operator's
 	// alone (the engine binds a fresh handle to a view per solve; the

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"sort"
+
 	"scholarrank/internal/graph"
 )
 
@@ -30,7 +32,8 @@ type Transition struct {
 	danglingMark []bool    // danglingMark[v] reports v ∈ dangling
 	chunks       []int32   // edge-balanced row partition; len numChunks+1
 	pool         *Pool
-	sched        *ShardSchedule // nil: the Jacobi sweep (see WithSchedule)
+	gaussSeidel  bool  // sweeps in place, top row down (see GaussSeidel)
+	back         int64 // in-edges a Gauss–Seidel sweep reads stale
 }
 
 // NewTransition builds the operator from g. Edge weights are taken
@@ -106,11 +109,11 @@ func NewTransition(g *graph.Graph, pool *Pool) *Transition {
 
 // Reweighted returns a new operator over the same edge structure with
 // edge weights redefined by weight(u, v) for each retained edge u→v.
-// The CSR layout, chunk plan and dangling set are shared with the
-// receiver, so only the normalised weights are recomputed — two
-// passes over the edges, no graph rebuild, no sort. This is how the
-// engine derives each gap-decayed citation operator from the base
-// citation operator.
+// The CSR layout, chunk plan, dangling set and sweep (GaussSeidel) are
+// shared with the receiver, so only the normalised weights are
+// recomputed — two passes over the edges, no graph rebuild, no sort.
+// This is how the engine derives each gap-decayed citation operator
+// from the base citation operator.
 //
 // weight must return a positive, finite value: edges dropped by the
 // original construction stay dropped, and a node's dangling status
@@ -125,6 +128,8 @@ func (t *Transition) Reweighted(weight func(u, v int32) float64) *Transition {
 		danglingMark: t.danglingMark,
 		chunks:       t.chunks,
 		pool:         t.pool,
+		gaussSeidel:  t.gaussSeidel,
+		back:         t.back,
 	}
 	outW := make([]float64, t.n)
 	for v := 0; v < t.n; v++ {
@@ -158,12 +163,73 @@ func (t *Transition) NumChunks() int { return t.numChunks() }
 func (t *Transition) numChunks() int { return len(t.chunks) - 1 }
 
 // WithPool returns a view of t — the same CSR, weights, chunk plan and
-// schedule, nothing copied — whose kernels run on p. A nil pool selects
+// sweep, nothing copied — whose kernels run on p. A nil pool selects
 // serial execution. t itself is not modified.
 func (t *Transition) WithPool(p *Pool) *Transition {
 	view := *t
 	view.pool = p
 	return &view
+}
+
+// GaussSeidel returns a view of t — the same CSR, weights and worker
+// pool, nothing copied — whose sweeps (DampedStep, BlendStep and the
+// walks built on them) are Gauss–Seidel sweeps. A Transition from
+// NewTransition sweeps Jacobi: every row gathers from the previous
+// iterate.
+//
+// Solver order is chronological: cited articles sit at low rows and
+// citing articles at high rows, so a row's sources lie (almost all)
+// above it and the pull-form operator is (nearly) upper triangular. A
+// Gauss–Seidel sweep is one serial pass over the rows, top row first,
+// in place: dst starts as a copy of src and each row is overwritten
+// with its new value, so a row reads a source above it fresh and any
+// other as it was in src (Transition.sweep). It solves the triangular
+// part exactly; only back edges (a source at or below its row) and the
+// layers coupled in from outside iterate. The pass does not use the
+// worker pool, so the result is the same bit for bit at every worker
+// count.
+//
+// Mixing fresh and stale rows breaks the exact mass conservation the
+// damped step relies on; the sweeps therefore take the restart
+// coefficient from src once and renormalise dst (DampedStep,
+// BlendStep). The fixed point is that of the Jacobi walk.
+//
+// The back edges are counted here, once; Reweighted shares the row
+// structure and copies both the sweep and the count.
+func (t *Transition) GaussSeidel() *Transition {
+	view := *t
+	view.gaussSeidel = true
+	view.back = 0
+	for v := 0; v < t.n; v++ {
+		view.back += int64(firstAtLeast(t.sources[t.offsets[v]:t.offsets[v+1]], int32(v)+1))
+	}
+	return &view
+}
+
+// firstAtLeast returns the index of the first entry of the ascending
+// row that is >= x. In chronological order nearly every row lies
+// wholly on one side, so the ends are tried before the search.
+func firstAtLeast(row []int32, x int32) int {
+	if len(row) == 0 || row[0] >= x {
+		return 0
+	}
+	if row[len(row)-1] < x {
+		return len(row)
+	}
+	return sort.Search(len(row), func(i int) bool { return row[i] >= x })
+}
+
+// BackEdgeFraction returns the share of a Gauss–Seidel operator's
+// in-edges whose source row is not above the row it points at — the
+// edges a top-down sweep reads stale. Zero means the operator is
+// strictly triangular in solver order and one sweep is exact; on real
+// corpora (same-year citation cycles, "in press" references) it
+// predicts the sweep count. A Jacobi operator reports zero.
+func (t *Transition) BackEdgeFraction() float64 {
+	if m := len(t.sources); m > 0 {
+		return float64(t.back) / float64(m)
+	}
+	return 0
 }
 
 // DanglingMass returns the total probability mass sitting on dangling

@@ -102,25 +102,6 @@ func Normalize1(x []float64) float64 {
 	return s
 }
 
-// NormalizeMax scales x in place so its maximum element is 1 and
-// returns the original maximum. A zero vector is left unchanged.
-func NormalizeMax(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if v > m {
-			m = v
-		}
-	}
-	if m == 0 {
-		return 0
-	}
-	inv := 1 / m
-	for i := range x {
-		x[i] *= inv
-	}
-	return m
-}
-
 // MinMaxScale rescales x in place to [0, 1]. A constant vector maps
 // to all zeros.
 func MinMaxScale(x []float64) {
@@ -151,38 +132,6 @@ func Scale(x []float64, c float64) {
 	for i := range x {
 		x[i] *= c
 	}
-}
-
-// AddScaled computes dst[i] += c * x[i].
-func AddScaled(dst []float64, c float64, x []float64) {
-	for i := range dst {
-		dst[i] += c * x[i]
-	}
-}
-
-// AddConst adds c to every element of x.
-func AddConst(x []float64, c float64) {
-	for i := range x {
-		x[i] += c
-	}
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// L2Norm returns the Euclidean norm of x.
-func L2Norm(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Clone returns a copy of x.

@@ -1,5 +1,5 @@
-// Package temporal provides the time-decay kernels and time
-// partitioning used by the time-aware ranking algorithms. Time is
+// Package temporal provides the time-decay kernel used by the
+// time-aware ranking algorithms. Time is
 // measured in years as float64; an "age" is the non-negative distance
 // from the observation time (now) back to an event such as a citation
 // being made.
@@ -26,16 +26,6 @@ type Kernel interface {
 	String() string
 }
 
-// NoDecay weights every age equally (weight 1). Using it degrades a
-// time-aware algorithm to its static counterpart, which the ablation
-// experiments rely on.
-type NoDecay struct{}
-
-// Weight implements Kernel.
-func (NoDecay) Weight(float64) float64 { return 1 }
-
-func (NoDecay) String() string { return "none" }
-
 // Exponential is the kernel exp(-rho * age) used by CiteRank and by
 // the QISA-Rank prestige and popularity signals. Rho is the decay
 // rate per year; 1/rho is the mean memory horizon.
@@ -61,123 +51,10 @@ func (k Exponential) Weight(age float64) float64 {
 
 func (k Exponential) String() string { return fmt.Sprintf("exp(rho=%g)", k.Rho) }
 
-// Linear decays linearly from 1 at age 0 to Floor at age Horizon and
-// stays at Floor beyond. Floor must be in [0, 1].
-type Linear struct {
-	Horizon float64
-	Floor   float64
-}
-
-// NewLinear validates the parameters and returns the kernel.
-func NewLinear(horizon, floor float64) (Linear, error) {
-	if horizon <= 0 || floor < 0 || floor > 1 {
-		return Linear{}, fmt.Errorf("%w: horizon=%v floor=%v", ErrBadKernel, horizon, floor)
-	}
-	return Linear{Horizon: horizon, Floor: floor}, nil
-}
-
-// Weight implements Kernel.
-func (k Linear) Weight(age float64) float64 {
-	if age < 0 {
-		age = 0
-	}
-	if age >= k.Horizon {
-		return k.Floor
-	}
-	return 1 - (1-k.Floor)*(age/k.Horizon)
-}
-
-func (k Linear) String() string { return fmt.Sprintf("linear(h=%g,floor=%g)", k.Horizon, k.Floor) }
-
-// Window gives weight 1 to ages strictly inside the window and 0
-// outside — a hard recency cutoff.
-type Window struct {
-	Width float64
-}
-
-// NewWindow validates width > 0 and returns the kernel.
-func NewWindow(width float64) (Window, error) {
-	if width <= 0 {
-		return Window{}, fmt.Errorf("%w: width=%v", ErrBadKernel, width)
-	}
-	return Window{Width: width}, nil
-}
-
-// Weight implements Kernel.
-func (k Window) Weight(age float64) float64 {
-	if age < 0 {
-		age = 0
-	}
-	if age < k.Width {
-		return 1
-	}
-	return 0
-}
-
-func (k Window) String() string { return fmt.Sprintf("window(w=%g)", k.Width) }
-
-// PowerLaw is the heavy-tailed kernel (1 + age)^(-gamma): it forgets
-// more slowly than Exponential, matching citation half-life studies.
-type PowerLaw struct {
-	Gamma float64
-}
-
-// NewPowerLaw validates gamma >= 0 and returns the kernel.
-func NewPowerLaw(gamma float64) (PowerLaw, error) {
-	if gamma < 0 || math.IsNaN(gamma) {
-		return PowerLaw{}, fmt.Errorf("%w: gamma=%v", ErrBadKernel, gamma)
-	}
-	return PowerLaw{Gamma: gamma}, nil
-}
-
-// Weight implements Kernel.
-func (k PowerLaw) Weight(age float64) float64 {
-	if age < 0 {
-		age = 0
-	}
-	return math.Pow(1+age, -k.Gamma)
-}
-
-func (k PowerLaw) String() string { return fmt.Sprintf("power(gamma=%g)", k.Gamma) }
-
 // Age returns now - t clamped at 0.
 func Age(now, t float64) float64 {
 	if t > now {
 		return 0
 	}
 	return now - t
-}
-
-// Partition divides the half-open year span [minYear, maxYear+1) into
-// k equal buckets and reports which bucket a year falls in. Years
-// outside the span clamp to the first or last bucket.
-type Partition struct {
-	minYear, maxYear, k int
-}
-
-// NewPartition validates the span and bucket count.
-func NewPartition(minYear, maxYear, k int) (Partition, error) {
-	if maxYear < minYear || k <= 0 {
-		return Partition{}, fmt.Errorf("%w: span [%d,%d] k=%d", ErrBadKernel, minYear, maxYear, k)
-	}
-	return Partition{minYear: minYear, maxYear: maxYear, k: k}, nil
-}
-
-// Buckets returns the number of buckets k.
-func (p Partition) Buckets() int { return p.k }
-
-// Bucket maps a year to its bucket index in [0, k).
-func (p Partition) Bucket(year int) int {
-	if year < p.minYear {
-		return 0
-	}
-	if year > p.maxYear {
-		return p.k - 1
-	}
-	span := p.maxYear - p.minYear + 1
-	b := (year - p.minYear) * p.k / span
-	if b >= p.k {
-		b = p.k - 1
-	}
-	return b
 }

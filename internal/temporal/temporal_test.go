@@ -6,18 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestNoDecay(t *testing.T) {
-	var k NoDecay
-	for _, age := range []float64{0, 1, 100, -5} {
-		if w := k.Weight(age); w != 1 {
-			t.Errorf("NoDecay.Weight(%v) = %v", age, w)
-		}
-	}
-	if k.String() != "none" {
-		t.Errorf("String = %q", k.String())
-	}
-}
-
 func TestExponential(t *testing.T) {
 	k, err := NewExponential(0.5)
 	if err != nil {
@@ -45,66 +33,6 @@ func TestExponentialValidation(t *testing.T) {
 	}
 }
 
-func TestLinear(t *testing.T) {
-	k, err := NewLinear(10, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := k.Weight(0); w != 1 {
-		t.Errorf("Weight(0) = %v", w)
-	}
-	if w := k.Weight(5); math.Abs(w-0.6) > 1e-15 {
-		t.Errorf("Weight(5) = %v, want 0.6", w)
-	}
-	if w := k.Weight(10); w != 0.2 {
-		t.Errorf("Weight(10) = %v, want floor", w)
-	}
-	if w := k.Weight(100); w != 0.2 {
-		t.Errorf("Weight(100) = %v, want floor", w)
-	}
-}
-
-func TestLinearValidation(t *testing.T) {
-	if _, err := NewLinear(0, 0); err == nil {
-		t.Error("zero horizon accepted")
-	}
-	if _, err := NewLinear(5, 1.5); err == nil {
-		t.Error("floor > 1 accepted")
-	}
-	if _, err := NewLinear(5, -0.1); err == nil {
-		t.Error("negative floor accepted")
-	}
-}
-
-func TestWindow(t *testing.T) {
-	k, err := NewWindow(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Weight(2.9) != 1 || k.Weight(3) != 0 || k.Weight(10) != 0 {
-		t.Error("window edges wrong")
-	}
-	if _, err := NewWindow(0); err == nil {
-		t.Error("zero width accepted")
-	}
-}
-
-func TestPowerLaw(t *testing.T) {
-	k, err := NewPowerLaw(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := k.Weight(0); w != 1 {
-		t.Errorf("Weight(0) = %v", w)
-	}
-	if w := k.Weight(1); w != 0.5 {
-		t.Errorf("Weight(1) = %v, want 0.5", w)
-	}
-	if _, err := NewPowerLaw(-1); err == nil {
-		t.Error("negative gamma accepted")
-	}
-}
-
 func TestAge(t *testing.T) {
 	if a := Age(2020, 2015); a != 5 {
 		t.Errorf("Age = %v", a)
@@ -114,101 +42,24 @@ func TestAge(t *testing.T) {
 	}
 }
 
-func TestPartition(t *testing.T) {
-	p, err := NewPartition(2000, 2019, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Buckets() != 4 {
-		t.Fatalf("Buckets = %d", p.Buckets())
-	}
-	cases := map[int]int{
-		2000: 0, 2004: 0, 2005: 1, 2009: 1,
-		2010: 2, 2014: 2, 2015: 3, 2019: 3,
-		1990: 0, 2030: 3, // clamping
-	}
-	for year, want := range cases {
-		if got := p.Bucket(year); got != want {
-			t.Errorf("Bucket(%d) = %d, want %d", year, got, want)
-		}
-	}
-}
-
-func TestPartitionValidation(t *testing.T) {
-	if _, err := NewPartition(2010, 2000, 3); err == nil {
-		t.Error("inverted span accepted")
-	}
-	if _, err := NewPartition(2000, 2010, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-}
-
-func TestPartitionSingleYear(t *testing.T) {
-	p, err := NewPartition(2005, 2005, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := p.Bucket(2005); b < 0 || b >= 3 {
-		t.Errorf("Bucket out of range: %d", b)
-	}
-}
-
 func TestKernelStrings(t *testing.T) {
 	exp, _ := NewExponential(0.5)
-	lin, _ := NewLinear(10, 0.1)
-	win, _ := NewWindow(3)
-	pow, _ := NewPowerLaw(1.5)
-	cases := map[Kernel]string{
-		exp: "exp(rho=0.5)",
-		lin: "linear(h=10,floor=0.1)",
-		win: "window(w=3)",
-		pow: "power(gamma=1.5)",
-	}
-	for k, want := range cases {
-		if got := k.String(); got != want {
-			t.Errorf("String = %q, want %q", got, want)
-		}
+	var k Kernel = exp
+	if got, want := k.String(), "exp(rho=0.5)"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
 }
 
-// Property: every kernel is non-increasing in age and bounded in (0,1]
-// at age 0.
+// Property: the kernel is non-increasing in age and bounded in (0,1].
 func TestQuickKernelsMonotone(t *testing.T) {
 	exp, _ := NewExponential(0.3)
-	lin, _ := NewLinear(8, 0.1)
-	win, _ := NewWindow(5)
-	pow, _ := NewPowerLaw(1.2)
-	kernels := []Kernel{NoDecay{}, exp, lin, win, pow}
 	f := func(a, b float64) bool {
 		a, b = math.Abs(a), math.Abs(b)
 		if a > b {
 			a, b = b, a
 		}
-		for _, k := range kernels {
-			wa, wb := k.Weight(a), k.Weight(b)
-			if wb > wa+1e-12 {
-				return false
-			}
-			if wa < 0 || wa > 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: partition always returns an in-range bucket.
-func TestQuickPartitionInRange(t *testing.T) {
-	p, err := NewPartition(1950, 2020, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(year int16) bool {
-		b := p.Bucket(int(year))
-		return b >= 0 && b < 7
+		wa, wb := exp.Weight(a), exp.Weight(b)
+		return wb <= wa+1e-12 && wa >= 0 && wa <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -154,11 +154,12 @@ type (
 
 // Ensemble kinds for Options.Ensemble.
 const (
-	// EnsembleHarmonic demands strength on every signal (default).
+	// EnsembleHarmonic demands strength on every signal.
 	EnsembleHarmonic = core.Harmonic
 	// EnsembleArithmetic is the weighted mean of the signals.
 	EnsembleArithmetic = core.Arithmetic
-	// EnsembleGeometric is the weighted geometric mean.
+	// EnsembleGeometric is the weighted geometric mean (the
+	// DefaultOptions ensemble, over rank-percentile signals).
 	EnsembleGeometric = core.Geometric
 )
 

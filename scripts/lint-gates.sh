@@ -12,7 +12,8 @@ cd "$(dirname "$0")/.."
 gates='log\.Printf | . | ^\./internal/obs/ | log.Printf outside internal/obs (use obs.Logger)
 context\.Background() | internal/serve | _test\.go: | context.Background() in internal/serve (handlers must inherit the request context; background work uses Tracer.BackgroundContext)
 computePrestige\|computeHetero\|computePopularity\|applyFade | . | ^\./internal/core/ | solver phase call outside internal/core (rank through the scorer registry: core.RankScorer or Engine.RankWith)
-sparse\.NewPool( | . | _test\.go:\|^\./internal/sparse/\|^\./internal/core/engine\.go:\|^\./internal/rank/related\.go: | worker pool handle outside the engine and the related index (scorers honour Options.Workers through SolveContext.Pool)'
+sparse\.NewPool( | . | _test\.go:\|^\./internal/sparse/\|^\./internal/core/engine\.go:\|^\./internal/rank/related\.go: | worker pool handle outside the engine and the related index (scorers honour Options.Workers through SolveContext.Pool)
+\.GaussSeidel() | . | _test\.go:\|^\./internal/hetnet/\|^\./internal/sparse/ | Gauss–Seidel operator built outside internal/hetnet (walk the one citation operator of the network, hetnet.SolverView.CitationTransition, or a Reweighted copy of it)'
 
 status=0
 while IFS= read -r gate; do
