@@ -51,9 +51,10 @@ test:
 	$(GO) test -shuffle=on ./...
 
 ## test-race: the packages that exercise the worker pool, fused
-## kernels and the hot-swap serving path, under the race detector.
+## kernels, the hot-swap serving path and the response cache's
+## single-flight, under the race detector.
 test-race:
-	$(GO) test -race -shuffle=on ./internal/sparse/... ./internal/core/... ./internal/hetnet/... ./internal/rank/... ./internal/live/... ./internal/serve/... ./internal/obs/...
+	$(GO) test -race -shuffle=on ./internal/sparse/... ./internal/core/... ./internal/hetnet/... ./internal/rank/... ./internal/live/... ./internal/serve/... ./internal/query/... ./internal/obs/...
 
 ## bench-check: vet and test the nested bench module. It compiles
 ## against internal/ but the root ./... never builds it, so without

@@ -648,6 +648,8 @@ func wideEvent(logger *slog.Logger, r *http.Request, tw *timingWriter, t *Trace)
 			state := "miss"
 			if hit {
 				state = "hit"
+			} else if coalesced, _ := cache.Attrs["coalesced"].(bool); coalesced {
+				state = "coalesced"
 			}
 			attrs = append(attrs, slog.String("cache", state))
 		}
@@ -659,7 +661,8 @@ func wideEvent(logger *slog.Logger, r *http.Request, tw *timingWriter, t *Trace)
 			attrs = append(attrs,
 				slog.Any("walk_iters", walk.Attrs["iters"]),
 				slog.Any("walk_residual", walk.Attrs["residual"]),
-				slog.Bool("walk_converged", converged))
+				slog.Bool("walk_converged", converged),
+				slog.Any("walk_cancelled", walk.Attrs["cancelled"]))
 		}
 	}
 	if names, ms := t.SpanMillis(); len(names) > 0 {

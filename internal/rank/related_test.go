@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -267,7 +268,7 @@ func TestRelatedMatchesSymmetrisedOracle(t *testing.T) {
 		for _, seed := range []int32{0, 7, int32(n / 3), reciprocal, isolated} {
 			want, wst := oracle.walk(t, seed)
 			sc := ri.scratch.Get().(*relatedScratch)
-			got, gst, err := ri.walk(seed, sc)
+			got, gst, err := ri.walk(context.Background(), seed, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,7 +335,7 @@ func TestRelatedTieBreaksByStoreIndex(t *testing.T) {
 	}
 	ri := newRelatedIndex(pair, perm, RelatedOptions{Damping: DefaultDamping})
 	sc := ri.scratch.Get().(*relatedScratch)
-	scores, _, err := ri.walk(0, sc)
+	scores, _, err := ri.walk(context.Background(), 0, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestRelatedReportsNonConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := ri.RelatedStats(ids["a2"], 3)
+	got, stats, err := ri.RelatedStats(context.Background(), ids["a2"], 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,5 +426,44 @@ func TestRelatedIndexAllocatesPerRow(t *testing.T) {
 	}
 	if got >= 4*edges { // the smallest per-edge stream is a 4-byte endpoint
 		t.Errorf("index allocated %d bytes over %d citations — per-edge memory", got, edges)
+	}
+}
+
+// TestRelatedWalkAllocatesNothingPerRow pins the pooled working set: on
+// a 10k-article network, once one walk has filled the index's scratch,
+// another walk allocates a few kilobytes of closures, pool tasks and
+// the top-k selection, and no corpus-sized vector (one is 80 KB here).
+// The byte count is the least of several walks, because the race
+// detector makes sync.Pool drop a share of what is put back.
+func TestRelatedWalkAllocatesNothingPerRow(t *testing.T) {
+	net := powerLawNetwork(t, 10_000)
+	for _, workers := range []int{1, 2} {
+		ri, err := NewRelatedIndex(net, RelatedOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := int32(net.NumArticles() / 2)
+		walk := func() {
+			if _, err := ri.Related(seed, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		walk() // fills the pooled scratch
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			walk()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= 64<<10 {
+			t.Errorf("workers=%d: a walk on a recycled scratch allocated %d bytes, want < 64 KiB", workers, least)
+		}
+		// About one per sweep inline and two on the pool: a count that
+		// grew with the rows or the edges would be far past this.
+		if allocs := testing.AllocsPerRun(5, walk); allocs > 200 {
+			t.Errorf("workers=%d: %.0f allocations per walk, want <= 200", workers, allocs)
+		}
 	}
 }

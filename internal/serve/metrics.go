@@ -10,34 +10,36 @@ import (
 // families (http_request_duration_seconds, http_requests_total,
 // http_in_flight_requests) come from obs.HTTPMetrics.
 const (
-	metricSwaps             = "sarserve_generation_swaps_total"
-	metricWarmSaved         = "sarserve_warmstart_iterations_saved_total"
-	metricIngestApplied     = "sarserve_ingest_batches_applied_total"
-	metricIngestQuarantined = "sarserve_ingest_batches_quarantined_total"
-	metricStaleness         = "sarserve_ranking_staleness_seconds"
-	metricVersion           = "sarserve_ranking_version"
-	metricRankingScorer     = "sarserve_ranking_scorer"
-	metricSolverIters       = "sarserve_solver_iterations"
-	metricSolverResidual    = "sarserve_solver_residual"
-	metricSolverSeconds     = "sarserve_solver_phase_seconds"
-	metricReorderSecs       = "sarserve_solver_reorder_seconds"
-	metricBackEdgeFraction  = "sarserve_solver_back_edge_fraction"
-	metricExtrapolations    = "sarserve_solver_extrapolations_total"
-	metricItersSaved        = "sarserve_solver_iterations_saved"
-	metricPoolWorkers       = "sarserve_solver_pool_workers"
-	metricPoolSweeps        = "sarserve_solver_pool_sweeps"
-	metricCorpusBytes       = "sarserve_corpus_bytes"
-	metricCorpusLoadSecs    = "sarserve_corpus_load_seconds"
-	metricCorpusArticles    = "sarserve_corpus_articles"
-	metricCorpusMmapBytes   = "sarserve_corpus_mmap_bytes"
-	metricCorpusBootSecs    = "sarserve_corpus_boot_seconds"
-	metricCorpusLoadMode    = "sarserve_corpus_load_mode"
-	metricQueryShed         = "sarserve_query_shed_total"
-	metricQueryQueueDepth   = "sarserve_query_queue_depth"
-	metricQueryCacheHits    = "sarserve_query_cache_hits_total"
-	metricQueryCacheMisses  = "sarserve_query_cache_misses_total"
-	metricQueryCacheEntries = "sarserve_query_cache_entries"
-	metricWalkUnconverged   = "sarserve_related_unconverged_total"
+	metricSwaps               = "sarserve_generation_swaps_total"
+	metricWarmSaved           = "sarserve_warmstart_iterations_saved_total"
+	metricIngestApplied       = "sarserve_ingest_batches_applied_total"
+	metricIngestQuarantined   = "sarserve_ingest_batches_quarantined_total"
+	metricStaleness           = "sarserve_ranking_staleness_seconds"
+	metricVersion             = "sarserve_ranking_version"
+	metricRankingScorer       = "sarserve_ranking_scorer"
+	metricSolverIters         = "sarserve_solver_iterations"
+	metricSolverResidual      = "sarserve_solver_residual"
+	metricSolverSeconds       = "sarserve_solver_phase_seconds"
+	metricReorderSecs         = "sarserve_solver_reorder_seconds"
+	metricBackEdgeFraction    = "sarserve_solver_back_edge_fraction"
+	metricExtrapolations      = "sarserve_solver_extrapolations_total"
+	metricItersSaved          = "sarserve_solver_iterations_saved"
+	metricPoolWorkers         = "sarserve_solver_pool_workers"
+	metricPoolSweeps          = "sarserve_solver_pool_sweeps"
+	metricCorpusBytes         = "sarserve_corpus_bytes"
+	metricCorpusLoadSecs      = "sarserve_corpus_load_seconds"
+	metricCorpusArticles      = "sarserve_corpus_articles"
+	metricCorpusMmapBytes     = "sarserve_corpus_mmap_bytes"
+	metricCorpusBootSecs      = "sarserve_corpus_boot_seconds"
+	metricCorpusLoadMode      = "sarserve_corpus_load_mode"
+	metricQueryShed           = "sarserve_query_shed_total"
+	metricQueryQueueDepth     = "sarserve_query_queue_depth"
+	metricQueryCacheHits      = "sarserve_query_cache_hits_total"
+	metricQueryCacheMisses    = "sarserve_query_cache_misses_total"
+	metricQueryCacheEntries   = "sarserve_query_cache_entries"
+	metricQueryCacheCoalesced = "sarserve_query_cache_coalesced_total"
+	metricWalkUnconverged     = "sarserve_related_unconverged_total"
+	metricWalksCancelled      = "sarserve_related_walks_cancelled_total"
 )
 
 // serveMetrics bundles every instrument the serving layer records
@@ -59,13 +61,16 @@ type serveMetrics struct {
 	ingestQuarantined *obs.Counter
 
 	// Query-subsystem instruments: load shedding on the read path and
-	// the /query response cache.
-	shed        *obs.Counter
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
+	// the response cache (every read is one of hit, miss or coalesced).
+	shed           *obs.Counter
+	cacheHits      *obs.Counter
+	cacheMisses    *obs.Counter
+	cacheCoalesced *obs.Counter
 	// walkUnconverged counts /related walks that stopped at the
-	// iteration cap instead of the tolerance.
+	// iteration cap instead of the tolerance; walksCancelled those
+	// stopped because every request waiting on them had hung up.
 	walkUnconverged *obs.Counter
+	walksCancelled  *obs.Counter
 
 	// bootSeconds is set once by the booting command (see
 	// Server.RecordBootSeconds) — wall time from opening the corpus
@@ -101,8 +106,12 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 			"Read responses (/query, /related) served from the generation-keyed cache.", nil),
 		cacheMisses: reg.Counter(metricQueryCacheMisses,
 			"Read responses (/query, /related) computed rather than served from cache.", nil),
+		cacheCoalesced: reg.Counter(metricQueryCacheCoalesced,
+			"Read responses (/query, /related) that waited on another request's computation of the same cold key instead of computing it.", nil),
 		walkUnconverged: reg.Counter(metricWalkUnconverged,
 			"/related walks served after stopping at the iteration cap, short of the convergence tolerance.", nil),
+		walksCancelled: reg.Counter(metricWalksCancelled,
+			"/related walks stopped early because every request waiting on them had hung up.", nil),
 	}
 }
 

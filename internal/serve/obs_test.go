@@ -57,9 +57,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		"sarserve_query_queue_depth 0",
 		"sarserve_query_cache_hits_total 0",
 		"sarserve_query_cache_misses_total 0",
+		"# TYPE sarserve_query_cache_coalesced_total counter",
+		"sarserve_query_cache_coalesced_total 0",
 		"sarserve_query_cache_entries 0",
 		"# TYPE sarserve_related_unconverged_total counter",
 		"sarserve_related_unconverged_total 0",
+		"# TYPE sarserve_related_walks_cancelled_total counter",
+		"sarserve_related_walks_cancelled_total 0",
 		"# TYPE go_goroutines gauge",
 		"# TYPE go_heap_live_bytes gauge",
 		"# TYPE go_gc_pauses_seconds histogram",

@@ -431,7 +431,7 @@ func TestQueryStatsKeys(t *testing.T) {
 	body := get(t, h, "/stats").Body.String()
 	for _, key := range []string{
 		"max_top_k", "query_cache_entries", "query_cache_hits",
-		"query_cache_misses", "query_shed", "query_queue_depth",
+		"query_cache_misses", "query_cache_coalesced", "query_shed", "query_queue_depth",
 	} {
 		if !strings.Contains(body, `"`+key+`"`) {
 			t.Errorf("/stats missing %q", key)

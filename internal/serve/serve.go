@@ -16,6 +16,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -555,34 +556,40 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request, g *genera
 	}
 	// A related query runs a personalised walk over the whole graph —
 	// by far the dearest read — so its responses ride the same
-	// generation-keyed cache as /query.
+	// generation-keyed cache as /query, and concurrent requests for one
+	// cold key share one walk.
 	ckey := fmt.Sprintf("related|%d|%s|%d", g.version, key, k)
-	if s.serveCached(r.Context(), w, ckey) {
-		return
-	}
-	_, span := obs.StartSpan(r.Context(), "walk")
-	related, stats, err := g.related.RelatedStats(id, k)
-	span.SetAttr("results", len(related))
-	span.SetAttr("iters", stats.Iterations)
-	span.SetAttr("residual", stats.Residual)
-	span.SetAttr("converged", stats.Converged)
-	span.End()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "related: %v", err)
-		return
-	}
-	if !stats.Converged {
-		// The ranking is still served — it is the best the iteration
-		// budget bought — but never silently.
-		s.metrics.walkUnconverged.Inc()
-	}
-	_, span = obs.StartSpan(r.Context(), "corpus")
-	out := make([]ArticleView, 0, len(related))
-	for _, i := range related {
-		out = append(out, g.view(i))
-	}
-	span.End()
-	s.writeCached(w, ckey, out)
+	s.serveCached(w, r, ckey, func(ctx context.Context) (any, error) {
+		_, span := obs.StartSpan(ctx, "walk")
+		related, stats, err := g.related.RelatedStats(ctx, id, k)
+		cancelled := errors.Is(err, context.Canceled)
+		span.SetAttr("results", len(related))
+		span.SetAttr("iters", stats.Iterations)
+		span.SetAttr("residual", stats.Residual)
+		span.SetAttr("converged", stats.Converged)
+		span.SetAttr("cancelled", cancelled)
+		span.End()
+		if cancelled {
+			// Every request waiting on this walk has hung up.
+			s.metrics.walksCancelled.Inc()
+			return nil, err
+		}
+		if err != nil {
+			return nil, fmt.Errorf("related: %w", err)
+		}
+		if !stats.Converged {
+			// The ranking is still served — it is the best the iteration
+			// budget bought — but never silently.
+			s.metrics.walkUnconverged.Inc()
+		}
+		_, span = obs.StartSpan(ctx, "corpus")
+		out := make([]ArticleView, 0, len(related))
+		for _, i := range related {
+			out = append(out, g.view(i))
+		}
+		span.End()
+		return out, nil
+	})
 }
 
 // EntityView is the JSON shape of one ranked author or venue.
@@ -782,59 +789,80 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, g *generati
 
 	key := fmt.Sprintf("query|%d|%s|%s|%d|%d|%d|%d",
 		g.version, authorKey, venueKey, f.From, f.To, f.K, f.After)
-	if s.serveCached(r.Context(), w, key) {
-		return
-	}
-
-	_, span := obs.StartSpan(r.Context(), "index")
-	ids, more := g.qidx.Search(f)
-	span.SetAttr("results", len(ids))
-	span.End()
-	_, span = obs.StartSpan(r.Context(), "corpus")
-	resp := QueryResponse{Version: g.version, Count: len(ids),
-		Results: make([]ArticleView, 0, len(ids))}
-	for _, id := range ids {
-		resp.Results = append(resp.Results, g.view(int(id)))
-	}
-	span.End()
-	if more && len(ids) > 0 {
-		resp.NextCursor = encodeCursor(g.version, g.qidx.Pos(ids[len(ids)-1]))
-	}
-	s.writeCached(w, key, &resp)
+	s.serveCached(w, r, key, func(ctx context.Context) (any, error) {
+		_, span := obs.StartSpan(ctx, "index")
+		ids, more := g.qidx.Search(f)
+		span.SetAttr("results", len(ids))
+		span.End()
+		_, span = obs.StartSpan(ctx, "corpus")
+		resp := QueryResponse{Version: g.version, Count: len(ids),
+			Results: make([]ArticleView, 0, len(ids))}
+		for _, id := range ids {
+			resp.Results = append(resp.Results, g.view(int(id)))
+		}
+		span.End()
+		if more && len(ids) > 0 {
+			resp.NextCursor = encodeCursor(g.version, g.qidx.Pos(ids[len(ids)-1]))
+		}
+		return &resp, nil
+	})
 }
 
-// serveCached answers from the response cache when the key is
-// resident, counting the hit or miss either way. The cache key must
-// embed the generation version (invalidation by keying). The lookup
-// is recorded as a cache span whose hit attribute also drives the
-// cache=hit|miss field of the wide-event request log.
-func (s *Server) serveCached(ctx context.Context, w http.ResponseWriter, key string) bool {
-	_, span := obs.StartSpan(ctx, "cache")
-	body, ok := s.cache.Get(key)
-	span.SetAttr("hit", ok)
-	span.End()
-	if !ok {
+// statusClientClosed is the status recorded for a request whose client
+// hung up before its answer was ready (nginx's 499). Nobody reads it;
+// it keeps the request out of the 5xx class.
+const statusClientClosed = 499
+
+// serveCached answers a cacheable read through the response cache:
+// from a resident body, from another request's computation of the same
+// key, or by computing it here with compute, whose value is encoded as
+// JSON and cached. The key must embed the generation version
+// (invalidation by keying). compute runs under the cache's flight
+// context, which ends only when every request waiting on the key has
+// gone (query.Cache.Do), and its spans land in the computing request's
+// trace.
+//
+// The lookup is recorded as a cache span whose hit attribute drives
+// the cache=hit|miss field of the wide-event request log. A request
+// that waits on another's computation counts as coalesced, and its
+// cache span covers the wait and carries coalesced=true, so its
+// Server-Timing accounts for the latency.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, compute func(ctx context.Context) (any, error)) {
+	_, span := obs.StartSpan(r.Context(), "cache")
+	body, how, err := s.cache.Do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
+		span.SetAttr("hit", false)
+		span.End()
+		v, err := compute(ctx)
+		if err != nil {
+			return nil, err
+		}
+		body, err := json.Marshal(v)
+		if err != nil {
+			return nil, fmt.Errorf("encode: %w", err)
+		}
+		return append(body, '\n'), nil
+	})
+	switch how {
+	case query.Hit:
+		span.SetAttr("hit", true)
+		s.metrics.cacheHits.Inc()
+	case query.Coalesced:
+		span.SetAttr("hit", false)
+		span.SetAttr("coalesced", true)
+		s.metrics.cacheCoalesced.Inc()
+	default:
 		s.metrics.cacheMisses.Inc()
-		return false
 	}
-	s.metrics.cacheHits.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
-	return true
-}
-
-// writeCached marshals v, admits the body to the response cache under
-// key, and writes it.
-func (s *Server) writeCached(w http.ResponseWriter, key string, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encode: %v", err)
-		return
+	span.End()
+	switch {
+	case err != nil && r.Context().Err() != nil:
+		w.WriteHeader(statusClientClosed)
+	case err != nil:
+		httpError(w, http.StatusInternalServerError, "%v", err)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(body)
 	}
-	body = append(body, '\n')
-	s.cache.Put(key, body)
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
 }
 
 // encodeCursor packs (generation version, last rank position) into an
@@ -909,6 +937,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"query_cache_entries":       s.cache.Len(),
 		"query_cache_hits":          s.metrics.cacheHits.Value(),
 		"query_cache_misses":        s.metrics.cacheMisses.Value(),
+		"query_cache_coalesced":     s.metrics.cacheCoalesced.Value(),
 		"query_shed":                s.metrics.shed.Value(),
 		"query_queue_depth":         s.limiter.QueueDepth(),
 		"traces_recorded":           s.tracer.Count(),

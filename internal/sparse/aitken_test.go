@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -70,7 +71,7 @@ func TestAitkenGuardNeverDiverges(t *testing.T) {
 	}
 	opts := IterOptions{Tol: 1e-10, MaxIter: 300, AitkenEvery: 3}
 	init := []float64{1, 0.5, 0}
-	got, st, err := FixedPointExtrapolated(init, mkStep(), nil, opts)
+	got, st, err := FixedPointExtrapolated(context.Background(), nil, init, mkStep(), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestAitkenDisabledMatchesResidualDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, bst, err := FixedPointExtrapolated(teleport, func(dst, src []float64) float64 {
+	b, bst, err := FixedPointExtrapolated(context.Background(), nil, teleport, func(dst, src []float64) float64 {
 		res, _, _ := tr.DampedStep(dst, src, teleport, 0.85, tr.DanglingMass(src))
 		return res
 	}, nil, opts)

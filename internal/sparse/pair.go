@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -133,14 +134,23 @@ func (p *TransposePair) rescale(scaled, x []float64) (isolated float64) {
 // merged CSR (in-edges, then out-edges, minus reciprocals), so the two
 // agree to rounding, not bit for bit.
 //
-// init, scaled and scaledNext are caller-owned scratch of length N();
-// their contents on entry are ignored and on return are unspecified.
-// The returned vector is freshly allocated by the driver.
-func (p *TransposePair) SeedWalk(seed int, damping float64, init, scaled, scaledNext []float64, opts IterOptions) ([]float64, IterStats, error) {
-	if seed < 0 || seed >= p.n || len(init) != p.n || len(scaled) != p.n || len(scaledNext) != p.n {
-		return nil, IterStats{}, fmt.Errorf("sparse: seed walk over %d rows: seed %d, scratch lengths %d/%d/%d",
-			p.n, seed, len(init), len(scaled), len(scaledNext))
+// Every vector the walk touches comes from ws (nil runs on a fresh
+// scratch), so a caller that recycles one scratch per concurrent walk
+// allocates nothing proportional to the graph per walk. The returned
+// vector lives in ws. ctx is checked once per sweep; a walk whose ctx
+// is done stops with an error wrapping ctx.Err() (see
+// FixedPointExtrapolated).
+func (p *TransposePair) SeedWalk(ctx context.Context, seed int, damping float64, ws *WalkScratch, opts IterOptions) ([]float64, IterStats, error) {
+	if seed < 0 || seed >= p.n {
+		return nil, IterStats{}, fmt.Errorf("sparse: seed walk over %d rows: seed %d", p.n, seed)
 	}
+	if ws == nil {
+		ws = new(WalkScratch)
+	}
+	scaled, scaledNext := sized(&ws.scaled, p.n), sized(&ws.scaledNext, p.n)
+	// The one-hot start is staged in scaledNext: the driver copies it
+	// into its iterate before the first sweep overwrites it.
+	init := scaledNext
 	Fill(init, 0)
 	init[seed] = 1
 	isolated := p.rescale(scaled, init)
@@ -155,7 +165,7 @@ func (p *TransposePair) SeedWalk(seed int, damping float64, init, scaled, scaled
 		return part.res
 	}
 	reseed := func(x []float64) { isolated = p.rescale(scaled, x) }
-	return FixedPointExtrapolated(init, step, reseed, opts)
+	return FixedPointExtrapolated(ctx, ws, init, step, reseed, opts)
 }
 
 // seedRange is the fused row body of SeedWalk over rows [lo, hi):

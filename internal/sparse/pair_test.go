@@ -1,6 +1,9 @@
 package sparse
 
 import (
+	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -57,8 +60,7 @@ func pairGraph(t testing.TB, seed int64, n, perNode int) *graph.Graph {
 
 func seedWalk(t testing.TB, p *TransposePair, seed int, opts IterOptions) ([]float64, IterStats) {
 	t.Helper()
-	n := p.N()
-	x, st, err := p.SeedWalk(seed, 0.85, make([]float64, n), make([]float64, n), make([]float64, n), opts)
+	x, st, err := p.SeedWalk(context.Background(), seed, 0.85, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +152,87 @@ func TestNewTransposePairRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := pair.N()
-	if _, _, err := pair.SeedWalk(n, 0.85, make([]float64, n), make([]float64, n), make([]float64, n), IterOptions{}); err == nil {
+	if _, _, err := pair.SeedWalk(context.Background(), pair.N(), 0.85, nil, IterOptions{}); err == nil {
 		t.Error("out-of-range seed accepted")
 	}
-	if _, _, err := pair.SeedWalk(0, 0.85, make([]float64, n), make([]float64, n-1), make([]float64, n), IterOptions{}); err == nil {
-		t.Error("short scratch accepted")
+}
+
+// TestSeedWalkScratchReuse checks a recycled scratch changes nothing: a
+// walk on a scratch that another walk (another seed, another cadence,
+// another dimension) has just dirtied is bit-identical to one on a
+// fresh scratch, and it returns a vector inside the scratch.
+func TestSeedWalkScratchReuse(t *testing.T) {
+	g := pairGraph(t, 5, 800, 6)
+	pair, err := NewTransposePair(NewTransition(g, nil), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := pairGraph(t, 6, 300, 4)
+	smallPair, err := NewTransposePair(NewTransition(small, nil), small, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ws := new(WalkScratch)
+	for _, opts := range []IterOptions{{}, {AitkenEvery: 4, Tol: 1e-12}} {
+		want, wst := seedWalk(t, pair, 3, opts)
+		if _, _, err := pair.SeedWalk(ctx, 40, 0.85, ws, IterOptions{AitkenEvery: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := smallPair.SeedWalk(ctx, 7, 0.85, ws, IterOptions{AitkenEvery: 5}); err != nil {
+			t.Fatal(err)
+		}
+		got, gst, err := pair.SeedWalk(ctx, 3, 0.85, ws, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("aitken=%d: entry %d is %v on a reused scratch, %v on a fresh one", opts.AitkenEvery, i, got[i], want[i])
+			}
+		}
+		if gst.Iterations != wst.Iterations || gst.Extrapolations != wst.Extrapolations {
+			t.Errorf("aitken=%d: %d sweeps (%d extrapolations) on a reused scratch, %d (%d) on a fresh one",
+				opts.AitkenEvery, gst.Iterations, gst.Extrapolations, wst.Iterations, wst.Extrapolations)
+		}
+		if &got[0] != &ws.cur[0] && &got[0] != &ws.next[0] {
+			t.Errorf("aitken=%d: the returned vector is not one of the scratch iterates", opts.AitkenEvery)
+		}
+	}
+}
+
+// TestSeedWalkStopsOnCancel checks the driver's per-sweep context
+// check: a walk whose context is cancelled during sweep k stops after
+// at most k+1 sweeps (an Aitken trial may follow the plain sweep
+// inside one round), with Aitken on and off, and reports the sweeps
+// it ran and an error that is context.Canceled.
+func TestSeedWalkStopsOnCancel(t *testing.T) {
+	g := pairGraph(t, 7, 2000, 6)
+	pair, err := NewTransposePair(NewTransition(g, nil), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, aitken := range []int{0, 4} {
+		full, fst := seedWalk(t, pair, 11, IterOptions{AitkenEvery: aitken, Tol: 1e-14})
+		if full == nil || fst.Iterations < 12 {
+			t.Fatalf("aitken=%d: the uncancelled walk takes %d sweeps, too few to cancel inside", aitken, fst.Iterations)
+		}
+		for _, k := range []int{1, 5, 9} {
+			ctx, cancel := context.WithCancel(context.Background())
+			opts := IterOptions{AitkenEvery: aitken, Tol: 1e-14, OnIteration: func(ev IterEvent) {
+				if ev.Iteration == k {
+					cancel()
+				}
+			}}
+			x, st, err := pair.SeedWalk(ctx, 11, 0.85, nil, opts)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("aitken=%d k=%d: err = %v, want context.Canceled", aitken, k, err)
+			}
+			if x != nil || st.Converged || st.Iterations < k || st.Iterations > k+1 {
+				t.Errorf("aitken=%d k=%d: stopped after %d sweeps (converged=%v, vector=%v), want k or k+1",
+					aitken, k, st.Iterations, st.Converged, x != nil)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -132,7 +133,7 @@ func DampedWalkFrom(t *Transition, damping float64, teleport, init []float64, op
 	// step never produced, so the pipelined dangling mass must be
 	// recomputed whenever the source vector changes under it.
 	reseed := func(x []float64) { dang = t.DanglingMass(x) }
-	return FixedPointExtrapolated(init, step, reseed, opts)
+	return FixedPointExtrapolated(context.Background(), nil, init, step, reseed, opts)
 }
 
 // FixedPoint iterates x ← step(x) from the given initial vector until
@@ -159,7 +160,32 @@ func FixedPointResidual(init []float64, step ResidualStepFunc, opts IterOptions)
 		return nil, IterStats{}, err
 	}
 	opts.AitkenEvery = 0
-	return FixedPointExtrapolated(init, step, nil, opts)
+	return FixedPointExtrapolated(context.Background(), nil, init, step, nil, opts)
+}
+
+// WalkScratch is the working set of one run of the fixed-point driver:
+// the iterate pair, the Aitken history ring and the extrapolant, plus
+// the two pre-scaled copies a transpose-pair walk pipelines
+// (SeedWalk). A caller that runs many walks of one dimension recycles
+// one scratch per concurrent walk instead of allocating the set each
+// time. The zero value is ready: each vector is allocated the first
+// time a run needs it and reused after that, and nothing a run reads
+// depends on what a previous run left behind. The vector a run
+// returns lives in the scratch, so it is valid only until the scratch
+// serves its next run.
+type WalkScratch struct {
+	cur, next, h0, h1, h2, y []float64
+	scaled, scaledNext       []float64
+}
+
+// sized returns *v resized to length n, allocating only when its
+// capacity is short.
+func sized(v *[]float64, n int) []float64 {
+	if cap(*v) < n {
+		*v = make([]float64, n)
+	}
+	*v = (*v)[:n]
+	return *v
 }
 
 // aitkenStep writes the vector Aitken Δ² extrapolation of the four
@@ -238,24 +264,34 @@ func aitkenStep(dst, x0, x1, x2, x3 []float64) bool {
 // rejected trial can appear as a non-monotone entry). Extrapolation
 // keeps three history vectors plus the extrapolant — 4n floats beyond
 // the plain iteration's working set.
-func FixedPointExtrapolated(init []float64, step ResidualStepFunc, reseed func([]float64), opts IterOptions) ([]float64, IterStats, error) {
+//
+// The vectors come from ws; a nil ws runs on a fresh scratch, so the
+// returned vector is then a new slice. init is copied before the first
+// sweep and never written. ctx is checked once per sweep: once it is
+// done the driver stops, returning a nil vector, the stats of the
+// sweeps it ran and an error wrapping ctx.Err().
+func FixedPointExtrapolated(ctx context.Context, ws *WalkScratch, init []float64, step ResidualStepFunc, reseed func([]float64), opts IterOptions) ([]float64, IterStats, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, IterStats{}, err
 	}
+	if ws == nil {
+		ws = new(WalkScratch)
+	}
 	n := len(init)
-	cur := Clone(init)
-	next := make([]float64, n)
+	cur := sized(&ws.cur, n)
+	copy(cur, init)
+	next := sized(&ws.next, n)
 	aitken := opts.AitkenEvery > 0
 	// Ring of the three iterates preceding cur: after the history
 	// shift at the top of the loop, h2 = x_{k-1}, h1 = x_{k-2},
 	// h0 = x_{k-3} while cur advances to x_k.
 	var h0, h1, h2, y []float64
 	if aitken {
-		h0 = make([]float64, n)
-		h1 = make([]float64, n)
-		h2 = make([]float64, n)
-		y = make([]float64, n)
+		h0 = sized(&ws.h0, n)
+		h1 = sized(&ws.h1, n)
+		h2 = sized(&ws.h2, n)
+		y = sized(&ws.y, n)
 	}
 	histFill := 0
 	sinceTrial := 0
@@ -278,6 +314,11 @@ func FixedPointExtrapolated(init []float64, step ResidualStepFunc, reseed func([
 		}
 	}
 	for sweeps < opts.MaxIter {
+		if err := ctx.Err(); err != nil {
+			st.Iterations = sweeps
+			st.Elapsed = time.Since(start)
+			return nil, st, fmt.Errorf("sparse: fixed point stopped after %d sweeps: %w", sweeps, err)
+		}
 		if aitken {
 			h0, h1, h2 = h1, h2, h0
 			copy(h2, cur)

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -344,7 +345,7 @@ func legacyFlatWalk(tr *Transition, damping float64, teleport, init []float64, o
 		return res
 	}
 	if opts.AitkenEvery > 0 {
-		x, st, _ := FixedPointExtrapolated(init, step, func(x []float64) { dm = tr.DanglingMass(x) }, opts)
+		x, st, _ := FixedPointExtrapolated(context.Background(), nil, init, step, func(x []float64) { dm = tr.DanglingMass(x) }, opts)
 		return x, st
 	}
 	opts, _ = opts.withDefaults()
