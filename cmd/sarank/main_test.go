@@ -163,17 +163,17 @@ func TestRunScorer(t *testing.T) {
 	}
 
 	// A scorer snapshot persists the scorer name and option bag.
-	snapPath := filepath.Join(t.TempDir(), "ewpr.snap")
+	snapPath := filepath.Join(t.TempDir(), "scorer.snap")
 	out.Reset()
-	if err := run([]string{"-in", path, "-scorer", "alef", "-save-scores", snapPath, "-k", "2"}, &out, &errBuf); err != nil {
+	if err := run([]string{"-in", path, "-scorer", "sceas", "-save-scores", snapPath, "-k", "2"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := live.ReadSnapshotFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Scorer != "alef" {
-		t.Errorf("snapshot scorer = %q, want alef", snap.Scorer)
+	if snap.Scorer != "sceas" {
+		t.Errorf("snapshot scorer = %q, want sceas", snap.Scorer)
 	}
 
 	// Baselines trace and persist like any scorer.

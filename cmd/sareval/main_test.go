@@ -73,7 +73,7 @@ func TestRunLeaderboard(t *testing.T) {
 	if !strings.Contains(got, "== L1:") || !strings.Contains(got, "== L2:") {
 		t.Fatalf("leaderboard tables missing: %q", got)
 	}
-	for _, scorer := range []string{"default", "prestige", "ewpr", "alef"} {
+	for _, scorer := range []string{"default", "prestige", "ewpr", "sceas"} {
 		if !strings.Contains(got, scorer) {
 			t.Errorf("leaderboard missing scorer %q", scorer)
 		}

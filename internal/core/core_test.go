@@ -7,6 +7,7 @@ import (
 
 	"scholarrank/internal/corpus"
 	"scholarrank/internal/eval"
+	"scholarrank/internal/graph"
 	"scholarrank/internal/hetnet"
 	"scholarrank/internal/rank"
 	"scholarrank/internal/sparse"
@@ -182,6 +183,28 @@ func TestPrestigeNoDecayEqualsPlainPageRank(t *testing.T) {
 	if d := sparse.MaxDiff(prestige, pr.Importance); d > 1e-9 {
 		t.Errorf("no-decay prestige deviates from PageRank by %v", d)
 	}
+}
+
+// gapWeightedGraph rebuilds the citation graph with the edge weights
+// exp(-rho·gap) that the engine's gap-weighted transitions apply
+// through Transition.Reweighted.
+func gapWeightedGraph(net *hetnet.Network, rho float64) (*graph.Graph, error) {
+	weight, err := gapWeightFunc(net.Years, rho)
+	if err != nil {
+		return nil, err
+	}
+	src := net.Citations
+	b := graph.NewBuilder(src.NumNodes(), true)
+	var addErr error
+	src.VisitEdges(func(u, v graph.NodeID, _ float64) {
+		if err := b.AddWeightedEdge(u, v, weight(int32(u), int32(v))); err != nil && addErr == nil {
+			addErr = err
+		}
+	})
+	if addErr != nil {
+		return nil, addErr
+	}
+	return b.Build(), nil
 }
 
 func TestGapWeightedGraph(t *testing.T) {

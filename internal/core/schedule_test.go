@@ -61,8 +61,8 @@ func TestBackEdgesCostSweeps(t *testing.T) {
 }
 
 // TestEveryWalkReportsBackEdges checks the back-edge fraction reaches
-// the result of every scorer that walks the citation operator — alef,
-// ewpr and vw-pagerank deposit their own results and once reported 0 —
+// the result of every scorer that walks the citation operator — ewpr
+// and sceas deposit their own results, and ewpr once reported 0 —
 // and that it is the network's one count: the same across solves and
 // engines, and equal to the operator's.
 func TestEveryWalkReportsBackEdges(t *testing.T) {
@@ -77,7 +77,7 @@ func TestEveryWalkReportsBackEdges(t *testing.T) {
 		t.Fatalf("operator back-edge fraction %g with a tenth of the years perturbed", want)
 	}
 	eng := NewEngine(net)
-	for _, name := range []string{ScorerALEF, ScorerEWPR, ScorerVWPageRank, DefaultScorer, ScorerPageRank} {
+	for _, name := range []string{ScorerEWPR, ScorerSCEAS, DefaultScorer, ScorerPageRank} {
 		for solve := 0; solve < 2; solve++ {
 			sc, err := eng.RankScorer(name, nil, DefaultOptions())
 			if err != nil {

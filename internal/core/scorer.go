@@ -260,14 +260,21 @@ func (ctx *SolveContext) cached(key string) []float64 { return ctx.eng.warm[ctx.
 // walk solves the damped walk over t (solver space, sweeping as t
 // does) from the fixed point cached under key, or from the teleport
 // when none is, and caches the result. It traces under the scorer's
-// name and extrapolates at Options.AitkenEvery.
-func (ctx *SolveContext) walk(key string, t *sparse.Transition, damping float64, teleport []float64) ([]float64, sparse.IterStats, error) {
+// name and extrapolates at Options.AitkenEvery. It stops once the L1
+// residual times unit is below Options.Iter.Tol: unit converts a
+// change of the walk into the units of the scores read out of it, 1
+// when the scores are the distribution itself.
+func (ctx *SolveContext) walk(key string, t *sparse.Transition, damping float64, teleport []float64, unit float64) ([]float64, sparse.IterStats, error) {
 	init := ctx.cached(key)
 	if init == nil {
 		init = teleport
 	}
 	it := ctx.IterFor(ctx.scorer)
 	it.AitkenEvery = ctx.opts.AitkenEvery
+	if it.Tol == 0 {
+		it.Tol = sparse.DefaultTol
+	}
+	it.Tol /= unit
 	x, stats, err := sparse.DampedWalkFrom(t, damping, teleport, init, it)
 	if err != nil {
 		return nil, stats, fmt.Errorf("core: %s %s: %w", ctx.scorer, key, err)

@@ -14,7 +14,8 @@ import (
 // against, registered like every other scorer so the CLIs, the server,
 // the snapshot and the leaderboard rank with them too. Each option bag
 // defaults to the parameterisation the experiment tables report. From
-// Options a baseline reads only Workers, Iter and Trace.
+// Options a baseline reads only Workers, Iter and Trace, and ewpr its
+// recency rate RhoRecency.
 
 func init() {
 	RegisterScorer(ScorerCiteCount, "raw citation count (in-degree)",
@@ -24,15 +25,17 @@ func init() {
 	RegisterScorer(ScorerAgeNorm, "citations per year of age (age floored at 1)",
 		newCountScorer(ScorerAgeNorm, ageNormCounts))
 	RegisterScorer(ScorerPageRank, "PageRank: damped citation walk with a uniform teleport",
-		newWalkScorer(ScorerPageRank, 0))
+		newWalkScorer(ScorerPageRank))
 	RegisterScorer(ScorerCiteRank, "CiteRank: damped citation walk restarting at recent articles (teleport ∝ exp(-rho·age))",
-		newWalkScorer(ScorerCiteRank, 0.38))
+		newWalkScorer(ScorerCiteRank))
 	RegisterScorer(ScorerTimedPR, "timed PageRank: PageRank faded by exp(-rho·age)",
-		newWalkScorer(ScorerTimedPR, 0.2))
+		newWalkScorer(ScorerTimedPR))
+	RegisterScorer(ScorerSCEAS, "SCEAS: citations weighted by chain depth (decay) plus a direct-citation bonus",
+		newWalkScorer(ScorerSCEAS))
+	RegisterScorer(ScorerEWPR, "EWPR-style ensemble (WSDM Cup 2016 winner) whose citer weights cancel: 2:1 mean of PageRank and CiteRank at the engine's recency rate",
+		newWalkScorer(ScorerEWPR))
 	RegisterScorer(ScorerHITS, "HITS authority: Kleinberg mutual reinforcement on the citation graph, no teleport",
 		newHITSScorer)
-	RegisterScorer(ScorerSCEAS, "SCEAS: citations weighted by chain depth (decay) plus a direct-citation bonus",
-		newSCEASScorer)
 	RegisterScorer(ScorerFutureRank, "FutureRank: citation walk + author reinforcement + recency restart",
 		newFutureRankScorer)
 	RegisterScorer(ScorerCoRank, "Co-Ranking: citation and co-authorship walks coupled through authorship",
@@ -51,6 +54,7 @@ const (
 	ScorerTimedPR    = "timedpr"
 	ScorerHITS       = "hits"
 	ScorerSCEAS      = "sceas"
+	ScorerEWPR       = "ewpr"
 	ScorerFutureRank = "futurerank"
 	ScorerCoRank     = "corank"
 	ScorerPRank      = "prank"
@@ -111,33 +115,48 @@ func ageNormCounts(net *hetnet.Network) ([]float64, error) {
 	return scores, nil
 }
 
-// walkScorer is the damped citation-walk family as one walk over the
-// Gauss–Seidel citation operator: PageRank (uniform teleport), CiteRank
-// (a researcher who starts reading at recent articles: teleport ∝
-// exp(-rho·age), so old prestige alone cannot dominate) and timed
-// PageRank (PageRank faded by exp(-rho·age) afterwards, so old
-// prestige fades unless refreshed).
+// walkScorer is every baseline that uses only the citation operator:
+// one damped walk over the Gauss–Seidel citation operator, read out.
+//
+//   - pagerank is the walk under a uniform teleport.
+//   - citerank restarts at recent articles (teleport ∝ exp(-rho·age)),
+//     a researcher who starts reading at the frontier, so old prestige
+//     alone cannot dominate.
+//   - timedpr fades PageRank by exp(-rho·age) afterwards, so old
+//     prestige fades unless refreshed.
+//   - sceas is PageRank at damping = decay, mapped onto SCEAS's scale
+//     (walkScorer.sceasScores).
+//   - ewpr is the fixed point of the WSDM Cup 2016 winner's ensemble
+//     (walkScorer.ewprScores).
 type walkScorer struct {
 	name    string
-	damping float64
-	rho     float64
+	damping float64 // the walk's damping: sceas's decay
+	rho     float64 // citerank's restart rate, timedpr's fade rate
+	bonus   float64 // sceas's direct-citation bonus
 }
 
-func newWalkScorer(name string, rho float64) ScorerFactory {
+func newWalkScorer(name string) ScorerFactory {
 	return func(o ScorerOptions) (Scorer, error) {
 		s := &walkScorer{name: name}
 		fields := []option{{"damping", &s.damping, 0.85}}
-		if name != ScorerPageRank {
-			fields = append(fields, option{"rho", &s.rho, rho})
+		switch name {
+		case ScorerCiteRank:
+			fields = append(fields, option{"rho", &s.rho, 0.38})
+		case ScorerTimedPR:
+			fields = append(fields, option{"rho", &s.rho, 0.2})
+		case ScorerSCEAS:
+			fields = []option{{"decay", &s.damping, 1 / math.E}, {"bonus", &s.bonus, 1}}
 		}
 		if err := o.read(name, fields...); err != nil {
 			return nil, err
 		}
-		if err := checkUnit(name, "damping", s.damping); err != nil {
+		if err := checkUnit(name, fields[0].key, s.damping); err != nil {
 			return nil, err
 		}
-		if s.rho < 0 {
-			return nil, fmt.Errorf("%w: %s rho %v, want >= 0", ErrBadOptions, name, s.rho)
+		for _, f := range fields[1:] {
+			if *f.dst < 0 {
+				return nil, fmt.Errorf("%w: %s %s %v, want >= 0", ErrBadOptions, name, f.key, *f.dst)
+			}
 		}
 		return s, nil
 	}
@@ -147,24 +166,93 @@ func (s *walkScorer) Name() string { return s.name }
 
 func (s *walkScorer) Score(ctx *SolveContext) ([]float64, error) {
 	t := ctx.CitationTransition()
-	var teleport []float64
+	teleport := uniformVector(t.N())
 	if s.name == ScorerCiteRank {
 		var err error
 		if teleport, err = recencyTeleport(ctx.View(), s.rho); err != nil {
 			return nil, err
 		}
-	} else {
-		teleport = uniformVector(t.N())
 	}
-	x, stats, err := ctx.walk("walk", t, s.damping, teleport)
+	unit := 1.0
+	if s.name == ScorerSCEAS {
+		// Stop where the iteration on S itself would: a change of the
+		// walk moves S by b·n/(1−d+d·dm) ≤ b·n/(1−d) times as much. A
+		// zero bonus scores 0 everywhere, so any sweep will do.
+		unit = s.bonus * float64(t.N()) / (1 - s.damping)
+	}
+	x, stats, err := ctx.walk("walk", t, s.damping, teleport, unit)
 	if err != nil {
 		return nil, err
 	}
-	scores := ctx.result(x, stats)
-	if s.name != ScorerTimedPR {
-		return scores, nil
+	switch s.name {
+	case ScorerTimedPR:
+		return fadeByAge(ctx.Network(), s.rho, ctx.result(x, stats))
+	case ScorerSCEAS:
+		return s.sceasScores(ctx, t, x, stats), nil
+	case ScorerEWPR:
+		return s.ewprScores(ctx, t, x, stats)
 	}
-	return fadeByAge(ctx.Network(), s.rho, scores)
+	return ctx.result(x, stats), nil
+}
+
+// sceasScores reads SCEAS (Sidiropoulos & Manolopoulos) out of the
+// PageRank walk x at damping d = decay:
+//
+//	S(p) = Σ_{q→p} (S(q) + b) · d / outdeg(q)
+//
+// The direct-citation bonus b makes each citation worth something even
+// from a zero-score citer, and d < 1 discounts long chains
+// geometrically. With S = b·(y − 1) the system is y = d·Mᵀy + 1, and
+// the walk's fixed point x = d·Mᵀx + (1−d+d·dm(x))/n is y scaled by
+// (1−d+d·dm(x))/n, so S = b·(n·x/(1−d+d·dm(x)) − 1). Scores stay
+// unnormalised: their scale is "citations weighted by chain depth".
+func (s *walkScorer) sceasScores(ctx *SolveContext, t *sparse.Transition, x []float64, stats sparse.IterStats) []float64 {
+	scale := float64(t.N()) / (1 - s.damping + s.damping*t.DanglingMass(x))
+	scores := ctx.result(x, stats)
+	in := ctx.Network().Citations.InDegrees()
+	for i, v := range scores {
+		if in[i] == 0 {
+			// S is 0 without citations; the read-out would leave a
+			// rounding error of either sign there.
+			scores[i] = 0
+			continue
+		}
+		scores[i] = s.bonus * (scale*v - 1)
+	}
+	return scores
+}
+
+// ewprScores reads an EWPR ensemble (after the WSDM Cup 2016 winner)
+// out of the PageRank walk pr. The ensemble averages the plain uniform
+// walk with two walks whose citations are weighted by the citing
+// article's venue and author quality, one under the uniform and one
+// under the recency teleport. A weight that depends only on the citing
+// article cancels under row normalisation, so each weighted member is
+// the plain walk under its teleport, and the fixed point is the 2:1
+// mean of PageRank and CiteRank at rho = Options.RhoRecency. Luo et
+// al.'s per-edge weighting would be a different method.
+func (s *walkScorer) ewprScores(ctx *SolveContext, t *sparse.Transition, pr []float64, prStats sparse.IterStats) ([]float64, error) {
+	teleport, err := recencyTeleport(ctx.View(), ctx.Options().RhoRecency)
+	if err != nil {
+		return nil, fmt.Errorf("core: ewpr: %w", err)
+	}
+	cr, crStats, err := ctx.walk("recency", t, s.damping, teleport, 1)
+	if err != nil {
+		return nil, err
+	}
+	fused := make([]float64, len(pr))
+	for i := range fused {
+		fused[i] = (2*pr[i] + cr[i]) / 3
+	}
+	stats := sparse.IterStats{
+		Iterations:      prStats.Iterations + crStats.Iterations,
+		Residual:        math.Max(prStats.Residual, crStats.Residual),
+		Converged:       prStats.Converged && crStats.Converged,
+		Elapsed:         prStats.Elapsed + crStats.Elapsed,
+		Extrapolations:  prStats.Extrapolations + crStats.Extrapolations,
+		IterationsSaved: prStats.IterationsSaved + crStats.IterationsSaved,
+	}
+	return ctx.result(fused, stats), nil
 }
 
 // hitsScorer is Kleinberg's mutual reinforcement on the citation
@@ -213,56 +301,6 @@ func sumNeighbors(g *graph.Graph, dst, x []float64) {
 		}
 		dst[u] = s
 	}
-}
-
-// sceasScorer is SCEAS (Sidiropoulos & Manolopoulos):
-//
-//	S(p) = Σ_{q→p} (S(q) + b) · d / outdeg(q)
-//
-// The direct-citation bonus b makes each citation worth something even
-// from a zero-score citer, and the decay d < 1 discounts long chains
-// geometrically, so the map is a contraction. Scores stay unnormalised:
-// their scale is "citations weighted by chain depth".
-type sceasScorer struct {
-	decay, bonus float64
-}
-
-func newSCEASScorer(o ScorerOptions) (Scorer, error) {
-	s := &sceasScorer{}
-	if err := o.read(ScorerSCEAS, option{"decay", &s.decay, 1 / math.E}, option{"bonus", &s.bonus, 1}); err != nil {
-		return nil, err
-	}
-	if err := checkUnit(ScorerSCEAS, "decay", s.decay); err != nil {
-		return nil, err
-	}
-	if s.bonus < 0 {
-		return nil, fmt.Errorf("%w: sceas bonus %v, want >= 0", ErrBadOptions, s.bonus)
-	}
-	return s, nil
-}
-
-func (s *sceasScorer) Name() string { return ScorerSCEAS }
-
-func (s *sceasScorer) Score(ctx *SolveContext) ([]float64, error) {
-	t := ctx.CitationTransition()
-	n := t.N()
-	// bonusIn[p] = Σ_{q→p} b·d/outdeg(q) is constant across iterations.
-	bonusIn := make([]float64, n)
-	ones := make([]float64, n)
-	sparse.Fill(ones, 1)
-	t.MulVec(bonusIn, ones)
-	sparse.Scale(bonusIn, s.bonus*s.decay)
-	step := func(dst, src []float64) {
-		t.MulVec(dst, src)
-		for i := range dst {
-			dst[i] = dst[i]*s.decay + bonusIn[i]
-		}
-	}
-	x, stats, err := ctx.iterate(make([]float64, n), step)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.result(x, stats), nil
 }
 
 // futureRankScorer is FutureRank (Sayyadi & Getoor): one fixed point
@@ -360,7 +398,7 @@ func (s *coRankScorer) Score(ctx *SolveContext) ([]float64, error) {
 	citeT := ctx.CitationTransition()
 	if nA == 0 {
 		// No author class: Co-Ranking reduces to PageRank.
-		x, stats, err := ctx.walk("walk", citeT, s.damping, uniformVector(nP))
+		x, stats, err := ctx.walk("walk", citeT, s.damping, uniformVector(nP), 1)
 		if err != nil {
 			return nil, err
 		}

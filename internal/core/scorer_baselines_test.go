@@ -66,7 +66,7 @@ func TestBaselineOptionValidation(t *testing.T) {
 		{ScorerFutureRank, ScorerOptions{"alpha": 0.6, "beta": 0.3, "gamma": 0.2}},
 		{ScorerCoRank, ScorerOptions{"coupling": 0}},
 		{ScorerPRank, ScorerOptions{"paper": 0.5}},
-		{ScorerVWPageRank, ScorerOptions{"venue_gamma": 1}},
+		{ScorerEWPR, ScorerOptions{"venue_gamma": 1}},
 	} {
 		if _, err := NewScorer(c.scorer, c.opts); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("NewScorer(%q, %v) err = %v, want ErrBadOptions", c.scorer, c.opts, err)
@@ -99,6 +99,74 @@ func TestBaselineOptionBags(t *testing.T) {
 	}
 }
 
+// TestSCEASUncitedScoreZero pins the SCEAS read-out at articles
+// nobody cites: their score is exactly 0, where the affine map of the
+// walk would leave a rounding error of either sign. Perturbed years
+// give the walk back edges, so it stops short of the exact fixed point.
+func TestSCEASUncitedScoreZero(t *testing.T) {
+	store, _ := genNetwork(t, 600)
+	noisy, err := gen.PerturbYears(store, 0.2, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := hetnet.Build(noisy)
+	sc, err := RankScorer(net, ScorerSCEAS, nil, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := net.Citations.InDegrees()
+	for i, v := range sc.Importance {
+		if v < 0 || (v == 0) != (in[i] == 0) {
+			t.Fatalf("article %d with %d citations scored %v", i, in[i], v)
+		}
+	}
+}
+
+// TestScorerOptionsAreLive checks that every option the README's
+// scorer table documents reaches the solve: moving one key from its
+// default must move the scorer's importance. prank's layer weights
+// must sum to 1, so each of those bags moves a second weight too.
+func TestScorerOptionsAreLive(t *testing.T) {
+	_, net := genNetwork(t, 300)
+	eng := NewEngine(net)
+	opts := scorerTestOptions()
+	for _, c := range []struct {
+		scorer, key string
+		bag         ScorerOptions
+	}{
+		{ScorerPageRank, "damping", ScorerOptions{"damping": 0.7}},
+		{ScorerSCEAS, "decay", ScorerOptions{"decay": 0.6}},
+		{ScorerSCEAS, "bonus", ScorerOptions{"bonus": 2}},
+		{ScorerTimedPR, "damping", ScorerOptions{"damping": 0.7}},
+		{ScorerTimedPR, "rho", ScorerOptions{"rho": 0.4}},
+		{ScorerCiteRank, "damping", ScorerOptions{"damping": 0.7}},
+		{ScorerCiteRank, "rho", ScorerOptions{"rho": 0.2}},
+		{ScorerFutureRank, "alpha", ScorerOptions{"alpha": 0.4}},
+		{ScorerFutureRank, "beta", ScorerOptions{"beta": 0.1}},
+		{ScorerFutureRank, "gamma", ScorerOptions{"gamma": 0.1}},
+		{ScorerFutureRank, "rho", ScorerOptions{"rho": 0.6}},
+		{ScorerCoRank, "coupling", ScorerOptions{"coupling": 0.4}},
+		{ScorerCoRank, "damping", ScorerOptions{"damping": 0.7}},
+		{ScorerPRank, "paper", ScorerOptions{"paper": 0.8, "venue": 0}},
+		{ScorerPRank, "author", ScorerOptions{"author": 0.4, "venue": 0}},
+		{ScorerPRank, "venue", ScorerOptions{"venue": 0.4, "author": 0}},
+		{ScorerPRank, "damping", ScorerOptions{"damping": 0.7}},
+		{ScorerEWPR, "damping", ScorerOptions{"damping": 0.7}},
+	} {
+		def, err := eng.RankScorer(c.scorer, nil, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.scorer, err)
+		}
+		moved, err := eng.RankScorer(c.scorer, c.bag, opts)
+		if err != nil {
+			t.Fatalf("%s %v: %v", c.scorer, c.bag, err)
+		}
+		if d := sparse.MaxDiff(moved.Importance, def.Importance); !(d > 1e-9) {
+			t.Errorf("%s %s: %v moves importance by %v", c.scorer, c.key, c.bag, d)
+		}
+	}
+}
+
 // BenchmarkBaselineScorers20k ranks a 20k-article corpus cold with each
 // iterative baseline through the one-shot RankScorer path.
 func BenchmarkBaselineScorers20k(b *testing.B) {
@@ -112,7 +180,7 @@ func BenchmarkBaselineScorers20k(b *testing.B) {
 	opts := DefaultOptions()
 	opts.Iter = sparse.IterOptions{Tol: 1e-9, MaxIter: 200}
 	for _, name := range []string{ScorerPageRank, ScorerCiteRank, ScorerHITS, ScorerSCEAS,
-		ScorerFutureRank, ScorerVWPageRank, ScorerCoRank, ScorerPRank} {
+		ScorerFutureRank, ScorerEWPR, ScorerCoRank, ScorerPRank} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

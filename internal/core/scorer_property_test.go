@@ -76,22 +76,22 @@ func TestScorerWarmCacheMatchesCold(t *testing.T) {
 func TestScorerWarmCachesAreNamespaced(t *testing.T) {
 	_, net, _ := genPermutedNetwork(t, 300, 1)
 	solo := NewEngine(net)
-	want, err := solo.RankScorer(ScorerALEF, nil, scorerTestOptions())
+	want, err := solo.RankScorer(ScorerPageRank, nil, scorerTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	shared := NewEngine(net)
-	for _, name := range []string{DefaultScorer, ScorerPrestige, ScorerEWPR} {
+	for _, name := range []string{DefaultScorer, ScorerPrestige, ScorerEWPR, ScorerSCEAS} {
 		if _, err := shared.RankScorer(name, nil, scorerTestOptions()); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	got, err := shared.RankScorer(ScorerALEF, nil, scorerTestOptions())
+	got, err := shared.RankScorer(ScorerPageRank, nil, scorerTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := sparse.MaxDiff(got.Importance, want.Importance); d > 1e-12 {
-		t.Errorf("alef on a shared engine deviates from a fresh engine by %v", d)
+		t.Errorf("pagerank on a shared engine deviates from a fresh engine by %v", d)
 	}
 }

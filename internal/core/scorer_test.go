@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"testing"
 
+	"scholarrank/internal/eval"
 	"scholarrank/internal/sparse"
 )
 
@@ -14,11 +16,11 @@ func TestScorerNames(t *testing.T) {
 	}
 	want := map[string]bool{
 		DefaultScorer: true, ScorerPrestige: true, ScorerPopularity: true,
-		ScorerHetero: true, ScorerEWPR: true, ScorerALEF: true,
+		ScorerHetero: true, ScorerEWPR: true,
 		ScorerCiteCount: true, ScorerYearNorm: true, ScorerAgeNorm: true,
 		ScorerPageRank: true, ScorerHITS: true, ScorerSCEAS: true,
 		ScorerTimedPR: true, ScorerCiteRank: true, ScorerFutureRank: true,
-		ScorerVWPageRank: true, ScorerCoRank: true, ScorerPRank: true,
+		ScorerCoRank: true, ScorerPRank: true,
 	}
 	if len(names) != len(want) {
 		t.Errorf("ScorerNames() lists %d scorers, want %d", len(names), len(want))
@@ -48,16 +50,14 @@ func TestScorerOptionValidation(t *testing.T) {
 		{DefaultScorer, ScorerOptions{"bogus": 1}},
 		{ScorerEWPR, ScorerOptions{"bogus": 1}},
 		{ScorerEWPR, ScorerOptions{"damping": 1.5}},
-		{ScorerEWPR, ScorerOptions{"venue_gamma": -1}},
-		{ScorerALEF, ScorerOptions{"damping": 0}},
-		{ScorerALEF, ScorerOptions{"venue_gamma": 0.5}}, // ewpr-only key
+		{ScorerEWPR, ScorerOptions{"rho": 0.3}}, // the recency walk's rate is Options.RhoRecency
 	}
 	for _, c := range cases {
 		if _, err := NewScorer(c.scorer, c.opts); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("NewScorer(%q, %v) err = %v, want ErrBadOptions", c.scorer, c.opts, err)
 		}
 	}
-	if _, err := NewScorer(ScorerEWPR, ScorerOptions{"damping": 0.9, "venue_gamma": 1, "author_gamma": 0}); err != nil {
+	if _, err := NewScorer(ScorerEWPR, ScorerOptions{"damping": 0.9}); err != nil {
 		t.Errorf("valid ewpr bag rejected: %v", err)
 	}
 }
@@ -110,7 +110,7 @@ func TestRankScorerComponents(t *testing.T) {
 		{ScorerPopularity, nil, false, true, false},
 		{ScorerHetero, nil, false, false, true},
 		{ScorerEWPR, ScorerOptions{"damping": 0.8}, false, false, false},
-		{ScorerALEF, nil, false, false, false},
+		{ScorerSCEAS, ScorerOptions{"decay": 0.5}, false, false, false},
 	}
 	for _, c := range cases {
 		sc, err := eng.RankScorer(c.scorer, c.bag, opts)
@@ -128,7 +128,7 @@ func TestRankScorerComponents(t *testing.T) {
 				c.scorer, sc.Prestige != nil, sc.Popularity != nil, sc.Hetero != nil,
 				c.prestige, c.popularity, c.hetero)
 		}
-		if c.bag != nil && sc.ScorerOpts["damping"] != c.bag["damping"] {
+		if !maps.Equal(sc.ScorerOpts, c.bag) {
 			t.Errorf("%s: ScorerOpts = %v, want %v", c.scorer, sc.ScorerOpts, c.bag)
 		}
 		var total float64
@@ -145,25 +145,39 @@ func TestRankScorerComponents(t *testing.T) {
 	}
 }
 
-// TestScorersProduceDistinctRankings is a sanity check that the new
-// baselines are not accidental aliases of the default pipeline.
+// TestScorersProduceDistinctRankings guards the registry against
+// aliases: every pair of registered scorers must rank one generated
+// corpus differently, Kendall τ < 0.999. A scorer that is a monotone
+// transform of another (a weight that cancels under row
+// normalisation, an affine read-out of the same walk) fails here.
+// distinctExceptions lists the pairs allowed through, in ScorerNames
+// order, each with the reason.
 func TestScorersProduceDistinctRankings(t *testing.T) {
-	_, net := genNetwork(t, 300)
+	distinctExceptions := map[[2]string]string{}
+	_, net := genNetwork(t, 4000)
 	eng := NewEngine(net)
 	opts := DefaultOptions()
 	opts.Workers = 1
 	opts.Iter = sparse.IterOptions{Tol: 1e-10, MaxIter: 500}
-	def, err := eng.RankScorer(DefaultScorer, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{ScorerEWPR, ScorerALEF} {
+	names := ScorerNames()
+	scores := make([][]float64, len(names))
+	for i, name := range names {
 		sc, err := eng.RankScorer(name, nil, opts)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if sparse.MaxDiff(sc.Importance, def.Importance) < 1e-9 {
-			t.Errorf("%s: importance is numerically identical to the default pipeline", name)
+		scores[i] = sc.Importance
+	}
+	for i := range names {
+		for j := i + 1; j < len(names); j++ {
+			pair := [2]string{names[i], names[j]}
+			tau, err := eval.KendallTau(scores[i], scores[j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := distinctExceptions[pair]; !ok && !(tau < 0.999) {
+				t.Errorf("%s and %s rank alike: Kendall τ %.6f", pair[0], pair[1], tau)
+			}
 		}
 	}
 }

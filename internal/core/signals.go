@@ -127,29 +127,6 @@ func gapWeightFunc(yearOf []float64, rho float64) (func(u, v int32) float64, err
 	}, nil
 }
 
-// gapWeightedGraph rebuilds the citation graph with edge weights
-// exp(-rho·gap). The Engine derives gap-weighted transitions with
-// Transition.Reweighted instead; this full rebuild is kept as the
-// reference implementation the equivalence tests check against.
-func gapWeightedGraph(net *hetnet.Network, rho float64) (*graph.Graph, error) {
-	weight, err := gapWeightFunc(net.Years, rho)
-	if err != nil {
-		return nil, err
-	}
-	src := net.Citations
-	b := graph.NewBuilder(src.NumNodes(), true)
-	var addErr error
-	src.VisitEdges(func(u, v graph.NodeID, _ float64) {
-		if err := b.AddWeightedEdge(u, v, weight(int32(u), int32(v))); err != nil && addErr == nil {
-			addErr = err
-		}
-	})
-	if addErr != nil {
-		return nil, addErr
-	}
-	return b.Build(), nil
-}
-
 // computePopularity scores each article by the decayed citation
 // intensity Σ_{i→j} exp(-rho·(now - t_i)): how much *current*
 // attention flows into it. With rho = 0 it degrades to the raw

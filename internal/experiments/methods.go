@@ -41,11 +41,9 @@ var methods = []method{
 	{"TimedPR", core.ScorerTimedPR},
 	{"CiteRank", core.ScorerCiteRank},
 	{"FutureRank", core.ScorerFutureRank},
-	{"VW-PageRank", core.ScorerVWPageRank},
 	{"CoRank", core.ScorerCoRank},
 	{"P-Rank", core.ScorerPRank},
 	{"EWPR", core.ScorerEWPR},
-	{"ALEF", core.ScorerALEF},
 	{QISAMethodName, core.DefaultScorer},
 }
 

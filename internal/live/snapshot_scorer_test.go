@@ -14,16 +14,16 @@ import (
 // whose missing component vectors are stored as zeros.
 func TestSnapshotScorerRoundTrip(t *testing.T) {
 	store, _ := rankedFixture(t)
-	bag := core.ScorerOptions{"damping": 0.9, "venue_gamma": 0.25}
-	sc, err := core.RankScorer(hetnet.Build(store), core.ScorerEWPR, bag, core.DefaultOptions())
+	bag := core.ScorerOptions{"damping": 0.9, "rho": 0.25}
+	sc, err := core.RankScorer(hetnet.Build(store), core.ScorerCiteRank, bag, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.Hetero != nil {
-		t.Fatal("fixture assumption: ewpr should not produce a hetero component")
+		t.Fatal("fixture assumption: citerank should not produce a hetero component")
 	}
 	sn := Capture(store, sc, 5, 1700000000)
-	if sn.Scorer != core.ScorerEWPR {
+	if sn.Scorer != core.ScorerCiteRank {
 		t.Fatalf("Capture scorer = %q", sn.Scorer)
 	}
 
@@ -35,10 +35,10 @@ func TestSnapshotScorerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Scorer != core.ScorerEWPR {
-		t.Errorf("scorer round trip: %q, want %q", got.Scorer, core.ScorerEWPR)
+	if got.Scorer != core.ScorerCiteRank {
+		t.Errorf("scorer round trip: %q, want %q", got.Scorer, core.ScorerCiteRank)
 	}
-	if len(got.ScorerOpts) != 2 || got.ScorerOpts["damping"] != 0.9 || got.ScorerOpts["venue_gamma"] != 0.25 {
+	if len(got.ScorerOpts) != 2 || got.ScorerOpts["damping"] != 0.9 || got.ScorerOpts["rho"] != 0.25 {
 		t.Errorf("scorer opts round trip: %v, want %v", got.ScorerOpts, bag)
 	}
 	if d := sparse.MaxDiff(got.Importance, sn.Importance); d != 0 {
@@ -51,7 +51,7 @@ func TestSnapshotScorerRoundTrip(t *testing.T) {
 		}
 	}
 	scores := got.Scores()
-	if scores.Scorer != core.ScorerEWPR || scores.ScorerOpts["damping"] != 0.9 {
+	if scores.Scorer != core.ScorerCiteRank || scores.ScorerOpts["damping"] != 0.9 {
 		t.Errorf("Scores() view lost scorer metadata: %q %v", scores.Scorer, scores.ScorerOpts)
 	}
 }

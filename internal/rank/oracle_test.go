@@ -741,63 +741,3 @@ func CoRank(net *hetnet.Network, opts CoRankOptions) (CoRankResult, error) {
 	}
 	return CoRankResult{Articles: p, Authors: a, Stats: st}, nil
 }
-
-// VenueWeightedPageRank implements the W-Rank-style weighted citation
-// analysis: a citation is worth more when it comes from an article in
-// a prestigious venue. Venue prestige is estimated endogenously as
-// the venue's mean citations per article (add-one smoothed), scaled
-// so the global mean venue has weight 1; venueless citers carry
-// weight 1. The weighted graph then feeds ordinary PageRank.
-func VenueWeightedPageRank(net *hetnet.Network, opts PageRankOptions) (Result, error) {
-	prestige, err := venueCitationPrestige(net)
-	if err != nil {
-		return Result{}, err
-	}
-	src := net.Citations
-	b := graph.NewBuilder(src.NumNodes(), true)
-	var addErr error
-	src.VisitEdges(func(u, v graph.NodeID, _ float64) {
-		w := 1.0
-		if ven := net.ArticleVenue(u); ven >= 0 {
-			w = prestige[ven]
-		}
-		if err := b.AddWeightedEdge(u, v, w); err != nil && addErr == nil {
-			addErr = err
-		}
-	})
-	if addErr != nil {
-		return Result{}, addErr
-	}
-	return WeightedPageRank(b.Build(), opts)
-}
-
-// venueCitationPrestige computes each venue's mean citations per
-// article, normalised so the across-venue mean is 1.
-func venueCitationPrestige(net *hetnet.Network) ([]float64, error) {
-	nV := net.NumVenues()
-	prestige := make([]float64, nV)
-	if nV == 0 {
-		return prestige, nil
-	}
-	in := net.Citations.InDegrees()
-	var total float64
-	var active int
-	for v := 0; v < nV; v++ {
-		arts := net.VenueArticles(int32(v))
-		var cites float64
-		for _, p := range arts {
-			cites += float64(in[p])
-		}
-		prestige[v] = (cites + 1) / float64(len(arts)+1) // add-one smoothing
-		total += prestige[v]
-		active++
-	}
-	if active == 0 || total == 0 {
-		return nil, fmt.Errorf("%w: degenerate venue prestige", ErrBadParam)
-	}
-	mean := total / float64(active)
-	for v := range prestige {
-		prestige[v] /= mean
-	}
-	return prestige, nil
-}

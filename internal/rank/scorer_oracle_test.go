@@ -46,7 +46,7 @@ func oracleCorpora(t *testing.T) map[string]*hetnet.Network {
 // TestBaselineScorersMatchOracles checks every baseline scorer in
 // internal/core against the implementation it replaced (oracle_test.go):
 // closed-form counts bit for bit, iterative scorers to 1e-9 at a tight
-// tolerance, and the three citation walks, which now sweep
+// tolerance, and the four citation walks, which now sweep
 // Gauss–Seidel, in no more sweeps than the oracle's Jacobi iteration.
 func TestBaselineScorersMatchOracles(t *testing.T) {
 	iter := sparse.IterOptions{Tol: 1e-13, MaxIter: 5000}
@@ -82,14 +82,11 @@ func TestBaselineScorersMatchOracles(t *testing.T) {
 		{core.ScorerHITS, false, false, func(net *hetnet.Network) (rank.Result, error) {
 			return rank.HITSAuthority(net.Citations, iter)
 		}},
-		{core.ScorerSCEAS, false, false, func(net *hetnet.Network) (rank.Result, error) {
+		{core.ScorerSCEAS, false, true, func(net *hetnet.Network) (rank.Result, error) {
 			return rank.SceasRank(net.Citations, rank.SceasRankOptions{Iter: iter})
 		}},
 		{core.ScorerFutureRank, false, false, func(net *hetnet.Network) (rank.Result, error) {
 			return rank.FutureRank(net, futureRank)
-		}},
-		{core.ScorerVWPageRank, false, false, func(net *hetnet.Network) (rank.Result, error) {
-			return rank.VenueWeightedPageRank(net, pr)
 		}},
 		{core.ScorerCoRank, false, false, func(net *hetnet.Network) (rank.Result, error) {
 			r, err := rank.CoRank(net, rank.CoRankOptions{Iter: iter})

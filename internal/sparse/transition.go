@@ -117,7 +117,9 @@ func NewTransition(g *graph.Graph, pool *Pool) *Transition {
 //
 // weight must return a positive, finite value: edges dropped by the
 // original construction stay dropped, and a node's dangling status
-// cannot change under reweighting.
+// cannot change under reweighting. Each row is normalised over u's
+// out-edges, so a weight that depends only on u cancels: the result
+// is the receiver's operator again, up to rounding.
 func (t *Transition) Reweighted(weight func(u, v int32) float64) *Transition {
 	nt := &Transition{
 		n:            t.n,

@@ -205,8 +205,8 @@ func NewEngine(net *Network) *Engine { return core.NewEngine(net) }
 // Scorers: every registered ranking algorithm — QISA-Rank ("default"),
 // its single signals ("prestige", "popularity", "hetero") and the
 // compared baselines ("citecount", "yearnorm", "agenorm", "pagerank",
-// "hits", "sceas", "timedpr", "citerank", "futurerank", "vw-pagerank",
-// "corank", "prank", "ewpr", "alef") — ranks through one call.
+// "hits", "sceas", "timedpr", "citerank", "futurerank", "corank",
+// "prank", "ewpr") — ranks through one call.
 
 // ScorerOptions is a scorer's option bag of named numeric knobs (for
 // example {"damping": 0.9}); nil selects every default.

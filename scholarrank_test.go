@@ -87,7 +87,7 @@ func TestPublicBaselines(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("pagerank sum = %v", sum)
 	}
-	for _, name := range []string{"yearnorm", "agenorm", "hits", "sceas", "timedpr", "futurerank", "vw-pagerank", "prank"} {
+	for _, name := range []string{"yearnorm", "agenorm", "hits", "sceas", "timedpr", "futurerank", "ewpr", "prank"} {
 		rankWith(name, nil)
 	}
 	rankWith("citerank", scholarrank.ScorerOptions{"rho": 0.3})
