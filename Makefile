@@ -17,8 +17,9 @@ vet:
 ## pool handles come only from the engine's solve and the
 ## related-article index (scorers honour Options.Workers through
 ## SolveContext.Pool), only hetnet builds the Gauss–Seidel
-## citation operator, and only the engine reweights it (a weight set
-## by the citing article alone cancels). Also runs gofmt
+## citation operator, and only the engine takes gap views of it
+## (GapWeighted: rows are normalised per citing article, so a weight
+## set by the citing article alone cancels). Also runs gofmt
 ## and a short fuzz pass over the decoders, so the parsers get
 ## adversarial input on every check, not only when someone remembers
 ## to fuzz.

@@ -11,6 +11,7 @@ import (
 	"scholarrank/internal/hetnet"
 	"scholarrank/internal/rank"
 	"scholarrank/internal/sparse"
+	"scholarrank/internal/temporal"
 )
 
 func almostEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -185,19 +186,20 @@ func TestPrestigeNoDecayEqualsPlainPageRank(t *testing.T) {
 	}
 }
 
-// gapWeightedGraph rebuilds the citation graph with the edge weights
-// exp(-rho·gap) that the engine's gap-weighted transitions apply
-// through Transition.Reweighted.
-func gapWeightedGraph(net *hetnet.Network, rho float64) (*graph.Graph, error) {
-	weight, err := gapWeightFunc(net.Years, rho)
+// gapWeightedGraph rebuilds a citation graph with the edge weights
+// exp(-rho·max(0, gap)) that the engine's gap operators (gapOperator)
+// apply, gap being the citing article's year minus the cited one's:
+// the weighted-graph oracle of those operators.
+func gapWeightedGraph(cites *graph.Graph, years []float64, rho float64) (*graph.Graph, error) {
+	kernel, err := temporal.NewExponential(rho)
 	if err != nil {
 		return nil, err
 	}
-	src := net.Citations
-	b := graph.NewBuilder(src.NumNodes(), true)
+	b := graph.NewBuilder(cites.NumNodes(), true)
 	var addErr error
-	src.VisitEdges(func(u, v graph.NodeID, _ float64) {
-		if err := b.AddWeightedEdge(u, v, weight(int32(u), int32(v))); err != nil && addErr == nil {
+	cites.VisitEdges(func(u, v graph.NodeID, _ float64) {
+		w := kernel.Weight(math.Max(0, years[u]-years[v]))
+		if err := b.AddWeightedEdge(u, v, w); err != nil && addErr == nil {
 			addErr = err
 		}
 	})
@@ -209,7 +211,7 @@ func gapWeightedGraph(net *hetnet.Network, rho float64) (*graph.Graph, error) {
 
 func TestGapWeightedGraph(t *testing.T) {
 	net := fixture(t)
-	g, err := gapWeightedGraph(net, 0.2)
+	g, err := gapWeightedGraph(net.Citations, net.Years, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +226,7 @@ func TestGapWeightedGraph(t *testing.T) {
 		t.Errorf("wOld = %v", wOld)
 	}
 	// rho = 0 reproduces unit weights.
-	g0, err := gapWeightedGraph(net, 0)
+	g0, err := gapWeightedGraph(net.Citations, net.Years, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"scholarrank/internal/hetnet"
 	"scholarrank/internal/shard"
 	"scholarrank/internal/sparse"
+	"scholarrank/internal/temporal"
 )
 
 // Engine ranks a fixed network repeatedly under varying options,
@@ -15,10 +16,11 @@ import (
 // stage).
 // The citation transition operator (the popularity and hetero stages)
 // is the network's own (hetnet.SolverView.CitationTransition), which
-// sweeps Gauss–Seidel; the gap-weighted transitions are derived from
-// it with Reweighted, so only the per-edge norm is recomputed — the
-// CSR structure, dangling set, chunk plan and sweep are shared.
-// Parameter sweeps — figures F1 and F2, the ablation table,
+// sweeps Gauss–Seidel; each gap-weighted transition is a view of it
+// (gapOperator) that adds an inverse out-weight per article and a
+// table with one weight per year gap — O(articles) per RhoGap, nothing
+// per edge. The CSR structure, dangling set, chunk plan and sweep are
+// shared. Parameter sweeps — figures F1 and F2, the ablation table,
 // interactive tuning — skip the O(m log m) rebuild that a fresh Rank
 // call pays.
 //
@@ -126,14 +128,33 @@ func (e *Engine) gapTransition(rho float64, pool *sparse.Pool) (*sparse.Transiti
 	}
 	t, ok := e.gapTrans[rho]
 	if !ok {
-		weight, err := gapWeightFunc(e.view().Years, rho)
-		if err != nil {
+		var err error
+		if t, err = gapOperator(e.view().CitationTransition(), e.view().YearColumn, rho); err != nil {
 			return nil, err
 		}
-		t = e.view().CitationTransition().Reweighted(weight)
 		e.gapTrans[rho] = t
 	}
 	return t.WithPool(pool), nil
+}
+
+// gapOperator returns the gap view of the citation operator base: the
+// edge from a citing article u to a cited article v weighs
+// exp(-rho·gap), gap = year[u] − year[v], and a citation of a younger
+// article (an "in press" reference) weighs as gap zero. year is the
+// solver-ordered integer year column of base's rows. The weight is
+// taken once per year gap into the view's table
+// (sparse.Transition.GapWeighted). rho = 0 reproduces the citation
+// operator up to rounding.
+func gapOperator(base *sparse.Transition, year []int32, rho float64) (*sparse.Transition, error) {
+	kernel, err := temporal.NewExponential(rho)
+	if err != nil {
+		return nil, fmt.Errorf("core: gap kernel: %w", err)
+	}
+	t, err := base.GapWeighted(year, func(gap int) float64 { return kernel.Weight(float64(gap)) })
+	if err != nil {
+		return nil, fmt.Errorf("core: gap operator: %w", err)
+	}
+	return t, nil
 }
 
 // stampSweep records on the result of a scorer that ran an iterative

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scholarrank/internal/corpus"
+	"scholarrank/internal/gen"
 	"scholarrank/internal/hetnet"
 	"scholarrank/internal/sparse"
 )
@@ -173,5 +174,35 @@ func TestEngineWorkersRaceAndLeak(t *testing.T) {
 	}
 	if n, limit := runtime.NumGoroutine(), before+runtime.GOMAXPROCS(0)-1; n > limit {
 		t.Errorf("%d goroutines after four solves, limit %d (%d before + GOMAXPROCS-1 shared helpers)", n, limit, before)
+	}
+}
+
+// TestCitationOperatorsHoldNoEdgeFloats pins what the solve's citation
+// operators cost: on a 50k-article generated corpus, building the
+// network's citation operator plus one gap operator allocates at most
+// 5 bytes per citation and 64 per article — the 4-byte source of each
+// in-edge and O(articles) beside it. A per-edge float stream (8 bytes
+// per edge for either operator) breaks the bound.
+func TestCitationOperatorsHoldNoEdgeFloats(t *testing.T) {
+	c, err := gen.Generate(gen.NewDefaultConfig(50_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := hetnet.Build(c.Store)
+	view := net.SolverView()
+	eng := NewEngine(net)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	view.CitationTransition()
+	if _, err := eng.gapTransition(0.1, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	articles, edges := uint64(net.NumArticles()), uint64(view.Citations.NumEdges())
+	got, limit := after.TotalAlloc-before.TotalAlloc, 5*edges+64*articles
+	t.Logf("%d articles, %d citations: %d bytes allocated, budget %d", articles, edges, got, limit)
+	if got > limit {
+		t.Errorf("citation + gap operator over %d articles and %d citations allocated %d bytes, want <= %d (5 B/edge + 64 B/article)",
+			articles, edges, got, limit)
 	}
 }

@@ -43,11 +43,11 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 	citTrans := sparse.NewTransition(e.view().Citations, pool)
 	gapTrans := citTrans
 	if opts.RhoGap != 0 {
-		weight, err := gapWeightFunc(e.view().Years, opts.RhoGap)
+		g, err := gapWeightedGraph(e.view().Citations, e.view().Years, opts.RhoGap)
 		if err != nil {
 			return nil, err
 		}
-		gapTrans = citTrans.Reweighted(weight)
+		gapTrans = sparse.NewTransition(g, pool)
 	}
 	initPrestige, err := warmVector(opts.InitialScores.prestige(), l.warmPrestige[opts.RhoGap], e.net.NumArticles(), perm)
 	if err != nil {

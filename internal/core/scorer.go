@@ -220,8 +220,9 @@ func (ctx *SolveContext) CitationTransition() *sparse.Transition {
 	return ctx.eng.citationTransition(ctx.pool)
 }
 
-// GapTransition returns the citation transition reweighted by
-// exp(-rho·gap), cached per distinct rho (solver space).
+// GapTransition returns the gap view of the citation transition, its
+// edges weighted by exp(-rho·gap), cached per distinct rho (solver
+// space).
 func (ctx *SolveContext) GapTransition(rho float64) (*sparse.Transition, error) {
 	return ctx.eng.gapTransition(rho, ctx.pool)
 }

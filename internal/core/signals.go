@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 
 	"scholarrank/internal/graph"
 	"scholarrank/internal/hetnet"
@@ -21,8 +19,8 @@ import (
 // are likewise solver-ordered: the caller unmaps them. The returned
 // scores are the raw walk result, before prestige fading. Aitken Δ²
 // extrapolation runs at the cadence opts.AitkenEvery (resolved by
-// effective()). gapTrans is a reweighting of the network's citation
-// operator, so the walk sweeps Gauss–Seidel.
+// effective()). gapTrans is a gap view of the network's citation
+// operator (Engine.gapTransition), so the walk sweeps Gauss–Seidel.
 func computePrestige(view *hetnet.SolverView, opts Options, gapTrans *sparse.Transition, init []float64) ([]float64, sparse.IterStats, error) {
 	teleport, err := recencyTeleport(view, opts.RhoRecency)
 	if err != nil {
@@ -73,58 +71,6 @@ func fadeByAge(net *hetnet.Network, rho float64, scores []float64) ([]float64, e
 		out[i] = v * fade.Weight(temporal.Age(net.Now, net.Years[i]))
 	}
 	return out, nil
-}
-
-// gapWeightFunc returns the edge-weight function exp(-rho·gap) where
-// gap is the year difference between citing and cited article.
-// Publication years come from a small set, so the weights are
-// precomputed into a dense year-pair table indexed by per-article
-// year indices — per edge the function is two array reads and a table
-// lookup, no exp and no map probe. Corpora with pathologically many
-// distinct years fall back to a map memoised per distinct gap.
-// rho = 0 reproduces uniform weights. The yearOf slice fixes the node
-// order the returned function is indexed by, so callers weighting a
-// solver-space transition pass the solver-ordered years.
-func gapWeightFunc(yearOf []float64, rho float64) (func(u, v int32) float64, error) {
-	kernel, err := temporal.NewExponential(rho)
-	if err != nil {
-		return nil, fmt.Errorf("core: gap kernel: %w", err)
-	}
-	years := append([]float64(nil), yearOf...)
-	slices.Sort(years)
-	years = slices.Compact(years)
-	if ny := len(years); ny*ny <= 1<<16 {
-		yearIdx := make([]int32, len(yearOf))
-		for i, y := range yearOf {
-			yearIdx[i] = int32(sort.SearchFloat64s(years, y))
-		}
-		table := make([]float64, ny*ny)
-		for i, yu := range years {
-			for j, yv := range years {
-				gap := yu - yv
-				if gap < 0 {
-					gap = 0 // metadata noise: citing an "in press" article
-				}
-				table[i*ny+j] = kernel.Weight(gap)
-			}
-		}
-		return func(u, v int32) float64 {
-			return table[int(yearIdx[u])*ny+int(yearIdx[v])]
-		}, nil
-	}
-	lut := make(map[float64]float64)
-	return func(u, v int32) float64 {
-		gap := yearOf[u] - yearOf[v]
-		if gap < 0 {
-			gap = 0
-		}
-		w, ok := lut[gap]
-		if !ok {
-			w = kernel.Weight(gap)
-			lut[gap] = w
-		}
-		return w
-	}, nil
 }
 
 // computePopularity scores each article by the decayed citation
@@ -186,7 +132,8 @@ type blend struct {
 // the inline layer spread (read straight from the article→authors CSR
 // and venue index, never materialised), output sum, and next
 // iteration's dangling mass, and ScaleDiffStep folds the normalisation
-// into the residual pass.
+// into the residual pass and refreshes the pre-scaled source the next
+// BlendStep gathers from.
 //
 // The walk runs in solver space: t was built from view.Citations, the
 // view's bipartite layers carry solver article ids, and the returned
@@ -213,6 +160,8 @@ func (b blend) walk(view *hetnet.SolverView, t *sparse.Transition, pool *sparse.
 		sparse.Uniform(init)
 	}
 	dang := t.DanglingMass(init) // seeds the pipelined dangling mass
+	xs := make([]float64, n)     // the pre-scaled source, kept current by ScaleDiffStep
+	t.Prescale(xs, init)
 	step := func(dst, src []float64) float64 {
 		var aLeak, vLeak float64
 		if b.author > 0 {
@@ -221,14 +170,14 @@ func (b blend) walk(view *hetnet.SolverView, t *sparse.Transition, pool *sparse.
 		if b.venue > 0 {
 			vLeak = view.GatherArticlesToVenuesScaledPar(pool, venues, src)
 		}
-		sum, dangNext := t.BlendStep(dst, src, b.r, authorLayer, venueLayer,
+		sum, dangNext := t.BlendStep(dst, src, xs, b.r, authorLayer, venueLayer,
 			b.cite, b.author, b.venue, b.restart, dang, aLeak, vLeak)
 		inv := 1.0
 		if sum != 0 && !math.IsNaN(sum) && !math.IsInf(sum, 0) {
 			inv = 1 / sum
 		}
 		dang = dangNext * inv
-		return t.ScaleDiffStep(dst, src, inv)
+		return t.ScaleDiffStep(dst, src, xs, inv)
 	}
 	return sparse.FixedPointResidual(init, step, it)
 }

@@ -28,6 +28,10 @@ type SolverView struct {
 	Citations *graph.Graph
 	// Years[p] is the publication year of solver-order article p.
 	Years []float64
+	// YearColumn[p] is the same year as the store's integer: the column
+	// the gap-decayed citation operators are built from. It aliases the
+	// store's own column when the view does.
+	YearColumn []int32
 	// Now mirrors Network.Now.
 	Now float64
 
@@ -73,6 +77,7 @@ func (n *Network) buildSolverView() {
 	if p == nil {
 		v.Citations = n.Citations
 		v.Years = n.Years
+		v.YearColumn = n.store.YearColumn()
 		v.authorOffsets, v.authorArticles = n.authorOffsets, n.authorArticles
 		v.venueOffsets, v.venueArticles = n.venueOffsets, n.venueArticles
 		v.artAuthorOff, v.artAuthors = n.artAuthorOff, n.artAuthors
@@ -91,6 +96,10 @@ func (n *Network) buildSolverView() {
 	v.Years = make([]float64, nArt)
 	for i, y := range n.Years {
 		v.Years[fwd[i]] = y
+	}
+	v.YearColumn = make([]int32, nArt)
+	for i, y := range n.store.YearColumn() {
+		v.YearColumn[fwd[i]] = y
 	}
 
 	// Bipartite CSRs keyed by author/venue: offsets are unchanged, the
@@ -145,11 +154,14 @@ func mapSortedArticleIDs(ids []corpus.ArticleID, fwd []int32) []corpus.ArticleID
 // CitationTransition returns the pull-form operator — the in-edge
 // CSR — of the solver-order citation graph, building it on first use.
 // There is one per network: the solver's citation and gap walks and
-// the related-article walk all read it. Its sweeps are Gauss–Seidel
+// the related-article walk all read it. It holds 4 bytes per edge (the
+// citing article) and one inverse out-degree per article, and the gap
+// operators are O(articles) views of it (sparse.Transition.GapWeighted
+// over YearColumn). Its sweeps are Gauss–Seidel
 // (sparse.Transition.GaussSeidel), decided here once with the back
-// edges counted, and every reweighting of it inherits both; a walk
-// that wants the Jacobi sweep builds its own sparse.NewTransition. It
-// is immutable, carries no worker pool, and is safe to share across
+// edges counted, and every gap view of it inherits both; a walk that
+// wants the Jacobi sweep builds its own sparse.NewTransition. It is
+// immutable, carries no worker pool, and is safe to share across
 // goroutines; each user binds its own pool with Transition.WithPool.
 func (v *SolverView) CitationTransition() *sparse.Transition {
 	v.citOnce.Do(func() { v.citTrans = sparse.NewTransition(v.Citations, nil).GaussSeidel() })

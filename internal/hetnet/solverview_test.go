@@ -85,6 +85,9 @@ func TestSolverViewIdentityAliases(t *testing.T) {
 	if len(v.Years) > 0 && &v.Years[0] != &n.Years[0] {
 		t.Error("identity view copied the years vector")
 	}
+	if col := n.store.YearColumn(); len(col) > 0 && &v.YearColumn[0] != &col[0] {
+		t.Error("identity view copied the year column")
+	}
 	if v2 := n.SolverView(); v2 != v {
 		t.Error("view not cached")
 	}
@@ -117,9 +120,13 @@ func TestCitationTransitionSweepsGaussSeidel(t *testing.T) {
 	if !jst.Converged || jst.Iterations < 20 {
 		t.Fatalf("Jacobi walk: %d sweeps (converged %v), want tens", jst.Iterations, jst.Converged)
 	}
+	gap, err := gs.GapWeighted(v.YearColumn, func(gap int) float64 { return math.Exp(-0.3 * float64(gap)) })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, tr := range map[string]*sparse.Transition{
-		"citation":   gs,
-		"reweighted": gs.Reweighted(func(u, w int32) float64 { return 1 + float64(u%5) }),
+		"citation":     gs,
+		"gap-weighted": gap,
 	} {
 		_, st, err := sparse.DampedWalk(tr, 0.85, teleport, opts)
 		if err != nil {
@@ -157,6 +164,9 @@ func TestSolverViewStructure(t *testing.T) {
 	for p, y := range n.Years {
 		if v.Years[fwd[p]] != y {
 			t.Fatalf("year of article %d not carried to solver id %d", p, fwd[p])
+		}
+		if float64(v.YearColumn[fwd[p]]) != y {
+			t.Fatalf("integer year of article %d not carried to solver id %d", p, fwd[p])
 		}
 	}
 	type edge struct{ u, v graph.NodeID }

@@ -109,8 +109,10 @@ func TestAitkenDisabledMatchesResidualDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	xs := make([]float64, tr.N())
 	b, bst, err := FixedPointExtrapolated(context.Background(), nil, teleport, func(dst, src []float64) float64 {
-		res, _, _ := tr.DampedStep(dst, src, teleport, 0.85, tr.DanglingMass(src))
+		tr.Prescale(xs, src)
+		res, _, _ := tr.DampedStep(dst, src, xs, teleport, 0.85, tr.DanglingMass(src))
 		return res
 	}, nil, opts)
 	if err != nil {

@@ -65,13 +65,19 @@ func BenchmarkNewTransition(b *testing.B) {
 	}
 }
 
-func BenchmarkReweighted(b *testing.B) {
+// BenchmarkGapWeighted builds the gap view of a 50k-row operator: one
+// pass over the edges for the inverse out-weight, nothing per edge
+// allocated.
+func BenchmarkGapWeighted(b *testing.B) {
 	g := benchGraph(b, 50_000)
 	t := NewTransition(g, nil)
+	year := chronoYears(t.N())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = t.Reweighted(func(u, v int32) float64 { return 1 + float64(u%7) })
+		if _, err := t.GapWeighted(year, gapDecay(0.1)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -118,13 +124,15 @@ func benchDampedStep(b *testing.B, build func(testing.TB, int) *graph.Graph, fus
 			teleport := make([]float64, t.N())
 			Uniform(teleport)
 			dst := make([]float64, t.N())
+			xs := make([]float64, t.N())
+			t.Prescale(xs, src)
 			dm := t.DanglingMass(src)
 			b.SetBytes(int64(g.NumEdges() * 8))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if fused {
-					_, _, _ = t.DampedStep(dst, src, teleport, 0.85, dm)
+					_, _, _ = t.DampedStep(dst, src, xs, teleport, 0.85, dm)
 				} else {
 					_ = unfusedDampedStep(t, dst, src, teleport, 0.85)
 				}

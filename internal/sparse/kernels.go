@@ -141,28 +141,97 @@ func reduceChunks(pool *Pool, chunks []int32, body func(lo, hi int) stepPartial)
 	return total
 }
 
-// sweep runs a row body over every row of t once, for a step from src
-// into dst. The body gathers row v's sources from the vector it is
-// handed. For a Jacobi operator that is src, and the operator's chunk
-// plan runs on the pool. For a Gauss–Seidel one (see GaussSeidel) it
-// is dst itself, primed with src and overwritten in one serial pass
-// from the top row down, so a source above the row is read fresh and
-// any other still holds its src value.
-func (t *Transition) sweep(dst, src []float64, body func(x []float64, lo, hi int) stepPartial) stepPartial {
+// sweep runs a row body over every row of t once. The body gathers
+// each row's sources from xs, the pre-scaled src. For a Jacobi
+// operator xs is read-only during the sweep, fresh is nil and the
+// operator's chunk plan runs on the pool. For a Gauss–Seidel one (see
+// GaussSeidel) fresh is xs itself, overwritten in one serial pass from
+// the top row down with each row's pre-scaled value as it is produced,
+// so a source above the row is read fresh and any other still holds
+// its src value.
+func (t *Transition) sweep(xs []float64, body func(fresh []float64, lo, hi int) stepPartial) stepPartial {
 	if !t.gaussSeidel {
-		return reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial { return body(src, lo, hi) })
+		return reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial { return body(nil, lo, hi) })
 	}
-	copy(dst, src)
-	return body(dst, 0, t.n)
+	return body(xs, 0, t.n)
 }
 
-// gatherEdges adds Σ x[idx[i]]·nrm[i] to s.
-func gatherEdges(s float64, x []float64, idx []int32, nrm []float64) float64 {
-	nrm = nrm[:len(idx)] // elides the nrm[i] bounds check
-	for i, u := range idx {
-		s += x[u] * nrm[i]
+// rowSum returns Σ_{u→v} xs[u]·w(u,v) over row v's in-edges, with xs
+// the source pre-scaled by 1/W(u) — the gather of every kernel (the
+// sweeps' stepRange inlines it). The edge weight takes one of three
+// forms, fixed per operator: 1 (the citation operator), a per-gap
+// table lookup (a gap view) or the graph's own weight stream (a
+// weighted graph).
+func (t *Transition) rowSum(xs []float64, v int) float64 {
+	start, end := t.offsets[v], t.offsets[v+1]
+	row := t.sources[start:end]
+	switch {
+	case t.gap != nil:
+		return sumGap(xs, row, t.gap.year, t.gap.row(t.gap.year[v]))
+	case t.weights != nil:
+		return sumWeighted(xs, row, t.weights[start:end])
+	}
+	return sumPlain(xs, row)
+}
+
+// The three gathers of rowSum stay out of line: inlined into a row
+// body, the compiler spills their loop state to the stack.
+
+// sumPlain returns Σ xs[u] over the row's sources.
+//
+//go:noinline
+func sumPlain(xs []float64, row []int32) (s float64) {
+	for _, u := range row {
+		s += xs[u]
 	}
 	return s
+}
+
+// sumWeighted returns Σ xs[u]·w[i] over the row's sources.
+//
+//go:noinline
+func sumWeighted(xs []float64, row []int32, w []float64) (s float64) {
+	w = w[:len(row)] // elides the w[i] bounds check
+	for i, u := range row {
+		s += xs[u] * w[i]
+	}
+	return s
+}
+
+// sumGap returns Σ xs[u]·lut[year[u]] over the row's sources, lut
+// being the gap table of the row's year (yearGap.row). Each term waits
+// on two gathers, the source and its year, so the sum runs on four
+// accumulators: a term that misses the cache then holds up one chain
+// of adds, not the whole row. (The plain and weighted gathers keep one
+// accumulator, the order the citation walks have always summed in.)
+//
+//go:noinline
+func sumGap(xs []float64, row []int32, year []uint16, lut []float64) float64 {
+	var s0, s1, s2, s3 float64
+	for ; len(row) >= 4; row = row[4:] {
+		s0 += xs[row[0]] * lut[year[row[0]]]
+		s1 += xs[row[1]] * lut[year[row[1]]]
+		s2 += xs[row[2]] * lut[year[row[2]]]
+		s3 += xs[row[3]] * lut[year[row[3]]]
+	}
+	for _, u := range row {
+		s0 += xs[u] * lut[year[u]]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// Prescale writes xs = x·inv, the pre-scaled source every sweep of t
+// gathers from, in one pass on the pool. A walk primes its xs with it
+// before the first step and whenever the driver restarts from a vector
+// the step did not produce; the steps keep it current after that.
+func (t *Transition) Prescale(xs, x []float64) {
+	inv := t.inv
+	reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial {
+		for v := lo; v < hi; v++ {
+			xs[v] = x[v] * inv[v]
+		}
+		return stepPartial{}
+	})
 }
 
 // unitScale returns 1/sum, or 1 when sum cannot be normalised by.
@@ -184,45 +253,32 @@ func unitScale(sum float64) float64 {
 // into the sweep that produces the vector, so no separate pass over
 // the dangling set is ever needed mid-iteration). danglingMass must be
 // the dangling mass of src — use DanglingMass(src) to start the
-// pipeline.
+// pipeline. xs is pipelined the same way: it must hold src pre-scaled
+// (Prescale(xs, src) starts the pipeline), and on return it holds dst
+// pre-scaled, ready for the next step.
 //
 // On a Gauss–Seidel operator rows read the sources already produced
-// this sweep from dst. The restart coefficient is still taken from src
+// this sweep from xs. The restart coefficient is still taken from src
 // once, so the sweep does not conserve mass; dst is renormalised to
-// unit mass in a second pass that also measures the residual, and the
-// returned dangling mass is that of the renormalised vector. On an
-// acyclic operator swept in topological order this makes one sweep
-// exact from any src: dst solves the triangular system up to the
-// scalar the renormalisation fixes.
-func (t *Transition) DampedStep(dst, src, teleport []float64, damping, danglingMass float64) (res, sum, danglingNext float64) {
+// unit mass in a second pass that also measures the residual and
+// refreshes xs, and the returned dangling mass is that of the
+// renormalised vector. On an acyclic operator swept in topological
+// order this makes one sweep exact from any src: dst solves the
+// triangular system up to the scalar the renormalisation fixes. A
+// Jacobi sweep leaves xs untouched until every row is written, then
+// pre-scales dst into it in a pass of its own.
+func (t *Transition) DampedStep(dst, src, xs, teleport []float64, damping, danglingMass float64) (res, sum, danglingNext float64) {
 	// dst[v] = damping·s + (damping·dm + 1 - damping)·teleport[v]
 	tcoef := damping*danglingMass + 1 - damping
-	p := t.sweep(dst, src, func(x []float64, lo, hi int) stepPartial {
-		return t.dampedRange(dst, x, src, teleport, damping, tcoef, lo, hi)
+	p := t.sweep(xs, func(fresh []float64, lo, hi int) stepPartial {
+		return t.stepRange(dst, src, xs, fresh, teleport, nil, nil, damping, 0, 0, tcoef, lo, hi)
 	})
 	if !t.gaussSeidel {
+		t.Prescale(xs, dst)
 		return p.res, p.sum, p.dang
 	}
 	inv := unitScale(p.sum)
-	return t.ScaleDiffStep(dst, src, inv), p.sum, p.dang * inv
-}
-
-// dampedRange is the row body of DampedStep over rows [lo, hi), top
-// row first — the order a Gauss–Seidel sweep needs. Sources are gathered
-// from x (see sweep).
-func (t *Transition) dampedRange(dst, x, src, teleport []float64, damping, tcoef float64, lo, hi int) (p stepPartial) {
-	offs, mark := t.offsets, t.danglingMark
-	for v := hi - 1; v >= lo; v-- {
-		start, end := offs[v], offs[v+1]
-		y := damping*gatherEdges(0, x, t.sources[start:end], t.norm[start:end]) + tcoef*teleport[v]
-		dst[v] = y
-		p.res += math.Abs(y - src[v])
-		p.sum += y
-		if mark[v] {
-			p.dang += y
-		}
-	}
-	return p
+	return t.ScaleDiffStep(dst, src, xs, inv), p.sum, p.dang * inv
 }
 
 // AuxGather folds a bipartite layer into a blend sweep without
@@ -273,13 +329,14 @@ func (l *AuxLookup) at(v int) float64 {
 // (for the caller's re-normalisation with ScaleDiffStep) and the
 // dangling mass of the unnormalised dst (pipelined, like DampedStep;
 // the caller scales it by the same factor). dst and src must not
-// alias.
+// alias. xs must hold src pre-scaled (Prescale); the ScaleDiffStep
+// that follows leaves it holding the normalised dst pre-scaled.
 //
 // On a Gauss–Seidel operator the citation term sweeps exactly as in
 // DampedStep. The layers and their leaks are gathered from src by the
 // caller before the sweep, so their coupling stays barrier-synchronous
 // and the fixed point is unchanged.
-func (t *Transition) BlendStep(dst, src, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, dm, aLeak, vLeak float64) (sum, danglingNext float64) {
+func (t *Transition) BlendStep(dst, src, xs, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, dm, aLeak, vLeak float64) (sum, danglingNext float64) {
 	// The constant-vector terms — dangling mass, layer leaks and the
 	// time restart — fold into the single multiplier of r.
 	rcoef := lc*dm + lt
@@ -289,19 +346,37 @@ func (t *Transition) BlendStep(dst, src, r []float64, fa *AuxGather, fv *AuxLook
 	if fv != nil {
 		rcoef += lv * vLeak
 	}
-	p := t.sweep(dst, src, func(x []float64, lo, hi int) stepPartial {
-		return t.blendRange(dst, x, r, fa, fv, lc, la, lv, rcoef, lo, hi)
+	p := t.sweep(xs, func(fresh []float64, lo, hi int) stepPartial {
+		return t.stepRange(dst, src, xs, fresh, r, fa, fv, lc, la, lv, rcoef, lo, hi)
 	})
 	return p.sum, p.dang
 }
 
-// blendRange is the row body of BlendStep over rows [lo, hi), top row
-// first.
-func (t *Transition) blendRange(dst, x, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, rcoef float64, lo, hi int) (p stepPartial) {
-	offs, mark := t.offsets, t.danglingMark
+// stepRange is the row body of DampedStep and BlendStep over rows
+// [lo, hi), top row first — the order a Gauss–Seidel sweep needs:
+//
+//	dst[v] = lc·Σ_{u→v} xs[u]·w(u,v) + rcoef·r[v] + la·fa(v) + lv·fv(v)
+//
+// (a damped step is the blend with no layers). Sources are gathered
+// from xs (rowSum), and each row's pre-scaled value goes to fresh when
+// it is non-nil (see sweep).
+func (t *Transition) stepRange(dst, src, xs, fresh, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, rcoef float64, lo, hi int) (p stepPartial) {
+	offs, sources, weights, inv, mark := t.offsets, t.sources, t.weights, t.inv, t.danglingMark
+	gap := t.gap
 	for v := hi - 1; v >= lo; v-- {
+		// rowSum, with the operator's fields read once per call.
 		start, end := offs[v], offs[v+1]
-		y := lc*gatherEdges(0, x, t.sources[start:end], t.norm[start:end]) + rcoef*r[v]
+		row := sources[start:end]
+		var s float64
+		switch {
+		case gap != nil:
+			s = sumGap(xs, row, gap.year, gap.row(gap.year[v]))
+		case weights != nil:
+			s = sumWeighted(xs, row, weights[start:end])
+		default:
+			s = sumPlain(xs, row)
+		}
+		y := lc*s + rcoef*r[v]
 		if fa != nil {
 			y += la * fa.at(v)
 		}
@@ -309,6 +384,10 @@ func (t *Transition) blendRange(dst, x, r []float64, fa *AuxGather, fv *AuxLooku
 			y += lv * fv.at(v)
 		}
 		dst[v] = y
+		if fresh != nil {
+			fresh[v] = y * inv[v]
+		}
+		p.res += math.Abs(y - src[v])
 		p.sum += y
 		if mark[v] {
 			p.dang += y
@@ -317,22 +396,24 @@ func (t *Transition) blendRange(dst, x, r []float64, fa *AuxGather, fv *AuxLooku
 	return p
 }
 
-// ScaleDiffStep rescales dst in place by scale and returns the L1
-// distance ||scale·dst - src||₁ in the same parallel sweep. It is the
-// fused normalise-and-measure tail of the heterogeneous step: the
-// blend sweep produces an un-normalised vector and its sum; this
-// sweep applies 1/sum and reports the residual against the previous
-// iterate.
-func (t *Transition) ScaleDiffStep(dst, src []float64, scale float64) (res float64) {
+// ScaleDiffStep rescales dst in place by scale, refreshes xs to the
+// rescaled dst pre-scaled (xs = dst·inv), and returns the L1 distance
+// ||scale·dst - src||₁ in the same parallel sweep. It is the fused
+// normalise-and-measure tail of the heterogeneous step: the blend
+// sweep produces an un-normalised vector and its sum; this sweep
+// applies 1/sum, readies the next sweep's source and reports the
+// residual against the previous iterate.
+func (t *Transition) ScaleDiffStep(dst, src, xs []float64, scale float64) (res float64) {
 	return reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial {
-		return stepPartial{res: scaleDiffRange(dst, src, scale, lo, hi)}
+		return stepPartial{res: scaleDiffRange(dst, src, xs, t.inv, scale, lo, hi)}
 	}).res
 }
 
-func scaleDiffRange(dst, src []float64, scale float64, lo, hi int) (res float64) {
+func scaleDiffRange(dst, src, xs, inv []float64, scale float64, lo, hi int) (res float64) {
 	for v := lo; v < hi; v++ {
 		y := dst[v] * scale
 		dst[v] = y
+		xs[v] = y * inv[v]
 		res += math.Abs(y - src[v])
 	}
 	return res

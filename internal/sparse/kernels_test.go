@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scholarrank/internal/graph"
@@ -108,8 +110,9 @@ func TestDampedStepMatchesUnfused(t *testing.T) {
 		wantSum := Sum(want)
 		wantDang := tr.DanglingMass(want)
 
-		dst := make([]float64, n)
-		res, sum, dang := tr.DampedStep(dst, src, teleport, damping, dm)
+		dst, xs := make([]float64, n), make([]float64, n)
+		tr.Prescale(xs, src)
+		res, sum, dang := tr.DampedStep(dst, src, xs, teleport, damping, dm)
 		if d := MaxDiff(dst, want); d > 1e-14 {
 			t.Errorf("workers=%d: fused dst deviates by %v", workers, d)
 		}
@@ -166,8 +169,10 @@ func TestDampedWalkFusedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestReweightedMatchesRebuild verifies that reweighting a transition
-// in place agrees with rebuilding it from a reweighted graph.
+// TestReweightedMatchesRebuild verifies that the gap view of a
+// transition agrees with a transition rebuilt from the graph carrying
+// the same gap weights, including an edge whose citing node is older
+// than the node it cites (gap clamped to zero).
 func TestReweightedMatchesRebuild(t *testing.T) {
 	gb := graph.NewBuilder(6, false)
 	edges := [][2]int{{1, 0}, {2, 0}, {2, 1}, {3, 1}, {3, 2}, {4, 0}, {4, 3}, {5, 2}}
@@ -175,15 +180,20 @@ func TestReweightedMatchesRebuild(t *testing.T) {
 		_ = gb.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1]))
 	}
 	g := gb.Build()
-	weight := func(u, v int32) float64 { return 1 + 0.5*float64(u) + 0.25*float64(v) }
+	year := []int32{1990, 2003, 2001, 2010, 2012, 2004}
+	decay := gapDecay(0.4)
+	weight := func(u, v int) float64 { return decay(max(0, int(year[u]-year[v]))) }
 
 	wb := graph.NewBuilder(6, true)
 	for _, e := range edges {
-		_ = wb.AddWeightedEdge(graph.NodeID(e[0]), graph.NodeID(e[1]), weight(int32(e[0]), int32(e[1])))
+		_ = wb.AddWeightedEdge(graph.NodeID(e[0]), graph.NodeID(e[1]), weight(e[0], e[1]))
 	}
 	want := NewTransition(wb.Build(), nil)
 
-	got := NewTransition(g, nil).Reweighted(weight)
+	got, err := NewTransition(g, nil).GapWeighted(year, decay)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.NumDangling() != want.NumDangling() {
 		t.Fatalf("dangling %d, want %d", got.NumDangling(), want.NumDangling())
 	}
@@ -193,7 +203,7 @@ func TestReweightedMatchesRebuild(t *testing.T) {
 	got.MulVec(d1, x)
 	want.MulVec(d2, x)
 	if d := MaxDiff(d1, d2); d > 1e-15 {
-		t.Errorf("reweighted MulVec deviates by %v: %v vs %v", d, d1, d2)
+		t.Errorf("gap-weighted MulVec deviates by %v: %v vs %v", d, d1, d2)
 	}
 }
 
@@ -264,8 +274,9 @@ func TestBlendAndScaleDiffSteps(t *testing.T) {
 	}
 	wantSum := Sum(want)
 
-	dst := make([]float64, n)
-	sum, dang := tr.BlendStep(dst, src, r, fa, fv, lc, la, lv, lt, dm, aLeak, vLeak)
+	dst, xs := make([]float64, n), make([]float64, n)
+	tr.Prescale(xs, src)
+	sum, dang := tr.BlendStep(dst, src, xs, r, fa, fv, lc, la, lv, lt, dm, aLeak, vLeak)
 	if d := MaxDiff(dst, want); d > 1e-14 {
 		t.Errorf("BlendStep deviates by %v", d)
 	}
@@ -280,12 +291,17 @@ func TestBlendAndScaleDiffSteps(t *testing.T) {
 	wantScaled := Clone(want)
 	Normalize1(wantScaled)
 	wantRes := L1Diff(wantScaled, src)
-	res := tr.ScaleDiffStep(dst, src, 1/sum)
+	res := tr.ScaleDiffStep(dst, src, xs, 1/sum)
 	if d := MaxDiff(dst, wantScaled); d > 1e-14 {
 		t.Errorf("ScaleDiffStep deviates by %v", d)
 	}
 	if !almostEq(res, wantRes, 1e-12) {
 		t.Errorf("ScaleDiffStep residual %v, want %v", res, wantRes)
+	}
+	for v := range xs {
+		if xs[v] != dst[v]*tr.inv[v] {
+			t.Fatalf("ScaleDiffStep left xs[%d] = %v, want the rescaled dst pre-scaled %v", v, xs[v], dst[v]*tr.inv[v])
+		}
 	}
 
 	// Nil author/venue layers drop out of the blend.
@@ -294,11 +310,176 @@ func TestBlendAndScaleDiffSteps(t *testing.T) {
 	for i := range want2 {
 		want2[i] = lc*(want2[i]+dm*r[i]) + lt*r[i]
 	}
-	sum2, _ := tr.BlendStep(dst, src, r, nil, nil, lc, 0, 0, lt, dm, 0, 0)
+	tr.Prescale(xs, src)
+	sum2, _ := tr.BlendStep(dst, src, xs, r, nil, nil, lc, 0, 0, lt, dm, 0, 0)
 	if d := MaxDiff(dst, want2); d > 1e-14 {
 		t.Errorf("nil-layer BlendStep deviates by %v", d)
 	}
 	if !almostEq(sum2, Sum(want2), 1e-12) {
 		t.Errorf("nil-layer sum %v, want %v", sum2, Sum(want2))
+	}
+}
+
+// gapFixture is a small random citation graph over 400 articles with
+// the years 1665–2025 (361 distinct years, rising with the id): each
+// article cites up to three earlier ones, one citation in eight points
+// at a younger article (the citing article is the older, gap < 0), and
+// every eleventh article cites nothing.
+func gapFixture(t *testing.T, seed int64) (*graph.Graph, []int32) {
+	t.Helper()
+	const n = 400
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(n, false)
+	for i := 1; i < n; i++ {
+		if i%11 == 0 {
+			continue
+		}
+		for r := 0; r < 1+rng.Intn(3); r++ {
+			j := rng.Intn(i)
+			if rng.Intn(8) == 0 && i < n-1 {
+				j = i + 1 + rng.Intn(n-1-i)
+			}
+			_ = b.AddEdge(graph.NodeID(i), graph.NodeID(j))
+		}
+	}
+	return b.Build(), chronoYears(n)
+}
+
+// denseGapMatrix is the gap-weighted transition written out densely
+// from the graph's own edges: m[u][v] = exp(-rho·max(0, y_u − y_v)) /
+// Σ_{v'∈out(u)} exp(-rho·max(0, y_u − y_v')).
+func denseGapMatrix(g *graph.Graph, year []int32, rho float64) [][]float64 {
+	n := g.NumNodes()
+	m := make([][]float64, n)
+	for u := range m {
+		m[u] = make([]float64, n)
+		var out float64
+		for _, v := range g.Neighbors(graph.NodeID(u)) {
+			w := math.Exp(-rho * math.Max(0, float64(year[u]-year[v])))
+			m[u][v] = w
+			out += w
+		}
+		for _, v := range g.Neighbors(graph.NodeID(u)) {
+			m[u][v] /= out
+		}
+	}
+	return m
+}
+
+// maxRelDiff returns the largest |got[i] − want[i]| / |want[i]|, with
+// a zero want requiring a zero got.
+func maxRelDiff(got, want []float64) float64 {
+	var worst float64
+	for i := range want {
+		d := math.Abs(got[i] - want[i])
+		if want[i] != 0 {
+			d /= math.Abs(want[i])
+		} else if d != 0 {
+			d = math.Inf(1)
+		}
+		worst = max(worst, d)
+	}
+	return worst
+}
+
+// TestGapViewMatchesDenseReference checks the gap view's gather — the
+// per-gap table indexed through the integer year column, over a source
+// pre-scaled by the inverse out-weight — against the dense matrix
+// exp(-rho·max(0, y_u − y_v)) / Σ_out, entry by entry: MulVec, and one
+// Gauss–Seidel DampedStep (rows from the top, sources above the row
+// read fresh, then renormalised). The graphs span 361 distinct years
+// and carry citations of younger articles and dangling articles.
+func TestGapViewMatchesDenseReference(t *testing.T) {
+	const damping = 0.85
+	for _, seed := range []int64{1, 2, 3} {
+		for _, rho := range []float64{0.05, 0.5} {
+			g, year := gapFixture(t, seed)
+			n := g.NumNodes()
+			if distinct := len(slices.Compact(slices.Clone(year))); distinct < 361 || year[0] != 1665 || year[n-1] != 2025 {
+				t.Fatalf("fixture spans %d distinct years %d–%d", distinct, year[0], year[n-1])
+			}
+			m := denseGapMatrix(g, year, rho)
+			var back, dangling int
+			g.VisitEdges(func(u, v graph.NodeID, _ float64) {
+				if year[u] < year[v] {
+					back++
+				}
+			})
+			for u := 0; u < n; u++ {
+				if g.OutDegree(graph.NodeID(u)) == 0 {
+					dangling++
+				}
+			}
+			if back == 0 || dangling == 0 {
+				t.Fatalf("fixture has %d younger-cited edges and %d dangling articles", back, dangling)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.Float64()
+			}
+			Normalize1(x)
+			teleport := make([]float64, n)
+			Uniform(teleport)
+
+			gap := gapView(t, NewTransition(g, nil), year, rho)
+			got := make([]float64, n)
+			gap.MulVec(got, x)
+			want := make([]float64, n)
+			for u := range m {
+				for v, w := range m[u] {
+					want[v] += x[u] * w
+				}
+			}
+			if d := maxRelDiff(got, want); d > 1e-15 {
+				t.Errorf("seed %d rho %g: MulVec deviates from the dense reference by %g relative", seed, rho, d)
+			}
+
+			var dm float64
+			for u := 0; u < n; u++ {
+				if g.OutDegree(graph.NodeID(u)) == 0 {
+					dm += x[u]
+				}
+			}
+			tcoef := damping*dm + 1 - damping
+			want = make([]float64, n)
+			var total float64 // summed as the rows are produced
+			for v := n - 1; v >= 0; v-- {
+				var s float64
+				for u := range m {
+					if u > v {
+						s += want[u] * m[u][v]
+					} else {
+						s += x[u] * m[u][v]
+					}
+				}
+				want[v] = damping*s + tcoef*teleport[v]
+				total += want[v]
+			}
+			Scale(want, 1/total)
+			gs := gap.GaussSeidel()
+			xs := make([]float64, n)
+			gs.Prescale(xs, x)
+			gs.DampedStep(got, x, xs, teleport, damping, gs.DanglingMass(x))
+			if d := maxRelDiff(got, want); d > 1e-15 {
+				t.Errorf("seed %d rho %g: Gauss–Seidel DampedStep deviates from the dense reference by %g relative", seed, rho, d)
+			}
+		}
+	}
+}
+
+// TestGapWeightedRejectsBadYears checks the gap view refuses a year
+// column of the wrong length, and one whose span would size the per-gap
+// table past maxYearSpan entries.
+func TestGapWeightedRejectsBadYears(t *testing.T) {
+	tr := NewTransition(diamond(t), nil)
+	if _, err := tr.GapWeighted([]int32{2000, 2001}, gapDecay(0.1)); err == nil {
+		t.Error("year column of 2 entries for 4 rows accepted")
+	}
+	if _, err := tr.GapWeighted([]int32{-1 << 20, 0, 1, 1 << 20}, gapDecay(0.1)); err == nil {
+		t.Error("year span of 2^21 accepted")
+	}
+	if _, err := tr.GapWeighted([]int32{1665, 1700, 1800, 2025}, gapDecay(0.1)); err != nil {
+		t.Errorf("years 1665–2025: %v", err)
 	}
 }

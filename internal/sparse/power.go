@@ -118,22 +118,29 @@ func DampedWalk(t *Transition, damping float64, teleport []float64, opts IterOpt
 //
 // Each iteration is a single fused sweep (DampedStep): the mat-vec,
 // dangling redistribution, teleport blend and convergence residual
-// all happen in one pass over the operator, and the dangling mass of
-// the produced vector is carried into the next iteration instead of
-// being recomputed. A Gauss–Seidel operator (Transition.GaussSeidel)
-// reaches the same fixed point in far fewer sweeps in chronological
-// order.
+// all happen in one pass over the operator, and the dangling mass and
+// the pre-scaled copy (WalkScratch.scaled) of the produced vector are
+// carried into the next iteration instead of being recomputed. A
+// Gauss–Seidel operator (Transition.GaussSeidel) reaches the same
+// fixed point in far fewer sweeps in chronological order.
 func DampedWalkFrom(t *Transition, damping float64, teleport, init []float64, opts IterOptions) ([]float64, IterStats, error) {
-	dang := t.DanglingMass(init) // seeds the pipelined dangling mass
+	ws := new(WalkScratch)
+	xs := sized(&ws.scaled, t.n)
+	// The extrapolated driver restarts the iteration from vectors the
+	// step never produced, so the pipelined dangling mass and
+	// pre-scaled source must be recomputed whenever the source vector
+	// changes under them.
+	var dang float64
+	reseed := func(x []float64) {
+		dang = t.DanglingMass(x)
+		t.Prescale(xs, x)
+	}
+	reseed(init)
 	step := func(dst, src []float64) (res float64) {
-		res, _, dang = t.DampedStep(dst, src, teleport, damping, dang)
+		res, _, dang = t.DampedStep(dst, src, xs, teleport, damping, dang)
 		return res
 	}
-	// The extrapolated driver restarts the iteration from vectors the
-	// step never produced, so the pipelined dangling mass must be
-	// recomputed whenever the source vector changes under it.
-	reseed := func(x []float64) { dang = t.DanglingMass(x) }
-	return FixedPointExtrapolated(context.Background(), nil, init, step, reseed, opts)
+	return FixedPointExtrapolated(context.Background(), ws, init, step, reseed, opts)
 }
 
 // FixedPoint iterates x ← step(x) from the given initial vector until
@@ -165,14 +172,15 @@ func FixedPointResidual(init []float64, step ResidualStepFunc, opts IterOptions)
 
 // WalkScratch is the working set of one run of the fixed-point driver:
 // the iterate pair, the Aitken history ring and the extrapolant, plus
-// the two pre-scaled copies a transpose-pair walk pipelines
-// (SeedWalk). A caller that runs many walks of one dimension recycles
-// one scratch per concurrent walk instead of allocating the set each
-// time. The zero value is ready: each vector is allocated the first
-// time a run needs it and reused after that, and nothing a run reads
-// depends on what a previous run left behind. The vector a run
-// returns lives in the scratch, so it is valid only until the scratch
-// serves its next run.
+// the pre-scaled source a sweep gathers from (a transpose-pair walk
+// pipelines two, SeedWalk; a damped walk one, DampedWalkFrom). A
+// caller that runs many walks of one dimension recycles one scratch
+// per concurrent walk instead of allocating the set each time. The
+// zero value is ready: each vector is allocated the first time a run
+// needs it and reused after that, and nothing a run reads depends on
+// what a previous run left behind. The vector a run returns lives in
+// the scratch, so it is valid only until the scratch serves its next
+// run.
 type WalkScratch struct {
 	cur, next, h0, h1, h2, y []float64
 	scaled, scaledNext       []float64
@@ -255,8 +263,8 @@ func aitkenStep(dst, x0, x1, x2, x3 []float64) bool {
 // step the driver takes from a vector the step function did not itself
 // produce (the extrapolant on a trial, the retained iterate after a
 // rejection). Steps that pipeline state across iterations — DampedStep
-// carrying the dangling mass of the vector it produced — use it to
-// re-prime that state.
+// carrying the dangling mass and the pre-scaled copy of the vector it
+// produced — use it to re-prime that state.
 //
 // Iterations in the returned stats counts every sweep taken, including
 // rejected trials, so wall-clock comparisons against the plain driver

@@ -12,9 +12,9 @@ import (
 )
 
 // TestTransitionRowsSourceAscending pins the invariant the Gauss–Seidel
-// back-edge count relies on: every row of NewTransition — and of
-// Reweighted, which shares the structure — lists its sources in
-// ascending order, so the sources above a row are a suffix.
+// back-edge count relies on: every row of NewTransition — and of a gap
+// view, which shares the structure — lists its sources in ascending
+// order, so the sources above a row are a suffix.
 func TestTransitionRowsSourceAscending(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
 		"random":   benchGraph(t, 3000),
@@ -22,8 +22,8 @@ func TestTransitionRowsSourceAscending(t *testing.T) {
 	} {
 		base := NewTransition(g, nil)
 		for kind, tr := range map[string]*Transition{
-			"new":        base,
-			"reweighted": base.Reweighted(func(u, v int32) float64 { return 1 + float64(u%7) }),
+			"new":          base,
+			"gap-weighted": gapView(t, base, chronoYears(base.N()), 0.3),
 		} {
 			for v := 0; v < tr.n; v++ {
 				row := tr.sources[tr.offsets[v]:tr.offsets[v+1]]
@@ -49,7 +49,7 @@ func TestGaussSeidelViewAllocatesPerRow(t *testing.T) {
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16); got > limit {
 		t.Errorf("Gauss–Seidel view over %d rows allocated %d bytes, want <= %d", tr.N(), got, limit)
 	}
-	if &gs.sources[0] != &tr.sources[0] || &gs.norm[0] != &tr.norm[0] {
+	if &gs.sources[0] != &tr.sources[0] || &gs.inv[0] != &tr.inv[0] {
 		t.Error("Gauss–Seidel view copied the operator")
 	}
 }
@@ -86,6 +86,48 @@ var poolCases = []struct {
 	workers int
 }{{"workers1", 1}, {"workers3", 3}}
 
+// chronoYears is a synthetic year column for an n-row graph in
+// chronological id order: 361 distinct years from 1665 to 2025, rising
+// with the row.
+func chronoYears(n int) []int32 {
+	year := make([]int32, n)
+	for i := range year {
+		year[i] = 1665 + int32(i*360/max(1, n-1))
+	}
+	return year
+}
+
+// gapDecay is the engine's gap weight exp(-rho·gap).
+func gapDecay(rho float64) func(gap int) float64 {
+	return func(gap int) float64 { return math.Exp(-rho * float64(gap)) }
+}
+
+// gapView is tr's gap view with the weight exp(-rho·gap).
+func gapView(tb testing.TB, tr *Transition, year []int32, rho float64) *Transition {
+	tb.Helper()
+	gap, err := tr.GapWeighted(year, gapDecay(rho))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return gap
+}
+
+// normAt is the normalised weight w(u,v)/W(u) of row v's in-edge i,
+// read edge by edge from the operator's fields: the oracles' view of
+// M, which no kernel of the package computes.
+func (t *Transition) normAt(v int32, i int64) float64 {
+	u := t.sources[i]
+	w := 1.0
+	switch {
+	case t.gap != nil:
+		g := int(t.gap.year[u]) - int(t.gap.year[v])
+		w = t.gap.lut[t.gap.span+max(0, g)]
+	case t.weights != nil:
+		w = t.weights[i]
+	}
+	return w * t.inv[u]
+}
+
 // naiveSweep is one Gauss–Seidel damped sweep decided edge by edge: rows run from the top, and a source is read from
 // the vector under construction when it lies above the row and from src
 // otherwise.
@@ -96,9 +138,9 @@ func naiveSweep(tr *Transition, src, teleport []float64, damping float64) (dst [
 		var acc float64
 		for i := tr.offsets[v]; i < tr.offsets[v+1]; i++ {
 			if u := tr.sources[i]; u > v {
-				acc += dst[u] * tr.norm[i]
+				acc += dst[u] * tr.normAt(v, i)
 			} else {
-				acc += src[u] * tr.norm[i]
+				acc += src[u] * tr.normAt(v, i)
 			}
 		}
 		dst[v] = damping*acc + tcoef*teleport[v]
@@ -127,7 +169,9 @@ func TestGaussSeidelSweepMatchesNaiveSweep(t *testing.T) {
 	for _, c := range poolCases {
 		st := tr.WithPool(NewPool(c.workers)).GaussSeidel()
 		got := make([]float64, n)
-		res, _, dang := st.DampedStep(got, src, teleport, damping, tr.DanglingMass(src))
+		xs := make([]float64, n)
+		st.Prescale(xs, src)
+		res, _, dang := st.DampedStep(got, src, xs, teleport, damping, tr.DanglingMass(src))
 		want, wantRes := naiveSweep(tr, src, teleport, damping)
 		if d := MaxDiff(got, want); d > 1e-15 {
 			t.Errorf("%s: sweep deviates from the naive sweep by %g", c.name, d)
@@ -159,7 +203,7 @@ func literalJacobi(tr *Transition, damping float64, teleport []float64, tol floa
 		for v := 0; v < tr.n; v++ {
 			var s float64
 			for i := tr.offsets[v]; i < tr.offsets[v+1]; i++ {
-				s += x[tr.sources[i]] * tr.norm[i]
+				s += x[tr.sources[i]] * tr.normAt(int32(v), i)
 			}
 			y[v] = damping*(s+dm*teleport[v]) + (1-damping)*teleport[v]
 			res += math.Abs(y[v] - x[v])
@@ -270,10 +314,10 @@ func TestScheduledWalkSolvesDAGInTwoSweeps(t *testing.T) {
 	if f := tr.BackEdgeFraction(); f != 0 {
 		t.Errorf("Jacobi operator reports back-edge fraction %g", f)
 	}
-	// Reweighting keeps the sweep and the count: they depend on the row
+	// A gap view keeps the sweep and the count: they depend on the row
 	// structure only.
-	if rw := gs.Reweighted(func(u, v int32) float64 { return 1 + float64(u%3) }); !rw.gaussSeidel || rw.back != gs.back {
-		t.Errorf("reweighted operator: Gauss–Seidel %v, %d back edges; want true, %d", rw.gaussSeidel, rw.back, gs.back)
+	if rw := gapView(t, gs, chronoYears(gs.N()), 0.3); !rw.gaussSeidel || rw.back != gs.back {
+		t.Errorf("gap-weighted operator: Gauss–Seidel %v, %d back edges; want true, %d", rw.gaussSeidel, rw.back, gs.back)
 	}
 }
 
@@ -323,10 +367,11 @@ func TestScheduledSweepsUnderRace(t *testing.T) {
 	if err != nil || !stats.Converged {
 		t.Fatalf("damped walk: converged %v, err %v", stats.Converged, err)
 	}
-	dst := make([]float64, n)
+	dst, xs := make([]float64, n), make([]float64, n)
+	st.Prescale(xs, x)
 	for i := 0; i < 3; i++ {
-		sum, _ := st.BlendStep(dst, x, teleport, nil, nil, 0.8, 0, 0, 0.2, tr.DanglingMass(x), 0, 0)
-		st.ScaleDiffStep(dst, x, 1/sum)
+		sum, _ := st.BlendStep(dst, x, xs, teleport, nil, nil, 0.8, 0, 0, 0.2, tr.DanglingMass(x), 0, 0)
+		st.ScaleDiffStep(dst, x, xs, 1/sum)
 		x, dst = dst, x
 	}
 	if d := math.Abs(Sum(x) - 1); d > 1e-12 {
@@ -339,13 +384,18 @@ func TestScheduledSweepsUnderRace(t *testing.T) {
 // for the plain case the original fixed-point loop.
 func legacyFlatWalk(tr *Transition, damping float64, teleport, init []float64, opts IterOptions) ([]float64, IterStats) {
 	dm := tr.DanglingMass(init)
+	xs := make([]float64, len(init))
+	tr.Prescale(xs, init)
 	step := func(dst, src []float64) float64 {
-		res, _, dmNext := tr.DampedStep(dst, src, teleport, damping, dm)
+		res, _, dmNext := tr.DampedStep(dst, src, xs, teleport, damping, dm)
 		dm = dmNext
 		return res
 	}
 	if opts.AitkenEvery > 0 {
-		x, st, _ := FixedPointExtrapolated(context.Background(), nil, init, step, func(x []float64) { dm = tr.DanglingMass(x) }, opts)
+		x, st, _ := FixedPointExtrapolated(context.Background(), nil, init, step, func(x []float64) {
+			dm = tr.DanglingMass(x)
+			tr.Prescale(xs, x)
+		}, opts)
 		return x, st
 	}
 	opts, _ = opts.withDefaults()

@@ -1,7 +1,11 @@
 package sparse
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"scholarrank/internal/graph"
 )
@@ -16,6 +20,14 @@ import (
 // (dangling nodes) contribute no mass through M; the caller decides
 // how to redistribute their mass (see DanglingMass).
 //
+// The operator stores no normalised per-edge weight. It keeps the
+// 4-byte source of each in-edge and one inverse out-weight 1/W(u) per
+// node, and every kernel gathers Σ xs[u]·w(u,v) from a source vector
+// pre-scaled by it, xs = x·inv (Prescale). The edge weight w(u,v) is 1
+// on an unweighted graph, the graph's own weight stream on a weighted
+// one, and a per-gap table lookup on a gap view (GapWeighted), so a
+// citation operator costs 4 bytes per edge however it is weighted.
+//
 // Parallelism comes from a *Pool shared across iterations and an
 // edge-balanced chunk plan computed once at construction: rows are
 // grouped into chunks of roughly equal edge count (see EdgeChunks),
@@ -27,7 +39,9 @@ type Transition struct {
 	n            int
 	offsets      []int64   // CSR over destinations; len n+1
 	sources      []int32   // citing node for each in-edge
-	norm         []float64 // w(u,v)/W(u), aligned with sources
+	inv          []float64 // 1/W(u) per node; 0 for a dangling node
+	weights      []float64 // w(u,v) aligned with sources; nil unless the graph carries weights
+	gap          *yearGap  // w(u,v) of a gap view (GapWeighted); nil otherwise
 	dangling     []int32   // nodes with zero out-weight
 	danglingMark []bool    // danglingMark[v] reports v ∈ dangling
 	chunks       []int32   // edge-balanced row partition; len numChunks+1
@@ -35,6 +49,24 @@ type Transition struct {
 	gaussSeidel  bool  // sweeps in place, top row down (see GaussSeidel)
 	back         int64 // in-edges a Gauss–Seidel sweep reads stale
 }
+
+// yearGap is the edge weight of a gap view. Years are held as offsets
+// from the earliest, two bytes per node, so the column a sweep gathers
+// beside the pre-scaled source stays small enough to sit in cache, and
+// lut has one entry per signed year gap from −span to span: the edge
+// u→v weighs lut[span+year[u]−year[v]], which is weight(max(0, gap)).
+type yearGap struct {
+	year []uint16
+	span int
+	lut  []float64
+}
+
+// maxYearSpan is the widest range of years a gap view takes.
+const maxYearSpan = math.MaxUint16
+
+// row returns the table a row of year offset yv indexes with its
+// sources' year offsets.
+func (g *yearGap) row(yv uint16) []float64 { return g.lut[g.span-int(yv):] }
 
 // NewTransition builds the operator from g. Edge weights are taken
 // from the graph when present, otherwise every edge has weight 1.
@@ -44,21 +76,23 @@ type Transition struct {
 // be shared by goroutines that each bring their own pool.
 func NewTransition(g *graph.Graph, pool *Pool) *Transition {
 	n := g.NumNodes()
-	outW := make([]float64, n)
-	for u := 0; u < n; u++ {
-		outW[u] = g.OutWeight(graph.NodeID(u))
-	}
 	t := &Transition{
 		n:       n,
 		offsets: make([]int64, n+1),
+		inv:     make([]float64, n),
 		pool:    pool,
 	}
-	// Counting sort by destination, straight into the operator's own
-	// CSR — no intermediate transposed graph is materialised. Edges
-	// whose source has zero out-weight are dropped here (the source is
+	// inv holds the out-weight until the edges are placed. Counting
+	// sort by destination, straight into the operator's own CSR — no
+	// intermediate transposed graph is materialised. Edges whose
+	// source has zero out-weight are dropped here (the source is
 	// treated as dangling).
+	ndang := 0
 	for u := 0; u < n; u++ {
-		if outW[u] <= 0 {
+		w := g.OutWeight(graph.NodeID(u))
+		t.inv[u] = w
+		if w <= 0 {
+			ndang++
 			continue
 		}
 		for _, v := range g.Neighbors(graph.NodeID(u)) {
@@ -70,86 +104,90 @@ func NewTransition(g *graph.Graph, pool *Pool) *Transition {
 	}
 	m := t.offsets[n]
 	t.sources = make([]int32, m)
-	t.norm = make([]float64, m)
+	if g.Weighted() {
+		t.weights = make([]float64, m)
+	}
 	cursor := make([]int64, n)
 	copy(cursor, t.offsets[:n])
-	for u := 0; u < n; u++ {
-		if outW[u] <= 0 {
-			continue
-		}
-		vs := g.Neighbors(graph.NodeID(u))
-		ws := g.EdgeWeights(graph.NodeID(u))
-		if ws == nil {
-			nrm := 1 / outW[u]
-			for _, v := range vs {
-				pos := cursor[v]
-				cursor[v]++
-				t.sources[pos] = int32(u)
-				t.norm[pos] = nrm
-			}
-		} else {
-			for i, v := range vs {
-				pos := cursor[v]
-				cursor[v]++
-				t.sources[pos] = int32(u)
-				t.norm[pos] = ws[i] / outW[u]
-			}
-		}
-	}
+	t.dangling = make([]int32, 0, ndang)
 	t.danglingMark = make([]bool, n)
 	for u := 0; u < n; u++ {
-		if outW[u] <= 0 {
+		if t.inv[u] <= 0 {
+			t.inv[u] = 0
 			t.dangling = append(t.dangling, int32(u))
 			t.danglingMark[u] = true
+			continue
+		}
+		t.inv[u] = 1 / t.inv[u]
+		ws := g.EdgeWeights(graph.NodeID(u))
+		for i, v := range g.Neighbors(graph.NodeID(u)) {
+			pos := cursor[v]
+			cursor[v]++
+			t.sources[pos] = int32(u)
+			if ws != nil {
+				t.weights[pos] = ws[i]
+			}
 		}
 	}
 	t.chunks = EdgeChunks(t.offsets)
 	return t
 }
 
-// Reweighted returns a new operator over the same edge structure with
-// edge weights redefined by weight(u, v) for each retained edge u→v.
-// The CSR layout, chunk plan, dangling set and sweep (GaussSeidel) are
-// shared with the receiver, so only the normalised weights are
-// recomputed — two passes over the edges, no graph rebuild, no sort.
-// This is how the engine derives each gap-decayed citation operator
-// from the base citation operator.
+// GapWeighted returns the gap view of t: the same CSR, dangling set,
+// chunk plan, pool and sweep (GaussSeidel), nothing per edge copied,
+// with the edge u→v weighing weight(max(0, year[u]−year[v])) in place
+// of t's own weight. A citation one year or more younger than what it
+// cites is discounted by its gap; one that cites a younger article (an
+// "in press" reference) counts as gap zero. This is how the engine
+// derives each gap-decayed citation operator from the network's one
+// citation operator.
 //
-// weight must return a positive, finite value: edges dropped by the
-// original construction stay dropped, and a node's dangling status
-// cannot change under reweighting. Each row is normalised over u's
-// out-edges, so a weight that depends only on u cancels: the result
-// is the receiver's operator again, up to rounding.
-func (t *Transition) Reweighted(weight func(u, v int32) float64) *Transition {
-	nt := &Transition{
-		n:            t.n,
-		offsets:      t.offsets,
-		sources:      t.sources,
-		norm:         make([]float64, len(t.norm)),
-		dangling:     t.dangling,
-		danglingMark: t.danglingMark,
-		chunks:       t.chunks,
-		pool:         t.pool,
-		gaussSeidel:  t.gaussSeidel,
-		back:         t.back,
+// year holds one integer year per node, spanning at most maxYearSpan
+// years. weight is called once per gap from 0 to the span, into a
+// table the sweeps index per edge, and must return a positive, finite
+// value: edges dropped by the original construction stay dropped, and
+// a node's dangling status cannot change. The view adds O(nodes): the
+// inverse out-weight, summed in one pass over the edges, the year
+// offsets and the table. Each row is normalised over u's out-edges,
+// so a weight that depends only on u cancels: the result would be t's
+// operator again, up to rounding.
+func (t *Transition) GapWeighted(year []int32, weight func(gap int) float64) (*Transition, error) {
+	if len(year) != t.n {
+		return nil, fmt.Errorf("sparse: gap view of %d rows over %d years", t.n, len(year))
 	}
-	outW := make([]float64, t.n)
+	var lo, hi int32
+	if t.n > 0 {
+		lo, hi = slices.Min(year), slices.Max(year)
+	}
+	span := int(hi) - int(lo)
+	if int64(hi)-int64(lo) > maxYearSpan {
+		return nil, fmt.Errorf("sparse: gap view over years %d–%d spans more than %d years", lo, hi, maxYearSpan)
+	}
+	gap := &yearGap{year: make([]uint16, t.n), span: span, lut: make([]float64, 2*span+1)}
+	for u, y := range year {
+		gap.year[u] = uint16(y - lo)
+	}
+	for g := 0; g <= span; g++ {
+		gap.lut[span+g] = weight(g)
+	}
+	for g := 0; g < span; g++ {
+		gap.lut[g] = gap.lut[span] // a younger article cited: gap zero
+	}
+	view := *t
+	view.weights, view.gap = nil, gap
+	view.inv = make([]float64, t.n) // the out-weight, then its inverse
 	for v := 0; v < t.n; v++ {
-		for i := t.offsets[v]; i < t.offsets[v+1]; i++ {
-			u := t.sources[i]
-			w := weight(u, int32(v))
-			nt.norm[i] = w
-			outW[u] += w
+		lut := gap.row(gap.year[v])
+		for _, u := range t.sources[t.offsets[v]:t.offsets[v+1]] {
+			view.inv[u] += lut[gap.year[u]]
 		}
 	}
-	for v := 0; v < t.n; v++ {
-		for i := t.offsets[v]; i < t.offsets[v+1]; i++ {
-			if s := outW[t.sources[i]]; s > 0 {
-				nt.norm[i] /= s
-			}
+	for u, s := range view.inv {
+		if s > 0 {
+			view.inv[u] = 1 / s
 		}
 	}
-	return nt
+	return &view, nil
 }
 
 // N returns the dimension of the operator.
@@ -183,21 +221,21 @@ func (t *Transition) WithPool(p *Pool) *Transition {
 // citing articles at high rows, so a row's sources lie (almost all)
 // above it and the pull-form operator is (nearly) upper triangular. A
 // Gauss–Seidel sweep is one serial pass over the rows, top row first,
-// in place: dst starts as a copy of src and each row is overwritten
-// with its new value, so a row reads a source above it fresh and any
-// other as it was in src (Transition.sweep). It solves the triangular
-// part exactly; only back edges (a source at or below its row) and the
-// layers coupled in from outside iterate. The pass does not use the
-// worker pool, so the result is the same bit for bit at every worker
-// count.
+// in place: each row writes its pre-scaled value into the source
+// vector as it produces it, so a row reads a source above it fresh and
+// any other as it was in src (Transition.sweep). It solves the
+// triangular part exactly; only back edges (a source at or below its
+// row) and the layers coupled in from outside iterate. The pass does
+// not use the worker pool, so the result is the same bit for bit at
+// every worker count.
 //
 // Mixing fresh and stale rows breaks the exact mass conservation the
 // damped step relies on; the sweeps therefore take the restart
 // coefficient from src once and renormalise dst (DampedStep,
 // BlendStep). The fixed point is that of the Jacobi walk.
 //
-// The back edges are counted here, once; Reweighted shares the row
-// structure and copies both the sweep and the count.
+// The back edges are counted here, once; a gap view (GapWeighted)
+// shares the row structure and copies both the sweep and the count.
 func (t *Transition) GaussSeidel() *Transition {
 	view := *t
 	view.gaussSeidel = true
@@ -247,25 +285,24 @@ func (t *Transition) DanglingMass(x []float64) float64 {
 }
 
 // MulVec computes dst = Mᵀ·x, overwriting dst. dst and x must both
-// have length N() and must not alias. The sweep is parallelised over
-// the edge-balanced chunk plan whenever the pool has more than one
-// worker and the plan has more than one chunk (i.e. the operator
-// carries enough edges for parallelism to pay off).
+// have length N() and must not alias. It is a Jacobi product whatever
+// the operator's sweep: x is pre-scaled into a recycled scratch vector
+// (Prescale), then every row gathers from it. Both passes are
+// parallelised over the edge-balanced chunk plan whenever the pool has
+// more than one worker and the plan has more than one chunk (i.e. the
+// operator carries enough edges for parallelism to pay off).
 func (t *Transition) MulVec(dst, x []float64) {
-	nc := t.numChunks()
-	if nc == 1 || t.pool.Workers() <= 1 {
-		t.mulRange(dst, x, 0, t.n)
-		return
-	}
-	t.pool.Run(nc, func(c int) {
-		t.mulRange(dst, x, int(t.chunks[c]), int(t.chunks[c+1]))
+	scratch := scaledPool.Get().(*[]float64)
+	xs := sized(scratch, t.n)
+	t.Prescale(xs, x)
+	reduceChunks(t.pool, t.chunks, func(lo, hi int) stepPartial {
+		for v := lo; v < hi; v++ {
+			dst[v] = t.rowSum(xs, v)
+		}
+		return stepPartial{}
 	})
+	scaledPool.Put(scratch)
 }
 
-func (t *Transition) mulRange(dst, x []float64, lo, hi int) {
-	offs := t.offsets
-	for v := lo; v < hi; v++ {
-		start, end := offs[v], offs[v+1]
-		dst[v] = gatherEdges(0, x, t.sources[start:end], t.norm[start:end])
-	}
-}
+// scaledPool recycles MulVec's pre-scaled source vectors.
+var scaledPool = sync.Pool{New: func() any { return new([]float64) }}

@@ -36,7 +36,10 @@
 // same for the heterogeneous walk. Dangling mass is pipelined — each
 // step returns the dangling mass of the vector it produced for the
 // next step to consume — so no solver pass ever re-scans the dangling
-// set mid-iteration.
+// set mid-iteration. So is the source vector the sweeps gather from,
+// pre-scaled by each node's inverse out-weight: every step leaves the
+// pre-scaled copy of the vector it produced for the next, and no
+// operator stores a normalised weight per edge.
 package sparse
 
 import "math"

@@ -13,8 +13,8 @@ gates='log\.Printf | . | ^\./internal/obs/ | log.Printf outside internal/obs (us
 context\.Background() | internal/serve | _test\.go: | context.Background() in internal/serve (handlers must inherit the request context; background work uses Tracer.BackgroundContext)
 computePrestige\|computeHetero\|computePopularity\|applyFade | . | ^\./internal/core/ | solver phase call outside internal/core (rank through the scorer registry: core.RankScorer or Engine.RankWith)
 sparse\.NewPool( | . | _test\.go:\|^\./internal/sparse/\|^\./internal/core/engine\.go:\|^\./internal/rank/related\.go: | worker pool handle outside the engine and the related index (scorers honour Options.Workers through SolveContext.Pool)
-\.GaussSeidel() | . | _test\.go:\|^\./internal/hetnet/\|^\./internal/sparse/ | Gauss–Seidel operator built outside internal/hetnet (walk the one citation operator of the network, hetnet.SolverView.CitationTransition, or a Reweighted copy of it)
-Reweighted( | . | _test\.go:\|^\./internal/sparse/\|^\./internal/core/engine\.go: | reweighted citation operator outside the gap-decayed transitions of the engine (a weight that depends only on the citing article cancels under row normalisation; a new weighting is a new method)'
+\.GaussSeidel() | . | _test\.go:\|^\./internal/hetnet/\|^\./internal/sparse/ | Gauss–Seidel operator built outside internal/hetnet (walk the one citation operator of the network, hetnet.SolverView.CitationTransition, or a gap view of it)
+GapWeighted( | . | _test\.go:\|^\./internal/sparse/\|^\./internal/core/engine\.go: | gap-weighted citation operator outside the gap-decayed transitions of the engine (its rows are normalised over the out-edges of each citing article, so a weight that depends only on the citing article cancels; a new weighting is a new method)'
 
 status=0
 while IFS= read -r gate; do
