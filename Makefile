@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: check vet lint fmt fuzz-smoke build test test-race bench-check
+.PHONY: check vet lint fmt fuzz-smoke build test test-race bench-check bench-smoke
 
 ## check: everything CI runs — vet, lint, build, race-detector tests on
-## the parallel packages, the full test suite, then the bench module.
-check: vet lint build test-race test bench-check
+## the parallel packages, the full test suite, then the bench module
+## and a short run of the benchmark harness.
+check: vet lint build test-race test bench-check bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -63,3 +64,17 @@ test-race:
 ## this an internal-API break surfaces only at the benchmark gate.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+## bench-smoke: run the benchmark harness on all four workloads for 2 s
+## each (about half a minute). bench-check only compiles and tests the
+## bench module; a harness that builds but produces no numbers is
+## caught here. Fails unless every workload's JSON line reads
+## "correct":true and "failed":0.
+bench-smoke:
+	@out=$$(bash bench/run.sh -all -seed 1 -seconds 2) || { echo "$$out"; exit 1; }; \
+	lines=$$(echo "$$out" | grep '^{' || true); \
+	good=$$(echo "$$lines" | grep -c '"correct":true,.*"failed":0[,}]' || true); \
+	if [ "$$good" -ne 4 ] || [ "$$(echo "$$lines" | grep -c .)" -ne 4 ]; then \
+		echo "$$out"; echo "bench-smoke: $$good of 4 workloads correct with no failed operations"; exit 1; \
+	fi; \
+	echo "bench-smoke: 4 of 4 workloads correct with no failed operations"

@@ -186,39 +186,87 @@ func TestPrestigeNoDecayEqualsPlainPageRank(t *testing.T) {
 	}
 }
 
-// gapWeightedGraph rebuilds a citation graph with the edge weights
-// exp(-rho·max(0, gap)) that the engine's gap operators (gapOperator)
-// apply, gap being the citing article's year minus the cited one's:
-// the weighted-graph oracle of those operators.
-func gapWeightedGraph(cites *graph.Graph, years []float64, rho float64) (*graph.Graph, error) {
+// gapWalk is the gap-decayed citation walk written out edge by edge:
+// the edge u→v, gap being the citing article's year minus the cited
+// one's, weighs exp(-rho·max(0, gap)) and carries the share
+// weight/Σ_out(u) of u's mass — the oracle of the engine's gap
+// operators (gapOperator), sharing no code with them.
+type gapWalk struct {
+	edges    []gapEdge // the citation graph's edges, in row order
+	dangling []graph.NodeID
+}
+
+type gapEdge struct {
+	u, v        graph.NodeID
+	weight, out float64 // the edge's weight and its source's out-weight
+}
+
+// newGapWalk writes out the gap walk of cites at decay rate rho.
+func newGapWalk(cites *graph.Graph, years []float64, rho float64) (*gapWalk, error) {
 	kernel, err := temporal.NewExponential(rho)
 	if err != nil {
 		return nil, err
 	}
-	b := graph.NewBuilder(cites.NumNodes(), true)
-	var addErr error
-	cites.VisitEdges(func(u, v graph.NodeID, _ float64) {
-		w := kernel.Weight(math.Max(0, years[u]-years[v]))
-		if err := b.AddWeightedEdge(u, v, w); err != nil && addErr == nil {
-			addErr = err
+	g := &gapWalk{}
+	for u := graph.NodeID(0); int(u) < cites.NumNodes(); u++ {
+		row := cites.Neighbors(u)
+		if len(row) == 0 {
+			g.dangling = append(g.dangling, u)
+			continue
 		}
-	})
-	if addErr != nil {
-		return nil, addErr
+		first := len(g.edges)
+		var out float64
+		for _, v := range row {
+			w := kernel.Weight(math.Max(0, years[u]-years[v]))
+			g.edges = append(g.edges, gapEdge{u: u, v: v, weight: w})
+			out += w
+		}
+		for i := first; i < len(g.edges); i++ {
+			g.edges[i].out = out
+		}
 	}
-	return b.Build(), nil
+	return g, nil
+}
+
+// weight returns the weight of the edge u→v, or 0 if there is none.
+func (g *gapWalk) weight(u, v graph.NodeID) float64 {
+	for _, e := range g.edges {
+		if e.u == u && e.v == v {
+			return e.weight
+		}
+	}
+	return 0
+}
+
+// step is one Jacobi step of the damped walk over the gap weights,
+//
+//	dst = damping·(Mᵀsrc + dangling(src)·teleport) + (1-damping)·teleport
+//
+// returning the L1 residual ||dst - src||₁.
+func (g *gapWalk) step(dst, src, teleport []float64, damping float64) float64 {
+	var dm float64
+	for _, u := range g.dangling {
+		dm += src[u]
+	}
+	for v := range dst {
+		dst[v] = (damping*dm + 1 - damping) * teleport[v]
+	}
+	for _, e := range g.edges {
+		dst[e.v] += damping * src[e.u] * (e.weight / e.out)
+	}
+	return sparse.L1Diff(dst, src)
 }
 
 func TestGapWeightedGraph(t *testing.T) {
 	net := fixture(t)
-	g, err := gapWeightedGraph(net.Citations, net.Years, 0.2)
+	g, err := newGapWalk(net.Citations, net.Years, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// p4(2008)->p0(2000): gap 8; p4->p2(2004): gap 4. The fresher
 	// citation must carry more weight.
-	wOld := g.Weight(4, 0)
-	wNew := g.Weight(4, 2)
+	wOld := g.weight(4, 0)
+	wNew := g.weight(4, 2)
 	if wNew <= wOld {
 		t.Errorf("gap weighting inverted: new %v <= old %v", wNew, wOld)
 	}
@@ -226,11 +274,11 @@ func TestGapWeightedGraph(t *testing.T) {
 		t.Errorf("wOld = %v", wOld)
 	}
 	// rho = 0 reproduces unit weights.
-	g0, err := gapWeightedGraph(net.Citations, net.Years, 0)
+	g0, err := newGapWalk(net.Citations, net.Years, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := g0.Weight(4, 0); w != 1 {
+	if w := g0.weight(4, 0); w != 1 {
 		t.Errorf("rho=0 weight = %v", w)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -11,9 +12,10 @@ import (
 // through the registered default scorer, must reproduce the
 // pre-refactor fused pipeline to 1e-12 — including the warm-cache
 // behaviour across repeated solves and RhoGap changes. The oracle
-// walks Jacobi operators of its own (sparse.NewTransition), so it is
-// also the Jacobi reference for the engine's Gauss–Seidel sweeps: the
-// same fixed points, in no more sweeps.
+// walks Jacobi operators of its own — sparse.NewTransition for the
+// hetero stage, and the gap walk written out edge by edge (gapWalk)
+// for prestige — so it is also the Jacobi reference for the engine's
+// Gauss–Seidel sweeps: the same fixed points, in no more sweeps.
 
 // legacyEngine replicates the pre-refactor Engine: the same solver
 // view, but Jacobi operators built per solve and the warm-start vectors
@@ -41,13 +43,9 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 	pool := sparse.NewPool(opts.Workers)
 	perm := e.view().Perm()
 	citTrans := sparse.NewTransition(e.view().Citations, pool)
-	gapTrans := citTrans
-	if opts.RhoGap != 0 {
-		g, err := gapWeightedGraph(e.view().Citations, e.view().Years, opts.RhoGap)
-		if err != nil {
-			return nil, err
-		}
-		gapTrans = sparse.NewTransition(g, pool)
+	gap, err := newGapWalk(e.view().Citations, e.view().Years, opts.RhoGap)
+	if err != nil {
+		return nil, err
 	}
 	initPrestige, err := warmVector(opts.InitialScores.prestige(), l.warmPrestige[opts.RhoGap], e.net.NumArticles(), perm)
 	if err != nil {
@@ -57,7 +55,17 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: hetero warm start: %w", err)
 	}
-	rawSolver, pStats, err := computePrestige(e.view(), opts, gapTrans, initPrestige)
+	teleport, err := recencyTeleport(e.view(), opts.RhoRecency)
+	if err != nil {
+		return nil, err
+	}
+	if initPrestige == nil {
+		initPrestige = teleport
+	}
+	it := opts.iterFor(PhasePrestige)
+	it.AitkenEvery = opts.AitkenEvery
+	rawSolver, pStats, err := sparse.FixedPointExtrapolated(context.Background(), nil, initPrestige,
+		func(dst, src []float64) float64 { return gap.step(dst, src, teleport, opts.Damping) }, nil, it)
 	if err != nil {
 		return nil, err
 	}

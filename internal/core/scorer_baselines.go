@@ -370,8 +370,10 @@ func (s *futureRankScorer) Score(ctx *SolveContext) ([]float64, error) {
 //	a' = (1-κ)·walk_C(a) + κ·G_A(p)    (authors)
 //
 // Mass leaked by author-less articles (and article-less authors) is
-// redistributed uniformly within the receiving class. The author
-// distribution comes back in Scores.Authors.
+// redistributed uniformly within the receiving class. The co-authorship
+// walk is read from the view's authorship CSRs (hetnet.Coauthorship),
+// never built as a graph. The author distribution comes back in
+// Scores.Authors.
 type coRankScorer struct {
 	coupling, damping float64
 }
@@ -404,7 +406,7 @@ func (s *coRankScorer) Score(ctx *SolveContext) ([]float64, error) {
 		}
 		return ctx.result(x, stats), nil
 	}
-	coauthT := sparse.NewTransition(ctx.Network().CoauthorGraph(), pool)
+	coauth := view.Coauthorship()
 	d, k := s.damping, s.coupling
 	uniP, uniA := 1/float64(nP), 1/float64(nA)
 	fromAuthors := make([]float64, nP)
@@ -423,8 +425,8 @@ func (s *coRankScorer) Score(ctx *SolveContext) ([]float64, error) {
 			walk := d*(nextP[i]+dmP*uniP) + (1-d)*uniP
 			nextP[i] = (1-k)*walk + k*(fromAuthors[i]+spreadLeak*uniP)
 		}
-		coauthT.MulVec(nextA, a)
-		dmA := coauthT.DanglingMass(a)
+		coauth.MulVec(pool, nextA, a)
+		dmA := coauth.DanglingMass(a)
 		gatherLeak := view.GatherArticlesToAuthorsPar(pool, gathered, p)
 		for i := range nextA {
 			walk := d*(nextA[i]+dmA*uniA) + (1-d)*uniA

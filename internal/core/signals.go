@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"scholarrank/internal/graph"
 	"scholarrank/internal/hetnet"
 	"scholarrank/internal/rank"
 	"scholarrank/internal/sparse"
@@ -77,25 +76,38 @@ func fadeByAge(net *hetnet.Network, rho float64, scores []float64) ([]float64, e
 // intensity Σ_{i→j} exp(-rho·(now - t_i)): how much *current*
 // attention flows into it. With rho = 0 it degrades to the raw
 // citation count. The decay weight depends only on the citing
-// article's publication year, so it is computed once per distinct
-// year and looked up per edge instead of paying an exp per edge.
+// article's publication year, so it is computed once per year of the
+// corpus's span, into a table each citing row indexes, instead of
+// paying an exp per edge.
 func computePopularity(net *hetnet.Network, opts Options) []float64 {
 	kernel := temporal.Exponential{Rho: opts.RhoRecency}
-	n := net.NumArticles()
-	decay := make(map[float64]float64)
-	weightOf := make([]float64, n)
-	for i, y := range net.Years {
-		w, ok := decay[y]
-		if !ok {
-			w = kernel.Weight(temporal.Age(net.Now, y))
-			decay[y] = w
+	weight := func(y int32) float64 { return kernel.Weight(temporal.Age(net.Now, float64(y))) }
+	years := net.Store().YearColumn()
+	lo, hi := net.Store().YearRange()
+	var decay []float64     // weight(lo+i) for each year of the span
+	if hi-lo < len(years) { // only a corrupt year spans wider: no table then
+		decay = make([]float64, hi-lo+1)
+		for i := range decay {
+			decay[i] = weight(int32(lo + i))
 		}
-		weightOf[i] = w
 	}
-	pop := make([]float64, n)
-	net.Citations.VisitEdges(func(u, v graph.NodeID, _ float64) {
-		pop[v] += weightOf[u]
-	})
+	pop := make([]float64, len(years))
+	off, cited := net.Citations.CSR()
+	for u, y := range years {
+		row := cited[off[u]:off[u+1]]
+		if len(row) == 0 {
+			continue
+		}
+		var w float64
+		if decay != nil {
+			w = decay[int(y)-lo]
+		} else {
+			w = weight(y)
+		}
+		for _, v := range row {
+			pop[v] += w
+		}
+	}
 	return pop
 }
 

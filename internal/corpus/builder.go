@@ -87,7 +87,10 @@ func (b *Builder) InternVenue(key, name string) (VenueID, error) {
 	return id, nil
 }
 
-// AddArticle appends an article and returns its dense id.
+// AddArticle appends an article and returns its dense id. An author
+// listed more than once keeps only its first position: authorship is a
+// set, and a repeat would give that author a second share of the
+// article in every author gather.
 func (b *Builder) AddArticle(m ArticleMeta) (ArticleID, error) {
 	if m.Key == "" {
 		return 0, ErrEmptyKey
@@ -106,13 +109,21 @@ func (b *Builder) AddArticle(m ArticleMeta) (ArticleID, error) {
 			return 0, fmt.Errorf("%w: author %d", ErrBadID, a)
 		}
 	}
+	authors := slices.Clone(m.Authors)
+	kept := 0
+	for _, a := range authors {
+		if !slices.Contains(authors[:kept], a) {
+			authors[kept] = a
+			kept++
+		}
+	}
 	id := ArticleID(len(b.articles))
 	b.articles = append(b.articles, Article{
 		Key:     m.Key,
 		Title:   m.Title,
 		Year:    m.Year,
 		Venue:   m.Venue,
-		Authors: append([]AuthorID(nil), m.Authors...),
+		Authors: authors[:kept],
 	})
 	b.byKey[m.Key] = id
 	return id, nil

@@ -23,7 +23,7 @@ func BenchmarkBuild50k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bl := NewBuilder(50_000, false)
+		bl := NewBuilder(50_000)
 		for j := range src {
 			_ = bl.AddEdge(src[j], dst[j])
 		}

@@ -8,24 +8,20 @@ import (
 
 // Builder accumulates directed edges and produces an immutable Graph.
 //
-// Duplicate edges are merged: for weighted builds their weights are
-// summed, for unweighted builds the duplicate is dropped. Builders are
-// not safe for concurrent use.
+// Duplicate edges are merged into one. Builders are not safe for
+// concurrent use.
 type Builder struct {
-	n        int
-	srcs     []NodeID
-	dsts     []NodeID
-	ws       []float64
-	weighted bool
+	n    int
+	srcs []NodeID
+	dsts []NodeID
 }
 
-// NewBuilder returns a Builder for a graph with n nodes. Set weighted
-// to record per-edge weights.
-func NewBuilder(n int, weighted bool) *Builder {
+// NewBuilder returns a Builder for a graph with n nodes.
+func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	return &Builder{n: n, weighted: weighted}
+	return &Builder{n: n}
 }
 
 // Grow raises the node count to at least n. Existing edges keep their
@@ -39,20 +35,13 @@ func (b *Builder) Grow(n int) {
 // NumNodes returns the current node count.
 func (b *Builder) NumNodes() int { return b.n }
 
-// AddEdge records the edge u->v with weight 1.
-func (b *Builder) AddEdge(u, v NodeID) error { return b.AddWeightedEdge(u, v, 1) }
-
-// AddWeightedEdge records the edge u->v with weight w. For an
-// unweighted builder w is ignored.
-func (b *Builder) AddWeightedEdge(u, v NodeID, w float64) error {
+// AddEdge records the edge u->v.
+func (b *Builder) AddEdge(u, v NodeID) error {
 	if int(u) < 0 || int(u) >= b.n || int(v) < 0 || int(v) >= b.n {
 		return fmt.Errorf("%w: (%d,%d) with n=%d", ErrNodeRange, u, v, b.n)
 	}
 	b.srcs = append(b.srcs, u)
 	b.dsts = append(b.dsts, v)
-	if b.weighted {
-		b.ws = append(b.ws, w)
-	}
 	return nil
 }
 
@@ -77,23 +66,13 @@ func (b *Builder) Build() *Graph {
 		offsets: make([]int64, b.n+1),
 		targets: make([]NodeID, 0, m),
 	}
-	if b.weighted {
-		g.weights = make([]float64, 0, m)
-	}
 	prevU, prevV := NodeID(-1), NodeID(-1)
 	for _, idx := range order {
 		u, v := b.srcs[idx], b.dsts[idx]
 		if u == prevU && v == prevV {
-			// Duplicate edge: merge.
-			if b.weighted {
-				g.weights[len(g.weights)-1] += b.ws[idx]
-			}
-			continue
+			continue // duplicate edge: merge
 		}
 		g.targets = append(g.targets, v)
-		if b.weighted {
-			g.weights = append(g.weights, b.ws[idx])
-		}
 		g.offsets[u+1]++
 		prevU, prevV = u, v
 	}
@@ -103,7 +82,7 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
-// FromCSRRows builds an unweighted graph directly from CSR-shaped
+// FromCSRRows builds a graph directly from CSR-shaped
 // input: offsets is an (n+1)-element row delimiter array and dsts the
 // flat target array. Each row is sorted and deduplicated
 // independently — no global edge sort — which makes this much faster
@@ -156,29 +135,15 @@ func FromCSRRows(n int, offsets []int64, dsts []NodeID) *Graph {
 	return g
 }
 
-// FromEdges is a convenience constructor building an unweighted graph
-// from parallel endpoint slices.
+// FromEdges is a convenience constructor building a graph from
+// parallel endpoint slices.
 func FromEdges(n int, src, dst []NodeID) (*Graph, error) {
 	if len(src) != len(dst) {
 		return nil, fmt.Errorf("graph: endpoint slices differ in length: %d vs %d", len(src), len(dst))
 	}
-	b := NewBuilder(n, false)
+	b := NewBuilder(n)
 	for i := range src {
 		if err := b.AddEdge(src[i], dst[i]); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build(), nil
-}
-
-// FromWeightedEdges builds a weighted graph from parallel slices.
-func FromWeightedEdges(n int, src, dst []NodeID, w []float64) (*Graph, error) {
-	if len(src) != len(dst) || len(src) != len(w) {
-		return nil, fmt.Errorf("graph: edge slices differ in length: %d/%d/%d", len(src), len(dst), len(w))
-	}
-	b := NewBuilder(n, true)
-	for i := range src {
-		if err := b.AddWeightedEdge(src[i], dst[i], w[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -3,10 +3,12 @@
 // operations the ranking algorithms need: transposition, degree
 // queries, traversal, and connected-component analysis.
 //
-// Nodes are dense integer indices in [0, NumNodes). Edges may carry
-// float64 weights; an unweighted graph treats every edge as weight 1.
-// A Graph is immutable once built, which makes it safe for concurrent
-// readers without locking.
+// Nodes are dense integer indices in [0, NumNodes). Edges carry no
+// weights: an edge is present or not, and duplicates merge into one.
+// A weighting of the edges is the business of the operator that walks
+// them (sparse.Transition.GapWeighted is the only one). A Graph is
+// immutable once built, which makes it safe for concurrent readers
+// without locking.
 package graph
 
 import (
@@ -28,9 +30,8 @@ var ErrNodeRange = errors.New("graph: node index out of range")
 // The zero value is an empty graph with no nodes and no edges.
 type Graph struct {
 	n       int
-	offsets []int64   // len n+1; offsets[i]..offsets[i+1] index into targets
-	targets []NodeID  // len m, sorted within each row
-	weights []float64 // len m, or nil for an unweighted graph
+	offsets []int64  // len n+1; offsets[i]..offsets[i+1] index into targets
+	targets []NodeID // len m, sorted within each row
 }
 
 // NumNodes returns the number of nodes.
@@ -38,9 +39,6 @@ func (g *Graph) NumNodes() int { return g.n }
 
 // NumEdges returns the number of directed edges.
 func (g *Graph) NumEdges() int { return len(g.targets) }
-
-// Weighted reports whether the graph carries per-edge weights.
-func (g *Graph) Weighted() bool { return g.weights != nil }
 
 // OutDegree returns the number of edges leaving node u.
 func (g *Graph) OutDegree(u NodeID) int {
@@ -61,48 +59,11 @@ func (g *Graph) CSR() (offsets []int64, targets []NodeID) {
 	return g.offsets, g.targets
 }
 
-// EdgeWeights returns the weights of the edges leaving u, aligned with
-// Neighbors(u). It returns nil for an unweighted graph. The returned
-// slice aliases internal storage and must not be modified.
-func (g *Graph) EdgeWeights(u NodeID) []float64 {
-	if g.weights == nil {
-		return nil
-	}
-	return g.weights[g.offsets[u]:g.offsets[u+1]]
-}
-
-// Weight returns the weight of the edge u->v, or 0 if the edge does
-// not exist. An unweighted edge has weight 1.
-func (g *Graph) Weight(u, v NodeID) float64 {
-	row := g.Neighbors(u)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
-	if i == len(row) || row[i] != v {
-		return 0
-	}
-	if g.weights == nil {
-		return 1
-	}
-	return g.weights[g.offsets[u]+int64(i)]
-}
-
 // HasEdge reports whether the edge u->v exists.
 func (g *Graph) HasEdge(u, v NodeID) bool {
 	row := g.Neighbors(u)
 	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
 	return i < len(row) && row[i] == v
-}
-
-// OutWeight returns the total weight of edges leaving u
-// (the out-degree for unweighted graphs).
-func (g *Graph) OutWeight(u NodeID) float64 {
-	if g.weights == nil {
-		return float64(g.OutDegree(u))
-	}
-	var s float64
-	for _, w := range g.EdgeWeights(u) {
-		s += w
-	}
-	return s
 }
 
 // InDegrees computes the in-degree of every node in one pass.
@@ -115,15 +76,12 @@ func (g *Graph) InDegrees() []int {
 }
 
 // Transpose returns the reverse graph: an edge u->v becomes v->u.
-// Weights are preserved. The operation is O(n + m).
+// The operation is O(n + m).
 func (g *Graph) Transpose() *Graph {
 	t := &Graph{
 		n:       g.n,
 		offsets: make([]int64, g.n+1),
 		targets: make([]NodeID, len(g.targets)),
-	}
-	if g.weights != nil {
-		t.weights = make([]float64, len(g.weights))
 	}
 	// Counting sort by target.
 	for _, v := range g.targets {
@@ -135,15 +93,9 @@ func (g *Graph) Transpose() *Graph {
 	cursor := make([]int64, g.n)
 	copy(cursor, t.offsets[:g.n])
 	for u := 0; u < g.n; u++ {
-		base := g.offsets[u]
-		row := g.targets[base:g.offsets[u+1]]
-		for i, v := range row {
-			pos := cursor[v]
+		for _, v := range g.targets[g.offsets[u]:g.offsets[u+1]] {
+			t.targets[cursor[v]] = NodeID(u)
 			cursor[v]++
-			t.targets[pos] = NodeID(u)
-			if g.weights != nil {
-				t.weights[pos] = g.weights[base+int64(i)]
-			}
 		}
 	}
 	// Rows of the transpose are produced in increasing source order,
@@ -151,18 +103,11 @@ func (g *Graph) Transpose() *Graph {
 	return t
 }
 
-// VisitEdges calls fn for every edge (u, v, w) in row order.
-// For unweighted graphs w is 1.
-func (g *Graph) VisitEdges(fn func(u, v NodeID, w float64)) {
+// VisitEdges calls fn for every edge u->v in row order.
+func (g *Graph) VisitEdges(fn func(u, v NodeID)) {
 	for u := 0; u < g.n; u++ {
-		base := g.offsets[u]
-		row := g.targets[base:g.offsets[u+1]]
-		for i, v := range row {
-			w := 1.0
-			if g.weights != nil {
-				w = g.weights[base+int64(i)]
-			}
-			fn(NodeID(u), v, w)
+		for _, v := range g.targets[g.offsets[u]:g.offsets[u+1]] {
+			fn(NodeID(u), v)
 		}
 	}
 }
@@ -184,9 +129,6 @@ func (g *Graph) Validate() error {
 	}
 	if g.n > 0 && g.offsets[g.n] != int64(len(g.targets)) {
 		return fmt.Errorf("graph: offsets end %d, want %d", g.offsets[g.n], len(g.targets))
-	}
-	if g.weights != nil && len(g.weights) != len(g.targets) {
-		return fmt.Errorf("graph: weights length %d, want %d", len(g.weights), len(g.targets))
 	}
 	for u := 0; u < g.n; u++ {
 		row := g.Neighbors(NodeID(u))

@@ -19,7 +19,7 @@ func buildDiamond(t *testing.T) *Graph {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := NewBuilder(0, false).Build()
+	g := NewBuilder(0).Build()
 	if g.NumNodes() != 0 || g.NumEdges() != 0 {
 		t.Fatalf("empty graph has n=%d m=%d", g.NumNodes(), g.NumEdges())
 	}
@@ -55,7 +55,7 @@ func TestBuilderBasics(t *testing.T) {
 }
 
 func TestBuilderRejectsOutOfRange(t *testing.T) {
-	b := NewBuilder(2, false)
+	b := NewBuilder(2)
 	if err := b.AddEdge(0, 2); err == nil {
 		t.Error("AddEdge(0,2) with n=2 succeeded, want error")
 	}
@@ -65,7 +65,7 @@ func TestBuilderRejectsOutOfRange(t *testing.T) {
 }
 
 func TestBuilderMergesDuplicatesUnweighted(t *testing.T) {
-	b := NewBuilder(2, false)
+	b := NewBuilder(2)
 	for i := 0; i < 5; i++ {
 		if err := b.AddEdge(0, 1); err != nil {
 			t.Fatal(err)
@@ -77,24 +77,8 @@ func TestBuilderMergesDuplicatesUnweighted(t *testing.T) {
 	}
 }
 
-func TestBuilderMergesDuplicatesWeighted(t *testing.T) {
-	b := NewBuilder(2, true)
-	for i := 1; i <= 3; i++ {
-		if err := b.AddWeightedEdge(0, 1, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := b.Build()
-	if g.NumEdges() != 1 {
-		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
-	}
-	if w := g.Weight(0, 1); w != 6 {
-		t.Errorf("merged weight = %v, want 6", w)
-	}
-}
-
 func TestBuilderGrow(t *testing.T) {
-	b := NewBuilder(1, false)
+	b := NewBuilder(1)
 	b.Grow(3)
 	if err := b.AddEdge(2, 0); err != nil {
 		t.Fatalf("AddEdge after Grow: %v", err)
@@ -105,35 +89,16 @@ func TestBuilderGrow(t *testing.T) {
 	}
 }
 
-func TestWeightAndHasEdge(t *testing.T) {
-	g, err := FromWeightedEdges(3, []NodeID{0, 0}, []NodeID{1, 2}, []float64{0.5, 2})
+func TestHasEdge(t *testing.T) {
+	g, err := FromEdges(3, []NodeID{0, 0}, []NodeID{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !g.HasEdge(0, 1) || !g.HasEdge(0, 2) {
 		t.Error("missing expected edges")
 	}
-	if g.HasEdge(1, 0) {
-		t.Error("unexpected edge 1->0")
-	}
-	if w := g.Weight(0, 2); w != 2 {
-		t.Errorf("Weight(0,2) = %v, want 2", w)
-	}
-	if w := g.Weight(1, 2); w != 0 {
-		t.Errorf("Weight(1,2) = %v, want 0", w)
-	}
-	if w := g.OutWeight(0); w != 2.5 {
-		t.Errorf("OutWeight(0) = %v, want 2.5", w)
-	}
-}
-
-func TestUnweightedWeightIsOne(t *testing.T) {
-	g := buildDiamond(t)
-	if w := g.Weight(0, 1); w != 1 {
-		t.Errorf("Weight = %v, want 1", w)
-	}
-	if g.EdgeWeights(0) != nil {
-		t.Error("EdgeWeights should be nil for unweighted graph")
+	if g.HasEdge(1, 0) || g.HasEdge(1, 2) {
+		t.Error("unexpected edge out of node 1")
 	}
 }
 
@@ -158,37 +123,22 @@ func TestTranspose(t *testing.T) {
 	}
 	// Transposing twice restores the original edge set.
 	back := tr.Transpose()
-	g.VisitEdges(func(u, v NodeID, w float64) {
+	g.VisitEdges(func(u, v NodeID) {
 		if !back.HasEdge(u, v) {
 			t.Errorf("double transpose lost edge %d->%d", u, v)
 		}
 	})
 }
 
-func TestTransposePreservesWeights(t *testing.T) {
-	g, err := FromWeightedEdges(3, []NodeID{0, 1}, []NodeID{2, 2}, []float64{3, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := g.Transpose()
-	if w := tr.Weight(2, 0); w != 3 {
-		t.Errorf("Weight(2,0) = %v, want 3", w)
-	}
-	if w := tr.Weight(2, 1); w != 7 {
-		t.Errorf("Weight(2,1) = %v, want 7", w)
-	}
-}
-
 func TestVisitEdges(t *testing.T) {
 	g := buildDiamond(t)
-	var count int
-	var sumW float64
-	g.VisitEdges(func(u, v NodeID, w float64) {
-		count++
-		sumW += w
+	var got [][2]NodeID
+	g.VisitEdges(func(u, v NodeID) {
+		got = append(got, [2]NodeID{u, v})
 	})
-	if count != 4 || sumW != 4 {
-		t.Errorf("VisitEdges count=%d sumW=%v", count, sumW)
+	want := [][2]NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("VisitEdges visited %v, want %v in row order", got, want)
 	}
 }
 
@@ -267,11 +217,11 @@ func TestPowerLawAlphaTooFewSamples(t *testing.T) {
 func TestQuickBuilderAlwaysValid(t *testing.T) {
 	f := func(raw []uint16) bool {
 		const n = 64
-		b := NewBuilder(n, true)
+		b := NewBuilder(n)
 		for i := 0; i+1 < len(raw); i += 2 {
 			u := NodeID(raw[i] % n)
 			v := NodeID(raw[i+1] % n)
-			if err := b.AddWeightedEdge(u, v, 1); err != nil {
+			if err := b.AddEdge(u, v); err != nil {
 				return false
 			}
 		}
@@ -286,23 +236,23 @@ func TestQuickBuilderAlwaysValid(t *testing.T) {
 	}
 }
 
-// Property: transpose preserves the multiset of edges (as a set here,
-// since Build dedups) and total weight.
+// Property: transpose preserves the set of edges (Build dedups), each
+// reversed.
 func TestQuickTransposeRoundTrip(t *testing.T) {
 	f := func(raw []uint16) bool {
 		const n = 32
-		b := NewBuilder(n, true)
+		b := NewBuilder(n)
 		for i := 0; i+1 < len(raw); i += 2 {
-			_ = b.AddWeightedEdge(NodeID(raw[i]%n), NodeID(raw[i+1]%n), float64(raw[i]%7)+1)
+			_ = b.AddEdge(NodeID(raw[i]%n), NodeID(raw[i+1]%n))
 		}
 		g := b.Build()
 		tr := g.Transpose()
-		if tr.NumEdges() != g.NumEdges() {
+		if tr.NumEdges() != g.NumEdges() || tr.Validate() != nil {
 			return false
 		}
 		ok := true
-		g.VisitEdges(func(u, v NodeID, w float64) {
-			if tr.Weight(v, u) != w {
+		g.VisitEdges(func(u, v NodeID) {
+			if !tr.HasEdge(v, u) {
 				ok = false
 			}
 		})

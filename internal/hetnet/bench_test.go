@@ -35,14 +35,16 @@ func BenchmarkHetnetBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkHetnetPullIndex measures the lazily-built pull-kernel index
-// (inverse article→author CSR plus chunk plans), the one derived
-// structure Build still computes on first use.
-func BenchmarkHetnetPullIndex(b *testing.B) {
+// BenchmarkHetnetSolverView measures Build plus the solver view, built
+// lazily on first use: on a generated corpus, which is in solver order,
+// the view aliases the store's layer columns and derives only the
+// kernels' inverse degrees, leak lists and chunk plans.
+func BenchmarkHetnetSolverView(b *testing.B) {
 	c := benchStore(b, 50_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net := Build(c.Store)
-		net.buildPullIndex()
+		if v := Build(c.Store).SolverView(); v.NumArticles() != c.Store.NumArticles() {
+			b.Fatal("bad view")
+		}
 	}
 }

@@ -99,9 +99,10 @@ func TestAge(t *testing.T) {
 
 func TestGatherSpreadAuthorsConservesMass(t *testing.T) {
 	n := buildTiny(t)
+	v := n.SolverView()
 	p := []float64{0.5, 0.3, 0.2}
 	authors := make([]float64, n.NumAuthors())
-	leaked := n.GatherArticlesToAuthors(authors, p)
+	leaked := v.GatherArticlesToAuthorsPar(nil, authors, p)
 	// p2 has no authors -> its 0.2 leaks.
 	if math.Abs(leaked-0.2) > 1e-15 {
 		t.Errorf("leaked = %v, want 0.2", leaked)
@@ -119,7 +120,7 @@ func TestGatherSpreadAuthorsConservesMass(t *testing.T) {
 	}
 
 	back := make([]float64, 3)
-	n.SpreadAuthorsToArticles(back, authors)
+	v.SpreadAuthorsToArticlesPar(nil, back, authors)
 	var backTotal float64
 	for _, v := range back {
 		backTotal += v
@@ -136,19 +137,28 @@ func TestGatherSpreadAuthorsConservesMass(t *testing.T) {
 	}
 }
 
+// TestGatherSpreadVenues gathers article mass onto the venues, scaled
+// by each venue's spread share, and spreads it back through the inline
+// venue layer a blend sweep reads.
 func TestGatherSpreadVenues(t *testing.T) {
 	n := buildTiny(t)
+	v := n.SolverView()
 	p := []float64{0.5, 0.3, 0.2}
 	venues := make([]float64, n.NumVenues())
-	leaked := n.GatherArticlesToVenues(venues, p)
+	leaked := v.GatherArticlesToVenuesScaledPar(nil, venues, p)
 	if math.Abs(leaked-0.5) > 1e-15 { // p1 and p2 have no venue
 		t.Errorf("leaked = %v, want 0.5", leaked)
 	}
-	if math.Abs(venues[0]-0.5) > 1e-15 {
+	if math.Abs(venues[0]-0.5) > 1e-15 { // v has one article: share 1
 		t.Errorf("venue score = %v", venues[0])
 	}
+	layer := v.VenueBlendLayer(venues)
 	back := make([]float64, 3)
-	n.SpreadVenuesToArticles(back, venues)
+	for i, vn := range layer.Of {
+		if vn >= 0 {
+			back[i] = layer.Vec[vn]
+		}
+	}
 	if math.Abs(back[0]-0.5) > 1e-15 || back[1] != 0 {
 		t.Errorf("spread = %v", back)
 	}
@@ -164,7 +174,7 @@ func TestEmptyCorpusNetwork(t *testing.T) {
 func TestSpreadOverwritesDst(t *testing.T) {
 	n := buildTiny(t)
 	dst := []float64{9, 9, 9}
-	n.SpreadAuthorsToArticles(dst, make([]float64, n.NumAuthors()))
+	n.SolverView().SpreadAuthorsToArticlesPar(nil, dst, make([]float64, n.NumAuthors()))
 	for i, v := range dst {
 		if v != 0 {
 			t.Errorf("dst[%d] = %v, want 0 (overwrite)", i, v)
@@ -195,15 +205,6 @@ func buildRandom(t testing.TB, n int, seed int64) *Network {
 		for k := rng.Intn(5) - 1; k >= 0; k-- {
 			meta.Authors = append(meta.Authors, authors[rng.Intn(len(authors))])
 		}
-		seen := map[corpus.AuthorID]bool{}
-		uniq := meta.Authors[:0]
-		for _, a := range meta.Authors {
-			if !seen[a] {
-				seen[a] = true
-				uniq = append(uniq, a)
-			}
-		}
-		meta.Authors = uniq
 		if _, err := s.AddArticle(meta); err != nil {
 			t.Fatal(err)
 		}
@@ -211,67 +212,66 @@ func buildRandom(t testing.TB, n int, seed int64) *Network {
 	return Build(s.Freeze())
 }
 
-// TestGatherSpreadPooledMatchesSerial checks the pool-parallel pull
-// kernels against their serial execution on a corpus big enough for a
-// real multi-chunk plan.
+// TestGatherSpreadPooledMatchesSerial checks the view's pool-parallel
+// pull kernels against their serial execution on a corpus big enough
+// for a real multi-chunk plan.
 func TestGatherSpreadPooledMatchesSerial(t *testing.T) {
 	net := buildRandom(t, 30_000, 9)
+	v := net.SolverView()
 	pool := sparse.NewPool(4)
 	rng := rand.New(rand.NewSource(10))
 	x := make([]float64, net.NumArticles())
 	for i := range x {
 		x[i] = rng.Float64()
 	}
+	same := func(what string, ser, par []float64) {
+		t.Helper()
+		for i := range ser {
+			if ser[i] != par[i] {
+				t.Fatalf("%s differs at %d: %v vs %v", what, i, ser[i], par[i])
+			}
+		}
+	}
 
 	aSer := make([]float64, net.NumAuthors())
 	aPar := make([]float64, net.NumAuthors())
-	leakSer := net.GatherArticlesToAuthors(aSer, x)
-	leakPar := net.GatherArticlesToAuthorsPar(pool, aPar, x)
+	leakSer := v.GatherArticlesToAuthorsPar(nil, aSer, x)
+	leakPar := v.GatherArticlesToAuthorsPar(pool, aPar, x)
 	if leakSer != leakPar {
 		t.Errorf("author leak: serial %v parallel %v", leakSer, leakPar)
 	}
-	for i := range aSer {
-		if aSer[i] != aPar[i] {
-			t.Fatalf("author gather differs at %d: %v vs %v", i, aSer[i], aPar[i])
-		}
-	}
+	same("author gather", aSer, aPar)
+	v.GatherArticlesToAuthorsScaledPar(nil, aSer, x)
+	v.GatherArticlesToAuthorsScaledPar(pool, aPar, x)
+	same("scaled author gather", aSer, aPar)
 
 	pSer := make([]float64, net.NumArticles())
 	pPar := make([]float64, net.NumArticles())
-	net.SpreadAuthorsToArticles(pSer, aSer)
-	net.SpreadAuthorsToArticlesPar(pool, pPar, aSer)
-	for i := range pSer {
-		if pSer[i] != pPar[i] {
-			t.Fatalf("author spread differs at %d: %v vs %v", i, pSer[i], pPar[i])
-		}
-	}
+	v.SpreadAuthorsToArticlesPar(nil, pSer, aSer)
+	v.SpreadAuthorsToArticlesPar(pool, pPar, aSer)
+	same("author spread", pSer, pPar)
 
 	vSer := make([]float64, net.NumVenues())
 	vPar := make([]float64, net.NumVenues())
-	leakSer = net.GatherArticlesToVenues(vSer, x)
-	leakPar = net.GatherArticlesToVenuesPar(pool, vPar, x)
+	leakSer = v.GatherArticlesToVenuesScaledPar(nil, vSer, x)
+	leakPar = v.GatherArticlesToVenuesScaledPar(pool, vPar, x)
 	if leakSer != leakPar {
 		t.Errorf("venue leak: serial %v parallel %v", leakSer, leakPar)
 	}
-	for i := range vSer {
-		if vSer[i] != vPar[i] {
-			t.Fatalf("venue gather differs at %d: %v vs %v", i, vSer[i], vPar[i])
-		}
-	}
+	same("venue gather", vSer, vPar)
 
-	net.SpreadVenuesToArticles(pSer, vSer)
-	net.SpreadVenuesToArticlesPar(pool, pPar, vSer)
-	for i := range pSer {
-		if pSer[i] != pPar[i] {
-			t.Fatalf("venue spread differs at %d: %v vs %v", i, pSer[i], pPar[i])
-		}
-	}
+	coSer := make([]float64, net.NumAuthors())
+	coPar := make([]float64, net.NumAuthors())
+	v.Coauthorship().MulVec(nil, coSer, aPar)
+	v.Coauthorship().MulVec(pool, coPar, aPar)
+	same("co-authorship walk", coSer, coPar)
 }
 
 // TestGrowCitationDelta checks the incremental rebuild path: a delta
 // that only adds citations between existing articles must reuse the
 // old network's bipartite layers yet expose the new citation edges,
-// and every kernel must agree with a from-scratch Build.
+// and the grown network's view must build kernels that agree with a
+// from-scratch Build.
 func TestGrowCitationDelta(t *testing.T) {
 	old := buildTiny(t)
 	gb := old.Store().Thaw()
@@ -298,8 +298,8 @@ func TestGrowCitationDelta(t *testing.T) {
 	art := []float64{0.5, 0.3, 0.2}
 	gotA := make([]float64, n.NumAuthors())
 	wantA := make([]float64, n.NumAuthors())
-	leakGot := n.GatherArticlesToAuthors(gotA, art)
-	leakWant := fresh.GatherArticlesToAuthors(wantA, art)
+	leakGot := n.SolverView().GatherArticlesToAuthorsPar(nil, gotA, art)
+	leakWant := fresh.SolverView().GatherArticlesToAuthorsPar(nil, wantA, art)
 	if leakGot != leakWant {
 		t.Errorf("author leak = %v, want %v", leakGot, leakWant)
 	}

@@ -1,7 +1,6 @@
 package hetnet
 
 import (
-	"slices"
 	"sync"
 
 	"scholarrank/internal/corpus"
@@ -11,15 +10,20 @@ import (
 
 // SolverView is the network projected into solver (permuted) article
 // order: every article-indexed structure the iterative stages touch —
-// the citation graph, the years vector, both bipartite layers and the
-// pull-mode index — relabelled through the store's chronological
-// permutation. Solvers run entirely in this space and map their score
-// vectors back through Perm() at the end; author and venue indices are
-// unaffected by the relabelling.
+// the citation graph, the years vector and both bipartite layers —
+// relabelled through the store's chronological permutation. Solvers
+// run entirely in this space and map their score vectors back through
+// Perm() at the end; author and venue indices are unaffected by the
+// relabelling.
 //
-// When the store carries no permutation the view aliases the base
-// network's arrays with zero copies, so holding a view is free for
-// corpora that are already in solver order.
+// The view is the one holder of the bipartite layers' pull-form index
+// and of every kernel over it. Pull form makes each kernel write every
+// output cell exactly once, so the kernels parallelise over a worker
+// pool with no scatter races. The index is built from the store's
+// columns: when the store carries no permutation the view aliases them
+// with zero copies and derives only the inverse degrees, leak lists and
+// chunk plans, so holding a view is cheap for corpora that are already
+// in solver order.
 type SolverView struct {
 	net  *Network
 	perm *sparse.Permutation
@@ -35,19 +39,19 @@ type SolverView struct {
 	// Now mirrors Network.Now.
 	Now float64
 
-	authorOffsets  []int64
-	authorArticles []corpus.ArticleID
-	venueOffsets   []int64
-	venueArticles  []corpus.ArticleID
-	artAuthorOff   []int64
-	artAuthors     []corpus.AuthorID
-	invArtAuthors  []float64
-	invAuthorArts  []float64
-	venueOf        []corpus.VenueID
-	invVenueArts   []float64
-	noAuthorArts   []corpus.ArticleID
-	noVenueArts    []corpus.ArticleID
-	authorChunks   []int32
+	authorOffsets  []int64            // CSR over authors: articles of each author
+	authorArticles []corpus.ArticleID //
+	venueOffsets   []int64            // CSR over venues: articles at each venue
+	venueArticles  []corpus.ArticleID //
+	artAuthorOff   []int64            // CSR over articles: authors of each article
+	artAuthors     []corpus.AuthorID  //
+	venueOf        []corpus.VenueID   // per article venue (corpus.NoVenue when none)
+	invArtAuthors  []float64          // per article: 1/#authors (0 when none)
+	invAuthorArts  []float64          // per author: 1/#articles (0 when none)
+	invVenueArts   []float64          // per venue: 1/#articles (0 when none)
+	noAuthorArts   []corpus.ArticleID // articles that leak in author gathers, ascending
+	noVenueArts    []corpus.ArticleID // articles that leak in venue gathers, ascending
+	authorChunks   []int32            // edge-balanced partitions for the pool
 	venueChunks    []int32
 	articleChunks  []int32
 
@@ -65,73 +69,97 @@ func (n *Network) SolverView() *SolverView {
 	return n.solver
 }
 
-// buildSolverView materialises the permuted projection. Author- and
-// venue-indexed arrays (offsets, inverse degrees, their chunk plans)
-// are order-invariant and alias the base index; only article-indexed
-// data is relabelled.
+// buildSolverView materialises the projection from the store's
+// columns, relabelling the article-indexed ones when the store carries
+// a permutation, then derives the kernels' index.
 func (n *Network) buildSolverView() {
-	n.ensurePullIndex()
-	v := &SolverView{net: n, Now: n.Now}
+	s := n.store
+	v := &SolverView{net: n, Citations: n.Citations, Years: n.Years, YearColumn: s.YearColumn(), Now: n.Now}
 	n.solver = v
-	p := n.store.SolverPermutation()
-	if p == nil {
-		v.Citations = n.Citations
-		v.Years = n.Years
-		v.YearColumn = n.store.YearColumn()
-		v.authorOffsets, v.authorArticles = n.authorOffsets, n.authorArticles
-		v.venueOffsets, v.venueArticles = n.venueOffsets, n.venueArticles
-		v.artAuthorOff, v.artAuthors = n.artAuthorOff, n.artAuthors
-		v.invArtAuthors, v.invAuthorArts = n.invArtAuthors, n.invAuthorArts
-		v.venueOf, v.invVenueArts = n.venueOf, n.invVenueArts
-		v.noAuthorArts, v.noVenueArts = n.noAuthorArts, n.noVenueArts
-		v.authorChunks, v.venueChunks = n.authorChunks, n.venueChunks
-		v.articleChunks = n.articleChunks
-		return
+	v.authorOffsets, v.authorArticles = s.AuthorArticlesCSR()
+	v.venueOffsets, v.venueArticles = s.VenueArticlesCSR()
+	v.artAuthorOff, v.artAuthors = s.ArticleAuthorsCSR()
+	v.venueOf = s.VenueColumn()
+	if p := s.SolverPermutation(); p != nil {
+		v.permute(p)
 	}
+	v.index()
+}
+
+// permute relabels the view's article-indexed structures through p.
+// The CSRs keyed by author and venue keep their offsets, with the
+// article ids inside each row relabelled (row order is irrelevant to
+// the gather sums); the article-keyed ones move their rows.
+func (v *SolverView) permute(p *sparse.Permutation) {
 	v.perm = p
 	fwd, inv := p.Fwd(), p.Inv()
 	nArt := len(fwd)
 
-	v.Citations = n.Citations.Permute(fwd)
-	v.Years = make([]float64, nArt)
-	for i, y := range n.Years {
-		v.Years[fwd[i]] = y
+	v.Citations = v.Citations.Permute(fwd)
+	years := make([]float64, nArt)
+	for i, y := range v.Years {
+		years[fwd[i]] = y
 	}
-	v.YearColumn = make([]int32, nArt)
-	for i, y := range n.store.YearColumn() {
-		v.YearColumn[fwd[i]] = y
+	v.Years = years
+	yearCol := make([]int32, nArt)
+	for i, y := range v.YearColumn {
+		yearCol[fwd[i]] = y
 	}
+	v.YearColumn = yearCol
 
-	// Bipartite CSRs keyed by author/venue: offsets are unchanged, the
-	// article ids inside each row are relabelled in place (row order is
-	// irrelevant to the gather sums).
-	v.authorOffsets = n.authorOffsets
-	v.authorArticles = mapArticleIDs(n.authorArticles, fwd)
-	v.venueOffsets = n.venueOffsets
-	v.venueArticles = mapArticleIDs(n.venueArticles, fwd)
+	v.authorArticles = mapArticleIDs(v.authorArticles, fwd)
+	v.venueArticles = mapArticleIDs(v.venueArticles, fwd)
 
-	// The article→authors CSR is keyed by article, so its rows move:
-	// solver row p holds the authors of original article inv[p].
+	// Solver row p of the article→authors CSR holds the authors of
+	// original article inv[p].
+	off, authors := v.artAuthorOff, v.artAuthors
 	v.artAuthorOff = make([]int64, nArt+1)
-	v.artAuthors = make([]corpus.AuthorID, 0, len(n.artAuthors))
+	v.artAuthors = make([]corpus.AuthorID, 0, len(authors))
 	for np := 0; np < nArt; np++ {
 		op := inv[np]
-		v.artAuthors = append(v.artAuthors, n.artAuthors[n.artAuthorOff[op]:n.artAuthorOff[op+1]]...)
+		v.artAuthors = append(v.artAuthors, authors[off[op]:off[op+1]]...)
 		v.artAuthorOff[np+1] = int64(len(v.artAuthors))
 	}
-	v.invArtAuthors = p.Applied(n.invArtAuthors)
-	v.invAuthorArts = n.invAuthorArts
-	v.invVenueArts = n.invVenueArts
-	v.venueOf = make([]corpus.VenueID, nArt)
-	for i, vn := range n.venueOf {
-		v.venueOf[fwd[i]] = vn
+	venueOf := make([]corpus.VenueID, nArt)
+	for i, vn := range v.venueOf {
+		venueOf[fwd[i]] = vn
 	}
-	v.noAuthorArts = mapSortedArticleIDs(n.noAuthorArts, fwd)
-	v.noVenueArts = mapSortedArticleIDs(n.noVenueArts, fwd)
+	v.venueOf = venueOf
+}
 
-	v.authorChunks = n.authorChunks
-	v.venueChunks = n.venueChunks
+// index derives what the kernels read beside the layers: the inverse
+// degrees, the leak lists (ascending, so the leak sums walk the score
+// vector sequentially) and the edge-balanced chunk plans.
+func (v *SolverView) index() {
+	nArt := v.NumArticles()
+	v.invArtAuthors = make([]float64, nArt)
+	for p := 0; p < nArt; p++ {
+		if d := v.artAuthorOff[p+1] - v.artAuthorOff[p]; d > 0 {
+			v.invArtAuthors[p] = 1 / float64(d)
+		} else {
+			v.noAuthorArts = append(v.noAuthorArts, corpus.ArticleID(p))
+		}
+		if v.venueOf[p] == corpus.NoVenue {
+			v.noVenueArts = append(v.noVenueArts, corpus.ArticleID(p))
+		}
+	}
+	v.invAuthorArts = inverseDegrees(v.authorOffsets, v.NumAuthors())
+	v.invVenueArts = inverseDegrees(v.venueOffsets, v.NumVenues())
+	v.authorChunks = sparse.EdgeChunks(v.authorOffsets)
+	v.venueChunks = sparse.EdgeChunks(v.venueOffsets)
 	v.articleChunks = sparse.EdgeChunks(v.artAuthorOff)
+}
+
+// inverseDegrees returns 1/#entries for each of the n rows of a CSR,
+// 0 for an empty row.
+func inverseDegrees(off []int64, n int) []float64 {
+	inv := make([]float64, n)
+	for i := range inv {
+		if d := off[i+1] - off[i]; d > 0 {
+			inv[i] = 1 / float64(d)
+		}
+	}
+	return inv
 }
 
 // mapArticleIDs relabels ids through fwd into a fresh slice.
@@ -140,14 +168,6 @@ func mapArticleIDs(ids []corpus.ArticleID, fwd []int32) []corpus.ArticleID {
 	for i, id := range ids {
 		out[i] = fwd[id]
 	}
-	return out
-}
-
-// mapSortedArticleIDs relabels ids through fwd and sorts the result,
-// so the leak-summation passes walk the score vector sequentially.
-func mapSortedArticleIDs(ids []corpus.ArticleID, fwd []int32) []corpus.ArticleID {
-	out := mapArticleIDs(ids, fwd)
-	slices.Sort(out)
 	return out
 }
 
@@ -184,10 +204,27 @@ func (v *SolverView) NumAuthors() int { return v.net.NumAuthors() }
 // NumVenues returns the venue count.
 func (v *SolverView) NumVenues() int { return v.net.NumVenues() }
 
-// GatherArticlesToAuthorsScaledPar mirrors
-// Network.GatherArticlesToAuthorsScaledPar with articleScore in solver
-// order; dst is per-author and unaffected by the relabelling.
+// GatherArticlesToAuthorsPar computes each author's score as the sum
+// of their articles' scores (articleScore in solver order), each
+// article splitting its mass equally among its authors, over a worker
+// pool (nil runs serially). dst is overwritten. Articles without
+// authors contribute nothing; the leaked mass is returned so callers
+// can redistribute it.
+func (v *SolverView) GatherArticlesToAuthorsPar(pool *sparse.Pool, dst, articleScore []float64) (leaked float64) {
+	return v.gatherAuthors(pool, dst, articleScore, false)
+}
+
+// GatherArticlesToAuthorsScaledPar is GatherArticlesToAuthorsPar with
+// each author's sum additionally multiplied by that author's spread
+// share 1/#articles — exactly the factor SpreadAuthorsToArticlesPar
+// applies per term. Combined with AuthorBlendLayer it lets a
+// sparse.Transition.BlendStep sweep consume the author layer without a
+// separate spread pass over the article–author edges.
 func (v *SolverView) GatherArticlesToAuthorsScaledPar(pool *sparse.Pool, dst, articleScore []float64) (leaked float64) {
+	return v.gatherAuthors(pool, dst, articleScore, true)
+}
+
+func (v *SolverView) gatherAuthors(pool *sparse.Pool, dst, articleScore []float64, scaled bool) (leaked float64) {
 	chunks := v.authorChunks
 	pool.Run(len(chunks)-1, func(c int) {
 		for a := chunks[c]; a < chunks[c+1]; a++ {
@@ -195,24 +232,8 @@ func (v *SolverView) GatherArticlesToAuthorsScaledPar(pool *sparse.Pool, dst, ar
 			for _, p := range v.authorArticles[v.authorOffsets[a]:v.authorOffsets[a+1]] {
 				s += articleScore[p] * v.invArtAuthors[p]
 			}
-			dst[a] = s * v.invAuthorArts[a]
-		}
-	})
-	for _, p := range v.noAuthorArts {
-		leaked += articleScore[p]
-	}
-	return leaked
-}
-
-// GatherArticlesToAuthorsPar mirrors Network.GatherArticlesToAuthorsPar
-// with articleScore in solver order.
-func (v *SolverView) GatherArticlesToAuthorsPar(pool *sparse.Pool, dst, articleScore []float64) (leaked float64) {
-	chunks := v.authorChunks
-	pool.Run(len(chunks)-1, func(c int) {
-		for a := chunks[c]; a < chunks[c+1]; a++ {
-			var s float64
-			for _, p := range v.authorArticles[v.authorOffsets[a]:v.authorOffsets[a+1]] {
-				s += articleScore[p] * v.invArtAuthors[p]
+			if scaled {
+				s *= v.invAuthorArts[a]
 			}
 			dst[a] = s
 		}
@@ -223,8 +244,11 @@ func (v *SolverView) GatherArticlesToAuthorsPar(pool *sparse.Pool, dst, articleS
 	return leaked
 }
 
-// SpreadAuthorsToArticlesPar mirrors Network.SpreadAuthorsToArticlesPar
-// with dst in solver order.
+// SpreadAuthorsToArticlesPar distributes each author's score uniformly
+// over that author's articles, overwriting dst (solver order), over a
+// worker pool (nil runs serially). Authors with no articles contribute
+// nothing. The kernel runs in pull form — each article sums its
+// authors' shares — so chunks write disjoint output ranges.
 func (v *SolverView) SpreadAuthorsToArticlesPar(pool *sparse.Pool, dst, authorScore []float64) {
 	chunks := v.articleChunks
 	pool.Run(len(chunks)-1, func(c int) {
@@ -238,8 +262,11 @@ func (v *SolverView) SpreadAuthorsToArticlesPar(pool *sparse.Pool, dst, authorSc
 	})
 }
 
-// GatherArticlesToVenuesScaledPar mirrors
-// Network.GatherArticlesToVenuesScaledPar in solver order.
+// GatherArticlesToVenuesScaledPar computes each venue's score as the
+// sum of its articles' scores (an article has at most one venue, so no
+// split) times the venue's spread share 1/#articles, over a worker
+// pool (nil runs serially); see GatherArticlesToAuthorsScaledPar.
+// Articles without a venue leak; the leaked mass is returned.
 func (v *SolverView) GatherArticlesToVenuesScaledPar(pool *sparse.Pool, dst, articleScore []float64) (leaked float64) {
 	chunks := v.venueChunks
 	pool.Run(len(chunks)-1, func(c int) {
@@ -257,14 +284,17 @@ func (v *SolverView) GatherArticlesToVenuesScaledPar(pool *sparse.Pool, dst, art
 	return leaked
 }
 
-// AuthorBlendLayer mirrors Network.AuthorBlendLayer over the solver-
-// order article→authors CSR.
+// AuthorBlendLayer wraps vec (per-author scores, pre-scaled by
+// GatherArticlesToAuthorsScaledPar) as the aux-gather descriptor a
+// BlendStep sweep reads inline through the article→authors CSR.
 func (v *SolverView) AuthorBlendLayer(vec []float64) *sparse.AuxGather {
 	return &sparse.AuxGather{Off: v.artAuthorOff, Idx: v.artAuthors, Vec: vec}
 }
 
-// VenueBlendLayer mirrors Network.VenueBlendLayer over the solver-
-// order venue index.
+// VenueBlendLayer wraps vec (per-venue scores, pre-scaled by
+// GatherArticlesToVenuesScaledPar) as the aux-lookup descriptor a
+// BlendStep sweep reads inline through the per-article venue index
+// (corpus.NoVenue is the < 0 sentinel AuxLookup maps to zero).
 func (v *SolverView) VenueBlendLayer(vec []float64) *sparse.AuxLookup {
 	return &sparse.AuxLookup{Of: v.venueOf, Vec: vec}
 }

@@ -88,6 +88,12 @@ func TestSolverViewIdentityAliases(t *testing.T) {
 	if col := n.store.YearColumn(); len(col) > 0 && &v.YearColumn[0] != &col[0] {
 		t.Error("identity view copied the year column")
 	}
+	_, storeAuthors := n.store.ArticleAuthorsCSR()
+	_, storeArts := n.store.AuthorArticlesCSR()
+	if &v.artAuthors[0] != &storeAuthors[0] || &v.authorArticles[0] != &storeArts[0] ||
+		&v.venueOf[0] != &n.store.VenueColumn()[0] {
+		t.Error("identity view copied the store's authorship or venue columns")
+	}
 	if v2 := n.SolverView(); v2 != v {
 		t.Error("view not cached")
 	}
@@ -171,19 +177,21 @@ func TestSolverViewStructure(t *testing.T) {
 	}
 	type edge struct{ u, v graph.NodeID }
 	permEdges := make(map[edge]bool)
-	v.Citations.VisitEdges(func(u, w graph.NodeID, _ float64) {
+	v.Citations.VisitEdges(func(u, w graph.NodeID) {
 		permEdges[edge{u, w}] = true
 	})
-	n.Citations.VisitEdges(func(u, w graph.NodeID, _ float64) {
+	n.Citations.VisitEdges(func(u, w graph.NodeID) {
 		if !permEdges[edge{fwd[u], fwd[w]}] {
 			t.Fatalf("edge %d->%d missing as %d->%d", u, w, fwd[u], fwd[w])
 		}
 	})
 }
 
-// TestSolverViewGathersMatchBase runs the scaled gather kernels in
-// both spaces: the per-author and per-venue outputs must agree,
-// because those axes are untouched by the article relabelling.
+// TestSolverViewGathersMatchBase runs the view's scaled gather kernels
+// on the solver-order image of a score vector and checks them against
+// the gathers written out over the network's accessors in original
+// order: the per-author and per-venue outputs must agree, because
+// those axes are untouched by the article relabelling.
 func TestSolverViewGathersMatchBase(t *testing.T) {
 	n := buildHubbed(t, 60)
 	v := n.SolverView()
@@ -197,7 +205,21 @@ func TestSolverViewGathersMatchBase(t *testing.T) {
 	const tol = 1e-13
 	baseA := make([]float64, n.NumAuthors())
 	viewA := make([]float64, n.NumAuthors())
-	leakBase := n.GatherArticlesToAuthorsScaledPar(nil, baseA, x)
+	var leakBase float64
+	for p := range x {
+		if len(n.ArticleAuthors(corpus.ArticleID(p))) == 0 {
+			leakBase += x[p]
+		}
+	}
+	for a := range baseA {
+		arts := n.AuthorArticles(corpus.AuthorID(a))
+		for _, p := range arts {
+			baseA[a] += x[p] / float64(len(n.ArticleAuthors(p)))
+		}
+		if len(arts) > 0 {
+			baseA[a] /= float64(len(arts))
+		}
+	}
 	leakView := v.GatherArticlesToAuthorsScaledPar(nil, viewA, xp)
 	if math.Abs(leakBase-leakView) > tol {
 		t.Errorf("author leak %v vs %v", leakView, leakBase)
@@ -210,7 +232,21 @@ func TestSolverViewGathersMatchBase(t *testing.T) {
 
 	baseV := make([]float64, n.NumVenues())
 	viewV := make([]float64, n.NumVenues())
-	leakBase = n.GatherArticlesToVenuesScaledPar(nil, baseV, x)
+	leakBase = 0
+	for p := range x {
+		if n.ArticleVenue(corpus.ArticleID(p)) == corpus.NoVenue {
+			leakBase += x[p]
+		}
+	}
+	for vn := range baseV {
+		arts := n.VenueArticles(corpus.VenueID(vn))
+		for _, p := range arts {
+			baseV[vn] += x[p]
+		}
+		if len(arts) > 0 {
+			baseV[vn] /= float64(len(arts))
+		}
+	}
 	leakView = v.GatherArticlesToVenuesScaledPar(nil, viewV, xp)
 	if math.Abs(leakBase-leakView) > tol {
 		t.Errorf("venue leak %v vs %v", leakView, leakBase)
@@ -223,8 +259,9 @@ func TestSolverViewGathersMatchBase(t *testing.T) {
 }
 
 // TestSolverViewBlendLayersMatchBase evaluates the inline blend-layer
-// descriptors at every solver article and checks them against the base
-// descriptors at the corresponding original article.
+// descriptors at every solver article and checks them against the
+// layer written out over the network's accessors at the corresponding
+// original article.
 func TestSolverViewBlendLayersMatchBase(t *testing.T) {
 	n := buildHubbed(t, 60)
 	v := n.SolverView()
@@ -238,29 +275,28 @@ func TestSolverViewBlendLayersMatchBase(t *testing.T) {
 	for i := range venueVec {
 		venueVec[i] = rng.Float64()
 	}
-	baseAuthors := n.AuthorBlendLayer(authorVec)
 	viewAuthors := v.AuthorBlendLayer(authorVec)
-	baseVenues := n.VenueBlendLayer(venueVec)
 	viewVenues := v.VenueBlendLayer(venueVec)
-	gatherAt := func(g *sparse.AuxGather, p int) float64 {
-		var s float64
-		for _, id := range g.Idx[g.Off[p]:g.Off[p+1]] {
-			s += g.Vec[id]
-		}
-		return s
-	}
-	lookupAt := func(l *sparse.AuxLookup, p int) float64 {
-		if id := l.Of[p]; id >= 0 {
-			return l.Vec[id]
-		}
-		return 0
-	}
 	for np := 0; np < n.NumArticles(); np++ {
-		op := int(inv[np])
-		if got, want := gatherAt(viewAuthors, np), gatherAt(baseAuthors, op); math.Abs(got-want) > 1e-15 {
+		op := corpus.ArticleID(inv[np])
+		var got, want float64
+		for _, id := range viewAuthors.Idx[viewAuthors.Off[np]:viewAuthors.Off[np+1]] {
+			got += viewAuthors.Vec[id]
+		}
+		for _, a := range n.ArticleAuthors(op) {
+			want += authorVec[a]
+		}
+		if math.Abs(got-want) > 1e-15 {
 			t.Errorf("author layer at solver %d (orig %d): %v vs %v", np, op, got, want)
 		}
-		if got, want := lookupAt(viewVenues, np), lookupAt(baseVenues, op); math.Abs(got-want) > 1e-15 {
+		got, want = 0, 0
+		if id := viewVenues.Of[np]; id >= 0 {
+			got = viewVenues.Vec[id]
+		}
+		if vn := n.ArticleVenue(op); vn != corpus.NoVenue {
+			want = venueVec[vn]
+		}
+		if math.Abs(got-want) > 1e-15 {
 			t.Errorf("venue layer at solver %d (orig %d): %v vs %v", np, op, got, want)
 		}
 	}

@@ -54,6 +54,30 @@ func TestApplyDeltaNewArticleAndCitations(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaRepeatedAuthor checks that an author listed twice on
+// one article is one author of it: the article lists it once, and the
+// author's row lists the article once.
+func TestApplyDeltaRepeatedAuthor(t *testing.T) {
+	s := baseStore(t)
+	if _, err := ApplyDelta(s, strings.NewReader(`{"id":"p3","year":2016,"authors":["a","b","a"]}`)); err != nil {
+		t.Fatal(err)
+	}
+	store := s.Freeze()
+	p3, _ := store.ArticleByKey("p3")
+	var keys []string
+	for _, au := range store.Authors(p3) {
+		keys = append(keys, store.Author(au).Key)
+	}
+	if strings.Join(keys, " ") != "a b" {
+		t.Errorf("p3 authors = %v, want [a b]", keys)
+	}
+	a, _ := store.AuthorByKey("a")
+	off, arts := store.AuthorArticlesCSR()
+	if row := arts[off[a]:off[a+1]]; len(row) != 1 || row[0] != p3 {
+		t.Errorf("author a's row = %v, want [%d]", row, p3)
+	}
+}
+
 func TestApplyDeltaForwardAndUnknownRefs(t *testing.T) {
 	s := baseStore(t)
 	// q1 cites q2 which appears later in the same batch; q2 cites an

@@ -12,7 +12,7 @@ import (
 func TestGaussSeidelMatchesPowerIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n = 2000
-	b := graph.NewBuilder(n, false)
+	b := graph.NewBuilder(n)
 	// Chronological-ish citation structure: i cites earlier j.
 	for i := 1; i < n; i++ {
 		for r := 0; r < 5; r++ {
@@ -66,7 +66,7 @@ func TestGaussSeidelValidationAndEmpty(t *testing.T) {
 	if _, err := PageRankGaussSeidel(g, PageRankOptions{Damping: 2}); !errors.Is(err, ErrBadParam) {
 		t.Errorf("bad damping: %v", err)
 	}
-	empty := graph.NewBuilder(0, false).Build()
+	empty := graph.NewBuilder(0).Build()
 	r, err := PageRankGaussSeidel(empty, PageRankOptions{})
 	if err != nil || len(r.Scores) != 0 {
 		t.Errorf("empty: %v %v", r, err)

@@ -172,7 +172,7 @@ func TestQuickPageRankIsDistribution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
-		b := graph.NewBuilder(n, false)
+		b := graph.NewBuilder(n)
 		for i := 0; i < n*2; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
@@ -203,7 +203,7 @@ func TestQuickPageRankIsDistribution(t *testing.T) {
 // receiving end, checked on star graphs to keep the oracle simple).
 func TestPageRankMoreCitationsMoreScore(t *testing.T) {
 	mk := func(extra bool) *graph.Graph {
-		b := graph.NewBuilder(6, false)
+		b := graph.NewBuilder(6)
 		_ = b.AddEdge(1, 0)
 		_ = b.AddEdge(2, 0)
 		_ = b.AddEdge(3, 5)

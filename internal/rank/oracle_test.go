@@ -3,7 +3,9 @@ package rank
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"scholarrank/internal/corpus"
 	"scholarrank/internal/graph"
 	"scholarrank/internal/hetnet"
 	"scholarrank/internal/sparse"
@@ -123,18 +125,6 @@ func pageRank(g *graph.Graph, opts PageRankOptions, gaussSeidel bool) (Result, e
 		return Result{}, err
 	}
 	return Result{Scores: scores, Stats: stats}, nil
-}
-
-// WeightedPageRank runs PageRank on a weighted citation graph, where
-// each citation edge carries an arbitrary positive weight (such as a
-// time-decay factor) and a citing article distributes its mass
-// proportionally to edge weight. For unweighted graphs it is
-// identical to PageRank.
-func WeightedPageRank(g *graph.Graph, opts PageRankOptions) (Result, error) {
-	// The Transition operator already honours edge weights; this
-	// wrapper exists for call-site clarity in the algorithms that
-	// construct decay-weighted graphs.
-	return PageRank(g, opts)
 }
 
 // CiteCount scores every article by its raw citation count (in-degree
@@ -468,8 +458,8 @@ func FutureRank(net *hetnet.Network, opts FutureRankOptions) (Result, error) {
 	step := func(dst, src []float64) {
 		t.MulVec(dst, src)
 		dm := t.DanglingMass(src)
-		leak := net.GatherArticlesToAuthors(authors, src)
-		net.SpreadAuthorsToArticles(fromAuthors, authors)
+		leak := gatherAuthors(net, authors, src)
+		spreadAuthors(net, fromAuthors, authors)
 		for i := range dst {
 			cite := dst[i] + dm*r[i]
 			auth := fromAuthors[i] + leak*r[i]
@@ -569,10 +559,10 @@ func PRank(net *hetnet.Network, opts PRankOptions) (Result, error) {
 	step := func(dst, src []float64) {
 		t.MulVec(dst, src)
 		dm := t.DanglingMass(src)
-		aLeak := net.GatherArticlesToAuthors(authors, src)
-		net.SpreadAuthorsToArticles(fromAuthors, authors)
-		vLeak := net.GatherArticlesToVenues(venues, src)
-		net.SpreadVenuesToArticles(fromVenues, venues)
+		aLeak := gatherAuthors(net, authors, src)
+		spreadAuthors(net, fromAuthors, authors)
+		vLeak := gatherVenues(net, venues, src)
+		spreadVenues(net, fromVenues, venues)
 		for i := range dst {
 			cite := dst[i] + dm*uniform
 			auth := fromAuthors[i] + aLeak*uniform
@@ -673,7 +663,7 @@ func CoRank(net *hetnet.Network, opts CoRankOptions) (CoRankResult, error) {
 
 	pool := sparse.NewPool(opts.Workers)
 	citeT := sparse.NewTransition(net.Citations, pool)
-	coauthT := sparse.NewTransition(net.CoauthorGraph(), pool)
+	coauth := newCoauthorWalk(net)
 
 	d, k := opts.Damping, opts.Coupling
 	uniP := 1 / float64(nP)
@@ -704,7 +694,7 @@ func CoRank(net *hetnet.Network, opts CoRankOptions) (CoRankResult, error) {
 		// Article side.
 		citeT.MulVec(nextP, p)
 		dmP := citeT.DanglingMass(p)
-		net.SpreadAuthorsToArticles(fromAuthors, a)
+		spreadAuthors(net, fromAuthors, a)
 		var spreadTotal float64
 		for _, v := range fromAuthors {
 			spreadTotal += v
@@ -716,9 +706,9 @@ func CoRank(net *hetnet.Network, opts CoRankOptions) (CoRankResult, error) {
 		}
 		// Author side (uses the previous article vector, Jacobi
 		// style, so the update is symmetric in both classes).
-		coauthT.MulVec(nextA, a)
-		dmA := coauthT.DanglingMass(a)
-		gatherLeak := net.GatherArticlesToAuthors(gathered, p)
+		coauth.mulVec(nextA, a)
+		dmA := coauth.danglingMass(a)
+		gatherLeak := gatherAuthors(net, gathered, p)
 		for i := range nextA {
 			walk := d*(nextA[i]+dmA*uniA) + (1-d)*uniA
 			nextA[i] = (1-k)*walk + k*(gathered[i]+gatherLeak*uniA)
@@ -740,4 +730,139 @@ func CoRank(net *hetnet.Network, opts CoRankOptions) (CoRankResult, error) {
 		st.Iterations = iterOpts.MaxIter
 	}
 	return CoRankResult{Articles: p, Authors: a, Stats: st}, nil
+}
+
+// The bipartite layer operators of the heterogeneous oracles, written
+// out over the network's per-entity accessors rather than taken from
+// the solver view's kernels, in the pull order and arithmetic those
+// kernels had when the oracles were frozen.
+
+// gatherAuthors is G_A: each author sums its articles' scores, every
+// article split equally among its authors. dst is overwritten; the
+// mass of author-less articles is returned.
+func gatherAuthors(net *hetnet.Network, dst, src []float64) (leaked float64) {
+	for a := range dst {
+		var s float64
+		for _, p := range net.AuthorArticles(corpus.AuthorID(a)) {
+			s += src[p] * (1 / float64(len(net.ArticleAuthors(p))))
+		}
+		dst[a] = s
+	}
+	for p, x := range src {
+		if len(net.ArticleAuthors(corpus.ArticleID(p))) == 0 {
+			leaked += x
+		}
+	}
+	return leaked
+}
+
+// spreadAuthors is S_A: each article sums its authors' scores, every
+// author split equally over its articles. dst is overwritten.
+func spreadAuthors(net *hetnet.Network, dst, authorScore []float64) {
+	for p := range dst {
+		var s float64
+		for _, a := range net.ArticleAuthors(corpus.ArticleID(p)) {
+			s += authorScore[a] * (1 / float64(len(net.AuthorArticles(a))))
+		}
+		dst[p] = s
+	}
+}
+
+// gatherVenues is G_V: each venue sums its articles' scores. dst is
+// overwritten; the mass of venue-less articles is returned.
+func gatherVenues(net *hetnet.Network, dst, src []float64) (leaked float64) {
+	for v := range dst {
+		var s float64
+		for _, p := range net.VenueArticles(corpus.VenueID(v)) {
+			s += src[p]
+		}
+		dst[v] = s
+	}
+	for p, x := range src {
+		if net.ArticleVenue(corpus.ArticleID(p)) == corpus.NoVenue {
+			leaked += x
+		}
+	}
+	return leaked
+}
+
+// spreadVenues is S_V: each article takes its venue's score split
+// equally over the venue's articles. dst is overwritten.
+func spreadVenues(net *hetnet.Network, dst, venueScore []float64) {
+	for p := range dst {
+		dst[p] = 0
+		if v := net.ArticleVenue(corpus.ArticleID(p)); v != corpus.NoVenue {
+			dst[p] = venueScore[v] * (1 / float64(len(net.VenueArticles(v))))
+		}
+	}
+}
+
+// coauthorWalk is the co-authorship random walk built by the literal
+// pair loop: every ordered pair of distinct positions in an article's
+// author list adds 1 to the weight of the edge between their authors,
+// and an author moves along its edges in proportion to weight.
+type coauthorWalk struct {
+	in       [][]coauthorEdge // per author: in-edges by ascending source
+	inv      []float64        // 1/out-weight; 0 for a dangling author
+	dangling []corpus.AuthorID
+	scaled   []float64
+}
+
+type coauthorEdge struct {
+	from corpus.AuthorID
+	w    float64
+}
+
+func newCoauthorWalk(net *hetnet.Network) *coauthorWalk {
+	nA := net.NumAuthors()
+	weights := make([]map[corpus.AuthorID]float64, nA) // weights[b][a] = w(a→b)
+	for b := range weights {
+		weights[b] = map[corpus.AuthorID]float64{}
+	}
+	out := make([]float64, nA)
+	for p := 0; p < net.NumArticles(); p++ {
+		authors := net.ArticleAuthors(corpus.ArticleID(p))
+		for i := range authors {
+			for j := range authors {
+				if i != j {
+					weights[authors[j]][authors[i]]++
+					out[authors[i]]++
+				}
+			}
+		}
+	}
+	c := &coauthorWalk{in: make([][]coauthorEdge, nA), inv: make([]float64, nA), scaled: make([]float64, nA)}
+	for b, row := range weights {
+		for a, w := range row {
+			c.in[b] = append(c.in[b], coauthorEdge{from: a, w: w})
+		}
+		slices.SortFunc(c.in[b], func(x, y coauthorEdge) int { return int(x.from - y.from) })
+		if out[b] > 0 {
+			c.inv[b] = 1 / out[b]
+		} else {
+			c.dangling = append(c.dangling, corpus.AuthorID(b))
+		}
+	}
+	return c
+}
+
+// mulVec computes dst[b] = Σ_{a→b} x[a]·w(a→b)/W(a), overwriting dst.
+func (c *coauthorWalk) mulVec(dst, x []float64) {
+	for a := range x {
+		c.scaled[a] = x[a] * c.inv[a]
+	}
+	for b, row := range c.in {
+		var s float64
+		for _, e := range row {
+			s += c.scaled[e.from] * e.w
+		}
+		dst[b] = s
+	}
+}
+
+func (c *coauthorWalk) danglingMass(x []float64) (s float64) {
+	for _, a := range c.dangling {
+		s += x[a]
+	}
+	return s
 }

@@ -220,7 +220,7 @@ func TestPageRankValidation(t *testing.T) {
 }
 
 func TestPageRankEmptyGraph(t *testing.T) {
-	g := graph.NewBuilder(0, false).Build()
+	g := graph.NewBuilder(0).Build()
 	r, err := PageRank(g, PageRankOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -248,21 +248,6 @@ func TestPageRankPersonalizationShiftsMass(t *testing.T) {
 	}
 	if biased.Scores[4] <= base.Scores[4] {
 		t.Errorf("personalization did not raise node 4: %v vs %v", biased.Scores[4], base.Scores[4])
-	}
-}
-
-func TestWeightedPageRankFollowsWeights(t *testing.T) {
-	// 0 cites 1 (w=9) and 2 (w=1): node 1 must outrank node 2.
-	g, err := graph.FromWeightedEdges(3, []graph.NodeID{0, 0}, []graph.NodeID{1, 2}, []float64{9, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := WeightedPageRank(g, PageRankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Scores[1] <= r.Scores[2] {
-		t.Errorf("weighted edge ignored: %v", r.Scores)
 	}
 }
 
@@ -294,7 +279,7 @@ func TestHITSStarAuthority(t *testing.T) {
 }
 
 func TestHITSEmpty(t *testing.T) {
-	g := graph.NewBuilder(0, false).Build()
+	g := graph.NewBuilder(0).Build()
 	if _, err := HITS(g, sparse.IterOptions{}); err != nil {
 		t.Fatal(err)
 	}

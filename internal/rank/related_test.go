@@ -142,8 +142,8 @@ type relatedOracle struct {
 func newRelatedOracle(t testing.TB, net *hetnet.Network, opts RelatedOptions) *relatedOracle {
 	t.Helper()
 	src := net.Citations
-	b := graph.NewBuilder(src.NumNodes(), false)
-	src.VisitEdges(func(u, v graph.NodeID, _ float64) {
+	b := graph.NewBuilder(src.NumNodes())
+	src.VisitEdges(func(u, v graph.NodeID) {
 		if err := b.AddEdge(u, v); err != nil {
 			t.Fatal(err)
 		}

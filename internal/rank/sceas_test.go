@@ -102,7 +102,7 @@ func TestSceasRankValidation(t *testing.T) {
 }
 
 func TestSceasRankEmpty(t *testing.T) {
-	g := graph.NewBuilder(0, false).Build()
+	g := graph.NewBuilder(0).Build()
 	r, err := SceasRank(g, SceasRankOptions{})
 	if err != nil || len(r.Scores) != 0 {
 		t.Errorf("empty: %v %v", r, err)

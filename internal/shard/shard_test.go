@@ -14,7 +14,7 @@ import (
 func citationGraph(tb testing.TB, n, refs int, powerLaw bool) *graph.Graph {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(7))
-	gb := graph.NewBuilder(n, false)
+	gb := graph.NewBuilder(n)
 	targets := []int32{0}
 	for i := 1; i < n; i++ {
 		for r := 0; r < refs; r++ {
@@ -48,7 +48,7 @@ func bruteStats(g *graph.Graph, bounds []int32) (intra, cross []int64, cut int64
 		}
 		return k - 1
 	}
-	g.VisitEdges(func(u, v graph.NodeID, _ float64) {
+	g.VisitEdges(func(u, v graph.NodeID) {
 		su, sv := shardOf(int32(u)), shardOf(int32(v))
 		if su == sv {
 			intra[sv]++
@@ -130,7 +130,7 @@ func TestPartitionBalance(t *testing.T) {
 func TestPartitionCutMinimised(t *testing.T) {
 	const half = 500
 	rng := rand.New(rand.NewSource(11))
-	gb := graph.NewBuilder(2*half, false)
+	gb := graph.NewBuilder(2 * half)
 	for _, base := range []int{0, half} {
 		for i := 1; i < half; i++ {
 			for r := 0; r < 4; r++ {
@@ -171,7 +171,7 @@ func TestPartitionDegenerate(t *testing.T) {
 		t.Fatalf("clamp: got %d shards, want 5", p.Shards())
 	}
 	// Empty graph.
-	p, err = Partition(graph.NewBuilder(0, false).Build(), 3)
+	p, err = Partition(graph.NewBuilder(0).Build(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

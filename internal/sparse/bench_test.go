@@ -15,7 +15,7 @@ import (
 func benchGraph(tb testing.TB, n int) *graph.Graph {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(1))
-	gb := graph.NewBuilder(n, false)
+	gb := graph.NewBuilder(n)
 	for i := 1; i < n; i++ {
 		for r := 0; r < 12; r++ {
 			_ = gb.AddEdge(graph.NodeID(i), graph.NodeID(rng.Intn(i)))
@@ -32,7 +32,7 @@ func benchGraph(tb testing.TB, n int) *graph.Graph {
 func benchGraphPowerLaw(tb testing.TB, n int) *graph.Graph {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(2))
-	gb := graph.NewBuilder(n, false)
+	gb := graph.NewBuilder(n)
 	// targets holds one entry per (in-edge + node), so sampling a
 	// uniform element approximates degree-proportional selection.
 	targets := make([]int32, 0, 13*n)

@@ -14,7 +14,7 @@ func gsGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	const n = 500
-	b := graph.NewBuilder(n, false)
+	b := graph.NewBuilder(n)
 	for i := 1; i < n-1; i++ {
 		for r := 0; r < 4; r++ {
 			j := rng.Intn(i)

@@ -158,24 +158,19 @@ func (t *Transition) sweep(xs []float64, body func(fresh []float64, lo, hi int) 
 
 // rowSum returns Σ_{u→v} xs[u]·w(u,v) over row v's in-edges, with xs
 // the source pre-scaled by 1/W(u) — the gather of every kernel (the
-// sweeps' stepRange inlines it). The edge weight takes one of three
-// forms, fixed per operator: 1 (the citation operator), a per-gap
-// table lookup (a gap view) or the graph's own weight stream (a
-// weighted graph).
+// sweeps' stepRange inlines it). The edge weight takes one of two
+// forms, fixed per operator: 1 (the citation operator) or a per-gap
+// table lookup (a gap view).
 func (t *Transition) rowSum(xs []float64, v int) float64 {
-	start, end := t.offsets[v], t.offsets[v+1]
-	row := t.sources[start:end]
-	switch {
-	case t.gap != nil:
+	row := t.sources[t.offsets[v]:t.offsets[v+1]]
+	if t.gap != nil {
 		return sumGap(xs, row, t.gap.year, t.gap.row(t.gap.year[v]))
-	case t.weights != nil:
-		return sumWeighted(xs, row, t.weights[start:end])
 	}
 	return sumPlain(xs, row)
 }
 
-// The three gathers of rowSum stay out of line: inlined into a row
-// body, the compiler spills their loop state to the stack.
+// The two gathers of rowSum stay out of line: inlined into a row body,
+// the compiler spills their loop state to the stack.
 
 // sumPlain returns Σ xs[u] over the row's sources.
 //
@@ -187,23 +182,12 @@ func sumPlain(xs []float64, row []int32) (s float64) {
 	return s
 }
 
-// sumWeighted returns Σ xs[u]·w[i] over the row's sources.
-//
-//go:noinline
-func sumWeighted(xs []float64, row []int32, w []float64) (s float64) {
-	w = w[:len(row)] // elides the w[i] bounds check
-	for i, u := range row {
-		s += xs[u] * w[i]
-	}
-	return s
-}
-
 // sumGap returns Σ xs[u]·lut[year[u]] over the row's sources, lut
 // being the gap table of the row's year (yearGap.row). Each term waits
 // on two gathers, the source and its year, so the sum runs on four
 // accumulators: a term that misses the cache then holds up one chain
-// of adds, not the whole row. (The plain and weighted gathers keep one
-// accumulator, the order the citation walks have always summed in.)
+// of adds, not the whole row. (The plain gather keeps one accumulator,
+// the order the citation walks have always summed in.)
 //
 //go:noinline
 func sumGap(xs []float64, row []int32, year []uint16, lut []float64) float64 {
@@ -361,19 +345,15 @@ func (t *Transition) BlendStep(dst, src, xs, r []float64, fa *AuxGather, fv *Aux
 // from xs (rowSum), and each row's pre-scaled value goes to fresh when
 // it is non-nil (see sweep).
 func (t *Transition) stepRange(dst, src, xs, fresh, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, rcoef float64, lo, hi int) (p stepPartial) {
-	offs, sources, weights, inv, mark := t.offsets, t.sources, t.weights, t.inv, t.danglingMark
+	offs, sources, inv, mark := t.offsets, t.sources, t.inv, t.danglingMark
 	gap := t.gap
 	for v := hi - 1; v >= lo; v-- {
 		// rowSum, with the operator's fields read once per call.
-		start, end := offs[v], offs[v+1]
-		row := sources[start:end]
+		row := sources[offs[v]:offs[v+1]]
 		var s float64
-		switch {
-		case gap != nil:
+		if gap != nil {
 			s = sumGap(xs, row, gap.year, gap.row(gap.year[v]))
-		case weights != nil:
-			s = sumWeighted(xs, row, weights[start:end])
-		default:
+		} else {
 			s = sumPlain(xs, row)
 		}
 		y := lc*s + rcoef*r[v]

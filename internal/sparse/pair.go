@@ -47,16 +47,16 @@ type TransposePair struct {
 }
 
 // NewTransposePair pairs in — the pull-form operator NewTransition
-// built from out, unweighted — with out itself. Nothing proportional to
+// built from out — with out itself. Nothing proportional to
 // the edge count is allocated; the one pass over the edges is the
 // merge that finds reciprocal neighbours, and it skips every row whose
 // in- and out-neighbour ranges do not overlap. pool supplies the
 // parallelism of the walk's sweeps and is only borrowed.
 func NewTransposePair(in *Transition, out *graph.Graph, pool *Pool) (*TransposePair, error) {
 	outOff, outIdx := out.CSR()
-	if in.n != out.NumNodes() || len(in.sources) != len(outIdx) || out.Weighted() {
-		return nil, fmt.Errorf("sparse: transpose pair needs the pull form of one unweighted graph: in-CSR %d rows %d edges, out-CSR %d rows %d edges, weighted=%v",
-			in.n, len(in.sources), out.NumNodes(), len(outIdx), out.Weighted())
+	if in.n != out.NumNodes() || len(in.sources) != len(outIdx) {
+		return nil, fmt.Errorf("sparse: transpose pair needs the pull form of one graph: in-CSR %d rows %d edges, out-CSR %d rows %d edges",
+			in.n, len(in.sources), out.NumNodes(), len(outIdx))
 	}
 	n := in.n
 	p := &TransposePair{

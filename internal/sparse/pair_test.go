@@ -15,8 +15,8 @@ import (
 // reciprocal pair and a self-loop count once.
 func symmetrised(t testing.TB, g *graph.Graph) *Transition {
 	t.Helper()
-	b := graph.NewBuilder(g.NumNodes(), false)
-	g.VisitEdges(func(u, v graph.NodeID, _ float64) {
+	b := graph.NewBuilder(g.NumNodes())
+	g.VisitEdges(func(u, v graph.NodeID) {
 		if err := b.AddEdge(u, v); err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func pairGraph(t testing.TB, seed int64, n, perNode int) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	linked := n - n/10
-	b := graph.NewBuilder(n, false)
+	b := graph.NewBuilder(n)
 	add := func(u, v int) {
 		if err := b.AddEdge(graph.NodeID(u), graph.NodeID(v)); err != nil {
 			t.Fatal(err)

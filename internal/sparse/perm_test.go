@@ -143,7 +143,7 @@ func TestDampedWalkReorderWarmStart(t *testing.T) {
 // out-degree varies), including some dangling nodes.
 func randomPowerLawGraph(tb testing.TB, rng *rand.Rand, n int) *graph.Graph {
 	tb.Helper()
-	gb := graph.NewBuilder(n, false)
+	gb := graph.NewBuilder(n)
 	targets := make([]int32, 0, 8*n)
 	targets = append(targets, 0)
 	for i := 1; i < n; i++ {

@@ -120,33 +120,21 @@ func TestTransitionMulVec(t *testing.T) {
 }
 
 func TestTransitionWeighted(t *testing.T) {
-	// 0 -> 1 (w=1), 0 -> 2 (w=3): mass splits 1/4, 3/4.
-	g, err := graph.FromWeightedEdges(3, []graph.NodeID{0, 0}, []graph.NodeID{1, 2}, []float64{1, 3})
+	// 0 -> 1 (gap 1, w=1), 0 -> 2 (gap 0, w=3) on the gap view: mass
+	// splits 1/4, 3/4.
+	g, err := graph.FromEdges(3, []graph.NodeID{0, 0}, []graph.NodeID{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTransition(g, nil)
+	tr, err := NewTransition(g, nil).GapWeighted([]int32{2001, 2000, 2001}, func(gap int) float64 { return float64(3 - 2*gap) })
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := []float64{1, 0, 0}
 	dst := make([]float64, 3)
 	tr.MulVec(dst, x)
 	if !almostEq(dst[1], 0.25, 1e-15) || !almostEq(dst[2], 0.75, 1e-15) {
 		t.Errorf("weighted split = %v", dst)
-	}
-}
-
-func TestTransitionZeroWeightRowIsDangling(t *testing.T) {
-	g, err := graph.FromWeightedEdges(2, []graph.NodeID{0}, []graph.NodeID{1}, []float64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTransition(g, nil)
-	if tr.NumDangling() != 2 {
-		t.Errorf("NumDangling = %d, want 2 (zero-weight row counts)", tr.NumDangling())
-	}
-	dst := make([]float64, 2)
-	tr.MulVec(dst, []float64{1, 0})
-	if dst[1] != 0 {
-		t.Errorf("zero-weight edge leaked mass: %v", dst)
 	}
 }
 
@@ -168,7 +156,7 @@ func TestTransitionPreservesMassWithoutDangling(t *testing.T) {
 func TestTransitionParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 10_000
-	b := graph.NewBuilder(n, false)
+	b := graph.NewBuilder(n)
 	for i := 0; i < 6*n; i++ {
 		_ = b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
 	}
@@ -272,7 +260,7 @@ func TestQuickMulVecNoMassCreation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(40)
-		b := graph.NewBuilder(n, false)
+		b := graph.NewBuilder(n)
 		for i := 0; i < n*3; i++ {
 			_ = b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
 		}
@@ -290,23 +278,37 @@ func TestQuickMulVecNoMassCreation(t *testing.T) {
 	}
 }
 
-// Property: input mass = output mass + dangling mass (conservation).
+// Property: input mass = output mass + dangling mass (conservation),
+// on the plain operator and on a gap view of it.
 func TestQuickMassConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(40)
-		b := graph.NewBuilder(n, true)
+		b := graph.NewBuilder(n)
 		for i := 0; i < n*2; i++ {
-			_ = b.AddWeightedEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), rng.Float64()+0.1)
+			_ = b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
 		}
-		tr := NewTransition(b.Build(), nil)
+		plain := NewTransition(b.Build(), nil)
+		year := make([]int32, n)
+		for i := range year {
+			year[i] = 1990 + int32(rng.Intn(30))
+		}
+		tr, err := plain.GapWeighted(year, gapDecay(rng.Float64()))
+		if err != nil {
+			return false
+		}
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = rng.Float64()
 		}
 		dst := make([]float64, n)
-		tr.MulVec(dst, x)
-		return almostEq(Sum(dst)+tr.DanglingMass(x), Sum(x), 1e-9)
+		for _, op := range []*Transition{plain, tr} {
+			op.MulVec(dst, x)
+			if !almostEq(Sum(dst)+op.DanglingMass(x), Sum(x), 1e-9) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

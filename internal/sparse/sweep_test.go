@@ -61,7 +61,7 @@ func TestGaussSeidelViewAllocatesPerRow(t *testing.T) {
 func backEdgeGraph(tb testing.TB, n int, share float64, selfLoops bool) *graph.Graph {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(11))
-	gb := graph.NewBuilder(n, false)
+	gb := graph.NewBuilder(n)
 	for i := 1; i < n; i++ {
 		for r := 0; r < 12; r++ {
 			j := rng.Intn(i)
@@ -118,12 +118,9 @@ func gapView(tb testing.TB, tr *Transition, year []int32, rho float64) *Transiti
 func (t *Transition) normAt(v int32, i int64) float64 {
 	u := t.sources[i]
 	w := 1.0
-	switch {
-	case t.gap != nil:
+	if t.gap != nil {
 		g := int(t.gap.year[u]) - int(t.gap.year[v])
 		w = t.gap.lut[t.gap.span+max(0, g)]
-	case t.weights != nil:
-		w = t.weights[i]
 	}
 	return w * t.inv[u]
 }
@@ -224,7 +221,7 @@ func literalJacobi(tr *Transition, damping float64, teleport []float64, tol floa
 func TestScheduledWalkMatchesJacobiOracle(t *testing.T) {
 	const n = 4000
 	rng := rand.New(rand.NewSource(17))
-	random := graph.NewBuilder(n, false)
+	random := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for r := 0; r < 8; r++ {
 			_ = random.AddEdge(graph.NodeID(i), graph.NodeID(rng.Intn(n)))
@@ -240,7 +237,7 @@ func TestScheduledWalkMatchesJacobiOracle(t *testing.T) {
 		{"strict-dag", benchGraph(t, n)},
 		{"year-perturbed", backEdgeGraph(t, n, 0.04, false)},
 		{"self-loop", backEdgeGraph(t, n, 0, true)},
-		{"all-dangling", graph.NewBuilder(n, false).Build()},
+		{"all-dangling", graph.NewBuilder(n).Build()},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			tr := NewTransition(fx.g, nil)

@@ -16,17 +16,17 @@ import (
 //
 //	(Mᵀx)[v] = Σ_{u→v} x[u] · w(u,v) / W(u)
 //
-// where W(u) is the total out-weight of u. Nodes with no out-edges
-// (dangling nodes) contribute no mass through M; the caller decides
-// how to redistribute their mass (see DanglingMass).
+// where W(u) = Σ_{u→v} w(u,v) is the total out-weight of u. Nodes with
+// no out-edges (dangling nodes) contribute no mass through M; the
+// caller decides how to redistribute their mass (see DanglingMass).
 //
-// The operator stores no normalised per-edge weight. It keeps the
-// 4-byte source of each in-edge and one inverse out-weight 1/W(u) per
-// node, and every kernel gathers Σ xs[u]·w(u,v) from a source vector
-// pre-scaled by it, xs = x·inv (Prescale). The edge weight w(u,v) is 1
-// on an unweighted graph, the graph's own weight stream on a weighted
-// one, and a per-gap table lookup on a gap view (GapWeighted), so a
-// citation operator costs 4 bytes per edge however it is weighted.
+// The operator stores no per-edge weight. It keeps the 4-byte source
+// of each in-edge and one inverse out-weight 1/W(u) per node, and
+// every kernel gathers Σ xs[u]·w(u,v) from a source vector pre-scaled
+// by it, xs = x·inv (Prescale). The edge weight w(u,v) is 1 on the
+// operator NewTransition builds, and a lookup in a per-gap table on a
+// gap view of it (GapWeighted), so a citation operator costs 4 bytes
+// per edge however it is weighted.
 //
 // Parallelism comes from a *Pool shared across iterations and an
 // edge-balanced chunk plan computed once at construction: rows are
@@ -40,8 +40,7 @@ type Transition struct {
 	offsets      []int64   // CSR over destinations; len n+1
 	sources      []int32   // citing node for each in-edge
 	inv          []float64 // 1/W(u) per node; 0 for a dangling node
-	weights      []float64 // w(u,v) aligned with sources; nil unless the graph carries weights
-	gap          *yearGap  // w(u,v) of a gap view (GapWeighted); nil otherwise
+	gap          *yearGap  // w(u,v) of a gap view (GapWeighted); nil when every w(u,v) is 1
 	dangling     []int32   // nodes with zero out-weight
 	danglingMark []bool    // danglingMark[v] reports v ∈ dangling
 	chunks       []int32   // edge-balanced row partition; len numChunks+1
@@ -68,12 +67,12 @@ const maxYearSpan = math.MaxUint16
 // sources' year offsets.
 func (g *yearGap) row(yv uint16) []float64 { return g.lut[g.span-int(yv):] }
 
-// NewTransition builds the operator from g. Edge weights are taken
-// from the graph when present, otherwise every edge has weight 1.
-// pool supplies the parallelism of every kernel; nil selects serial
-// execution. An operator is immutable once built: WithPool binds
-// another pool to a view instead of mutating it, so one operator can
-// be shared by goroutines that each bring their own pool.
+// NewTransition builds the operator from g, every edge weighing 1, so
+// W(u) is u's out-degree. pool supplies the parallelism of every
+// kernel; nil selects serial execution. An operator is immutable once
+// built: WithPool binds another pool to a view instead of mutating it,
+// so one operator can be shared by goroutines that each bring their
+// own pool.
 func NewTransition(g *graph.Graph, pool *Pool) *Transition {
 	n := g.NumNodes()
 	t := &Transition{
@@ -82,51 +81,37 @@ func NewTransition(g *graph.Graph, pool *Pool) *Transition {
 		inv:     make([]float64, n),
 		pool:    pool,
 	}
-	// inv holds the out-weight until the edges are placed. Counting
-	// sort by destination, straight into the operator's own CSR — no
-	// intermediate transposed graph is materialised. Edges whose
-	// source has zero out-weight are dropped here (the source is
-	// treated as dangling).
-	ndang := 0
-	for u := 0; u < n; u++ {
-		w := g.OutWeight(graph.NodeID(u))
-		t.inv[u] = w
-		if w <= 0 {
-			ndang++
-			continue
-		}
-		for _, v := range g.Neighbors(graph.NodeID(u)) {
-			t.offsets[int(v)+1]++
-		}
+	// Counting sort by destination, straight into the operator's own
+	// CSR — no intermediate transposed graph is materialised.
+	goff, gtargets := g.CSR()
+	for _, v := range gtargets {
+		t.offsets[int(v)+1]++
 	}
 	for v := 0; v < n; v++ {
 		t.offsets[v+1] += t.offsets[v]
 	}
-	m := t.offsets[n]
-	t.sources = make([]int32, m)
-	if g.Weighted() {
-		t.weights = make([]float64, m)
-	}
+	t.sources = make([]int32, t.offsets[n])
 	cursor := make([]int64, n)
 	copy(cursor, t.offsets[:n])
+	ndang := 0
+	for u := 0; u < n; u++ {
+		if goff[u+1] == goff[u] {
+			ndang++
+		}
+	}
 	t.dangling = make([]int32, 0, ndang)
 	t.danglingMark = make([]bool, n)
 	for u := 0; u < n; u++ {
-		if t.inv[u] <= 0 {
-			t.inv[u] = 0
+		row := gtargets[goff[u]:goff[u+1]]
+		if len(row) == 0 {
 			t.dangling = append(t.dangling, int32(u))
 			t.danglingMark[u] = true
 			continue
 		}
-		t.inv[u] = 1 / t.inv[u]
-		ws := g.EdgeWeights(graph.NodeID(u))
-		for i, v := range g.Neighbors(graph.NodeID(u)) {
-			pos := cursor[v]
+		t.inv[u] = 1 / float64(len(row))
+		for _, v := range row {
+			t.sources[cursor[v]] = int32(u)
 			cursor[v]++
-			t.sources[pos] = int32(u)
-			if ws != nil {
-				t.weights[pos] = ws[i]
-			}
 		}
 	}
 	t.chunks = EdgeChunks(t.offsets)
@@ -136,7 +121,7 @@ func NewTransition(g *graph.Graph, pool *Pool) *Transition {
 // GapWeighted returns the gap view of t: the same CSR, dangling set,
 // chunk plan, pool and sweep (GaussSeidel), nothing per edge copied,
 // with the edge u→v weighing weight(max(0, year[u]−year[v])) in place
-// of t's own weight. A citation one year or more younger than what it
+// of 1. A citation one year or more younger than what it
 // cites is discounted by its gap; one that cites a younger article (an
 // "in press" reference) counts as gap zero. This is how the engine
 // derives each gap-decayed citation operator from the network's one
@@ -174,7 +159,7 @@ func (t *Transition) GapWeighted(year []int32, weight func(gap int) float64) (*T
 		gap.lut[g] = gap.lut[span] // a younger article cited: gap zero
 	}
 	view := *t
-	view.weights, view.gap = nil, gap
+	view.gap = gap
 	view.inv = make([]float64, t.n) // the out-weight, then its inverse
 	for v := 0; v < t.n; v++ {
 		lut := gap.row(gap.year[v])
@@ -202,8 +187,8 @@ func (t *Transition) NumChunks() int { return t.numChunks() }
 
 func (t *Transition) numChunks() int { return len(t.chunks) - 1 }
 
-// WithPool returns a view of t — the same CSR, weights, chunk plan and
-// sweep, nothing copied — whose kernels run on p. A nil pool selects
+// WithPool returns a view of t — the same CSR, edge weights, chunk plan
+// and sweep, nothing copied — whose kernels run on p. A nil pool selects
 // serial execution. t itself is not modified.
 func (t *Transition) WithPool(p *Pool) *Transition {
 	view := *t
@@ -211,8 +196,8 @@ func (t *Transition) WithPool(p *Pool) *Transition {
 	return &view
 }
 
-// GaussSeidel returns a view of t — the same CSR, weights and worker
-// pool, nothing copied — whose sweeps (DampedStep, BlendStep and the
+// GaussSeidel returns a view of t — the same CSR, edge weights and
+// worker pool, nothing copied — whose sweeps (DampedStep, BlendStep and the
 // walks built on them) are Gauss–Seidel sweeps. A Transition from
 // NewTransition sweeps Jacobi: every row gathers from the previous
 // iterate.

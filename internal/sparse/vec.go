@@ -39,7 +39,7 @@
 // set mid-iteration. So is the source vector the sweeps gather from,
 // pre-scaled by each node's inverse out-weight: every step leaves the
 // pre-scaled copy of the vector it produced for the next, and no
-// operator stores a normalised weight per edge.
+// operator stores a weight per edge.
 package sparse
 
 import "math"
