@@ -35,15 +35,19 @@ fmt:
 	fi
 
 ## fuzz-smoke: 10 seconds each on the decoders that consume untrusted
-## bytes — the TSV parser, the SCORP binary reader, the SRNKS ranking
-## snapshot reader (sarserve -scores), and the W3C traceparent header
-## parser on the serving path — and on the radix score order, whose
-## float-to-key mapping must match the comparator order on every bit
-## pattern.
+## bytes — the JSONL and TSV parsers, the SCORP corpus reader, the
+## SRNKS ranking snapshot reader (sarserve -scores; both are containers,
+## package container), the JSONL delta applier behind POST
+## /admin/ingest and the spool directory, and the W3C traceparent
+## header parser on the serving path — and on the radix score order,
+## whose float-to-key mapping must match the comparator order on every
+## bit pattern.
 fuzz-smoke:
+	$(GO) test ./internal/corpus/ -run xxx -fuzz FuzzReadJSONL -fuzztime 10s
 	$(GO) test ./internal/corpus/ -run xxx -fuzz FuzzReadTSV -fuzztime 10s
 	$(GO) test ./internal/corpus/ -run xxx -fuzz FuzzReadSCORP -fuzztime 10s
 	$(GO) test ./internal/live/ -run xxx -fuzz FuzzReadSnapshot -fuzztime 10s
+	$(GO) test ./internal/live/ -run xxx -fuzz FuzzApplyDelta -fuzztime 10s
 	$(GO) test ./internal/obs/ -run xxx -fuzz FuzzParseTraceparent -fuzztime 10s
 	$(GO) test ./internal/eval/ -run xxx -fuzz FuzzOrder -fuzztime 10s
 

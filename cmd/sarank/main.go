@@ -13,8 +13,10 @@
 //	sarank -in corpus.tsv -save-corpus corpus.scorp -k 0
 //
 // With -save-scores the ranking (with every signal component the
-// scorer computes) is persisted as a checksummed snapshot that
-// sarserve -scores boots from without re-solving. With -save-corpus
+// scorer computes) is persisted as a checksummed snapshot, bound to
+// the corpus by its fingerprint, that sarserve -scores boots from
+// without re-solving; a snapshot of an older format version is
+// refused and regenerated with this flag. With -save-corpus
 // the loaded corpus is re-emitted as a columnar SCORP file, the
 // converter path from any text format to the zero-parse boot format
 // sarserve -corpus reads.

@@ -151,7 +151,7 @@ func BenchmarkCorpusLoadSCORP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeSCORP(raw); err != nil {
+		if _, err := decodeSCORP(raw); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -105,17 +105,17 @@ func FuzzReadSCORP(f *testing.F) {
 	// shape OpenMapped must fall back to the heap loader on, and the
 	// decoder must still read.
 	misaligned := readFuzzSeed(f, "testdata/fuzz/FuzzReadSCORP/seed-packed-v2")
-	misaligned[len(scorpMagic)] = scorpVersion
+	misaligned[len(scorpFormat.Magic)] = scorpFormat.Version
 	f.Add(misaligned)
 	var empty bytes.Buffer
 	if err := WriteSCORP(&empty, NewBuilder().Freeze()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())
-	f.Add([]byte(scorpMagic))
+	f.Add([]byte(scorpFormat.Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, input []byte) {
-		got, err := DecodeSCORP(input)
+		got, err := decodeSCORP(input)
 		if err != nil {
 			return
 		}
@@ -138,7 +138,7 @@ func FuzzReadSCORP(f *testing.F) {
 		if err := WriteSCORP(&out, got); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		got2, err := DecodeSCORP(out.Bytes())
+		got2, err := decodeSCORP(out.Bytes())
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

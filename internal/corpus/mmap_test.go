@@ -179,13 +179,13 @@ func TestOpenMappedEmptyCorpus(t *testing.T) {
 func TestOpenMappedMisalignedV3FallsBack(t *testing.T) {
 	want := buildPermuted(t) // the corpus the seed was written from
 	raw := readFuzzSeed(t, "testdata/fuzz/FuzzReadSCORP/seed-packed-v2")
-	raw[len(scorpMagic)] = scorpVersion
+	raw[len(scorpFormat.Magic)] = scorpFormat.Version
 	// Sanity: the forged file really is misaligned.
-	tab, err := parseSCORPTable(raw, uint64(len(raw)))
+	tab, err := scorpFormat.ParseTable(raw, uint64(len(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.aligned() {
+	if tab.Aligned() {
 		t.Fatal("forged v3 file is unexpectedly aligned; test is vacuous")
 	}
 	path := filepath.Join(t.TempDir(), "misaligned.scorp")

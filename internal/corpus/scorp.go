@@ -1,33 +1,25 @@
 package corpus
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
-	"slices"
 
+	"scholarrank/internal/container"
 	"scholarrank/internal/sparse"
 )
 
 // SCORP is the on-disk corpus format: a sectioned, checksummed binary
 // dump of the Store columns, so a replica boots by copying arrays
-// instead of parsing text. Layout (all integers little-endian):
-//
-//	magic "SCORP" | version byte | 2 reserved bytes | u32 sectionCount
-//	sectionCount × { tag [4]byte | u64 offset | u64 length | u32 crc32 }
-//	section payloads (offsets are absolute file offsets)
-//
-// Each section's CRC-32 (IEEE) covers its payload bytes, so a
-// truncated or bit-flipped file is rejected section-by-section. The
-// section table makes the format extensible: readers locate sections
-// by tag, ignore unknown tags, and fail only on a missing required
-// section — versioning rules mirror the SRNKS ranking snapshot.
+// instead of parsing text. It is a container (package container: a
+// section table of tag, offset, length and CRC-32, then 8-byte-aligned
+// payloads) with magic "SCORP", the same framing as the ranking
+// snapshot.
 //
 // Sections (counts live in "meta"; every array section's byte length
-// is cross-checked against the counts before decoding):
+// is cross-checked against the counts before decoding; integers are
+// little-endian):
 //
 //	meta  4×u64: articles, authors, venues, citations
 //	arna  string arena bytes
@@ -44,9 +36,7 @@ import (
 //	      (fwd[orig] = permuted; must be a bijection), written only
 //	      when the store carries a non-identity permutation
 //
-// Every section offset is 8-byte aligned, with zero padding between
-// sections. The padding bytes belong to no section and are excluded
-// from every CRC. Alignment lets OpenMapped reinterpret the mapped
+// The container's alignment lets OpenMapped reinterpret the mapped
 // file's payloads in place as the Store's int64/int32 columns with
 // zero copies.
 //
@@ -55,18 +45,10 @@ import (
 // sarank -save-corpus. The version byte is outside every CRC, so the
 // mapped loader still checks alignment itself rather than trusting
 // the stamp (see openMapped).
-const (
-	scorpMagic   = "SCORP"
-	scorpVersion = 3
-	// scorpAlign is the payload alignment the writer guarantees: wide
-	// enough for the widest column element type (int64).
-	scorpAlign = 8
-	// scorpMaxSections bounds the section table so a hostile header
-	// cannot demand an enormous allocation.
-	scorpMaxSections = 256
-	scorpEntryLen    = 4 + 8 + 8 + 4
-	scorpHeaderLen   = len(scorpMagic) + 1 + 2 + 4
-)
+var scorpFormat = &container.Format{
+	Magic: "SCORP", Version: 3, Regenerate: "sarank -save-corpus",
+	ErrBad: ErrBadCorpus, ErrCRC: ErrCorpusCRC, ErrVersion: ErrCorpusVersion,
+}
 
 // SCORP reader errors.
 var (
@@ -75,79 +57,32 @@ var (
 	ErrCorpusVersion = fmt.Errorf("corpus: unsupported SCORP version")
 )
 
-var scorpSectionOrder = []string{
-	"meta", "arna",
-	"akof", "atof", "yrsc", "vnuc",
-	"aaof", "aaid", "refo", "refi",
-	"ukof", "unof", "uaof", "uaid",
-	"vkof", "vnof", "vaof", "vaid",
-}
-
-func alignUp(off uint64) uint64 {
-	return (off + scorpAlign - 1) &^ uint64(scorpAlign-1)
-}
-
-func encodeI64s(xs []int64) []byte {
-	buf := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(x))
-	}
-	return buf
-}
-
-func encodeI32s(xs []int32) []byte {
-	buf := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(x))
-	}
-	return buf
-}
-
-func decodeI64s(buf []byte) []int64 {
-	xs := make([]int64, len(buf)/8)
-	for i := range xs {
-		xs[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return xs
-}
-
-func decodeI32s(buf []byte) []int32 {
-	xs := make([]int32, len(buf)/4)
-	for i := range xs {
-		xs[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return xs
-}
-
 // scorpSections maps a store to its section payloads in file order.
-func scorpSections(s *Store) map[string][]byte {
-	meta := make([]byte, 32)
-	binary.LittleEndian.PutUint64(meta[0:], uint64(s.NumArticles()))
-	binary.LittleEndian.PutUint64(meta[8:], uint64(s.NumAuthors()))
-	binary.LittleEndian.PutUint64(meta[16:], uint64(s.NumVenues()))
-	binary.LittleEndian.PutUint64(meta[24:], uint64(s.citations))
-	sections := map[string][]byte{
-		"meta": meta,
-		"arna": []byte(s.arena),
-		"akof": encodeI64s(s.artKeyOff),
-		"atof": encodeI64s(s.artTitleOff),
-		"yrsc": encodeI32s(s.years),
-		"vnuc": encodeI32s(s.venueOf),
-		"aaof": encodeI64s(s.artAuthorOff),
-		"aaid": encodeI32s(s.artAuthors),
-		"refo": encodeI64s(s.refOff),
-		"refi": encodeI32s(s.refs),
-		"ukof": encodeI64s(s.authorKeyOff),
-		"unof": encodeI64s(s.authorNameOff),
-		"uaof": encodeI64s(s.authorArtOff),
-		"uaid": encodeI32s(s.authorArts),
-		"vkof": encodeI64s(s.venueKeyOff),
-		"vnof": encodeI64s(s.venueNameOff),
-		"vaof": encodeI64s(s.venueArtOff),
-		"vaid": encodeI32s(s.venueArts),
+// The column payloads alias the store's columns (see container.LE).
+func scorpSections(s *Store) []container.Section {
+	counts := []int64{int64(s.NumArticles()), int64(s.NumAuthors()), int64(s.NumVenues()), int64(s.citations)}
+	sections := []container.Section{
+		{Tag: "meta", Data: container.LE(counts)},
+		{Tag: "arna", Data: []byte(s.arena)},
+		{Tag: "akof", Data: container.LE(s.artKeyOff)},
+		{Tag: "atof", Data: container.LE(s.artTitleOff)},
+		{Tag: "yrsc", Data: container.LE(s.years)},
+		{Tag: "vnuc", Data: container.LE(s.venueOf)},
+		{Tag: "aaof", Data: container.LE(s.artAuthorOff)},
+		{Tag: "aaid", Data: container.LE(s.artAuthors)},
+		{Tag: "refo", Data: container.LE(s.refOff)},
+		{Tag: "refi", Data: container.LE(s.refs)},
+		{Tag: "ukof", Data: container.LE(s.authorKeyOff)},
+		{Tag: "unof", Data: container.LE(s.authorNameOff)},
+		{Tag: "uaof", Data: container.LE(s.authorArtOff)},
+		{Tag: "uaid", Data: container.LE(s.authorArts)},
+		{Tag: "vkof", Data: container.LE(s.venueKeyOff)},
+		{Tag: "vnof", Data: container.LE(s.venueNameOff)},
+		{Tag: "vaof", Data: container.LE(s.venueArtOff)},
+		{Tag: "vaid", Data: container.LE(s.venueArts)},
 	}
 	if s.perm != nil {
-		sections["perm"] = encodeI32s(s.perm.Fwd())
+		sections = append(sections, container.Section{Tag: "perm", Data: container.LE(s.perm.Fwd())})
 	}
 	return sections
 }
@@ -155,172 +90,7 @@ func scorpSections(s *Store) map[string][]byte {
 // WriteSCORP encodes the store in SCORP format, with 8-byte-aligned
 // sections so the file can be served via OpenMapped.
 func WriteSCORP(w io.Writer, s *Store) error {
-	sections := scorpSections(s)
-	order := scorpSectionOrder
-	if _, ok := sections["perm"]; ok {
-		order = append(append([]string(nil), order...), "perm")
-	}
-	header := make([]byte, 0, scorpHeaderLen+len(order)*scorpEntryLen)
-	header = append(header, scorpMagic...)
-	header = append(header, scorpVersion, 0, 0)
-	header = binary.LittleEndian.AppendUint32(header, uint32(len(order)))
-	offset := uint64(scorpHeaderLen + len(order)*scorpEntryLen)
-	offsets := make([]uint64, len(order))
-	for i, tag := range order {
-		payload := sections[tag]
-		offset = alignUp(offset)
-		offsets[i] = offset
-		header = append(header, tag...)
-		header = binary.LittleEndian.AppendUint64(header, offset)
-		header = binary.LittleEndian.AppendUint64(header, uint64(len(payload)))
-		header = binary.LittleEndian.AppendUint32(header, crc32.ChecksumIEEE(payload))
-		offset += uint64(len(payload))
-	}
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("corpus: write SCORP header: %w", err)
-	}
-	pos := uint64(len(header))
-	var pad [scorpAlign]byte
-	for i, tag := range order {
-		if n := offsets[i] - pos; n > 0 {
-			if _, err := w.Write(pad[:n]); err != nil {
-				return fmt.Errorf("corpus: write SCORP padding: %w", err)
-			}
-			pos += n
-		}
-		if _, err := w.Write(sections[tag]); err != nil {
-			return fmt.Errorf("corpus: write SCORP section %q: %w", tag, err)
-		}
-		pos += uint64(len(sections[tag]))
-	}
-	return nil
-}
-
-// scorpEntry is one parsed section-table row.
-type scorpEntry struct {
-	tag    string
-	off    uint64
-	length uint64
-	crc    uint32
-}
-
-// scorpTable is the parsed header: the section table in file order,
-// bounds-checked against the file size.
-type scorpTable struct {
-	entries []scorpEntry
-	byTag   map[string]int
-}
-
-func (t *scorpTable) lookup(tag string) (scorpEntry, bool) {
-	i, ok := t.byTag[tag]
-	if !ok {
-		return scorpEntry{}, false
-	}
-	return t.entries[i], true
-}
-
-// aligned reports whether every section payload starts on a
-// scorpAlign boundary — the precondition for in-place reinterpreting
-// a mapped file.
-func (t *scorpTable) aligned() bool {
-	for _, e := range t.entries {
-		if e.off%scorpAlign != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// parseSCORPTable parses and bounds-checks the header and section
-// table. hdr must hold at least the header and full table; size is
-// the total file size the offsets are validated against.
-func parseSCORPTable(hdr []byte, size uint64) (*scorpTable, error) {
-	if len(hdr) < scorpHeaderLen || string(hdr[:len(scorpMagic)]) != scorpMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadCorpus)
-	}
-	if v := hdr[len(scorpMagic)]; v != scorpVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrCorpusVersion, v, scorpVersion)
-	}
-	count := binary.LittleEndian.Uint32(hdr[len(scorpMagic)+3:])
-	if count > scorpMaxSections {
-		return nil, fmt.Errorf("%w: %d sections", ErrBadCorpus, count)
-	}
-	tableEnd := scorpHeaderLen + int(count)*scorpEntryLen
-	if len(hdr) < tableEnd || uint64(tableEnd) > size {
-		return nil, fmt.Errorf("%w: truncated section table", ErrBadCorpus)
-	}
-	t := &scorpTable{
-		entries: make([]scorpEntry, 0, count),
-		byTag:   make(map[string]int, count),
-	}
-	for i := 0; i < int(count); i++ {
-		raw := hdr[scorpHeaderLen+i*scorpEntryLen:]
-		e := scorpEntry{
-			tag:    string(raw[:4]),
-			off:    binary.LittleEndian.Uint64(raw[4:]),
-			length: binary.LittleEndian.Uint64(raw[12:]),
-			crc:    binary.LittleEndian.Uint32(raw[20:]),
-		}
-		if e.off < uint64(tableEnd) || e.off > size || e.length > size-e.off {
-			return nil, fmt.Errorf("%w: section %q out of bounds", ErrBadCorpus, e.tag)
-		}
-		t.byTag[e.tag] = len(t.entries)
-		t.entries = append(t.entries, e)
-	}
-	return t, nil
-}
-
-// sectionSource hands the decoder one verified section payload at a
-// time. The returned bytes are only valid until the next call, so the
-// decoder copies what it keeps — which is what lets the file-backed
-// source reuse one scratch buffer instead of holding the whole image.
-type sectionSource interface {
-	// payload returns the CRC-verified payload of tag, or ok=false
-	// when the section is absent.
-	payload(tag string) (buf []byte, ok bool, err error)
-}
-
-// memSource serves sections out of a complete in-memory image.
-type memSource struct {
-	data []byte
-	tab  *scorpTable
-}
-
-func (m *memSource) payload(tag string) ([]byte, bool, error) {
-	e, ok := m.tab.lookup(tag)
-	if !ok {
-		return nil, false, nil
-	}
-	return m.data[e.off : e.off+e.length], true, nil
-}
-
-// fileSource serves sections straight from an io.ReaderAt through one
-// reusable scratch buffer, so a load reads each needed section exactly
-// once — no whole-file buffer, no second copy. CRCs are verified per
-// section as it is read; ReadSCORPAt checks the sections the decoder
-// never asks for separately.
-type fileSource struct {
-	r       io.ReaderAt
-	tab     *scorpTable
-	scratch []byte
-}
-
-func (f *fileSource) payload(tag string) ([]byte, bool, error) {
-	e, ok := f.tab.lookup(tag)
-	if !ok {
-		return nil, false, nil
-	}
-	if uint64(cap(f.scratch)) < e.length {
-		f.scratch = make([]byte, e.length)
-	}
-	buf := f.scratch[:e.length]
-	if _, err := f.r.ReadAt(buf, int64(e.off)); err != nil {
-		return nil, true, fmt.Errorf("corpus: read SCORP section %q: %w", tag, err)
-	}
-	if crc32.ChecksumIEEE(buf) != e.crc {
-		return nil, true, fmt.Errorf("%w: section %q", ErrCorpusCRC, tag)
-	}
-	return buf, true, nil
+	return scorpFormat.Write(w, scorpSections(s))
 }
 
 // ReadSCORP decodes a SCORP corpus from r. Streaming readers buffer
@@ -331,114 +101,58 @@ func ReadSCORP(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("corpus: read SCORP: %w", err)
 	}
-	return DecodeSCORP(data)
-}
-
-// DecodeSCORP decodes a SCORP corpus from an in-memory image. The
-// returned store does not retain data. Every listed section's CRC is
-// verified, known or not — an in-memory image is cheap to sweep and
-// this is the decoder the fuzzer drives with hostile input.
-func DecodeSCORP(data []byte) (*Store, error) {
-	tab, err := parseSCORPTable(data, uint64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range tab.entries {
-		if crc32.ChecksumIEEE(data[e.off:e.off+e.length]) != e.crc {
-			return nil, fmt.Errorf("%w: section %q", ErrCorpusCRC, e.tag)
-		}
-	}
-	return decodeStore(&memSource{data: data, tab: tab})
+	return ReadSCORPAt(bytes.NewReader(data), int64(len(data)))
 }
 
 // ReadSCORPAt decodes a SCORP corpus from a random-access reader of
 // the given total size, reading the sections the store needs one at a
 // time — each straight into a reused scratch buffer and decoded into
 // an exactly-sized column, so peak memory is one section plus the
-// store itself rather than two copies of the whole file. Listed
-// sections the decoder ignores are streamed through their CRC first,
-// so it rejects every file DecodeSCORP rejects.
+// store itself rather than two copies of the whole file. Every listed
+// section is CRC-checked, including tags the decoder does not know,
+// and every column is validated.
 func ReadSCORPAt(r io.ReaderAt, size int64) (*Store, error) {
-	tab, err := readSCORPTable(r, size)
+	rd, err := scorpFormat.NewReader(r, size)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkIgnoredSections(r, tab); err != nil {
+	s, err := decodeColumns(columnSource{
+		section: rd.Section,
+		str:     func(b []byte) string { return string(b) },
+		i64:     container.FromLE[int64],
+		i32:     container.FromLE[int32],
+	})
+	if err != nil {
 		return nil, err
 	}
-	return decodeStore(&fileSource{r: r, tab: tab})
+	if err := rd.VerifyUnread(); err != nil {
+		return nil, err
+	}
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-// checkIgnoredSections CRC-checks every listed section decodeStore
-// will not read: an unknown tag, or an entry shadowed by a later one
-// with the same tag. WriteSCORP lists none, so real files pay nothing.
-func checkIgnoredSections(r io.ReaderAt, tab *scorpTable) error {
-	for i, e := range tab.entries {
-		if tab.byTag[e.tag] == i && (e.tag == "perm" || slices.Contains(scorpSectionOrder, e.tag)) {
-			continue
-		}
-		h := crc32.NewIEEE()
-		if _, err := io.Copy(h, io.NewSectionReader(r, int64(e.off), int64(e.length))); err != nil {
-			return fmt.Errorf("corpus: read SCORP section %q: %w", e.tag, err)
-		}
-		if h.Sum32() != e.crc {
-			return fmt.Errorf("%w: section %q", ErrCorpusCRC, e.tag)
-		}
-	}
-	return nil
+// columnSource is how decodeColumns reads SCORP sections and turns
+// payloads into columns: the heap loader copies CRC-verified payloads
+// out of a container.Reader, the mapped loader aliases the mapping.
+type columnSource struct {
+	section func(tag string) (payload []byte, ok bool, err error)
+	str     func([]byte) string
+	i64     func([]byte) []int64
+	i32     func([]byte) []int32
 }
 
-// readSCORPTable reads and parses the header and section table from a
-// random-access reader of the given total size.
-func readSCORPTable(r io.ReaderAt, size int64) (*scorpTable, error) {
-	hdr := make([]byte, scorpHeaderLen)
-	if size < int64(scorpHeaderLen) {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadCorpus)
-	}
-	if _, err := r.ReadAt(hdr, 0); err != nil {
-		return nil, fmt.Errorf("corpus: read SCORP header: %w", err)
-	}
-	count := binary.LittleEndian.Uint32(hdr[len(scorpMagic)+3:])
-	if string(hdr[:len(scorpMagic)]) == scorpMagic && count <= scorpMaxSections {
-		table := make([]byte, scorpHeaderLen+int(count)*scorpEntryLen)
-		if int64(len(table)) > size {
-			return nil, fmt.Errorf("%w: truncated section table", ErrBadCorpus)
-		}
-		if _, err := r.ReadAt(table, 0); err != nil {
-			return nil, fmt.Errorf("corpus: read SCORP section table: %w", err)
-		}
-		hdr = table
-	}
-	return parseSCORPTable(hdr, uint64(size))
-}
+// maxCount bounds every count a SCORP file states.
+const maxCount = 1 << 31
 
-// decodeStore materialises a heap-backed Store from a section source,
-// with every structural and semantic invariant re-validated so an
-// untrusted file can never index out of bounds.
-func decodeStore(src sectionSource) (*Store, error) {
-	meta, ok, err := src.payload("meta")
-	if err != nil {
-		return nil, err
-	}
-	if !ok || len(meta) != 32 {
-		return nil, fmt.Errorf("%w: missing meta section", ErrBadCorpus)
-	}
-	nArt, nAuth, nVen, citations, err := parseMeta(meta)
-	if err != nil {
-		return nil, err
-	}
-
-	arena, ok, err := src.payload("arna")
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: missing arna section", ErrBadCorpus)
-	}
-	s := &Store{arena: string(arena), citations: int(citations)}
-
+// decodeColumns assembles a Store from a column source, checking that
+// every required section is present with the exact byte length the
+// meta counts and CSR offsets imply. Full validation is the caller's.
+func decodeColumns(src columnSource) (*Store, error) {
 	section := func(tag string, wantLen uint64) ([]byte, error) {
-		sec, ok, err := src.payload(tag)
+		sec, ok, err := src.section(tag)
 		if err != nil {
 			return nil, err
 		}
@@ -447,30 +161,51 @@ func decodeStore(src sectionSource) (*Store, error) {
 		}
 		return sec, nil
 	}
-	offsetCol := func(tag string, n uint64) ([]int64, error) {
-		sec, err := section(tag, (n+1)*8)
-		if err != nil {
-			return nil, err
-		}
-		return decodeI64s(sec), nil
+	meta, err := section("meta", 32)
+	if err != nil {
+		return nil, err
 	}
-	denseCol := func(tag string, n uint64) ([]int32, error) {
-		sec, err := section(tag, n*4)
-		if err != nil {
-			return nil, err
+	counts := container.FromLE[int64](meta)
+	for _, c := range counts {
+		if uint64(c) > maxCount {
+			return nil, fmt.Errorf("%w: counts out of range", ErrBadCorpus)
 		}
-		return decodeI32s(sec), nil
 	}
+	nArt, nAuth, nVen, citations := uint64(counts[0]), uint64(counts[1]), uint64(counts[2]), counts[3]
+	arena, ok, err := src.section("arna")
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: missing arna section", ErrBadCorpus)
+	}
+	s := &Store{arena: src.str(arena), citations: int(citations)}
 
 	load := func(dst *[]int64, tag string, n uint64) {
 		if err == nil {
-			*dst, err = offsetCol(tag, n)
+			var sec []byte
+			if sec, err = section(tag, (n+1)*8); err == nil {
+				*dst = src.i64(sec)
+			}
 		}
 	}
 	loadDense := func(dst *[]int32, tag string, n uint64) {
 		if err == nil {
-			*dst, err = denseCol(tag, n)
+			var sec []byte
+			if sec, err = section(tag, n*4); err == nil {
+				*dst = src.i32(sec)
+			}
 		}
+	}
+	// A CSR id column is as long as its offset column's last element.
+	loadIDs := func(dst *[]int32, tag string, off []int64) {
+		if err != nil {
+			return
+		}
+		if n := off[len(off)-1]; n < 0 || n > maxCount {
+			err = fmt.Errorf("%w: section %q id count %d", ErrBadCorpus, tag, n)
+		}
+		loadDense(dst, tag, uint64(off[len(off)-1]))
 	}
 	load(&s.artKeyOff, "akof", nArt)
 	load(&s.artTitleOff, "atof", nArt)
@@ -484,70 +219,29 @@ func decodeStore(src sectionSource) (*Store, error) {
 	load(&s.venueKeyOff, "vkof", nVen)
 	load(&s.venueNameOff, "vnof", nVen)
 	load(&s.venueArtOff, "vaof", nVen)
+	loadIDs(&s.artAuthors, "aaid", s.artAuthorOff)
+	loadIDs(&s.refs, "refi", s.refOff)
+	loadIDs(&s.authorArts, "uaid", s.authorArtOff)
+	loadIDs(&s.venueArts, "vaid", s.venueArtOff)
 	if err != nil {
 		return nil, err
 	}
-	csrIDs := func(tag string, off []int64) ([]int32, error) {
-		n, err := csrIDCount(tag, off)
-		if err != nil {
-			return nil, err
-		}
-		return denseCol(tag, n)
-	}
-	if s.artAuthors, err = csrIDs("aaid", s.artAuthorOff); err != nil {
+	if sec, ok, err := src.section("perm"); err != nil {
 		return nil, err
-	}
-	if s.refs, err = csrIDs("refi", s.refOff); err != nil {
-		return nil, err
-	}
-	if s.authorArts, err = csrIDs("uaid", s.authorArtOff); err != nil {
-		return nil, err
-	}
-	if s.venueArts, err = csrIDs("vaid", s.venueArtOff); err != nil {
-		return nil, err
-	}
-	if sec, ok, perr := src.payload("perm"); perr != nil {
-		return nil, perr
 	} else if ok {
 		if uint64(len(sec)) != nArt*4 {
 			return nil, fmt.Errorf("%w: section %q length %d, want %d", ErrBadCorpus, "perm", len(sec), nArt*4)
 		}
 		// The stored permutation is kept verbatim — even an identity one
 		// — so re-encoding reproduces the input bytes exactly.
-		perm, perr := sparse.NewPermutation(decodeI32s(sec))
+		// NewPermutation copies its input, so it survives munmap.
+		perm, perr := sparse.NewPermutation(src.i32(sec))
 		if perr != nil {
 			return nil, fmt.Errorf("%w: perm section: %v", ErrBadCorpus, perr)
 		}
 		s.perm = perm
 	}
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
 	return s, nil
-}
-
-// parseMeta unpacks and range-checks the meta section counts.
-func parseMeta(meta []byte) (nArt, nAuth, nVen, citations uint64, err error) {
-	nArt = binary.LittleEndian.Uint64(meta[0:])
-	nAuth = binary.LittleEndian.Uint64(meta[8:])
-	nVen = binary.LittleEndian.Uint64(meta[16:])
-	citations = binary.LittleEndian.Uint64(meta[24:])
-	const maxCount = 1 << 31
-	if nArt > maxCount || nAuth > maxCount || nVen > maxCount || citations > maxCount {
-		return 0, 0, 0, 0, fmt.Errorf("%w: counts out of range", ErrBadCorpus)
-	}
-	return nArt, nAuth, nVen, citations, nil
-}
-
-// csrIDCount reads a CSR offset column's final element — the id-array
-// length the matching section must have.
-func csrIDCount(tag string, off []int64) (uint64, error) {
-	last := off[len(off)-1]
-	const maxCount = 1 << 31
-	if last < 0 || uint64(last) > maxCount {
-		return 0, fmt.Errorf("%w: section %q id count %d", ErrBadCorpus, tag, last)
-	}
-	return uint64(last), nil
 }
 
 // validate checks every structural invariant the accessors rely on,
@@ -650,30 +344,9 @@ func (s *Store) Verify() error { return s.validate() }
 
 // WriteSCORPFile writes the store to path atomically: a temporary
 // sibling file is fsynced and renamed over the target, so a
-// concurrently booting reader never sees a half-written corpus (the
-// same discipline as live.WriteSnapshotFile).
+// concurrently booting reader never sees a half-written corpus.
 func WriteSCORPFile(path string, s *Store) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".corpus-*")
-	if err != nil {
-		return fmt.Errorf("corpus: SCORP temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := WriteSCORP(tmp, s); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("corpus: SCORP sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("corpus: SCORP close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("corpus: SCORP rename: %w", err)
-	}
-	return nil
+	return scorpFormat.WriteFile(path, scorpSections(s))
 }
 
 // ReadSCORPFile reads a corpus written by WriteSCORPFile onto the

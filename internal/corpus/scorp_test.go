@@ -11,7 +11,14 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"scholarrank/internal/container"
 )
+
+// decodeSCORP decodes an in-memory SCORP image.
+func decodeSCORP(data []byte) (*Store, error) {
+	return ReadSCORPAt(bytes.NewReader(data), int64(len(data)))
+}
 
 func TestSCORPRoundTrip(t *testing.T) {
 	s := buildTiny(t)
@@ -19,7 +26,7 @@ func TestSCORPRoundTrip(t *testing.T) {
 	if err := WriteSCORP(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSCORP(buf.Bytes())
+	got, err := decodeSCORP(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +53,7 @@ func TestSCORPEmptyStore(t *testing.T) {
 	if err := WriteSCORP(&buf, NewBuilder().Freeze()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSCORP(buf.Bytes())
+	got, err := decodeSCORP(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +63,10 @@ func TestSCORPEmptyStore(t *testing.T) {
 }
 
 func TestSCORPBadMagic(t *testing.T) {
-	if _, err := DecodeSCORP([]byte("NOTSCORPATALL")); !errors.Is(err, ErrBadCorpus) {
+	if _, err := decodeSCORP([]byte("NOTSCORPATALL")); !errors.Is(err, ErrBadCorpus) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := DecodeSCORP([]byte("SC")); !errors.Is(err, ErrBadCorpus) {
+	if _, err := decodeSCORP([]byte("SC")); !errors.Is(err, ErrBadCorpus) {
 		t.Errorf("short err = %v", err)
 	}
 }
@@ -77,12 +84,12 @@ func TestSCORPBadVersion(t *testing.T) {
 	images := map[string][]byte{"packed-v2-seed": readFuzzSeed(t, "testdata/fuzz/FuzzReadSCORP/seed-packed-v2")}
 	for _, v := range []byte{1, 2, 4} {
 		raw := append([]byte(nil), buf.Bytes()...)
-		raw[len(scorpMagic)] = v // the version byte is outside every section CRC
+		raw[len(scorpFormat.Magic)] = v // the version byte is outside every section CRC
 		images[fmt.Sprintf("stamped-v%d", v)] = raw
 	}
 	for name, raw := range images {
-		if _, err := DecodeSCORP(raw); !errors.Is(err, ErrCorpusVersion) {
-			t.Errorf("%s: DecodeSCORP err = %v", name, err)
+		if _, err := decodeSCORP(raw); !errors.Is(err, ErrCorpusVersion) {
+			t.Errorf("%s: decodeSCORP err = %v", name, err)
 		}
 		if _, err := ReadSCORPAt(bytes.NewReader(raw), int64(len(raw))); !errors.Is(err, ErrCorpusVersion) {
 			t.Errorf("%s: ReadSCORPAt err = %v", name, err)
@@ -125,18 +132,18 @@ func TestSCORPCorruptionDetected(t *testing.T) {
 	if err := WriteSCORP(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	tableEnd := scorpHeaderLen + len(scorpSectionOrder)*scorpEntryLen
+	tableEnd := container.HeaderLen + len(scorpSections(s))*container.EntryLen
 	raw := buf.Bytes()
 	// Version 3 pads sections to 8-byte alignment; padding belongs to
 	// no section and is outside every CRC, so a flip there must decode
 	// to the same corpus rather than being rejected.
-	tab, err := parseSCORPTable(raw, uint64(len(raw)))
+	tab, err := scorpFormat.ParseTable(raw, uint64(len(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	inPayload := func(pos int) bool {
-		for _, e := range tab.entries {
-			if uint64(pos) >= e.off && uint64(pos) < e.off+e.length {
+		for _, e := range tab.Entries {
+			if uint64(pos) >= e.Off && uint64(pos) < e.Off+e.Len {
 				return true
 			}
 		}
@@ -148,7 +155,7 @@ func TestSCORPCorruptionDetected(t *testing.T) {
 	for i := tableEnd; i < len(raw); i++ {
 		mutated := append([]byte(nil), raw...)
 		mutated[i] ^= 0xFF
-		got, err := DecodeSCORP(mutated)
+		got, err := decodeSCORP(mutated)
 		if inPayload(i) {
 			if err == nil {
 				t.Fatalf("flip at %d accepted", i)
@@ -171,8 +178,8 @@ func TestSCORPTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	for _, cut := range []int{len(raw) - 1, len(raw) / 2, scorpHeaderLen, 3} {
-		if _, err := DecodeSCORP(raw[:cut]); err == nil {
+	for _, cut := range []int{len(raw) - 1, len(raw) / 2, container.HeaderLen, 3} {
+		if _, err := decodeSCORP(raw[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -183,26 +190,26 @@ func TestSCORPTruncated(t *testing.T) {
 // file.
 func TestSCORPHostileSections(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString(scorpMagic)
-	buf.Write([]byte{scorpVersion, 0, 0})
+	buf.WriteString(scorpFormat.Magic)
+	buf.Write([]byte{scorpFormat.Version, 0, 0})
 	var cnt [4]byte
 	binary.LittleEndian.PutUint32(cnt[:], 1<<30)
 	buf.Write(cnt[:])
-	if _, err := DecodeSCORP(buf.Bytes()); !errors.Is(err, ErrBadCorpus) {
+	if _, err := decodeSCORP(buf.Bytes()); !errors.Is(err, ErrBadCorpus) {
 		t.Errorf("huge section count: %v", err)
 	}
 
 	buf.Reset()
-	buf.WriteString(scorpMagic)
-	buf.Write([]byte{scorpVersion, 0, 0})
+	buf.WriteString(scorpFormat.Magic)
+	buf.Write([]byte{scorpFormat.Version, 0, 0})
 	binary.LittleEndian.PutUint32(cnt[:], 1)
 	buf.Write(cnt[:])
-	entry := make([]byte, scorpEntryLen)
+	entry := make([]byte, container.EntryLen)
 	copy(entry, "meta")
 	binary.LittleEndian.PutUint64(entry[4:], 1<<40) // offset far past EOF
 	binary.LittleEndian.PutUint64(entry[12:], 32)
 	buf.Write(entry)
-	if _, err := DecodeSCORP(buf.Bytes()); !errors.Is(err, ErrBadCorpus) {
+	if _, err := decodeSCORP(buf.Bytes()); !errors.Is(err, ErrBadCorpus) {
 		t.Errorf("out-of-bounds section: %v", err)
 	}
 }
@@ -225,7 +232,7 @@ func TestSCORPRejectsInconsistentColumns(t *testing.T) {
 	if err := WriteSCORP(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeSCORP(buf.Bytes()); !errors.Is(err, ErrSelfCitation) {
+	if _, err := decodeSCORP(buf.Bytes()); !errors.Is(err, ErrSelfCitation) {
 		t.Errorf("self-citation accepted: %v", err)
 	}
 }
@@ -266,7 +273,7 @@ func TestSCORPPermRoundTrip(t *testing.T) {
 	if err := WriteSCORP(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSCORP(buf.Bytes())
+	got, err := decodeSCORP(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +312,7 @@ func TestSCORPCorruptPermRejected(t *testing.T) {
 	// The perm section is the last table entry; rewrite its payload to
 	// a duplicate-id map and refresh the CRC so only bijection
 	// validation can reject it.
-	entry := raw[scorpHeaderLen+(len(scorpSectionOrder))*scorpEntryLen:]
+	entry := raw[container.HeaderLen+(len(scorpSections(s))-1)*container.EntryLen:]
 	if tag := string(entry[:4]); tag != "perm" {
 		t.Fatalf("last section is %q, want perm", tag)
 	}
@@ -316,7 +323,7 @@ func TestSCORPCorruptPermRejected(t *testing.T) {
 		payload[i] = 0 // fwd = [0,0,0]: every article maps to id 0
 	}
 	binary.LittleEndian.PutUint32(entry[20:], crc32.ChecksumIEEE(payload))
-	if _, err := DecodeSCORP(raw); !errors.Is(err, ErrBadCorpus) {
+	if _, err := decodeSCORP(raw); !errors.Is(err, ErrBadCorpus) {
 		t.Errorf("duplicate perm accepted: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -164,4 +165,44 @@ func TestSpool(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "001.jsonl.done")); err != nil {
 		t.Errorf("done file missing: %v", err)
 	}
+}
+
+// FuzzApplyDelta drives the delta parser POST /admin/ingest and the
+// spool directory feed with bytes from outside the process: every
+// input either errors or applies, and an applied delta grows the
+// corpus by exactly the articles and citations it reports and freezes
+// to a store that passes full validation.
+func FuzzApplyDelta(f *testing.F) {
+	for _, seed := range []string{
+		`{"id":"p3","title":"New","year":2016,"venue":"icde","authors":["alice"],"refs":["p0","p1"]}` + "\n" + `{"id":"p2","refs":["p0"]}`,
+		`{"id":"p3","year":2016,"authors":["a","b","a"]}`,
+		`{"id":"p3","year":2016,"refs":["p4","ghost","p3"]}` + "\n\n" + `{"id":"p4","year":2017,"refs":["p3","p3"]}`,
+		`{"id":"p1","refs":["p0","p2"]}`,
+		`{"id":`,
+		`{"year":2016}`,
+		`{"id":"x","year":-3}`,
+		`{"id":"x","year":2016,"venue":"","authors":[""]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, delta []byte) {
+		b := baseStore(t)
+		articles, citations := b.NumArticles(), b.NumCitations()
+		stats, err := ApplyDelta(b, bytes.NewReader(delta))
+		if err != nil {
+			return
+		}
+		if b.NumArticles() != articles+stats.NewArticles || b.NumCitations() != citations+stats.NewCitations {
+			t.Fatalf("stats %+v, but the corpus grew from %d/%d to %d/%d articles/citations",
+				stats, articles, citations, b.NumArticles(), b.NumCitations())
+		}
+		s := b.Freeze()
+		if err := s.Verify(); err != nil {
+			t.Fatalf("applied delta freezes to an invalid store: %v", err)
+		}
+		if s.NumArticles() != b.NumArticles() || s.NumCitations() != b.NumCitations() {
+			t.Fatalf("freeze changed the counts: %d/%d vs %d/%d",
+				s.NumArticles(), s.NumCitations(), b.NumArticles(), b.NumCitations())
+		}
+	})
 }

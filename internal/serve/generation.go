@@ -67,7 +67,7 @@ type generation struct {
 }
 
 // newGeneration assembles the immutable serving view for one solved
-// ranking. fingerprint is store's live.Fingerprint: the snapshot boot
+// ranking. fingerprint is store.Fingerprint(): the snapshot boot
 // passes the one it has just matched instead of hashing the corpus a
 // second time.
 func newGeneration(store *corpus.Store, net *hetnet.Network, scores *core.Scores, fingerprint uint64,
@@ -232,7 +232,7 @@ func (s *Server) rebuildLocked(ctx context.Context, store *corpus.Store, source 
 		return fmt.Errorf("serve: re-rank: %w", err)
 	}
 	_, span := obs.StartSpan(ctx, "generation.build")
-	gen, err := newGeneration(store, net, scores, live.Fingerprint(store), prev.version+1, source, s.clock())
+	gen, err := newGeneration(store, net, scores, store.Fingerprint(), prev.version+1, source, s.clock())
 	span.End()
 	if err != nil {
 		return err

@@ -182,7 +182,7 @@ func NewWithConfig(store *corpus.Store, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: rank: %w", err)
 	}
-	gen, err := newGeneration(store, net, scores, live.Fingerprint(store), 1, "solve", s.clock())
+	gen, err := newGeneration(store, net, scores, store.Fingerprint(), 1, "solve", s.clock())
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,7 @@ func NewWithConfig(store *corpus.Store, cfg Config) (*Server, error) {
 // that already ran the ranking).
 func NewFromScores(store *corpus.Store, scores *core.Scores) (*Server, error) {
 	s := newServerShell(Config{})
-	gen, err := newGeneration(store, hetnet.Build(store), scores, live.Fingerprint(store), 1, "solve", s.clock())
+	gen, err := newGeneration(store, hetnet.Build(store), scores, store.Fingerprint(), 1, "solve", s.clock())
 	if err != nil {
 		return nil, err
 	}
