@@ -13,8 +13,9 @@ vet:
 ## lint: style gates with no external tooling. The grep gates live as
 ## one table in scripts/lint-gates.sh (pattern | root | exempt paths |
 ## message): all logging goes through the component loggers in
-## internal/obs, serve handlers inherit the request context, solver
-## phases are reached only through the scorer registry, and worker
+## internal/obs, serve handlers inherit the request context, the walk
+## executor and the pipeline's stage functions are reached only through
+## the scorer registry, and worker
 ## pool handles come only from the engine's solve and the
 ## related-article index (scorers honour Options.Workers through
 ## SolveContext.Pool), only hetnet builds the Gauss–Seidel
@@ -38,8 +39,9 @@ fmt:
 ## bytes — the JSONL and TSV parsers, the SCORP corpus reader, the
 ## SRNKS ranking snapshot reader (sarserve -scores; both are containers,
 ## package container), the JSONL delta applier behind POST
-## /admin/ingest and the spool directory, and the W3C traceparent
-## header parser on the serving path — and on the radix score order,
+## /admin/ingest and the spool directory, the W3C traceparent header
+## parser and the /query page-token decoder on the serving path — and
+## on the radix score order,
 ## whose float-to-key mapping must match the comparator order on every
 ## bit pattern.
 fuzz-smoke:
@@ -49,6 +51,7 @@ fuzz-smoke:
 	$(GO) test ./internal/live/ -run xxx -fuzz FuzzReadSnapshot -fuzztime 10s
 	$(GO) test ./internal/live/ -run xxx -fuzz FuzzApplyDelta -fuzztime 10s
 	$(GO) test ./internal/obs/ -run xxx -fuzz FuzzParseTraceparent -fuzztime 10s
+	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzDecodeCursor -fuzztime 10s
 	$(GO) test ./internal/eval/ -run xxx -fuzz FuzzOrder -fuzztime 10s
 
 build:

@@ -22,12 +22,16 @@ package container
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"unsafe"
 )
@@ -104,14 +108,24 @@ func (f *Format) Write(w io.Writer, sections []Section) error {
 
 // WriteFile writes the container to path atomically: a temporary
 // sibling file is fsynced and renamed over the target, so a
-// concurrently booting reader never sees a half-written file.
+// concurrently booting reader never sees a half-written file, and the
+// directory is fsynced after the rename, so the new name survives a
+// crash. The file keeps the permissions of the file it replaces; a new
+// file is created 0644 under the process umask.
 func (f *Format) WriteFile(path string, sections []Section) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+strings.ToLower(f.Magic)+"-*")
+	dir := filepath.Dir(path)
+	tmp, err := createTemp(dir, "."+strings.ToLower(f.Magic)+"-")
 	if err != nil {
 		return fmt.Errorf("%s temp: %w", f.Magic, err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := f.Write(tmp, sections); err != nil {
+	if old, err := os.Stat(path); err == nil {
+		err = tmp.Chmod(old.Mode().Perm())
+	}
+	if err == nil {
+		err = f.Write(tmp, sections)
+	}
+	if err != nil {
 		tmp.Close()
 		return err
 	}
@@ -125,7 +139,33 @@ func (f *Format) WriteFile(path string, sections []Section) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("%s rename: %w", f.Magic, err)
 	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("%s sync directory: %w", f.Magic, err)
+	}
 	return nil
+}
+
+// createTemp creates a new file named prefix plus a random suffix in
+// dir, mode 0644 under the umask (os.CreateTemp would make it 0600).
+func createTemp(dir, prefix string) (*os.File, error) {
+	for try := 0; ; try++ {
+		name := filepath.Join(dir, prefix+strconv.FormatUint(uint64(rand.Uint32()), 36))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if !errors.Is(err, fs.ErrExist) || try == 100 {
+			return f, err
+		}
+	}
+}
+
+// syncDir fsyncs directory dir, making a rename in it durable. It is a
+// variable so tests can count the syncs.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Entry is one parsed section-table row.

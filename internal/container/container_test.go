@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -105,4 +107,61 @@ func TestLEFromLE(t *testing.T) {
 	if LE([]int64(nil)) != nil || len(FromLE[int32](nil)) != 0 {
 		t.Error("empty columns")
 	}
+}
+
+// TestWriteFileModeAndDirectorySync: a new file gets 0644 under the
+// umask — the mode any file created 0644 gets, not the 0600 of a
+// temporary file — a replaced file keeps its mode, and every write
+// syncs the directory once, after the rename.
+func TestWriteFileModeAndDirectorySync(t *testing.T) {
+	dir := t.TempDir()
+	var synced []string
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	syncDir = func(d string) error {
+		synced = append(synced, d)
+		return nil
+	}
+	probe := filepath.Join(dir, "probe")
+	pf, err := os.OpenFile(probe, os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf.Close()
+	umasked := modeOf(t, probe)
+
+	path := filepath.Join(dir, "new.testc")
+	secs := []Section{{Tag: "aaaa", Data: []byte("payload")}}
+	if err := testFmt.WriteFile(path, secs); err != nil {
+		t.Fatal(err)
+	}
+	if got := modeOf(t, path); got != umasked {
+		t.Errorf("new file mode %v, want %v (0644 under the umask)", got, umasked)
+	}
+	if err := os.Chmod(path, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	if err := testFmt.WriteFile(path, secs); err != nil {
+		t.Fatal(err)
+	}
+	if got := modeOf(t, path); got != 0o640 {
+		t.Errorf("replaced file mode %v, want -rw-r-----", got)
+	}
+	if !slices.Equal(synced, []string{dir, dir}) {
+		t.Errorf("directory syncs %q, want one per write of %q", synced, dir)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Errorf("%d directory entries after two writes, want the file and the probe (no temporary left)", len(entries))
+	}
+	if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, encode(t, secs...)) {
+		t.Errorf("file content differs from the encoded container (read error %v)", err)
+	}
+}
+
+func modeOf(t *testing.T, path string) os.FileMode {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Mode().Perm()
 }

@@ -30,7 +30,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"scholarrank/internal/hetnet"
@@ -132,8 +131,8 @@ type Options struct {
 	// score distributions) or min–max.
 	Normalization NormKind
 
-	// Workers sets the parallelism of the pooled kernels (Jacobi
-	// sweeps, renormalisation, layer gathers); values < 1 select NumCPU.
+	// Workers sets the parallelism of the pooled kernels (prescaling,
+	// renormalisation, layer gathers); values < 1 select NumCPU.
 	// The Gauss–Seidel sweeps are serial, so scores do not depend on it.
 	// Workers, Iter and Trace are the only fields the baseline scorers
 	// read; their own parameters come from the scorer option bag.
@@ -150,11 +149,12 @@ type Options struct {
 	Shards int
 
 	// AitkenEvery sets the cadence of Aitken Δ² extrapolation in the
-	// prestige walk: every AitkenEvery plain sweeps the solver attempts
-	// a vector-extrapolated jump, keeping it only when it shrinks the
-	// residual (see sparse.IterOptions.AitkenEvery). 0 selects the
-	// default cadence; negative disables extrapolation. The fixed point
-	// is unchanged either way — extrapolation only cuts sweep count.
+	// damped walks (prestige and the citation-only baselines; a layered
+	// walk never extrapolates): every AitkenEvery plain sweeps the
+	// solver attempts a vector-extrapolated jump, keeping it only when
+	// it shrinks the residual (see sparse.IterOptions.AitkenEvery). 0
+	// selects the default cadence; negative disables extrapolation. The
+	// fixed point is unchanged either way — it only cuts sweep count.
 	AitkenEvery int
 
 	// Trace, when set, receives one event per solver iteration from
@@ -235,17 +235,14 @@ func (o Options) effective() Options {
 }
 
 func (o Options) validate() error {
-	if o.RhoGap < 0 || o.RhoRecency < 0 || o.RhoFade < 0 ||
-		math.IsNaN(o.RhoGap) || math.IsNaN(o.RhoRecency) || math.IsNaN(o.RhoFade) {
+	if !(min(o.RhoGap, o.RhoRecency, o.RhoFade) >= 0) {
 		return fmt.Errorf("%w: decay rates %v/%v/%v", ErrBadOptions, o.RhoGap, o.RhoRecency, o.RhoFade)
 	}
 	if o.Damping <= 0 || o.Damping >= 1 {
 		return fmt.Errorf("%w: damping %v", ErrBadOptions, o.Damping)
 	}
-	for _, l := range []float64{o.LambdaCite, o.LambdaAuthor, o.LambdaVenue, o.LambdaTime} {
-		if l < 0 {
-			return fmt.Errorf("%w: negative lambda", ErrBadOptions)
-		}
+	if min(o.LambdaCite, o.LambdaAuthor, o.LambdaVenue, o.LambdaTime) < 0 {
+		return fmt.Errorf("%w: negative lambda", ErrBadOptions)
 	}
 	s := o.LambdaCite + o.LambdaAuthor + o.LambdaVenue + o.LambdaTime
 	if s < 1-1e-9 || s > 1+1e-9 {
@@ -299,25 +296,6 @@ type TraceEvent struct {
 	Residual float64
 	// Elapsed is the wall time of the single iteration.
 	Elapsed time.Duration
-}
-
-// iterFor returns the iteration options for one phase, binding the
-// Trace hook (if any) to the phase name. A hook installed directly on
-// Iter.OnIteration is preserved when Trace is unset.
-func (o Options) iterFor(phase string) sparse.IterOptions {
-	it := o.Iter
-	if o.Trace != nil {
-		trace := o.Trace
-		it.OnIteration = func(ev sparse.IterEvent) {
-			trace(TraceEvent{
-				Phase:     phase,
-				Iteration: ev.Iteration,
-				Residual:  ev.Residual,
-				Elapsed:   ev.Elapsed,
-			})
-		}
-	}
-	return it
 }
 
 // InitialScores carries previous-solution vectors used to warm-start

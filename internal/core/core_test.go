@@ -168,12 +168,7 @@ func TestPrestigeNoDecayEqualsPlainPageRank(t *testing.T) {
 	net := fixture(t)
 	opts := DefaultOptions()
 	opts.DisableTimeDecay = true
-	opts = opts.effective()
-	gapTrans, err := NewEngine(net).gapTransition(opts.RhoGap, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prestige, _, err := computePrestige(net.SolverView(), opts, gapTrans, nil)
+	prestige, err := RankScorer(net, ScorerPrestige, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +176,7 @@ func TestPrestigeNoDecayEqualsPlainPageRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := sparse.MaxDiff(prestige, pr.Importance); d > 1e-9 {
+	if d := sparse.MaxDiff(prestige.RawPrestige, pr.Importance); d > 1e-9 {
 		t.Errorf("no-decay prestige deviates from PageRank by %v", d)
 	}
 }
@@ -190,7 +185,7 @@ func TestPrestigeNoDecayEqualsPlainPageRank(t *testing.T) {
 // the edge u→v, gap being the citing article's year minus the cited
 // one's, weighs exp(-rho·max(0, gap)) and carries the share
 // weight/Σ_out(u) of u's mass — the oracle of the engine's gap
-// operators (gapOperator), sharing no code with them.
+// operators (Engine.gapTransition), sharing no code with them.
 type gapWalk struct {
 	edges    []gapEdge // the citation graph's edges, in row order
 	dangling []graph.NodeID
@@ -285,14 +280,13 @@ func TestGapWeightedGraph(t *testing.T) {
 
 func TestHeteroColdStartAuthorInheritance(t *testing.T) {
 	net := fixture(t)
-	opts := DefaultOptions()
-	view := net.SolverView()
-	h, stats, err := computeHetero(view, opts, sparse.NewTransition(view.Citations, nil), nil, nil)
+	sc, err := RankScorer(net, ScorerHetero, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Converged {
-		t.Fatalf("hetero did not converge: %+v", stats)
+	h := sc.Hetero
+	if !sc.HeteroStats.Converged {
+		t.Fatalf("hetero did not converge: %+v", sc.HeteroStats)
 	}
 	// p5 (star author, uncited) must beat p6 (bare, uncited, same year):
 	// the only difference is author-track-record inheritance.

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"testing"
 
+	"scholarrank/internal/hetnet"
+	"scholarrank/internal/rank"
 	"scholarrank/internal/sparse"
+	"scholarrank/internal/temporal"
 )
 
 // This file pins the scorer refactor: Engine.Rank, now a dispatch
@@ -13,7 +16,7 @@ import (
 // pre-refactor fused pipeline to 1e-12 — including the warm-cache
 // behaviour across repeated solves and RhoGap changes. The oracle
 // walks Jacobi operators of its own — sparse.NewTransition for the
-// hetero stage, and the gap walk written out edge by edge (gapWalk)
+// hetero stage (jacobiHetero), and the gap walk written out edge by edge (gapWalk)
 // for prestige — so it is also the Jacobi reference for the engine's
 // Gauss–Seidel sweeps: the same fixed points, in no more sweeps.
 
@@ -47,22 +50,32 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 	if err != nil {
 		return nil, err
 	}
-	initPrestige, err := warmVector(opts.InitialScores.prestige(), l.warmPrestige[opts.RhoGap], e.net.NumArticles(), perm)
+	var seeds InitialScores
+	if opts.InitialScores != nil {
+		seeds = *opts.InitialScores
+	}
+	warmVector := func(explicit, cached []float64) ([]float64, error) {
+		if explicit == nil {
+			return cached, nil
+		}
+		return (&SolveContext{eng: e}).WarmStart("", explicit)
+	}
+	initPrestige, err := warmVector(seeds.Prestige, l.warmPrestige[opts.RhoGap])
 	if err != nil {
 		return nil, fmt.Errorf("core: prestige warm start: %w", err)
 	}
-	initHetero, err := warmVector(opts.InitialScores.hetero(), l.warmHetero, e.net.NumArticles(), perm)
+	initHetero, err := warmVector(seeds.Hetero, l.warmHetero)
 	if err != nil {
 		return nil, fmt.Errorf("core: hetero warm start: %w", err)
 	}
-	teleport, err := recencyTeleport(e.view(), opts.RhoRecency)
+	teleport, err := recencyRestart(e.view(), opts.RhoRecency)
 	if err != nil {
 		return nil, err
 	}
 	if initPrestige == nil {
 		initPrestige = teleport
 	}
-	it := opts.iterFor(PhasePrestige)
+	it := opts.Iter
 	it.AitkenEvery = opts.AitkenEvery
 	rawSolver, pStats, err := sparse.FixedPointExtrapolated(context.Background(), nil, initPrestige,
 		func(dst, src []float64) float64 { return gap.step(dst, src, teleport, opts.Damping) }, nil, it)
@@ -71,12 +84,12 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 	}
 	l.warmPrestige[opts.RhoGap] = rawSolver
 	rawPrestige := perm.Restored(rawSolver)
-	prestige, err := applyFade(e.net, opts, rawPrestige)
+	prestige, err := fadeByAge(e.net, opts.RhoFade, rawPrestige)
 	if err != nil {
 		return nil, err
 	}
 	popularity := computePopularity(e.net, opts)
-	heteroSolver, hStats, err := computeHetero(e.view(), opts, citTrans, pool, initHetero)
+	heteroSolver, hStats, err := jacobiHetero(e.view(), opts, citTrans, pool, initHetero)
 	if err != nil {
 		return nil, err
 	}
@@ -96,6 +109,44 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 		HeteroStats:   hStats,
 		Pool:          pool.Stats(),
 	}, nil
+}
+
+// recencyRestart is the restart distribution ∝ exp(-rho·age) over the
+// view's articles, in solver order.
+func recencyRestart(view *hetnet.SolverView, rho float64) ([]float64, error) {
+	kernel, err := temporal.NewExponential(rho)
+	if err != nil {
+		return nil, err
+	}
+	r := rank.RecencyVector(view.Years, view.Now, kernel)
+	sparse.Normalize1(r)
+	return r, nil
+}
+
+// jacobiHetero is the hetero stage as the pre-refactor engine ran it:
+// the fused blend step over a Jacobi operator t, with both layers
+// gathered from the previous iterate, from init (nil: uniform).
+func jacobiHetero(view *hetnet.SolverView, opts Options, t *sparse.Transition, pool *sparse.Pool, init []float64) ([]float64, sparse.IterStats, error) {
+	r, err := recencyRestart(view, opts.RhoRecency)
+	if err != nil {
+		return nil, sparse.IterStats{}, err
+	}
+	authors, venues := make([]float64, view.NumAuthors()), make([]float64, view.NumVenues())
+	fa, fv := view.AuthorBlendLayer(authors), view.VenueBlendLayer(venues)
+	if init == nil {
+		init = uniformVector(view.NumArticles())
+	}
+	dang, xs := t.DanglingMass(init), make([]float64, len(init))
+	t.Prescale(xs, init)
+	step := func(dst, src []float64) float64 {
+		aLeak := view.GatherArticlesToAuthorsScaledPar(pool, authors, src)
+		vLeak := view.GatherArticlesToVenuesScaledPar(pool, venues, src)
+		sum, dangNext := t.BlendStep(dst, src, xs, r, fa, fv, opts.LambdaCite, opts.LambdaAuthor, opts.LambdaVenue,
+			opts.LambdaTime, 0, dang, aLeak, vLeak)
+		dang = dangNext / sum
+		return t.ScaleDiffStep(dst, src, xs, 1/sum)
+	}
+	return sparse.FixedPointResidual(init, step, opts.Iter)
 }
 
 // TestDefaultScorerMatchesLegacyRank drives the refactored engine and

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"scholarrank/internal/hetnet"
@@ -65,55 +66,41 @@ func (o ScorerOptions) Clone() ScorerOptions {
 	return c
 }
 
-// checkKeys errors on any key outside the known set — a typo in a
-// -scorer-opt flag should fail construction, not be ignored.
-func (o ScorerOptions) checkKeys(scorer string, known ...string) error {
-	for k := range o {
-		ok := false
-		for _, want := range known {
-			if k == want {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("%w: scorer %q has no option %q (known: %v)", ErrBadOptions, scorer, k, known)
-		}
-	}
-	return nil
-}
-
-// option binds one option-bag key to the scorer field it sets and the
-// default an absent key leaves there.
+// option binds one option-bag key to the scorer field it sets, the
+// default an absent key leaves there, and its range: a unit option (a
+// damping factor, a coupling) lies in the open interval (0, 1), any
+// other at or above 0.
 type option struct {
-	key string
-	dst *float64
-	def float64
+	key  string
+	dst  *float64
+	def  float64
+	unit bool
 }
 
 // read sets every field from the bag, the default where the key is
-// absent, after rejecting keys outside the set and NaN values.
+// absent. A key outside the set — a typo in a -scorer-opt flag — a NaN
+// or a value out of its range fails construction.
 func (o ScorerOptions) read(scorer string, fields ...option) error {
 	known := make([]string, len(fields))
 	for i, f := range fields {
 		known[i] = f.key
 	}
-	if err := o.checkKeys(scorer, known...); err != nil {
-		return err
-	}
-	for _, f := range fields {
-		if *f.dst = o.Get(f.key, f.def); math.IsNaN(*f.dst) {
-			return fmt.Errorf("%w: %s %s is NaN", ErrBadOptions, scorer, f.key)
+	for k := range o {
+		if !slices.Contains(known, k) {
+			return fmt.Errorf("%w: scorer %q has no option %q (known: %v)", ErrBadOptions, scorer, k, known)
 		}
 	}
-	return nil
-}
-
-// checkUnit rejects a probability-like option (a damping factor, a
-// coupling) outside the open interval (0, 1).
-func checkUnit(scorer, key string, v float64) error {
-	if v <= 0 || v >= 1 {
-		return fmt.Errorf("%w: %s %s %v, want (0, 1)", ErrBadOptions, scorer, key, v)
+	for _, f := range fields {
+		v := o.Get(f.key, f.def)
+		switch {
+		case math.IsNaN(v):
+			return fmt.Errorf("%w: %s %s is NaN", ErrBadOptions, scorer, f.key)
+		case f.unit && (v <= 0 || v >= 1):
+			return fmt.Errorf("%w: %s %s %v, want (0, 1)", ErrBadOptions, scorer, f.key, v)
+		case v < 0:
+			return fmt.Errorf("%w: %s %s %v, want >= 0", ErrBadOptions, scorer, f.key, v)
+		}
+		*f.dst = v
 	}
 	return nil
 }
@@ -121,6 +108,16 @@ func checkUnit(scorer, key string, v float64) error {
 // ScorerFactory constructs a scorer from its option bag, validating
 // option names and ranges.
 type ScorerFactory func(opts ScorerOptions) (Scorer, error)
+
+// fixed is the factory of a scorer that takes no options.
+func fixed(s Scorer) ScorerFactory {
+	return func(o ScorerOptions) (Scorer, error) {
+		if err := o.read(s.Name()); err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+}
 
 type scorerEntry struct {
 	doc     string
@@ -217,7 +214,7 @@ func (ctx *SolveContext) NumArticles() int { return ctx.eng.net.NumArticles() }
 // CitationTransition returns the engine's cached citation transition
 // operator (solver space).
 func (ctx *SolveContext) CitationTransition() *sparse.Transition {
-	return ctx.eng.citationTransition(ctx.pool)
+	return ctx.eng.view().CitationTransition().WithPool(ctx.pool)
 }
 
 // GapTransition returns the gap view of the citation transition, its
@@ -228,9 +225,16 @@ func (ctx *SolveContext) GapTransition(rho float64) (*sparse.Transition, error) 
 }
 
 // IterFor returns the iteration options for one solver phase, with
-// the Options.Trace hook (if any) bound to the phase name.
+// the Options.Trace hook (if any) bound to the phase name. A hook
+// installed directly on Iter.OnIteration is kept when Trace is unset.
 func (ctx *SolveContext) IterFor(phase string) sparse.IterOptions {
-	return ctx.opts.iterFor(phase)
+	it, trace := ctx.opts.Iter, ctx.opts.Trace
+	if trace != nil {
+		it.OnIteration = func(ev sparse.IterEvent) {
+			trace(TraceEvent{Phase: phase, Iteration: ev.Iteration, Residual: ev.Residual, Elapsed: ev.Elapsed})
+		}
+	}
+	return it
 }
 
 // Restore maps a solver-space vector back to original article order.
@@ -238,12 +242,25 @@ func (ctx *SolveContext) Restore(solverVec []float64) []float64 {
 	return ctx.Perm().Restored(solverVec)
 }
 
-// WarmStart selects the starting vector for an iterative stage under
-// the scorer-namespaced cache key: an explicit seed (original order,
-// validated, L1-normalised and mapped to solver space) wins over the
-// engine's cached previous solution; nil means cold start.
+// WarmStart selects the starting vector for an iterative stage: an
+// explicit seed wins over the fixed point cached under the
+// scorer-namespaced key (already in solver space); nil means cold
+// start. An explicit seed arrives in original article order: it is
+// checked against the network size, L1-normalised on a copy and mapped
+// into solver space. A seed with no mass — all zeros, as Resized
+// produces for an all-new corpus — degrades to a cold start.
 func (ctx *SolveContext) WarmStart(key string, explicit []float64) ([]float64, error) {
-	return warmVector(explicit, ctx.eng.warm[ctx.warmKey(key)], ctx.NumArticles(), ctx.Perm())
+	if explicit == nil {
+		return ctx.eng.warm[ctx.warmKey(key)], nil
+	}
+	if n := ctx.NumArticles(); len(explicit) != n {
+		return nil, fmt.Errorf("%w: initial vector length %d, want %d", ErrBadOptions, len(explicit), n)
+	}
+	v := sparse.Clone(explicit)
+	if s := sparse.Normalize1(v); s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		return nil, nil
+	}
+	return ctx.Perm().Applied(v), nil
 }
 
 // KeepWarm stores a solver-space fixed point under the
@@ -254,45 +271,15 @@ func (ctx *SolveContext) KeepWarm(key string, solverVec []float64) {
 
 func (ctx *SolveContext) warmKey(key string) string { return ctx.scorer + "/" + key }
 
-// cached returns the solver-space fixed point the scorer last kept
-// under key, or nil.
-func (ctx *SolveContext) cached(key string) []float64 { return ctx.eng.warm[ctx.warmKey(key)] }
-
-// walk solves the damped walk over t (solver space, sweeping as t
-// does) from the fixed point cached under key, or from the teleport
-// when none is, and caches the result. It traces under the scorer's
-// name and extrapolates at Options.AitkenEvery. It stops once the L1
-// residual times unit is below Options.Iter.Tol: unit converts a
-// change of the walk into the units of the scores read out of it, 1
-// when the scores are the distribution itself.
-func (ctx *SolveContext) walk(key string, t *sparse.Transition, damping float64, teleport []float64, unit float64) ([]float64, sparse.IterStats, error) {
-	init := ctx.cached(key)
-	if init == nil {
-		init = teleport
-	}
-	it := ctx.IterFor(ctx.scorer)
-	it.AitkenEvery = ctx.opts.AitkenEvery
-	if it.Tol == 0 {
-		it.Tol = sparse.DefaultTol
-	}
-	it.Tol /= unit
-	x, stats, err := sparse.DampedWalkFrom(t, damping, teleport, init, it)
-	if err != nil {
-		return nil, stats, fmt.Errorf("core: %s %s: %w", ctx.scorer, key, err)
-	}
-	ctx.KeepWarm(key, x)
-	return x, stats, nil
-}
-
-// fixedPointKey is the warm-cache key of a single-stage scorer's fixed
-// point.
+// fixedPointKey is the warm-cache key of a single-stage scorer.
 const fixedPointKey = "fixed-point"
 
-// iterate runs a Jacobi step function to its fixed point from the
-// vector the scorer cached, or from init when none is, and caches the
-// result. It traces under the scorer's name.
+// iterate runs a step function to its fixed point from the vector the
+// scorer cached, or from init when none is, and caches the result. It
+// traces under the scorer's name. It serves hits, the one iterative
+// scorer that is not a walk (every walk runs on solveWalk).
 func (ctx *SolveContext) iterate(init []float64, step sparse.StepFunc) ([]float64, sparse.IterStats, error) {
-	if warm := ctx.cached(fixedPointKey); warm != nil {
+	if warm := ctx.eng.warm[ctx.warmKey(fixedPointKey)]; warm != nil {
 		init = warm
 	}
 	x, stats, err := sparse.FixedPoint(init, step, ctx.IterFor(ctx.scorer))

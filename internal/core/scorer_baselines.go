@@ -19,23 +19,23 @@ import (
 
 func init() {
 	RegisterScorer(ScorerCiteCount, "raw citation count (in-degree)",
-		newCountScorer(ScorerCiteCount, citeCounts))
+		fixed(countScorer{ScorerCiteCount, citeCounts}))
 	RegisterScorer(ScorerYearNorm, "citation count over the add-one-smoothed mean count of its publication year",
-		newCountScorer(ScorerYearNorm, yearNormCounts))
+		fixed(countScorer{ScorerYearNorm, yearNormCounts}))
 	RegisterScorer(ScorerAgeNorm, "citations per year of age (age floored at 1)",
-		newCountScorer(ScorerAgeNorm, ageNormCounts))
+		fixed(countScorer{ScorerAgeNorm, ageNormCounts}))
 	RegisterScorer(ScorerPageRank, "PageRank: damped citation walk with a uniform teleport",
-		newWalkScorer(ScorerPageRank))
+		newCitationScorer(ScorerPageRank))
 	RegisterScorer(ScorerCiteRank, "CiteRank: damped citation walk restarting at recent articles (teleport ∝ exp(-rho·age))",
-		newWalkScorer(ScorerCiteRank))
+		newCitationScorer(ScorerCiteRank))
 	RegisterScorer(ScorerTimedPR, "timed PageRank: PageRank faded by exp(-rho·age)",
-		newWalkScorer(ScorerTimedPR))
+		newCitationScorer(ScorerTimedPR))
 	RegisterScorer(ScorerSCEAS, "SCEAS: citations weighted by chain depth (decay) plus a direct-citation bonus",
-		newWalkScorer(ScorerSCEAS))
+		newCitationScorer(ScorerSCEAS))
 	RegisterScorer(ScorerEWPR, "EWPR-style ensemble (WSDM Cup 2016 winner) whose citer weights cancel: 2:1 mean of PageRank and CiteRank at the engine's recency rate",
-		newWalkScorer(ScorerEWPR))
+		newCitationScorer(ScorerEWPR))
 	RegisterScorer(ScorerHITS, "HITS authority: Kleinberg mutual reinforcement on the citation graph, no teleport",
-		newHITSScorer)
+		fixed(hitsScorer{}))
 	RegisterScorer(ScorerFutureRank, "FutureRank: citation walk + author reinforcement + recency restart",
 		newFutureRankScorer)
 	RegisterScorer(ScorerCoRank, "Co-Ranking: citation and co-authorship walks coupled through authorship",
@@ -74,15 +74,6 @@ type countScorer struct {
 	scores func(net *hetnet.Network) ([]float64, error)
 }
 
-func newCountScorer(name string, scores func(*hetnet.Network) ([]float64, error)) ScorerFactory {
-	return func(o ScorerOptions) (Scorer, error) {
-		if err := o.checkKeys(name); err != nil {
-			return nil, err
-		}
-		return countScorer{name, scores}, nil
-	}
-}
-
 func (s countScorer) Name() string { return s.name }
 
 func (s countScorer) Score(ctx *SolveContext) ([]float64, error) { return s.scores(ctx.Network()) }
@@ -115,87 +106,62 @@ func ageNormCounts(net *hetnet.Network) ([]float64, error) {
 	return scores, nil
 }
 
-// walkScorer is every baseline that uses only the citation operator:
-// one damped walk over the Gauss–Seidel citation operator, read out.
-//
-//   - pagerank is the walk under a uniform teleport.
-//   - citerank restarts at recent articles (teleport ∝ exp(-rho·age)),
-//     a researcher who starts reading at the frontier, so old prestige
-//     alone cannot dominate.
-//   - timedpr fades PageRank by exp(-rho·age) afterwards, so old
-//     prestige fades unless refreshed.
-//   - sceas is PageRank at damping = decay, mapped onto SCEAS's scale
-//     (walkScorer.sceasScores).
-//   - ewpr is the fixed point of the WSDM Cup 2016 winner's ensemble
-//     (walkScorer.ewprScores).
-type walkScorer struct {
-	name    string
-	damping float64 // the walk's damping: sceas's decay
-	rho     float64 // citerank's restart rate, timedpr's fade rate
-	bonus   float64 // sceas's direct-citation bonus
-}
-
-func newWalkScorer(name string) ScorerFactory {
+// newCitationScorer builds the baselines that walk the citation
+// operator alone. pagerank is the damped walk under a uniform teleport;
+// citerank restarts at recent articles (∝ exp(-rho·age)), a reader who
+// starts at the frontier, so old prestige alone cannot dominate;
+// timedpr fades PageRank by exp(-rho·age) afterwards; sceas is PageRank
+// at damping = decay on SCEAS's scale (readSCEAS); ewpr is the WSDM Cup
+// 2016 winner's ensemble (readEWPR).
+func newCitationScorer(name string) ScorerFactory {
 	return func(o ScorerOptions) (Scorer, error) {
-		s := &walkScorer{name: name}
-		fields := []option{{"damping", &s.damping, 0.85}}
+		var damping, rho, bonus float64 // sceas's decay is its damping
+		fields := []option{{"damping", &damping, 0.85, true}}
 		switch name {
 		case ScorerCiteRank:
-			fields = append(fields, option{"rho", &s.rho, 0.38})
+			fields = append(fields, option{"rho", &rho, 0.38, false})
 		case ScorerTimedPR:
-			fields = append(fields, option{"rho", &s.rho, 0.2})
+			fields = append(fields, option{"rho", &rho, 0.2, false})
 		case ScorerSCEAS:
-			fields = []option{{"decay", &s.damping, 1 / math.E}, {"bonus", &s.bonus, 1}}
+			fields = []option{{"decay", &damping, 1 / math.E, true}, {"bonus", &bonus, 1, false}}
 		}
 		if err := o.read(name, fields...); err != nil {
 			return nil, err
 		}
-		if err := checkUnit(name, fields[0].key, s.damping); err != nil {
-			return nil, err
+		pr := walkSpec{key: "walk", phase: name, cite: damping, restart: 1 - damping}
+		switch name {
+		case ScorerCiteRank:
+			pr.recent, pr.rho = true, rho
+		case ScorerTimedPR:
+			return walks(name, func(ctx *SolveContext, xs [][]float64, stats []sparse.IterStats) ([]float64, error) {
+				return fadeByAge(ctx.Network(), rho, ctx.result(xs[0], stats[0]))
+			}, pr), nil
+		case ScorerSCEAS:
+			return &walkScorer{name: name,
+				specs: func(ctx *SolveContext) []walkSpec {
+					// Stop where the iteration on S itself would: a change
+					// of the walk moves S by b·n/(1−d+d·dm) ≤ b·n/(1−d)
+					// times as much. A zero bonus scores 0 everywhere, so
+					// any sweep will do.
+					sp := pr
+					sp.unit = bonus * float64(ctx.NumArticles()) / (1 - damping)
+					return []walkSpec{sp}
+				},
+				read: func(ctx *SolveContext, xs [][]float64, stats []sparse.IterStats) ([]float64, error) {
+					return readSCEAS(ctx, xs[0], stats[0], damping, bonus), nil
+				}}, nil
+		case ScorerEWPR:
+			return &walkScorer{name: name, read: readEWPR, specs: func(ctx *SolveContext) []walkSpec {
+				cr := pr
+				cr.key, cr.recent, cr.rho = "recency", true, ctx.Options().RhoRecency
+				return []walkSpec{pr, cr}
+			}}, nil
 		}
-		for _, f := range fields[1:] {
-			if *f.dst < 0 {
-				return nil, fmt.Errorf("%w: %s %s %v, want >= 0", ErrBadOptions, name, f.key, *f.dst)
-			}
-		}
-		return s, nil
+		return walks(name, readResult, pr), nil
 	}
 }
 
-func (s *walkScorer) Name() string { return s.name }
-
-func (s *walkScorer) Score(ctx *SolveContext) ([]float64, error) {
-	t := ctx.CitationTransition()
-	teleport := uniformVector(t.N())
-	if s.name == ScorerCiteRank {
-		var err error
-		if teleport, err = recencyTeleport(ctx.View(), s.rho); err != nil {
-			return nil, err
-		}
-	}
-	unit := 1.0
-	if s.name == ScorerSCEAS {
-		// Stop where the iteration on S itself would: a change of the
-		// walk moves S by b·n/(1−d+d·dm) ≤ b·n/(1−d) times as much. A
-		// zero bonus scores 0 everywhere, so any sweep will do.
-		unit = s.bonus * float64(t.N()) / (1 - s.damping)
-	}
-	x, stats, err := ctx.walk("walk", t, s.damping, teleport, unit)
-	if err != nil {
-		return nil, err
-	}
-	switch s.name {
-	case ScorerTimedPR:
-		return fadeByAge(ctx.Network(), s.rho, ctx.result(x, stats))
-	case ScorerSCEAS:
-		return s.sceasScores(ctx, t, x, stats), nil
-	case ScorerEWPR:
-		return s.ewprScores(ctx, t, x, stats)
-	}
-	return ctx.result(x, stats), nil
-}
-
-// sceasScores reads SCEAS (Sidiropoulos & Manolopoulos) out of the
+// readSCEAS reads SCEAS (Sidiropoulos & Manolopoulos) out of the
 // PageRank walk x at damping d = decay:
 //
 //	S(p) = Σ_{q→p} (S(q) + b) · d / outdeg(q)
@@ -206,8 +172,9 @@ func (s *walkScorer) Score(ctx *SolveContext) ([]float64, error) {
 // the walk's fixed point x = d·Mᵀx + (1−d+d·dm(x))/n is y scaled by
 // (1−d+d·dm(x))/n, so S = b·(n·x/(1−d+d·dm(x)) − 1). Scores stay
 // unnormalised: their scale is "citations weighted by chain depth".
-func (s *walkScorer) sceasScores(ctx *SolveContext, t *sparse.Transition, x []float64, stats sparse.IterStats) []float64 {
-	scale := float64(t.N()) / (1 - s.damping + s.damping*t.DanglingMass(x))
+func readSCEAS(ctx *SolveContext, x []float64, stats sparse.IterStats, d, b float64) []float64 {
+	t := ctx.CitationTransition()
+	scale := float64(t.N()) / (1 - d + d*t.DanglingMass(x))
 	scores := ctx.result(x, stats)
 	in := ctx.Network().Citations.InDegrees()
 	for i, v := range scores {
@@ -217,42 +184,35 @@ func (s *walkScorer) sceasScores(ctx *SolveContext, t *sparse.Transition, x []fl
 			scores[i] = 0
 			continue
 		}
-		scores[i] = s.bonus * (scale*v - 1)
+		scores[i] = b * (scale*v - 1)
 	}
 	return scores
 }
 
-// ewprScores reads an EWPR ensemble (after the WSDM Cup 2016 winner)
-// out of the PageRank walk pr. The ensemble averages the plain uniform
-// walk with two walks whose citations are weighted by the citing
-// article's venue and author quality, one under the uniform and one
-// under the recency teleport. A weight that depends only on the citing
-// article cancels under row normalisation, so each weighted member is
-// the plain walk under its teleport, and the fixed point is the 2:1
-// mean of PageRank and CiteRank at rho = Options.RhoRecency. Luo et
-// al.'s per-edge weighting would be a different method.
-func (s *walkScorer) ewprScores(ctx *SolveContext, t *sparse.Transition, pr []float64, prStats sparse.IterStats) ([]float64, error) {
-	teleport, err := recencyTeleport(ctx.View(), ctx.Options().RhoRecency)
-	if err != nil {
-		return nil, fmt.Errorf("core: ewpr: %w", err)
-	}
-	cr, crStats, err := ctx.walk("recency", t, s.damping, teleport, 1)
-	if err != nil {
-		return nil, err
-	}
+// readEWPR reads an EWPR ensemble (after the WSDM Cup 2016 winner) out
+// of the PageRank and CiteRank walks. The ensemble averages the plain
+// uniform walk with two walks whose citations are weighted by the
+// citing article's venue and author quality, one under the uniform and
+// one under the recency teleport. A weight that depends only on the
+// citing article cancels under row normalisation, so each weighted
+// member is the plain walk under its teleport, and the fixed point is
+// the 2:1 mean of PageRank and CiteRank at rho = Options.RhoRecency.
+// Luo et al.'s per-edge weighting would be a different method.
+func readEWPR(ctx *SolveContext, xs [][]float64, stats []sparse.IterStats) ([]float64, error) {
+	pr, cr := xs[0], xs[1]
 	fused := make([]float64, len(pr))
 	for i := range fused {
 		fused[i] = (2*pr[i] + cr[i]) / 3
 	}
-	stats := sparse.IterStats{
-		Iterations:      prStats.Iterations + crStats.Iterations,
-		Residual:        math.Max(prStats.Residual, crStats.Residual),
-		Converged:       prStats.Converged && crStats.Converged,
-		Elapsed:         prStats.Elapsed + crStats.Elapsed,
-		Extrapolations:  prStats.Extrapolations + crStats.Extrapolations,
-		IterationsSaved: prStats.IterationsSaved + crStats.IterationsSaved,
-	}
-	return ctx.result(fused, stats), nil
+	a, b := stats[0], stats[1]
+	return ctx.result(fused, sparse.IterStats{
+		Iterations:      a.Iterations + b.Iterations,
+		Residual:        math.Max(a.Residual, b.Residual),
+		Converged:       a.Converged && b.Converged,
+		Elapsed:         a.Elapsed + b.Elapsed,
+		Extrapolations:  a.Extrapolations + b.Extrapolations,
+		IterationsSaved: a.IterationsSaved + b.IterationsSaved,
+	}), nil
 }
 
 // hitsScorer is Kleinberg's mutual reinforcement on the citation
@@ -263,13 +223,6 @@ func (s *walkScorer) ewprScores(ctx *SolveContext, t *sparse.Transition, pr []fl
 // Unlike the PageRank family it has no teleport, so on a disconnected
 // graph mass concentrates in the dominant component.
 type hitsScorer struct{}
-
-func newHITSScorer(o ScorerOptions) (Scorer, error) {
-	if err := o.checkKeys(ScorerHITS); err != nil {
-		return nil, err
-	}
-	return hitsScorer{}, nil
-}
 
 func (hitsScorer) Name() string { return ScorerHITS }
 
@@ -303,187 +256,65 @@ func sumNeighbors(g *graph.Graph, dst, x []float64) {
 	}
 }
 
-// futureRankScorer is FutureRank (Sayyadi & Getoor): one fixed point
-// over the article vector coupling the citation walk, authorship
+// newFutureRankScorer builds FutureRank (Sayyadi & Getoor): one fixed
+// point over the article vector coupling the citation walk, authorship
 // reinforcement and a recency restart:
 //
 //	x' = α·(Mᵀx + dangling·r) + β·S_A(G_A(x)) + γ·r + (1-α-β-γ)·u
 //
 // with r the recency vector and u uniform. Mass leaked by author-less
 // articles is routed through r.
-type futureRankScorer struct {
-	alpha, beta, gamma, rho float64
-}
-
 func newFutureRankScorer(o ScorerOptions) (Scorer, error) {
-	s := &futureRankScorer{}
-	if err := o.read(ScorerFutureRank, option{"alpha", &s.alpha, 0.5}, option{"beta", &s.beta, 0.2},
-		option{"gamma", &s.gamma, 0.2}, option{"rho", &s.rho, 0.3}); err != nil {
+	var alpha, beta, gamma, rho float64
+	if err := o.read(ScorerFutureRank, option{"alpha", &alpha, 0.5, false}, option{"beta", &beta, 0.2, false},
+		option{"gamma", &gamma, 0.2, false}, option{"rho", &rho, 0.3, false}); err != nil {
 		return nil, err
 	}
-	if s.alpha < 0 || s.beta < 0 || s.gamma < 0 || s.rho < 0 || s.alpha+s.beta+s.gamma > 1+1e-12 {
-		return nil, fmt.Errorf("%w: futurerank alpha/beta/gamma %v/%v/%v (want >= 0, sum <= 1), rho %v",
-			ErrBadOptions, s.alpha, s.beta, s.gamma, s.rho)
+	if alpha+beta+gamma > 1+1e-12 {
+		return nil, fmt.Errorf("%w: futurerank alpha/beta/gamma %v/%v/%v sum above 1", ErrBadOptions, alpha, beta, gamma)
 	}
-	return s, nil
+	spec := walkSpec{key: fixedPointKey, phase: ScorerFutureRank, cite: alpha, author: beta,
+		restart: gamma, uniform: 1 - alpha - beta - gamma, recent: true, rho: rho}
+	return walks(ScorerFutureRank, readResult, spec), nil
 }
 
-func (s *futureRankScorer) Name() string { return ScorerFutureRank }
-
-func (s *futureRankScorer) Score(ctx *SolveContext) ([]float64, error) {
-	view, pool := ctx.View(), ctx.Pool()
-	n := view.NumArticles()
-	r, err := recencyTeleport(view, s.rho)
-	if err != nil {
-		return nil, err
-	}
-	t := ctx.CitationTransition()
-	authors := make([]float64, view.NumAuthors())
-	fromAuthors := make([]float64, n)
-	uniform := 1 / float64(n)
-	rest := 1 - s.alpha - s.beta - s.gamma
-	step := func(dst, src []float64) {
-		t.MulVec(dst, src)
-		dm := t.DanglingMass(src)
-		leak := view.GatherArticlesToAuthorsPar(pool, authors, src)
-		view.SpreadAuthorsToArticlesPar(pool, fromAuthors, authors)
-		for i := range dst {
-			cite := dst[i] + dm*r[i]
-			auth := fromAuthors[i] + leak*r[i]
-			dst[i] = s.alpha*cite + s.beta*auth + s.gamma*r[i] + rest*uniform
-		}
-		sparse.Normalize1(dst) // guards against drift over many iterations
-	}
-	x, stats, err := ctx.iterate(uniformVector(n), step)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.result(x, stats), nil
-}
-
-// coRankScorer is Co-Ranking (Zhou et al.): two damped intra-class
-// walks, over the citation graph and over the co-authorship graph,
-// coupled through authorship so good articles lift their authors and
-// reputable authors lift their articles:
-//
-//	p' = (1-κ)·walk_D(p) + κ·S_A(a)    (articles)
-//	a' = (1-κ)·walk_C(a) + κ·G_A(p)    (authors)
-//
-// Mass leaked by author-less articles (and article-less authors) is
-// redistributed uniformly within the receiving class. The co-authorship
-// walk is read from the view's authorship CSRs (hetnet.Coauthorship),
-// never built as a graph. The author distribution comes back in
-// Scores.Authors.
-type coRankScorer struct {
-	coupling, damping float64
-}
-
+// newCoRankScorer builds Co-Ranking (Zhou et al.): damped walks over
+// the citation and the co-authorship graph, coupled through authorship
+// so good articles lift their authors and reputable authors their
+// articles — the two-block spec at λc = (1-κ)·d, λa = κ and a uniform
+// restart (1-κ)·(1-d). The author distribution comes back in
+// Scores.Authors. With no authors it is PageRank.
 func newCoRankScorer(o ScorerOptions) (Scorer, error) {
-	s := &coRankScorer{}
-	if err := o.read(ScorerCoRank, option{"coupling", &s.coupling, 0.2}, option{"damping", &s.damping, 0.85}); err != nil {
+	var k, d float64
+	if err := o.read(ScorerCoRank, option{"coupling", &k, 0.2, true}, option{"damping", &d, 0.85, true}); err != nil {
 		return nil, err
 	}
-	if err := checkUnit(ScorerCoRank, "coupling", s.coupling); err != nil {
-		return nil, err
-	}
-	if err := checkUnit(ScorerCoRank, "damping", s.damping); err != nil {
-		return nil, err
-	}
-	return s, nil
+	co := walkSpec{key: fixedPointKey, phase: ScorerCoRank, cite: (1 - k) * d, author: k, restart: (1 - k) * (1 - d), coauthors: true}
+	pr := walkSpec{key: "walk", phase: ScorerCoRank, cite: d, restart: 1 - d}
+	return &walkScorer{name: ScorerCoRank, read: readResult, specs: func(ctx *SolveContext) []walkSpec {
+		if ctx.View().NumAuthors() == 0 {
+			return []walkSpec{pr}
+		}
+		return []walkSpec{co}
+	}}, nil
 }
 
-func (s *coRankScorer) Name() string { return ScorerCoRank }
-
-func (s *coRankScorer) Score(ctx *SolveContext) ([]float64, error) {
-	view, pool := ctx.View(), ctx.Pool()
-	nP, nA := view.NumArticles(), view.NumAuthors()
-	citeT := ctx.CitationTransition()
-	if nA == 0 {
-		// No author class: Co-Ranking reduces to PageRank.
-		x, stats, err := ctx.walk("walk", citeT, s.damping, uniformVector(nP), 1)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.result(x, stats), nil
-	}
-	coauth := view.Coauthorship()
-	d, k := s.damping, s.coupling
-	uniP, uniA := 1/float64(nP), 1/float64(nA)
-	fromAuthors := make([]float64, nP)
-	gathered := make([]float64, nA)
-	// The iterate is the article vector followed by the author vector,
-	// so the residual is the joint L1 change. Both sides read the
-	// previous iterate (Jacobi), keeping the update symmetric.
-	step := func(dst, src []float64) {
-		p, a := src[:nP], src[nP:]
-		nextP, nextA := dst[:nP], dst[nP:]
-		citeT.MulVec(nextP, p)
-		dmP := citeT.DanglingMass(p)
-		view.SpreadAuthorsToArticlesPar(pool, fromAuthors, a)
-		spreadLeak := 1 - sparse.Sum(fromAuthors) // authors without articles
-		for i := range nextP {
-			walk := d*(nextP[i]+dmP*uniP) + (1-d)*uniP
-			nextP[i] = (1-k)*walk + k*(fromAuthors[i]+spreadLeak*uniP)
-		}
-		coauth.MulVec(pool, nextA, a)
-		dmA := coauth.DanglingMass(a)
-		gatherLeak := view.GatherArticlesToAuthorsPar(pool, gathered, p)
-		for i := range nextA {
-			walk := d*(nextA[i]+dmA*uniA) + (1-d)*uniA
-			nextA[i] = (1-k)*walk + k*(gathered[i]+gatherLeak*uniA)
-		}
-		sparse.Normalize1(nextP)
-		sparse.Normalize1(nextA)
-	}
-	init := make([]float64, nP+nA)
-	sparse.Uniform(init[:nP])
-	sparse.Uniform(init[nP:])
-	x, stats, err := ctx.iterate(init, step)
-	if err != nil {
-		return nil, err
-	}
-	scores := ctx.result(x[:nP], stats)
-	ctx.comps.Authors = sparse.Clone(x[nP:])
-	return scores, nil
-}
-
-// pRankScorer is P-Rank: article mass flows through the citation walk
-// and through author and venue intermediaries at once, then mixes with
-// a uniform teleport:
+// newPRankScorer builds P-Rank: article mass flows through the citation
+// walk and through author and venue intermediaries at once, then mixes
+// with a uniform teleport:
 //
 //	x' = d·(φp·cite(x) + φa·S_A(G_A(x)) + φv·S_V(G_V(x))) + (1-d)·u
 //
-// which is the blend walk with a uniform restart and λ = d·φ, λt = 1-d.
-type pRankScorer struct {
-	paper, author, venue, damping float64
-}
-
+// which is the hetero walk with a uniform restart and λ = d·φ, λt = 1-d.
 func newPRankScorer(o ScorerOptions) (Scorer, error) {
-	s := &pRankScorer{}
-	if err := o.read(ScorerPRank, option{"paper", &s.paper, 0.6}, option{"author", &s.author, 0.2},
-		option{"venue", &s.venue, 0.2}, option{"damping", &s.damping, 0.85}); err != nil {
+	var paper, author, venue, d float64
+	if err := o.read(ScorerPRank, option{"paper", &paper, 0.6, false}, option{"author", &author, 0.2, false},
+		option{"venue", &venue, 0.2, false}, option{"damping", &d, 0.85, true}); err != nil {
 		return nil, err
 	}
-	if sum := s.paper + s.author + s.venue; s.paper < 0 || s.author < 0 || s.venue < 0 || math.Abs(sum-1) > 1e-9 {
-		return nil, fmt.Errorf("%w: prank layer weights %v/%v/%v, want >= 0 summing to 1",
-			ErrBadOptions, s.paper, s.author, s.venue)
+	if sum := paper + author + venue; math.Abs(sum-1) > 1e-9 {
+		return nil, fmt.Errorf("%w: prank layer weights %v/%v/%v, want a sum of 1", ErrBadOptions, paper, author, venue)
 	}
-	if err := checkUnit(ScorerPRank, "damping", s.damping); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (s *pRankScorer) Name() string { return ScorerPRank }
-
-func (s *pRankScorer) Score(ctx *SolveContext) ([]float64, error) {
-	view := ctx.View()
-	d := s.damping
-	b := blend{r: uniformVector(view.NumArticles()), cite: d * s.paper, author: d * s.author, venue: d * s.venue, restart: 1 - d}
-	x, stats, err := b.walk(view, ctx.CitationTransition(), ctx.Pool(), ctx.cached(fixedPointKey), ctx.IterFor(ScorerPRank))
-	if err != nil {
-		return nil, fmt.Errorf("core: prank: %w", err)
-	}
-	ctx.KeepWarm(fixedPointKey, x)
-	return ctx.result(x, stats), nil
+	return walks(ScorerPRank, readResult, walkSpec{key: fixedPointKey, phase: ScorerPRank, cite: d * paper, author: d * author,
+		venue: d * venue, restart: 1 - d}), nil
 }

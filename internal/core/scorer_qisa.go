@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"scholarrank/internal/sparse"
+)
 
 // The paper's pipeline, re-expressed as registered scorers: the three
 // component signals stand alone (prestige / popularity / hetero) and
@@ -9,36 +13,16 @@ import "fmt"
 func init() {
 	RegisterScorer(DefaultScorer,
 		"QISA-Rank: gap-decayed prestige + decayed popularity + hetero walk, ensemble-folded",
-		func(o ScorerOptions) (Scorer, error) {
-			if err := o.checkKeys(DefaultScorer); err != nil {
-				return nil, err
-			}
-			return qisaScorer{}, nil
-		})
+		newQISAScorer(DefaultScorer))
 	RegisterScorer(ScorerPrestige,
 		"gap-decayed, recency-personalised PageRank with prestige fading (the paper's first stage, alone)",
-		func(o ScorerOptions) (Scorer, error) {
-			if err := o.checkKeys(ScorerPrestige); err != nil {
-				return nil, err
-			}
-			return prestigeScorer{}, nil
-		})
+		newQISAScorer(ScorerPrestige))
 	RegisterScorer(ScorerPopularity,
 		"time-decayed citation intensity (closed form, no walk)",
-		func(o ScorerOptions) (Scorer, error) {
-			if err := o.checkKeys(ScorerPopularity); err != nil {
-				return nil, err
-			}
-			return popularityScorer{}, nil
-		})
+		fixed(popularityScorer{}))
 	RegisterScorer(ScorerHetero,
 		"coupled article-author-venue walk with recency restart (the cold-start signal, alone)",
-		func(o ScorerOptions) (Scorer, error) {
-			if err := o.checkKeys(ScorerHetero); err != nil {
-				return nil, err
-			}
-			return heteroScorer{}, nil
-		})
+		newQISAScorer(ScorerHetero))
 }
 
 // Registry names of the single-signal pipeline scorers. They reuse
@@ -49,101 +33,64 @@ const (
 	ScorerHetero     = PhaseHetero
 )
 
-// Warm-cache stage keys. Prestige fixed points depend on RhoGap (the
-// operator changes with it), so each distinct decay keeps its own
-// vector — mirroring the engine's gap-transition cache.
-func prestigeWarmKey(rhoGap float64) string { return fmt.Sprintf("prestige/%g", rhoGap) }
-
-const heteroWarmKey = "hetero"
-
-// qisaScorer is the full two-stage pipeline: both iterative stages in
-// solver space, fade + popularity in original order, folded by the
-// configured ensemble.
-type qisaScorer struct{}
-
-func (qisaScorer) Name() string { return DefaultScorer }
-
-func (qisaScorer) Score(ctx *SolveContext) ([]float64, error) {
-	opts := ctx.Options()
-	gapTrans, err := ctx.GapTransition(opts.RhoGap)
-	if err != nil {
-		return nil, err
-	}
-	initPrestige, err := ctx.WarmStart(prestigeWarmKey(opts.RhoGap), opts.InitialScores.prestige())
-	if err != nil {
-		return nil, fmt.Errorf("core: prestige warm start: %w", err)
-	}
-	initHetero, err := ctx.WarmStart(heteroWarmKey, opts.InitialScores.hetero())
-	if err != nil {
-		return nil, fmt.Errorf("core: hetero warm start: %w", err)
-	}
-	rawSolver, pStats, err := computePrestige(ctx.View(), opts, gapTrans, initPrestige)
-	if err != nil {
-		return nil, err
-	}
-	ctx.KeepWarm(prestigeWarmKey(opts.RhoGap), rawSolver)
-	rawPrestige := ctx.Restore(rawSolver)
-	prestige, err := applyFade(ctx.Network(), opts, rawPrestige)
-	if err != nil {
-		return nil, err
-	}
-	popularity := computePopularity(ctx.Network(), opts)
-	heteroSolver, hStats, err := computeHetero(ctx.View(), opts, ctx.CitationTransition(), ctx.Pool(), initHetero)
-	if err != nil {
-		return nil, err
-	}
-	ctx.KeepWarm(heteroWarmKey, heteroSolver)
-	hetero := ctx.Restore(heteroSolver)
-	importance, err := combine(opts, prestige, popularity, hetero)
-	if err != nil {
-		return nil, err
-	}
-	sc := &Scores{
-		Prestige:      prestige,
-		Popularity:    popularity,
-		Hetero:        hetero,
-		RawPrestige:   rawPrestige,
-		PrestigeStats: pStats,
-		HeteroStats:   hStats,
-	}
-	ctx.SetComponents(sc)
-	return importance, nil
+// prestigeSpec is the pipeline's first stage: the gap-decayed walk
+// restarting at recent articles. Its fixed points depend on RhoGap (the
+// operator changes with it), so each distinct decay keeps its own warm
+// vector, mirroring the engine's gap-transition cache.
+func prestigeSpec(o Options, seed []float64) walkSpec {
+	return walkSpec{key: fmt.Sprintf("prestige/%g", o.RhoGap), phase: PhasePrestige, seed: seed,
+		rhoGap: o.RhoGap, cite: o.Damping, restart: 1 - o.Damping, recent: true, rho: o.RhoRecency}
 }
 
-// prestigeScorer runs the first stage alone. Importance is the faded
-// prestige signal itself (raw scale — rank-based comparisons don't
-// care, and the raw vector is what warm starts want).
-type prestigeScorer struct{}
+// heteroSpec is the second stage: the coupled article–author–venue walk
+// restarting at recent articles, mixed by the λs.
+func heteroSpec(o Options, seed []float64) walkSpec {
+	return walkSpec{key: PhaseHetero, phase: PhaseHetero, seed: seed,
+		cite: o.LambdaCite, author: o.LambdaAuthor, venue: o.LambdaVenue, restart: o.LambdaTime, recent: true, rho: o.RhoRecency}
+}
 
-func (prestigeScorer) Name() string { return ScorerPrestige }
-
-func (prestigeScorer) Score(ctx *SolveContext) ([]float64, error) {
-	opts := ctx.Options()
-	gapTrans, err := ctx.GapTransition(opts.RhoGap)
-	if err != nil {
-		return nil, err
+// newQISAScorer builds the composite or one of its two walk stages
+// alone. The composite folds the faded prestige, the popularity and the
+// hetero signal with the configured ensemble; a stage alone scores its
+// own signal (prestige on the raw scale: rank comparisons don't care,
+// and the raw vector is what warm starts want).
+func newQISAScorer(name string) ScorerFactory {
+	specs := func(ctx *SolveContext) []walkSpec {
+		o, seeds := ctx.Options(), InitialScores{}
+		if o.InitialScores != nil {
+			seeds = *o.InitialScores
+		}
+		switch name {
+		case ScorerPrestige:
+			return []walkSpec{prestigeSpec(o, seeds.Prestige)}
+		case ScorerHetero:
+			return []walkSpec{heteroSpec(o, seeds.Hetero)}
+		}
+		return []walkSpec{prestigeSpec(o, seeds.Prestige), heteroSpec(o, seeds.Hetero)}
 	}
-	init, err := ctx.WarmStart(prestigeWarmKey(opts.RhoGap), opts.InitialScores.prestige())
-	if err != nil {
-		return nil, fmt.Errorf("core: prestige warm start: %w", err)
+	read := func(ctx *SolveContext, xs [][]float64, stats []sparse.IterStats) ([]float64, error) {
+		opts := ctx.Options()
+		sc := &Scores{}
+		ctx.SetComponents(sc)
+		if name != ScorerHetero {
+			sc.RawPrestige, sc.PrestigeStats = ctx.Restore(xs[0]), stats[0]
+			var err error
+			if sc.Prestige, err = fadeByAge(ctx.Network(), opts.RhoFade, sc.RawPrestige); err != nil {
+				return nil, err
+			}
+		}
+		if name == ScorerPrestige {
+			return sc.Prestige, nil
+		}
+		last := len(xs) - 1
+		sc.Hetero, sc.HeteroStats = ctx.Restore(xs[last]), stats[last]
+		if name == ScorerHetero {
+			return sc.Hetero, nil
+		}
+		sc.Popularity = computePopularity(ctx.Network(), opts)
+		return combine(opts, sc.Prestige, sc.Popularity, sc.Hetero)
 	}
-	rawSolver, stats, err := computePrestige(ctx.View(), opts, gapTrans, init)
-	if err != nil {
-		return nil, err
-	}
-	ctx.KeepWarm(prestigeWarmKey(opts.RhoGap), rawSolver)
-	rawPrestige := ctx.Restore(rawSolver)
-	prestige, err := applyFade(ctx.Network(), opts, rawPrestige)
-	if err != nil {
-		return nil, err
-	}
-	sc := &Scores{
-		Prestige:      prestige,
-		RawPrestige:   rawPrestige,
-		PrestigeStats: stats,
-	}
-	ctx.SetComponents(sc)
-	return prestige, nil
+	return fixed(&walkScorer{name: name, specs: specs, read: read})
 }
 
 // popularityScorer is the closed-form decayed citation count — no
@@ -156,27 +103,4 @@ func (popularityScorer) Score(ctx *SolveContext) ([]float64, error) {
 	popularity := computePopularity(ctx.Network(), ctx.Options())
 	ctx.SetComponents(&Scores{Popularity: popularity})
 	return popularity, nil
-}
-
-// heteroScorer runs the coupled walk alone — the pure cold-start
-// signal.
-type heteroScorer struct{}
-
-func (heteroScorer) Name() string { return ScorerHetero }
-
-func (heteroScorer) Score(ctx *SolveContext) ([]float64, error) {
-	opts := ctx.Options()
-	init, err := ctx.WarmStart(heteroWarmKey, opts.InitialScores.hetero())
-	if err != nil {
-		return nil, fmt.Errorf("core: hetero warm start: %w", err)
-	}
-	heteroSolver, stats, err := computeHetero(ctx.View(), opts, ctx.CitationTransition(), ctx.Pool(), init)
-	if err != nil {
-		return nil, err
-	}
-	ctx.KeepWarm(heteroWarmKey, heteroSolver)
-	hetero := ctx.Restore(heteroSolver)
-	sc := &Scores{Hetero: hetero, HeteroStats: stats}
-	ctx.SetComponents(sc)
-	return hetero, nil
 }

@@ -87,7 +87,7 @@ func TestRegisterScorerDuplicatePanics(t *testing.T) {
 			t.Error("duplicate RegisterScorer did not panic")
 		}
 	}()
-	RegisterScorer(DefaultScorer, "dup", func(ScorerOptions) (Scorer, error) { return qisaScorer{}, nil })
+	RegisterScorer(DefaultScorer, "dup", func(ScorerOptions) (Scorer, error) { return popularityScorer{}, nil })
 }
 
 // TestRankScorerComponents checks which component vectors each scorer

@@ -255,7 +255,7 @@ func (t *Transition) DampedStep(dst, src, xs, teleport []float64, damping, dangl
 	// dst[v] = damping·s + (damping·dm + 1 - damping)·teleport[v]
 	tcoef := damping*danglingMass + 1 - damping
 	p := t.sweep(xs, func(fresh []float64, lo, hi int) stepPartial {
-		return t.stepRange(dst, src, xs, fresh, teleport, nil, nil, damping, 0, 0, tcoef, lo, hi)
+		return t.stepRange(dst, src, xs, fresh, teleport, nil, nil, damping, 0, 0, tcoef, 0, lo, hi)
 	})
 	if !t.gaussSeidel {
 		t.Prescale(xs, dst)
@@ -304,8 +304,11 @@ func (l *AuxLookup) at(v int) float64 {
 // author and venue layers, gathered inline from fa and fv:
 //
 //	dst[v] = λc·((Mᵀsrc)[v] + dm·r[v]) + λa·(fa(v) + aLeak·r[v])
-//	       + λv·(fv(v) + vLeak·r[v]) + λt·r[v]
+//	       + λv·(fv(v) + vLeak·r[v]) + λt·r[v] + u
 //
+// where u is a constant every row receives: a restart share that takes
+// none of the dangling or leaked mass (FutureRank's uniform jump), 0
+// for a walk whose whole restart is r.
 // where fa(v) sums the (pre-scaled) author scores of row v and fv(v)
 // looks up the (pre-scaled) venue score of row v, so the spread
 // passes that would otherwise materialise those two vectors never
@@ -320,7 +323,7 @@ func (l *AuxLookup) at(v int) float64 {
 // DampedStep. The layers and their leaks are gathered from src by the
 // caller before the sweep, so their coupling stays barrier-synchronous
 // and the fixed point is unchanged.
-func (t *Transition) BlendStep(dst, src, xs, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, dm, aLeak, vLeak float64) (sum, danglingNext float64) {
+func (t *Transition) BlendStep(dst, src, xs, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, lt, u, dm, aLeak, vLeak float64) (sum, danglingNext float64) {
 	// The constant-vector terms — dangling mass, layer leaks and the
 	// time restart — fold into the single multiplier of r.
 	rcoef := lc*dm + lt
@@ -331,7 +334,7 @@ func (t *Transition) BlendStep(dst, src, xs, r []float64, fa *AuxGather, fv *Aux
 		rcoef += lv * vLeak
 	}
 	p := t.sweep(xs, func(fresh []float64, lo, hi int) stepPartial {
-		return t.stepRange(dst, src, xs, fresh, r, fa, fv, lc, la, lv, rcoef, lo, hi)
+		return t.stepRange(dst, src, xs, fresh, r, fa, fv, lc, la, lv, rcoef, u, lo, hi)
 	})
 	return p.sum, p.dang
 }
@@ -339,12 +342,13 @@ func (t *Transition) BlendStep(dst, src, xs, r []float64, fa *AuxGather, fv *Aux
 // stepRange is the row body of DampedStep and BlendStep over rows
 // [lo, hi), top row first — the order a Gauss–Seidel sweep needs:
 //
-//	dst[v] = lc·Σ_{u→v} xs[u]·w(u,v) + rcoef·r[v] + la·fa(v) + lv·fv(v)
+//	dst[v] = lc·Σ_{u→v} xs[u]·w(u,v) + rcoef·r[v] + la·fa(v) + lv·fv(v) + uc
 //
-// (a damped step is the blend with no layers). Sources are gathered
+// (a damped step is the blend with no layers and uc = 0, and adding a
+// zero uc changes no bit of a row). Sources are gathered
 // from xs (rowSum), and each row's pre-scaled value goes to fresh when
 // it is non-nil (see sweep).
-func (t *Transition) stepRange(dst, src, xs, fresh, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, rcoef float64, lo, hi int) (p stepPartial) {
+func (t *Transition) stepRange(dst, src, xs, fresh, r []float64, fa *AuxGather, fv *AuxLookup, lc, la, lv, rcoef, uc float64, lo, hi int) (p stepPartial) {
 	offs, sources, inv, mark := t.offsets, t.sources, t.inv, t.danglingMark
 	gap := t.gap
 	for v := hi - 1; v >= lo; v-- {
@@ -363,6 +367,7 @@ func (t *Transition) stepRange(dst, src, xs, fresh, r []float64, fa *AuxGather, 
 		if fv != nil {
 			y += lv * fv.at(v)
 		}
+		y += uc
 		dst[v] = y
 		if fresh != nil {
 			fresh[v] = y * inv[v]

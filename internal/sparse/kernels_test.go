@@ -265,19 +265,20 @@ func TestBlendAndScaleDiffSteps(t *testing.T) {
 	}
 	const lc, la, lv, lt = 0.55, 0.15, 0.10, 0.20
 	const aLeak, vLeak = 0.03, 0.07
+	u := 0.01 / float64(n) // a uniform restart share that takes no leaked mass
 
 	// Reference: the unfused composition.
 	want := make([]float64, n)
 	tr.MulVec(want, src)
 	dm := tr.DanglingMass(src)
 	for i := range want {
-		want[i] = lc*(want[i]+dm*r[i]) + la*(faDense[i]+aLeak*r[i]) + lv*(fvDense[i]+vLeak*r[i]) + lt*r[i]
+		want[i] = lc*(want[i]+dm*r[i]) + la*(faDense[i]+aLeak*r[i]) + lv*(fvDense[i]+vLeak*r[i]) + lt*r[i] + u
 	}
 	wantSum := Sum(want)
 
 	dst, xs := make([]float64, n), make([]float64, n)
 	tr.Prescale(xs, src)
-	sum, dang := tr.BlendStep(dst, src, xs, r, fa, fv, lc, la, lv, lt, dm, aLeak, vLeak)
+	sum, dang := tr.BlendStep(dst, src, xs, r, fa, fv, lc, la, lv, lt, u, dm, aLeak, vLeak)
 	if d := MaxDiff(dst, want); d > 1e-14 {
 		t.Errorf("BlendStep deviates by %v", d)
 	}
@@ -312,7 +313,7 @@ func TestBlendAndScaleDiffSteps(t *testing.T) {
 		want2[i] = lc*(want2[i]+dm*r[i]) + lt*r[i]
 	}
 	tr.Prescale(xs, src)
-	sum2, _ := tr.BlendStep(dst, src, xs, r, nil, nil, lc, 0, 0, lt, dm, 0, 0)
+	sum2, _ := tr.BlendStep(dst, src, xs, r, nil, nil, lc, 0, 0, lt, 0, dm, 0, 0)
 	if d := MaxDiff(dst, want2); d > 1e-14 {
 		t.Errorf("nil-layer BlendStep deviates by %v", d)
 	}

@@ -367,7 +367,7 @@ func TestScheduledSweepsUnderRace(t *testing.T) {
 	dst, xs := make([]float64, n), make([]float64, n)
 	st.Prescale(xs, x)
 	for i := 0; i < 3; i++ {
-		sum, _ := st.BlendStep(dst, x, xs, teleport, nil, nil, 0.8, 0, 0, 0.2, tr.DanglingMass(x), 0, 0)
+		sum, _ := st.BlendStep(dst, x, xs, teleport, nil, nil, 0.8, 0, 0, 0.2, 0, tr.DanglingMass(x), 0, 0)
 		st.ScaleDiffStep(dst, x, xs, 1/sum)
 		x, dst = dst, x
 	}
