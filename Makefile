@@ -19,9 +19,12 @@ vet:
 ## pool handles come only from the engine's solve and the
 ## related-article index (scorers honour Options.Workers through
 ## SolveContext.Pool), only hetnet builds the Gauss–Seidel
-## citation operator, and only the engine takes gap views of it
+## citation operator, only the engine takes gap views of it
 ## (GapWeighted: rows are normalised per citing article, so a weight
-## set by the citing article alone cancels). Also runs gofmt
+## set by the citing article alone cancels), and internal/serve
+## registers metrics only in its declaration list
+## (internal/serve/telemetry.go), so /metrics and /stats render each
+## quantity from one entry. Also runs gofmt
 ## and a short fuzz pass over the decoders, so the parsers get
 ## adversarial input on every check, not only when someone remembers
 ## to fuzz.

@@ -2,7 +2,9 @@ package container
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -164,4 +166,79 @@ func modeOf(t *testing.T, path string) os.FileMode {
 		t.Fatal(err)
 	}
 	return fi.Mode().Perm()
+}
+
+// table crafts a header and section table with count entries, each
+// (tag, off, len) with a zero CRC; count may differ from len(entries).
+func table(count int, entries ...Entry) []byte {
+	hdr := append([]byte(testFmt.Magic), testFmt.Version, 0, 0)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(count))
+	for _, e := range entries {
+		hdr = append(hdr, e.Tag...)
+		hdr = binary.LittleEndian.AppendUint64(hdr, e.Off)
+		hdr = binary.LittleEndian.AppendUint64(hdr, e.Len)
+		hdr = binary.LittleEndian.AppendUint32(hdr, 0)
+	}
+	return hdr
+}
+
+// TestParseTableBoundaries pins every bound check of the header and
+// section table at its exact edge: the bytes that make a header whole,
+// the section cap, a payload starting right after the table, and a
+// payload ending at the last byte of the file.
+func TestParseTableBoundaries(t *testing.T) {
+	parse := func(hdr []byte, size int) error {
+		_, err := testFmt.ParseTable(hdr, uint64(size))
+		return err
+	}
+	empty := table(0)
+	if err := parse(empty[:len(testFmt.Magic)], len(testFmt.Magic)); !errors.Is(err, errBad) {
+		t.Errorf("header of the magic alone: %v", err)
+	}
+	if err := parse(empty[:HeaderLen-1], HeaderLen-1); !errors.Is(err, errBad) {
+		t.Errorf("header of HeaderLen-1 bytes: %v", err)
+	}
+	if err := parse(empty, HeaderLen); err != nil {
+		t.Errorf("header of HeaderLen bytes, no sections: %v", err)
+	}
+
+	many := func(n int) []byte {
+		secs := make([]Section, n)
+		for i := range secs {
+			secs[i] = Section{Tag: fmt.Sprintf("s%03d", i)}
+		}
+		return encode(t, secs...)
+	}
+	if raw := many(MaxSections); parse(raw, len(raw)) != nil {
+		t.Errorf("MaxSections sections refused: %v", parse(raw, len(raw)))
+	}
+	if raw := many(MaxSections + 1); !errors.Is(parse(raw, len(raw)), errBad) {
+		t.Errorf("MaxSections+1 sections accepted")
+	}
+
+	end := HeaderLen + EntryLen // the first byte after a one-entry table
+	for _, c := range []struct {
+		name     string
+		off, len uint64
+		size     int
+		ok       bool
+	}{
+		{"payload at the table's end", uint64(end), 3, end + 3, true},
+		{"payload one byte into the table", uint64(end - 1), 3, end + 3, false},
+		{"payload ending at the file's end", uint64(end) + 2, 5, end + 7, true},
+		{"payload ending one byte past the file", uint64(end) + 2, 6, end + 7, false},
+		{"empty payload at the file's end", uint64(end) + 7, 0, end + 7, true},
+		{"empty payload one byte past the file", uint64(end) + 8, 0, end + 7, false},
+	} {
+		err := parse(table(1, Entry{Tag: "aaaa", Off: c.off, Len: c.len}), c.size)
+		if c.ok && err != nil || !c.ok && !errors.Is(err, errBad) {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+	if err := parse(table(1, Entry{Tag: "aaaa", Off: uint64(end)}), end-1); !errors.Is(err, errBad) {
+		t.Errorf("table longer than the file: %v", err)
+	}
+	if err := parse(table(1, Entry{Tag: "aaaa", Off: uint64(end)})[:end-1], end); !errors.Is(err, errBad) {
+		t.Errorf("table cut short of its count: %v", err)
+	}
 }

@@ -180,8 +180,8 @@ func TestMountPprof(t *testing.T) {
 func TestLoggerComponentTag(t *testing.T) {
 	var buf bytes.Buffer
 	old := base.Load()
-	defer SetLogger(old)
-	SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
+	defer base.Store(old)
+	base.Store(slog.New(slog.NewTextHandler(&buf, nil)))
 	Logger("serve").Info("hello")
 	if !strings.Contains(buf.String(), "component=serve") {
 		t.Errorf("component tag missing: %s", buf.String())

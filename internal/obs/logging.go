@@ -8,8 +8,7 @@ import (
 
 // base is the process-wide structured logger every component logger
 // derives from. It starts as a text handler on slog's default output
-// and is replaced by InitLogging (cmd main functions) or SetLogger
-// (tests).
+// and is replaced by InitLogging (cmd main functions).
 var base atomic.Pointer[slog.Logger]
 
 func init() {
@@ -31,9 +30,6 @@ func InitLogging(w io.Writer, level slog.Level, format string) *slog.Logger {
 	base.Store(l)
 	return l
 }
-
-// SetLogger replaces the shared base logger.
-func SetLogger(l *slog.Logger) { base.Store(l) }
 
 // Logger returns the shared logger tagged with a component attribute
 // ("serve", "live", "sarserve", ...), so every log line is

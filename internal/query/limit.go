@@ -78,11 +78,3 @@ func (l *Limiter) QueueDepth() int64 {
 	}
 	return l.queued.Load()
 }
-
-// InFlight reports how many admitted requests currently hold a slot.
-func (l *Limiter) InFlight() int64 {
-	if l == nil {
-		return 0
-	}
-	return int64(len(l.sem))
-}

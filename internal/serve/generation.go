@@ -49,6 +49,11 @@ type generation struct {
 	order  []int // article indices by descending importance
 	pos    []int // pos[article] = 1-based rank position
 
+	// nonZero counts the articles with positive importance and topMean
+	// averages the importance of the top 100: /stats constants.
+	nonZero int
+	topMean float64
+
 	// Entity rankings derived from the article scores (shrunk mean),
 	// with their rank orders precomputed once so /authors and /venues
 	// slice instead of re-running a top-K selection per request.
@@ -108,6 +113,17 @@ func newGeneration(store *corpus.Store, net *hetnet.Network, scores *core.Scores
 		qidx:        query.New(store, order, pos),
 		related:     related,
 		explainer:   core.NewExplainer(scores),
+	}
+	for _, v := range scores.Importance {
+		if v > 0 {
+			g.nonZero++
+		}
+	}
+	if top := order[:min(100, len(order))]; len(top) > 0 {
+		for _, i := range top {
+			g.topMean += scores.Importance[i]
+		}
+		g.topMean /= float64(len(top))
 	}
 	g.refs.Store(1)
 	return g, nil
@@ -197,8 +213,11 @@ func (s *Server) Ingest(ctx context.Context, r io.Reader) (live.DeltaStats, erro
 	if stats.Empty() {
 		return stats, nil
 	}
+	if err := s.rebuildLocked(ctx, b.Freeze(), "ingest"); err != nil {
+		return stats, err
+	}
 	s.metrics.ingestApplied.Inc()
-	return stats, s.rebuildLocked(ctx, b.Freeze(), "ingest")
+	return stats, nil
 }
 
 // Reload drains any pending spool deltas and re-solves the ranking
@@ -207,14 +226,18 @@ func (s *Server) Ingest(ctx context.Context, r io.Reader) (live.DeltaStats, erro
 func (s *Server) Reload(ctx context.Context) (live.DeltaStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	stats, store, err := s.drainSpoolLocked(0)
+	stats, store, files, err := s.drainSpoolLocked(0)
 	if err != nil {
 		return stats, err
 	}
 	if store == nil {
 		store = s.gen.Load().store
 	}
-	return stats, s.rebuildLocked(ctx, store, "reload")
+	if err := s.rebuildLocked(ctx, store, "reload"); err != nil {
+		return stats, err
+	}
+	s.markApplied(files)
+	return stats, nil
 }
 
 // rebuildLocked re-ranks store and swaps the resulting generation in.
@@ -260,28 +283,22 @@ func (s *Server) rebuildLocked(ctx context.Context, store *corpus.Store, source 
 // drainSpoolLocked folds every settled spool delta into a copy of the
 // current corpus. Each file is applied to a trial builder thawed from
 // the last good frozen store, so a malformed file cannot poison the
-// batch: failures are renamed aside (.err) and logged, clean files
-// are renamed .done after their changes are frozen in. It returns a
-// nil store when no file was ingested. A debounce of d skips the
-// drain while the newest file is younger than d (a producer is still
+// batch: failures are renamed aside (.err) and logged. It returns the
+// files it applied, which stay pending until the generation serving
+// them has swapped in (markApplied): a failed rebuild leaves them for
+// the next drain, and re-applying a file adds nothing twice. The store
+// is nil when no file was applied. A debounce of d skips the drain
+// while the newest file is younger than d (a producer is still
 // writing). Callers must hold s.mu.
-func (s *Server) drainSpoolLocked(d time.Duration) (live.DeltaStats, *corpus.Store, error) {
-	var total live.DeltaStats
+func (s *Server) drainSpoolLocked(d time.Duration) (total live.DeltaStats, acc *corpus.Store, applied []string, err error) {
 	if s.cfg.SpoolDir == "" {
-		return total, nil, nil
+		return total, nil, nil, nil
 	}
 	files, err := live.PendingDeltas(s.cfg.SpoolDir)
-	if err != nil {
-		return total, nil, err
+	if err != nil || len(files) == 0 || d > 0 && s.clock().Sub(live.NewestModTime(files)) < d {
+		return total, nil, nil, err
 	}
-	if len(files) == 0 {
-		return total, nil, nil
-	}
-	if d > 0 && s.clock().Sub(live.NewestModTime(files)) < d {
-		return total, nil, nil
-	}
-	acc := s.gen.Load().store
-	ingested := false
+	acc = s.gen.Load().store
 	for _, f := range files {
 		trial := acc.Thaw()
 		stats, err := applyDeltaFile(trial, f.Path)
@@ -294,20 +311,27 @@ func (s *Server) drainSpoolLocked(d time.Duration) (live.DeltaStats, *corpus.Sto
 			continue
 		}
 		acc = trial.Freeze()
-		ingested = true
-		s.metrics.ingestApplied.Inc()
+		applied = append(applied, f.Path)
 		total.NewArticles += stats.NewArticles
 		total.NewCitations += stats.NewCitations
 		total.DuplicateCitations += stats.DuplicateCitations
 		total.DroppedRefs += stats.DroppedRefs
-		if err := live.MarkDone(f.Path); err != nil {
-			s.log.Error("spool mark-done rename failed", "file", f.Path, "error", err)
+	}
+	if len(applied) == 0 {
+		return total, nil, nil, nil
+	}
+	return total, acc, applied, nil
+}
+
+// markApplied renames applied spool files .done and counts them, once
+// the generation serving them has swapped in. Callers must hold s.mu.
+func (s *Server) markApplied(files []string) {
+	for _, path := range files {
+		s.metrics.ingestApplied.Inc()
+		if err := live.MarkDone(path); err != nil {
+			s.log.Error("spool mark-done rename failed", "file", path, "error", err)
 		}
 	}
-	if !ingested {
-		return total, nil, nil
-	}
-	return total, acc, nil
 }
 
 func applyDeltaFile(b *corpus.Builder, path string) (live.DeltaStats, error) {
@@ -340,7 +364,7 @@ func (s *Server) refreshLoop(interval, debounce time.Duration) {
 func (s *Server) refreshOnce(debounce time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	stats, store, err := s.drainSpoolLocked(debounce)
+	stats, store, files, err := s.drainSpoolLocked(debounce)
 	if err != nil {
 		s.log.Error("spool refresh scan failed", "spool", s.cfg.SpoolDir, "error", err)
 		return
@@ -357,6 +381,7 @@ func (s *Server) refreshOnce(debounce time.Duration) {
 		s.log.Error("spool refresh re-rank failed", "spool", s.cfg.SpoolDir, "error", err)
 		return
 	}
+	s.markApplied(files)
 	g := s.gen.Load()
 	s.log.Info("generation swapped",
 		"version", g.version, "source", g.source,

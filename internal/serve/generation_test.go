@@ -172,7 +172,7 @@ func TestServerCloseReleasesWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped, err := NewFromScores(store.Thaw().Freeze(), solved.gen.Load().scores)
+	wrapped, err := newFromScores(store.Thaw().Freeze(), solved.gen.Load().scores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestSpoolDebounce(t *testing.T) {
 	}
 
 	srv.mu.Lock()
-	_, store, err := srv.drainSpoolLocked(time.Hour)
+	_, store, _, err := srv.drainSpoolLocked(time.Hour)
 	srv.mu.Unlock()
 	if err != nil || store != nil {
 		t.Fatalf("young batch drained: store=%v err=%v", store, err)
@@ -443,12 +443,71 @@ func TestSpoolDebounce(t *testing.T) {
 
 	clock = now.Add(2 * time.Hour)
 	srv.mu.Lock()
-	stats, store, err := srv.drainSpoolLocked(time.Hour)
+	stats, store, _, err := srv.drainSpoolLocked(time.Hour)
 	srv.mu.Unlock()
 	if err != nil || store == nil {
 		t.Fatalf("settled batch not drained: err=%v", err)
 	}
 	if stats.NewArticles != 1 || store.NumArticles() != 7 {
 		t.Errorf("drain stats = %+v, articles = %d", stats, store.NumArticles())
+	}
+}
+
+// TestSpoolDeltaPendingUntilServed checks a spool delta is marked done,
+// and counted applied, only once the generation serving it has
+// swapped in: a failed rebuild leaves the file pending and the counter
+// still, and the next refresh serves the delta.
+func TestSpoolDeltaPendingUntilServed(t *testing.T) {
+	dir := t.TempDir()
+	_, srv := liveFixture(t, Config{SpoolDir: dir})
+	srv.cfg.ScorerOpts = core.ScorerOptions{"no_such_option": 1}
+	path := filepath.Join(dir, "001.jsonl")
+	if err := os.WriteFile(path, []byte(`{"id":"p1","year":2016,"refs":["a"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv.refreshOnce(0)
+	if v := srv.Version(); v != 1 {
+		t.Fatalf("failed rebuild swapped a generation: version %d", v)
+	}
+	if pending, err := live.PendingDeltas(dir); err != nil || len(pending) != 1 || pending[0].Path != path {
+		t.Fatalf("after a failed rebuild the delta is not pending: %v %v", pending, err)
+	}
+	if n := srv.metrics.ingestApplied.Value(); n != 0 {
+		t.Errorf("batches applied = %d after a failed rebuild, want 0", n)
+	}
+
+	srv.cfg.ScorerOpts = nil
+	srv.refreshOnce(0)
+	if v := srv.Version(); v != 2 {
+		t.Fatalf("version = %d after the retried refresh, want 2", v)
+	}
+	if _, ok := srv.gen.Load().store.ArticleByKey("p1"); !ok {
+		t.Error("retried refresh does not serve the delta")
+	}
+	if _, err := os.Stat(path + ".done"); err != nil {
+		t.Errorf("served delta not marked done: %v", err)
+	}
+	if n := srv.metrics.ingestApplied.Value(); n != 1 {
+		t.Errorf("batches applied = %d after the served refresh, want 1", n)
+	}
+}
+
+// TestIngestCitationOnlyDeltaSwaps checks a delta that adds citations
+// between known articles, and no article, is not empty: it swaps in a
+// generation with the new edge.
+func TestIngestCitationOnlyDeltaSwaps(t *testing.T) {
+	store, srv := liveFixture(t, Config{})
+	stats, err := srv.Ingest(context.Background(), strings.NewReader(`{"id":"f","refs":["b"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.NewArticles != 0 || stats.NewCitations != 1 || stats.Empty() {
+		t.Fatalf("delta stats = %+v, want one new citation", stats)
+	}
+	g := srv.gen.Load()
+	if g.version != 2 || g.store.NumCitations() != store.NumCitations()+1 {
+		t.Errorf("version %d with %d citations, want version 2 with %d",
+			g.version, g.store.NumCitations(), store.NumCitations()+1)
 	}
 }

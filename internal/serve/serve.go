@@ -192,18 +192,6 @@ func NewWithConfig(store *corpus.Store, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// NewFromScores wraps precomputed scores (for tests and for callers
-// that already ran the ranking).
-func NewFromScores(store *corpus.Store, scores *core.Scores) (*Server, error) {
-	s := newServerShell(Config{})
-	gen, err := newGeneration(store, hetnet.Build(store), scores, store.Fingerprint(), 1, "solve", s.clock())
-	if err != nil {
-		return nil, err
-	}
-	s.gen.Store(gen)
-	return s, nil
-}
-
 // NewFromSnapshot boots a server from a persisted ranking snapshot
 // without re-solving: the snapshot is verified against the corpus by
 // fingerprint, so a stale or mismatched snapshot fails loudly instead
@@ -240,7 +228,8 @@ func newServerShell(cfg Config) *Server {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s := &Server{cfg: cfg, clock: clock, log: logger, metrics: newServeMetrics(reg)}
+	s := &Server{cfg: cfg, clock: clock, log: logger}
+	s.metrics = newServeMetrics(s, reg)
 	s.maxK = cfg.MaxTopK
 	if s.maxK <= 0 {
 		s.maxK = defaultMaxTopK
@@ -263,14 +252,8 @@ func newServerShell(cfg Config) *Server {
 	}
 	s.tracer = obs.NewTracer(cfg.TraceRing, cfg.TraceSlowest, threshold)
 	s.bg = s.tracer.BackgroundContext()
-	s.metrics.observeServer(s)
 	return s
 }
-
-// Metrics returns the registry the server records into — callers
-// embedding the server can add their own instruments or mount its
-// Handler elsewhere.
-func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
 // RecordBootSeconds records the wall time the booting command spent
 // turning the corpus file into a usable Store — the
@@ -331,14 +314,6 @@ func (s *Server) scorerName() string {
 // every successful ingest or reload.
 func (s *Server) Version() int64 { return s.gen.Load().version }
 
-// Snapshot packages the current generation as a persistable ranking
-// snapshot.
-func (s *Server) Snapshot() *live.Snapshot {
-	g := s.pin()
-	defer g.release()
-	return g.snapshot()
-}
-
 // ArticleView is the JSON shape of one ranked article.
 type ArticleView struct {
 	Key        string  `json:"key"`
@@ -393,10 +368,6 @@ func (s *Server) Handler() http.Handler {
 	}
 	return obs.RequestID(s.tracer.Middleware(wide, mux))
 }
-
-// Tracer exposes the server's trace collector, for commands that want
-// to trace work (e.g. snapshot writes) outside the HTTP surface.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // read adapts a generation-scoped read handler: it pins the serving
 // generation for the request's lifetime, stamps the ranking version
@@ -891,76 +862,12 @@ func decodeCursor(c string) (version int64, after int, err error) {
 	return version, after, nil
 }
 
+// handleStats renders every /stats key of the declaration list over
+// the serving generation.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	g := s.current(w)
 	defer g.release()
-	imp := g.scores.Importance
-	var nonZero int
-	for _, v := range imp {
-		if v > 0 {
-			nonZero++
-		}
-	}
-	writeJSON(w, map[string]any{
-		"articles":                  g.store.NumArticles(),
-		"citations":                 g.store.NumCitations(),
-		"authors":                   g.store.NumAuthors(),
-		"venues":                    g.store.NumVenues(),
-		"nonzero_importance":        nonZero,
-		"ranking_scorer":            g.scorer,
-		"prestige_iters":            g.scores.PrestigeStats.Iterations,
-		"hetero_iters":              g.scores.HeteroStats.Iterations,
-		"prestige_converged":        g.scores.PrestigeStats.Converged,
-		"hetero_converged":          g.scores.HeteroStats.Converged,
-		"prestige_residual":         g.scores.PrestigeStats.Residual,
-		"hetero_residual":           g.scores.HeteroStats.Residual,
-		"prestige_seconds":          g.scores.PrestigeStats.Elapsed.Seconds(),
-		"hetero_seconds":            g.scores.HeteroStats.Elapsed.Seconds(),
-		"solver_workers":            g.scores.Pool.Workers,
-		"solver_pool_sweeps":        g.scores.Pool.Runs,
-		"solver_reorder_seconds":    g.store.ReorderSeconds(),
-		"solver_back_edge_fraction": g.scores.BackEdgeFraction,
-		"solver_extrapolations":     g.scores.PrestigeStats.Extrapolations + g.scores.HeteroStats.Extrapolations,
-		"solver_iterations_saved":   g.scores.PrestigeStats.IterationsSaved + g.scores.HeteroStats.IterationsSaved,
-		"importance_top_mean":       topMean(imp, g.order, 100),
-		"version":                   g.version,
-		"source":                    g.source,
-		"corpus_bytes":              g.store.Bytes(),
-		"corpus_load_seconds":       s.cfg.CorpusLoadSeconds,
-		"corpus_mmap_bytes":         g.store.MappedBytes(),
-		"corpus_load_mode":          g.store.LoadMode(),
-		"corpus_boot_seconds":       s.metrics.bootSeconds.Value(),
-		"corpus_fingerprint":        fmt.Sprintf("%016x", g.fingerprint),
-		"ranked_at":                 g.rankedAt.UTC().Format(time.RFC3339),
-		"staleness_seconds":         int64(s.clock().Sub(g.rankedAt).Seconds()),
-		"max_top_k":                 s.maxK,
-		"query_cache_entries":       s.cache.Len(),
-		"query_cache_hits":          s.metrics.cacheHits.Value(),
-		"query_cache_misses":        s.metrics.cacheMisses.Value(),
-		"query_cache_coalesced":     s.metrics.cacheCoalesced.Value(),
-		"query_shed":                s.metrics.shed.Value(),
-		"query_queue_depth":         s.limiter.QueueDepth(),
-		"traces_recorded":           s.tracer.Count(),
-		"go_goroutines":             int64(s.metrics.runtime.Goroutines()),
-		"go_heap_live_bytes":        int64(s.metrics.runtime.HeapLiveBytes()),
-		"go_version":                s.metrics.build.GoVersion,
-		"build_revision":            s.metrics.build.Revision,
-	})
-}
-
-// topMean averages the importance of the top-k articles.
-func topMean(imp []float64, order []int, k int) float64 {
-	if k > len(order) {
-		k = len(order)
-	}
-	if k == 0 {
-		return 0
-	}
-	var sum float64
-	for _, i := range order[:k] {
-		sum += imp[i]
-	}
-	return sum / float64(k)
+	writeJSON(w, s.metrics.stats(g))
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -972,16 +879,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), code)
-}
-
-// Percentile exposes the rank percentile of an article key, used by
-// library callers embedding the server.
-func (s *Server) Percentile(key string) (float64, bool) {
-	g := s.pin()
-	defer g.release()
-	id, ok := g.store.ArticleByKey(key)
-	if !ok {
-		return 0, false
-	}
-	return g.view(int(id)).Percentile, true
 }

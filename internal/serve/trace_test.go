@@ -122,6 +122,10 @@ func TestQueryTraceBreakdown(t *testing.T) {
 	}
 }
 
+// metricWalkUnconverged is the family counting /related walks stopped
+// at the iteration cap.
+const metricWalkUnconverged = "sarserve_related_unconverged_total"
+
 // TestRelatedWalkConvergenceIsReported checks a /related walk's
 // convergence reaches the walk span and the wide event, and that a
 // walk stopped by the iteration cap is served but counted.
