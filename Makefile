@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check vet lint fmt fuzz-smoke build test test-race bench-check bench-smoke
+.PHONY: check vet lint fmt fuzz-smoke build test test-race results-check bench-check bench-smoke
 
 ## check: everything CI runs — vet, lint, build, race-detector tests on
-## the parallel packages, the full test suite, then the bench module
-## and a short run of the benchmark harness.
-check: vet lint build test-race test bench-check bench-smoke
+## the parallel packages, the full test suite, the full-size experiment
+## tables against results/, then the bench module and a short run of
+## the benchmark harness.
+check: vet lint build test-race test results-check bench-check bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -68,6 +69,13 @@ test:
 ## single-flight, under the race detector.
 test-race:
 	$(GO) test -race -shuffle=on ./internal/sparse/... ./internal/core/... ./internal/hetnet/... ./internal/rank/... ./internal/live/... ./internal/serve/... ./internal/query/... ./internal/obs/...
+
+## results-check: regenerate every experiment table at full size
+## (sareval -run all -csv, about 40 s) and cmp each CSV with the
+## committed results/*.csv, masking only the wall-clock columns named in
+## internal/experiments/testdata/timing-columns.txt.
+results-check:
+	@bash scripts/results-check.sh
 
 ## bench-check: vet and test the nested bench module. It compiles
 ## against internal/ but the root ./... never builds it, so without

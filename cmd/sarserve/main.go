@@ -59,7 +59,7 @@
 // to the section-by-section heap loader automatically; -mmap=false
 // forces that path. Combined with -scores the process serves without
 // solving either; /stats reports corpus_load_mode, corpus_mmap_bytes
-// and corpus_boot_seconds for the boot that did happen. A -scores
+// and corpus_load_seconds for the boot that did happen. A -scores
 // snapshot must carry the loaded corpus's fingerprint and the current
 // snapshot version; regenerate a refused one with sarank -save-scores.
 package main
@@ -204,7 +204,6 @@ func main() {
 		}
 		logger.Info("ranked", "elapsed", time.Since(start).Round(time.Millisecond).String())
 	}
-	srv.RecordBootSeconds(loadElapsed.Seconds())
 	if *spool != "" {
 		logger.Info("watching spool", "spool", *spool, "interval", refresh.String())
 	}

@@ -3,6 +3,7 @@ package corpus
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -98,7 +99,7 @@ func (b *Builder) AddArticle(m ArticleMeta) (ArticleID, error) {
 	if _, ok := b.byKey[m.Key]; ok {
 		return 0, fmt.Errorf("%w: %q", ErrDuplicateKey, m.Key)
 	}
-	if m.Year <= 0 {
+	if m.Year <= 0 || m.Year > math.MaxInt32 { // the store keeps years as int32
 		return 0, fmt.Errorf("%w: %d for %q", ErrBadYear, m.Year, m.Key)
 	}
 	if m.Venue != NoVenue && (m.Venue < 0 || int(m.Venue) >= len(b.venues)) {

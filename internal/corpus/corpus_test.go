@@ -3,6 +3,7 @@ package corpus
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -92,6 +93,9 @@ func TestAddArticleValidation(t *testing.T) {
 	}
 	if _, err := b.AddArticle(ArticleMeta{Key: "k", Year: 0}); !errors.Is(err, ErrBadYear) {
 		t.Errorf("year 0: %v", err)
+	}
+	if _, err := b.AddArticle(ArticleMeta{Key: "k", Year: math.MaxInt32 + 1}); !errors.Is(err, ErrBadYear) {
+		t.Errorf("year past int32: %v", err)
 	}
 	if _, err := b.AddArticle(ArticleMeta{Key: "k", Year: 2000, Venue: 5}); !errors.Is(err, ErrBadID) {
 		t.Errorf("bad venue: %v", err)

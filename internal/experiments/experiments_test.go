@@ -56,8 +56,8 @@ func TestTableRenderAndCSV(t *testing.T) {
 	if len(lines) != 3 || lines[0] != "a,b" {
 		t.Errorf("csv = %q", buf.String())
 	}
-	if tbl.Cell(0, 0) != "x" {
-		t.Errorf("Cell = %q", tbl.Cell(0, 0))
+	if tbl.Rows[0][0] != "x" {
+		t.Errorf("Rows[0][0] = %q", tbl.Rows[0][0])
 	}
 }
 
@@ -126,9 +126,9 @@ func mustRun(t *testing.T, id string) []*Table {
 
 func cellFloat(t *testing.T, tbl *Table, row, col int) float64 {
 	t.Helper()
-	v, err := strconv.ParseFloat(tbl.Cell(row, col), 64)
+	v, err := strconv.ParseFloat(tbl.Rows[row][col], 64)
 	if err != nil {
-		t.Fatalf("cell (%d,%d) = %q not a float", row, col, tbl.Cell(row, col))
+		t.Fatalf("cell (%d,%d) = %q not a float", row, col, tbl.Rows[row][col])
 	}
 	return v
 }
@@ -159,7 +159,7 @@ func TestT2Effectiveness(t *testing.T) {
 		if acc < 0 || acc > 1 {
 			t.Errorf("%s accuracy %v out of range", row[0], acc)
 		}
-		if row[0] == QISAMethodName {
+		if row[0] == qisaMethodName {
 			qisaAcc = acc
 			found = true
 		}

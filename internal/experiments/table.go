@@ -1,7 +1,7 @@
-// Package experiments defines the reproduction suite: one runner per
-// table and figure of the evaluation (see DESIGN.md §3), a registry
-// the CLI and benchmarks dispatch through, corpus presets shared by
-// the runners, and plain-text / CSV table rendering.
+// Package experiments defines the reproduction suite: the ordered list
+// of tables and figures of the evaluation (see DESIGN.md §3) the CLI
+// dispatches through, the evaluation grid most of them are declared
+// on, corpus presets, and plain-text / CSV table rendering.
 package experiments
 
 import (
@@ -25,13 +25,10 @@ type Table struct {
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
+		if v, ok := c.(float64); ok {
 			row[i] = formatFloat(v)
-		case string:
-			row[i] = v
-		default:
-			row[i] = fmt.Sprintf("%v", v)
+		} else {
+			row[i] = fmt.Sprint(c)
 		}
 	}
 	t.Rows = append(t.Rows, row)
@@ -55,14 +52,9 @@ func formatFloat(v float64) string {
 // Render writes the table as aligned text.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+	for _, row := range append([][]string{t.Columns}, t.Rows...) {
+		for i, cell := range row[:min(len(row), len(widths))] {
+			widths[i] = max(widths[i], len(cell))
 		}
 	}
 	var b strings.Builder
@@ -95,18 +87,8 @@ func (t *Table) Render(w io.Writer) error {
 
 // WriteCSV writes the table as CSV (header + rows).
 func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Columns); err != nil {
+	if err := csv.NewWriter(w).WriteAll(append([][]string{t.Columns}, t.Rows...)); err != nil {
 		return fmt.Errorf("experiments: csv: %w", err)
 	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("experiments: csv: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return nil
 }
-
-// Cell returns the cell at (row, col) for tests and assertions.
-func (t *Table) Cell(row, col int) string { return t.Rows[row][col] }

@@ -55,12 +55,11 @@ func mappedFixtureStore(t *testing.T) *corpus.Store {
 func TestServeFromMappedCorpus(t *testing.T) {
 	mapped := mappedFixtureStore(t)
 	defer mapped.Close()
-	srv, err := New(mapped, core.DefaultOptions())
+	srv, err := NewWithConfig(mapped, Config{Options: core.DefaultOptions(), CorpusLoadSeconds: 0.125})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.RecordBootSeconds(0.125)
 	h := srv.Handler()
 	if rec := get(t, h, "/top"); rec.Code != http.StatusOK {
 		t.Fatalf("/top status = %d: %s", rec.Code, rec.Body)
@@ -68,7 +67,7 @@ func TestServeFromMappedCorpus(t *testing.T) {
 	stats := get(t, h, "/stats").Body.String()
 	for _, want := range []string{
 		`"corpus_load_mode":"mmap"`,
-		`"corpus_boot_seconds":0.125`,
+		`"corpus_load_seconds":0.125`,
 	} {
 		if !strings.Contains(stats, want) {
 			t.Errorf("/stats missing %s: %s", want, stats)
@@ -81,7 +80,7 @@ func TestServeFromMappedCorpus(t *testing.T) {
 	for _, want := range []string{
 		`sarserve_corpus_load_mode{mode="mmap"} 1`,
 		`sarserve_corpus_load_mode{mode="heap"} 0`,
-		"sarserve_corpus_boot_seconds 0.125",
+		"sarserve_corpus_load_seconds 0.125",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)

@@ -47,7 +47,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE sarserve_solver_reorder_seconds gauge",
 		"# TYPE sarserve_solver_back_edge_fraction gauge",
 		"sarserve_solver_back_edge_fraction 0",
-		"# TYPE sarserve_corpus_boot_seconds gauge",
+		"# TYPE sarserve_corpus_load_seconds gauge",
 		"# TYPE sarserve_corpus_load_mode gauge",
 		"sarserve_corpus_mmap_bytes 0",
 		`sarserve_corpus_load_mode{mode="heap"} 1`,
@@ -153,7 +153,7 @@ func TestStatsSurfacesSolverTiming(t *testing.T) {
 		"prestige_seconds", "hetero_seconds", "prestige_residual",
 		"solver_workers", "solver_pool_sweeps",
 		"solver_reorder_seconds", "solver_back_edge_fraction", "solver_extrapolations", "solver_iterations_saved",
-		"corpus_mmap_bytes", "corpus_load_mode", "corpus_boot_seconds",
+		"corpus_mmap_bytes", "corpus_load_mode", "corpus_load_seconds",
 	} {
 		if !strings.Contains(body, `"`+key+`"`) {
 			t.Errorf("/stats missing %q: %s", key, body)

@@ -255,16 +255,6 @@ func newServerShell(cfg Config) *Server {
 	return s
 }
 
-// RecordBootSeconds records the wall time the booting command spent
-// turning the corpus file into a usable Store — the
-// sarserve_corpus_boot_seconds gauge and the corpus_boot_seconds key
-// on /stats. Distinct from Config.CorpusLoadSeconds only in being
-// settable after the server exists (the boot timer stops before New
-// returns, but the server is what exposes it).
-func (s *Server) RecordBootSeconds(sec float64) {
-	s.metrics.bootSeconds.Set(sec)
-}
-
 func (s *Server) startRefresher() {
 	if s.cfg.SpoolDir == "" || s.cfg.RefreshInterval <= 0 {
 		return

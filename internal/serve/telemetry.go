@@ -53,10 +53,6 @@ type serveMetrics struct {
 	ingestApplied, ingestQuarantined                    *obs.Counter
 	shed, cacheHits, cacheMisses, cacheCoalesced        *obs.Counter
 	walkUnconverged, walksCancelled                     *obs.Counter
-
-	// bootSeconds is set once by the booting command (see
-	// Server.RecordBootSeconds); it is read, never registered.
-	bootSeconds obs.Gauge
 }
 
 // newServeMetrics registers the declaration list over s in reg. The
@@ -123,8 +119,6 @@ func (m *serveMetrics) declare(s *Server) []quantity {
 			read: func(g *generation, _ string) any { return g.store.LoadMode() }},
 		{metric: "sarserve_corpus_load_seconds", key: "corpus_load_seconds", help: "Wall time the boot corpus took to load from disk.",
 			read: func(*generation, string) any { return s.cfg.CorpusLoadSeconds }},
-		{metric: "sarserve_corpus_boot_seconds", key: "corpus_boot_seconds", help: "Wall time from opening the boot corpus file to a usable Store, in seconds.",
-			read: func(*generation, string) any { return m.bootSeconds.Value() }},
 		{key: "corpus_fingerprint", read: func(g *generation, _ string) any { return fmt.Sprintf("%016x", g.fingerprint) }},
 
 		{metric: "sarserve_ranking_version", key: "version", help: "Current ranking generation number.",

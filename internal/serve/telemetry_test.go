@@ -99,7 +99,6 @@ func telemetryServer(t *testing.T) *Server {
 		t.Fatal(err)
 	}
 	s.gen.Store(gen)
-	s.RecordBootSeconds(0.125)
 	now = t0.Add(90*time.Second + 750*time.Millisecond)
 
 	h := s.Handler()
