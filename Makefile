@@ -44,10 +44,11 @@ fmt:
 ## SRNKS ranking snapshot reader (sarserve -scores; both are containers,
 ## package container), the JSONL delta applier behind POST
 ## /admin/ingest and the spool directory, the W3C traceparent header
-## parser and the /query page-token decoder on the serving path — and
-## on the radix score order,
+## parser and the /query page-token decoder on the serving path — on
+## the radix score order,
 ## whose float-to-key mapping must match the comparator order on every
-## bit pattern.
+## bit pattern, and on the certified /related walk, whose ordered top k
+## must match a walk run to 1e-14 whenever it reports a certificate.
 fuzz-smoke:
 	$(GO) test ./internal/corpus/ -run xxx -fuzz FuzzReadJSONL -fuzztime 10s
 	$(GO) test ./internal/corpus/ -run xxx -fuzz FuzzReadTSV -fuzztime 10s
@@ -57,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/ -run xxx -fuzz FuzzParseTraceparent -fuzztime 10s
 	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzDecodeCursor -fuzztime 10s
 	$(GO) test ./internal/eval/ -run xxx -fuzz FuzzOrder -fuzztime 10s
+	$(GO) test ./internal/sparse/ -run xxx -fuzz FuzzSeedWalkCertificate -fuzztime 10s
 
 build:
 	$(GO) build ./...

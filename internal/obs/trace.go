@@ -662,6 +662,7 @@ func wideEvent(logger *slog.Logger, r *http.Request, tw *timingWriter, t *Trace)
 				slog.Any("walk_iters", walk.Attrs["iters"]),
 				slog.Any("walk_residual", walk.Attrs["residual"]),
 				slog.Bool("walk_converged", converged),
+				slog.Any("walk_certified", walk.Attrs["certified"]),
 				slog.Any("walk_cancelled", walk.Attrs["cancelled"]))
 		}
 	}

@@ -8,7 +8,9 @@ import (
 	"scholarrank/internal/sparse"
 )
 
-func benchNetwork(b *testing.B) *hetnet.Network {
+// benchNetwork is the 20k-article generated corpus (seed 1) of the
+// related-walk benchmarks and of TestRelatedCertificateSavesSweeps.
+func benchNetwork(b testing.TB) *hetnet.Network {
 	b.Helper()
 	cfg := gen.NewDefaultConfig(20_000)
 	cfg.Seed = 1

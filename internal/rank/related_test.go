@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"scholarrank/internal/corpus"
@@ -268,7 +269,7 @@ func TestRelatedMatchesSymmetrisedOracle(t *testing.T) {
 		for _, seed := range []int32{0, 7, int32(n / 3), reciprocal, isolated} {
 			want, wst := oracle.walk(t, seed)
 			sc := ri.scratch.Get().(*relatedScratch)
-			got, gst, err := ri.walk(context.Background(), seed, sc)
+			got, gst, err := ri.walk(context.Background(), seed, 0, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,7 +336,7 @@ func TestRelatedTieBreaksByStoreIndex(t *testing.T) {
 	}
 	ri := newRelatedIndex(pair, perm, RelatedOptions{Damping: DefaultDamping})
 	sc := ri.scratch.Get().(*relatedScratch)
-	scores, _, err := ri.walk(context.Background(), 0, sc)
+	scores, _, err := ri.walk(context.Background(), 0, 0, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,8 +368,8 @@ func TestRelatedReportsNonConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Converged || stats.Iterations != 2 || stats.Residual <= 0 {
-		t.Errorf("stats = %+v, want 2 unconverged sweeps with a residual", stats)
+	if stats.Converged || stats.Certified || stats.Iterations != 2 || stats.Residual <= 0 {
+		t.Errorf("stats = %+v, want 2 unconverged, uncertified sweeps with a residual", stats)
 	}
 	if len(got) == 0 {
 		t.Error("unconverged walk returned no ranking")
@@ -465,5 +466,104 @@ func TestRelatedWalkAllocatesNothingPerRow(t *testing.T) {
 		if allocs := testing.AllocsPerRun(5, walk); allocs > 200 {
 			t.Errorf("workers=%d: %.0f allocations per walk, want <= 200", workers, allocs)
 		}
+	}
+}
+
+// TestRelatedCertifiedMatchesExactWalk checks the certificate against
+// the oracle walked to 1e-14 on the random oracle corpora: for k of 1,
+// 10 and 20 and seeds of degree 0, 1 and the maximum, every walk the
+// certificate stopped returns exactly the oracle's ordered top k, a
+// certified top 10 is the prefix of the certified top 20, and a walk
+// the certificate could not stop ran to Tol. The isolated seed still
+// returns nothing.
+func TestRelatedCertifiedMatchesExactWalk(t *testing.T) {
+	certified := 0
+	for _, cseed := range []int64{11, 12, 13} {
+		net, reciprocal := relatedPropertyNetwork(t, cseed, 400)
+		n := net.NumArticles()
+		ri, err := NewRelatedIndex(net, RelatedOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := newRelatedOracle(t, net, RelatedOptions{Iter: sparse.IterOptions{Tol: 1e-14, MaxIter: 2000, AitkenEvery: relatedAitkenEvery}})
+		in := net.Citations.InDegrees()
+		degree := func(i int) int { return in[i] + net.Citations.OutDegree(graph.NodeID(i)) }
+		leaf, hub := int32(-1), int32(0)
+		for i := 0; i < n; i++ {
+			if degree(i) == 1 && leaf < 0 {
+				leaf = int32(i)
+			}
+			if degree(i) > degree(int(hub)) {
+				hub = int32(i)
+			}
+		}
+		if leaf < 0 {
+			t.Fatalf("corpus %d has no article of degree 1", cseed)
+		}
+		isolated := int32(n - 1)
+		for _, seed := range []int32{0, 7, reciprocal, leaf, hub, isolated} {
+			lists := map[int][]int{}
+			for _, k := range []int{1, 10, 20} {
+				got, st, err := ri.RelatedStats(context.Background(), seed, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !st.Converged {
+					t.Fatalf("corpus %d seed %d k=%d: walk stopped at the iteration cap", cseed, seed, k)
+				}
+				if seed == isolated && len(got) != 0 {
+					t.Errorf("corpus %d: isolated seed returned %v", cseed, got)
+				}
+				if !st.Certified {
+					if st.Residual >= sparse.DefaultTol {
+						t.Errorf("corpus %d seed %d k=%d: uncertified walk stopped at residual %g", cseed, seed, k, st.Residual)
+					}
+					continue
+				}
+				certified++
+				lists[k] = got
+				if want := exact.related(t, seed, k); !slices.Equal(got, want) {
+					t.Errorf("corpus %d seed %d k=%d: certified %v after %d sweeps, exact walk %v", cseed, seed, k, got, st.Iterations, want)
+				}
+			}
+			if top10, top20 := lists[10], lists[20]; top10 != nil && top20 != nil && !slices.Equal(top10, top20[:10]) {
+				t.Errorf("corpus %d seed %d: certified top 10 %v is not the prefix of the certified top 20 %v", cseed, seed, top10, top20)
+			}
+		}
+	}
+	if certified == 0 {
+		t.Error("no walk was stopped by its certificate")
+	}
+}
+
+// TestRelatedCertificateSavesSweeps guards the gain: on the 20k
+// generated benchmark fixture, walks for the top 10 take at most three
+// quarters of the sweeps the same walks take to Tol.
+func TestRelatedCertificateSavesSweeps(t *testing.T) {
+	net := benchNetwork(t)
+	ri, err := NewRelatedIndex(net, RelatedOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := new(relatedScratch)
+	var certified, full int
+	for _, seed := range []int32{3, 1000, 5000, 9999, 15000, 19999} {
+		_, st, err := ri.RelatedStats(context.Background(), seed, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Certified {
+			t.Errorf("seed %d: the top-10 walk was not certified (%d sweeps)", seed, st.Iterations)
+		}
+		_, fst, err := ri.walk(context.Background(), seed, 0, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		certified += st.Iterations
+		full += fst.Iterations
+	}
+	t.Logf("certified top-10 walks: %d sweeps; the same walks to Tol: %d", certified, full)
+	if 4*certified > 3*full {
+		t.Errorf("certified walks took %d sweeps, more than 0.75 × the %d the walks to Tol took", certified, full)
 	}
 }

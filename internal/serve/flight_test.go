@@ -142,8 +142,8 @@ func (f *herdFixture) counters() (hits, misses, coalesced, cancelled, unconverge
 }
 
 // TestRelatedHerdRunsOneWalk: eight concurrent identical cold /related
-// requests run one walk between them, every body is byte-identical to
-// an uncontended answer, and each request is counted exactly once as a
+// requests run one walk between them, which stops once its top 10 is
+// certified, every body is byte-identical to an uncontended answer, and each request is counted exactly once as a
 // hit, a miss or coalesced — with one miss. A coalesced request's cache
 // span covers its wait and says so.
 func TestRelatedHerdRunsOneWalk(t *testing.T) {
@@ -169,8 +169,8 @@ func TestRelatedHerdRunsOneWalk(t *testing.T) {
 			t.Errorf("request %d: status %d, body equal to the uncontended answer: %v", i, rec.Code, bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()))
 		}
 	}
-	if walks := f.walkSpans(); len(walks) != 1 {
-		t.Errorf("%d walk spans for %d identical requests, want 1", len(walks), herd)
+	if walks := f.walkSpans(); len(walks) != 1 || walks[0]["certified"] != true {
+		t.Errorf("walk spans = %v for %d identical requests, want one walk stopped by its certificate", walks, herd)
 	}
 	hits, misses, coalesced, _, _ := f.counters()
 	if hits != 0 || misses != 1 || coalesced != herd-1 {

@@ -528,6 +528,7 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request, g *genera
 		span.SetAttr("iters", stats.Iterations)
 		span.SetAttr("residual", stats.Residual)
 		span.SetAttr("converged", stats.Converged)
+		span.SetAttr("certified", stats.Certified)
 		span.SetAttr("cancelled", cancelled)
 		span.End()
 		if cancelled {

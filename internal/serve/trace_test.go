@@ -148,12 +148,12 @@ func TestRelatedWalkConvergenceIsReported(t *testing.T) {
 	if rec := get(t, h, "/related?key=a&k=3"); rec.Code != http.StatusOK {
 		t.Fatalf("/related status = %d: %s", rec.Code, rec.Body)
 	}
-	if line := buf.String(); !strings.Contains(line, "walk_converged=true") || !strings.Contains(line, "walk_iters=") {
+	if line := buf.String(); !strings.Contains(line, "walk_converged=true") || !strings.Contains(line, "walk_iters=") || !strings.Contains(line, "walk_certified=") {
 		t.Errorf("wide event lacks the walk's convergence: %s", line)
 	}
 	walk := findTrace(debugTraces(t, h), "/related").Find("walk")
-	if walk == nil || walk.Attrs["converged"] != true || walk.Attrs["iters"] == nil || walk.Attrs["residual"] == nil {
-		t.Errorf("walk span attrs = %+v, want iters, residual, converged=true", walk)
+	if walk == nil || walk.Attrs["converged"] != true || walk.Attrs["iters"] == nil || walk.Attrs["residual"] == nil || walk.Attrs["certified"] == nil {
+		t.Errorf("walk span attrs = %+v, want iters, residual, converged=true, certified", walk)
 	}
 	if got := unconverged(); got != "0" {
 		t.Errorf("%s = %s after a converged walk", metricWalkUnconverged, got)
@@ -169,7 +169,7 @@ func TestRelatedWalkConvergenceIsReported(t *testing.T) {
 	if rec := get(t, h, "/related?key=b&k=3"); rec.Code != http.StatusOK {
 		t.Fatalf("unconverged /related status = %d: %s", rec.Code, rec.Body)
 	}
-	if line := buf.String(); !strings.Contains(line, "walk_converged=false") || !strings.Contains(line, "walk_iters=1") {
+	if line := buf.String(); !strings.Contains(line, "walk_converged=false") || !strings.Contains(line, "walk_iters=1") || !strings.Contains(line, "walk_certified=false") {
 		t.Errorf("wide event hides the unconverged walk: %s", line)
 	}
 	if got := unconverged(); got != "1" {

@@ -70,14 +70,14 @@ func TestEdgeChunksSerialCutoffIsEdgeBased(t *testing.T) {
 		}
 	}
 	tr := NewTransition(b.Build(), nil)
-	if tr.NumChunks() < 2 {
+	if tr.numChunks() < 2 {
 		t.Errorf("dense %d-node graph got a serial plan (%d edges, %d chunks)",
-			n, b.Build().NumEdges(), tr.NumChunks())
+			n, b.Build().NumEdges(), tr.numChunks())
 	}
 	// A tiny graph must collapse to a single chunk (inline kernels).
 	tiny := NewTransition(diamond(t), nil)
-	if tiny.NumChunks() != 1 {
-		t.Errorf("diamond graph chunks = %d, want 1", tiny.NumChunks())
+	if tiny.numChunks() != 1 {
+		t.Errorf("diamond graph chunks = %d, want 1", tiny.numChunks())
 	}
 }
 
@@ -193,8 +193,8 @@ func TestReweightedMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumDangling() != 1 {
-		t.Fatalf("dangling %d, want 1 (node 0)", got.NumDangling())
+	if len(got.dangling) != 1 {
+		t.Fatalf("dangling %d, want 1 (node 0)", len(got.dangling))
 	}
 	x := []float64{0.1, 0.2, 0.15, 0.25, 0.2, 0.1}
 	d1 := make([]float64, 6)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"scholarrank/internal/graph"
@@ -134,18 +135,40 @@ func (p *TransposePair) rescale(scaled, x []float64) (isolated float64) {
 // merged CSR (in-edges, then out-edges, minus reciprocals), so the two
 // agree to rounding, not bit for bit.
 //
+// A positive k asks only for the order of the k highest-scoring rows
+// other than the seed, and the walk stops as soon as that order is
+// proven (IterStats.Certified), usually long before the residual
+// reaches opts.Tol. The linear part of the step, Px + isolatedMass(x)·
+// e_seed, is column-stochastic, so the step is a d-contraction in L1
+// from any vector, and the vector T(y) a kept step produces lies within
+// ε = d/(1−d)·||T(y) − y||₁ of the fixed point in L1 — hence in every
+// entry. Once the k+1 largest entries of T(y) other than the seed
+// (padded with zeros when fewer are positive) each exceed the next by
+// more than 2ε, the fixed point orders those k rows the same way,
+// strictly, above every other row. An exact tie among them never
+// certifies, so such a walk still stops at Tol; k = 0 always does.
+// The test costs one pass over the iterate and a (k+1)-entry heap
+// after each kept step.
+//
 // Every vector the walk touches comes from ws (nil runs on a fresh
 // scratch), so a caller that recycles one scratch per concurrent walk
 // allocates nothing proportional to the graph per walk. The returned
 // vector lives in ws. ctx is checked once per sweep; a walk whose ctx
 // is done stops with an error wrapping ctx.Err() (see
 // FixedPointExtrapolated).
-func (p *TransposePair) SeedWalk(ctx context.Context, seed int, damping float64, ws *WalkScratch, opts IterOptions) ([]float64, IterStats, error) {
-	if seed < 0 || seed >= p.n {
-		return nil, IterStats{}, fmt.Errorf("sparse: seed walk over %d rows: seed %d", p.n, seed)
+func (p *TransposePair) SeedWalk(ctx context.Context, seed int, damping float64, k int, ws *WalkScratch, opts IterOptions) ([]float64, IterStats, error) {
+	if seed < 0 || seed >= p.n || k < 0 {
+		return nil, IterStats{}, fmt.Errorf("sparse: seed walk over %d rows: seed %d, k %d", p.n, seed, k)
 	}
 	if ws == nil {
 		ws = new(WalkScratch)
+	}
+	if k > 0 && k < p.n { // k+1 > n entries would pad two zeros, a tie
+		top := sized(&ws.top, k+1)
+		bound := damping / (1 - damping)
+		opts.stop = func(x []float64, res float64) bool {
+			return orderCertified(x, seed, bound*res, top)
+		}
 	}
 	scaled, scaledNext := sized(&ws.scaled, p.n), sized(&ws.scaledNext, p.n)
 	// The one-hot start is staged in scaledNext: the driver copies it
@@ -230,4 +253,45 @@ func (p *TransposePair) seedRange(dst, src, scaled, scaledNext []float64, seed i
 		}
 	}
 	return res, isolated
+}
+
+// orderCertified reports whether the order of the k = len(top)-1
+// largest entries of x other than seed is proven when every entry of x
+// lies within eps of the fixed point's: the k+1 largest, padded with
+// zeros, must each exceed the next by more than 2·eps. top is scratch.
+func orderCertified(x []float64, seed int, eps float64, top []float64) bool {
+	k := len(top) - 1
+	// The k gaps sum to at most the largest entry, and x has mass 1.
+	if 2*eps*float64(k) >= 1 {
+		return false
+	}
+	// top is a min-heap of the k+1 largest entries seen so far.
+	Fill(top, 0)
+	for v, xv := range x {
+		if !(xv > top[0]) || v == seed { // NaN never enters
+			continue
+		}
+		top[0] = xv
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= len(top) {
+				break
+			}
+			if c+1 < len(top) && top[c+1] < top[c] {
+				c++
+			}
+			if top[i] <= top[c] {
+				break
+			}
+			top[i], top[c] = top[c], top[i]
+			i = c
+		}
+	}
+	slices.Sort(top)
+	for i := 1; i < len(top); i++ {
+		if !(top[i]-top[i-1] > 2*eps) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,10 +1,12 @@
 package sparse
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scholarrank/internal/graph"
@@ -60,7 +62,7 @@ func pairGraph(t testing.TB, seed int64, n, perNode int) *graph.Graph {
 
 func seedWalk(t testing.TB, p *TransposePair, seed int, opts IterOptions) ([]float64, IterStats) {
 	t.Helper()
-	x, st, err := p.SeedWalk(context.Background(), seed, 0.85, nil, opts)
+	x, st, err := p.SeedWalk(context.Background(), seed, 0.85, 0, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +154,11 @@ func TestNewTransposePairRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pair.SeedWalk(context.Background(), pair.N(), 0.85, nil, IterOptions{}); err == nil {
+	if _, _, err := pair.SeedWalk(context.Background(), pair.N(), 0.85, 0, nil, IterOptions{}); err == nil {
 		t.Error("out-of-range seed accepted")
+	}
+	if _, _, err := pair.SeedWalk(context.Background(), 0, 0.85, -1, nil, IterOptions{}); err == nil {
+		t.Error("negative k accepted")
 	}
 }
 
@@ -176,13 +181,13 @@ func TestSeedWalkScratchReuse(t *testing.T) {
 	ws := new(WalkScratch)
 	for _, opts := range []IterOptions{{}, {AitkenEvery: 4, Tol: 1e-12}} {
 		want, wst := seedWalk(t, pair, 3, opts)
-		if _, _, err := pair.SeedWalk(ctx, 40, 0.85, ws, IterOptions{AitkenEvery: 3}); err != nil {
+		if _, _, err := pair.SeedWalk(ctx, 40, 0.85, 0, ws, IterOptions{AitkenEvery: 3}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := smallPair.SeedWalk(ctx, 7, 0.85, ws, IterOptions{AitkenEvery: 5}); err != nil {
+		if _, _, err := smallPair.SeedWalk(ctx, 7, 0.85, 0, ws, IterOptions{AitkenEvery: 5}); err != nil {
 			t.Fatal(err)
 		}
-		got, gst, err := pair.SeedWalk(ctx, 3, 0.85, ws, opts)
+		got, gst, err := pair.SeedWalk(ctx, 3, 0.85, 0, ws, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +229,7 @@ func TestSeedWalkStopsOnCancel(t *testing.T) {
 					cancel()
 				}
 			}}
-			x, st, err := pair.SeedWalk(ctx, 11, 0.85, nil, opts)
+			x, st, err := pair.SeedWalk(ctx, 11, 0.85, 0, nil, opts)
 			cancel()
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("aitken=%d k=%d: err = %v, want context.Canceled", aitken, k, err)
@@ -235,4 +240,149 @@ func TestSeedWalkStopsOnCancel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// topOrder is the selection /related makes from a walk: the k highest
+// entries other than the seed, highest first, ties to the lower index,
+// zeros dropped.
+func topOrder(x []float64, seed, k int) []int {
+	var idx []int
+	for i, v := range x {
+		if i != seed && v > 0 {
+			idx = append(idx, i)
+		}
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(x[b], x[a]) })
+	return idx[:min(k, len(idx))]
+}
+
+// exactSeedWalk is the reference a certified walk answers to: the same
+// walk run to a residual of 1e-14, in a vector of its own.
+func exactSeedWalk(t testing.TB, p *TransposePair, seed int) []float64 {
+	t.Helper()
+	x, st := seedWalk(t, p, seed, IterOptions{Tol: 1e-14, MaxIter: 2000, AitkenEvery: 4})
+	if !st.Converged {
+		t.Fatalf("seed %d: the reference walk stopped at %d sweeps, residual %g", seed, st.Iterations, st.Residual)
+	}
+	return x
+}
+
+// TestSeedWalkCertificateBound checks the bound the certificate rests
+// on, at every step the driver keeps — plain sweeps and accepted Aitken
+// trials, never a rejected one: the kept iterate lies within
+// d/(1−d)·residual of the fixed point in L1.
+func TestSeedWalkCertificateBound(t *testing.T) {
+	const d = 0.85
+	for _, gseed := range []int64{1, 2} {
+		g := pairGraph(t, gseed, 600, 5)
+		pair, err := NewTransposePair(NewTransition(g, nil), g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, aitken := range []int{0, 4} {
+			for _, seed := range []int{0, 17, int(pair.recipRows[0])} {
+				exact := exactSeedWalk(t, pair, seed)
+				kept := 0
+				opts := IterOptions{AitkenEvery: aitken}
+				opts.stop = func(x []float64, res float64) bool {
+					kept++
+					if errL1, eps := L1Diff(x, exact), d/(1-d)*res; errL1 > eps+1e-12 {
+						t.Errorf("graph %d seed %d aitken=%d: kept step %d lies %g from the fixed point, bound %g",
+							gseed, seed, aitken, kept, errL1, eps)
+					}
+					return false
+				}
+				_, st := seedWalk(t, pair, seed, opts)
+				if kept < 10 || (aitken > 0 && st.Extrapolations == 0) {
+					t.Errorf("graph %d seed %d aitken=%d: %d kept steps observed, %d extrapolations", gseed, seed, aitken, kept, st.Extrapolations)
+				}
+			}
+		}
+	}
+}
+
+// TestSeedWalkCertificateTie plants an exact tie: leaves 1 and 2 hang
+// off the seed alike, below article 3. A walk asked for the top 2
+// can never tell them apart, so it runs to Tol exactly as an
+// uncertified walk does and reports no certificate; asked for the top
+// 1, it certifies article 3 early.
+func TestSeedWalkCertificateTie(t *testing.T) {
+	b := graph.NewBuilder(5)
+	for _, e := range [][2]graph.NodeID{{1, 0}, {2, 0}, {3, 0}, {3, 4}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Build()
+	pair, err := NewTransposePair(NewTransition(g, nil), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, aitken := range []int{0, 4} {
+		opts := IterOptions{AitkenEvery: aitken}
+		want, wst := seedWalk(t, pair, 0, opts)
+		if want[1] != want[2] || !(want[3] > want[1]) {
+			t.Fatalf("aitken=%d: fixture scores %v, want a tie below article 3", aitken, want)
+		}
+		tied, st, err := pair.SeedWalk(ctx, 0, 0.85, 2, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Converged || st.Certified || st.Iterations != wst.Iterations || MaxDiff(tied, want) != 0 {
+			t.Errorf("aitken=%d k=2: %d sweeps (converged=%v certified=%v), want the uncertified walk's %d and its vector",
+				aitken, st.Iterations, st.Converged, st.Certified, wst.Iterations)
+		}
+		top, st, err := pair.SeedWalk(ctx, 0, 0.85, 1, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Converged || !st.Certified || st.Iterations >= wst.Iterations || topOrder(top, 0, 1)[0] != 3 {
+			t.Errorf("aitken=%d k=1: %d sweeps (converged=%v certified=%v), top %v; want article 3 certified in fewer than %d",
+				aitken, st.Iterations, st.Converged, st.Certified, topOrder(top, 0, 1), wst.Iterations)
+		}
+	}
+}
+
+// FuzzSeedWalkCertificate drives certified walks over small graphs
+// made from the input — reciprocal edges, self-loops, duplicates and
+// isolated nodes included — and checks that whenever a walk reports a
+// certificate, its ordered top k is that of the walk run to 1e-14.
+// Input: n, seed, k (1..20), the Aitken cadence, then edge pairs.
+func FuzzSeedWalkCertificate(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 0, 1, 0, 2, 0, 3, 0, 3, 4})                   // the tie fixture, k = 2
+	f.Add([]byte{3, 0, 0, 1, 1, 0, 2, 0, 3, 0, 3, 4})                   // ... k = 1, with Aitken
+	f.Add([]byte{6, 2, 3, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7}) // a path
+	f.Add([]byte{4, 1, 1, 0, 0, 1, 1, 0, 1, 1, 2, 3, 3, 2, 4, 4, 1, 3}) // reciprocals, self-loops
+	f.Add([]byte{38, 7, 9, 1, 9, 7, 7, 3, 3, 12, 12, 7, 30, 31, 31, 30, 5, 6, 6, 5, 8, 7, 20, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		n := 2 + int(data[0])%40
+		seed, k := int(data[1])%n, 1+int(data[2])%20
+		aitken := 4 * int(data[3]%2)
+		b := graph.NewBuilder(n)
+		for i := 4; i+1 < len(data); i += 2 {
+			if err := b.AddEdge(graph.NodeID(int(data[i])%n), graph.NodeID(int(data[i+1])%n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := b.Build()
+		pair, err := NewTransposePair(NewTransition(g, nil), g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := pair.SeedWalk(context.Background(), seed, 0.85, k, nil, IterOptions{AitkenEvery: aitken})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Certified {
+			return
+		}
+		want := topOrder(exactSeedWalk(t, pair, seed), seed, k)
+		if top := topOrder(got, seed, k); !slices.Equal(top, want) {
+			t.Errorf("n=%d seed=%d k=%d aitken=%d: certified top %v after %d sweeps, exact walk %v", n, seed, k, aitken, top, st.Iterations, want)
+		}
+	})
 }

@@ -39,6 +39,12 @@ type IterOptions struct {
 	// and FixedPointResidual ignore the field. See FixedPointExtrapolated
 	// for the guard condition.
 	AitkenEvery int
+
+	// stop, when set, is consulted by FixedPointExtrapolated after every
+	// step it keeps (a plain sweep or an accepted Aitken trial) with the
+	// kept iterate and the residual of the step that produced it; true
+	// ends the run as certified. Only SeedWalk sets it.
+	stop func(x []float64, res float64) bool
 }
 
 // IterEvent describes one completed fixed-point iteration.
@@ -67,9 +73,16 @@ func (o IterOptions) withDefaults() (IterOptions, error) {
 
 // IterStats reports how a fixed-point iteration behaved.
 type IterStats struct {
-	Iterations    int
-	Residual      float64 // final L1 residual
-	Converged     bool
+	Iterations int
+	Residual   float64 // final L1 residual
+	// Converged reports that the run stopped by its rule — the residual
+	// fell below Tol, or the walk's stopping certificate held — and not
+	// at MaxIter.
+	Converged bool
+	// Certified reports that the stopping certificate ended the run
+	// (SeedWalk with k > 0): the order of the walk's top k is proven
+	// before the residual reaches Tol.
+	Certified     bool
 	Elapsed       time.Duration // wall time of the whole iteration loop
 	ResidualTrace []float64     // per-iteration residuals when Trace was set
 
@@ -184,6 +197,7 @@ func FixedPointResidual(init []float64, step ResidualStepFunc, opts IterOptions)
 type WalkScratch struct {
 	cur, next, h0, h1, h2, y []float64
 	scaled, scaledNext       []float64
+	top                      []float64 // SeedWalk's certificate heap, k+1 entries
 }
 
 // sized returns *v resized to length n, allocating only when its
@@ -273,6 +287,11 @@ func aitkenStep(dst, x0, x1, x2, x3 []float64) bool {
 // keeps three history vectors plus the extrapolant — 4n floats beyond
 // the plain iteration's working set.
 //
+// A run stops once a kept step — a plain sweep or an accepted trial —
+// has a residual below Tol, or, when the options carry a stopping
+// certificate (SeedWalk's), once the certificate holds for the kept
+// iterate; a rejected trial is never tested.
+//
 // The vectors come from ws; a nil ws runs on a fresh scratch, so the
 // returned vector is then a new slice. init is copied before the first
 // sweep and never written. ctx is checked once per sweep: once it is
@@ -321,6 +340,15 @@ func FixedPointExtrapolated(ctx context.Context, ws *WalkScratch, init []float64
 			iterStart = now
 		}
 	}
+	// kept applies the stopping rule to a step the driver keeps: the
+	// residual below Tol, else the caller's certificate.
+	kept := func(x []float64, res float64) (converged, certified bool) {
+		if res < opts.Tol {
+			return true, false
+		}
+		certified = opts.stop != nil && opts.stop(x, res)
+		return certified, certified
+	}
 	for sweeps < opts.MaxIter {
 		if err := ctx.Err(); err != nil {
 			st.Iterations = sweeps
@@ -343,8 +371,7 @@ func FixedPointExtrapolated(ctx context.Context, ws *WalkScratch, init []float64
 		prevPlainRes = res
 		cur, next = next, cur
 		st.Residual = res
-		if res < opts.Tol {
-			st.Converged = true
+		if st.Converged, st.Certified = kept(cur, res); st.Converged {
 			break
 		}
 		if !aitken || histFill < 3 || sinceTrial < opts.AitkenEvery || sweeps >= opts.MaxIter {
@@ -380,8 +407,7 @@ func FixedPointExtrapolated(ctx context.Context, ws *WalkScratch, init []float64
 			prevPlainRes = trialRes
 			cur, next = next, cur
 			st.Residual = trialRes
-			if trialRes < opts.Tol {
-				st.Converged = true
+			if st.Converged, st.Certified = kept(cur, trialRes); st.Converged {
 				break
 			}
 		} else {

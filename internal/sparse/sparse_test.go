@@ -101,8 +101,8 @@ func TestTransitionMulVec(t *testing.T) {
 	if tr.N() != 4 {
 		t.Fatalf("N = %d", tr.N())
 	}
-	if tr.NumDangling() != 1 {
-		t.Fatalf("NumDangling = %d, want 1", tr.NumDangling())
+	if len(tr.dangling) != 1 {
+		t.Fatalf("dangling nodes = %d, want 1", len(tr.dangling))
 	}
 	x := []float64{0.25, 0.25, 0.25, 0.25}
 	dst := make([]float64, 4)
@@ -164,8 +164,8 @@ func TestTransitionParallelMatchesSerial(t *testing.T) {
 	serial := NewTransition(g, nil)
 	pool := NewPool(4)
 	par := NewTransition(g, pool)
-	if par.NumChunks() < 2 {
-		t.Fatalf("NumChunks = %d, want a multi-chunk plan for %d edges", par.NumChunks(), g.NumEdges())
+	if par.numChunks() < 2 {
+		t.Fatalf("chunks = %d, want a multi-chunk plan for %d edges", par.numChunks(), g.NumEdges())
 	}
 	x := make([]float64, n)
 	for i := range x {

@@ -178,13 +178,8 @@ func (t *Transition) GapWeighted(year []int32, weight func(gap int) float64) (*T
 // N returns the dimension of the operator.
 func (t *Transition) N() int { return t.n }
 
-// NumDangling returns the number of dangling nodes.
-func (t *Transition) NumDangling() int { return len(t.dangling) }
-
-// NumChunks reports the size of the edge-balanced chunk plan. A value
+// numChunks reports the size of the edge-balanced chunk plan. A value
 // of 1 means every kernel runs serially regardless of the pool.
-func (t *Transition) NumChunks() int { return t.numChunks() }
-
 func (t *Transition) numChunks() int { return len(t.chunks) - 1 }
 
 // WithPool returns a view of t — the same CSR, edge weights, chunk plan
