@@ -47,12 +47,15 @@ fmt:
 ## parser and the /query page-token decoder on the serving path — on
 ## the radix score order,
 ## whose float-to-key mapping must match the comparator order on every
-## bit pattern, and on the certified /related walk, whose ordered top k
-## must match a walk run to 1e-14 whenever it reports a certificate.
+## bit pattern, on the certified /related walk, whose ordered top k
+## must match a walk run to 1e-14 whenever it reports a certificate,
+## and on the key index that generations carry through Thaw and
+## Freeze, whose every lookup must match a Go map.
 fuzz-smoke:
 	$(GO) test ./internal/corpus/ -run xxx -fuzz FuzzReadJSONL -fuzztime 10s
 	$(GO) test ./internal/corpus/ -run xxx -fuzz FuzzReadTSV -fuzztime 10s
 	$(GO) test ./internal/corpus/ -run xxx -fuzz FuzzReadSCORP -fuzztime 10s
+	$(GO) test ./internal/corpus/ -run xxx -fuzz FuzzKeyIndex -fuzztime 10s
 	$(GO) test ./internal/live/ -run xxx -fuzz FuzzReadSnapshot -fuzztime 10s
 	$(GO) test ./internal/live/ -run xxx -fuzz FuzzApplyDelta -fuzztime 10s
 	$(GO) test ./internal/obs/ -run xxx -fuzz FuzzParseTraceparent -fuzztime 10s

@@ -378,6 +378,14 @@ type Scores struct {
 	// ScorerOpts is the option bag the scorer was constructed with;
 	// nil when every default was used.
 	ScorerOpts ScorerOptions
+
+	// percentiles holds the rank percentiles of Prestige, Popularity
+	// and Hetero, in that order, when the composite's ensemble
+	// normalised by them (combine); NewExplainer reuses them instead
+	// of ranking the vectors again. They describe the vectors as
+	// solved, so a caller that rewrites a component must not explain
+	// the result.
+	percentiles [3][]float64
 }
 
 // Rank computes QISA-Rank over the network. Callers ranking the same

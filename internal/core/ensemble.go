@@ -25,9 +25,10 @@ func normalize(opts Options, x []float64) []float64 {
 	}
 }
 
-// combine normalises each component signal and folds them into the
-// importance vector according to the configured ensemble. The inputs
-// are not modified.
+// combine normalises the component signals of sc and folds them into
+// the importance vector according to the configured ensemble. The
+// signals are not modified. Under percentile normalisation the
+// normalised signals are kept on sc, where NewExplainer reuses them.
 //
 // The default normalisation is the rank percentile rather than
 // min–max: citation-derived signals are extremely heavy tailed, and
@@ -35,11 +36,14 @@ func normalize(opts Options, x []float64) []float64 {
 // sliver near zero, destroying the ensemble's resolution. Percentile
 // normalisation is a Borda-style rank fusion that keeps full ordering
 // information from every signal.
-func combine(opts Options, prestige, popularity, hetero []float64) ([]float64, error) {
-	n := len(prestige)
-	p := normalize(opts, prestige)
-	q := normalize(opts, popularity)
-	h := normalize(opts, hetero)
+func combine(opts Options, sc *Scores) ([]float64, error) {
+	n := len(sc.Prestige)
+	p := normalize(opts, sc.Prestige)
+	q := normalize(opts, sc.Popularity)
+	h := normalize(opts, sc.Hetero)
+	if opts.Normalization == NormPercentile {
+		sc.percentiles = [3][]float64{p, q, h}
+	}
 
 	wSum := opts.WPrestige + opts.WPopularity + opts.WHetero
 	wp := opts.WPrestige / wSum

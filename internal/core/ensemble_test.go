@@ -21,7 +21,7 @@ func TestCombineArithmeticGolden(t *testing.T) {
 	p := []float64{30, 20, 10}
 	q := []float64{1, 2, 3}
 	h := []float64{300, 200, 100}
-	out, err := combine(combineOpts(Arithmetic, NormPercentile), p, q, h)
+	out, err := combine(combineOpts(Arithmetic, NormPercentile), &Scores{Prestige: p, Popularity: q, Hetero: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestCombineHarmonicZeroDominance(t *testing.T) {
 	p := []float64{30, 20, 10}
 	q := []float64{1, 2, 3}
 	h := []float64{300, 200, 100}
-	out, err := combine(combineOpts(Harmonic, NormPercentile), p, q, h)
+	out, err := combine(combineOpts(Harmonic, NormPercentile), &Scores{Prestige: p, Popularity: q, Hetero: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,15 +52,15 @@ func TestCombineGeometricBetweenBounds(t *testing.T) {
 	p := []float64{3, 2, 1, 5}
 	q := []float64{1, 4, 2, 5}
 	h := []float64{2, 2, 9, 1}
-	hOut, err := combine(combineOpts(Harmonic, NormPercentile), p, q, h)
+	hOut, err := combine(combineOpts(Harmonic, NormPercentile), &Scores{Prestige: p, Popularity: q, Hetero: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gOut, err := combine(combineOpts(Geometric, NormPercentile), p, q, h)
+	gOut, err := combine(combineOpts(Geometric, NormPercentile), &Scores{Prestige: p, Popularity: q, Hetero: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aOut, err := combine(combineOpts(Arithmetic, NormPercentile), p, q, h)
+	aOut, err := combine(combineOpts(Arithmetic, NormPercentile), &Scores{Prestige: p, Popularity: q, Hetero: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestCombineMinMaxNormalization(t *testing.T) {
 	p := []float64{1000, 2, 1}
 	q := []float64{1000, 2, 1}
 	h := []float64{1000, 2, 1}
-	out, err := combine(combineOpts(Arithmetic, NormMinMax), p, q, h)
+	out, err := combine(combineOpts(Arithmetic, NormMinMax), &Scores{Prestige: p, Popularity: q, Hetero: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCombineMinMaxNormalization(t *testing.T) {
 		t.Errorf("non-outlier score = %v, want ≈0 under min-max", out[1])
 	}
 	// Under percentile normalisation the same data spreads evenly.
-	pOut, err := combine(combineOpts(Arithmetic, NormPercentile), p, q, h)
+	pOut, err := combine(combineOpts(Arithmetic, NormPercentile), &Scores{Prestige: p, Popularity: q, Hetero: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestCombineWeightsNormalised(t *testing.T) {
 	a.WPrestige, a.WPopularity, a.WHetero = 1, 2, 3
 	b := a
 	b.WPrestige, b.WPopularity, b.WHetero = 10, 20, 30
-	outA, err := combine(a, p, q, h)
+	outA, err := combine(a, &Scores{Prestige: p, Popularity: q, Hetero: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outB, err := combine(b, p, q, h)
+	outB, err := combine(b, &Scores{Prestige: p, Popularity: q, Hetero: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestCombineWeightsNormalised(t *testing.T) {
 
 func TestCombineUnknownEnsemble(t *testing.T) {
 	o := combineOpts(EnsembleKind(42), NormPercentile)
-	if _, err := combine(o, []float64{1}, []float64{1}, []float64{1}); err == nil {
+	if _, err := combine(o, &Scores{Prestige: []float64{1}, Popularity: []float64{1}, Hetero: []float64{1}}); err == nil {
 		t.Error("unknown ensemble accepted by combine")
 	}
 }

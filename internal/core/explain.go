@@ -39,10 +39,13 @@ type Explainer struct {
 // the component signals the producing scorer actually computed are
 // explained: a single-stage or external-baseline scorer leaves its
 // unused components nil, and Explain then reports just the signals
-// that exist (possibly none).
+// that exist (possibly none). The composite's percentile ensemble has
+// already ranked its three signals, and those vectors are shared; the
+// rest (min–max normalisation, single-signal scorers, scores read
+// from a snapshot) are ranked here.
 func NewExplainer(sc *Scores) *Explainer {
 	e := &Explainer{importance: sc.Importance}
-	for _, sig := range []struct {
+	for i, sig := range []struct {
 		name string
 		vec  []float64
 	}{
@@ -53,8 +56,12 @@ func NewExplainer(sc *Scores) *Explainer {
 		if sig.vec == nil {
 			continue
 		}
+		pct := sc.percentiles[i]
+		if pct == nil {
+			pct = eval.Percentiles(sig.vec)
+		}
 		e.signals = append(e.signals, sig.name)
-		e.pct = append(e.pct, eval.Percentiles(sig.vec))
+		e.pct = append(e.pct, pct)
 	}
 	return e
 }

@@ -95,12 +95,7 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 	}
 	l.warmHetero = heteroSolver
 	hetero := perm.Restored(heteroSolver)
-	importance, err := combine(opts, prestige, popularity, hetero)
-	if err != nil {
-		return nil, err
-	}
-	return &Scores{
-		Importance:    importance,
+	sc := &Scores{
 		Prestige:      prestige,
 		Popularity:    popularity,
 		Hetero:        hetero,
@@ -108,7 +103,11 @@ func (l *legacyEngine) rank(opts Options) (*Scores, error) {
 		PrestigeStats: pStats,
 		HeteroStats:   hStats,
 		Pool:          pool.Stats(),
-	}, nil
+	}
+	if sc.Importance, err = combine(opts, sc); err != nil {
+		return nil, err
+	}
+	return sc, nil
 }
 
 // recencyRestart is the restart distribution ∝ exp(-rho·age) over the

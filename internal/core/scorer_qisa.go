@@ -88,7 +88,7 @@ func newQISAScorer(name string) ScorerFactory {
 			return sc.Hetero, nil
 		}
 		sc.Popularity = computePopularity(ctx.Network(), opts)
-		return combine(opts, sc.Prestige, sc.Popularity, sc.Hetero)
+		return combine(opts, sc)
 	}
 	return fixed(&walkScorer{name: name, specs: specs, read: read})
 }

@@ -130,6 +130,26 @@ func BenchmarkFreeze(b *testing.B) {
 	}
 }
 
+// BenchmarkThawAddFreeze is one 0.1 % ingest's corpus work on a 300k
+// store: thaw, add 300 articles, freeze, and the first key lookup on
+// the frozen result, which is the one a reader makes after the swap.
+func BenchmarkThawAddFreeze(b *testing.B) {
+	base := sizedBuilder(b, 300_000).Freeze()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := base.Thaw()
+		for j := 0; j < 300; j++ {
+			if _, err := t.AddArticle(ArticleMeta{Key: fmt.Sprintf("new%03d", j), Year: 2020, Venue: NoVenue}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, ok := t.Freeze().ArticleByKey("new299"); !ok {
+			b.Fatal("added key not found")
+		}
+	}
+}
+
 // BenchmarkCorpusLoadTSV and BenchmarkCorpusLoadSCORP measure the
 // boot path from the same corpus in both encodings; EXPERIMENTS.md
 // records the reference numbers (SCORP must stay ≥ 5× faster).

@@ -27,23 +27,20 @@ import (
 //	// ... apply a delta ...
 //	s2 := b.Freeze()       // s keeps serving, s2 swaps in
 type Builder struct {
-	articles    []Article
-	byKey       map[string]ArticleID
-	authors     []Author
-	authorByKey map[string]AuthorID
-	venues      []Venue
-	venueByKey  map[string]VenueID
-	citations   int
+	articles  []Article
+	authors   []Author
+	venues    []Venue
+	citations int
+
+	artKeys, authorKeys, venueKeys builderKeys
 }
 
 // NewBuilder returns an empty corpus builder.
-func NewBuilder() *Builder {
-	return &Builder{
-		byKey:       make(map[string]ArticleID),
-		authorByKey: make(map[string]AuthorID),
-		venueByKey:  make(map[string]VenueID),
-	}
-}
+func NewBuilder() *Builder { return &Builder{} }
+
+func (b *Builder) articleKey(id ArticleID) string { return b.articles[id].Key }
+func (b *Builder) authorKey(id AuthorID) string   { return b.authors[id].Key }
+func (b *Builder) venueKey(id VenueID) string     { return b.venues[id].Key }
 
 // NumArticles returns the number of articles added so far.
 func (b *Builder) NumArticles() int { return len(b.articles) }
@@ -64,12 +61,12 @@ func (b *Builder) InternAuthor(key, name string) (AuthorID, error) {
 	if key == "" {
 		return 0, ErrEmptyKey
 	}
-	if id, ok := b.authorByKey[key]; ok {
+	if id, ok := b.authorKeys.find(key, b.authorKey); ok {
 		return id, nil
 	}
 	id := AuthorID(len(b.authors))
 	b.authors = append(b.authors, Author{Key: key, Name: name})
-	b.authorByKey[key] = id
+	b.authorKeys.add(id, b.authorKey)
 	return id, nil
 }
 
@@ -79,12 +76,12 @@ func (b *Builder) InternVenue(key, name string) (VenueID, error) {
 	if key == "" {
 		return 0, ErrEmptyKey
 	}
-	if id, ok := b.venueByKey[key]; ok {
+	if id, ok := b.venueKeys.find(key, b.venueKey); ok {
 		return id, nil
 	}
 	id := VenueID(len(b.venues))
 	b.venues = append(b.venues, Venue{Key: key, Name: name})
-	b.venueByKey[key] = id
+	b.venueKeys.add(id, b.venueKey)
 	return id, nil
 }
 
@@ -96,7 +93,7 @@ func (b *Builder) AddArticle(m ArticleMeta) (ArticleID, error) {
 	if m.Key == "" {
 		return 0, ErrEmptyKey
 	}
-	if _, ok := b.byKey[m.Key]; ok {
+	if _, ok := b.ArticleByKey(m.Key); ok {
 		return 0, fmt.Errorf("%w: %q", ErrDuplicateKey, m.Key)
 	}
 	if m.Year <= 0 || m.Year > math.MaxInt32 { // the store keeps years as int32
@@ -126,7 +123,7 @@ func (b *Builder) AddArticle(m ArticleMeta) (ArticleID, error) {
 		Venue:   m.Venue,
 		Authors: authors[:kept],
 	})
-	b.byKey[m.Key] = id
+	b.artKeys.add(id, b.articleKey)
 	return id, nil
 }
 
@@ -154,8 +151,7 @@ func (b *Builder) Article(id ArticleID) *Article {
 
 // ArticleByKey looks up an article by its external key.
 func (b *Builder) ArticleByKey(key string) (ArticleID, bool) {
-	id, ok := b.byKey[key]
-	return id, ok
+	return b.artKeys.find(key, b.articleKey)
 }
 
 // Author returns the author record for id.
@@ -179,10 +175,17 @@ func (b *Builder) Refs(from ArticleID) []ArticleID {
 // files, snapshot fingerprints and re-ranked clones together.
 //
 // The builder remains usable after Freeze; the store shares no
-// mutable state with it.
+// mutable state with it. The store's key indexes come ready built: a
+// copy of the thawed store's with the added ids inserted. Ids are
+// stable across Freeze (the solver order lives in the permutation),
+// so the builder then reads the new store's indexes as if thawed
+// from it.
 func (b *Builder) Freeze() *Store {
 	nArt, nAuth, nVen := len(b.articles), len(b.authors), len(b.venues)
 	s := &Store{citations: b.citations}
+	s.artKeys.t = b.artKeys.freeze(nArt, b.articleKey)
+	s.authorKeys.t = b.authorKeys.freeze(nAuth, b.authorKey)
+	s.venueKeys.t = b.venueKeys.freeze(nVen, b.venueKey)
 
 	var total int
 	for i := range b.articles {

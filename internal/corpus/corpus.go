@@ -3,8 +3,8 @@
 // split into a mutable Builder and an immutable columnar Store.
 //
 // The Builder holds the classic record-oriented representation
-// (articles with per-row slices, plus string interning maps) and is
-// where all validation lives. Builder.Freeze packs it into a Store:
+// (articles with per-row slices, plus key indexes for interning) and
+// is where all validation lives. Builder.Freeze packs it into a Store:
 // one flat string arena for every key, title and name, int64 offset
 // columns delimiting each string, CSR offset+data columns for the
 // authorship, venue and citation relations, and dense year/venue
@@ -21,7 +21,6 @@ package corpus
 
 import (
 	"errors"
-	"sync"
 
 	"scholarrank/internal/graph"
 	"scholarrank/internal/sparse"
@@ -93,8 +92,8 @@ type ArticleMeta struct {
 // the zero value is an empty corpus with no lookup capability.
 //
 // A Store is safe for concurrent use by any number of readers: the
-// only internal mutability is the lazily built key→id article lookup
-// map, guarded by sync.Once.
+// only internal mutability is the key→id index of a store loaded from
+// SCORP, built on first use under sync.Once (see keyIndex).
 type Store struct {
 	arena string
 
@@ -143,13 +142,10 @@ type Store struct {
 	// for heap-backed stores (built, decoded, or fallen back).
 	mm *mapRegion
 
-	lookupOnce sync.Once
-	byKey      map[string]ArticleID
-
-	authorLookupOnce sync.Once
-	authorByKey      map[string]AuthorID
-	venueLookupOnce  sync.Once
-	venueByKey       map[string]VenueID
+	// Key→id indexes of the three key columns. Freeze hands a store
+	// its indexes ready built, carried over from the generation it was
+	// thawed from.
+	artKeys, authorKeys, venueKeys storeKeys
 }
 
 func colLen(off []int64) int {
@@ -217,50 +213,30 @@ func (s *Store) Article(id ArticleID) Article {
 	}
 }
 
-// ArticleByKey looks up an article by its external key. The lookup
-// map is built lazily on first use — zero-parse boot keeps it off the
-// load path — and shared by all readers afterwards.
+// ArticleByKey looks up an article by its external key. A frozen
+// store carries its index from Freeze; one loaded from SCORP builds
+// it on first use, which keeps it off the zero-parse load path.
 func (s *Store) ArticleByKey(key string) (ArticleID, bool) {
-	s.lookupOnce.Do(func() {
-		m := make(map[string]ArticleID, s.NumArticles())
-		for i := 0; i < s.NumArticles(); i++ {
-			m[s.Key(ArticleID(i))] = ArticleID(i)
-		}
-		s.byKey = m
-	})
-	id, ok := s.byKey[key]
-	return id, ok
+	return s.articleIndex().find(key, s.Key)
 }
 
-// AuthorByKey looks up an author by its external key. Like
-// ArticleByKey the map is built lazily on first use (the query
-// subsystem resolves filter parameters through it) and shared by all
-// readers afterwards.
+// AuthorByKey looks up an author by its external key (the query
+// subsystem resolves filter parameters through it).
 func (s *Store) AuthorByKey(key string) (AuthorID, bool) {
-	s.authorLookupOnce.Do(func() {
-		m := make(map[string]AuthorID, s.NumAuthors())
-		for i := 0; i < s.NumAuthors(); i++ {
-			m[s.str(s.authorKeyOff, int32(i))] = AuthorID(i)
-		}
-		s.authorByKey = m
-	})
-	id, ok := s.authorByKey[key]
-	return id, ok
+	return s.authorIndex().find(key, s.authorKey)
 }
 
-// VenueByKey looks up a venue by its external key, building the
-// lookup map lazily on first use.
+// VenueByKey looks up a venue by its external key.
 func (s *Store) VenueByKey(key string) (VenueID, bool) {
-	s.venueLookupOnce.Do(func() {
-		m := make(map[string]VenueID, s.NumVenues())
-		for i := 0; i < s.NumVenues(); i++ {
-			m[s.str(s.venueKeyOff, int32(i))] = VenueID(i)
-		}
-		s.venueByKey = m
-	})
-	id, ok := s.venueByKey[key]
-	return id, ok
+	return s.venueIndex().find(key, s.venueKey)
 }
+
+func (s *Store) authorKey(id AuthorID) string { return s.str(s.authorKeyOff, id) }
+func (s *Store) venueKey(id VenueID) string   { return s.str(s.venueKeyOff, id) }
+
+func (s *Store) articleIndex() *keyIndex { return s.artKeys.get(s.NumArticles(), s.Key) }
+func (s *Store) authorIndex() *keyIndex  { return s.authorKeys.get(s.NumAuthors(), s.authorKey) }
+func (s *Store) venueIndex() *keyIndex   { return s.venueKeys.get(s.NumVenues(), s.venueKey) }
 
 // Author returns the author record for id.
 func (s *Store) Author(id AuthorID) Author {
@@ -383,35 +359,36 @@ func (s *Store) VisitArticles(fn func(id ArticleID, a *Article)) {
 // atomic generation swaps (this replaces the old deep Clone). The
 // builder's per-row slices alias store columns through full slice
 // expressions, so the first append to any row reallocates it: the
-// frozen store is never written through.
+// frozen store is never written through. The builder reads the
+// store's key indexes in place and indexes only the keys it adds.
 func (s *Store) Thaw() *Builder {
 	nArt, nAuth, nVen := s.NumArticles(), s.NumAuthors(), s.NumVenues()
 	b := &Builder{
-		articles:    make([]Article, nArt),
-		byKey:       make(map[string]ArticleID, nArt),
-		authors:     make([]Author, nAuth),
-		authorByKey: make(map[string]AuthorID, nAuth),
-		venues:      make([]Venue, nVen),
-		venueByKey:  make(map[string]VenueID, nVen),
-		citations:   s.citations,
+		articles:   make([]Article, nArt),
+		authors:    make([]Author, nAuth),
+		venues:     make([]Venue, nVen),
+		citations:  s.citations,
+		artKeys:    builderKeys{base: s.articleIndex()},
+		authorKeys: builderKeys{base: s.authorIndex()},
+		venueKeys:  builderKeys{base: s.venueIndex()},
 	}
 	for i := 0; i < nArt; i++ {
 		b.articles[i] = s.Article(ArticleID(i))
-		b.byKey[b.articles[i].Key] = ArticleID(i)
 	}
 	for i := 0; i < nAuth; i++ {
 		b.authors[i] = s.Author(AuthorID(i))
-		b.authorByKey[b.authors[i].Key] = AuthorID(i)
 	}
 	for i := 0; i < nVen; i++ {
 		b.venues[i] = s.Venue(VenueID(i))
-		b.venueByKey[b.venues[i].Key] = VenueID(i)
 	}
 	return b
 }
 
 // Bytes reports the resident size of the store's columns in bytes
-// (arena plus offset and id arrays; the lazy lookup map is excluded).
+// (arena plus offset and id arrays). The key indexes are excluded:
+// a frozen store carries them and a loaded one builds them on first
+// lookup, so counting them would make the figure depend on the path a
+// store came by.
 // Serving exposes this as the corpus_bytes gauge.
 func (s *Store) Bytes() int64 {
 	n := int64(len(s.arena))
@@ -447,11 +424,6 @@ func (s *Store) VenueColumn() []VenueID { return s.venueOf }
 // ArticleAuthorsCSR returns the article→authors CSR pair.
 func (s *Store) ArticleAuthorsCSR() (offsets []int64, authors []AuthorID) {
 	return s.artAuthorOff, s.artAuthors
-}
-
-// RefsCSR returns the article→references CSR pair (duplicates kept).
-func (s *Store) RefsCSR() (offsets []int64, refs []ArticleID) {
-	return s.refOff, s.refs
 }
 
 // AuthorArticlesCSR returns the author→articles CSR pair, each row in

@@ -115,12 +115,6 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// Mapped reports whether the store's columns currently alias a live
-// memory-mapped file.
-func (s *Store) Mapped() bool {
-	return s.mm != nil && s.mm.refs.Load() > 0
-}
-
 // MappedBytes returns the size of the underlying mapping in bytes, or
 // 0 for a heap-backed store. The value counts address space, not
 // resident pages — residency is the OS page cache's business.

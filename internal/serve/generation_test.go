@@ -19,6 +19,7 @@ import (
 
 	"scholarrank/internal/core"
 	"scholarrank/internal/corpus"
+	"scholarrank/internal/gen"
 	"scholarrank/internal/live"
 	"scholarrank/internal/sparse"
 )
@@ -509,5 +510,92 @@ func TestIngestCitationOnlyDeltaSwaps(t *testing.T) {
 	if g.version != 2 || g.store.NumCitations() != store.NumCitations()+1 {
 		t.Errorf("version %d with %d citations, want version 2 with %d",
 			g.version, g.store.NumCitations(), store.NumCitations()+1)
+	}
+}
+
+// TestIngestCarriesKeyIndex checks the key index a generation inherits
+// from the one before: across ingests and a rejected delta, every old
+// and new article, author and venue key resolves to its id, the first
+// lookup on a new generation builds nothing, and the keys of the
+// rejected delta stay unknown.
+func TestIngestCarriesKeyIndex(t *testing.T) {
+	cfg := gen.NewDefaultConfig(3000)
+	cfg.Seed = 11
+	c, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewWithConfig(c.Store, Config{Options: core.DefaultOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	old := c.Store.Key(0)
+	ingest := func(round int) {
+		t.Helper()
+		delta := fmt.Sprintf(`{"id":"new%d","year":2030,"venue":"venue%d","authors":["author%d","%s"],"refs":[%q]}`,
+			round, round, round, c.Store.Author(0).Key, old)
+		if _, err := srv.Ingest(context.Background(), strings.NewReader(delta)); err != nil {
+			t.Fatal(err)
+		}
+		store := srv.gen.Load().store
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		id, ok := store.ArticleByKey(fmt.Sprintf("new%d", round))
+		_, aok := store.AuthorByKey(fmt.Sprintf("author%d", round))
+		_, vok := store.VenueByKey(fmt.Sprintf("venue%d", round))
+		runtime.ReadMemStats(&after)
+		if !ok || !aok || !vok || int(id) != store.NumArticles()-1 {
+			t.Fatalf("round %d: new keys resolve to %d/%v, author %v, venue %v", round, id, ok, aok, vok)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(4*store.NumArticles()) {
+			t.Errorf("round %d: first lookups on the new generation allocated %d bytes", round, grew)
+		}
+	}
+	ingest(1)
+	ingest(2)
+	poisoned := `{"id":"rejected","year":2030,"venue":"rejected-venue","authors":["rejected-author"]}
+{"id":`
+	if rec := post(t, h, "/admin/ingest", poisoned); rec.Code != http.StatusBadRequest {
+		t.Fatalf("poisoned delta: status %d", rec.Code)
+	}
+	ingest(3)
+
+	store := srv.gen.Load().store
+	if got, want := store.NumArticles(), c.Store.NumArticles()+3; got != want {
+		t.Fatalf("%d articles after three ingests, want %d", got, want)
+	}
+	for i := 0; i < store.NumArticles(); i++ {
+		if id, ok := store.ArticleByKey(store.Key(corpus.ArticleID(i))); !ok || int(id) != i {
+			t.Fatalf("article %d (%q) resolves to %d, %v", i, store.Key(corpus.ArticleID(i)), id, ok)
+		}
+	}
+	for i := 0; i < store.NumAuthors(); i++ {
+		if id, ok := store.AuthorByKey(store.Author(corpus.AuthorID(i)).Key); !ok || int(id) != i {
+			t.Fatalf("author %d resolves to %d, %v", i, id, ok)
+		}
+	}
+	for i := 0; i < store.NumVenues(); i++ {
+		if id, ok := store.VenueByKey(store.Venue(corpus.VenueID(i)).Key); !ok || int(id) != i {
+			t.Fatalf("venue %d resolves to %d, %v", i, id, ok)
+		}
+	}
+	if _, ok := store.ArticleByKey("rejected"); ok {
+		t.Error("the rejected delta's article resolves")
+	}
+	if _, ok := store.AuthorByKey("rejected-author"); ok {
+		t.Error("the rejected delta's author resolves")
+	}
+	if _, ok := store.VenueByKey("rejected-venue"); ok {
+		t.Error("the rejected delta's venue resolves")
+	}
+	for _, key := range []string{old, "new1", "new2", "new3"} {
+		if rec := get(t, h, "/article?key="+key); rec.Code != http.StatusOK {
+			t.Errorf("/article?key=%s: status %d", key, rec.Code)
+		}
+	}
+	if rec := get(t, h, "/article?key=rejected"); rec.Code != http.StatusNotFound {
+		t.Errorf("/article?key=rejected: status %d, want 404", rec.Code)
 	}
 }
